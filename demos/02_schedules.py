@@ -3,8 +3,8 @@
 import numpy as np
 
 from sipm import (Bounds, BufferSequences, ExponentTriple, PowerSchedule,
-                  build_staircase, min_mu1_threshold, mu1_init, mu_at,
-                  theta0_init, theta_at, validate_exponents)
+                  build_staircase, min_mu1_threshold, mu1_init,
+                  theta0_init, validate_exponents)
 
 print("== exponent-region gate ==")
 for triple, setting in [((-1.0, -1.0, 0.0), "deterministic"),
@@ -18,13 +18,13 @@ print("\n== power-law schedule (note the shifted theta index) ==")
 sched = PowerSchedule(mu1=1.0, theta0=0.2,
                       exponents=ExponentTriple(-0.75, -0.75, -0.25))
 for k in (1, 4, 16, 256):
-    print(f"  k={k:4d}  mu_k={mu_at(sched, k):.6f}  theta_k={theta_at(sched, k):.6f}")
+    print(f"  k={k:4d}  mu_k={sched.mu(k):.6f}  theta_k={sched.theta(k):.6f}")
 
 print("\n== staircase schedule for a budget of 100 iterations ==")
 stair = build_staircase(1.0, 100, theta0=0.2)
 print("  levels:", stair.levels)
 print("  repetition length:", stair.repetition_length)
-print("  mu at k=1, 50, 100:", [mu_at(stair, k) for k in (1, 50, 100)])
+print("  mu at k=1, 50, 100:", [stair.mu(k) for k in (1, 50, 100)])
 
 print("\n== buffer sequences ==")
 theory = BufferSequences(mode="theory", alpha_buff_base=2.0, gamma_buff_base=1.5,

@@ -9,9 +9,8 @@ package.
 """
 
 from . import errors
-from .baselines import (BaselineConfig, c_constant, match_sipm_endpoints, psgm_step,
-                        recurrence_ratio, run_psgm, run_simplified,
-                        simplified_ipm_step)
+from .baselines import (c_constant, match_sipm_endpoints, psgm_step, recurrence_ratio,
+                        run_psgm, run_simplified, simplified_ipm_step)
 from .geometry import (Bounds, KktCertificate, barrier_gradient, barrier_value,
                        default_chi, in_neighborhood, kkt_certificate,
                        project_to_neighborhood, projected_gradient_norm, range_gap,
@@ -24,14 +23,13 @@ from .libsvm import (SparseDataset, align_feature_space, parse_libsvm,
                      parse_libsvm_file, serialize_libsvm)
 from .problems import (LogisticObjective, Objective, OneHiddenLayerObjective,
                        QuadraticObjective, batch_sampler, default_hidden_width,
-                       finite_difference_gradient, logistic_dimension,
+                       finite_difference_gradient, gradient_oracle, logistic_dimension,
                        logistic_objective, nn_dimension, nn_objective,
                        quadratic_objective, synthetic_classification)
 from .schedules import (BufferSequences, ExponentTriple, PowerSchedule,
                         StaircaseSchedule, build_staircase, min_mu1_threshold,
-                        mu1_init, mu_at, theta0_init, theta_at, validate_exponents)
-from .solver import (IterationRecord, RunResult, SolverConfig, SolverState,
-                     build_hk, run, sipm_step)
+                        mu1_init, theta0_init, validate_exponents)
+from .solver import IterationRecord, RunResult, SolverConfig, build_hk, run, sipm_step
 from .stepsize import (Constants, ScheduleContext, SlackProducts, StepSizeBundle,
                        local_lipschitz, ratio_test, slack_products,
                        step_size_bundle)

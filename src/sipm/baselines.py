@@ -9,27 +9,14 @@ curvature-bound step size, whose recurrence stalls at a positive floor; the
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, ThetaLinkViolation
-from .geometry import (KktCertificate, barrier_gradient, kkt_certificate,
-                       project_to_neighborhood, projected_gradient_norm,
-                       range_gap, slacks)
-from .problems import batch_sampler
-from .solver import RunResult
+from .geometry import barrier_gradient, project_to_neighborhood, range_gap
+from .problems import gradient_oracle
+from .solver import RunResult, _final_metrics
 
 C_CAP = 1e6
-
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    kind: str                       # "psgm" | "simplified_ipm"
-    step_schedule: tuple = ()
-    schedule_link: str = "explicit"  # or "match_sipm_endpoints"
-    theta_link_c: float | None = None
 
 
 def psgm_step(x, g, alpha, bounds):
@@ -85,32 +72,6 @@ def recurrence_ratio(mu_seq, c, psi, ell_f, C):
     return C * mu / (1.0 - v)
 
 
-def _active_set_certificate(x, g, bounds):
-    """KKT residuals at a possibly-boundary point, multipliers from the
-    active set.  Complementarity is exact: multipliers live only on active
-    bounds, where the slack is zero."""
-    g = np.asarray(g, dtype=float)
-    lo, up = slacks(x, bounds)
-    y = np.where(bounds.finite_lower & (lo <= 0.0), np.maximum(g, 0.0), 0.0)
-    z = np.where(bounds.finite_upper & (up <= 0.0), np.maximum(-g, 0.0), 0.0)
-    residual = float(np.max(np.abs(g - y + z)))
-    return KktCertificate(y=y, z=z, stationarity_residual=residual,
-                          complementarity_residual=0.0)
-
-
-def _final_metrics(objective, bounds, x, mu_last=None):
-    """Final metrics with true gradients.  Interior iterates (mu_last given)
-    get barrier multipliers; boundary-capable iterates get active-set ones."""
-    g = objective.gradient(x)
-    if mu_last is None:
-        cert = _active_set_certificate(x, g, bounds)
-    else:
-        cert = kkt_certificate(x, g, bounds, mu_last)
-    return dict(final_objective=float(objective.value(x)),
-                final_projected_grad_norm=projected_gradient_norm(x, g, bounds),
-                final_kkt=cert)
-
-
 def match_sipm_endpoints(shape, alpha_first, alpha_last):
     """Rescale a decreasing shape sequence (starting at 1) geometrically so the
     produced steps match the given first and last values."""
@@ -132,22 +93,11 @@ def run_psgm(objective, bounds, steps, x1, maxiter, mode="deterministic",
     Final metrics use true gradients, mirroring the interior-point runs.
     """
     x = np.asarray(x1, dtype=float).copy()
-    batches = None
-    if mode == "stochastic":
-        m = objective.sample_count
-        batches = batch_sampler(m, max(1, math.ceil(batch_fraction * m)), seed)
-    for k in range(1, maxiter + 1):
-        if mode == "stochastic":
-            g = objective.stochastic_gradient(x, next(batches))
-        else:
-            g = objective.gradient(x)
-        x = psgm_step(x, g, steps[k - 1], bounds)
+    gradient = gradient_oracle(objective, mode, batch_fraction, seed)
+    for k in range(maxiter):
+        x = psgm_step(x, gradient(x), steps[k], bounds)
     # the final iterate may sit on the box boundary: active-set certificate
-    metrics = _final_metrics(objective, bounds, x)
-    return RunResult(final_x=x, records=[], stall_count=0,
-                     alpha_first=float(steps[0]) if maxiter else math.nan,
-                     alpha_last=float(steps[maxiter - 1]) if maxiter else math.nan,
-                     **metrics)
+    return RunResult(final_x=x, **_final_metrics(objective, bounds, x))
 
 
 def run_simplified(objective, bounds, mu_seq, ell_f, c, x1, maxiter,
@@ -158,28 +108,10 @@ def run_simplified(objective, bounds, mu_seq, ell_f, c, x1, maxiter,
     stays nonempty when mu is still large.
     """
     x = np.asarray(x1, dtype=float).copy()
-    delta = range_gap(bounds, 100.0)
-    theta_cap = 0.499 * delta
-    batches = None
-    if mode == "stochastic":
-        m = objective.sample_count
-        batches = batch_sampler(m, max(1, math.ceil(batch_fraction * m)), seed)
-    alpha_first = math.nan
-    alpha_last = math.nan
-    for k in range(1, maxiter + 1):
-        mu = float(mu_seq[k - 1])
-        theta = min(c * mu, theta_cap)
-        if mode == "stochastic":
-            g = objective.stochastic_gradient(x, next(batches))
-        else:
-            g = objective.gradient(x)
-        q = barrier_gradient(g, x, bounds, mu)
-        alpha = 1.0 / (ell_f + 2.0 * mu / theta ** 2)
-        x = project_to_neighborhood(x - alpha * q, bounds, theta)
-        if math.isnan(alpha_first):
-            alpha_first = alpha
-        alpha_last = alpha
+    theta_cap = 0.499 * range_gap(bounds, 100.0)
+    gradient = gradient_oracle(objective, mode, batch_fraction, seed)
+    for k in range(maxiter):
+        mu = float(mu_seq[k])
+        x = simplified_ipm_step(x, gradient(x), bounds, mu, min(c * mu, theta_cap), ell_f)
     mu_last = float(mu_seq[maxiter - 1]) if maxiter >= 1 else None
-    metrics = _final_metrics(objective, bounds, x, mu_last=mu_last)
-    return RunResult(final_x=x, records=[], stall_count=0,
-                     alpha_first=alpha_first, alpha_last=alpha_last, **metrics)
+    return RunResult(final_x=x, **_final_metrics(objective, bounds, x, mu_last=mu_last))

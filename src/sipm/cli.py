@@ -86,13 +86,8 @@ def _write_report(report, args):
     _emit(text, args.out)
 
 
-def _cmd_solve(args):
-    spec = _spec_from_args(args, (args.solver,))
-    _write_report(run_experiment(spec), args)
-    return 0
-
-
-def _cmd_bench(args):
+def _cmd_run(args):
+    """solve and bench: one solver or a comma-separated list."""
     solvers = tuple(s.strip() for s in args.solver.split(",") if s.strip())
     spec = _spec_from_args(args, solvers)
     _write_report(run_experiment(spec), args)
@@ -103,6 +98,7 @@ def _cmd_estimate(args):
     from .harness import _build_problem  # spec-driven problem construction
 
     spec = _spec_from_args(args, ())
+    maxiter = resolve_maxiter(spec)
     objective, _ = _build_problem(spec.problems[0], spec)
     bounds = Bounds.cube(objective.n, *spec.bounds)
     x1 = initial_point(objective.n, spec.init_seed)
@@ -111,7 +107,7 @@ def _cmd_estimate(args):
                                    seed=spec.init_seed)
     payload = {"problem": spec.problems[0].name,
                "mode": spec.mode,
-               "resolved_maxiter": resolve_maxiter(spec),
+               "resolved_maxiter": maxiter,
                "constants": {"ell_f_bar": constants.ell_f_bar,
                              "kappa_inf_bar": constants.kappa_inf_bar,
                              "sigma_inf_bar": constants.sigma_inf_bar}}
@@ -148,7 +144,7 @@ def build_parser():
 
     p_solve = sub.add_parser("solve", help="run one solver on one problem")
     _add_common(p_solve, multi_solver=False)
-    p_solve.set_defaults(handler=_cmd_solve)
+    p_solve.set_defaults(handler=_cmd_run)
 
     p_estimate = sub.add_parser("estimate", help="estimate problem constants")
     _add_common(p_estimate, multi_solver=False)
@@ -156,7 +152,7 @@ def build_parser():
 
     p_bench = sub.add_parser("bench", help="compare solvers over seeds")
     _add_common(p_bench, multi_solver=True)
-    p_bench.set_defaults(handler=_cmd_bench)
+    p_bench.set_defaults(handler=_cmd_run)
 
     p_check = sub.add_parser("parse-check", help="validate LIBSVM data files")
     p_check.add_argument("--train", metavar="PATH", required=True)

@@ -45,8 +45,8 @@ class InvariantViolation(SipmError):
         self.k = k
 
 
-class EigenvalueBoundViolation(SipmError):
-    """A custom scaling diagonal escapes its declared eigenvalue interval."""
+class InvalidBudget(SipmError, ValueError):
+    """An experiment's iteration budget or batch fraction is out of range."""
 
 
 class ThetaLinkViolation(SipmError):

@@ -25,11 +25,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .baselines import (BaselineConfig, c_constant, match_sipm_endpoints,
-                        run_psgm, run_simplified)
+from .baselines import c_constant, match_sipm_endpoints, run_psgm, run_simplified
+from .errors import InvalidBudget
 from .geometry import Bounds, range_gap
 from .libsvm import align_feature_space, parse_libsvm_file
-from .problems import (batch_sampler, logistic_objective, nn_objective,
+from .problems import (gradient_oracle, logistic_objective, nn_objective,
                        quadratic_objective, synthetic_classification)
 from .schedules import (BufferSequences, ExponentTriple, PowerSchedule,
                         build_staircase, mu1_init, theta0_init)
@@ -83,14 +83,13 @@ def estimate_constants(objective, x1, bounds, mode="deterministic",
     seeded mini-batch gradients at the start point; otherwise it is 0.
     """
     config = _bootstrap_config(objective, x1, bounds, bootstrap_iters)
-    visited = []
-    run(objective, config, x1, observer=lambda info: visited.append(info["x"]))
+    visited = []   # (x, exact gradient at x) per bootstrap iteration
+    run(objective, config, x1,
+        observer=lambda info: visited.append((info["x"], info["g"])))
 
-    grads = [objective.gradient(x) for x in visited]
-    kappa = max(float(np.max(np.abs(g))) for g in grads)
+    kappa = max(float(np.max(np.abs(g))) for _, g in visited)
     ell = 0.0
-    for (x_prev, g_prev), (x_next, g_next) in zip(zip(visited, grads),
-                                                  zip(visited[1:], grads[1:])):
+    for (x_prev, g_prev), (x_next, g_next) in zip(visited, visited[1:]):
         move = float(np.linalg.norm(x_next - x_prev))
         if move > 1e-14:
             ell = max(ell, float(np.linalg.norm(g_next - g_prev)) / move)
@@ -99,13 +98,10 @@ def estimate_constants(objective, x1, bounds, mode="deterministic",
 
     sigma = 0.0
     if mode == "stochastic":
-        m = objective.sample_count
-        batch_size = max(1, math.ceil(batch_fraction * m))
-        draws = batch_sampler(m, batch_size, [seed, 2])
-        g_true = objective.gradient(x1)
+        sample = gradient_oracle(objective, mode, batch_fraction, [seed, 2])
+        g_true = visited[0][1]   # the bootstrap starts at x1
         for _ in range(SIGMA_DRAWS):
-            g = objective.stochastic_gradient(x1, next(draws))
-            sigma = max(sigma, float(np.max(np.abs(g - g_true))))
+            sigma = max(sigma, float(np.max(np.abs(sample(x1) - g_true))))
     return EstimatedConstants(ell_f_bar=ell, kappa_inf_bar=kappa, sigma_inf_bar=sigma)
 
 
@@ -155,12 +151,22 @@ class ExperimentSpec:
 
 def resolve_maxiter(spec):
     """Iteration budget: epochs/batch_fraction in stochastic mode when epochs
-    are given, the explicit maxiter otherwise."""
+    are given, the explicit maxiter otherwise.
+
+    Raises InvalidBudget for a stochastic batch fraction outside (0, 1] or a
+    budget below one iteration, before any problem is built.
+    """
+    if spec.mode == "stochastic" and not 0.0 < spec.batch_fraction <= 1.0:
+        raise InvalidBudget(f"batch_fraction={spec.batch_fraction} must lie in (0, 1]")
     if spec.mode == "stochastic" and spec.epochs is not None:
-        return int(round(spec.epochs / spec.batch_fraction))
-    if spec.maxiter is None:
-        raise ValueError("need either maxiter or (stochastic) epochs")
-    return int(spec.maxiter)
+        maxiter = int(round(spec.epochs / spec.batch_fraction))
+    elif spec.maxiter is None:
+        raise InvalidBudget("need either maxiter or (stochastic) epochs")
+    else:
+        maxiter = int(spec.maxiter)
+    if maxiter < 1:
+        raise InvalidBudget(f"the iteration budget resolves to {maxiter}, below 1")
+    return maxiter
 
 
 def _build_problem(problem, spec):
@@ -210,16 +216,6 @@ def _constants_for(problem, spec, objective, x1, bounds):
         os.makedirs(spec.cache_dir, exist_ok=True)
         save_constants(path, estimated)
     return estimated, False
-
-
-def _probe_gradient(objective, x1, spec, seed):
-    """Gradient (estimate) at the start point used to size the barrier start."""
-    if spec.mode == "stochastic":
-        m = objective.sample_count
-        batch_size = max(1, math.ceil(spec.batch_fraction * m))
-        draws = batch_sampler(m, batch_size, [seed, 1])
-        return objective.stochastic_gradient(x1, next(draws))
-    return objective.gradient(x1)
 
 
 def _schedule_for(spec, mu1, theta0, maxiter):
@@ -308,7 +304,9 @@ def run_experiment(spec):
         # first within each seed whatever order the caller listed
         ordered_solvers = sorted(spec.solvers, key=lambda s: s != "sipm")
         for seed in spec.seeds:
-            g_probe = _probe_gradient(objective, x1, spec, seed)
+            # the gradient (estimate) at x1 that sizes the barrier start
+            g_probe = gradient_oracle(objective, spec.mode, spec.batch_fraction,
+                                      [seed, 1])(x1)
             mu1 = mu1_init(g_probe, x1, bounds)
             theta0 = theta0_init(x1, bounds, estimated.kappa_inf_bar, sigma, mu1, delta)
             schedule = _schedule_for(spec, mu1, theta0, maxiter)
@@ -378,11 +376,12 @@ def _config_block(spec, maxiter):
     if "psgm" in spec.solvers:
         # steps follow the shape sequence, geometrically rescaled to match the
         # interior-point run's first and last step sizes
-        baselines["psgm"] = asdict(BaselineConfig(
-            kind="psgm", schedule_link="match_sipm_endpoints"))
+        baselines["psgm"] = {"kind": "psgm", "step_schedule": (),
+                             "schedule_link": "match_sipm_endpoints",
+                             "theta_link_c": None}
     if "proj-ipm" in spec.solvers:
-        baselines["proj-ipm"] = asdict(BaselineConfig(
-            kind="simplified_ipm", schedule_link="explicit"))
+        baselines["proj-ipm"] = {"kind": "simplified_ipm", "step_schedule": (),
+                                 "schedule_link": "explicit", "theta_link_c": None}
     block["baselines"] = baselines
     return block
 

@@ -269,6 +269,23 @@ def batch_sampler(m, batch_size, seed):
     return draws()
 
 
+def gradient_oracle(objective, mode, batch_fraction, seed):
+    """The gradient every solver iteration reads, as a function ``x -> g``.
+
+    Deterministic mode gives the exact gradient.  Stochastic mode gives the
+    mean over a fresh batch of ``ceil(batch_fraction * m)`` samples (at least
+    one) per call, drawn from ``batch_sampler`` under ``seed``, so two
+    oracles built with the same seed see the same batch stream.
+    """
+    if mode != "stochastic":
+        return objective.gradient
+    if not 0.0 < batch_fraction <= 1.0:
+        raise ValueError("batch_fraction must lie in (0, 1]")
+    m = objective.sample_count
+    batches = batch_sampler(m, max(1, math.ceil(batch_fraction * m)), seed)
+    return lambda x: objective.stochastic_gradient(x, next(batches))
+
+
 def synthetic_classification(m, n_features, seed=0):
     """A small labeled dataset with a noisy linear decision boundary.
 

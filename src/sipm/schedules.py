@@ -6,7 +6,7 @@ the budgeted staircase of decreasing powers of ten ending at the 1e-8 barrier
 floor.  Exponent triples are validated against the admissible regions of the
 deterministic and stochastic convergence regimes.
 
-Indexing note: ``theta_at(schedule, k)`` returns theta_k, which for the power
+Indexing note: ``schedule.theta(k)`` returns theta_k, which for the power
 family is ``theta0 * (k+1)**t_theta``.  The shift is deliberate and matches
 the pairing of mu_k with theta_{k-1} used everywhere else in the package, so
 callers should never add their own off-by-one.
@@ -156,16 +156,6 @@ def build_staircase(mu1, maxiter, theta0=1.0):
     return StaircaseSchedule(mu1=float(mu1), theta0=float(theta0), maxiter=int(maxiter),
                              levels=levels, repetition_length=repetition,
                              degenerate=degenerate)
-
-
-def mu_at(schedule, k):
-    """Barrier parameter mu_k of either schedule family."""
-    return schedule.mu(k)
-
-
-def theta_at(schedule, k):
-    """Neighborhood parameter theta_k of either schedule family (k >= 0)."""
-    return schedule.theta(k)
 
 
 @dataclass(frozen=True)

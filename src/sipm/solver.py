@@ -11,16 +11,15 @@ and any failure raises InvariantViolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (EigenvalueBoundViolation, HorizonExceeded, InfeasibleStart,
-                     InvariantViolation, ThetaTooLarge)
-from .geometry import (Bounds, barrier_gradient, default_chi, in_neighborhood,
-                       kkt_certificate, projected_gradient_norm, range_gap,
-                       require_interior, shifted_barrier_value, slacks)
-from .problems import batch_sampler
+from .errors import HorizonExceeded, InfeasibleStart, InvariantViolation, ThetaTooLarge
+from .geometry import (Bounds, KktCertificate, barrier_gradient, default_chi,
+                       in_neighborhood, kkt_certificate, projected_gradient_norm,
+                       range_gap, require_interior, shifted_barrier_value, slacks)
+from .problems import gradient_oracle
 from .schedules import BufferSequences, PowerSchedule, StaircaseSchedule, validate_exponents
 from .stepsize import (Constants, ScheduleContext, local_lipschitz, ratio_test,
                        step_size_bundle)
@@ -36,17 +35,8 @@ class SolverConfig:
     maxiter: int
     rng_seed: int = 0
     batch_fraction: float = 0.01
-    hk_strategy: str = "practical"    # "practical" | "identity" | "custom"
-    hk_custom: object = None          # callable (x, mu) -> diagonal, for "custom"
-    hk_eigen_bounds: tuple | None = None
+    hk_strategy: str = "practical"    # "practical" | "identity"
     audit_level: str = "off"          # "off" | "invariants" | "full_trace"
-    chi: float | None = None          # shift constant for the decrease audit
-
-
-@dataclass
-class SolverState:
-    x: np.ndarray
-    k: int
 
 
 @dataclass(frozen=True)
@@ -65,21 +55,47 @@ class IterationRecord:
 @dataclass
 class RunResult:
     final_x: np.ndarray
-    records: list
     final_objective: float
     final_projected_grad_norm: float
     final_kkt: object
-    stall_count: int
+    records: list = field(default_factory=list)
+    stall_count: int = 0
     alpha_first: float = math.nan
     alpha_last: float = math.nan
 
 
-def build_hk(x, bounds, mu, ell_f_bar, strategy, custom_diag=None, eigen_bounds=None):
+def _active_set_certificate(x, g, bounds):
+    """KKT residuals at a possibly-boundary point, multipliers from the
+    active set.  Complementarity is exact: multipliers live only on active
+    bounds, where the slack is zero."""
+    g = np.asarray(g, dtype=float)
+    lo, up = slacks(x, bounds)
+    y = np.where(bounds.finite_lower & (lo <= 0.0), np.maximum(g, 0.0), 0.0)
+    z = np.where(bounds.finite_upper & (up <= 0.0), np.maximum(-g, 0.0), 0.0)
+    residual = float(np.max(np.abs(g - y + z)))
+    return KktCertificate(y=y, z=z, stationarity_residual=residual,
+                          complementarity_residual=0.0)
+
+
+def _final_metrics(objective, bounds, x, mu_last=None):
+    """Final metrics with true gradients, also after a stochastic run.
+    Interior iterates (mu_last given) get barrier multipliers; iterates that
+    may sit on the boundary get active-set ones."""
+    g = objective.gradient(x)
+    if mu_last is None:
+        cert = _active_set_certificate(x, g, bounds)
+    else:
+        cert = kkt_certificate(x, g, bounds, mu_last)
+    return dict(final_objective=float(objective.value(x)),
+                final_projected_grad_norm=projected_gradient_norm(x, g, bounds),
+                final_kkt=cert)
+
+
+def build_hk(x, bounds, mu, ell_f_bar, strategy):
     """Diagonal scaling for one iteration, with its extreme eigenvalues.
 
     practical: ell_f_bar + mu/(x_i - l_i)^2 + mu/(u_i - x_i)^2 per coordinate
-    (infinite sides contribute nothing), identity: all ones, custom: the given
-    diagonal validated against the declared eigenvalue interval.
+    (infinite sides contribute nothing), identity: all ones.
     """
     require_interior(x, bounds)
     x = np.asarray(x, dtype=float)
@@ -90,14 +106,6 @@ def build_hk(x, bounds, mu, ell_f_bar, strategy, custom_diag=None, eigen_bounds=
         diag[bounds.finite_upper] += mu / up[bounds.finite_upper] ** 2
     elif strategy == "identity":
         diag = np.ones(x.size)
-    elif strategy == "custom":
-        diag = np.asarray(custom_diag, dtype=float)
-        if eigen_bounds is None:
-            raise ValueError("custom scaling needs declared eigenvalue bounds")
-        lam_lo, lam_hi = eigen_bounds
-        if lam_lo <= 0.0 or np.any(diag < lam_lo) or np.any(diag > lam_hi):
-            raise EigenvalueBoundViolation(
-                f"diagonal escapes [{lam_lo}, {lam_hi}] or the floor is nonpositive")
     else:
         raise ValueError(f"unknown scaling strategy {strategy!r}")
     return diag, float(np.min(diag)), float(np.max(diag))
@@ -108,34 +116,32 @@ def _rel_ok(lhs, rhs, tol):
     return lhs <= rhs + tol * (1.0 + abs(rhs))
 
 
-def sipm_step(state, oracle_gradient, config, delta, f_value=None, observer=None):
-    """One iteration: scaling, barrier gradient, step sizes, ratio test, update.
+def sipm_step(x, k, g, config, delta, f_value=None):
+    """Iteration k from x: scaling, barrier gradient, step sizes, ratio test, update.
 
-    ``f_value`` (the objective at the current iterate) is only needed to fill
-    the shifted-barrier field of the trace record.  The returned state holds
-    the next iterate and the incremented counter.
+    ``g`` is the (estimated) gradient at x.  ``f_value`` (the objective at x)
+    is only needed to fill the shifted-barrier field of the trace record.
+    Returns the next iterate, the iteration record, and the dict of internal
+    quantities that ``run`` hands to its observer.
     """
-    k = state.k
     sched = config.schedule
     mu_k = sched.mu(k)
     theta_k = sched.theta(k)
     theta_prev = sched.theta(k - 1)
     bounds = config.bounds
 
-    custom = config.hk_custom(state.x, mu_k) if config.hk_strategy == "custom" else None
-    h_diag, lam_min, lam_max = build_hk(state.x, bounds, mu_k, config.constants.ell_f,
-                                        config.hk_strategy, custom_diag=custom,
-                                        eigen_bounds=config.hk_eigen_bounds)
-    q = barrier_gradient(oracle_gradient, state.x, bounds, mu_k)
+    h_diag, lam_min, lam_max = build_hk(x, bounds, mu_k, config.constants.ell_f,
+                                        config.hk_strategy)
+    q = barrier_gradient(g, x, bounds, mu_k)
     ctx = ScheduleContext(mu_k=mu_k, theta_k=theta_k, theta_prev=theta_prev,
                           t_alpha=sched.t_alpha,
                           alpha_buff=config.buffers.alpha(k),
                           gamma_buff=config.buffers.gamma(k))
-    bundle = step_size_bundle(state.x, q, h_diag, k, bounds, ctx, config.constants,
+    bundle = step_size_bundle(x, q, h_diag, k, bounds, ctx, config.constants,
                               delta, stochastic=config.mode == "stochastic")
     d = -q / h_diag
-    gamma_k = ratio_test(state.x, d, bundle.alpha_k, bounds, theta_k, bundle.gamma_max)
-    x_next = state.x + (gamma_k * bundle.alpha_k) * d
+    gamma_k = ratio_test(x, d, bundle.alpha_k, bounds, theta_k, bundle.gamma_max)
+    x_next = x + (gamma_k * bundle.alpha_k) * d
     # The binding ratio is exact in real arithmetic; the fused update can land
     # an ulp outside the neighborhood, so snap it back.
     x_next = np.clip(x_next, bounds.lower + theta_k, bounds.upper - theta_k)
@@ -143,23 +149,21 @@ def sipm_step(state, oracle_gradient, config, delta, f_value=None, observer=None
     stalled = gamma_k == 0.0 and bool(np.any(d != 0.0))
 
     if config.audit_level != "off":
-        _audit_step(config, k, state.x, x_next, q, d, bundle, gamma_k, mu_k, theta_k)
+        _audit_step(config, k, x, x_next, q, d, bundle, gamma_k, mu_k, theta_k)
 
     phi = math.nan
     if f_value is not None:
-        chi = config.chi if config.chi is not None else default_chi(bounds)
-        phi = shifted_barrier_value(f_value, state.x, bounds, mu_k, chi)
+        phi = shifted_barrier_value(f_value, x, bounds, mu_k, default_chi(bounds))
 
     record = IterationRecord(k=k, mu_k=mu_k, theta_k=theta_k, alpha_k=bundle.alpha_k,
                              gamma_k=gamma_k, ell_k=bundle.ell_k,
                              q_norm=float(np.linalg.norm(q)), phi_tilde=phi,
                              stalled=stalled)
-    if observer is not None:
-        observer(dict(k=k, x=state.x.copy(), x_next=x_next.copy(), q=q, d=d,
-                      h_diag=h_diag, lam_min=lam_min, lam_max=lam_max,
-                      bundle=bundle, gamma_k=gamma_k, mu_k=mu_k,
-                      theta_k=theta_k, theta_prev=theta_prev))
-    return SolverState(x=x_next, k=k + 1), record
+    info = dict(k=k, x=x.copy(), x_next=x_next.copy(), g=g, q=q, d=d,
+                h_diag=h_diag, lam_min=lam_min, lam_max=lam_max,
+                bundle=bundle, gamma_k=gamma_k, mu_k=mu_k,
+                theta_k=theta_k, theta_prev=theta_prev)
+    return x_next, record, info
 
 
 def _audit_step(config, k, x, x_next, q, d, bundle, gamma_k, mu_k, theta_k):
@@ -191,15 +195,16 @@ def run(objective, config, x1, observer=None):
     The final objective value, projected-gradient norm, and KKT certificate
     are always computed with the true gradient, also in stochastic mode.
     Seeded stochastic runs are exactly reproducible.  ``observer``, when
-    given, receives one dict per iteration with the internal quantities.
+    given, receives one dict per iteration with the internal quantities,
+    among them the gradient (estimate) ``g`` the step used.
     """
     bounds = config.bounds
-    x1 = np.asarray(x1, dtype=float).copy()
+    x = np.asarray(x1, dtype=float).copy()
     delta = range_gap(bounds, config.constants.delta_cap)
     theta0 = config.schedule.theta(0)
     if theta0 >= 0.5 * delta:
         raise ThetaTooLarge(f"theta0={theta0} must be below delta/2={0.5 * delta}")
-    if not in_neighborhood(x1, bounds, theta0):
+    if not in_neighborhood(x, bounds, theta0):
         raise InfeasibleStart("x1 is outside the theta0 neighborhood")
     if isinstance(config.schedule, StaircaseSchedule) and config.maxiter > config.schedule.maxiter:
         raise HorizonExceeded(
@@ -210,44 +215,29 @@ def run(objective, config, x1, observer=None):
             raise ValueError("exponents invalid for the stochastic setting: "
                              + "; ".join(violations))
 
-    batches = None
-    if config.mode == "stochastic":
-        if not 0.0 < config.batch_fraction <= 1.0:
-            raise ValueError("batch_fraction must lie in (0, 1]")
-        if config.constants.sigma_inf < 0.0:
-            raise ValueError("stochastic mode needs sigma_inf >= 0")
-        m = objective.sample_count
-        batch_size = max(1, math.ceil(config.batch_fraction * m))
-        batches = batch_sampler(m, batch_size, config.rng_seed)
+    gradient = gradient_oracle(objective, config.mode, config.batch_fraction,
+                               config.rng_seed)
+    if config.mode == "stochastic" and config.constants.sigma_inf < 0.0:
+        raise ValueError("stochastic mode needs sigma_inf >= 0")
 
     audit_decrease = config.audit_level != "off" and config.mode == "deterministic"
     keep_trace = config.audit_level == "full_trace"
     need_f = audit_decrease or keep_trace
-    chi = config.chi if config.chi is not None else default_chi(bounds)
+    chi = default_chi(bounds)
 
-    captured = {}
-
-    def capture(info):
-        captured.update(info)
-        if observer is not None:
-            observer(info)
-
-    state = SolverState(x=x1, k=1)
     records = []
     stall_count = 0
     alpha_first = math.nan
     alpha_last = math.nan
-    f_curr = objective.value(state.x) if need_f else None
-    phi_curr = (shifted_barrier_value(f_curr, state.x, bounds, config.schedule.mu(1), chi)
+    f_curr = objective.value(x) if need_f else None
+    phi_curr = (shifted_barrier_value(f_curr, x, bounds, config.schedule.mu(1), chi)
                 if audit_decrease and config.maxiter > 0 else None)
 
     for k in range(1, config.maxiter + 1):
-        if config.mode == "stochastic":
-            gradient = objective.stochastic_gradient(state.x, next(batches))
-        else:
-            gradient = objective.gradient(state.x)
-        state, record = sipm_step(state, gradient, config, delta,
-                                  f_value=f_curr, observer=capture)
+        x_next, record, info = sipm_step(x, k, gradient(x), config, delta, f_value=f_curr)
+        if observer is not None:
+            observer(info)
+        x = x_next
         if record.stalled:
             stall_count += 1
         if keep_trace:
@@ -257,26 +247,20 @@ def run(objective, config, x1, observer=None):
         alpha_last = record.alpha_k
 
         if need_f:
-            f_curr = objective.value(state.x)
+            f_curr = objective.value(x)
         if audit_decrease:
             try:
                 mu_next = config.schedule.mu(k + 1)
             except HorizonExceeded:
                 mu_next = record.mu_k
-            phi_next = shifted_barrier_value(f_curr, state.x, bounds, mu_next, chi)
-            q, h_diag = captured["q"], captured["h_diag"]
+            phi_next = shifted_barrier_value(f_curr, x, bounds, mu_next, chi)
+            q, h_diag = info["q"], info["h_diag"]
             descent = 0.5 * record.gamma_k * record.alpha_k * float(np.sum(q * q / h_diag))
             if phi_next - phi_curr > -descent + 1e-10 * (1.0 + abs(phi_curr)):
                 raise InvariantViolation(k, "barrier decrease inequality failed")
             phi_curr = phi_next
 
-    g_true = objective.gradient(state.x)
-    mu_last = config.schedule.mu(config.maxiter) if config.maxiter >= 1 else config.schedule.mu(1)
-    return RunResult(final_x=state.x,
-                     records=records,
-                     final_objective=float(objective.value(state.x)),
-                     final_projected_grad_norm=projected_gradient_norm(state.x, g_true, bounds),
-                     final_kkt=kkt_certificate(state.x, g_true, bounds, mu_last),
-                     stall_count=stall_count,
-                     alpha_first=alpha_first,
-                     alpha_last=alpha_last)
+    mu_last = config.schedule.mu(max(config.maxiter, 1))
+    return RunResult(final_x=x, records=records, stall_count=stall_count,
+                     alpha_first=alpha_first, alpha_last=alpha_last,
+                     **_final_metrics(objective, bounds, x, mu_last))

@@ -152,3 +152,17 @@ def test_run_psgm_converges_on_quadratic():
     result = run_psgm(obj, bounds, steps, np.zeros(2), 500)
     assert result.final_projected_grad_norm <= 1e-8
     assert_allclose(result.final_x, [0.25, -0.4], atol=1e-8)
+
+
+@pytest.mark.parametrize("fraction", [0.0, -0.5])
+@pytest.mark.parametrize("baseline", ["psgm", "proj-ipm"])
+def test_baselines_reject_nonpositive_batch_fraction(baseline, fraction):
+    obj = quadratic_objective([0.2], [1.0], noise_level=0.1, sample_count=20)
+    bounds = Bounds.cube(1, -1.0, 1.0)
+    with pytest.raises(ValueError, match="batch_fraction"):
+        if baseline == "psgm":
+            run_psgm(obj, bounds, np.full(5, 0.1), np.zeros(1), 5,
+                     mode="stochastic", batch_fraction=fraction)
+        else:
+            run_simplified(obj, bounds, np.full(5, 0.1), 1.0, 0.5, np.zeros(1), 5,
+                           mode="stochastic", batch_fraction=fraction)

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from sipm.cli import main
+from sipm.errors import InvalidBudget
 
 
 def test_solve_quadratic_json(tmp_path, capsys):
@@ -55,3 +58,19 @@ def test_parse_check_bad_line(tmp_path, capsys):
     assert main(["parse-check", "--train", str(data)]) == 1
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("budget", [
+    ["--mode", "stoch", "--epochs", "1", "--batch-frac", "0"],
+    ["--mode", "stoch", "--epochs", "1", "--batch-frac", "-0.5"],
+    ["--mode", "stoch", "--epochs", "0.001"],
+    ["--maxiter", "0"],
+    ["--schedule", "power", "--maxiter", "0"],
+], ids=["batch-frac-0", "batch-frac-negative", "tiny-epochs", "maxiter-0",
+        "power-maxiter-0"])
+def test_bad_budget_is_a_typed_error(budget, tmp_path):
+    out = tmp_path / "r.json"
+    with pytest.raises(InvalidBudget):
+        main(["bench", "--model", "logistic", "--dim", "3", "--samples", "20",
+              "--out", str(out)] + budget)
+    assert not out.exists()

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sipm import (Bounds, ExperimentSpec, ProblemSpec, batch_sampler,
-                  canonical_report_bytes, estimate_constants, initial_point,
-                  load_constants, logistic_objective, quadratic_objective,
+from sipm import (Bounds, ExperimentSpec, LogisticObjective, ProblemSpec,
+                  batch_sampler, canonical_report_bytes, estimate_constants,
+                  initial_point, load_constants, logistic_objective, quadratic_objective,
                   relative_performance, report_to_csv, report_to_json,
                   run_experiment, save_constants, synthetic_classification)
 from sipm.harness import resolve_maxiter
@@ -66,6 +66,26 @@ def test_estimate_constants_oracle_recomputation():
             ell = max(ell, float(np.linalg.norm(gn - gp)) / move)
     assert abs(est.kappa_inf_bar - kappa) <= 1e-12
     assert abs(est.ell_f_bar - ell) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+def test_estimate_constants_reuses_bootstrap_gradients(mode):
+    # one exact gradient per bootstrap iteration, plus the start point's in the
+    # bootstrap setup and the final point's in the run's metrics
+    calls = []
+
+    class Counting(LogisticObjective):
+        def gradient(self, x):
+            calls.append(1)
+            return super().gradient(x)
+
+    A, y = synthetic_classification(40, 3, seed=1)
+    obj = Counting(A, y)
+    bounds = Bounds.cube(obj.n, -1.0, 1.0)
+    iters = 50
+    estimate_constants(obj, initial_point(obj.n, 0), bounds, mode=mode,
+                       batch_fraction=0.1, bootstrap_iters=iters)
+    assert len(calls) <= iters + 2
 
 
 def test_sigma_estimate_bounds_enumerated_batches():

@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sipm import (Bounds, BufferSequences, ExponentTriple, PowerSchedule,
-                  build_staircase, min_mu1_threshold, mu1_init, mu_at,
-                  theta0_init, theta_at, validate_exponents)
+                  build_staircase, min_mu1_threshold, mu1_init,
+                  theta0_init, validate_exponents)
 from sipm.errors import HorizonExceeded, InvalidMu1, InvalidTheta0
 
 INF = np.inf
@@ -37,17 +37,17 @@ def test_exponent_boundaries():
 
 def test_power_schedule_values():
     sched = PowerSchedule(mu1=1.0, theta0=0.2, exponents=ExponentTriple(-1.0, -0.5, 0.0))
-    assert mu_at(sched, 4) == 0.25
-    assert_allclose(theta_at(sched, 3), 0.2 * 4.0 ** -0.5)  # theta_3 = 0.1
-    assert theta_at(sched, 0) == 0.2
+    assert sched.mu(4) == 0.25
+    assert_allclose(sched.theta(3), 0.2 * 4.0 ** -0.5)  # theta_3 = 0.1
+    assert sched.theta(0) == 0.2
     with pytest.raises(HorizonExceeded):
-        mu_at(sched, 0)
+        sched.mu(0)
 
 
 def test_power_schedule_monotone_vanishing():
     sched = PowerSchedule(mu1=2.0, theta0=0.3, exponents=ExponentTriple(-0.75, -0.75, -0.25))
-    mus = [mu_at(sched, k) for k in range(1, 2000)]
-    thetas = [theta_at(sched, k) for k in range(0, 2000)]
+    mus = [sched.mu(k) for k in range(1, 2000)]
+    thetas = [sched.theta(k) for k in range(0, 2000)]
     assert all(a >= b > 0.0 for a, b in zip(mus, mus[1:]))
     assert all(a >= b > 0.0 for a, b in zip(thetas, thetas[1:]))
     assert mus[-1] < 1e-2 and thetas[-1] < 1e-2
@@ -58,7 +58,7 @@ def test_staircase_structure():
     assert len(sched.levels) == 9
     assert sched.repetition_length == 11
     assert sched.levels[-1] == 1e-8
-    assert mu_at(sched, 100) == 1e-8
+    assert sched.mu(100) == 1e-8
     # strictly decreasing levels, total iterations add up to maxiter
     assert all(a > b for a, b in zip(sched.levels, sched.levels[1:]))
     counts = {}
@@ -72,23 +72,23 @@ def test_staircase_examples():
     sched = build_staircase(1e-5, 40)
     assert sched.levels == (1.0, 0.1, 0.01, 1e-8 / 1e-5)
     assert sched.repetition_length == 10
-    assert_allclose(mu_at(sched, 40), 1e-8, rtol=1e-12)
+    assert_allclose(sched.mu(40), 1e-8, rtol=1e-12)
 
     degenerate = build_staircase(1e-8, 10)
     assert degenerate.degenerate
     assert degenerate.levels == (1.0, 1.0)
-    assert mu_at(degenerate, 5) == 1e-8
+    assert degenerate.mu(5) == 1e-8
 
     with pytest.raises(InvalidMu1):
         build_staircase(1e-9, 10)
     with pytest.raises(HorizonExceeded):
-        mu_at(sched, 41)
+        sched.mu(41)
 
 
 def test_staircase_final_value_across_mu1():
     for mu1 in (1.0, 0.33, 0.0075, 1e-4, 2.5e-7):
         sched = build_staircase(mu1, 200)
-        assert_allclose(mu_at(sched, 200), 1e-8, rtol=1e-12)
+        assert_allclose(sched.mu(200), 1e-8, rtol=1e-12)
 
 
 def test_mu1_init():

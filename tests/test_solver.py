@@ -6,10 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sipm import (Bounds, BufferSequences, Constants, ExponentTriple,
-                  PowerSchedule, SolverConfig, SolverState, build_hk,
-                  build_staircase, quadratic_objective, run, sipm_step)
-from sipm.errors import (EigenvalueBoundViolation, HorizonExceeded,
-                         InfeasibleStart, NotInterior, ThetaTooLarge)
+                  PowerSchedule, SolverConfig, build_hk, build_staircase,
+                  quadratic_objective, run, sipm_step)
+from sipm.errors import HorizonExceeded, InfeasibleStart, NotInterior, ThetaTooLarge
 
 
 def quad_config(bounds, schedule, maxiter, **kwargs):
@@ -37,12 +36,6 @@ def test_build_hk():
     diag, lam_min, lam_max = build_hk(np.array([1.0]), bounds, 1.0, 1.0, "identity")
     assert diag.tolist() == [1.0] and lam_min == lam_max == 1.0
 
-    ok, _, _ = build_hk(np.array([1.0]), bounds, 1.0, 1.0, "custom",
-                        custom_diag=[2.0], eigen_bounds=(1.0, 3.0))
-    assert ok.tolist() == [2.0]
-    with pytest.raises(EigenvalueBoundViolation):
-        build_hk(np.array([1.0]), bounds, 1.0, 1.0, "custom",
-                 custom_diag=[5.0], eigen_bounds=(1.0, 3.0))
     with pytest.raises(NotInterior):
         build_hk(np.array([0.0]), bounds, 1.0, 1.0, "practical")
 
@@ -191,9 +184,10 @@ def test_sipm_step_direct_call():
     bounds = Bounds.cube(1, 0.0, 2.0)
     sched = build_staircase(0.1, 3, theta0=0.05)
     config = quad_config(bounds, sched, 3)
-    state = SolverState(x=np.array([1.0]), k=1)
-    new_state, record = sipm_step(state, obj.gradient(state.x), config, delta=2.0)
-    assert new_state.k == 2
-    assert record.k == 1
+    x = np.array([1.0])
+    x_next, record, info = sipm_step(x, 1, obj.gradient(x), config, delta=2.0)
+    assert record.k == info["k"] == 1
     assert record.gamma_k > 0.0
-    assert new_state.x[0] > 1.0  # moves toward the center at 1.5
+    assert x_next[0] > 1.0  # moves toward the center at 1.5
+    assert info["x_next"].tolist() == x_next.tolist()
+    assert info["g"].tolist() == obj.gradient(x).tolist()
