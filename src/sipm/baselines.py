@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, ThetaLinkViolation
-from .geometry import barrier_gradient, project_to_neighborhood, range_gap
+from .geometry import DELTA_CAP, barrier_gradient, project_to_neighborhood, range_gap
 from .problems import gradient_oracle
 from .solver import RunResult, _final_metrics
 
@@ -108,7 +108,7 @@ def run_simplified(objective, bounds, mu_seq, ell_f, c, x1, maxiter,
     stays nonempty when mu is still large.
     """
     x = np.asarray(x1, dtype=float).copy()
-    theta_cap = 0.499 * range_gap(bounds, 100.0)
+    theta_cap = 0.499 * range_gap(bounds, DELTA_CAP)
     gradient = gradient_oracle(objective, mode, batch_fraction, seed)
     for k in range(maxiter):
         mu = float(mu_seq[k])

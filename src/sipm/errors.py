@@ -22,7 +22,7 @@ class InvalidMu1(SipmError):
 
 
 class InvalidTheta0(SipmError):
-    """The initial neighborhood margin is too large for the box."""
+    """The initial neighborhood margin is not positive, or too large for the box."""
 
 
 class NotInPriorNeighborhood(SipmError):
@@ -47,6 +47,18 @@ class InvariantViolation(SipmError):
 
 class InvalidBudget(SipmError, ValueError):
     """An experiment's iteration budget or batch fraction is out of range."""
+
+
+class InvalidExponents(SipmError, ValueError):
+    """A power schedule's exponents lie outside the admissible region of the run's mode."""
+
+
+class NonFiniteGradient(SipmError):
+    """The gradient oracle returned a NaN or infinite entry."""
+
+    def __init__(self, k, message):
+        super().__init__(f"iteration {k}: {message}")
+        self.k = k
 
 
 class ThetaLinkViolation(SipmError):

@@ -74,13 +74,19 @@ def slacks(x, bounds):
 
 
 def require_interior(x, bounds):
-    """Raise NotInterior unless every finite-side slack is strictly positive."""
+    """The slacks of x, after raising NotInterior unless every finite-side
+    slack is strictly positive."""
     lo, up = slacks(x, bounds)
     bad_lo = bounds.finite_lower & (lo <= 0.0)
     bad_up = bounds.finite_upper & (up <= 0.0)
     if bad_lo.any() or bad_up.any():
         i = int(np.argmax(bad_lo | bad_up))
         raise NotInterior(f"coordinate {i} has nonpositive slack to a finite bound")
+    return lo, up
+
+
+# Cap on the box-width constant delta that every solver and the harness use.
+DELTA_CAP = 100.0
 
 
 def range_gap(bounds, cap):
@@ -117,8 +123,7 @@ def barrier_value(f_value, x, bounds, mu):
     Returns ``f_value - mu * sum(log(x_i - lower_i)) - mu * sum(log(upper_i - x_i))``
     with each sum running over the finite sides only.
     """
-    require_interior(x, bounds)
-    lo, up = slacks(x, bounds)
+    lo, up = require_interior(x, bounds)
     total = float(f_value)
     if bounds.finite_lower.any():
         total -= mu * float(np.sum(np.log(lo[bounds.finite_lower])))
@@ -157,8 +162,11 @@ def barrier_gradient(g, x, bounds, mu):
     q_i = g_i - mu / (x_i - lower_i) on finite lower sides
               + mu / (upper_i - x_i) on finite upper sides.
     """
-    require_interior(x, bounds)
-    lo, up = slacks(x, bounds)
+    return _barrier_gradient(g, *require_interior(x, bounds), bounds, mu)
+
+
+def _barrier_gradient(g, lo, up, bounds, mu):
+    """barrier_gradient from the slacks (lo, up) of an interior point."""
     q = np.asarray(g, dtype=float).copy()
     q[bounds.finite_lower] -= mu / lo[bounds.finite_lower]
     q[bounds.finite_upper] += mu / up[bounds.finite_upper]
@@ -179,8 +187,7 @@ def kkt_certificate(x, g, bounds, mu):
     mu exactly by construction, so the complementarity residual is reported as
     mu rather than recomputed coordinatewise.
     """
-    require_interior(x, bounds)
-    lo, up = slacks(x, bounds)
+    lo, up = require_interior(x, bounds)
     y = np.where(bounds.finite_lower, mu / lo, 0.0)
     z = np.where(bounds.finite_upper, mu / up, 0.0)
     residual = float(np.max(np.abs(np.asarray(g, dtype=float) - y + z)))

@@ -16,6 +16,7 @@ canonical bytes.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -27,7 +28,7 @@ import numpy as np
 
 from .baselines import c_constant, match_sipm_endpoints, run_psgm, run_simplified
 from .errors import InvalidBudget
-from .geometry import Bounds, range_gap
+from .geometry import DELTA_CAP, Bounds, range_gap
 from .libsvm import align_feature_space, parse_libsvm_file
 from .problems import (gradient_oracle, logistic_objective, nn_objective,
                        quadratic_objective, synthetic_classification)
@@ -62,7 +63,7 @@ def _bootstrap_config(objective, x1, bounds, maxiter):
     """Deterministic staircase setup with placeholder constants of 1."""
     g1 = objective.gradient(x1)
     mu1 = mu1_init(g1, x1, bounds)
-    delta = range_gap(bounds, 100.0)
+    delta = range_gap(bounds, DELTA_CAP)
     theta0 = theta0_init(x1, bounds, 1.0, 0.0, mu1, delta)
     schedule = build_staircase(mu1, maxiter, theta0=theta0)
     return SolverConfig(mode="deterministic", bounds=bounds, schedule=schedule,
@@ -204,9 +205,21 @@ def _build_problem(problem, spec):
     return make(train), (make(test) if test is not None else None)
 
 
+def _cache_key(problem, spec):
+    """Cache file name of a problem's constants: a digest of everything the
+    estimate reads, down to the bytes of its data files."""
+    digest = hashlib.sha256(json.dumps(
+        [asdict(problem), list(spec.bounds), spec.mode, spec.batch_fraction,
+         spec.init_seed, BOOTSTRAP_ITERS, SIGMA_DRAWS]).encode("ascii"))
+    for path in (problem.train_path, problem.test_path):
+        if path is not None:
+            with open(path, "rb") as handle:
+                digest.update(handle.read())
+    return f"{problem.name}__{digest.hexdigest()}.json"
+
+
 def _constants_for(problem, spec, objective, x1, bounds):
-    key = f"{problem.name}__{problem.model}__{spec.mode}__{spec.init_seed}.json"
-    path = os.path.join(spec.cache_dir, key) if spec.cache_dir else None
+    path = os.path.join(spec.cache_dir, _cache_key(problem, spec)) if spec.cache_dir else None
     if path and os.path.exists(path):
         return load_constants(path), True
     estimated = estimate_constants(objective, x1, bounds, mode=spec.mode,
@@ -256,11 +269,18 @@ def _trace_rows(result):
                  stalled=r.stalled) for r in result.records]
 
 
+def _error_entry(problem, solver, seed, err):
+    return {"problem": problem, "solver": solver, "seed": seed,
+            "error": f"{type(err).__name__}: {err}"}
+
+
 def run_experiment(spec):
     """Run every (problem, solver, seed) cell and assemble the report dict.
 
-    Failures in one cell are recorded as error markers without aborting the
-    rest of the experiment.
+    Failures are recorded as error markers without aborting the rest of the
+    experiment: a problem that cannot be built or whose constants cannot be
+    estimated gets one marker, a seed whose schedule cannot be set up one per
+    solver cell, and a failed solver run one for its cell.
     """
     maxiter = resolve_maxiter(spec)
     audit = {"off": "off", "invariants": "invariants", "full": "full_trace",
@@ -275,14 +295,13 @@ def run_experiment(spec):
     for problem in spec.problems:
         try:
             objective, objective_test = _build_problem(problem, spec)
+            bounds = Bounds.cube(objective.n, lo, hi)
+            x1 = initial_point(objective.n, spec.init_seed)
+            estimated, cached = _constants_for(problem, spec, objective, x1, bounds)
         except Exception as err:  # record and keep going
-            report["runs"].append({"problem": problem.name, "solver": None,
-                                   "seed": None, "error": f"{type(err).__name__}: {err}"})
+            report["runs"].append(_error_entry(problem.name, None, None, err))
             continue
-        bounds = Bounds.cube(objective.n, lo, hi)
-        x1 = initial_point(objective.n, spec.init_seed)
-        estimated, cached = _constants_for(problem, spec, objective, x1, bounds)
-        delta = range_gap(bounds, 100.0)
+        delta = range_gap(bounds, DELTA_CAP)
         report["constants"][problem.name] = {
             "ell_f_bar": estimated.ell_f_bar,
             "kappa_inf_bar": estimated.kappa_inf_bar,
@@ -304,13 +323,18 @@ def run_experiment(spec):
         # first within each seed whatever order the caller listed
         ordered_solvers = sorted(spec.solvers, key=lambda s: s != "sipm")
         for seed in spec.seeds:
-            # the gradient (estimate) at x1 that sizes the barrier start
-            g_probe = gradient_oracle(objective, spec.mode, spec.batch_fraction,
-                                      [seed, 1])(x1)
-            mu1 = mu1_init(g_probe, x1, bounds)
-            theta0 = theta0_init(x1, bounds, estimated.kappa_inf_bar, sigma, mu1, delta)
-            schedule = _schedule_for(spec, mu1, theta0, maxiter)
-            shape = _shape_sequence(spec, schedule, maxiter)
+            try:
+                # the gradient (estimate) at x1 that sizes the barrier start
+                g_probe = gradient_oracle(objective, spec.mode, spec.batch_fraction,
+                                          [seed, 1])(x1)
+                mu1 = mu1_init(g_probe, x1, bounds)
+                theta0 = theta0_init(x1, bounds, estimated.kappa_inf_bar, sigma, mu1, delta)
+                schedule = _schedule_for(spec, mu1, theta0, maxiter)
+                shape = _shape_sequence(spec, schedule, maxiter)
+            except Exception as err:  # every cell of this seed records it
+                report["runs"].extend(_error_entry(problem.name, solver_name, seed, err)
+                                      for solver_name in ordered_solvers)
+                continue
 
             for solver_name in ordered_solvers:
                 cell = f"{problem.name}::{solver_name}::{seed}"
@@ -358,9 +382,7 @@ def run_experiment(spec):
                         entry["trace"] = _trace_rows(result)
                     report["runs"].append(entry)
                 except Exception as err:
-                    report["runs"].append({"problem": problem.name,
-                                           "solver": solver_name, "seed": seed,
-                                           "error": f"{type(err).__name__}: {err}"})
+                    report["runs"].append(_error_entry(problem.name, solver_name, seed, err))
                 report["timing"]["cells"][cell] = time.perf_counter() - t_cell
 
     _append_comparisons(report, spec)

@@ -1,13 +1,14 @@
 """Parser and serializer for the sparse LIBSVM text format.
 
 Each nonempty line is ``label index:value index:value ...`` with 1-based,
-strictly increasing feature indices.  Blank lines and lines starting with
-'#' are skipped.  Parsing is single pass and keeps memory proportional to
-the number of nonzeros.
+strictly increasing feature indices and finite labels and values.  Blank
+lines and lines starting with '#' are skipped.  Parsing is single pass and
+keeps memory proportional to the number of nonzeros.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,6 +78,8 @@ def parse_libsvm(source, n_features=None):
             label = float(tokens[0])
         except ValueError:
             raise MalformedLine(lineno, f"label {tokens[0]!r} is not numeric") from None
+        if not math.isfinite(label):
+            raise MalformedLine(lineno, f"label {tokens[0]!r} is not finite")
         row = []
         prev = 0
         for token in tokens[1:]:
@@ -93,6 +96,8 @@ def parse_libsvm(source, n_features=None):
                 value = float(right)
             except ValueError:
                 raise MalformedLine(lineno, f"value {right!r} is not numeric") from None
+            if not math.isfinite(value):
+                raise MalformedLine(lineno, f"value {right!r} is not finite")
             if index <= prev:
                 raise NonIncreasingIndex(lineno)
             prev = index

@@ -11,12 +11,13 @@ drawn without replacement.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 from scipy.special import expit
 
-from .errors import BatchTooLarge, DimensionMismatch, NotBinary
+from .errors import BatchTooLarge, DimensionMismatch, NonFiniteGradient, NotBinary
 
 
 class Objective:
@@ -275,15 +276,31 @@ def gradient_oracle(objective, mode, batch_fraction, seed):
     Deterministic mode gives the exact gradient.  Stochastic mode gives the
     mean over a fresh batch of ``ceil(batch_fraction * m)`` samples (at least
     one) per call, drawn from ``batch_sampler`` under ``seed``, so two
-    oracles built with the same seed see the same batch stream.
+    oracles built with the same seed see the same batch stream.  A gradient
+    with a NaN or infinite entry raises NonFiniteGradient naming the 1-based
+    call count, which is the iteration number in every solver loop.
     """
     if mode != "stochastic":
-        return objective.gradient
-    if not 0.0 < batch_fraction <= 1.0:
-        raise ValueError("batch_fraction must lie in (0, 1]")
-    m = objective.sample_count
-    batches = batch_sampler(m, max(1, math.ceil(batch_fraction * m)), seed)
-    return lambda x: objective.stochastic_gradient(x, next(batches))
+        draw = objective.gradient
+    else:
+        if not 0.0 < batch_fraction <= 1.0:
+            raise ValueError("batch_fraction must lie in (0, 1]")
+        m = objective.sample_count
+        batches = batch_sampler(m, max(1, math.ceil(batch_fraction * m)), seed)
+
+        def draw(x):
+            return objective.stochastic_gradient(x, next(batches))
+
+    calls = itertools.count(1)
+
+    def gradient(x):
+        g = draw(x)
+        k = next(calls)
+        if not np.isfinite(g).all():
+            raise NonFiniteGradient(k, "the gradient oracle returned a non-finite entry")
+        return g
+
+    return gradient
 
 
 def synthetic_classification(m, n_features, seed=0):

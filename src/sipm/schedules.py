@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HorizonExceeded, InvalidMu1, InvalidTheta0
-from .geometry import require_interior, slacks
+from .geometry import require_interior
 
 MU_FLOOR = 1e-8
 
@@ -209,8 +209,7 @@ def mu1_init(g1, x1, bounds):
     Reciprocals of infinite slacks are zero; a zero D gives an infinite ratio
     so the minimum selects 1.
     """
-    require_interior(x1, bounds)
-    lo, up = slacks(x1, bounds)
+    lo, up = require_interior(x1, bounds)
     d = np.where(bounds.finite_upper, 1.0 / up, 0.0) - np.where(bounds.finite_lower, 1.0 / lo, 0.0)
     norm_d = float(np.max(np.abs(d)))
     g_norm = float(np.linalg.norm(np.asarray(g1, dtype=float)))
@@ -221,8 +220,7 @@ def mu1_init(g1, x1, bounds):
 def theta0_init(x1, bounds, kappa_inf, sigma_inf, mu1, delta):
     """Initial neighborhood margin: min of the start slacks and the cap
     1 / (2/delta + (kappa_inf + sigma_inf)/mu1)."""
-    require_interior(x1, bounds)
-    lo, up = slacks(x1, bounds)
+    lo, up = require_interior(x1, bounds)
     low_min = float(np.min(lo[bounds.finite_lower])) if bounds.finite_lower.any() else math.inf
     up_min = float(np.min(up[bounds.finite_upper])) if bounds.finite_upper.any() else math.inf
     theta_bar = 1.0 / (2.0 / delta + (kappa_inf + sigma_inf) / mu1)

@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HorizonExceeded, InfeasibleStart, InvariantViolation, ThetaTooLarge
-from .geometry import (Bounds, KktCertificate, barrier_gradient, default_chi,
+from .errors import (HorizonExceeded, InfeasibleStart, InvalidExponents, InvalidTheta0,
+                     InvariantViolation, ThetaTooLarge)
+from .geometry import (DELTA_CAP, Bounds, KktCertificate, _barrier_gradient, default_chi,
                        in_neighborhood, kkt_certificate, projected_gradient_norm,
                        range_gap, require_interior, shifted_barrier_value, slacks)
 from .problems import gradient_oracle
 from .schedules import BufferSequences, PowerSchedule, StaircaseSchedule, validate_exponents
-from .stepsize import (Constants, ScheduleContext, local_lipschitz, ratio_test,
-                       step_size_bundle)
+from .stepsize import Constants, ScheduleContext, _step_sizes, local_lipschitz, ratio_test
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,17 @@ def build_hk(x, bounds, mu, ell_f_bar, strategy):
     practical: ell_f_bar + mu/(x_i - l_i)^2 + mu/(u_i - x_i)^2 per coordinate
     (infinite sides contribute nothing), identity: all ones.
     """
-    require_interior(x, bounds)
-    x = np.asarray(x, dtype=float)
+    return _hk(*require_interior(x, bounds), bounds, mu, ell_f_bar, strategy)
+
+
+def _hk(lo, up, bounds, mu, ell_f_bar, strategy):
+    """build_hk from the slacks (lo, up) of an interior point."""
     if strategy == "practical":
-        lo, up = slacks(x, bounds)
-        diag = np.full(x.size, float(ell_f_bar))
+        diag = np.full(lo.size, float(ell_f_bar))
         diag[bounds.finite_lower] += mu / lo[bounds.finite_lower] ** 2
         diag[bounds.finite_upper] += mu / up[bounds.finite_upper] ** 2
     elif strategy == "identity":
-        diag = np.ones(x.size)
+        diag = np.ones(lo.size)
     else:
         raise ValueError(f"unknown scaling strategy {strategy!r}")
     return diag, float(np.min(diag)), float(np.max(diag))
@@ -123,6 +125,10 @@ def sipm_step(x, k, g, config, delta, f_value=None):
     is only needed to fill the shifted-barrier field of the trace record.
     Returns the next iterate, the iteration record, and the dict of internal
     quantities that ``run`` hands to its observer.
+
+    Every quantity derives from the slacks of x, taken once.  Nothing is
+    validated here: ``run`` checks its inputs at entry, and the final clip
+    keeps x_next in the theta_k (the next prior) neighborhood.
     """
     sched = config.schedule
     mu_k = sched.mu(k)
@@ -130,16 +136,16 @@ def sipm_step(x, k, g, config, delta, f_value=None):
     theta_prev = sched.theta(k - 1)
     bounds = config.bounds
 
-    h_diag, lam_min, lam_max = build_hk(x, bounds, mu_k, config.constants.ell_f,
-                                        config.hk_strategy)
-    q = barrier_gradient(g, x, bounds, mu_k)
+    lo, up = slacks(x, bounds)
+    h_diag, lam_min, lam_max = _hk(lo, up, bounds, mu_k, config.constants.ell_f,
+                                   config.hk_strategy)
+    q = _barrier_gradient(g, lo, up, bounds, mu_k)
     ctx = ScheduleContext(mu_k=mu_k, theta_k=theta_k, theta_prev=theta_prev,
                           t_alpha=sched.t_alpha,
                           alpha_buff=config.buffers.alpha(k),
                           gamma_buff=config.buffers.gamma(k))
-    bundle = step_size_bundle(x, q, h_diag, k, bounds, ctx, config.constants,
-                              delta, stochastic=config.mode == "stochastic")
-    d = -q / h_diag
+    bundle, d = _step_sizes(x, lo, up, q, h_diag, lam_min, k, bounds, ctx,
+                            config.constants, delta, config.mode == "stochastic")
     gamma_k = ratio_test(x, d, bundle.alpha_k, bounds, theta_k, bundle.gamma_max)
     x_next = x + (gamma_k * bundle.alpha_k) * d
     # The binding ratio is exact in real arithmetic; the fused update can land
@@ -151,15 +157,14 @@ def sipm_step(x, k, g, config, delta, f_value=None):
     if config.audit_level != "off":
         _audit_step(config, k, x, x_next, q, d, bundle, gamma_k, mu_k, theta_k)
 
-    phi = math.nan
-    if f_value is not None:
-        phi = shifted_barrier_value(f_value, x, bounds, mu_k, default_chi(bounds))
+    phi = (math.nan if f_value is None
+           else shifted_barrier_value(f_value, x, bounds, mu_k, default_chi(bounds)))
 
     record = IterationRecord(k=k, mu_k=mu_k, theta_k=theta_k, alpha_k=bundle.alpha_k,
                              gamma_k=gamma_k, ell_k=bundle.ell_k,
                              q_norm=float(np.linalg.norm(q)), phi_tilde=phi,
                              stalled=stalled)
-    info = dict(k=k, x=x.copy(), x_next=x_next.copy(), g=g, q=q, d=d,
+    info = dict(k=k, x=x, x_next=x_next, g=g, q=q, d=d,
                 h_diag=h_diag, lam_min=lam_min, lam_max=lam_max,
                 bundle=bundle, gamma_k=gamma_k, mu_k=mu_k,
                 theta_k=theta_k, theta_prev=theta_prev)
@@ -197,23 +202,29 @@ def run(objective, config, x1, observer=None):
     Seeded stochastic runs are exactly reproducible.  ``observer``, when
     given, receives one dict per iteration with the internal quantities,
     among them the gradient (estimate) ``g`` the step used.
+
+    Inputs are validated once, here; the oracle rejects non-finite gradients,
+    and the iterations check nothing else unless auditing is enabled.
     """
     bounds = config.bounds
     x = np.asarray(x1, dtype=float).copy()
-    delta = range_gap(bounds, config.constants.delta_cap)
+    delta = range_gap(bounds, DELTA_CAP)
     theta0 = config.schedule.theta(0)
+    if not theta0 > 0.0:
+        raise InvalidTheta0(f"theta0={theta0} must be positive")
     if theta0 >= 0.5 * delta:
         raise ThetaTooLarge(f"theta0={theta0} must be below delta/2={0.5 * delta}")
     if not in_neighborhood(x, bounds, theta0):
         raise InfeasibleStart("x1 is outside the theta0 neighborhood")
+    require_interior(x, bounds)   # l + theta0 can round to l on a wide box
     if isinstance(config.schedule, StaircaseSchedule) and config.maxiter > config.schedule.maxiter:
         raise HorizonExceeded(
             f"maxiter={config.maxiter} exceeds staircase horizon {config.schedule.maxiter}")
-    if config.mode == "stochastic" and isinstance(config.schedule, PowerSchedule):
-        violations = validate_exponents(config.schedule.exponents, "stochastic")
+    if isinstance(config.schedule, PowerSchedule):
+        violations = validate_exponents(config.schedule.exponents, config.mode)
         if violations:
-            raise ValueError("exponents invalid for the stochastic setting: "
-                             + "; ".join(violations))
+            raise InvalidExponents(f"exponents invalid for the {config.mode} setting: "
+                                   + "; ".join(violations))
 
     gradient = gradient_oracle(objective, config.mode, config.batch_fraction,
                                config.rng_seed)

@@ -8,6 +8,9 @@ step, the local Lipschitz constant ell_k along the look-ahead segment, and
 finally alpha_k itself.  The step-fraction floor gamma_min and ceiling
 gamma_max are built from alpha_max so they are available before any ratio
 test runs.
+
+Public functions validate their input, then call the slack-based helpers
+(leading underscore) that the solver kernel calls with its own slacks.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ class Constants:
     ell_f: float
     kappa_inf: float
     sigma_inf: float = 0.0
-    delta_cap: float = 100.0
 
 
 @dataclass(frozen=True)
@@ -69,28 +71,28 @@ class StepSizeBundle:
 def slack_products(x, xbar, bounds):
     """a = min_i (x_i - l_i) * min(x_i - l_i, xbar_i - l_i) over finite lower
     sides, and the analogous product b over finite upper sides."""
-    require_interior(x, bounds)
-    require_interior(xbar, bounds)
-    lo_x, up_x = slacks(x, bounds)
-    lo_b, up_b = slacks(xbar, bounds)
-    if bounds.finite_lower.any():
-        m = bounds.finite_lower
-        a = float(np.min(lo_x[m] * np.minimum(lo_x[m], lo_b[m])))
-    else:
-        a = math.inf
-    if bounds.finite_upper.any():
-        m = bounds.finite_upper
-        b = float(np.min(up_x[m] * np.minimum(up_x[m], up_b[m])))
-    else:
-        b = math.inf
-    return SlackProducts(a=a, b=b)
+    return _slack_products(*require_interior(x, bounds), *require_interior(xbar, bounds),
+                           bounds)
+
+
+def _slack_products(lo_x, up_x, lo_b, up_b, bounds):
+    """slack_products from the slacks of x and of xbar."""
+    def side(s_x, s_b, m):
+        return float(np.min(s_x[m] * np.minimum(s_x[m], s_b[m]))) if m.any() else math.inf
+
+    return SlackProducts(a=side(lo_x, lo_b, bounds.finite_lower),
+                         b=side(up_x, up_b, bounds.finite_upper))
 
 
 def local_lipschitz(mu, x, xbar, bounds, ell_f):
     """Lipschitz constant of the barrier gradient on the segment [x, xbar]:
     ell_f + mu/a + mu/b with mu/inf = 0."""
-    sp = slack_products(x, xbar, bounds)
-    return ell_f + mu / sp.a + mu / sp.b
+    return _lipschitz(mu, slack_products(x, xbar, bounds), ell_f)
+
+
+def _lipschitz(mu, products, ell_f):
+    """ell_f + mu/a + mu/b for the slack products (a, b)."""
+    return ell_f + mu / products.a + mu / products.b
 
 
 def ratio_test(x, direction, scale, bounds, theta, gamma_max):
@@ -125,15 +127,21 @@ def step_size_bundle(x, q, h_diag, k, bounds, sched, constants, delta, stochasti
     uses alpha_max in its denominator, which is a valid lower bound because
     alpha_k never exceeds alpha_max.
     """
-    require_interior(x, bounds)
+    lo, up = require_interior(x, bounds)
     if not in_neighborhood(x, bounds, sched.theta_prev):
         raise NotInPriorNeighborhood(
             f"iterate left the previous neighborhood (theta={sched.theta_prev})")
     h_diag = np.asarray(h_diag, dtype=float)
-    if np.any(h_diag <= 0.0):
-        raise ValueError("scaling diagonal must be strictly positive")
+    return _step_sizes(np.asarray(x, dtype=float), lo, up, np.asarray(q, dtype=float), h_diag,
+                       float(np.min(h_diag)), k, bounds, sched, constants, delta, stochastic)[0]
 
-    lam_min = float(np.min(h_diag))
+
+def _step_sizes(x, lo, up, q, h_diag, lam_min, k, bounds, sched, constants, delta,
+                stochastic):
+    """step_size_bundle from the slacks (lo, up) of x and the smallest entry
+    lam_min of h_diag; also returns the scaled direction d = -q / h_diag."""
+    if not lam_min > 0.0:
+        raise ValueError("scaling diagonal must be strictly positive")
     k_pow = float(k) ** sched.t_alpha
     mu = sched.mu_k
     alpha_min = lam_min * k_pow / (constants.ell_f + 2.0 * mu / sched.theta_k ** 2)
@@ -145,15 +153,14 @@ def step_size_bundle(x, q, h_diag, k, bounds, sched, constants, delta, stochasti
                     / (alpha_max * (grad_bound + mu / sched.theta_prev)))
     gamma_max = min(1.0, gamma_min + sched.gamma_buff)
 
-    self_products = slack_products(x, x, bounds)
-    alpha_pre = lam_min * k_pow / (constants.ell_f + mu / self_products.a
-                                   + mu / self_products.b)
-    d = -np.asarray(q, dtype=float) / h_diag
+    self_products = _slack_products(lo, up, lo, up, bounds)
+    alpha_pre = lam_min * k_pow / _lipschitz(mu, self_products, constants.ell_f)
+    d = -q / h_diag
     gamma_bar = ratio_test(x, d, alpha_pre, bounds, sched.theta_k, gamma_max)
-    lookahead = x + (gamma_bar * alpha_pre) * d
-    ell_k = local_lipschitz(mu, x, lookahead, bounds, constants.ell_f)
+    lo_pre, up_pre = slacks(x + (gamma_bar * alpha_pre) * d, bounds)
+    ell_k = _lipschitz(mu, _slack_products(lo, up, lo_pre, up_pre, bounds), constants.ell_f)
     alpha_k = min(lam_min * k_pow / ell_k, alpha_max)
 
     return StepSizeBundle(alpha_min=alpha_min, alpha_pre=alpha_pre,
                           gamma_bar=gamma_bar, ell_k=ell_k, alpha_max=alpha_max,
-                          alpha_k=alpha_k, gamma_min=gamma_min, gamma_max=gamma_max)
+                          alpha_k=alpha_k, gamma_min=gamma_min, gamma_max=gamma_max), d

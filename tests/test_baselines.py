@@ -8,7 +8,7 @@ from sipm import (Bounds, BufferSequences, Constants, SolverConfig, build_stairc
                   c_constant, in_neighborhood, match_sipm_endpoints, psgm_step,
                   quadratic_objective, recurrence_ratio, run, run_psgm,
                   run_simplified, simplified_ipm_step, theta0_init)
-from sipm.errors import DomainError, ThetaLinkViolation
+from sipm.errors import DomainError, NonFiniteGradient, ThetaLinkViolation
 
 
 def test_psgm_step_examples():
@@ -166,3 +166,39 @@ def test_baselines_reject_nonpositive_batch_fraction(baseline, fraction):
         else:
             run_simplified(obj, bounds, np.full(5, 0.1), 1.0, 0.5, np.zeros(1), 5,
                            mode="stochastic", batch_fraction=fraction)
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+@pytest.mark.parametrize("solver", ["sipm", "psgm", "proj-ipm"])
+def test_nan_gradient_names_its_iteration(solver, mode):
+    """A non-finite gradient fails where it appears, as NonFiniteGradient
+    naming the iteration, not one iteration later as a geometry error."""
+    obj = quadratic_objective([0.2, -0.1], [1.0, 2.0], noise_level=0.1,
+                              sample_count=20, seed=1)
+    exact = obj.gradient
+    calls = []
+
+    def gradient(x):
+        calls.append(1)
+        return exact(x) * (np.nan if len(calls) == 3 else 1.0)
+
+    obj.gradient = gradient
+    bounds = Bounds.cube(2, -1.0, 1.0)
+    x1, maxiter = np.zeros(2), 10
+    with pytest.raises(NonFiniteGradient) as err:
+        if solver == "sipm":
+            config = SolverConfig(mode=mode, bounds=bounds,
+                                  schedule=build_staircase(0.1, maxiter, theta0=0.05),
+                                  buffers=BufferSequences(mode="practical", maxiter=maxiter),
+                                  constants=Constants(ell_f=2.0, kappa_inf=2.0,
+                                                      sigma_inf=0.1),
+                                  maxiter=maxiter, batch_fraction=0.1)
+            run(obj, config, x1)
+        elif solver == "psgm":
+            run_psgm(obj, bounds, np.full(maxiter, 0.1), x1, maxiter, mode=mode,
+                     batch_fraction=0.1)
+        else:
+            run_simplified(obj, bounds, np.full(maxiter, 0.1), 2.0, 0.5, x1, maxiter,
+                           mode=mode, batch_fraction=0.1)
+    assert err.value.k == 3
+    assert "iteration 3" in str(err.value)

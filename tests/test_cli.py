@@ -60,6 +60,25 @@ def test_parse_check_bad_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_parse_check_rejects_non_finite_values(tmp_path, capsys):
+    data = tmp_path / "nan.libsvm"
+    data.write_text("-1 1:1\n1 1:nan 2:inf\n")
+    assert main(["parse-check", "--train", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert "line 2" in err and "not finite" in err
+
+
+def test_deterministic_power_schedule_gate(tmp_path):
+    # t_theta != t_mu is inadmissible in both settings; the cell records the
+    # typed gate error instead of a later neighborhood failure
+    out = tmp_path / "r.json"
+    assert main(["solve", "--model", "quadratic", "--dim", "2", "--maxiter", "20",
+                 "--schedule", "power", "--t-theta", "0.5", "--out", str(out)]) == 0
+    (entry,) = json.loads(out.read_text())["runs"]
+    assert entry["error"].startswith("InvalidExponents: exponents invalid for the "
+                                     "deterministic setting")
+
+
 @pytest.mark.parametrize("budget", [
     ["--mode", "stoch", "--epochs", "1", "--batch-frac", "0"],
     ["--mode", "stoch", "--epochs", "1", "--batch-frac", "-0.5"],

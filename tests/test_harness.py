@@ -229,3 +229,64 @@ def test_logistic_testsplit_metrics(tmp_path):
     entry = report["runs"][0]
     assert "final_objective_test" in entry
     assert entry["final_objective_test"] >= 0.0
+
+
+def test_constants_cache_keyed_on_estimate_inputs(tmp_path):
+    """A cached estimate is reused only for the same problem, box, mode and
+    data: a spec sharing the name, model, mode and init seed misses."""
+    cache = str(tmp_path / "cache")
+    first = ProblemSpec(name="q", model="quadratic", dim=5, data_seed=0)
+    other = ProblemSpec(name="q", model="quadratic", dim=8, data_seed=3)
+
+    def constants(problem, bounds, cache_dir):
+        report = run_experiment(ExperimentSpec(problems=(problem,), solvers=(),
+                                               bounds=bounds, cache_dir=cache_dir))
+        return report["constants"]["q"], report["timing"]["constants_cached::q"]
+
+    fresh, _ = constants(other, (-3.0, 3.0), None)
+    assert constants(first, (-1.0, 1.0), cache) == (constants(first, (-1.0, 1.0), None)[0],
+                                                    False)
+    assert constants(other, (-3.0, 3.0), cache) == (fresh, False)
+    assert constants(other, (-3.0, 3.0), cache) == (fresh, True)
+
+    # the same path with other bytes is other data
+    A, y = synthetic_classification(30, 3, seed=8)
+    data = tmp_path / "train.libsvm"
+
+    def write(scale):
+        data.write_text("".join(f"{int(label)} " + " ".join(
+            f"{j + 1}:{scale * row[j]:.6f}" for j in range(3)) + "\n"
+            for row, label in zip(A, y)))
+
+    from_file = ProblemSpec(name="q", model="logistic", train_path=str(data))
+    write(1.0)
+    assert constants(from_file, (-1.0, 1.0), cache)[1] is False
+    assert constants(from_file, (-1.0, 1.0), cache)[1] is True
+    write(2.0)
+    assert constants(from_file, (-1.0, 1.0), cache)[1] is False
+
+
+def test_failed_estimate_is_recorded_per_problem():
+    # on the box [0.005, 1] the start of the 3-d problem has a nonpositive
+    # slack, so its constants cannot be estimated; the 1-d problem still runs
+    problems = (ProblemSpec(name="bad", model="quadratic", dim=3),
+                ProblemSpec(name="good", model="quadratic", dim=1))
+    report = run_experiment(ExperimentSpec(problems=problems, solvers=("sipm", "psgm"),
+                                           bounds=(0.005, 1.0), maxiter=50, init_seed=4))
+    bad, *good = report["runs"]
+    assert bad["problem"] == "bad" and bad["solver"] is None
+    assert bad["error"].startswith("NotInterior")
+    assert [(r["problem"], r["solver"]) for r in good] == [("good", "sipm"),
+                                                           ("good", "psgm")]
+    assert not any("error" in r for r in good)
+    assert list(report["constants"]) == ["good"]
+    assert report["comparisons"]
+
+
+def test_failed_schedule_is_recorded_per_cell():
+    report = run_experiment(small_spec(schedule="power", exponents=(-1.0, -1.0),
+                                       solvers=("sipm", "psgm")))
+    assert [(r["solver"], r["seed"]) for r in report["runs"]] == [
+        ("sipm", 0), ("psgm", 0), ("sipm", 1), ("psgm", 1)]
+    assert all(r["error"].startswith("TypeError") for r in report["runs"])
+    assert "toy" in report["constants"]

@@ -42,6 +42,13 @@ def test_parse_errors_carry_line_numbers():
         parse_libsvm("+1 1.5:2\n")
 
 
+@pytest.mark.parametrize("line", ["1 1:nan 2:inf", "1 1:1 2:-inf", "nan 1:1", "inf 1:1"])
+def test_parse_rejects_non_finite_numbers(line):
+    with pytest.raises(MalformedLine, match="not finite") as err:
+        parse_libsvm("-1 1:1\n" + line + "\n")
+    assert err.value.line_number == 2
+
+
 def test_parse_rejects_nonincreasing_indices():
     with pytest.raises(NonIncreasingIndex) as err:
         parse_libsvm("+1 3:1 2:1\n")

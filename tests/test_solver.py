@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sipm import (Bounds, BufferSequences, Constants, ExponentTriple,
-                  PowerSchedule, SolverConfig, build_hk, build_staircase,
-                  quadratic_objective, run, sipm_step)
-from sipm.errors import HorizonExceeded, InfeasibleStart, NotInterior, ThetaTooLarge
+from sipm import (DELTA_CAP, Bounds, BufferSequences, Constants, ExponentTriple,
+                  PowerSchedule, ScheduleContext, SolverConfig, barrier_gradient,
+                  build_hk, build_staircase, quadratic_objective, range_gap, ratio_test,
+                  run, sipm_step, step_size_bundle)
+from sipm import geometry, schedules, solver, stepsize
+from sipm.errors import (HorizonExceeded, InfeasibleStart, InvalidExponents, InvalidTheta0,
+                         NotInterior, SipmError, ThetaTooLarge)
 
 
 def quad_config(bounds, schedule, maxiter, **kwargs):
@@ -150,6 +153,9 @@ def test_start_validation():
         run(obj, quad_config(bounds, wide, 10), np.array([0.0]))
     with pytest.raises(HorizonExceeded):
         run(obj, quad_config(bounds, sched, 11), np.array([0.0]))
+    flat = build_staircase(0.5, 10, theta0=0.0)
+    with pytest.raises(InvalidTheta0):
+        run(obj, quad_config(bounds, flat, 10), np.array([0.0]))
 
 
 def test_stochastic_exponent_gate_enforced():
@@ -191,3 +197,94 @@ def test_sipm_step_direct_call():
     assert x_next[0] > 1.0  # moves toward the center at 1.5
     assert info["x_next"].tolist() == x_next.tolist()
     assert info["g"].tolist() == obj.gradient(x).tolist()
+
+
+@pytest.mark.parametrize("t_theta", [0.5, -0.5])
+def test_deterministic_exponent_gate_enforced(t_theta):
+    # t_theta must equal t_mu in both settings; the gate runs before any gradient
+    calls = []
+    obj = quadratic_objective([0.0], [1.0])
+    obj.gradient = lambda x: calls.append(x) or np.zeros(1)
+    sched = PowerSchedule(mu1=0.1, theta0=0.05,
+                          exponents=ExponentTriple(-1.0, t_theta, 0.0))
+    config = quad_config(Bounds.cube(1, -1.0, 1.0), sched, 5,
+                         buffers=BufferSequences.zero(), audit_level="off")
+    with pytest.raises(InvalidExponents, match="deterministic") as err:
+        run(obj, config, np.array([0.0]))
+    assert isinstance(err.value, SipmError) and isinstance(err.value, ValueError)
+    assert calls == []
+
+
+def _kernel_runs():
+    """(objective, config, x1) on a box and on a one-sided box, one per mode."""
+    box = Bounds.cube(4, -1.0, 1.0)
+    one_sided = Bounds(np.array([0.0, -1.0, 0.0, -np.inf]),
+                       np.array([np.inf, np.inf, 2.0, 1.0]))
+    # minimizers outside the box, so that the look-ahead ratio test binds
+    det = quadratic_objective([1.5, -0.3, 0.2, -2.0], [3.0, 1.0, 0.5, 2.0])
+    noisy = quadratic_objective([-0.5, 3.0, 2.5, -2.0], [1.0, 2.0, 0.5, 1.5],
+                                noise_level=0.3, sample_count=30, seed=4)
+    return [(det, quad_config(box, build_staircase(0.2, 120, theta0=0.05), 120,
+                              constants=Constants(ell_f=3.0, kappa_inf=4.0),
+                              audit_level="off"), np.zeros(4)),
+            (noisy, quad_config(one_sided, build_staircase(0.2, 120, theta0=0.05), 120,
+                                mode="stochastic", rng_seed=3, batch_fraction=0.1,
+                                constants=Constants(ell_f=2.0, kappa_inf=4.0,
+                                                    sigma_inf=0.3),
+                                audit_level="off"), np.array([0.5, 0.0, 1.0, 0.0]))]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["box", "one-sided"])
+def test_kernel_matches_public_functions(case):
+    """The kernel and the validating public functions are one implementation:
+    replaying each observed iterate through them gives the same bits."""
+    objective, config, x1 = _kernel_runs()[case]
+    seen = []
+    run(objective, config, x1, observer=seen.append)
+    bounds, constants = config.bounds, config.constants
+    delta = range_gap(bounds, DELTA_CAP)
+    stochastic = config.mode == "stochastic"
+    assert any(b.gamma_bar < b.gamma_max for b in (i["bundle"] for i in seen))
+    # the observer sees the iterates themselves, not defensive copies
+    assert all(nxt["x"] is prev["x_next"] for prev, nxt in zip(seen, seen[1:]))
+    for info in seen:
+        x, k, mu_k = info["x"], info["k"], info["mu_k"]
+        h_diag, lam_min, lam_max = build_hk(x, bounds, mu_k, constants.ell_f, "practical")
+        assert h_diag.tobytes() == info["h_diag"].tobytes()
+        assert (lam_min, lam_max) == (info["lam_min"], info["lam_max"])
+        q = barrier_gradient(info["g"], x, bounds, mu_k)
+        assert q.tobytes() == info["q"].tobytes()
+        ctx = ScheduleContext(mu_k=mu_k, theta_k=info["theta_k"],
+                              theta_prev=info["theta_prev"],
+                              t_alpha=config.schedule.t_alpha,
+                              alpha_buff=config.buffers.alpha(k),
+                              gamma_buff=config.buffers.gamma(k))
+        bundle = step_size_bundle(x, q, h_diag, k, bounds, ctx, constants, delta,
+                                  stochastic=stochastic)
+        assert bundle == info["bundle"]
+        gamma_k = ratio_test(x, info["d"], bundle.alpha_k, bounds, info["theta_k"],
+                             bundle.gamma_max)
+        assert gamma_k == info["gamma_k"]
+
+
+def test_kernel_validates_only_at_entry(monkeypatch):
+    """With auditing off, the loop makes no interior checks and takes the
+    slacks twice per iteration: of x and of the look-ahead point."""
+    counts = {"require_interior": 0, "slacks": 0, "in_neighborhood": 0}
+    for name in counts:
+        original = getattr(geometry, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module in (geometry, schedules, solver, stepsize):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    objective, config, x1 = _kernel_runs()[0]
+    run(objective, config, x1)
+    # run() entry checks membership once; it and the final certificate each
+    # make one interior check, which takes the slacks once
+    assert counts["in_neighborhood"] == 1
+    assert counts["require_interior"] == 2
+    assert counts["slacks"] == 2 * config.maxiter + 2
