@@ -3,13 +3,15 @@
 Each nonempty line is ``label index:value index:value ...`` with 1-based,
 strictly increasing feature indices and finite labels and values.  Blank
 lines and lines starting with '#' are skipped.  Parsing is single pass and
-keeps memory proportional to the number of nonzeros.
+keeps memory proportional to the number of nonzeros, and so does the
+training matrix: ``SparseDataset.to_arrays`` returns it in CSR form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -36,16 +38,26 @@ class SparseDataset:
     def label_values(self):
         return tuple(sorted(set(self.labels)))
 
+    def _csr_features(self):
+        """The rows as a scipy.sparse CSR matrix of shape (m, n_features)."""
+        from scipy.sparse import csr_matrix
+
+        indptr = np.zeros(self.m + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, self.rows), dtype=np.int64, count=self.m),
+                  out=indptr[1:])
+        nnz = int(indptr[-1])
+        # (index, value) pairs flattened in C, one float per entry
+        pairs = np.fromiter(chain.from_iterable(chain.from_iterable(self.rows)),
+                            dtype=float, count=2 * nnz).reshape(nnz, 2)
+        return csr_matrix((pairs[:, 1].copy(), pairs[:, 0].astype(np.int64) - 1, indptr),
+                          shape=(self.m, self.n_features))
+
     def dense_features(self):
         """Materialize the rows as a dense (m, n_features) array."""
-        out = np.zeros((self.m, self.n_features))
-        for r, row in enumerate(self.rows):
-            for idx, val in row:
-                out[r, idx - 1] = val
-        return out
+        return self._csr_features().toarray()
 
     def to_arrays(self):
-        """Dense features plus labels mapped to -1/+1 by sorted raw value."""
+        """CSR features plus labels mapped to -1/+1 by sorted raw value."""
         order = self.label_order if self.label_order is not None else self.label_values()
         if len(order) != 2:
             raise NotBinary(f"need exactly two label values to train, got {len(order)}")
@@ -54,7 +66,7 @@ class SparseDataset:
             y = np.array([mapping[lab] for lab in self.labels])
         except KeyError as err:
             raise LabelMismatch(f"label {err.args[0]} not in mapping {order}") from None
-        return self.dense_features(), y
+        return self._csr_features(), y
 
 
 def parse_libsvm(source, n_features=None):

@@ -6,7 +6,9 @@ cross-entropy.  Every model exposes ``value``, ``gradient``, and
 ``stochastic_gradient(x, batch)`` where the batch is an index set into the
 samples; averaging the stochastic gradient over all batches of a fixed size
 reproduces the full gradient exactly because batches are uniform subsets
-drawn without replacement.
+drawn without replacement.  The two data models take their feature matrix
+dense or as a scipy.sparse matrix, which they keep in CSR form; the data
+type picks the path, and scipy.sparse is only imported for sparse input.
 """
 
 from __future__ import annotations
@@ -52,12 +54,21 @@ def map_labels(labels):
     return np.where(labels == values[0], -1.0, 1.0)
 
 
+def _feature_matrix(features):
+    """A float feature matrix: CSR for a scipy.sparse input, dense otherwise."""
+    if hasattr(features, "tocsr"):   # any scipy.sparse matrix or array
+        from scipy.sparse import csr_matrix
+
+        return csr_matrix(features, dtype=float)
+    return np.asarray(features, dtype=float)
+
+
 def _as_arrays(dataset):
     """Accept a (features, labels) pair or anything with a to_arrays method."""
     if hasattr(dataset, "to_arrays"):
         return dataset.to_arrays()
     features, labels = dataset
-    features = np.asarray(features, dtype=float)
+    features = _feature_matrix(features)
     labels = np.asarray(labels, dtype=float)
     if features.ndim != 2 or labels.shape != (features.shape[0],):
         raise DimensionMismatch("features must be (m, n_f) with one label per row")
@@ -106,42 +117,66 @@ class QuadraticObjective(Objective):
         return self.gradient(x) + self._noise[batch].mean(axis=0)
 
 
+def _csr_rows(a, rows):
+    """The nonzeros of CSR rows ``rows``: their row within the batch, their
+    column and their value, in row order.  A few numpy calls gather them;
+    scipy's row slicing costs several times more at mini-batch sizes."""
+    starts = a.indptr[rows]
+    counts = a.indptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    # position in a.indices/a.data: each row's start plus the offset within it
+    take = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
+    return np.repeat(np.arange(rows.size), counts), a.indices[take], a.data[take]
+
+
 class LogisticObjective(Objective):
-    """Mean logistic loss over labeled rows, parameterized as [weights, bias]."""
+    """Mean logistic loss over labeled rows, parameterized as [weights, bias].
+
+    A CSR feature matrix gets its transpose built once, in CSR form too, so
+    the full gradient's product with the transpose runs row by row.
+    """
 
     def __init__(self, features, labels):
-        self.features = np.asarray(features, dtype=float)
+        self.features = _feature_matrix(features)
         self.labels = np.asarray(labels, dtype=float)
         self.sample_count, self.n_features = self.features.shape
         if self.labels.shape != (self.sample_count,):
             raise DimensionMismatch("one label per sample row is required")
         self.n = self.n_features + 1
-
-    def _margins(self, x, rows):
-        w, b = x[:-1], x[-1]
-        return self.features[rows] @ w + b
+        self._sparse = hasattr(self.features, "tocsr")
+        self._features_t = self.features.T.tocsr() if self._sparse else self.features.T
 
     def value(self, x):
         x = _check_dim(x, self.n)
-        t = self.labels * self._margins(x, slice(None))
+        t = self.labels * (self.features @ x[:-1] + x[-1])
         return float(np.mean(np.logaddexp(0.0, -t)))
 
-    def _batch_gradient(self, x, rows, y):
-        t = y * self._margins(x, rows)
+    def _batch_gradient(self, x, y, matvec, rmatvec):
+        """Gradient over the rows that ``matvec`` (rows times weights) and
+        ``rmatvec`` (transposed rows times coefficients) multiply with."""
+        t = y * (matvec(x[:-1]) + x[-1])
         coef = -y * expit(-t)
         g = np.empty(self.n)
-        g[:-1] = self.features[rows].T @ coef / coef.size
+        g[:-1] = rmatvec(coef) / coef.size
         g[-1] = coef.mean()
         return g
 
     def gradient(self, x):
         x = _check_dim(x, self.n)
-        return self._batch_gradient(x, slice(None), self.labels)
+        return self._batch_gradient(x, self.labels, self.features.__matmul__,
+                                    self._features_t.__matmul__)
 
     def stochastic_gradient(self, x, batch):
         x = _check_dim(x, self.n)
         rows = np.asarray(batch, dtype=int)
-        return self._batch_gradient(x, rows, self.labels[rows])
+        y = self.labels[rows]
+        if self._sparse:
+            pos, cols, vals = _csr_rows(self.features, rows)
+            return self._batch_gradient(
+                x, y, lambda w: np.bincount(pos, weights=vals * w[cols], minlength=rows.size),
+                lambda c: np.bincount(cols, weights=vals * c[pos], minlength=self.n_features))
+        a = self.features[rows]
+        return self._batch_gradient(x, y, a.__matmul__, a.T.__matmul__)
 
 
 class OneHiddenLayerObjective(Objective):
@@ -153,7 +188,7 @@ class OneHiddenLayerObjective(Objective):
     """
 
     def __init__(self, features, labels, hidden):
-        self.features = np.asarray(features, dtype=float)
+        self.features = _feature_matrix(features)
         labels = np.asarray(labels, dtype=float)
         self.sample_count, self.n_features = self.features.shape
         if labels.shape != (self.sample_count,):
@@ -163,6 +198,7 @@ class OneHiddenLayerObjective(Objective):
         self.hidden = int(hidden)
         self.y01 = 0.5 * (labels + 1.0)  # {-1,+1} -> {0,1}
         self.n = (self.n_features + 2) * self.hidden + 1
+        self._sparse = hasattr(self.features, "tocsr")
 
     def _unpack(self, x):
         h, nf = self.hidden, self.n_features
@@ -172,38 +208,47 @@ class OneHiddenLayerObjective(Objective):
         b2 = x[-1]
         return w1, b1, w2, b2
 
-    def _forward(self, x, rows):
+    def _forward(self, x, a):
         w1, b1, w2, b2 = self._unpack(x)
-        z = np.tanh(self.features[rows] @ w1.T + b1)
+        z = np.tanh(a @ w1.T + b1)
         s = z @ w2 + b2
         return z, s
 
     def value(self, x):
         x = _check_dim(x, self.n)
-        _, s = self._forward(x, slice(None))
+        _, s = self._forward(x, self.features)
         # -[y log p + (1-y) log(1-p)] with p = sigmoid(s) is softplus(s) - y*s
         return float(np.mean(np.logaddexp(0.0, s) - self.y01 * s))
 
-    def _batch_gradient(self, x, rows, y01):
+    def _batch_gradient(self, x, a, y01):
         w1, b1, w2, b2 = self._unpack(x)
-        a = self.features[rows]
-        z, s = self._forward(x, rows)
+        z, s = self._forward(x, a)
         ds = (expit(s) - y01) / y01.size
         g_w2 = z.T @ ds
         g_b2 = float(np.sum(ds))
         d_pre = np.outer(ds, w2) * (1.0 - z ** 2)
+        # for CSR rows this runs as their transpose's product with d_pre,
+        # as fast as with a stored CSR transpose
         g_w1 = d_pre.T @ a
         g_b1 = d_pre.sum(axis=0)
         return np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])
 
     def gradient(self, x):
         x = _check_dim(x, self.n)
-        return self._batch_gradient(x, slice(None), self.y01)
+        return self._batch_gradient(x, self.features, self.y01)
 
     def stochastic_gradient(self, x, batch):
         x = _check_dim(x, self.n)
         rows = np.asarray(batch, dtype=int)
-        return self._batch_gradient(x, rows, self.y01[rows])
+        if self._sparse:
+            # a dense block of the batch's rows: the products below are dense
+            # in the hidden width anyway, and faster on it at batch sizes
+            pos, cols, vals = _csr_rows(self.features, rows)
+            a = np.zeros((rows.size, self.n_features))
+            a[pos, cols] = vals
+        else:
+            a = self.features[rows]
+        return self._batch_gradient(x, a, self.y01[rows])
 
 
 def quadratic_objective(center, curvature, noise_level=0.0, sample_count=1, seed=0):

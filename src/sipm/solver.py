@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (HorizonExceeded, InfeasibleStart, InvalidExponents, InvalidTheta0,
-                     InvariantViolation, ThetaTooLarge)
+from .errors import (HorizonExceeded, InfeasibleStart, InvalidExponents, InvalidMu1,
+                     InvalidTheta0, InvariantViolation, ThetaTooLarge)
 from .geometry import (DELTA_CAP, Bounds, KktCertificate, _barrier_gradient, default_chi,
                        in_neighborhood, kkt_certificate, projected_gradient_norm,
                        range_gap, require_interior, shifted_barrier_value, slacks)
@@ -118,11 +118,11 @@ def _rel_ok(lhs, rhs, tol):
     return lhs <= rhs + tol * (1.0 + abs(rhs))
 
 
-def sipm_step(x, k, g, config, delta, f_value=None):
+def sipm_step(x, k, g, config, delta, phi_tilde=math.nan):
     """Iteration k from x: scaling, barrier gradient, step sizes, ratio test, update.
 
-    ``g`` is the (estimated) gradient at x.  ``f_value`` (the objective at x)
-    is only needed to fill the shifted-barrier field of the trace record.
+    ``g`` is the (estimated) gradient at x.  ``phi_tilde`` (the shifted
+    barrier at x with mu_k) only fills the trace record's field of that name.
     Returns the next iterate, the iteration record, and the dict of internal
     quantities that ``run`` hands to its observer.
 
@@ -157,12 +157,9 @@ def sipm_step(x, k, g, config, delta, f_value=None):
     if config.audit_level != "off":
         _audit_step(config, k, x, x_next, q, d, bundle, gamma_k, mu_k, theta_k)
 
-    phi = (math.nan if f_value is None
-           else shifted_barrier_value(f_value, x, bounds, mu_k, default_chi(bounds)))
-
     record = IterationRecord(k=k, mu_k=mu_k, theta_k=theta_k, alpha_k=bundle.alpha_k,
                              gamma_k=gamma_k, ell_k=bundle.ell_k,
-                             q_norm=float(np.linalg.norm(q)), phi_tilde=phi,
+                             q_norm=float(np.linalg.norm(q)), phi_tilde=phi_tilde,
                              stalled=stalled)
     info = dict(k=k, x=x, x_next=x_next, g=g, q=q, d=d,
                 h_diag=h_diag, lam_min=lam_min, lam_max=lam_max,
@@ -210,6 +207,9 @@ def run(objective, config, x1, observer=None):
     x = np.asarray(x1, dtype=float).copy()
     delta = range_gap(bounds, DELTA_CAP)
     theta0 = config.schedule.theta(0)
+    mu1 = config.schedule.mu(1)
+    if not 0.0 < mu1 < math.inf:
+        raise InvalidMu1(f"mu1={mu1} must be positive and finite")
     if not theta0 > 0.0:
         raise InvalidTheta0(f"theta0={theta0} must be positive")
     if theta0 >= 0.5 * delta:
@@ -240,12 +240,13 @@ def run(objective, config, x1, observer=None):
     stall_count = 0
     alpha_first = math.nan
     alpha_last = math.nan
-    f_curr = objective.value(x) if need_f else None
-    phi_curr = (shifted_barrier_value(f_curr, x, bounds, config.schedule.mu(1), chi)
-                if audit_decrease and config.maxiter > 0 else None)
+    # the shifted barrier at the current iterate with its mu_k: it fills the
+    # trace record and is the left side of the decrease check
+    phi_curr = (shifted_barrier_value(objective.value(x), x, bounds, mu1, chi)
+                if need_f else math.nan)
 
     for k in range(1, config.maxiter + 1):
-        x_next, record, info = sipm_step(x, k, gradient(x), config, delta, f_value=f_curr)
+        x_next, record, info = sipm_step(x, k, gradient(x), config, delta, phi_curr)
         if observer is not None:
             observer(info)
         x = x_next
@@ -258,17 +259,16 @@ def run(objective, config, x1, observer=None):
         alpha_last = record.alpha_k
 
         if need_f:
-            f_curr = objective.value(x)
-        if audit_decrease:
             try:
                 mu_next = config.schedule.mu(k + 1)
             except HorizonExceeded:
                 mu_next = record.mu_k
-            phi_next = shifted_barrier_value(f_curr, x, bounds, mu_next, chi)
-            q, h_diag = info["q"], info["h_diag"]
-            descent = 0.5 * record.gamma_k * record.alpha_k * float(np.sum(q * q / h_diag))
-            if phi_next - phi_curr > -descent + 1e-10 * (1.0 + abs(phi_curr)):
-                raise InvariantViolation(k, "barrier decrease inequality failed")
+            phi_next = shifted_barrier_value(objective.value(x), x, bounds, mu_next, chi)
+            if audit_decrease:
+                q, h_diag = info["q"], info["h_diag"]
+                descent = 0.5 * record.gamma_k * record.alpha_k * float(np.sum(q * q / h_diag))
+                if phi_next - phi_curr > -descent + 1e-10 * (1.0 + abs(phi_curr)):
+                    raise InvariantViolation(k, "barrier decrease inequality failed")
             phi_curr = phi_next
 
     mu_last = config.schedule.mu(max(config.maxiter, 1))

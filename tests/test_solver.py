@@ -10,8 +10,8 @@ from sipm import (DELTA_CAP, Bounds, BufferSequences, Constants, ExponentTriple,
                   build_hk, build_staircase, quadratic_objective, range_gap, ratio_test,
                   run, sipm_step, step_size_bundle)
 from sipm import geometry, schedules, solver, stepsize
-from sipm.errors import (HorizonExceeded, InfeasibleStart, InvalidExponents, InvalidTheta0,
-                         NotInterior, SipmError, ThetaTooLarge)
+from sipm.errors import (HorizonExceeded, InfeasibleStart, InvalidExponents, InvalidMu1,
+                         InvalidTheta0, NotInterior, SipmError, ThetaTooLarge)
 
 
 def quad_config(bounds, schedule, maxiter, **kwargs):
@@ -288,3 +288,39 @@ def test_kernel_validates_only_at_entry(monkeypatch):
     assert counts["in_neighborhood"] == 1
     assert counts["require_interior"] == 2
     assert counts["slacks"] == 2 * config.maxiter + 2
+
+
+@pytest.mark.parametrize("mu1", [-0.1, 0.0, np.nan, np.inf])
+def test_barrier_start_must_be_positive_and_finite(mu1):
+    calls = []
+    obj = quadratic_objective([0.2, -0.3], [1.0, 2.0])
+    obj.gradient = lambda x: calls.append(x) or np.zeros(2)
+    sched = PowerSchedule(mu1=mu1, theta0=0.05, exponents=ExponentTriple(-1.0, -1.0, 0.0))
+    config = quad_config(Bounds.cube(2, -1.0, 1.0), sched, 5,
+                         buffers=BufferSequences.zero(), audit_level="off")
+    with pytest.raises(InvalidMu1, match="positive and finite"):
+        run(obj, config, np.zeros(2))
+    assert calls == []
+
+
+def test_shifted_barrier_evaluated_once_per_iterate(monkeypatch):
+    """An audited run evaluates the shifted barrier once per iterate: the
+    decrease check's value at x_{k+1} is the next trace record's."""
+    calls = []
+    original = geometry.shifted_barrier_value
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(solver, "shifted_barrier_value", counting)
+    objective, config, x1 = _kernel_runs()[0]
+    config = replace(config, maxiter=40, audit_level="full_trace")
+    seen = []
+    result = run(objective, config, x1, observer=seen.append)
+    assert len(calls) == config.maxiter + 1
+    chi = geometry.default_chi(config.bounds)
+    for info, record in zip(seen, result.records):
+        expected = original(objective.value(info["x"]), info["x"], config.bounds,
+                            info["mu_k"], chi)
+        assert record.phi_tilde == expected

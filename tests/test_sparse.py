@@ -1,0 +1,119 @@
+"""The CSR data path: LIBSVM rows stay sparse from the parser to the oracles.
+
+Dense and CSR feature matrices of the same data must give the same values
+and gradients up to round-off, and a dense run must never import
+scipy.sparse.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from itertools import combinations
+
+import numpy as np
+import pytest
+import scipy.sparse
+from numpy.testing import assert_allclose
+
+from sipm import (LogisticObjective, OneHiddenLayerObjective, align_feature_space,
+                  logistic_objective, nn_objective, parse_libsvm)
+from sipm.cli import main
+from sipm.problems import _as_arrays
+
+# row 3 has no features; the test split's index 9 widens the training width 7
+TRAIN = ("+1 1:0.5 3:-1.2 7:0.25\n-1 2:1.0 5:-0.75\n-1\n+1 1:-0.3 4:2.0 6:0.1\n"
+         "-1 3:0.9 7:-1.1\n+1 2:-0.4 4:0.6 5:1.3\n")
+TEST = "-1 1:0.2 9:1.5\n+1\n+1 4:-0.7 8:0.05\n"
+
+MODELS = {"logistic": lambda a, y: LogisticObjective(a, y),
+          "nn": lambda a, y: OneHiddenLayerObjective(a, y, 3)}
+
+
+def aligned():
+    return align_feature_space(parse_libsvm(TRAIN), parse_libsvm(TEST))
+
+
+def test_to_arrays_is_csr_with_the_parsed_nonzeros():
+    train, test = aligned()
+    for ds in (train, test):
+        features, _ = ds.to_arrays()
+        assert scipy.sparse.issparse(features) and features.format == "csr"
+        assert features.shape == (ds.m, 9)
+        assert features.nnz == sum(len(row) for row in ds.rows)
+        assert_allclose(features.toarray(), ds.dense_features())
+    assert train.to_arrays()[0][2].nnz == 0
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_dense_and_csr_oracles_agree(model):
+    rng = np.random.default_rng(3)
+    for ds in aligned():
+        csr, labels = ds.to_arrays()
+        sparse_obj = MODELS[model](csr, labels)
+        dense_obj = MODELS[model](ds.dense_features(), labels)
+        assert scipy.sparse.issparse(sparse_obj.features)
+        assert isinstance(dense_obj.features, np.ndarray)
+        for _ in range(3):
+            x = rng.uniform(-0.5, 0.5, size=dense_obj.n)
+            assert abs(sparse_obj.value(x) - dense_obj.value(x)) <= 1e-12
+            assert_allclose(sparse_obj.gradient(x), dense_obj.gradient(x),
+                            rtol=0.0, atol=1e-12)
+            # the empty row of the training split sits in this batch
+            batch = np.array([0, 2]) if ds.m > 3 else np.array([1, 2])
+            assert_allclose(sparse_obj.stochastic_gradient(x, batch),
+                            dense_obj.stochastic_gradient(x, batch), rtol=0.0, atol=1e-12)
+
+
+def test_csr_logistic_batch_mean_is_the_full_gradient():
+    train, _ = aligned()
+    objective = logistic_objective(train)
+    assert scipy.sparse.issparse(objective.features)
+    x = np.random.default_rng(5).uniform(-0.5, 0.5, size=objective.n)
+    batches = list(combinations(range(train.m), 4))
+    mean = sum(objective.stochastic_gradient(x, np.array(b)) for b in batches) / len(batches)
+    assert np.max(np.abs(mean - objective.gradient(x))) <= 1e-12
+
+
+@pytest.mark.parametrize("to_sparse", [scipy.sparse.csr_matrix, scipy.sparse.coo_array],
+                         ids=["csr_matrix", "coo_array"])
+def test_as_arrays_accepts_a_sparse_pair(to_sparse):
+    dense = np.array([[0.0, 1.5], [2.0, 0.0], [0.0, 0.0]])
+    features, labels = _as_arrays((to_sparse(dense), [0, 1, 1]))
+    assert features.format == "csr" and features.dtype == float
+    assert_allclose(features.toarray(), dense)
+    assert_allclose(labels, [-1.0, 1.0, 1.0])
+    x = np.array([0.3, -0.2, 0.1])
+    assert logistic_objective((to_sparse(dense), [0, 1, 1])).value(x) \
+        == logistic_objective((dense, [0, 1, 1])).value(x)
+
+
+@pytest.mark.parametrize("model", ["logistic", "nn"])
+def test_cli_bench_on_libsvm_files(model, tmp_path):
+    train, test, out = (tmp_path / "train.libsvm", tmp_path / "test.libsvm",
+                        tmp_path / "report.json")
+    train.write_text(TRAIN)
+    test.write_text(TEST)
+    assert main(["bench", "--model", model, "--train", str(train), "--test", str(test),
+                 "--solver", "sipm,psgm", "--seeds", "0,1", "--maxiter", "30",
+                 "--out", str(out)]) == 0
+    runs = json.loads(out.read_text())["runs"]
+    assert len(runs) == 4
+    for entry in runs:
+        assert "error" not in entry
+        assert np.isfinite(entry["final_objective_test"])
+
+
+def test_dense_path_does_not_import_scipy_sparse():
+    code = ("import sys, sipm\n"
+            "data = sipm.synthetic_classification(20, 3)\n"
+            "sipm.logistic_objective(data).gradient([0.0] * 4)\n"
+            "sipm.nn_objective(data, hidden=2)\n"
+            "sipm.quadratic_objective([0.0], [1.0])\n"
+            "print('scipy.sparse' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
