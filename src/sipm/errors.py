@@ -49,6 +49,13 @@ class InvalidBudget(SipmError, ValueError):
     """An experiment's iteration budget or batch fraction is out of range."""
 
 
+class InvalidChoice(SipmError, ValueError):
+    """A string option names none of its allowed values."""
+
+    def __init__(self, name, value, allowed):
+        super().__init__(f"{name}={value!r} is not one of {', '.join(map(repr, allowed))}")
+
+
 class InvalidExponents(SipmError, ValueError):
     """A power schedule's exponents lie outside the admissible region of the run's mode."""
 

@@ -19,7 +19,8 @@ class Bounds:
 
     Every coordinate must satisfy ``lower < upper`` and at least one side of
     one coordinate must be finite.  Masks of the finite-bound index sets are
-    cached at construction and reused by all operations.
+    cached for the logarithms, side counts and ranges; elsewhere an open
+    side's infinite slack already contributes nothing.
     """
 
     lower: np.ndarray
@@ -75,12 +76,11 @@ def slacks(x, bounds):
 
 def require_interior(x, bounds):
     """The slacks of x, after raising NotInterior unless every finite-side
-    slack is strictly positive."""
+    slack is strictly positive (open sides have infinite slack)."""
     lo, up = slacks(x, bounds)
-    bad_lo = bounds.finite_lower & (lo <= 0.0)
-    bad_up = bounds.finite_upper & (up <= 0.0)
-    if bad_lo.any() or bad_up.any():
-        i = int(np.argmax(bad_lo | bad_up))
+    bad = (lo <= 0.0) | (up <= 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
         raise NotInterior(f"coordinate {i} has nonpositive slack to a finite bound")
     return lo, up
 
@@ -159,18 +159,15 @@ def shifted_barrier_value(f_value, x, bounds, mu, chi):
 def barrier_gradient(g, x, bounds, mu):
     """Gradient of the barrier-augmented function given a gradient (estimate) g.
 
-    q_i = g_i - mu / (x_i - lower_i) on finite lower sides
-              + mu / (upper_i - x_i) on finite upper sides.
+    q_i = g_i - mu / (x_i - lower_i) + mu / (upper_i - x_i), where an open
+    side's infinite slack contributes zero.
     """
-    return _barrier_gradient(g, *require_interior(x, bounds), bounds, mu)
+    return _barrier_gradient(g, *require_interior(x, bounds), mu)
 
 
-def _barrier_gradient(g, lo, up, bounds, mu):
+def _barrier_gradient(g, lo, up, mu):
     """barrier_gradient from the slacks (lo, up) of an interior point."""
-    q = np.asarray(g, dtype=float).copy()
-    q[bounds.finite_lower] -= mu / lo[bounds.finite_lower]
-    q[bounds.finite_upper] += mu / up[bounds.finite_upper]
-    return q
+    return np.asarray(g, dtype=float) - mu / lo + mu / up
 
 
 def projected_gradient_norm(x, g, bounds):
@@ -188,8 +185,8 @@ def kkt_certificate(x, g, bounds, mu):
     mu rather than recomputed coordinatewise.
     """
     lo, up = require_interior(x, bounds)
-    y = np.where(bounds.finite_lower, mu / lo, 0.0)
-    z = np.where(bounds.finite_upper, mu / up, 0.0)
+    y = mu / lo
+    z = mu / up
     residual = float(np.max(np.abs(np.asarray(g, dtype=float) - y + z)))
     return KktCertificate(y=y, z=z, stationarity_residual=residual,
                           complementarity_residual=float(mu))

@@ -27,18 +27,25 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .baselines import c_constant, match_sipm_endpoints, run_psgm, run_simplified
-from .errors import InvalidBudget
+from .errors import InvalidBudget, InvalidChoice
 from .geometry import DELTA_CAP, Bounds, range_gap
 from .libsvm import align_feature_space, parse_libsvm_file
 from .problems import (gradient_oracle, logistic_objective, nn_objective,
                        quadratic_objective, synthetic_classification)
 from .schedules import (BufferSequences, ExponentTriple, PowerSchedule,
                         build_staircase, mu1_init, theta0_init)
-from .solver import SolverConfig, run
+from .solver import CONFIG_CHOICES, SolverConfig, run
 from .stepsize import Constants
 
 BOOTSTRAP_ITERS = 500
 SIGMA_DRAWS = 100
+# spec.audit -> SolverConfig.audit_level
+SPEC_AUDIT = {"off": "off", "invariants": "invariants", "full": "full_trace",
+              "full_trace": "full_trace"}
+SPEC_CHOICES = {"mode": CONFIG_CHOICES["mode"],
+                "schedule": ("staircase", "power"),
+                "param_mode": ("practical", "theory"),
+                "audit": tuple(SPEC_AUDIT)}
 
 
 @dataclass(frozen=True)
@@ -154,9 +161,13 @@ def resolve_maxiter(spec):
     """Iteration budget: epochs/batch_fraction in stochastic mode when epochs
     are given, the explicit maxiter otherwise.
 
-    Raises InvalidBudget for a stochastic batch fraction outside (0, 1] or a
-    budget below one iteration, before any problem is built.
+    Raises InvalidChoice for a mode, schedule, param_mode or audit outside
+    SPEC_CHOICES, and InvalidBudget for a stochastic batch fraction outside
+    (0, 1] or a budget below one iteration, before any problem is built.
     """
+    for name, allowed in SPEC_CHOICES.items():
+        if getattr(spec, name) not in allowed:
+            raise InvalidChoice(name, getattr(spec, name), allowed)
     if spec.mode == "stochastic" and not 0.0 < spec.batch_fraction <= 1.0:
         raise InvalidBudget(f"batch_fraction={spec.batch_fraction} must lie in (0, 1]")
     if spec.mode == "stochastic" and spec.epochs is not None:
@@ -283,8 +294,7 @@ def run_experiment(spec):
     solver cell, and a failed solver run one for its cell.
     """
     maxiter = resolve_maxiter(spec)
-    audit = {"off": "off", "invariants": "invariants", "full": "full_trace",
-             "full_trace": "full_trace"}[spec.audit]
+    audit = SPEC_AUDIT[spec.audit]
     if spec.trace:
         audit = "full_trace"  # trace rows come from the full-trace records
     report = {"config": _config_block(spec, maxiter), "constants": {},

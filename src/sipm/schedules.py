@@ -210,7 +210,7 @@ def mu1_init(g1, x1, bounds):
     so the minimum selects 1.
     """
     lo, up = require_interior(x1, bounds)
-    d = np.where(bounds.finite_upper, 1.0 / up, 0.0) - np.where(bounds.finite_lower, 1.0 / lo, 0.0)
+    d = 1.0 / up - 1.0 / lo
     norm_d = float(np.max(np.abs(d)))
     g_norm = float(np.linalg.norm(np.asarray(g1, dtype=float)))
     ratio = math.inf if norm_d == 0.0 else 1e-3 * g_norm / norm_d
@@ -221,10 +221,8 @@ def theta0_init(x1, bounds, kappa_inf, sigma_inf, mu1, delta):
     """Initial neighborhood margin: min of the start slacks and the cap
     1 / (2/delta + (kappa_inf + sigma_inf)/mu1)."""
     lo, up = require_interior(x1, bounds)
-    low_min = float(np.min(lo[bounds.finite_lower])) if bounds.finite_lower.any() else math.inf
-    up_min = float(np.min(up[bounds.finite_upper])) if bounds.finite_upper.any() else math.inf
     theta_bar = 1.0 / (2.0 / delta + (kappa_inf + sigma_inf) / mu1)
-    return min(low_min, up_min, theta_bar)
+    return min(float(np.min(lo)), float(np.min(up)), theta_bar)
 
 
 def min_mu1_threshold(theta0, kappa_inf, sigma_inf, delta):

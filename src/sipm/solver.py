@@ -15,14 +15,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (HorizonExceeded, InfeasibleStart, InvalidExponents, InvalidMu1,
-                     InvalidTheta0, InvariantViolation, ThetaTooLarge)
+from .errors import (HorizonExceeded, InfeasibleStart, InvalidChoice, InvalidExponents,
+                     InvalidMu1, InvalidTheta0, InvariantViolation, ThetaTooLarge)
 from .geometry import (DELTA_CAP, Bounds, KktCertificate, _barrier_gradient, default_chi,
                        in_neighborhood, kkt_certificate, projected_gradient_norm,
                        range_gap, require_interior, shifted_barrier_value, slacks)
 from .problems import gradient_oracle
 from .schedules import BufferSequences, PowerSchedule, StaircaseSchedule, validate_exponents
 from .stepsize import Constants, ScheduleContext, _step_sizes, local_lipschitz, ratio_test
+
+CONFIG_CHOICES = {"mode": ("deterministic", "stochastic"),
+                  "hk_strategy": ("practical", "identity"),
+                  "audit_level": ("off", "invariants", "full_trace")}
 
 
 @dataclass(frozen=True)
@@ -70,8 +74,8 @@ def _active_set_certificate(x, g, bounds):
     bounds, where the slack is zero."""
     g = np.asarray(g, dtype=float)
     lo, up = slacks(x, bounds)
-    y = np.where(bounds.finite_lower & (lo <= 0.0), np.maximum(g, 0.0), 0.0)
-    z = np.where(bounds.finite_upper & (up <= 0.0), np.maximum(-g, 0.0), 0.0)
+    y = np.where(lo <= 0.0, np.maximum(g, 0.0), 0.0)
+    z = np.where(up <= 0.0, np.maximum(-g, 0.0), 0.0)
     residual = float(np.max(np.abs(g - y + z)))
     return KktCertificate(y=y, z=z, stationarity_residual=residual,
                           complementarity_residual=0.0)
@@ -97,15 +101,13 @@ def build_hk(x, bounds, mu, ell_f_bar, strategy):
     practical: ell_f_bar + mu/(x_i - l_i)^2 + mu/(u_i - x_i)^2 per coordinate
     (infinite sides contribute nothing), identity: all ones.
     """
-    return _hk(*require_interior(x, bounds), bounds, mu, ell_f_bar, strategy)
+    return _hk(*require_interior(x, bounds), mu, ell_f_bar, strategy)
 
 
-def _hk(lo, up, bounds, mu, ell_f_bar, strategy):
+def _hk(lo, up, mu, ell_f_bar, strategy):
     """build_hk from the slacks (lo, up) of an interior point."""
     if strategy == "practical":
-        diag = np.full(lo.size, float(ell_f_bar))
-        diag[bounds.finite_lower] += mu / lo[bounds.finite_lower] ** 2
-        diag[bounds.finite_upper] += mu / up[bounds.finite_upper] ** 2
+        diag = float(ell_f_bar) + mu / lo ** 2 + mu / up ** 2
     elif strategy == "identity":
         diag = np.ones(lo.size)
     else:
@@ -137,9 +139,8 @@ def sipm_step(x, k, g, config, delta, phi_tilde=math.nan):
     bounds = config.bounds
 
     lo, up = slacks(x, bounds)
-    h_diag, lam_min, lam_max = _hk(lo, up, bounds, mu_k, config.constants.ell_f,
-                                   config.hk_strategy)
-    q = _barrier_gradient(g, lo, up, bounds, mu_k)
+    h_diag, lam_min, lam_max = _hk(lo, up, mu_k, config.constants.ell_f, config.hk_strategy)
+    q = _barrier_gradient(g, lo, up, mu_k)
     ctx = ScheduleContext(mu_k=mu_k, theta_k=theta_k, theta_prev=theta_prev,
                           t_alpha=sched.t_alpha,
                           alpha_buff=config.buffers.alpha(k),
@@ -203,6 +204,9 @@ def run(objective, config, x1, observer=None):
     Inputs are validated once, here; the oracle rejects non-finite gradients,
     and the iterations check nothing else unless auditing is enabled.
     """
+    for name, allowed in CONFIG_CHOICES.items():
+        if getattr(config, name) not in allowed:
+            raise InvalidChoice(name, getattr(config, name), allowed)
     bounds = config.bounds
     x = np.asarray(x1, dtype=float).copy()
     delta = range_gap(bounds, DELTA_CAP)

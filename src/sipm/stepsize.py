@@ -15,7 +15,6 @@ Public functions validate their input, then call the slack-based helpers
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,17 +70,14 @@ class StepSizeBundle:
 def slack_products(x, xbar, bounds):
     """a = min_i (x_i - l_i) * min(x_i - l_i, xbar_i - l_i) over finite lower
     sides, and the analogous product b over finite upper sides."""
-    return _slack_products(*require_interior(x, bounds), *require_interior(xbar, bounds),
-                           bounds)
+    return _slack_products(*require_interior(x, bounds), *require_interior(xbar, bounds))
 
 
-def _slack_products(lo_x, up_x, lo_b, up_b, bounds):
-    """slack_products from the slacks of x and of xbar."""
-    def side(s_x, s_b, m):
-        return float(np.min(s_x[m] * np.minimum(s_x[m], s_b[m]))) if m.any() else math.inf
-
-    return SlackProducts(a=side(lo_x, lo_b, bounds.finite_lower),
-                         b=side(up_x, up_b, bounds.finite_upper))
+def _slack_products(lo_x, up_x, lo_b, up_b):
+    """slack_products from the slacks of x and of xbar; an open side's
+    infinite slacks give an infinite product, which the minimum ignores."""
+    return SlackProducts(a=float(np.min(lo_x * np.minimum(lo_x, lo_b))),
+                         b=float(np.min(up_x * np.minimum(up_x, up_b))))
 
 
 def local_lipschitz(mu, x, xbar, bounds, ell_f):
@@ -99,22 +95,19 @@ def ratio_test(x, direction, scale, bounds, theta, gamma_max):
     """Largest fraction gamma in [0, gamma_max] with x + gamma*scale*direction
     inside the theta-neighborhood.
 
-    Closed form: the minimum of gamma_max and, over coordinates moving toward
-    a finite bound, of (bound margin)/(scale * d_i).  Coordinates with a zero
-    direction or an infinite relevant bound impose no limit.  Returns 0 when
-    x sits on the neighborhood boundary and the direction points outward.
+    Closed form: the minimum of gamma_max and, over coordinates with a
+    nonzero direction, of (bound margin)/(scale * d_i) toward the side the
+    coordinate moves to.  An infinite side gives an infinite ratio, so it
+    imposes no limit.  Returns 0 when x sits on the neighborhood boundary and
+    the direction points outward.
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(direction, dtype=float)
-    gamma = float(gamma_max)
-    down = (d < 0.0) & bounds.finite_lower
-    if down.any():
-        gamma = min(gamma, float(np.min(
-            (bounds.lower[down] + theta - x[down]) / (scale * d[down]))))
-    up = (d > 0.0) & bounds.finite_upper
-    if up.any():
-        gamma = min(gamma, float(np.min(
-            (bounds.upper[up] - theta - x[up]) / (scale * d[up]))))
+    target = np.where(d < 0.0, bounds.lower + theta, bounds.upper - theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = (target - x) / (scale * d)
+    # fmin skips a NaN ratio, so a NaN direction entry imposes no limit
+    gamma = min(float(gamma_max), float(np.fmin.reduce(ratios, where=d != 0.0, initial=np.inf)))
     return max(0.0, gamma)
 
 
@@ -153,12 +146,12 @@ def _step_sizes(x, lo, up, q, h_diag, lam_min, k, bounds, sched, constants, delt
                     / (alpha_max * (grad_bound + mu / sched.theta_prev)))
     gamma_max = min(1.0, gamma_min + sched.gamma_buff)
 
-    self_products = _slack_products(lo, up, lo, up, bounds)
+    self_products = _slack_products(lo, up, lo, up)
     alpha_pre = lam_min * k_pow / _lipschitz(mu, self_products, constants.ell_f)
     d = -q / h_diag
     gamma_bar = ratio_test(x, d, alpha_pre, bounds, sched.theta_k, gamma_max)
     lo_pre, up_pre = slacks(x + (gamma_bar * alpha_pre) * d, bounds)
-    ell_k = _lipschitz(mu, _slack_products(lo, up, lo_pre, up_pre, bounds), constants.ell_f)
+    ell_k = _lipschitz(mu, _slack_products(lo, up, lo_pre, up_pre), constants.ell_f)
     alpha_k = min(lam_min * k_pow / ell_k, alpha_max)
 
     return StepSizeBundle(alpha_min=alpha_min, alpha_pre=alpha_pre,

@@ -9,6 +9,8 @@ from sipm import (Bounds, ExperimentSpec, LogisticObjective, ProblemSpec,
                   initial_point, load_constants, logistic_objective, quadratic_objective,
                   relative_performance, report_to_csv, report_to_json,
                   run_experiment, save_constants, synthetic_classification)
+from sipm import harness
+from sipm.errors import InvalidChoice
 from sipm.harness import resolve_maxiter
 
 
@@ -129,6 +131,20 @@ def test_resolve_maxiter():
     assert resolve_maxiter(spec) == 250
     with pytest.raises(ValueError):
         resolve_maxiter(ExperimentSpec(problems=(), maxiter=None))
+
+
+@pytest.mark.parametrize("name, value", [("mode", "stoch"), ("schedule", "powr"),
+                                         ("param_mode", "theroy"), ("audit", "bogus")])
+def test_unknown_choice_is_a_typed_error(name, value, monkeypatch):
+    def no_build(problem, spec):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr(harness, "_build_problem", no_build)
+    spec = small_spec(**{name: value})
+    with pytest.raises(InvalidChoice, match=name):
+        resolve_maxiter(spec)
+    with pytest.raises(InvalidChoice, match=repr(value)):
+        run_experiment(spec)
 
 
 def small_spec(tmp_path=None, **kwargs):

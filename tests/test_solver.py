@@ -10,8 +10,8 @@ from sipm import (DELTA_CAP, Bounds, BufferSequences, Constants, ExponentTriple,
                   build_hk, build_staircase, quadratic_objective, range_gap, ratio_test,
                   run, sipm_step, step_size_bundle)
 from sipm import geometry, schedules, solver, stepsize
-from sipm.errors import (HorizonExceeded, InfeasibleStart, InvalidExponents, InvalidMu1,
-                         InvalidTheta0, NotInterior, SipmError, ThetaTooLarge)
+from sipm.errors import (HorizonExceeded, InfeasibleStart, InvalidChoice, InvalidExponents,
+                         InvalidMu1, InvalidTheta0, NotInterior, SipmError, ThetaTooLarge)
 
 
 def quad_config(bounds, schedule, maxiter, **kwargs):
@@ -156,6 +156,17 @@ def test_start_validation():
     flat = build_staircase(0.5, 10, theta0=0.0)
     with pytest.raises(InvalidTheta0):
         run(obj, quad_config(bounds, flat, 10), np.array([0.0]))
+
+
+@pytest.mark.parametrize("name, value", [("mode", "stoch"), ("audit_level", "full"),
+                                         ("hk_strategy", "custom")])
+@pytest.mark.parametrize("maxiter", [0, 10])
+def test_unknown_config_choice_is_rejected_at_entry(name, value, maxiter):
+    obj = quadratic_objective([0.0], [1.0], noise_level=0.1, sample_count=10)
+    config = quad_config(Bounds.cube(1, -1.0, 1.0), build_staircase(0.5, 10, theta0=0.2),
+                         maxiter, **{name: value})
+    with pytest.raises(InvalidChoice, match=name):
+        run(obj, config, np.array([0.0]))
 
 
 def test_stochastic_exponent_gate_enforced():
