@@ -37,9 +37,9 @@ result = run(objective, config, x1)
 
 print("\ntrace every 400 iterations:")
 print("     k        mu_k     alpha_k   gamma_k      |q_k|")
-for record in result.records[::400]:
-    print(f"  {record.k:4d}  {record.mu_k:.3e}  {record.alpha_k:.3e}"
-          f"  {record.gamma_k:.5f}  {record.q_norm:.3e}")
+for row in result.records[::400]:
+    print(f"  {row['k']:4d}  {row['mu_k']:.3e}  {row['alpha_k']:.3e}"
+          f"  {row['gamma_k']:.5f}  {row['q_norm']:.3e}")
 
 print("\nfinal objective:", result.final_objective)
 print("projected-gradient norm:", result.final_projected_grad_norm)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, ThetaLinkViolation
+from .errors import DomainError, InvalidBudget, ThetaLinkViolation
 from .geometry import DELTA_CAP, barrier_gradient, project_to_neighborhood, range_gap
 from .problems import gradient_oracle
 from .solver import RunResult, _final_metrics
@@ -85,13 +85,20 @@ def match_sipm_endpoints(shape, alpha_first, alpha_last):
     return alpha_first * (alpha_last / alpha_first) ** exponent
 
 
+def _require_length(name, sequence, maxiter):
+    if len(sequence) < maxiter:
+        raise InvalidBudget(f"{name} has {len(sequence)} entries, fewer than maxiter={maxiter}")
+
+
 def run_psgm(objective, bounds, steps, x1, maxiter, mode="deterministic",
              batch_fraction=0.01, seed=0):
     """Run the projected-(stochastic-)gradient baseline for maxiter iterations.
 
-    ``steps`` is the per-iteration step-size sequence (length >= maxiter).
-    Final metrics use true gradients, mirroring the interior-point runs.
+    ``steps`` is the per-iteration step-size sequence; fewer than maxiter
+    entries raise InvalidBudget.  Final metrics use true gradients,
+    mirroring the interior-point runs.
     """
+    _require_length("steps", steps, maxiter)
     x = np.asarray(x1, dtype=float).copy()
     gradient = gradient_oracle(objective, mode, batch_fraction, seed)
     for k in range(maxiter):
@@ -105,8 +112,10 @@ def run_simplified(objective, bounds, mu_seq, ell_f, c, x1, maxiter,
     """Run the simplified projection variant with theta_k = c * mu_k.
 
     theta is clamped just below half the box width so the projection target
-    stays nonempty when mu is still large.
+    stays nonempty when mu is still large.  A ``mu_seq`` with fewer than
+    maxiter entries raises InvalidBudget.
     """
+    _require_length("mu_seq", mu_seq, maxiter)
     x = np.asarray(x1, dtype=float).copy()
     theta_cap = 0.499 * range_gap(bounds, DELTA_CAP)
     gradient = gradient_oracle(objective, mode, batch_fraction, seed)

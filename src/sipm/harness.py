@@ -19,7 +19,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import time
 from dataclasses import asdict, dataclass
@@ -30,7 +29,7 @@ from .baselines import c_constant, match_sipm_endpoints, run_psgm, run_simplifie
 from .errors import InvalidBudget, InvalidChoice
 from .geometry import DELTA_CAP, Bounds, range_gap
 from .libsvm import align_feature_space, parse_libsvm_file
-from .problems import (gradient_oracle, logistic_objective, nn_objective,
+from .problems import (MODES, gradient_oracle, logistic_objective, nn_objective,
                        quadratic_objective, synthetic_classification)
 from .schedules import (BufferSequences, ExponentTriple, PowerSchedule,
                         build_staircase, mu1_init, theta0_init)
@@ -88,8 +87,11 @@ def estimate_constants(objective, x1, bounds, mode="deterministic",
     the gradient bound and the largest gradient secant ratio as the Lipschitz
     estimate (pairs with displacement below 1e-14 are skipped).  In
     stochastic mode the noise bound is the largest inf-norm deviation of 100
-    seeded mini-batch gradients at the start point; otherwise it is 0.
+    seeded mini-batch gradients at the start point; otherwise it is 0.  A
+    mode outside MODES raises InvalidChoice before any gradient is taken.
     """
+    if mode not in MODES:
+        raise InvalidChoice("mode", mode, MODES)
     config = _bootstrap_config(objective, x1, bounds, bootstrap_iters)
     visited = []   # (x, exact gradient at x) per bootstrap iteration
     run(objective, config, x1,
@@ -273,13 +275,6 @@ def _run_metrics(result, objective_test):
     return out
 
 
-def _trace_rows(result):
-    return [dict(k=r.k, mu_k=r.mu_k, theta_k=r.theta_k, alpha_k=r.alpha_k,
-                 gamma_k=r.gamma_k, ell_k=r.ell_k, q_norm=r.q_norm,
-                 phi_tilde=None if math.isnan(r.phi_tilde) else r.phi_tilde,
-                 stalled=r.stalled) for r in result.records]
-
-
 def _error_entry(problem, solver, seed, err):
     return {"problem": problem, "solver": solver, "seed": seed,
             "error": f"{type(err).__name__}: {err}"}
@@ -296,7 +291,7 @@ def run_experiment(spec):
     maxiter = resolve_maxiter(spec)
     audit = SPEC_AUDIT[spec.audit]
     if spec.trace:
-        audit = "full_trace"  # trace rows come from the full-trace records
+        audit = "full_trace"  # only full-trace runs keep their trace rows
     report = {"config": _config_block(spec, maxiter), "constants": {},
               "runs": [], "comparisons": [], "timing": {"cells": {}}}
     t_start = time.perf_counter()
@@ -389,7 +384,7 @@ def run_experiment(spec):
                         entry["theta_link_c"] = c
                     entry.update(_run_metrics(result, objective_test))
                     if spec.trace and result.records:
-                        entry["trace"] = _trace_rows(result)
+                        entry["trace"] = result.records
                     report["runs"].append(entry)
                 except Exception as err:
                     report["runs"].append(_error_entry(problem.name, solver_name, seed, err))

@@ -19,7 +19,9 @@ import math
 import numpy as np
 from scipy.special import expit
 
-from .errors import BatchTooLarge, DimensionMismatch, NonFiniteGradient, NotBinary
+from .errors import BatchTooLarge, DimensionMismatch, InvalidChoice, NonFiniteGradient, NotBinary
+
+MODES = ("deterministic", "stochastic")
 
 
 class Objective:
@@ -323,9 +325,12 @@ def gradient_oracle(objective, mode, batch_fraction, seed):
     one) per call, drawn from ``batch_sampler`` under ``seed``, so two
     oracles built with the same seed see the same batch stream.  A gradient
     with a NaN or infinite entry raises NonFiniteGradient naming the 1-based
-    call count, which is the iteration number in every solver loop.
+    call count, which is the iteration number in every solver loop.  A mode
+    outside MODES raises InvalidChoice.
     """
-    if mode != "stochastic":
+    if mode not in MODES:
+        raise InvalidChoice("mode", mode, MODES)
+    if mode == "deterministic":
         draw = objective.gradient
     else:
         if not 0.0 < batch_fraction <= 1.0:

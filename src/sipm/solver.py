@@ -20,11 +20,11 @@ from .errors import (HorizonExceeded, InfeasibleStart, InvalidChoice, InvalidExp
 from .geometry import (DELTA_CAP, Bounds, KktCertificate, _barrier_gradient, default_chi,
                        in_neighborhood, kkt_certificate, projected_gradient_norm,
                        range_gap, require_interior, shifted_barrier_value, slacks)
-from .problems import gradient_oracle
+from .problems import MODES, gradient_oracle
 from .schedules import BufferSequences, PowerSchedule, StaircaseSchedule, validate_exponents
 from .stepsize import Constants, ScheduleContext, _step_sizes, local_lipschitz, ratio_test
 
-CONFIG_CHOICES = {"mode": ("deterministic", "stochastic"),
+CONFIG_CHOICES = {"mode": MODES,
                   "hk_strategy": ("practical", "identity"),
                   "audit_level": ("off", "invariants", "full_trace")}
 
@@ -41,19 +41,6 @@ class SolverConfig:
     batch_fraction: float = 0.01
     hk_strategy: str = "practical"    # "practical" | "identity"
     audit_level: str = "off"          # "off" | "invariants" | "full_trace"
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    k: int
-    mu_k: float
-    theta_k: float
-    alpha_k: float
-    gamma_k: float
-    ell_k: float
-    q_norm: float
-    phi_tilde: float
-    stalled: bool
 
 
 @dataclass
@@ -120,13 +107,12 @@ def _rel_ok(lhs, rhs, tol):
     return lhs <= rhs + tol * (1.0 + abs(rhs))
 
 
-def sipm_step(x, k, g, config, delta, phi_tilde=math.nan):
+def sipm_step(x, k, g, config, delta):
     """Iteration k from x: scaling, barrier gradient, step sizes, ratio test, update.
 
-    ``g`` is the (estimated) gradient at x.  ``phi_tilde`` (the shifted
-    barrier at x with mu_k) only fills the trace record's field of that name.
-    Returns the next iterate, the iteration record, and the dict of internal
-    quantities that ``run`` hands to its observer.
+    ``g`` is the (estimated) gradient at x.  Returns the step's one record,
+    a dict that ``run`` hands to its observer and takes its stall count, step
+    sizes, audits and trace row from (the README lists its keys).
 
     Every quantity derives from the slacks of x, taken once.  Nothing is
     validated here: ``run`` checks its inputs at entry, and the final clip
@@ -153,23 +139,19 @@ def sipm_step(x, k, g, config, delta, phi_tilde=math.nan):
     # an ulp outside the neighborhood, so snap it back.
     x_next = np.clip(x_next, bounds.lower + theta_k, bounds.upper - theta_k)
 
-    stalled = gamma_k == 0.0 and bool(np.any(d != 0.0))
-
-    if config.audit_level != "off":
-        _audit_step(config, k, x, x_next, q, d, bundle, gamma_k, mu_k, theta_k)
-
-    record = IterationRecord(k=k, mu_k=mu_k, theta_k=theta_k, alpha_k=bundle.alpha_k,
-                             gamma_k=gamma_k, ell_k=bundle.ell_k,
-                             q_norm=float(np.linalg.norm(q)), phi_tilde=phi_tilde,
-                             stalled=stalled)
-    info = dict(k=k, x=x, x_next=x_next, g=g, q=q, d=d,
+    step = dict(k=k, x=x, x_next=x_next, g=g, q=q, d=d,
                 h_diag=h_diag, lam_min=lam_min, lam_max=lam_max,
                 bundle=bundle, gamma_k=gamma_k, mu_k=mu_k,
-                theta_k=theta_k, theta_prev=theta_prev)
-    return x_next, record, info
+                theta_k=theta_k, theta_prev=theta_prev,
+                stalled=gamma_k == 0.0 and bool(np.any(d != 0.0)))
+    if config.audit_level != "off":
+        _audit_step(config, step)
+    return step
 
 
-def _audit_step(config, k, x, x_next, q, d, bundle, gamma_k, mu_k, theta_k):
+def _audit_step(config, step):
+    k, x, x_next, q, d = step["k"], step["x"], step["x_next"], step["q"], step["d"]
+    bundle, gamma_k, mu_k, theta_k = step["bundle"], step["gamma_k"], step["mu_k"], step["theta_k"]
     bounds = config.bounds
     if not in_neighborhood(x_next, bounds, theta_k):
         raise InvariantViolation(k, "next iterate left the theta_k neighborhood")
@@ -198,8 +180,8 @@ def run(objective, config, x1, observer=None):
     The final objective value, projected-gradient norm, and KKT certificate
     are always computed with the true gradient, also in stochastic mode.
     Seeded stochastic runs are exactly reproducible.  ``observer``, when
-    given, receives one dict per iteration with the internal quantities,
-    among them the gradient (estimate) ``g`` the step used.
+    given, receives each iteration's ``sipm_step`` dict; under ``full_trace``
+    only, ``records`` keeps one row of that step's scalars per iteration.
 
     Inputs are validated once, here; the oracle rejects non-finite gradients,
     and the iterations check nothing else unless auditing is enabled.
@@ -240,37 +222,42 @@ def run(objective, config, x1, observer=None):
     need_f = audit_decrease or keep_trace
     chi = default_chi(bounds)
 
-    records = []
+    records = []   # trace rows, scalars only
     stall_count = 0
     alpha_first = math.nan
     alpha_last = math.nan
     # the shifted barrier at the current iterate with its mu_k: it fills the
-    # trace record and is the left side of the decrease check
+    # trace row and is the left side of the decrease check
     phi_curr = (shifted_barrier_value(objective.value(x), x, bounds, mu1, chi)
                 if need_f else math.nan)
 
     for k in range(1, config.maxiter + 1):
-        x_next, record, info = sipm_step(x, k, gradient(x), config, delta, phi_curr)
+        step = sipm_step(x, k, gradient(x), config, delta)
         if observer is not None:
-            observer(info)
-        x = x_next
-        if record.stalled:
+            observer(step)
+        x = step["x_next"]
+        alpha_k = step["bundle"].alpha_k
+        if step["stalled"]:
             stall_count += 1
         if keep_trace:
-            records.append(record)
+            records.append(dict(k=k, mu_k=step["mu_k"], theta_k=step["theta_k"],
+                                alpha_k=alpha_k, gamma_k=step["gamma_k"],
+                                ell_k=step["bundle"].ell_k,
+                                q_norm=float(np.linalg.norm(step["q"])),
+                                phi_tilde=phi_curr, stalled=step["stalled"]))
         if math.isnan(alpha_first):
-            alpha_first = record.alpha_k
-        alpha_last = record.alpha_k
+            alpha_first = alpha_k
+        alpha_last = alpha_k
 
         if need_f:
             try:
                 mu_next = config.schedule.mu(k + 1)
             except HorizonExceeded:
-                mu_next = record.mu_k
+                mu_next = step["mu_k"]
             phi_next = shifted_barrier_value(objective.value(x), x, bounds, mu_next, chi)
             if audit_decrease:
-                q, h_diag = info["q"], info["h_diag"]
-                descent = 0.5 * record.gamma_k * record.alpha_k * float(np.sum(q * q / h_diag))
+                q, h_diag = step["q"], step["h_diag"]
+                descent = 0.5 * step["gamma_k"] * alpha_k * float(np.sum(q * q / h_diag))
                 if phi_next - phi_curr > -descent + 1e-10 * (1.0 + abs(phi_curr)):
                     raise InvariantViolation(k, "barrier decrease inequality failed")
             phi_curr = phi_next

@@ -5,10 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sipm import (Bounds, BufferSequences, Constants, SolverConfig, build_staircase,
-                  c_constant, in_neighborhood, match_sipm_endpoints, psgm_step,
-                  quadratic_objective, recurrence_ratio, run, run_psgm,
-                  run_simplified, simplified_ipm_step, theta0_init)
-from sipm.errors import DomainError, NonFiniteGradient, ThetaLinkViolation
+                  c_constant, estimate_constants, gradient_oracle, in_neighborhood,
+                  match_sipm_endpoints, psgm_step, quadratic_objective, recurrence_ratio,
+                  run, run_psgm, run_simplified, simplified_ipm_step, theta0_init)
+from sipm.errors import (DomainError, InvalidBudget, InvalidChoice, NonFiniteGradient,
+                         ThetaLinkViolation)
 
 
 def test_psgm_step_examples():
@@ -202,3 +203,42 @@ def test_nan_gradient_names_its_iteration(solver, mode):
                            mode=mode, batch_fraction=0.1)
     assert err.value.k == 3
     assert "iteration 3" in str(err.value)
+
+
+MODE_ENTRIES = {
+    "gradient_oracle": lambda obj, bounds, x1, mode: gradient_oracle(obj, mode, 0.1, 0),
+    "run_psgm": lambda obj, bounds, x1, mode: run_psgm(obj, bounds, np.full(5, 0.1), x1, 5,
+                                                       mode=mode),
+    "run_simplified": lambda obj, bounds, x1, mode: run_simplified(
+        obj, bounds, np.full(5, 0.1), 1.0, 0.5, x1, 5, mode=mode),
+    "estimate_constants": lambda obj, bounds, x1, mode: estimate_constants(obj, x1, bounds,
+                                                                           mode=mode),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MODE_ENTRIES))
+def test_unknown_mode_fails_before_any_oracle_call(entry):
+    """A mode other than the two known ones used to run with exact gradients,
+    so estimate_constants(mode="stoch") reported sigma_inf_bar=0."""
+    obj = quadratic_objective([0.2, -0.1], [1.0, 2.0], noise_level=0.1,
+                              sample_count=20, seed=1)
+    calls = []
+    for name in ("value", "gradient", "stochastic_gradient"):
+        method = getattr(obj, name)
+        setattr(obj, name, lambda *args, _method=method: calls.append(1) or _method(*args))
+    with pytest.raises(InvalidChoice, match="'stoch'"):
+        MODE_ENTRIES[entry](obj, Bounds.cube(2, -1.0, 1.0), np.zeros(2), "stoch")
+    assert calls == []
+
+
+@pytest.mark.parametrize("baseline", ["psgm", "proj-ipm"])
+def test_short_sequence_is_a_budget_error(baseline):
+    """A step or mu sequence shorter than maxiter used to fail as a bare
+    IndexError once the loop ran past its end."""
+    obj = quadratic_objective([0.2], [1.0])
+    bounds = Bounds.cube(1, -1.0, 1.0)
+    with pytest.raises(InvalidBudget, match="5 entries, fewer than maxiter=10"):
+        if baseline == "psgm":
+            run_psgm(obj, bounds, np.full(5, 0.1), np.zeros(1), 10)
+        else:
+            run_simplified(obj, bounds, np.full(5, 0.1), 1.0, 0.5, np.zeros(1), 10)

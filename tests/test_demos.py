@@ -1,13 +1,18 @@
-"""The demos are not run by the test suite (all six take about 14 s), so at
-least check that every name they import from the package exists."""
+"""The suite runs only demo 03, the one that reads trace rows (all six take
+about 14 s), and checks that every name the demos import from the package
+exists."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
@@ -19,3 +24,14 @@ def test_demo_imports_exist(path):
             module = importlib.import_module(node.module)
             missing = [a.name for a in node.names if not hasattr(module, a.name)]
             assert not missing, f"{path.name} imports missing names {missing}"
+
+
+def test_demo_03_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    demo = ROOT / "demos" / "03_quadratic_deterministic.py"
+    done = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "trace every 400 iterations" in done.stdout

@@ -5,10 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sipm import (Bounds, ExperimentSpec, LogisticObjective, ProblemSpec,
-                  batch_sampler, canonical_report_bytes, estimate_constants,
+                  batch_sampler, canonical_report_bytes, default_chi, estimate_constants,
                   initial_point, load_constants, logistic_objective, quadratic_objective,
-                  relative_performance, report_to_csv, report_to_json,
-                  run_experiment, save_constants, synthetic_classification)
+                  relative_performance, report_to_csv, report_to_json, run,
+                  run_experiment, save_constants, shifted_barrier_value,
+                  synthetic_classification)
 from sipm import harness
 from sipm.errors import InvalidChoice
 from sipm.harness import resolve_maxiter
@@ -219,6 +220,48 @@ def test_stochastic_experiment_and_csv():
     lines = csv_text.strip().splitlines()
     assert lines[0].startswith("problem,solver,seed")
     assert len(lines) == 1 + len(report["runs"])
+
+
+TRACE_FIELDS = {"k", "mu_k", "theta_k", "alpha_k", "gamma_k", "ell_k", "q_norm",
+                "phi_tilde", "stalled"}
+
+
+def test_report_trace_matches_the_observed_steps(monkeypatch):
+    """A traced experiment's sipm rows hold the nine scalar fields of each
+    step, as a direct run at the same config observes them."""
+    runs = []
+    original = harness.run
+
+    def keep(objective, config, x1, observer=None):
+        runs.append((objective, config, x1))
+        return original(objective, config, x1, observer)
+
+    monkeypatch.setattr(harness, "run", keep)
+    maxiter = 12
+    report = run_experiment(small_spec(solvers=("sipm", "psgm"), maxiter=maxiter,
+                                       seeds=(0,), trace=True))
+    sipm_entry, psgm_entry = report["runs"]
+    assert psgm_entry["solver"] == "psgm" and "trace" not in psgm_entry
+    rows = sipm_entry["trace"]
+    assert [row["k"] for row in rows] == list(range(1, maxiter + 1))
+    assert all(set(row) == TRACE_FIELDS for row in rows)
+    assert all(isinstance(row["phi_tilde"], float) and np.isfinite(row["phi_tilde"])
+               for row in rows)
+
+    objective, config, x1 = runs[-1]   # the cell run, after the bootstrap
+    assert config.audit_level == "full_trace" and config.maxiter == maxiter
+    seen = []
+    run(objective, config, x1, observer=seen.append)
+    chi = default_chi(config.bounds)
+    for row, info in zip(rows, seen):
+        bundle = info["bundle"]
+        assert row == dict(
+            k=info["k"], mu_k=info["mu_k"], theta_k=info["theta_k"],
+            alpha_k=bundle.alpha_k, gamma_k=info["gamma_k"], ell_k=bundle.ell_k,
+            q_norm=float(np.linalg.norm(info["q"])),
+            phi_tilde=shifted_barrier_value(objective.value(info["x"]), info["x"],
+                                            config.bounds, info["mu_k"], chi),
+            stalled=info["gamma_k"] == 0.0 and bool(np.any(info["d"] != 0.0)))
 
 
 def test_report_json_parses_back():

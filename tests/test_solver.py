@@ -122,7 +122,7 @@ def test_deterministic_descent_trend():
                          constants=Constants(ell_f=1.5, kappa_inf=2.0),
                          audit_level="full_trace")
     result = run(obj, config, np.zeros(3))
-    q_norms = [r.q_norm for r in result.records]
+    q_norms = [r["q_norm"] for r in result.records]
     running_min = np.minimum.accumulate(q_norms)
     assert all(a >= b for a, b in zip(running_min, running_min[1:]))
     assert min(q_norms) <= 1e-3
@@ -202,12 +202,12 @@ def test_sipm_step_direct_call():
     sched = build_staircase(0.1, 3, theta0=0.05)
     config = quad_config(bounds, sched, 3)
     x = np.array([1.0])
-    x_next, record, info = sipm_step(x, 1, obj.gradient(x), config, delta=2.0)
-    assert record.k == info["k"] == 1
-    assert record.gamma_k > 0.0
-    assert x_next[0] > 1.0  # moves toward the center at 1.5
-    assert info["x_next"].tolist() == x_next.tolist()
-    assert info["g"].tolist() == obj.gradient(x).tolist()
+    step = sipm_step(x, 1, obj.gradient(x), config, delta=2.0)
+    assert step["k"] == 1
+    assert step["gamma_k"] > 0.0
+    assert step["stalled"] is False
+    assert step["x_next"][0] > 1.0  # moves toward the center at 1.5
+    assert step["g"].tolist() == obj.gradient(x).tolist()
 
 
 @pytest.mark.parametrize("t_theta", [0.5, -0.5])
@@ -316,7 +316,7 @@ def test_barrier_start_must_be_positive_and_finite(mu1):
 
 def test_shifted_barrier_evaluated_once_per_iterate(monkeypatch):
     """An audited run evaluates the shifted barrier once per iterate: the
-    decrease check's value at x_{k+1} is the next trace record's."""
+    decrease check's value at x_{k+1} is the next trace row's."""
     calls = []
     original = geometry.shifted_barrier_value
 
@@ -334,4 +334,4 @@ def test_shifted_barrier_evaluated_once_per_iterate(monkeypatch):
     for info, record in zip(seen, result.records):
         expected = original(objective.value(info["x"]), info["x"], config.bounds,
                             info["mu_k"], chi)
-        assert record.phi_tilde == expected
+        assert record["phi_tilde"] == expected
