@@ -28,7 +28,7 @@ from .problems import (LogisticObjective, Objective, OneHiddenLayerObjective,
                        quadratic_objective, synthetic_classification)
 from .schedules import (BufferSequences, ExponentTriple, PowerSchedule,
                         StaircaseSchedule, build_staircase, min_mu1_threshold,
-                        mu1_init, theta0_init, validate_exponents)
+                        mu1_init, sequences, theta0_init, validate_exponents)
 from .solver import RunResult, SolverConfig, build_hk, run, sipm_step
 from .stepsize import (Constants, ScheduleContext, SlackProducts, StepSizeBundle,
                        local_lipschitz, ratio_test, slack_products,

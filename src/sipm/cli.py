@@ -6,9 +6,9 @@ import argparse
 import json
 import sys
 
-from .errors import SipmError
+from .errors import InvalidChoice, SipmError
 from .geometry import Bounds
-from .harness import (ExperimentSpec, ProblemSpec, estimate_constants,
+from .harness import (SOLVERS, ExperimentSpec, ProblemSpec, estimate_constants,
                       initial_point, report_to_csv, report_to_json,
                       resolve_maxiter, run_experiment)
 from .libsvm import align_feature_space, parse_libsvm_file
@@ -23,7 +23,7 @@ def _add_common(parser, multi_solver):
         parser.add_argument("--solver", default="sipm,psgm",
                             help="comma-separated subset of sipm,psgm,proj-ipm")
     else:
-        parser.add_argument("--solver", choices=("sipm", "psgm", "proj-ipm"),
+        parser.add_argument("--solver", choices=SOLVERS,
                             default="sipm")
     parser.add_argument("--mode", choices=("det", "stoch"), default="det")
     parser.add_argument("--train", metavar="PATH", default=None)
@@ -89,6 +89,8 @@ def _write_report(report, args):
 def _cmd_run(args):
     """solve and bench: one solver or a comma-separated list."""
     solvers = tuple(s.strip() for s in args.solver.split(",") if s.strip())
+    if not solvers:   # a spec without solvers is an estimate; bench must run one
+        raise InvalidChoice("solver", args.solver, SOLVERS)
     spec = _spec_from_args(args, solvers)
     _write_report(run_experiment(spec), args)
     return 0

@@ -56,6 +56,10 @@ class InvalidChoice(SipmError, ValueError):
         super().__init__(f"{name}={value!r} is not one of {', '.join(map(repr, allowed))}")
 
 
+class InvalidSpec(SipmError, ValueError):
+    """An experiment's seed list is empty, or its solver or seed list repeats an entry."""
+
+
 class InvalidExponents(SipmError, ValueError):
     """A power schedule's exponents lie outside the admissible region of the run's mode."""
 

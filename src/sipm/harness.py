@@ -26,21 +26,24 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .baselines import c_constant, match_sipm_endpoints, run_psgm, run_simplified
-from .errors import InvalidBudget, InvalidChoice
+from .errors import InvalidBudget, InvalidChoice, InvalidSpec
 from .geometry import DELTA_CAP, Bounds, range_gap
 from .libsvm import align_feature_space, parse_libsvm_file
 from .problems import (MODES, gradient_oracle, logistic_objective, nn_objective,
                        quadratic_objective, synthetic_classification)
 from .schedules import (BufferSequences, ExponentTriple, PowerSchedule,
-                        build_staircase, mu1_init, theta0_init)
+                        build_staircase, mu1_init, sequences, theta0_init)
 from .solver import CONFIG_CHOICES, SolverConfig, run
 from .stepsize import Constants
 
 BOOTSTRAP_ITERS = 500
 SIGMA_DRAWS = 100
-# spec.audit -> SolverConfig.audit_level
-SPEC_AUDIT = {"off": "off", "invariants": "invariants", "full": "full_trace",
-              "full_trace": "full_trace"}
+# spec.audit -> SolverConfig.audit_level of an untraced spec.  Only trace
+# rows need "full_trace", and a spec writes them only with trace set, which
+# runs every sipm cell at "full_trace".
+SPEC_AUDIT = {"off": "off", "invariants": "invariants", "full": "invariants",
+              "full_trace": "invariants"}
+SOLVERS = ("sipm", "psgm", "proj-ipm")
 SPEC_CHOICES = {"mode": CONFIG_CHOICES["mode"],
                 "schedule": ("staircase", "power"),
                 "param_mode": ("practical", "theory"),
@@ -164,12 +167,24 @@ def resolve_maxiter(spec):
     are given, the explicit maxiter otherwise.
 
     Raises InvalidChoice for a mode, schedule, param_mode or audit outside
-    SPEC_CHOICES, and InvalidBudget for a stochastic batch fraction outside
-    (0, 1] or a budget below one iteration, before any problem is built.
+    SPEC_CHOICES or a solver outside SOLVERS, InvalidSpec for an empty seed
+    list or a repeated solver or seed, and InvalidBudget for a stochastic
+    batch fraction outside (0, 1] or a budget below one iteration, before
+    any problem is built.  An empty solver list is valid: it estimates the
+    constants and runs nothing.
     """
     for name, allowed in SPEC_CHOICES.items():
         if getattr(spec, name) not in allowed:
             raise InvalidChoice(name, getattr(spec, name), allowed)
+    for solver in spec.solvers:
+        if solver not in SOLVERS:
+            raise InvalidChoice("solvers", solver, SOLVERS)
+    if not spec.seeds:
+        raise InvalidSpec("the seed list is empty")
+    for name in ("solvers", "seeds"):
+        values = getattr(spec, name)
+        if len(set(values)) < len(values):
+            raise InvalidSpec(f"{name}={values!r} repeats an entry")
     if spec.mode == "stochastic" and not 0.0 < spec.batch_fraction <= 1.0:
         raise InvalidBudget(f"batch_fraction={spec.batch_fraction} must lie in (0, 1]")
     if spec.mode == "stochastic" and spec.epochs is not None:
@@ -259,12 +274,6 @@ def _buffers_for(spec, maxiter):
                            gamma_buff_base=g_base, t_mu=spec.exponents[0])
 
 
-def _shape_sequence(spec, schedule, maxiter):
-    if spec.schedule == "staircase":
-        return np.array([schedule.s(k) for k in range(1, maxiter + 1)])
-    return np.array([float(k) ** spec.exponents[0] for k in range(1, maxiter + 1)])
-
-
 def _run_metrics(result, objective_test):
     out = dict(final_objective_train=result.final_objective,
                projected_grad_norm=result.final_projected_grad_norm,
@@ -289,9 +298,7 @@ def run_experiment(spec):
     solver cell, and a failed solver run one for its cell.
     """
     maxiter = resolve_maxiter(spec)
-    audit = SPEC_AUDIT[spec.audit]
-    if spec.trace:
-        audit = "full_trace"  # only full-trace runs keep their trace rows
+    audit = "full_trace" if spec.trace else SPEC_AUDIT[spec.audit]
     report = {"config": _config_block(spec, maxiter), "constants": {},
               "runs": [], "comparisons": [], "timing": {"cells": {}}}
     t_start = time.perf_counter()
@@ -335,7 +342,8 @@ def run_experiment(spec):
                 mu1 = mu1_init(g_probe, x1, bounds)
                 theta0 = theta0_init(x1, bounds, estimated.kappa_inf_bar, sigma, mu1, delta)
                 schedule = _schedule_for(spec, mu1, theta0, maxiter)
-                shape = _shape_sequence(spec, schedule, maxiter)
+                buffers = _buffers_for(spec, maxiter)
+                seq = sequences(schedule, buffers, maxiter)
             except Exception as err:  # every cell of this seed records it
                 report["runs"].extend(_error_entry(problem.name, solver_name, seed, err)
                                       for solver_name in ordered_solvers)
@@ -347,8 +355,7 @@ def run_experiment(spec):
                 try:
                     if solver_name == "sipm":
                         config = SolverConfig(mode=spec.mode, bounds=bounds,
-                                              schedule=schedule,
-                                              buffers=_buffers_for(spec, maxiter),
+                                              schedule=schedule, buffers=buffers,
                                               constants=constants, maxiter=maxiter,
                                               rng_seed=seed,
                                               batch_fraction=spec.batch_fraction,
@@ -357,24 +364,20 @@ def run_experiment(spec):
                         sipm_results[seed] = result
                     elif solver_name == "psgm":
                         anchor = sipm_results.get(seed)
-                        if anchor is not None and maxiter >= 1:
-                            steps = match_sipm_endpoints(shape, anchor.alpha_first,
+                        steps = seq["s"][1:]
+                        if anchor is not None:
+                            steps = match_sipm_endpoints(steps, anchor.alpha_first,
                                                          anchor.alpha_last)
-                        else:
-                            steps = shape.copy()
                         result = run_psgm(objective, bounds, steps, x1, maxiter,
                                           mode=spec.mode,
                                           batch_fraction=spec.batch_fraction, seed=seed)
-                    elif solver_name == "proj-ipm":
+                    else:  # proj-ipm, the last name resolve_maxiter admits
                         c = c_constant(bounds, estimated.kappa_inf_bar, mu1)
-                        mu_seq = mu1 * shape
-                        result = run_simplified(objective, bounds, mu_seq,
+                        result = run_simplified(objective, bounds, seq["mu"][1:maxiter + 1],
                                                 estimated.ell_f_bar, c, x1, maxiter,
                                                 mode=spec.mode,
                                                 batch_fraction=spec.batch_fraction,
                                                 seed=seed)
-                    else:
-                        raise ValueError(f"unknown solver {solver_name!r}")
                     entry = {"problem": problem.name, "solver": solver_name,
                              "seed": seed, "mu1": mu1, "theta0": theta0,
                              "maxiter": maxiter}

@@ -3,8 +3,15 @@
 Two schedule families are provided: power laws ``mu_k = mu1 * k**t_mu`` with
 the shifted neighborhood indexing ``theta_{k-1} = theta0 * k**t_theta``, and
 the budgeted staircase of decreasing powers of ten ending at the 1e-8 barrier
-floor.  Exponent triples are validated against the admissible regions of the
-deterministic and stochastic convergence regimes.
+floor.  Both have the shape ``s(k)`` with ``mu_k = mu1 * s(k)``.  Exponent
+triples are validated against the admissible regions of the deterministic
+and stochastic convergence regimes.
+
+No sequence depends on the iterates, so ``sequences`` evaluates one run's
+values once, before its first iteration, and a staircase shorter than the
+run raises HorizonExceeded there.  The solver kernel and both baselines
+read that table; this module is the only one that evaluates a schedule or
+a buffer.
 
 Indexing note: ``schedule.theta(k)`` returns theta_k, which for the power
 family is ``theta0 * (k+1)**t_theta``.  The shift is deliberate and matches
@@ -76,10 +83,13 @@ class PowerSchedule:
     theta0: float
     exponents: ExponentTriple
 
-    def mu(self, k):
+    def s(self, k):
         if k < 1:
-            raise HorizonExceeded(f"mu is defined for k >= 1, got {k}")
-        return self.mu1 * float(k) ** self.exponents.t_mu
+            raise HorizonExceeded(f"s and mu are defined for k >= 1, got {k}")
+        return float(k) ** self.exponents.t_mu
+
+    def mu(self, k):
+        return self.mu1 * self.s(k)
 
     def theta(self, k):
         if k < 0:
@@ -198,6 +208,22 @@ class BufferSequences:
         if self.mode == "theory":
             return self.gamma_buff_base * float(k) ** self.t_mu
         return (self.maxiter / k) ** 0.55
+
+
+def sequences(schedule, buffers, maxiter):
+    """One run's parameters, each per-k method evaluated once: a dict of
+    float lists indexed by k, with NaN at k = 0 for all but ``theta``.  ``mu``
+    ends with mu_{maxiter+1}, or mu_maxiter again where a staircase ends."""
+    ks = range(1, maxiter + 1)
+    mu = [math.nan] + [schedule.mu(k) for k in ks]
+    try:
+        mu.append(schedule.mu(maxiter + 1))
+    except HorizonExceeded:
+        mu.append(mu[-1])
+    return dict(theta=[schedule.theta(k) for k in range(maxiter + 1)],
+                s=[math.nan] + [schedule.s(k) for k in ks], mu=mu,
+                alpha_buff=[math.nan] + [buffers.alpha(k) for k in ks],
+                gamma_buff=[math.nan] + [buffers.gamma(k) for k in ks])
 
 
 def mu1_init(g1, x1, bounds):

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (HorizonExceeded, InfeasibleStart, InvalidChoice, InvalidExponents,
-                     InvalidMu1, InvalidTheta0, InvariantViolation, ThetaTooLarge)
+from .errors import (InfeasibleStart, InvalidChoice, InvalidExponents, InvalidMu1,
+                     InvalidTheta0, InvariantViolation, ThetaTooLarge)
 from .geometry import (DELTA_CAP, Bounds, KktCertificate, _barrier_gradient, default_chi,
                        in_neighborhood, kkt_certificate, projected_gradient_norm,
                        range_gap, require_interior, shifted_barrier_value, slacks)
 from .problems import MODES, gradient_oracle
-from .schedules import BufferSequences, PowerSchedule, StaircaseSchedule, validate_exponents
+from .schedules import (BufferSequences, PowerSchedule, StaircaseSchedule, sequences,
+                        validate_exponents)
 from .stepsize import Constants, ScheduleContext, _step_sizes, local_lipschitz, ratio_test
 
 CONFIG_CHOICES = {"mode": MODES,
@@ -107,30 +108,27 @@ def _rel_ok(lhs, rhs, tol):
     return lhs <= rhs + tol * (1.0 + abs(rhs))
 
 
-def sipm_step(x, k, g, config, delta):
+def sipm_step(x, k, g, config, delta, seq):
     """Iteration k from x: scaling, barrier gradient, step sizes, ratio test, update.
 
-    ``g`` is the (estimated) gradient at x.  Returns the step's one record,
-    a dict that ``run`` hands to its observer and takes its stall count, step
-    sizes, audits and trace row from (the README lists its keys).
+    ``g`` is the (estimated) gradient at x, ``seq`` the run's ``sequences``
+    table.  Returns the step's one record, a dict that ``run`` hands to its
+    observer and takes its stall count, step sizes, audits and trace row from.
 
     Every quantity derives from the slacks of x, taken once.  Nothing is
     validated here: ``run`` checks its inputs at entry, and the final clip
     keeps x_next in the theta_k (the next prior) neighborhood.
     """
-    sched = config.schedule
-    mu_k = sched.mu(k)
-    theta_k = sched.theta(k)
-    theta_prev = sched.theta(k - 1)
+    mu_k, theta_k, theta_prev = seq["mu"][k], seq["theta"][k], seq["theta"][k - 1]
     bounds = config.bounds
 
     lo, up = slacks(x, bounds)
     h_diag, lam_min, lam_max = _hk(lo, up, mu_k, config.constants.ell_f, config.hk_strategy)
     q = _barrier_gradient(g, lo, up, mu_k)
     ctx = ScheduleContext(mu_k=mu_k, theta_k=theta_k, theta_prev=theta_prev,
-                          t_alpha=sched.t_alpha,
-                          alpha_buff=config.buffers.alpha(k),
-                          gamma_buff=config.buffers.gamma(k))
+                          t_alpha=config.schedule.t_alpha,
+                          alpha_buff=seq["alpha_buff"][k],
+                          gamma_buff=seq["gamma_buff"][k])
     bundle, d = _step_sizes(x, lo, up, q, h_diag, lam_min, k, bounds, ctx,
                             config.constants, delta, config.mode == "stochastic")
     gamma_k = ratio_test(x, d, bundle.alpha_k, bounds, theta_k, bundle.gamma_max)
@@ -189,11 +187,16 @@ def run(objective, config, x1, observer=None):
     for name, allowed in CONFIG_CHOICES.items():
         if getattr(config, name) not in allowed:
             raise InvalidChoice(name, getattr(config, name), allowed)
+    if isinstance(config.schedule, PowerSchedule):
+        violations = validate_exponents(config.schedule.exponents, config.mode)
+        if violations:
+            raise InvalidExponents(f"exponents invalid for the {config.mode} setting: "
+                                   + "; ".join(violations))
     bounds = config.bounds
     x = np.asarray(x1, dtype=float).copy()
     delta = range_gap(bounds, DELTA_CAP)
-    theta0 = config.schedule.theta(0)
-    mu1 = config.schedule.mu(1)
+    seq = sequences(config.schedule, config.buffers, config.maxiter)
+    theta0, mu1 = seq["theta"][0], seq["mu"][1]
     if not 0.0 < mu1 < math.inf:
         raise InvalidMu1(f"mu1={mu1} must be positive and finite")
     if not theta0 > 0.0:
@@ -203,14 +206,6 @@ def run(objective, config, x1, observer=None):
     if not in_neighborhood(x, bounds, theta0):
         raise InfeasibleStart("x1 is outside the theta0 neighborhood")
     require_interior(x, bounds)   # l + theta0 can round to l on a wide box
-    if isinstance(config.schedule, StaircaseSchedule) and config.maxiter > config.schedule.maxiter:
-        raise HorizonExceeded(
-            f"maxiter={config.maxiter} exceeds staircase horizon {config.schedule.maxiter}")
-    if isinstance(config.schedule, PowerSchedule):
-        violations = validate_exponents(config.schedule.exponents, config.mode)
-        if violations:
-            raise InvalidExponents(f"exponents invalid for the {config.mode} setting: "
-                                   + "; ".join(violations))
 
     gradient = gradient_oracle(objective, config.mode, config.batch_fraction,
                                config.rng_seed)
@@ -232,7 +227,7 @@ def run(objective, config, x1, observer=None):
                 if need_f else math.nan)
 
     for k in range(1, config.maxiter + 1):
-        step = sipm_step(x, k, gradient(x), config, delta)
+        step = sipm_step(x, k, gradient(x), config, delta, seq)
         if observer is not None:
             observer(step)
         x = step["x_next"]
@@ -250,11 +245,7 @@ def run(objective, config, x1, observer=None):
         alpha_last = alpha_k
 
         if need_f:
-            try:
-                mu_next = config.schedule.mu(k + 1)
-            except HorizonExceeded:
-                mu_next = step["mu_k"]
-            phi_next = shifted_barrier_value(objective.value(x), x, bounds, mu_next, chi)
+            phi_next = shifted_barrier_value(objective.value(x), x, bounds, seq["mu"][k + 1], chi)
             if audit_decrease:
                 q, h_diag = step["q"], step["h_diag"]
                 descent = 0.5 * step["gamma_k"] * alpha_k * float(np.sum(q * q / h_diag))
@@ -262,7 +253,7 @@ def run(objective, config, x1, observer=None):
                     raise InvariantViolation(k, "barrier decrease inequality failed")
             phi_curr = phi_next
 
-    mu_last = config.schedule.mu(max(config.maxiter, 1))
+    mu_last = seq["mu"][max(config.maxiter, 1)]
     return RunResult(final_x=x, records=records, stall_count=stall_count,
                      alpha_first=alpha_first, alpha_last=alpha_last,
                      **_final_metrics(objective, bounds, x, mu_last))

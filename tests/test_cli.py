@@ -3,7 +3,7 @@ import json
 import pytest
 
 from sipm.cli import main
-from sipm.errors import InvalidBudget
+from sipm.errors import InvalidBudget, InvalidChoice
 
 
 def test_solve_quadratic_json(tmp_path, capsys):
@@ -92,4 +92,11 @@ def test_bad_budget_is_a_typed_error(budget, tmp_path):
     with pytest.raises(InvalidBudget):
         main(["bench", "--model", "logistic", "--dim", "3", "--samples", "20",
               "--out", str(out)] + budget)
+    assert not out.exists()
+
+
+def test_empty_solver_list_is_a_typed_error(tmp_path):
+    out = tmp_path / "r.json"
+    with pytest.raises(InvalidChoice, match="solver"):
+        main(["bench", "--model", "quadratic", "--solver", ",", "--out", str(out)])
     assert not out.exists()

@@ -1,6 +1,7 @@
-"""The suite runs only demo 03, the one that reads trace rows (all six take
-about 14 s), and checks that every name the demos import from the package
-exists."""
+"""The suite runs demos 02 (schedules and buffers), 03 (the one that reads
+trace rows) and 05 (the psgm and proj-ipm sequences), about 2 s together of
+the 14 s all six take, and checks that every name the demos import from the
+package exists."""
 
 import ast
 import importlib
@@ -26,12 +27,23 @@ def test_demo_imports_exist(path):
             assert not missing, f"{path.name} imports missing names {missing}"
 
 
-def test_demo_03_runs():
+def _run_demo(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    demo = ROOT / "demos" / "03_quadratic_deterministic.py"
-    done = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
-                          text=True, timeout=120)
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / name)], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert "trace every 400 iterations" in done.stdout
+    return done.stdout
+
+
+def test_demo_03_runs():
+    assert "trace every 400 iterations" in _run_demo("03_quadratic_deterministic.py")
+
+
+@pytest.mark.parametrize("name, line", [
+    ("02_schedules.py", "mu at k=1, 50, 100: [1.0, 0.0001, 1e-08]"),
+    ("05_projection_baselines.py", "simplified projection     : |x - x*| = 4.322e-01"),
+])
+def test_demo_runs(name, line):
+    assert line in _run_demo(name)

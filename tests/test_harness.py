@@ -5,13 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sipm import (Bounds, ExperimentSpec, LogisticObjective, ProblemSpec,
-                  batch_sampler, canonical_report_bytes, default_chi, estimate_constants,
+                  QuadraticObjective, batch_sampler, canonical_report_bytes, default_chi, estimate_constants,
                   initial_point, load_constants, logistic_objective, quadratic_objective,
                   relative_performance, report_to_csv, report_to_json, run,
                   run_experiment, save_constants, shifted_barrier_value,
                   synthetic_classification)
 from sipm import harness
-from sipm.errors import InvalidChoice
+from sipm.errors import InvalidChoice, InvalidSpec
 from sipm.harness import resolve_maxiter
 
 
@@ -145,6 +145,25 @@ def test_unknown_choice_is_a_typed_error(name, value, monkeypatch):
     with pytest.raises(InvalidChoice, match=name):
         resolve_maxiter(spec)
     with pytest.raises(InvalidChoice, match=repr(value)):
+        run_experiment(spec)
+
+
+@pytest.mark.parametrize("fault, error, match", [
+    (dict(solvers=("sipm", "psmg")), InvalidChoice, "'psmg'"),
+    (dict(solvers=("sipm", "psgm", "sipm")), InvalidSpec, "solvers"),
+    (dict(seeds=()), InvalidSpec, "seed list is empty"),
+    (dict(seeds=(0, 0)), InvalidSpec, "seeds"),
+], ids=["unknown-solver", "repeated-solver", "no-seeds", "repeated-seed"])
+def test_bad_solver_or_seed_list_fails_before_any_problem(fault, error, match,
+                                                          monkeypatch):
+    def no_build(problem, spec):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr(harness, "_build_problem", no_build)
+    spec = small_spec(**fault)
+    with pytest.raises(error, match=match):
+        resolve_maxiter(spec)
+    with pytest.raises(error, match=match):
         run_experiment(spec)
 
 
@@ -349,3 +368,30 @@ def test_failed_schedule_is_recorded_per_cell():
         ("sipm", 0), ("psgm", 0), ("sipm", 1), ("psgm", 1)]
     assert all(r["error"].startswith("TypeError") for r in report["runs"])
     assert "toy" in report["constants"]
+
+
+def test_untraced_full_audit_runs_as_invariants(monkeypatch):
+    """Without trace, audit="full" keeps no rows, so it makes no per-iteration
+    value calls and writes the same runs as "invariants"."""
+    value = QuadraticObjective.value
+    counts = {}
+
+    def counting(self, x):
+        counts[cell] += 1
+        return value(self, x)
+
+    monkeypatch.setattr(QuadraticObjective, "value", counting)
+    runs = {}
+    for cell in (("invariants", False), ("full", False), ("full", True)):
+        counts[cell] = 0
+        audit, trace = cell
+        report = run_experiment(small_spec(solvers=("sipm",), seeds=(0,), maxiter=300,
+                                           mode="stochastic", audit=audit, trace=trace))
+        runs[cell] = [{k: v for k, v in entry.items() if k != "trace"}
+                                for entry in report["runs"]]
+        if not trace:
+            assert "trace" not in report["runs"][0]
+    assert counts["full", False] == counts["invariants", False] < 10
+    assert counts["full", True] > 300   # a traced run fills phi_tilde per row
+    assert runs["full", False] == runs["invariants", False] == runs["full", True]
+    assert not any("error" in entry for entry in runs["full", False])

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from sipm import (Bounds, BufferSequences, ExponentTriple, PowerSchedule,
-                  build_staircase, min_mu1_threshold, mu1_init,
-                  theta0_init, validate_exponents)
+                  StaircaseSchedule, build_staircase, min_mu1_threshold, mu1_init,
+                  sequences, theta0_init, validate_exponents)
 from sipm.errors import HorizonExceeded, InvalidMu1, InvalidTheta0
 
 INF = np.inf
@@ -134,3 +136,58 @@ def test_buffer_sequences():
         BufferSequences(mode="theory")
     with pytest.raises(ValueError):
         BufferSequences(mode="practical")
+
+
+SCHEDULES = {
+    # 100 iterations over 9 levels: the last level absorbs the remainder
+    "staircase-uneven": lambda: build_staircase(1.0, 100, theta0=0.2),
+    "staircase-degenerate": lambda: build_staircase(1e-8, 10, theta0=0.2),
+    "power": lambda: PowerSchedule(mu1=0.3, theta0=0.05,
+                                   exponents=ExponentTriple(-0.75, -0.75, -0.2)),
+}
+BUFFERS = {
+    "theory": lambda horizon: BufferSequences(mode="theory", alpha_buff_base=2.0,
+                                              gamma_buff_base=1.5, t_mu=-0.75),
+    "practical": lambda horizon: BufferSequences(mode="practical", maxiter=horizon),
+}
+
+
+def _hexes(values):
+    return [float.hex(v) for v in values]
+
+
+@pytest.mark.parametrize("buffer_mode", sorted(BUFFERS))
+@pytest.mark.parametrize("family", sorted(SCHEDULES))
+@pytest.mark.parametrize("at_horizon", [True, False], ids=["maxiter-at-horizon",
+                                                           "maxiter-below-horizon"])
+def test_sequences_match_the_per_k_methods(family, buffer_mode, at_horizon):
+    schedule = SCHEDULES[family]()
+    horizon = getattr(schedule, "maxiter", 60)
+    maxiter = horizon if at_horizon else horizon - 3
+    buffers = BUFFERS[buffer_mode](horizon)
+    seq = sequences(schedule, buffers, maxiter)
+
+    ks = range(1, maxiter + 1)
+    assert _hexes(seq["theta"]) == _hexes(schedule.theta(k) for k in range(maxiter + 1))
+    for name, method in (("s", schedule.s), ("mu", schedule.mu),
+                         ("alpha_buff", buffers.alpha), ("gamma_buff", buffers.gamma)):
+        assert math.isnan(seq[name][0])
+        assert _hexes(seq[name][1:maxiter + 1]) == _hexes(method(k) for k in ks)
+    assert len(seq["s"]) == len(seq["alpha_buff"]) == len(seq["gamma_buff"]) == maxiter + 1
+    # one more mu: mu_{maxiter+1}, or mu_maxiter again where a staircase ends
+    assert len(seq["mu"]) == maxiter + 2
+    ends = isinstance(schedule, StaircaseSchedule) and maxiter == schedule.maxiter
+    mu_next = schedule.mu(maxiter if ends else maxiter + 1)
+    assert float.hex(seq["mu"][-1]) == float.hex(mu_next)
+    if isinstance(schedule, PowerSchedule):
+        # mu(k) = mu1 * s(k) keeps the bits of the direct power law
+        t_mu = schedule.exponents.t_mu
+        assert _hexes(seq["mu"][1:]) == _hexes(0.3 * float(k) ** t_mu
+                                               for k in range(1, maxiter + 2))
+
+
+def test_sequences_reject_a_staircase_shorter_than_the_run():
+    with pytest.raises(HorizonExceeded):
+        sequences(build_staircase(0.5, 10), BufferSequences.zero(), 11)
+    with pytest.raises(HorizonExceeded):
+        PowerSchedule(mu1=1.0, theta0=0.2, exponents=ExponentTriple(-1, -1, 0)).s(0)

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -6,9 +7,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sipm import (DELTA_CAP, Bounds, BufferSequences, Constants, ExponentTriple,
-                  PowerSchedule, ScheduleContext, SolverConfig, barrier_gradient,
-                  build_hk, build_staircase, quadratic_objective, range_gap, ratio_test,
-                  run, sipm_step, step_size_bundle)
+                  PowerSchedule, ScheduleContext, SolverConfig, StaircaseSchedule,
+                  barrier_gradient, build_hk, build_staircase, quadratic_objective,
+                  range_gap, ratio_test, run, sequences, sipm_step, step_size_bundle)
 from sipm import geometry, schedules, solver, stepsize
 from sipm.errors import (HorizonExceeded, InfeasibleStart, InvalidChoice, InvalidExponents,
                          InvalidMu1, InvalidTheta0, NotInterior, SipmError, ThetaTooLarge)
@@ -202,7 +203,8 @@ def test_sipm_step_direct_call():
     sched = build_staircase(0.1, 3, theta0=0.05)
     config = quad_config(bounds, sched, 3)
     x = np.array([1.0])
-    step = sipm_step(x, 1, obj.gradient(x), config, delta=2.0)
+    seq = sequences(config.schedule, config.buffers, config.maxiter)
+    step = sipm_step(x, 1, obj.gradient(x), config, delta=2.0, seq=seq)
     assert step["k"] == 1
     assert step["gamma_k"] > 0.0
     assert step["stalled"] is False
@@ -223,6 +225,51 @@ def test_deterministic_exponent_gate_enforced(t_theta):
     with pytest.raises(InvalidExponents, match="deterministic") as err:
         run(obj, config, np.array([0.0]))
     assert isinstance(err.value, SipmError) and isinstance(err.value, ValueError)
+    assert calls == []
+
+
+@pytest.mark.parametrize("family", ["staircase", "power"])
+def test_run_evaluates_each_parameter_once(family, monkeypatch):
+    """One traced run calls each schedule and buffer method at most once per
+    k; calls that the methods make to each other are not counted."""
+    calls = Counter()
+    depth = [0]
+    for cls, names in ((StaircaseSchedule, ("s", "mu", "theta")),
+                       (PowerSchedule, ("s", "mu", "theta")),
+                       (BufferSequences, ("alpha", "gamma"))):
+        for name in names:
+            def counting(self, k, _name=name, _original=getattr(cls, name)):
+                if depth[0] == 0:
+                    calls[(_name, k)] += 1
+                depth[0] += 1
+                try:
+                    return _original(self, k)
+                finally:
+                    depth[0] -= 1
+            monkeypatch.setattr(cls, name, counting)
+    maxiter = 40
+    if family == "staircase":
+        schedule = build_staircase(0.2, maxiter, theta0=0.05)
+    else:
+        schedule = PowerSchedule(mu1=0.2, theta0=0.05,
+                                 exponents=ExponentTriple(-1.0, -1.0, 0.0))
+    config = quad_config(Bounds.cube(2, -1.0, 1.0), schedule, maxiter,
+                         audit_level="full_trace")
+    run(quadratic_objective([0.3, -0.2], [1.0, 0.5]), config, np.zeros(2))
+    assert {("theta", k) for k in range(maxiter + 1)} <= set(calls)
+    assert {("alpha", k) for k in range(1, maxiter + 1)} <= set(calls)
+    assert max(calls.values()) == 1
+
+
+def test_past_horizon_fails_before_any_oracle_call():
+    calls = []
+    obj = quadratic_objective([0.0], [1.0])
+    obj.gradient = lambda x: calls.append(x) or np.zeros(1)
+    obj.value = lambda x: calls.append(x) or 0.0
+    config = quad_config(Bounds.cube(1, -1.0, 1.0), build_staircase(0.5, 10, theta0=0.2),
+                         11, audit_level="full_trace")
+    with pytest.raises(HorizonExceeded):
+        run(obj, config, np.array([0.0]))
     assert calls == []
 
 
