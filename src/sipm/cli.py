@@ -7,18 +7,15 @@ import json
 import sys
 
 from .errors import InvalidChoice, SipmError
-from .geometry import Bounds
-from .harness import (SOLVERS, ExperimentSpec, ProblemSpec, estimate_constants,
-                      initial_point, report_to_csv, report_to_json,
-                      resolve_maxiter, run_experiment)
+from .harness import (MODELS, SOLVERS, ExperimentSpec, ProblemSpec, report_to_csv,
+                      report_to_json, run_experiment)
 from .libsvm import align_feature_space, parse_libsvm_file
 
 MODES = {"det": "deterministic", "stoch": "stochastic"}
 
 
 def _add_common(parser, multi_solver):
-    parser.add_argument("--model", choices=("quadratic", "logistic", "nn"),
-                        default="quadratic")
+    parser.add_argument("--model", choices=MODELS, default="quadratic")
     if multi_solver:
         parser.add_argument("--solver", default="sipm,psgm",
                             help="comma-separated subset of sipm,psgm,proj-ipm")
@@ -97,22 +94,19 @@ def _cmd_run(args):
 
 
 def _cmd_estimate(args):
-    from .harness import _build_problem  # spec-driven problem construction
-
-    spec = _spec_from_args(args, ())
-    maxiter = resolve_maxiter(spec)
-    objective, _ = _build_problem(spec.problems[0], spec)
-    bounds = Bounds.cube(objective.n, *spec.bounds)
-    x1 = initial_point(objective.n, spec.init_seed)
-    constants = estimate_constants(objective, x1, bounds, mode=spec.mode,
-                                   batch_fraction=spec.batch_fraction,
-                                   seed=spec.init_seed)
-    payload = {"problem": spec.problems[0].name,
-               "mode": spec.mode,
-               "resolved_maxiter": maxiter,
-               "constants": {"ell_f_bar": constants.ell_f_bar,
-                             "kappa_inf_bar": constants.kappa_inf_bar,
-                             "sigma_inf_bar": constants.sigma_inf_bar}}
+    """An experiment without solvers: the problem's constants, or its error."""
+    report = run_experiment(_spec_from_args(args, ()))
+    config = report["config"]
+    name = config["problems"][0]["name"]
+    if name not in report["constants"]:   # the problem's one error entry
+        print(f"error: {report['runs'][0]['error']}", file=sys.stderr)
+        return 1
+    estimated = report["constants"][name]
+    payload = {"problem": name,
+               "mode": config["mode"],
+               "resolved_maxiter": config["resolved_maxiter"],
+               "constants": {key: estimated[key]
+                             for key in ("ell_f_bar", "kappa_inf_bar", "sigma_inf_bar")}}
     _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
     return 0
 

@@ -57,7 +57,11 @@ class InvalidChoice(SipmError, ValueError):
 
 
 class InvalidSpec(SipmError, ValueError):
-    """An experiment's seed list is empty, or its solver or seed list repeats an entry."""
+    """An experiment's seed list is empty, or its problem names, solvers or seeds repeat."""
+
+
+class InvalidConstants(SipmError, ValueError):
+    """A solver constant (ell_f, kappa_inf or sigma_inf) is negative or not finite."""
 
 
 class InvalidExponents(SipmError, ValueError):

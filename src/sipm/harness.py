@@ -3,9 +3,9 @@
 The protocol per problem is: fix one starting point, estimate the curvature
 and gradient-bound constants with a 500-iteration bootstrap that uses
 placeholder constants of 1, derive the barrier start and the neighborhood
-margin from those estimates, then run every requested solver over every seed
-and summarize the final metrics with the relative performance measure
-``(a - b) / max(a, b, 1)``.
+margin from those estimates, then run every requested solver over every seed,
+sipm first.  Each baseline cell writes its comparisons with the seed's sipm
+run, the relative performance ``(a - b) / max(a, b, 1)`` per metric, as it ends.
 
 Reports are plain dicts serialized with sorted keys, so regenerating a
 report from the same experiment spec and seeds is byte identical; wall-clock
@@ -41,9 +41,16 @@ SIGMA_DRAWS = 100
 # spec.audit -> SolverConfig.audit_level of an untraced spec.  Only trace
 # rows need "full_trace", and a spec writes them only with trace set, which
 # runs every sipm cell at "full_trace".
-SPEC_AUDIT = {"off": "off", "invariants": "invariants", "full": "invariants",
-              "full_trace": "invariants"}
+SPEC_AUDIT = {"off": "off", "invariants": "invariants", "full": "invariants"}
+MODELS = ("quadratic", "logistic", "nn")
 SOLVERS = ("sipm", "psgm", "proj-ipm")
+# config.baselines entries; psgm rescales its steps to sipm's first and last.
+# step_schedule and theta_link_c are unfilled placeholders kept for the bytes.
+BASELINES = {"psgm": {"kind": "psgm", "step_schedule": (),
+                      "schedule_link": "match_sipm_endpoints", "theta_link_c": None},
+             "proj-ipm": {"kind": "simplified_ipm", "step_schedule": (),
+                          "schedule_link": "explicit", "theta_link_c": None}}
+COMPARED_METRICS = ("final_objective_train", "projected_grad_norm", "final_objective_test")
 SPEC_CHOICES = {"mode": CONFIG_CHOICES["mode"],
                 "schedule": ("staircase", "power"),
                 "param_mode": ("practical", "theory"),
@@ -132,7 +139,7 @@ def load_constants(path):
 @dataclass(frozen=True)
 class ProblemSpec:
     name: str
-    model: str                      # "quadratic" | "logistic" | "nn"
+    model: str                      # one of MODELS
     train_path: str | None = None
     test_path: str | None = None
     dim: int = 5                    # quadratic only
@@ -167,22 +174,27 @@ def resolve_maxiter(spec):
     are given, the explicit maxiter otherwise.
 
     Raises InvalidChoice for a mode, schedule, param_mode or audit outside
-    SPEC_CHOICES or a solver outside SOLVERS, InvalidSpec for an empty seed
-    list or a repeated solver or seed, and InvalidBudget for a stochastic
-    batch fraction outside (0, 1] or a budget below one iteration, before
-    any problem is built.  An empty solver list is valid: it estimates the
-    constants and runs nothing.
+    SPEC_CHOICES, a problem model outside MODELS or a solver outside
+    SOLVERS, InvalidSpec for an empty seed list or a repeated problem name,
+    solver or seed, and InvalidBudget for a stochastic batch fraction
+    outside (0, 1] or a budget below one iteration, before any problem is
+    built.  An empty solver list is valid: it estimates the constants and
+    runs nothing.
     """
     for name, allowed in SPEC_CHOICES.items():
         if getattr(spec, name) not in allowed:
             raise InvalidChoice(name, getattr(spec, name), allowed)
+    for problem in spec.problems:
+        if problem.model not in MODELS:
+            raise InvalidChoice("model", problem.model, MODELS)
     for solver in spec.solvers:
         if solver not in SOLVERS:
             raise InvalidChoice("solvers", solver, SOLVERS)
     if not spec.seeds:
         raise InvalidSpec("the seed list is empty")
-    for name in ("solvers", "seeds"):
-        values = getattr(spec, name)
+    names = tuple(problem.name for problem in spec.problems)
+    for name, values in (("problems", names), ("solvers", spec.solvers),
+                         ("seeds", spec.seeds)):
         if len(set(values)) < len(values):
             raise InvalidSpec(f"{name}={values!r} repeats an entry")
     if spec.mode == "stochastic" and not 0.0 < spec.batch_fraction <= 1.0:
@@ -216,11 +228,9 @@ def _build_problem(problem, spec):
     if problem.model == "logistic":
         def make(ds):
             return logistic_objective(ds)
-    elif problem.model == "nn":
+    else:  # "nn", the last model resolve_maxiter admits
         def make(ds):
             return nn_objective(ds, hidden=problem.hidden)
-    else:
-        raise ValueError(f"unknown model {problem.model!r}")
     if problem.train_path is None:
         data = synthetic_classification(problem.samples, problem.dim,
                                         seed=problem.data_seed)
@@ -330,11 +340,10 @@ def run_experiment(spec):
                               kappa_inf=estimated.kappa_inf_bar,
                               sigma_inf=sigma)
 
-        sipm_results = {}
-        # the interior-point run anchors the baseline step sizes, so it goes
-        # first within each seed whatever order the caller listed
+        # the interior-point run anchors the baselines' steps and comparisons,
+        # so it goes first within each seed whatever order the caller listed
         ordered_solvers = sorted(spec.solvers, key=lambda s: s != "sipm")
-        for seed in spec.seeds:
+        for seed in spec.seeds if ordered_solvers else ():   # no cell, no set-up
             try:
                 # the gradient (estimate) at x1 that sizes the barrier start
                 g_probe = gradient_oracle(objective, spec.mode, spec.batch_fraction,
@@ -349,6 +358,7 @@ def run_experiment(spec):
                                       for solver_name in ordered_solvers)
                 continue
 
+            anchor = None   # (result, run entry) of the seed's sipm run
             for solver_name in ordered_solvers:
                 cell = f"{problem.name}::{solver_name}::{seed}"
                 t_cell = time.perf_counter()
@@ -361,13 +371,11 @@ def run_experiment(spec):
                                               batch_fraction=spec.batch_fraction,
                                               audit_level=audit)
                         result = run(objective, config, x1)
-                        sipm_results[seed] = result
                     elif solver_name == "psgm":
-                        anchor = sipm_results.get(seed)
                         steps = seq["s"][1:]
                         if anchor is not None:
-                            steps = match_sipm_endpoints(steps, anchor.alpha_first,
-                                                         anchor.alpha_last)
+                            steps = match_sipm_endpoints(steps, anchor[0].alpha_first,
+                                                         anchor[0].alpha_last)
                         result = run_psgm(objective, bounds, steps, x1, maxiter,
                                           mode=spec.mode,
                                           batch_fraction=spec.batch_fraction, seed=seed)
@@ -389,11 +397,18 @@ def run_experiment(spec):
                     if spec.trace and result.records:
                         entry["trace"] = result.records
                     report["runs"].append(entry)
+                    if solver_name == "sipm":
+                        anchor = result, entry
+                    elif anchor is not None:
+                        report["comparisons"].extend(
+                            {"problem": problem.name, "baseline": solver_name,
+                             "seed": seed, "metric": metric,
+                             "r_p": relative_performance(anchor[1][metric], entry[metric])}
+                            for metric in COMPARED_METRICS if metric in entry)
                 except Exception as err:
                     report["runs"].append(_error_entry(problem.name, solver_name, seed, err))
                 report["timing"]["cells"][cell] = time.perf_counter() - t_cell
 
-    _append_comparisons(report, spec)
     report["timing"]["total_s"] = time.perf_counter() - t_start
     return report
 
@@ -402,45 +417,9 @@ def _config_block(spec, maxiter):
     block = asdict(spec)
     block["problems"] = [asdict(p) for p in spec.problems]
     block["resolved_maxiter"] = maxiter
-    baselines = {}
-    if "psgm" in spec.solvers:
-        # steps follow the shape sequence, geometrically rescaled to match the
-        # interior-point run's first and last step sizes
-        baselines["psgm"] = {"kind": "psgm", "step_schedule": (),
-                             "schedule_link": "match_sipm_endpoints",
-                             "theta_link_c": None}
-    if "proj-ipm" in spec.solvers:
-        baselines["proj-ipm"] = {"kind": "simplified_ipm", "step_schedule": (),
-                                 "schedule_link": "explicit", "theta_link_c": None}
-    block["baselines"] = baselines
+    block["baselines"] = {name: dict(BASELINES[name])
+                          for name in spec.solvers if name in BASELINES}
     return block
-
-
-def _append_comparisons(report, spec):
-    by_cell = {}
-    for entry in report["runs"]:
-        if "error" in entry:
-            continue
-        by_cell[(entry["problem"], entry["solver"], entry["seed"])] = entry
-    metrics = ("final_objective_train", "projected_grad_norm", "final_objective_test")
-    for problem in spec.problems:
-        for seed in spec.seeds:
-            base = by_cell.get((problem.name, "sipm", seed))
-            if base is None:
-                continue
-            for other in spec.solvers:
-                if other == "sipm":
-                    continue
-                rival = by_cell.get((problem.name, other, seed))
-                if rival is None:
-                    continue
-                for metric in metrics:
-                    if metric in base and metric in rival:
-                        report["comparisons"].append({
-                            "problem": problem.name, "baseline": other,
-                            "seed": seed, "metric": metric,
-                            "r_p": relative_performance(base[metric], rival[metric]),
-                        })
 
 
 def canonical_report_bytes(report):

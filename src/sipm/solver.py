@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InfeasibleStart, InvalidChoice, InvalidExponents, InvalidMu1,
-                     InvalidTheta0, InvariantViolation, ThetaTooLarge)
+from .errors import (InfeasibleStart, InvalidChoice, InvalidConstants, InvalidExponents,
+                     InvalidMu1, InvalidTheta0, InvariantViolation, ThetaTooLarge)
 from .geometry import (DELTA_CAP, Bounds, KktCertificate, _barrier_gradient, default_chi,
                        in_neighborhood, kkt_certificate, projected_gradient_norm,
                        range_gap, require_interior, shifted_barrier_value, slacks)
@@ -192,6 +192,9 @@ def run(objective, config, x1, observer=None):
         if violations:
             raise InvalidExponents(f"exponents invalid for the {config.mode} setting: "
                                    + "; ".join(violations))
+    for name, value in vars(config.constants).items():
+        if not 0.0 <= value < math.inf:
+            raise InvalidConstants(f"{name}={value} must be nonnegative and finite")
     bounds = config.bounds
     x = np.asarray(x1, dtype=float).copy()
     delta = range_gap(bounds, DELTA_CAP)
@@ -209,8 +212,6 @@ def run(objective, config, x1, observer=None):
 
     gradient = gradient_oracle(objective, config.mode, config.batch_fraction,
                                config.rng_seed)
-    if config.mode == "stochastic" and config.constants.sigma_inf < 0.0:
-        raise ValueError("stochastic mode needs sigma_inf >= 0")
 
     audit_decrease = config.audit_level != "off" and config.mode == "deterministic"
     keep_trace = config.audit_level == "full_trace"

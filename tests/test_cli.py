@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sipm import harness
 from sipm.cli import main
 from sipm.errors import InvalidBudget, InvalidChoice
 
@@ -31,6 +32,31 @@ def test_estimate_subcommand(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["constants"]["sigma_inf_bar"] == 0.0
     assert payload["constants"]["ell_f_bar"] > 0.0
+
+
+def test_estimate_reads_and_writes_the_cache(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    argv = ["estimate", "--model", "quadratic", "--dim", "3", "--cache-dir", str(cache)]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert len(list(cache.iterdir())) == 1
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("the cached constants were estimated again")
+
+    monkeypatch.setattr(harness, "estimate_constants", no_estimate)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_estimate_failure_is_an_error_line(capsys):
+    # on the box [0.005, 1] the seeded 3-d start has a nonpositive slack
+    code = main(["estimate", "--model", "quadratic", "--dim", "3", "--bounds", "0.005", "1",
+                 "--init-seed", "4"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: NotInterior")
 
 
 def test_stochastic_epochs_budget(tmp_path):

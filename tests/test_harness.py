@@ -135,7 +135,8 @@ def test_resolve_maxiter():
 
 
 @pytest.mark.parametrize("name, value", [("mode", "stoch"), ("schedule", "powr"),
-                                         ("param_mode", "theroy"), ("audit", "bogus")])
+                                         ("param_mode", "theroy"), ("audit", "bogus"),
+                                         ("audit", "full_trace")])
 def test_unknown_choice_is_a_typed_error(name, value, monkeypatch):
     def no_build(problem, spec):
         raise AssertionError("a problem was built")
@@ -153,7 +154,11 @@ def test_unknown_choice_is_a_typed_error(name, value, monkeypatch):
     (dict(solvers=("sipm", "psgm", "sipm")), InvalidSpec, "solvers"),
     (dict(seeds=()), InvalidSpec, "seed list is empty"),
     (dict(seeds=(0, 0)), InvalidSpec, "seeds"),
-], ids=["unknown-solver", "repeated-solver", "no-seeds", "repeated-seed"])
+    (dict(problems=(ProblemSpec(name="p", model="quadratic", dim=3),
+                    ProblemSpec(name="p", model="quadratic", dim=4))), InvalidSpec, "problems"),
+    (dict(problems=(ProblemSpec(name="toy", model="quadrtic"),)), InvalidChoice, "'quadrtic'"),
+], ids=["unknown-solver", "repeated-solver", "no-seeds", "repeated-seed",
+        "repeated-problem-name", "unknown-model"])
 def test_bad_solver_or_seed_list_fails_before_any_problem(fault, error, match,
                                                           monkeypatch):
     def no_build(problem, spec):
@@ -206,6 +211,16 @@ def test_empty_solver_list():
     report = run_experiment(small_spec(solvers=()))
     assert report["runs"] == []
     assert report["comparisons"] == []
+
+
+def test_solverless_spec_sets_up_no_seed(monkeypatch):
+    """An estimate (no solvers) builds no per-seed parameter table, whatever
+    the budget and seed count."""
+    calls = []
+    monkeypatch.setattr(harness, "sequences", lambda *args: calls.append(args))
+    report = run_experiment(small_spec(solvers=(), maxiter=200000, seeds=tuple(range(10))))
+    assert calls == [] and report["runs"] == []
+    assert "toy" in report["constants"]
 
 
 def test_psgm_anchors_regardless_of_solver_order():
@@ -395,3 +410,23 @@ def test_untraced_full_audit_runs_as_invariants(monkeypatch):
     assert counts["full", True] > 300   # a traced run fills phi_tilde per row
     assert runs["full", False] == runs["invariants", False] == runs["full", True]
     assert not any("error" in entry for entry in runs["full", False])
+
+
+def test_theory_buffers_reach_the_sipm_run(monkeypatch):
+    """param_mode="theory" hands the spec's buffer bases and t_mu to run()."""
+    configs = []
+    original = harness.run
+
+    def keep(objective, config, x1, observer=None):
+        configs.append(config)
+        return original(objective, config, x1, observer)
+
+    monkeypatch.setattr(harness, "run", keep)
+    report = run_experiment(small_spec(schedule="power", param_mode="theory",
+                                       exponents=(-0.5, -0.5, -0.25),
+                                       buffer_bases=(0.5, 2.0), seeds=(0,)))
+    assert not any("error" in entry for entry in report["runs"])
+    assert len(report["comparisons"]) == 4
+    buffers = configs[-1].buffers   # the cell run, after the bootstrap
+    assert (buffers.mode, buffers.alpha_buff_base, buffers.gamma_buff_base,
+            buffers.t_mu) == ("theory", 0.5, 2.0, -0.5)

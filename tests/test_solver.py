@@ -11,8 +11,9 @@ from sipm import (DELTA_CAP, Bounds, BufferSequences, Constants, ExponentTriple,
                   barrier_gradient, build_hk, build_staircase, quadratic_objective,
                   range_gap, ratio_test, run, sequences, sipm_step, step_size_bundle)
 from sipm import geometry, schedules, solver, stepsize
-from sipm.errors import (HorizonExceeded, InfeasibleStart, InvalidChoice, InvalidExponents,
-                         InvalidMu1, InvalidTheta0, NotInterior, SipmError, ThetaTooLarge)
+from sipm.errors import (HorizonExceeded, InfeasibleStart, InvalidChoice, InvalidConstants,
+                         InvalidExponents, InvalidMu1, InvalidTheta0, InvariantViolation,
+                         NotInterior, SipmError, ThetaTooLarge)
 
 
 def quad_config(bounds, schedule, maxiter, **kwargs):
@@ -382,3 +383,92 @@ def test_shifted_barrier_evaluated_once_per_iterate(monkeypatch):
         expected = original(objective.value(info["x"]), info["x"], config.bounds,
                             info["mu_k"], chi)
         assert record["phi_tilde"] == expected
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+@pytest.mark.parametrize("value", [np.nan, -1.0, np.inf])
+@pytest.mark.parametrize("name", ["ell_f", "kappa_inf", "sigma_inf"])
+def test_bad_constants_fail_before_the_oracle(name, value, mode, monkeypatch):
+    """A negative or non-finite constant is a typed error at run() entry,
+    before the oracle is built or called."""
+    calls = []
+    monkeypatch.setattr(solver, "gradient_oracle", lambda *args: calls.append(args))
+    obj = quadratic_objective([0.2, -0.3], [1.0, 2.0], noise_level=0.1, sample_count=10)
+    obj.gradient = lambda x: calls.append(x) or np.zeros(2)
+    obj.value = lambda x: calls.append(x) or 0.0
+    constants = replace(Constants(ell_f=1.0, kappa_inf=2.0, sigma_inf=0.1), **{name: value})
+    config = quad_config(Bounds.cube(2, -1.0, 1.0), build_staircase(0.2, 50, theta0=0.05), 50,
+                         mode=mode, constants=constants)
+    with pytest.raises(InvalidConstants, match=name) as err:
+        run(obj, config, np.zeros(2))
+    assert isinstance(err.value, SipmError) and isinstance(err.value, ValueError)
+    assert calls == []
+
+
+def test_zero_curvature_constant_is_valid():
+    # ell_f = 0 passes the entry check (it understates this quadratic's
+    # curvature, so the run is left unaudited)
+    config = quad_config(Bounds.cube(1, -1.0, 1.0), build_staircase(0.2, 20, theta0=0.05), 20,
+                         constants=Constants(ell_f=0.0, kappa_inf=2.0), audit_level="off")
+    assert np.isfinite(run(quadratic_objective([0.3], [1.0]), config, np.zeros(1)).final_objective)
+
+
+def _audited_step():
+    """An observed step of an audited deterministic run, which passed every audit."""
+    objective, config, x1 = _kernel_runs()[0]
+    config = replace(config, audit_level="invariants", maxiter=20)
+    seen = []
+    run(objective, config, x1, observer=seen.append)
+    step = seen[5]
+    assert step["gamma_k"] > 0.0 and np.any(step["q"] != 0.0)
+    return config, step
+
+
+def _tamper(config, step, case):
+    bundle = step["bundle"]
+    mu_k, theta_k = step["mu_k"], step["theta_k"]
+    if case == "neighborhood":
+        return dict(step, x_next=config.bounds.upper - 0.5 * theta_k)
+    if case == "segment":
+        return dict(step, bundle=replace(bundle, ell_k=0.0))
+    if case == "cap":
+        cap = config.constants.ell_f + 2.0 * mu_k / theta_k ** 2
+        return dict(step, bundle=replace(bundle, ell_k=2.0 * cap))
+    if case == "alpha":
+        return dict(step, bundle=replace(bundle, alpha_k=2.0 * bundle.alpha_max))
+    if case == "gamma":
+        return dict(step, gamma_k=2.0 * bundle.gamma_max)
+    if case == "look-ahead":
+        return dict(step, bundle=replace(bundle, gamma_bar=0.0))
+    return dict(step, d=-step["d"])   # "descent"
+
+
+@pytest.mark.parametrize("case, message", [
+    ("neighborhood", "next iterate left the theta_k neighborhood"),
+    ("segment", "segment Lipschitz constant exceeds ell_k"),
+    ("cap", "ell_k exceeds the conservative curvature cap"),
+    ("alpha", "alpha_k escaped"),
+    ("gamma", "gamma_k escaped"),
+    ("look-ahead", "realized step exceeds the look-ahead step"),
+    ("descent", "direction is not a descent direction for q"),
+])
+def test_each_step_audit_fires(case, message):
+    """Each per-step contract, broken in one observed step, raises its own
+    InvariantViolation with the step's iteration."""
+    config, step = _audited_step()
+    solver._audit_step(config, step)   # the untouched step passes
+    with pytest.raises(InvariantViolation, match=message) as err:
+        solver._audit_step(config, _tamper(config, step, case))
+    assert err.value.k == step["k"]
+
+
+def test_decrease_audit_fires():
+    """An objective whose value rises by 1.0 per call breaks the barrier
+    decrease inequality in the first audited iteration."""
+    objective, config, x1 = _kernel_runs()[0]
+    config = replace(config, audit_level="invariants", maxiter=20)
+    rises = iter(range(1000))
+    objective.value = lambda x: float(next(rises))
+    with pytest.raises(InvariantViolation, match="barrier decrease inequality") as err:
+        run(objective, config, x1)
+    assert err.value.k == 1

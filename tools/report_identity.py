@@ -1,0 +1,110 @@
+"""Check that two source trees write the same canonical report bytes.
+
+Usage: python3 tools/report_identity.py PARENT_SRC CHANGE_SRC
+
+Runs each ``sipm bench`` shape in SHAPES at ``--init-seed``/``--data-seed``
+0 and 7, once per tree, each in a fresh ``python -m sipm.cli`` process with
+that tree first on ``PYTHONPATH``.  Prints the sha256 of each report's
+canonical bytes (the report without its ``timing`` block, as
+``harness.canonical_report_bytes`` renders it) per shape, seed and side, and
+exits 1 if any pair differs.  Every process runs in one temporary
+directory, where the parent tree first writes the train/test pair that the
+LIBSVM shape reads, with ``synthetic_classification`` and
+``serialize_libsvm``; relative paths keep the reports' bytes, and so the
+printed hashes, the same from one call to the next.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+SEEDS = (0, 7)
+THREE = ["--solver", "sipm,psgm,proj-ipm"]
+# name -> bench arguments
+SHAPES = {
+    "quad-det": ["--model", "quadratic", "--dim", "50", "--maxiter", "200",
+                 "--seeds", "0,1,2", *THREE],
+    "quad-power-audit": ["--model", "quadratic", "--dim", "10", "--maxiter", "150",
+                         "--schedule", "power", "--t-mu", "-0.5", "--t-theta", "-0.5",
+                         "--t-alpha", "-0.25", "--audit", "full", "--trace",
+                         "--solver", "psgm,sipm,proj-ipm"],
+    "logreg-stoch": ["--model", "logistic", "--mode", "stoch", "--epochs", "1",
+                     "--dim", "10", "--samples", "400", "--trace", *THREE],
+    "logreg-stoch-theory": ["--model", "logistic", "--mode", "stoch", "--epochs", "1",
+                            "--dim", "10", "--samples", "400", "--trace", *THREE,
+                            "--schedule", "power", "--t-mu", "-0.75", "--t-theta", "-0.75",
+                            "--t-alpha", "-0.2", "--param-mode", "theory"],
+    "nn-audit": ["--model", "nn", "--dim", "5", "--samples", "100", "--maxiter", "150",
+                 "--audit", "full", "--trace", *THREE],
+    "libsvm-pair": ["--model", "logistic", "--train", "train.libsvm", "--test", "test.libsvm",
+                    "--maxiter", "100", "--seeds", "0,3", *THREE],
+    "baselines-only": ["--model", "quadratic", "--dim", "10", "--maxiter", "100",
+                       "--solver", "psgm,proj-ipm"],
+    "inadmissible-power": ["--model", "quadratic", "--dim", "5", "--maxiter", "50",
+                           "--schedule", "power", "--t-theta", "0.5", *THREE],
+}
+
+WRITE_PAIR = """
+from sipm import SparseDataset, serialize_libsvm, synthetic_classification
+features, labels = synthetic_classification(300, 20, seed=11)
+rows = tuple(tuple((j + 1, float(v)) for j, v in enumerate(row) if abs(v) > 0.5)
+             for row in features)
+for path, part in (("train.libsvm", slice(0, 240)), ("test.libsvm", slice(240, 300))):
+    with open(path, "w", encoding="ascii") as handle:
+        handle.write(serialize_libsvm(SparseDataset(
+            rows=rows[part], labels=tuple(float(y) for y in labels[part]), n_features=20)))
+"""
+
+
+def bench_argv(shape, seed):
+    """The ``sipm`` argument list of one shape at one seed."""
+    return ["bench", *SHAPES[shape], "--init-seed", str(seed), "--data-seed", str(seed)]
+
+
+def _env(src):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.abspath(src),
+                                                      env.get("PYTHONPATH")]))
+    return env
+
+
+def report_sha256(src, argv, work):
+    """Run one bench in a fresh process on the tree ``src``; hash its report."""
+    subprocess.run([sys.executable, "-m", "sipm.cli", *argv, "--out", "report.json"],
+                   env=_env(src), cwd=work, check=True)
+    with open(os.path.join(work, "report.json"), encoding="ascii") as handle:
+        report = json.load(handle)
+    payload = {key: value for key, value in report.items() if key != "timing"}
+    return hashlib.sha256(json.dumps(payload, sort_keys=True, indent=2)
+                          .encode("ascii")).hexdigest()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Compare the canonical report bytes "
+                                                 "of two sipm source trees.")
+    parser.add_argument("parent_src", help="the src directory of the parent tree")
+    parser.add_argument("change_src", help="the src directory of the changed tree")
+    args = parser.parse_args(argv)
+    parent, change = args.parent_src, args.change_src
+    mismatches = 0
+    with tempfile.TemporaryDirectory() as work:
+        subprocess.run([sys.executable, "-c", WRITE_PAIR], env=_env(parent), cwd=work,
+                       check=True)
+        for shape in SHAPES:
+            for seed in SEEDS:
+                bench = bench_argv(shape, seed)
+                hashes = [report_sha256(src, bench, work) for src in (parent, change)]
+                same = hashes[0] == hashes[1]
+                mismatches += not same
+                print(f"{shape:<20} seed {seed}  parent {hashes[0]}  change {hashes[1]}  "
+                      f"{'same' if same else 'DIFFERENT'}", flush=True)
+    print(f"{mismatches} of {len(SHAPES) * len(SEEDS)} reports differ")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
