@@ -7,11 +7,16 @@ import json
 import sys
 
 from .errors import InvalidChoice, SipmError
-from .harness import (MODELS, SOLVERS, ExperimentSpec, ProblemSpec, report_to_csv,
-                      report_to_json, run_experiment)
+from .harness import (MODELS, SOLVERS, SPEC_CHOICES, ExperimentSpec, ProblemSpec,
+                      report_to_csv, report_to_json, run_experiment)
 from .libsvm import align_feature_space, parse_libsvm_file
 
 MODES = {"det": "deterministic", "stoch": "stochastic"}
+
+
+def _seed_list(text):
+    """--seeds: comma-separated integers."""
+    return tuple(int(s) for s in text.split(","))
 
 
 def _add_common(parser, multi_solver):
@@ -28,18 +33,18 @@ def _add_common(parser, multi_solver):
     parser.add_argument("--maxiter", type=int, default=100)
     parser.add_argument("--epochs", type=float, default=None)
     parser.add_argument("--batch-frac", type=float, default=0.01)
-    parser.add_argument("--seeds", default="0", help="comma-separated integers")
+    parser.add_argument("--seeds", type=_seed_list, default="0",
+                        help="comma-separated integers")
     parser.add_argument("--bounds", nargs=2, type=float, default=(-1.0, 1.0),
                         metavar=("LO", "HI"))
     parser.add_argument("--t-mu", type=float, default=-1.0)
     parser.add_argument("--t-theta", type=float, default=-1.0)
     parser.add_argument("--t-alpha", type=float, default=0.0)
-    parser.add_argument("--schedule", choices=("power", "staircase"),
+    parser.add_argument("--schedule", choices=SPEC_CHOICES["schedule"],
                         default="staircase")
-    parser.add_argument("--param-mode", choices=("theory", "practical"),
+    parser.add_argument("--param-mode", choices=SPEC_CHOICES["param_mode"],
                         default="practical")
-    parser.add_argument("--audit", choices=("off", "invariants", "full"),
-                        default="off")
+    parser.add_argument("--audit", choices=SPEC_CHOICES["audit"], default="off")
     parser.add_argument("--out", default="-")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--dim", type=int, default=5,
@@ -58,13 +63,12 @@ def _spec_from_args(args, solvers):
                           train_path=args.train, test_path=args.test,
                           dim=args.dim, data_seed=args.data_seed,
                           samples=args.samples, hidden=args.hidden)
-    seeds = tuple(int(s) for s in args.seeds.split(","))
     return ExperimentSpec(problems=(problem,), solvers=solvers,
                           mode=MODES[args.mode], schedule=args.schedule,
                           param_mode=args.param_mode,
                           exponents=(args.t_mu, args.t_theta, args.t_alpha),
                           maxiter=args.maxiter, epochs=args.epochs,
-                          batch_fraction=args.batch_frac, seeds=seeds,
+                          batch_fraction=args.batch_frac, seeds=args.seeds,
                           bounds=tuple(args.bounds), audit=args.audit,
                           init_seed=args.init_seed, cache_dir=args.cache_dir,
                           trace=args.trace)
@@ -111,22 +115,19 @@ def _cmd_estimate(args):
     return 0
 
 
+def _file_summary(ds):
+    """A parsed file's own row count, width, nonzero count and label values."""
+    return {"m": ds.m, "n_f": ds.n_features, "nnz": sum(len(r) for r in ds.rows),
+            "labels": list(ds.label_values())}
+
+
 def _cmd_parse_check(args):
-    try:
-        train = parse_libsvm_file(args.train)
-        summary = {"train": {"m": train.m, "n_f": train.n_features,
-                             "nnz": sum(len(r) for r in train.rows),
-                             "labels": list(train.label_values())}}
-        if args.test is not None:
-            test = parse_libsvm_file(args.test)
-            train, test = align_feature_space(train, test)
-            summary["test"] = {"m": test.m, "n_f": test.n_features,
-                               "nnz": sum(len(r) for r in test.rows),
-                               "labels": list(test.label_values())}
-            summary["aligned_n_f"] = train.n_features
-    except SipmError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    train = parse_libsvm_file(args.train)
+    summary = {"train": _file_summary(train)}
+    if args.test is not None:
+        test = parse_libsvm_file(args.test)
+        summary["test"] = _file_summary(test)
+        summary["aligned_n_f"] = align_feature_space(train, test)[0].n_features
     _emit(json.dumps(summary, sort_keys=True, indent=2), args.out)
     return 0
 
@@ -160,8 +161,14 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; any SipmError becomes one ``error: <Type>: <message>``
+    line on stderr and exit status 1."""
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except SipmError as err:
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

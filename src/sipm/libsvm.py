@@ -15,7 +15,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import LabelMismatch, MalformedLine, NonIncreasingIndex, NotBinary
+from .errors import MalformedLine, NonIncreasingIndex, NotBinary
+from .problems import map_labels
 
 
 @dataclass(frozen=True)
@@ -57,16 +58,9 @@ class SparseDataset:
         return self._csr_features().toarray()
 
     def to_arrays(self):
-        """CSR features plus labels mapped to -1/+1 by sorted raw value."""
-        order = self.label_order if self.label_order is not None else self.label_values()
-        if len(order) != 2:
-            raise NotBinary(f"need exactly two label values to train, got {len(order)}")
-        mapping = {order[0]: -1.0, order[1]: 1.0}
-        try:
-            y = np.array([mapping[lab] for lab in self.labels])
-        except KeyError as err:
-            raise LabelMismatch(f"label {err.args[0]} not in mapping {order}") from None
-        return self._csr_features(), y
+        """CSR features plus labels mapped to -1/+1 by map_labels, in the
+        pinned label order or else by sorted raw value."""
+        return self._csr_features(), map_labels(self.labels, self.label_order)
 
 
 def parse_libsvm(source, n_features=None):
@@ -153,11 +147,7 @@ def align_feature_space(train, test):
     from the training set raises LabelMismatch.
     """
     order = train.label_values()
-    if len(order) != 2:
-        raise NotBinary(f"training data must carry two label values, got {len(order)}")
-    stray = set(test.labels) - set(order)
-    if stray:
-        raise LabelMismatch(f"test labels {sorted(stray)} never occur in training data")
+    map_labels(test.labels, order)   # NotBinary or LabelMismatch, as in to_arrays
     width = max(train.n_features, test.n_features)
     return (replace(train, n_features=width, label_order=order),
             replace(test, n_features=width, label_order=order))

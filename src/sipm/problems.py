@@ -9,6 +9,7 @@ reproduces the full gradient exactly because batches are uniform subsets
 drawn without replacement.  The two data models take their feature matrix
 dense or as a scipy.sparse matrix, which they keep in CSR form; the data
 type picks the path, and scipy.sparse is only imported for sparse input.
+Both take any two label values and share one intake, ``_labeled_data``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import math
 import numpy as np
 from scipy.special import expit
 
-from .errors import BatchTooLarge, DimensionMismatch, InvalidChoice, NonFiniteGradient, NotBinary
+from .errors import (BatchTooLarge, DimensionMismatch, InvalidChoice, LabelMismatch,
+                     NonFiniteGradient, NotBinary)
 
 MODES = ("deterministic", "stochastic")
 
@@ -47,36 +49,42 @@ def _check_dim(x, n):
     return x
 
 
-def map_labels(labels):
-    """Map the two distinct raw label values to -1/+1 by sorted order."""
+def map_labels(labels, order=None):
+    """Map finite labels to -1/+1, ``order[0]`` to -1 and ``order[1]`` to +1; the order
+    defaults to the sorted distinct labels, and a label outside it raises LabelMismatch."""
     labels = np.asarray(labels, dtype=float)
-    values = np.unique(labels)
-    if values.size != 2:
-        raise NotBinary(f"need exactly two distinct label values, got {values.size}")
-    return np.where(labels == values[0], -1.0, 1.0)
+    if not np.isfinite(labels).all():
+        raise NotBinary("labels must be finite")
+    order = np.unique(labels) if order is None else np.asarray(order, dtype=float)
+    if order.size != 2:
+        raise NotBinary(f"need exactly two distinct label values, got {order.size}")
+    stray = np.setdiff1d(labels, order)
+    if stray.size:
+        raise LabelMismatch(f"labels {stray.tolist()} are not in the order {order.tolist()}")
+    return np.where(labels == order[0], -1.0, 1.0)
 
 
-def _feature_matrix(features):
-    """A float feature matrix: CSR for a scipy.sparse input, dense otherwise."""
+def _labeled_data(features, labels):
+    """The one intake of both data models: a float feature matrix (CSR for
+    any scipy.sparse input, dense otherwise) of shape (m, n_f), and one label
+    per row, mapped to -1/+1 by map_labels unless it is -1/+1 already."""
     if hasattr(features, "tocsr"):   # any scipy.sparse matrix or array
         from scipy.sparse import csr_matrix
 
-        return csr_matrix(features, dtype=float)
-    return np.asarray(features, dtype=float)
-
-
-def _as_arrays(dataset):
-    """Accept a (features, labels) pair or anything with a to_arrays method."""
-    if hasattr(dataset, "to_arrays"):
-        return dataset.to_arrays()
-    features, labels = dataset
-    features = _feature_matrix(features)
+        features = csr_matrix(features, dtype=float)
+    else:
+        features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if features.ndim != 2 or labels.shape != (features.shape[0],):
         raise DimensionMismatch("features must be (m, n_f) with one label per row")
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         labels = map_labels(labels)
     return features, labels
+
+
+def _as_arrays(dataset):
+    """A dataset's (features, labels), or the (features, labels) pair itself."""
+    return dataset.to_arrays() if hasattr(dataset, "to_arrays") else dataset
 
 
 class QuadraticObjective(Objective):
@@ -139,11 +147,8 @@ class LogisticObjective(Objective):
     """
 
     def __init__(self, features, labels):
-        self.features = _feature_matrix(features)
-        self.labels = np.asarray(labels, dtype=float)
+        self.features, self.labels = _labeled_data(features, labels)
         self.sample_count, self.n_features = self.features.shape
-        if self.labels.shape != (self.sample_count,):
-            raise DimensionMismatch("one label per sample row is required")
         self.n = self.n_features + 1
         self._sparse = hasattr(self.features, "tocsr")
         self._features_t = self.features.T.tocsr() if self._sparse else self.features.T
@@ -185,16 +190,16 @@ class OneHiddenLayerObjective(Objective):
     """tanh hidden layer of width h, sigmoid output, mean cross-entropy loss.
 
     The flat parameter vector packs [W1.ravel(), b1, w2, b2] for W1 of shape
-    (h, n_f), giving dimension (n_f + 2) * h + 1.  Gradients come from exact
+    (h, n_f), giving dimension (n_f + 2) * h + 1; ``hidden=None`` takes
+    ``default_hidden_width(n_f)``.  Gradients come from exact
     backpropagation through the stabilized softplus form of the loss.
     """
 
     def __init__(self, features, labels, hidden):
-        self.features = _feature_matrix(features)
-        labels = np.asarray(labels, dtype=float)
+        self.features, labels = _labeled_data(features, labels)
         self.sample_count, self.n_features = self.features.shape
-        if labels.shape != (self.sample_count,):
-            raise DimensionMismatch("one label per sample row is required")
+        if hidden is None:
+            hidden = default_hidden_width(self.n_features)
         if hidden < 1:
             raise ValueError("hidden width must be at least 1")
         self.hidden = int(hidden)
@@ -259,15 +264,11 @@ def quadratic_objective(center, curvature, noise_level=0.0, sample_count=1, seed
 
 
 def logistic_objective(dataset):
-    features, labels = _as_arrays(dataset)
-    return LogisticObjective(features, labels)
+    return LogisticObjective(*_as_arrays(dataset))
 
 
 def nn_objective(dataset, hidden=None):
-    features, labels = _as_arrays(dataset)
-    if hidden is None:
-        hidden = default_hidden_width(features.shape[1])
-    return OneHiddenLayerObjective(features, labels, hidden)
+    return OneHiddenLayerObjective(*_as_arrays(dataset), hidden)
 
 
 def default_hidden_width(n_features):

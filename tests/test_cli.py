@@ -4,7 +4,6 @@ import pytest
 
 from sipm import harness
 from sipm.cli import main
-from sipm.errors import InvalidBudget, InvalidChoice
 
 
 def test_solve_quadratic_json(tmp_path, capsys):
@@ -113,16 +112,62 @@ def test_deterministic_power_schedule_gate(tmp_path):
     ["--schedule", "power", "--maxiter", "0"],
 ], ids=["batch-frac-0", "batch-frac-negative", "tiny-epochs", "maxiter-0",
         "power-maxiter-0"])
-def test_bad_budget_is_a_typed_error(budget, tmp_path):
+def test_bad_budget_is_a_typed_error(budget, tmp_path, capsys):
     out = tmp_path / "r.json"
-    with pytest.raises(InvalidBudget):
-        main(["bench", "--model", "logistic", "--dim", "3", "--samples", "20",
-              "--out", str(out)] + budget)
+    assert main(["bench", "--model", "logistic", "--dim", "3", "--samples", "20",
+                 "--out", str(out)] + budget) == 1
+    assert capsys.readouterr().err.startswith("error: InvalidBudget: ")
     assert not out.exists()
 
 
-def test_empty_solver_list_is_a_typed_error(tmp_path):
+def test_empty_solver_list_is_a_typed_error(tmp_path, capsys):
     out = tmp_path / "r.json"
-    with pytest.raises(InvalidChoice, match="solver"):
-        main(["bench", "--model", "quadratic", "--solver", ",", "--out", str(out)])
+    assert main(["bench", "--model", "quadratic", "--solver", ",", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: InvalidChoice: solver=")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "estimate", "bench"])
+def test_spec_error_is_an_error_line(command, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main([command, "--model", "quadratic", "--dim", "2", "--seeds", "0,0",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: InvalidSpec: seeds=(0, 0) repeats an entry")
+    assert not out.exists()
+
+
+def test_seeds_must_be_integers(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "--model", "quadratic", "--seeds", "0,x"])
+    assert exit_info.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+
+
+def test_parse_check_reports_each_files_own_width(tmp_path, capsys):
+    train, test = tmp_path / "train.libsvm", tmp_path / "test.libsvm"
+    train.write_text("+1 1:0.5 3:-1.2\n-1 2:1.0\n")
+    test.write_text("-1 1:2.0\n-1\n")
+    assert main(["parse-check", "--train", str(train), "--test", str(test)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary == {"train": {"m": 2, "n_f": 3, "nnz": 3, "labels": [-1.0, 1.0]},
+                       "test": {"m": 2, "n_f": 1, "nnz": 1, "labels": [-1.0]},
+                       "aligned_n_f": 3}
+
+
+def test_parse_check_stray_test_label(tmp_path, capsys):
+    train, test = tmp_path / "train.libsvm", tmp_path / "test.libsvm"
+    train.write_text("+1 1:0.5\n-1 2:1.0\n")
+    test.write_text("0 1:2.0\n")
+    assert main(["parse-check", "--train", str(train), "--test", str(test)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: LabelMismatch: ")
+
+
+def test_parse_check_error_names_its_type(tmp_path, capsys):
+    data = tmp_path / "bad.libsvm"
+    data.write_text("+1 1:0.5\nabc 1:2\n")
+    assert main(["parse-check", "--train", str(data)]) == 1
+    assert capsys.readouterr().err == "error: MalformedLine: line 2: label 'abc' is not numeric\n"

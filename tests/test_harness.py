@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sipm import (Bounds, ExperimentSpec, LogisticObjective, ProblemSpec,
+from sipm import (Bounds, ExperimentSpec, LogisticObjective, Objective, ProblemSpec,
                   QuadraticObjective, batch_sampler, canonical_report_bytes, default_chi, estimate_constants,
                   initial_point, load_constants, logistic_objective, quadratic_objective,
                   relative_performance, report_to_csv, report_to_json, run,
@@ -45,6 +45,31 @@ def test_estimate_constants_identity_quadratic():
     # gradient bound never exceeds the analytic bound over the box
     analytic = max(abs(-1.0 - c) for c in [0.3, -0.2, 0.1]) + 1.0  # loose
     assert est.kappa_inf_bar <= analytic
+
+
+class LinearObjective(Objective):
+    """f(x) = c . x: the gradient never changes, so no secant is usable."""
+
+    def __init__(self, c):
+        self.c = np.asarray(c, dtype=float)
+        self.n = self.c.size
+
+    def value(self, x):
+        return float(self.c @ x)
+
+    def gradient(self, x):
+        return self.c.copy()
+
+    def stochastic_gradient(self, x, batch):
+        return self.c.copy()
+
+
+def test_estimate_constants_keeps_the_lipschitz_placeholder_without_a_secant():
+    c = [0.4, -1.5, 0.2]
+    est = estimate_constants(LinearObjective(c), initial_point(3, 0), Bounds.cube(3, -1.0, 1.0))
+    assert est.ell_f_bar == 1.0
+    assert est.kappa_inf_bar == 1.5
+    assert est.sigma_inf_bar == 0.0
 
 
 def test_estimate_constants_oracle_recomputation():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -78,6 +80,16 @@ def test_to_arrays_maps_labels_by_sorted_order():
     ds = parse_libsvm("0 1:1\n1 2:1\n")
     _, y = ds.to_arrays()
     assert_allclose(y, [-1.0, 1.0])
+
+
+def test_to_arrays_rejects_a_label_outside_the_pinned_order():
+    ds = parse_libsvm("0 1:1\n3 1:2\n")
+    pinned = replace(ds, label_order=(0.0, 1.0))
+    with pytest.raises(LabelMismatch, match=r"\[3\.0\]"):
+        pinned.to_arrays()
+    # the pinned order, not the sorted one, decides which value is -1
+    _, y = replace(parse_libsvm("0 1:1\n1 2:1\n"), label_order=(1.0, 0.0)).to_arrays()
+    assert_allclose(y, [1.0, -1.0])
 
 
 def test_align_feature_space():

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sipm import (batch_sampler, default_hidden_width, finite_difference_gradient,
-                  logistic_dimension, logistic_objective, nn_dimension,
-                  nn_objective, quadratic_objective, synthetic_classification)
-from sipm.errors import BatchTooLarge, DimensionMismatch, NotBinary
+from sipm import (LogisticObjective, OneHiddenLayerObjective, batch_sampler,
+                  default_hidden_width, finite_difference_gradient, logistic_dimension,
+                  logistic_objective, nn_dimension, nn_objective, quadratic_objective,
+                  synthetic_classification)
+from sipm.errors import BatchTooLarge, DimensionMismatch, LabelMismatch, NotBinary
 from sipm.problems import map_labels
 
 
@@ -125,6 +126,58 @@ def test_label_mapping():
         map_labels([1.0, 2.0, 3.0])
     with pytest.raises(NotBinary):
         map_labels([1.0, 1.0])
+
+
+def test_label_mapping_in_a_pinned_order():
+    assert_allclose(map_labels([5.0, 2.0, 5.0], order=(5.0, 2.0)), [-1.0, 1.0, -1.0])
+    # a split may hold one of the two ordered values only
+    assert_allclose(map_labels([2.0, 2.0], order=(2.0, 5.0)), [-1.0, -1.0])
+    with pytest.raises(LabelMismatch, match=r"\[3\.0\]"):
+        map_labels([2.0, 3.0], order=(2.0, 5.0))
+    with pytest.raises(NotBinary):
+        map_labels([2.0], order=(2.0,))
+
+
+CONSTRUCTORS = {"logistic": LogisticObjective,
+                "nn": lambda a, y: OneHiddenLayerObjective(a, y, 3)}
+
+
+@pytest.mark.parametrize("model", sorted(CONSTRUCTORS))
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("raw", [(0.0, 1.0), (2.0, 5.0)], ids=["01", "25"])
+def test_constructors_map_any_two_labels(model, sparse, raw):
+    """The constructors take any two label values, the smaller one as -1,
+    and give the values and gradients of the -1/+1 labels bit for bit."""
+    features, labels = synthetic_classification(30, 4, seed=6)
+    if sparse:
+        import scipy.sparse
+
+        features = scipy.sparse.csr_matrix(np.where(np.abs(features) > 0.5, features, 0.0))
+    make = CONSTRUCTORS[model]
+    plain = make(features, labels)
+    mapped = make(features, np.where(labels < 0.0, raw[0], raw[1]))
+    x = np.random.default_rng(7).uniform(-0.5, 0.5, size=plain.n)
+    assert mapped.value(x) == plain.value(x)
+    assert np.array_equal(mapped.gradient(x), plain.gradient(x))
+    batch = np.array([1, 4, 9])
+    assert np.array_equal(mapped.stochastic_gradient(x, batch),
+                          plain.stochastic_gradient(x, batch))
+
+
+@pytest.mark.parametrize("model", sorted(CONSTRUCTORS))
+def test_constructors_check_the_data_shape(model):
+    features, labels = synthetic_classification(10, 3, seed=1)
+    make = CONSTRUCTORS[model]
+    with pytest.raises(DimensionMismatch):
+        make(features[:, 0], labels)
+    with pytest.raises(DimensionMismatch):
+        make(features, labels[:-1])
+    with pytest.raises(NotBinary):
+        make(features, np.arange(10.0))
+    # a NaN would otherwise pass as the second label value
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NotBinary, match="finite"):
+            make(features, np.where(labels < 0.0, bad, 1.0))
 
 
 def test_objectives_bounded_on_box():

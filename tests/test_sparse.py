@@ -19,7 +19,7 @@ from numpy.testing import assert_allclose
 from sipm import (LogisticObjective, OneHiddenLayerObjective, align_feature_space,
                   logistic_objective, nn_objective, parse_libsvm)
 from sipm.cli import main
-from sipm.problems import _as_arrays
+from sipm.problems import _labeled_data
 
 # row 3 has no features; the test split's index 9 widens the training width 7
 TRAIN = ("+1 1:0.5 3:-1.2 7:0.25\n-1 2:1.0 5:-0.75\n-1\n+1 1:-0.3 4:2.0 6:0.1\n"
@@ -79,7 +79,7 @@ def test_csr_logistic_batch_mean_is_the_full_gradient():
                          ids=["csr_matrix", "coo_array"])
 def test_as_arrays_accepts_a_sparse_pair(to_sparse):
     dense = np.array([[0.0, 1.5], [2.0, 0.0], [0.0, 0.0]])
-    features, labels = _as_arrays((to_sparse(dense), [0, 1, 1]))
+    features, labels = _labeled_data(to_sparse(dense), [0, 1, 1])
     assert features.format == "csr" and features.dtype == float
     assert_allclose(features.toarray(), dense)
     assert_allclose(labels, [-1.0, 1.0, 1.0])

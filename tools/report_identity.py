@@ -8,10 +8,12 @@ that tree first on ``PYTHONPATH``.  Prints the sha256 of each report's
 canonical bytes (the report without its ``timing`` block, as
 ``harness.canonical_report_bytes`` renders it) per shape, seed and side, and
 exits 1 if any pair differs.  Every process runs in one temporary
-directory, where the parent tree first writes the train/test pair that the
-LIBSVM shape reads, with ``synthetic_classification`` and
-``serialize_libsvm``; relative paths keep the reports' bytes, and so the
-printed hashes, the same from one call to the next.
+directory, where the parent tree first writes the train/test pairs that the
+LIBSVM shapes read, with ``synthetic_classification`` and
+``serialize_libsvm``: one pair with raw labels -1/+1 and one with the same
+rows labeled 0/1, so the label mapping of ``SparseDataset.to_arrays`` is
+checked too.  Relative paths keep the reports' bytes, and so the printed
+hashes, the same from one call to the next.
 """
 
 import argparse
@@ -42,6 +44,8 @@ SHAPES = {
                  "--audit", "full", "--trace", *THREE],
     "libsvm-pair": ["--model", "logistic", "--train", "train.libsvm", "--test", "test.libsvm",
                     "--maxiter", "100", "--seeds", "0,3", *THREE],
+    "libsvm-01-pair": ["--model", "nn", "--train", "train01.libsvm", "--test", "test01.libsvm",
+                       "--maxiter", "100", "--seeds", "0,3", *THREE],
     "baselines-only": ["--model", "quadratic", "--dim", "10", "--maxiter", "100",
                        "--solver", "psgm,proj-ipm"],
     "inadmissible-power": ["--model", "quadratic", "--dim", "5", "--maxiter", "50",
@@ -53,10 +57,13 @@ from sipm import SparseDataset, serialize_libsvm, synthetic_classification
 features, labels = synthetic_classification(300, 20, seed=11)
 rows = tuple(tuple((j + 1, float(v)) for j, v in enumerate(row) if abs(v) > 0.5)
              for row in features)
-for path, part in (("train.libsvm", slice(0, 240)), ("test.libsvm", slice(240, 300))):
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(serialize_libsvm(SparseDataset(
-            rows=rows[part], labels=tuple(float(y) for y in labels[part]), n_features=20)))
+for suffix, raw in (("", {-1.0: -1.0, 1.0: 1.0}), ("01", {-1.0: 0.0, 1.0: 1.0})):
+    for path, part in ((f"train{suffix}.libsvm", slice(0, 240)),
+                       (f"test{suffix}.libsvm", slice(240, 300))):
+        with open(path, "w", encoding="ascii") as handle:
+            handle.write(serialize_libsvm(SparseDataset(
+                rows=rows[part], labels=tuple(raw[float(y)] for y in labels[part]),
+                n_features=20)))
 """
 
 
