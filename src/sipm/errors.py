@@ -57,7 +57,8 @@ class InvalidChoice(SipmError, ValueError):
 
 
 class InvalidSpec(SipmError, ValueError):
-    """An experiment's seed list is empty, or its problem names, solvers or seeds repeat."""
+    """An experiment's seed list is empty, its problem names, solvers or seeds
+    repeat, or a problem's hidden width is below 1."""
 
 
 class InvalidConstants(SipmError, ValueError):

@@ -7,6 +7,12 @@ margin from those estimates, then run every requested solver over every seed,
 sipm first.  Each baseline cell writes its comparisons with the seed's sipm
 run, the relative performance ``(a - b) / max(a, b, 1)`` per metric, as it ends.
 
+A seed reaches a run only through the stochastic oracle: with exact gradients
+the barrier start, every solver's steps and so every row are the same for
+each seed.  A deterministic experiment therefore computes each problem's
+cells once, for its first seed, and copies that seed's runs and comparisons,
+error rows included, to the other seeds with only ``seed`` changed.
+
 Reports are plain dicts serialized with sorted keys, so regenerating a
 report from the same experiment spec and seeds is byte identical; wall-clock
 times live in an isolated ``timing`` block that is excluded from the
@@ -175,11 +181,11 @@ def resolve_maxiter(spec):
 
     Raises InvalidChoice for a mode, schedule, param_mode or audit outside
     SPEC_CHOICES, a problem model outside MODELS or a solver outside
-    SOLVERS, InvalidSpec for an empty seed list or a repeated problem name,
-    solver or seed, and InvalidBudget for a stochastic batch fraction
-    outside (0, 1] or a budget below one iteration, before any problem is
-    built.  An empty solver list is valid: it estimates the constants and
-    runs nothing.
+    SOLVERS, InvalidSpec for an empty seed list, a repeated problem name,
+    solver or seed, or a problem hidden width below 1, and InvalidBudget for
+    a stochastic batch fraction outside (0, 1] or a budget below one
+    iteration, before any problem is built.  An empty solver list is valid:
+    it estimates the constants and runs nothing.
     """
     for name, allowed in SPEC_CHOICES.items():
         if getattr(spec, name) not in allowed:
@@ -187,6 +193,9 @@ def resolve_maxiter(spec):
     for problem in spec.problems:
         if problem.model not in MODELS:
             raise InvalidChoice("model", problem.model, MODELS)
+        if problem.hidden is not None and problem.hidden < 1:
+            raise InvalidSpec(f"problem {problem.name!r}: hidden={problem.hidden} "
+                              "must be at least 1")
     for solver in spec.solvers:
         if solver not in SOLVERS:
             raise InvalidChoice("solvers", solver, SOLVERS)
@@ -305,7 +314,10 @@ def run_experiment(spec):
     Failures are recorded as error markers without aborting the rest of the
     experiment: a problem that cannot be built or whose constants cannot be
     estimated gets one marker, a seed whose schedule cannot be set up one per
-    solver cell, and a failed solver run one for its cell.
+    solver cell, and a failed solver run one for its cell.  In deterministic
+    mode only the first seed's cells run; the other seeds get copies of its
+    rows, listed under ``timing["copied_seeds::<problem>"]``, while
+    ``timing["cells"]`` times the cells that ran.
     """
     maxiter = resolve_maxiter(spec)
     audit = "full_trace" if spec.trace else SPEC_AUDIT[spec.audit]
@@ -343,7 +355,12 @@ def run_experiment(spec):
         # the interior-point run anchors the baselines' steps and comparisons,
         # so it goes first within each seed whatever order the caller listed
         ordered_solvers = sorted(spec.solvers, key=lambda s: s != "sipm")
-        for seed in spec.seeds if ordered_solvers else ():   # no cell, no set-up
+        seeds = spec.seeds if ordered_solvers else ()   # no cell, no set-up
+        # exact gradients leave the seed unread, so every seed of a
+        # deterministic spec replays the first one's block, errors included
+        computed = seeds[:1] if spec.mode == "deterministic" else seeds
+        first_run, first_comparison = len(report["runs"]), len(report["comparisons"])
+        for seed in computed:
             try:
                 # the gradient (estimate) at x1 that sizes the barrier start
                 g_probe = gradient_oracle(objective, spec.mode, spec.batch_fraction,
@@ -408,6 +425,15 @@ def run_experiment(spec):
                 except Exception as err:
                     report["runs"].append(_error_entry(problem.name, solver_name, seed, err))
                 report["timing"]["cells"][cell] = time.perf_counter() - t_cell
+
+        copied = seeds[len(computed):]
+        if copied:
+            runs = report["runs"][first_run:]
+            comparisons = report["comparisons"][first_comparison:]
+            for seed in copied:
+                report["runs"].extend(dict(row, seed=seed) for row in runs)
+                report["comparisons"].extend(dict(row, seed=seed) for row in comparisons)
+            report["timing"][f"copied_seeds::{problem.name}"] = list(copied)
 
     report["timing"]["total_s"] = time.perf_counter() - t_start
     return report

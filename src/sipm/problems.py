@@ -20,8 +20,8 @@ import math
 import numpy as np
 from scipy.special import expit
 
-from .errors import (BatchTooLarge, DimensionMismatch, InvalidChoice, LabelMismatch,
-                     NonFiniteGradient, NotBinary)
+from .errors import (BatchTooLarge, DimensionMismatch, DomainError, InvalidChoice,
+                     LabelMismatch, NonFiniteGradient, NotBinary)
 
 MODES = ("deterministic", "stochastic")
 
@@ -65,10 +65,13 @@ def map_labels(labels, order=None):
 
 
 def _labeled_data(features, labels):
-    """The one intake of both data models: a float feature matrix (CSR for
-    any scipy.sparse input, dense otherwise) of shape (m, n_f), and one label
-    per row, mapped to -1/+1 by map_labels unless it is -1/+1 already."""
-    if hasattr(features, "tocsr"):   # any scipy.sparse matrix or array
+    """The one intake of both data models: a finite float feature matrix (CSR
+    for any scipy.sparse input, dense otherwise) of shape (m, n_f) with m >= 1,
+    and one label per row, mapped to -1/+1 by map_labels unless it is -1/+1
+    already.  A NaN or infinite feature raises DomainError naming its
+    0-based row."""
+    sparse = hasattr(features, "tocsr")   # any scipy.sparse matrix or array
+    if sparse:
         from scipy.sparse import csr_matrix
 
         features = csr_matrix(features, dtype=float)
@@ -77,6 +80,12 @@ def _labeled_data(features, labels):
     labels = np.asarray(labels, dtype=float)
     if features.ndim != 2 or labels.shape != (features.shape[0],):
         raise DimensionMismatch("features must be (m, n_f) with one label per row")
+    if features.shape[0] == 0:
+        raise DimensionMismatch("features have no rows")
+    finite = np.isfinite(features.data if sparse else features)
+    if not finite.all():
+        rows = features.tocoo().row[~finite] if sparse else np.argwhere(~finite)[:, 0]
+        raise DomainError(f"feature row {rows[0]} holds a non-finite value")
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         labels = map_labels(labels)
     return features, labels
@@ -101,7 +110,7 @@ class QuadraticObjective(Objective):
         if self.center.shape != self.curvature.shape or self.center.ndim != 1:
             raise DimensionMismatch("center and curvature must be equal-length vectors")
         if np.any(self.curvature <= 0.0):
-            raise ValueError("curvature entries must be positive")
+            raise DomainError("curvature entries must be positive")
         self.n = self.center.size
         self.sample_count = int(sample_count)
         noise = np.zeros((self.sample_count, self.n))
@@ -201,7 +210,7 @@ class OneHiddenLayerObjective(Objective):
         if hidden is None:
             hidden = default_hidden_width(self.n_features)
         if hidden < 1:
-            raise ValueError("hidden width must be at least 1")
+            raise DomainError("hidden width must be at least 1")
         self.hidden = int(hidden)
         self.y01 = 0.5 * (labels + 1.0)  # {-1,+1} -> {0,1}
         self.n = (self.n_features + 2) * self.hidden + 1

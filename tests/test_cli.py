@@ -138,6 +138,17 @@ def test_spec_error_is_an_error_line(command, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bad_hidden_width_is_a_typed_error(tmp_path, capsys):
+    """The spec rejects the width before the network is built, so the run
+    exits 1 instead of writing a report whose only row is the error."""
+    out = tmp_path / "r.json"
+    assert main(["bench", "--model", "nn", "--hidden", "0", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: InvalidSpec: problem 'nn': hidden=0 must be at least 1\n"
+    assert not out.exists()
+
+
 def test_seeds_must_be_integers(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["bench", "--model", "quadratic", "--seeds", "0,x"])

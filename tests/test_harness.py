@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import json
 
 import numpy as np
@@ -182,8 +184,10 @@ def test_unknown_choice_is_a_typed_error(name, value, monkeypatch):
     (dict(problems=(ProblemSpec(name="p", model="quadratic", dim=3),
                     ProblemSpec(name="p", model="quadratic", dim=4))), InvalidSpec, "problems"),
     (dict(problems=(ProblemSpec(name="toy", model="quadrtic"),)), InvalidChoice, "'quadrtic'"),
+    (dict(problems=(ProblemSpec(name="net", model="nn", hidden=0),)), InvalidSpec,
+     "hidden=0"),
 ], ids=["unknown-solver", "repeated-solver", "no-seeds", "repeated-seed",
-        "repeated-problem-name", "unknown-model"])
+        "repeated-problem-name", "unknown-model", "hidden-0"])
 def test_bad_solver_or_seed_list_fails_before_any_problem(fault, error, match,
                                                           monkeypatch):
     def no_build(problem, spec):
@@ -329,8 +333,8 @@ def test_report_json_parses_back():
     assert parsed["config"]["resolved_maxiter"] == 20
 
 
-def test_logistic_testsplit_metrics(tmp_path):
-    # synthetic train/test files exercise the file path and aligned metrics
+def libsvm_pair_problem(tmp_path):
+    """A logistic problem on a synthetic LIBSVM train/test pair in tmp_path."""
     A, y = synthetic_classification(40, 3, seed=8)
     rows = []
     for row, label in zip(A, y):
@@ -340,9 +344,13 @@ def test_logistic_testsplit_metrics(tmp_path):
     test_path = tmp_path / "test.libsvm"
     train_path.write_text("\n".join(rows[:30]) + "\n")
     test_path.write_text("\n".join(rows[30:]) + "\n")
-    problem = ProblemSpec(name="file", model="logistic",
-                          train_path=str(train_path), test_path=str(test_path))
-    report = run_experiment(ExperimentSpec(problems=(problem,),
+    return ProblemSpec(name="file", model="logistic",
+                       train_path=str(train_path), test_path=str(test_path))
+
+
+def test_logistic_testsplit_metrics(tmp_path):
+    # synthetic train/test files exercise the file path and aligned metrics
+    report = run_experiment(ExperimentSpec(problems=(libsvm_pair_problem(tmp_path),),
                                            solvers=("sipm",), maxiter=40))
     entry = report["runs"][0]
     assert "final_objective_test" in entry
@@ -455,3 +463,79 @@ def test_theory_buffers_reach_the_sipm_run(monkeypatch):
     buffers = configs[-1].buffers   # the cell run, after the bootstrap
     assert (buffers.mode, buffers.alpha_buff_base, buffers.gamma_buff_base,
             buffers.t_mu) == ("theory", 0.5, 2.0, -0.5)
+
+
+def count_cells(monkeypatch):
+    """Count the solver runs of experiment cells: run() outside the constant
+    bootstrap, run_psgm and run_simplified."""
+    calls = collections.Counter()
+    original_run = harness.run
+
+    def run_cell(objective, config, x1, observer=None):
+        calls["run"] += config.maxiter != harness.BOOTSTRAP_ITERS
+        return original_run(objective, config, x1, observer)
+
+    monkeypatch.setattr(harness, "run", run_cell)
+    for name in ("run_psgm", "run_simplified"):
+        def counted(*args, _name=name, _original=getattr(harness, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode, runs_per_solver, copied", [
+    ("deterministic", 1, [1, 2]), ("stochastic", 3, None)])
+def test_deterministic_cells_run_once_for_every_seed(mode, runs_per_solver, copied,
+                                                     monkeypatch):
+    """Exact gradients give every seed the same rows, so each solver runs once
+    for a three-seed deterministic spec; a stochastic spec runs each seed."""
+    calls = count_cells(monkeypatch)
+    report = run_experiment(small_spec(mode=mode, seeds=(0, 1, 2)))
+    assert calls == {"run": runs_per_solver, "run_psgm": runs_per_solver,
+                     "run_simplified": runs_per_solver}
+    assert [(r["solver"], r["seed"]) for r in report["runs"]] == [
+        (solver, seed) for seed in (0, 1, 2) for solver in ("sipm", "psgm", "proj-ipm")]
+    assert not any("error" in r for r in report["runs"])
+    assert report["timing"].get("copied_seeds::toy") == copied
+
+
+COPY_CASES = {
+    "quadratic-trace-audit": lambda tmp_path: small_spec(trace=True, audit="full"),
+    "logistic-libsvm-pair": lambda tmp_path: small_spec(
+        problems=(libsvm_pair_problem(tmp_path),), maxiter=40),
+    # t_theta != t_mu: the sipm cell is an error row, psgm runs unanchored
+    "inadmissible-power": lambda tmp_path: small_spec(schedule="power",
+                                                      exponents=(-1.0, 0.5, 0.0)),
+    # a two-entry exponent tuple fails the seed's set-up, before any cell
+    "failed-set-up": lambda tmp_path: small_spec(schedule="power", exponents=(-1.0, -1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COPY_CASES))
+def test_deterministic_seeds_copy_the_single_seed_reports(case, tmp_path):
+    """A deterministic multi-seed report holds the rows that each seed's own
+    single-seed report holds, errors included; only the first seed's cells
+    run, and the timing block names the seeds that got copies."""
+    spec = dataclasses.replace(COPY_CASES[case](tmp_path), seeds=(0, 4, 2))
+    report = run_experiment(spec)
+    singles = [run_experiment(dataclasses.replace(spec, seeds=(seed,)))
+               for seed in spec.seeds]
+    for block in ("runs", "comparisons"):
+        assert report[block] == [row for single in singles for row in single[block]]
+        assert report[block] == [dict(row, seed=seed) for seed in spec.seeds
+                                 for row in singles[0][block]]
+
+    name = spec.problems[0].name
+    ran = {int(cell.rsplit("::", 1)[1]) for cell in report["timing"]["cells"]}
+    copied = report["timing"][f"copied_seeds::{name}"]
+    assert copied == [4, 2]
+    if case == "failed-set-up":   # no cell got as far as its solver
+        assert ran == set() and all("error" in r for r in report["runs"])
+    else:
+        assert ran == {0} and sorted(ran | set(copied)) == sorted(spec.seeds)
+    if case == "inadmissible-power":
+        assert [("error" in r) for r in report["runs"]] == [True, False, False] * 3
+    if case == "quadratic-trace-audit":
+        assert all(len(r["trace"]) == 60 for r in report["runs"] if r["solver"] == "sipm")

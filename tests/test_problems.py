@@ -8,7 +8,8 @@ from sipm import (LogisticObjective, OneHiddenLayerObjective, batch_sampler,
                   default_hidden_width, finite_difference_gradient, logistic_dimension,
                   logistic_objective, nn_dimension, nn_objective, quadratic_objective,
                   synthetic_classification)
-from sipm.errors import BatchTooLarge, DimensionMismatch, LabelMismatch, NotBinary
+from sipm.errors import (BatchTooLarge, DimensionMismatch, DomainError, LabelMismatch,
+                         NotBinary)
 from sipm.problems import map_labels
 
 
@@ -178,6 +179,45 @@ def test_constructors_check_the_data_shape(model):
     for bad in (np.nan, np.inf):
         with pytest.raises(NotBinary, match="finite"):
             make(features, np.where(labels < 0.0, bad, 1.0))
+
+
+def _features(dense, sparse):
+    if not sparse:
+        return dense
+    import scipy.sparse
+
+    return scipy.sparse.csr_matrix(dense)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("model", sorted(CONSTRUCTORS))
+def test_constructors_reject_data_without_rows(model, sparse):
+    """Zero rows would build, and the value would be a mean of nothing."""
+    with pytest.raises(DimensionMismatch, match="no rows"):
+        CONSTRUCTORS[model](_features(np.zeros((0, 3)), sparse), np.zeros(0))
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("model", sorted(CONSTRUCTORS))
+def test_constructors_name_the_first_non_finite_feature_row(model, sparse):
+    """A NaN or infinite feature fails at the intake, naming its row, not in
+    the oracle as a non-finite gradient."""
+    features, labels = synthetic_classification(20, 3, seed=1)
+    for bad in (np.nan, np.inf, -np.inf):
+        spoiled = features.copy()
+        spoiled[12, 0] = spoiled[7, 2] = bad
+        with pytest.raises(DomainError, match="row 7 "):
+            CONSTRUCTORS[model](_features(spoiled, sparse), labels)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: OneHiddenLayerObjective(*synthetic_classification(10, 3, seed=1), 0),
+    lambda: quadratic_objective([0.1, 0.2], [1.0, 0.0]),
+    lambda: quadratic_objective([0.1, 0.2], [-1.0, 2.0]),
+], ids=["hidden-0", "zero-curvature", "negative-curvature"])
+def test_model_sizes_outside_the_domain_are_typed_errors(make):
+    with pytest.raises(DomainError):
+        make()
 
 
 def test_objectives_bounded_on_box():

@@ -26,14 +26,17 @@ import tempfile
 
 SEEDS = (0, 7)
 THREE = ["--solver", "sipm,psgm,proj-ipm"]
+QUAD_POWER_AUDIT = ["--model", "quadratic", "--dim", "10", "--maxiter", "150",
+                    "--schedule", "power", "--t-mu", "-0.5", "--t-theta", "-0.5",
+                    "--t-alpha", "-0.25", "--audit", "full", "--trace",
+                    "--solver", "psgm,sipm,proj-ipm"]
+INADMISSIBLE_POWER = ["--model", "quadratic", "--dim", "5", "--maxiter", "50",
+                      "--schedule", "power", "--t-theta", "0.5", *THREE]
 # name -> bench arguments
 SHAPES = {
     "quad-det": ["--model", "quadratic", "--dim", "50", "--maxiter", "200",
                  "--seeds", "0,1,2", *THREE],
-    "quad-power-audit": ["--model", "quadratic", "--dim", "10", "--maxiter", "150",
-                         "--schedule", "power", "--t-mu", "-0.5", "--t-theta", "-0.5",
-                         "--t-alpha", "-0.25", "--audit", "full", "--trace",
-                         "--solver", "psgm,sipm,proj-ipm"],
+    "quad-power-audit": QUAD_POWER_AUDIT,
     "logreg-stoch": ["--model", "logistic", "--mode", "stoch", "--epochs", "1",
                      "--dim", "10", "--samples", "400", "--trace", *THREE],
     "logreg-stoch-theory": ["--model", "logistic", "--mode", "stoch", "--epochs", "1",
@@ -48,8 +51,11 @@ SHAPES = {
                        "--maxiter", "100", "--seeds", "0,3", *THREE],
     "baselines-only": ["--model", "quadratic", "--dim", "10", "--maxiter", "100",
                        "--solver", "psgm,proj-ipm"],
-    "inadmissible-power": ["--model", "quadratic", "--dim", "5", "--maxiter", "50",
-                           "--schedule", "power", "--t-theta", "0.5", *THREE],
+    "inadmissible-power": INADMISSIBLE_POWER,
+    # deterministic multi-seed specs copy the first seed's rows: trace rows here,
+    # error rows in the next
+    "quad-power-audit-seeds": [*QUAD_POWER_AUDIT, "--seeds", "0,1,2"],
+    "inadmissible-power-seeds": [*INADMISSIBLE_POWER, "--seeds", "0,1"],
 }
 
 WRITE_PAIR = """
