@@ -58,7 +58,7 @@ class InvalidChoice(SipmError, ValueError):
 
 class InvalidSpec(SipmError, ValueError):
     """An experiment's seed list is empty, its problem names, solvers or seeds
-    repeat, or a problem's hidden width is below 1."""
+    repeat, a problem's hidden width is below 1, or its bounds are bad."""
 
 
 class InvalidConstants(SipmError, ValueError):

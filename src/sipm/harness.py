@@ -25,6 +25,8 @@ import csv
 import hashlib
 import io
 import json
+import math
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass
@@ -181,11 +183,13 @@ def resolve_maxiter(spec):
 
     Raises InvalidChoice for a mode, schedule, param_mode or audit outside
     SPEC_CHOICES, a problem model outside MODELS or a solver outside
-    SOLVERS, InvalidSpec for an empty seed list, a repeated problem name,
-    solver or seed, or a problem hidden width below 1, and InvalidBudget for
-    a stochastic batch fraction outside (0, 1] or a budget below one
-    iteration, before any problem is built.  An empty solver list is valid:
-    it estimates the constants and runs nothing.
+    SOLVERS, InvalidSpec for bounds that are not two numbers lo < hi (neither
+    NaN) with a finite side, an infinite side under a quadratic problem, an
+    empty seed list, a repeated problem name, solver or seed, or a problem
+    hidden width below 1, and InvalidBudget for a stochastic batch fraction
+    outside (0, 1] or a budget below one iteration, before any problem is
+    built.  An empty solver list is valid: it estimates the constants and
+    runs nothing.
     """
     for name, allowed in SPEC_CHOICES.items():
         if getattr(spec, name) not in allowed:
@@ -199,6 +203,18 @@ def resolve_maxiter(spec):
     for solver in spec.solvers:
         if solver not in SOLVERS:
             raise InvalidChoice("solvers", solver, SOLVERS)
+    try:
+        lo, hi = spec.bounds
+    except (TypeError, ValueError):
+        raise InvalidSpec(f"bounds={spec.bounds!r} must be two numbers") from None
+    if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)) \
+            or not lo < hi or math.isinf(lo) and math.isinf(hi):
+        raise InvalidSpec(f"bounds={spec.bounds!r} must be two numbers lo < hi, "
+                          "neither NaN, with at least one finite")
+    for problem in spec.problems:
+        if problem.model == "quadratic" and not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InvalidSpec(f"problem {problem.name!r}: a quadratic's center is drawn "
+                              f"inside the box, so bounds={spec.bounds!r} must be finite")
     if not spec.seeds:
         raise InvalidSpec("the seed list is empty")
     names = tuple(problem.name for problem in spec.problems)

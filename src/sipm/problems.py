@@ -334,8 +334,9 @@ def gradient_oracle(objective, mode, batch_fraction, seed):
     mean over a fresh batch of ``ceil(batch_fraction * m)`` samples (at least
     one) per call, drawn from ``batch_sampler`` under ``seed``, so two
     oracles built with the same seed see the same batch stream.  A gradient
-    with a NaN or infinite entry raises NonFiniteGradient naming the 1-based
-    call count, which is the iteration number in every solver loop.  A mode
+    with a NaN or infinite entry raises NonFiniteGradient, and one whose shape
+    differs from x's raises DimensionMismatch, each naming the 1-based call
+    count, which is the iteration number in every solver loop.  A mode
     outside MODES raises InvalidChoice.
     """
     if mode not in MODES:
@@ -356,6 +357,9 @@ def gradient_oracle(objective, mode, batch_fraction, seed):
     def gradient(x):
         g = draw(x)
         k = next(calls)
+        if np.shape(g) != np.shape(x):
+            raise DimensionMismatch(f"iteration {k}: the gradient oracle returned shape "
+                                    f"{np.shape(g)} for x of shape {np.shape(x)}")
         if not np.isfinite(g).all():
             raise NonFiniteGradient(k, "the gradient oracle returned a non-finite entry")
         return g

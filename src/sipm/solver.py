@@ -2,10 +2,11 @@
 
 Every iterate is kept inside a shrinking inner neighborhood of the box by a
 closed-form ratio test, so no fraction-to-the-boundary rule, line search, or
-step acceptance test is needed.  The loop runs with either exact gradients
-or seeded mini-batch estimates; with auditing enabled each iteration is
-checked against the contracts the step-size rules are supposed to guarantee
-and any failure raises InvariantViolation.
+step acceptance test is needed.  ``sipm_step`` takes the slacks of x once and
+``stepsize._step`` does the rest of the step.  The loop runs with either exact
+gradients or seeded mini-batch estimates; with auditing enabled each step is
+checked, on its record's slacks, against the contracts the step-size rules are
+supposed to guarantee and any failure raises InvariantViolation.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .geometry import (DELTA_CAP, Bounds, KktCertificate, _barrier_gradient, def
 from .problems import MODES, gradient_oracle
 from .schedules import (BufferSequences, PowerSchedule, StaircaseSchedule, sequences,
                         validate_exponents)
-from .stepsize import Constants, ScheduleContext, _step_sizes, local_lipschitz, ratio_test
+from .stepsize import Constants, _slack_products, _step
 
 CONFIG_CHOICES = {"mode": MODES,
                   "hk_strategy": ("practical", "identity"),
@@ -100,7 +101,7 @@ def _hk(lo, up, mu, ell_f_bar, strategy):
         diag = np.ones(lo.size)
     else:
         raise ValueError(f"unknown scaling strategy {strategy!r}")
-    return diag, float(np.min(diag)), float(np.max(diag))
+    return diag, float(diag.min()), float(diag.max())
 
 
 def _rel_ok(lhs, rhs, tol):
@@ -109,53 +110,44 @@ def _rel_ok(lhs, rhs, tol):
 
 
 def sipm_step(x, k, g, config, delta, seq):
-    """Iteration k from x: scaling, barrier gradient, step sizes, ratio test, update.
+    """Iteration k from x: scaling, barrier gradient, then ``stepsize._step``.
 
     ``g`` is the (estimated) gradient at x, ``seq`` the run's ``sequences``
     table.  Returns the step's one record, a dict that ``run`` hands to its
     observer and takes its stall count, step sizes, audits and trace row from.
 
-    Every quantity derives from the slacks of x, taken once.  Nothing is
-    validated here: ``run`` checks its inputs at entry, and the final clip
-    keeps x_next in the theta_k (the next prior) neighborhood.
+    Every quantity derives from the slacks of x, taken once and kept as the
+    record's lo/up.  Nothing is validated: ``run`` checks its inputs at entry,
+    and the final clip keeps x_next in the theta_k (the next prior) neighborhood.
     """
     mu_k, theta_k, theta_prev = seq["mu"][k], seq["theta"][k], seq["theta"][k - 1]
-    bounds = config.bounds
-
-    lo, up = slacks(x, bounds)
+    lo, up = slacks(x, config.bounds)
     h_diag, lam_min, lam_max = _hk(lo, up, mu_k, config.constants.ell_f, config.hk_strategy)
     q = _barrier_gradient(g, lo, up, mu_k)
-    ctx = ScheduleContext(mu_k=mu_k, theta_k=theta_k, theta_prev=theta_prev,
-                          t_alpha=config.schedule.t_alpha,
-                          alpha_buff=seq["alpha_buff"][k],
-                          gamma_buff=seq["gamma_buff"][k])
-    bundle, d = _step_sizes(x, lo, up, q, h_diag, lam_min, k, bounds, ctx,
-                            config.constants, delta, config.mode == "stochastic")
-    gamma_k = ratio_test(x, d, bundle.alpha_k, bounds, theta_k, bundle.gamma_max)
-    x_next = x + (gamma_k * bundle.alpha_k) * d
-    # The binding ratio is exact in real arithmetic; the fused update can land
-    # an ulp outside the neighborhood, so snap it back.
-    x_next = np.clip(x_next, bounds.lower + theta_k, bounds.upper - theta_k)
-
-    step = dict(k=k, x=x, x_next=x_next, g=g, q=q, d=d,
+    bundle, d, gamma_k, x_next = _step(
+        x, lo, up, q, h_diag, lam_min, k, config.bounds, mu_k, theta_k, theta_prev,
+        config.schedule.t_alpha, seq["alpha_buff"][k], seq["gamma_buff"][k],
+        config.constants, delta, config.mode == "stochastic")
+    step = dict(k=k, x=x, x_next=x_next, g=g, q=q, d=d, lo=lo, up=up,
                 h_diag=h_diag, lam_min=lam_min, lam_max=lam_max,
                 bundle=bundle, gamma_k=gamma_k, mu_k=mu_k,
                 theta_k=theta_k, theta_prev=theta_prev,
-                stalled=gamma_k == 0.0 and bool(np.any(d != 0.0)))
+                stalled=gamma_k == 0.0 and bool((d != 0.0).any()))
     if config.audit_level != "off":
         _audit_step(config, step)
     return step
 
 
 def _audit_step(config, step):
-    k, x, x_next, q, d = step["k"], step["x"], step["x_next"], step["q"], step["d"]
+    k, x_next, q, d = step["k"], step["x_next"], step["q"], step["d"]
     bundle, gamma_k, mu_k, theta_k = step["bundle"], step["gamma_k"], step["mu_k"], step["theta_k"]
-    bounds = config.bounds
+    bounds, ell_f = config.bounds, config.constants.ell_f
     if not in_neighborhood(x_next, bounds, theta_k):
         raise InvariantViolation(k, "next iterate left the theta_k neighborhood")
     tol = 1e-12
-    ell_pair = local_lipschitz(mu_k, x, x_next, bounds, config.constants.ell_f)
-    ell_cap = config.constants.ell_f + 2.0 * mu_k / theta_k ** 2
+    a, b = _slack_products(step["lo"], step["up"], *require_interior(x_next, bounds))
+    ell_pair = ell_f + mu_k / a + mu_k / b
+    ell_cap = ell_f + 2.0 * mu_k / theta_k ** 2
     if not _rel_ok(ell_pair, bundle.ell_k, tol):
         raise InvariantViolation(k, "segment Lipschitz constant exceeds ell_k")
     if not _rel_ok(bundle.ell_k, ell_cap, tol):
@@ -168,7 +160,7 @@ def _audit_step(config, step):
         raise InvariantViolation(k, "gamma_k escaped [gamma_min, gamma_max]")
     if not _rel_ok(gamma_k * bundle.alpha_k, bundle.gamma_bar * bundle.alpha_pre, tol):
         raise InvariantViolation(k, "realized step exceeds the look-ahead step")
-    if np.any(q != 0.0) and not float(q @ d) < 0.0:
+    if (q != 0.0).any() and not float(q @ d) < 0.0:
         raise InvariantViolation(k, "direction is not a descent direction for q")
 
 

@@ -1,16 +1,15 @@
 """Slack-product Lipschitz machinery and the step-size pipeline.
 
-The step size of one iteration is assembled in a fixed order: the floor
-alpha_min from the conservative curvature bound, the ceiling alpha_max from
-the buffer allowance, a look-ahead step alpha_pre from the current point's
-own slacks, the largest admissible fraction gamma_bar of that look-ahead
-step, the local Lipschitz constant ell_k along the look-ahead segment, and
-finally alpha_k itself.  The step-fraction floor gamma_min and ceiling
-gamma_max are built from alpha_max so they are available before any ratio
-test runs.
+``_step`` owns one iteration after the scaling H_k and the barrier gradient q,
+in a fixed order: alpha_min from the conservative curvature bound, alpha_max
+from the buffer allowance, gamma_min and gamma_max from alpha_max, the
+look-ahead step alpha_pre from the current point's own slacks, its largest
+admissible fraction gamma_bar, ell_k along the look-ahead segment, alpha_k,
+the ratio test's gamma_k and the clipped update.  It takes the neighborhood
+sides and the ratio-test margin once, for both ratio tests and the clip.
 
-Public functions validate their input, then call the slack-based helpers
-(leading underscore) that the solver kernel calls with its own slacks.
+Public functions validate their input, then call the same slack-based helpers
+(leading underscore) as the solver kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInPriorNeighborhood
-from .geometry import in_neighborhood, require_interior, slacks
+from .geometry import in_neighborhood, require_interior
 
 
 @dataclass(frozen=True)
@@ -70,24 +69,21 @@ class StepSizeBundle:
 def slack_products(x, xbar, bounds):
     """a = min_i (x_i - l_i) * min(x_i - l_i, xbar_i - l_i) over finite lower
     sides, and the analogous product b over finite upper sides."""
-    return _slack_products(*require_interior(x, bounds), *require_interior(xbar, bounds))
+    return SlackProducts(*_slack_products(*require_interior(x, bounds),
+                                          *require_interior(xbar, bounds)))
 
 
 def _slack_products(lo_x, up_x, lo_b, up_b):
-    """slack_products from the slacks of x and of xbar; an open side's
-    infinite slacks give an infinite product, which the minimum ignores."""
-    return SlackProducts(a=float(np.min(lo_x * np.minimum(lo_x, lo_b))),
-                         b=float(np.min(up_x * np.minimum(up_x, up_b))))
+    """The minima (a, b) of slack_products from the slacks of x and of xbar;
+    an open side's infinite slacks give infinite products, which min ignores."""
+    return (float((lo_x * np.minimum(lo_x, lo_b)).min()),
+            float((up_x * np.minimum(up_x, up_b)).min()))
 
 
 def local_lipschitz(mu, x, xbar, bounds, ell_f):
     """Lipschitz constant of the barrier gradient on the segment [x, xbar]:
     ell_f + mu/a + mu/b with mu/inf = 0."""
-    return _lipschitz(mu, slack_products(x, xbar, bounds), ell_f)
-
-
-def _lipschitz(mu, products, ell_f):
-    """ell_f + mu/a + mu/b for the slack products (a, b)."""
+    products = slack_products(x, xbar, bounds)
     return ell_f + mu / products.a + mu / products.b
 
 
@@ -103,9 +99,14 @@ def ratio_test(x, direction, scale, bounds, theta, gamma_max):
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(direction, dtype=float)
-    target = np.where(d < 0.0, bounds.lower + theta, bounds.upper - theta)
+    margin = np.where(d < 0.0, bounds.lower + theta, bounds.upper - theta) - x
+    return _ratio(margin, d, scale, gamma_max)
+
+
+def _ratio(margin, d, scale, gamma_max):
+    """ratio_test from the margin to the side each coordinate moves to."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = (target - x) / (scale * d)
+        ratios = margin / (scale * d)
     # fmin skips a NaN ratio, so a NaN direction entry imposes no limit
     gamma = min(float(gamma_max), float(np.fmin.reduce(ratios, where=d != 0.0, initial=np.inf)))
     return max(0.0, gamma)
@@ -125,35 +126,42 @@ def step_size_bundle(x, q, h_diag, k, bounds, sched, constants, delta, stochasti
         raise NotInPriorNeighborhood(
             f"iterate left the previous neighborhood (theta={sched.theta_prev})")
     h_diag = np.asarray(h_diag, dtype=float)
-    return _step_sizes(np.asarray(x, dtype=float), lo, up, np.asarray(q, dtype=float), h_diag,
-                       float(np.min(h_diag)), k, bounds, sched, constants, delta, stochastic)[0]
+    return _step(np.asarray(x, dtype=float), lo, up, np.asarray(q, dtype=float), h_diag,
+                 float(h_diag.min()), k, bounds, sched.mu_k, sched.theta_k, sched.theta_prev,
+                 sched.t_alpha, sched.alpha_buff, sched.gamma_buff, constants, delta,
+                 stochastic)[0]
 
 
-def _step_sizes(x, lo, up, q, h_diag, lam_min, k, bounds, sched, constants, delta,
-                stochastic):
-    """step_size_bundle from the slacks (lo, up) of x and the smallest entry
-    lam_min of h_diag; also returns the scaled direction d = -q / h_diag."""
+def _step(x, lo, up, q, h_diag, lam_min, k, bounds, mu, theta_k, theta_prev, t_alpha,
+          alpha_buff, gamma_buff, constants, delta, stochastic):
+    """One step from x, its slacks (lo, up) and lam_min = min(h_diag): returns
+    (bundle, d = -q / h_diag, gamma_k, x_next), x_next clipped to theta_k."""
     if not lam_min > 0.0:
         raise ValueError("scaling diagonal must be strictly positive")
-    k_pow = float(k) ** sched.t_alpha
-    mu = sched.mu_k
-    alpha_min = lam_min * k_pow / (constants.ell_f + 2.0 * mu / sched.theta_k ** 2)
-    alpha_max = alpha_min + sched.alpha_buff
+    k_pow = float(k) ** t_alpha
+    alpha_min = lam_min * k_pow / (constants.ell_f + 2.0 * mu / theta_k ** 2)
+    alpha_max = alpha_min + alpha_buff
 
     grad_bound = constants.kappa_inf + (constants.sigma_inf if stochastic else 0.0)
-    bracket = 0.5 * mu * delta / (mu + 0.5 * grad_bound * delta) - sched.theta_k
-    gamma_min = min(1.0, lam_min * bracket
-                    / (alpha_max * (grad_bound + mu / sched.theta_prev)))
-    gamma_max = min(1.0, gamma_min + sched.gamma_buff)
+    bracket = 0.5 * mu * delta / (mu + 0.5 * grad_bound * delta) - theta_k
+    gamma_min = min(1.0, lam_min * bracket / (alpha_max * (grad_bound + mu / theta_prev)))
+    gamma_max = min(1.0, gamma_min + gamma_buff)
 
-    self_products = _slack_products(lo, up, lo, up)
-    alpha_pre = lam_min * k_pow / _lipschitz(mu, self_products, constants.ell_f)
+    a, b = _slack_products(lo, up, lo, up)
+    alpha_pre = lam_min * k_pow / (constants.ell_f + mu / a + mu / b)
     d = -q / h_diag
-    gamma_bar = ratio_test(x, d, alpha_pre, bounds, sched.theta_k, gamma_max)
-    lo_pre, up_pre = slacks(x + (gamma_bar * alpha_pre) * d, bounds)
-    ell_k = _lipschitz(mu, _slack_products(lo, up, lo_pre, up_pre), constants.ell_f)
+    inner_lo, inner_up = bounds.lower + theta_k, bounds.upper - theta_k
+    margin = np.where(d < 0.0, inner_lo, inner_up) - x
+    gamma_bar = _ratio(margin, d, alpha_pre, gamma_max)
+    x_pre = x + (gamma_bar * alpha_pre) * d
+    a, b = _slack_products(lo, up, x_pre - bounds.lower, bounds.upper - x_pre)
+    ell_k = constants.ell_f + mu / a + mu / b
     alpha_k = min(lam_min * k_pow / ell_k, alpha_max)
 
-    return StepSizeBundle(alpha_min=alpha_min, alpha_pre=alpha_pre,
-                          gamma_bar=gamma_bar, ell_k=ell_k, alpha_max=alpha_max,
-                          alpha_k=alpha_k, gamma_min=gamma_min, gamma_max=gamma_max), d
+    gamma_k = _ratio(margin, d, alpha_k, gamma_max)
+    # The binding ratio is exact in real arithmetic; the fused update can land
+    # an ulp outside the neighborhood, so snap it back.
+    x_next = (x + (gamma_k * alpha_k) * d).clip(inner_lo, inner_up)
+    return StepSizeBundle(alpha_min=alpha_min, alpha_pre=alpha_pre, gamma_bar=gamma_bar,
+                          ell_k=ell_k, alpha_max=alpha_max, alpha_k=alpha_k,
+                          gamma_min=gamma_min, gamma_max=gamma_max), d, gamma_k, x_next

@@ -8,8 +8,8 @@ from sipm import (Bounds, BufferSequences, Constants, SolverConfig, build_stairc
                   c_constant, estimate_constants, gradient_oracle, in_neighborhood,
                   match_sipm_endpoints, psgm_step, quadratic_objective, recurrence_ratio,
                   run, run_psgm, run_simplified, simplified_ipm_step, theta0_init)
-from sipm.errors import (DomainError, InvalidBudget, InvalidChoice, NonFiniteGradient,
-                         ThetaLinkViolation)
+from sipm.errors import (DimensionMismatch, DomainError, InvalidBudget, InvalidChoice,
+                         NonFiniteGradient, ThetaLinkViolation)
 
 
 def test_psgm_step_examples():
@@ -169,24 +169,40 @@ def test_baselines_reject_nonpositive_batch_fraction(baseline, fraction):
                            mode="stochastic", batch_fraction=fraction)
 
 
+SOLVERS = ("sipm", "psgm", "proj-ipm")
+# gradients of the wrong shape for n = 2: too short, a scalar, a column, too long
+BAD_SHAPES = {"length-1": (1,), "scalar": (), "column": (2, 1), "length-3": (3,)}
+
+
 @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
-@pytest.mark.parametrize("solver", ["sipm", "psgm", "proj-ipm"])
-def test_nan_gradient_names_its_iteration(solver, mode):
-    """A non-finite gradient fails where it appears, as NonFiniteGradient
-    naming the iteration, not one iteration later as a geometry error."""
+@pytest.mark.parametrize("solver, shape", [
+    *(pytest.param(solver, None, id=solver) for solver in SOLVERS),
+    *(pytest.param(solver, shape, id=f"{solver}-{name}")
+      for solver in SOLVERS for name, shape in BAD_SHAPES.items())])
+def test_nan_gradient_names_its_iteration(solver, shape, mode):
+    """A non-finite gradient (shape None) fails where it appears, as
+    NonFiniteGradient naming the iteration, not one iteration later as a
+    geometry error; a gradient whose shape is not x's fails there as
+    DimensionMismatch naming both shapes, instead of broadcasting silently
+    or failing as an untyped numpy error."""
     obj = quadratic_objective([0.2, -0.1], [1.0, 2.0], noise_level=0.1,
                               sample_count=20, seed=1)
-    exact = obj.gradient
+    # corrupt what the oracle reads; the mini-batch noise would broadcast a short one
+    name = "gradient" if mode == "deterministic" else "stochastic_gradient"
+    exact = getattr(obj, name)
     calls = []
 
-    def gradient(x):
+    def gradient(*args):
         calls.append(1)
-        return exact(x) * (np.nan if len(calls) == 3 else 1.0)
+        g = exact(*args)
+        if len(calls) != 3:
+            return g
+        return g * np.nan if shape is None else np.resize(g, shape)
 
-    obj.gradient = gradient
+    setattr(obj, name, gradient)
     bounds = Bounds.cube(2, -1.0, 1.0)
     x1, maxiter = np.zeros(2), 10
-    with pytest.raises(NonFiniteGradient) as err:
+    with pytest.raises(NonFiniteGradient if shape is None else DimensionMismatch) as err:
         if solver == "sipm":
             config = SolverConfig(mode=mode, bounds=bounds,
                                   schedule=build_staircase(0.1, maxiter, theta0=0.05),
@@ -201,8 +217,12 @@ def test_nan_gradient_names_its_iteration(solver, mode):
         else:
             run_simplified(obj, bounds, np.full(maxiter, 0.1), 2.0, 0.5, x1, maxiter,
                            mode=mode, batch_fraction=0.1)
-    assert err.value.k == 3
-    assert "iteration 3" in str(err.value)
+    if shape is None:
+        assert err.value.k == 3
+        assert "iteration 3" in str(err.value)
+    else:
+        assert str(err.value) == (f"iteration 3: the gradient oracle returned shape {shape} "
+                                  "for x of shape (2,)")
 
 
 MODE_ENTRIES = {

@@ -149,6 +149,22 @@ def test_bad_hidden_width_is_a_typed_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bounds, message", [
+    (["--bounds", "1", "-1"], "bounds=(1.0, -1.0) must be two numbers lo < hi"),
+    (["--model", "quadratic", "--bounds", "-1", "inf"],
+     "problem 'quadratic': a quadratic's center is drawn inside the box"),
+], ids=["reversed", "open-quadratic"])
+def test_bad_bounds_are_a_typed_error(bounds, message, tmp_path, capsys):
+    """A bad box fails before any problem is built, with exit status 1,
+    instead of a report whose rows are untyped numpy errors."""
+    out = tmp_path / "r.json"
+    assert main(["bench", *bounds, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: InvalidSpec: {message}")
+    assert not out.exists()
+
+
 def test_seeds_must_be_integers(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["bench", "--model", "quadratic", "--seeds", "0,x"])

@@ -186,8 +186,19 @@ def test_unknown_choice_is_a_typed_error(name, value, monkeypatch):
     (dict(problems=(ProblemSpec(name="toy", model="quadrtic"),)), InvalidChoice, "'quadrtic'"),
     (dict(problems=(ProblemSpec(name="net", model="nn", hidden=0),)), InvalidSpec,
      "hidden=0"),
+    (dict(bounds=(1.0, -1.0)), InvalidSpec, "lo < hi"),
+    (dict(problems=(ProblemSpec(name="lr", model="logistic"),), bounds=(1.0, 1.0)),
+     InvalidSpec, "lo < hi"),
+    (dict(bounds=(np.nan, 1.0)), InvalidSpec, "neither NaN"),
+    (dict(problems=(ProblemSpec(name="lr", model="logistic"),), bounds=(-np.inf, np.inf)),
+     InvalidSpec, "at least one finite"),
+    (dict(bounds=(-1.0, np.inf)), InvalidSpec, "'toy': a quadratic's center"),
+    (dict(bounds=(-1.0,)), InvalidSpec, "must be two numbers"),
+    (dict(bounds=("-1", 1.0)), InvalidSpec, "must be two numbers"),
 ], ids=["unknown-solver", "repeated-solver", "no-seeds", "repeated-seed",
-        "repeated-problem-name", "unknown-model", "hidden-0"])
+        "repeated-problem-name", "unknown-model", "hidden-0", "bounds-reversed",
+        "bounds-empty", "bounds-nan", "bounds-unbounded", "bounds-open-quadratic",
+        "bounds-one-value", "bounds-string"])
 def test_bad_solver_or_seed_list_fails_before_any_problem(fault, error, match,
                                                           monkeypatch):
     def no_build(problem, spec):
@@ -199,6 +210,15 @@ def test_bad_solver_or_seed_list_fails_before_any_problem(fault, error, match,
         resolve_maxiter(spec)
     with pytest.raises(error, match=match):
         run_experiment(spec)
+
+
+def test_open_sided_logistic_bounds_are_valid():
+    """A logistic problem has no drawn center, so an open upper side runs."""
+    spec = small_spec(problems=(ProblemSpec(name="lr", model="logistic", samples=40),),
+                      bounds=(-1.0, np.inf), maxiter=20, seeds=(0,))
+    assert resolve_maxiter(spec) == 20
+    runs = run_experiment(spec)["runs"]
+    assert len(runs) == 3 and not any("error" in entry for entry in runs)
 
 
 def small_spec(tmp_path=None, **kwargs):

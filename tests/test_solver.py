@@ -328,7 +328,7 @@ def test_kernel_matches_public_functions(case):
 
 def test_kernel_validates_only_at_entry(monkeypatch):
     """With auditing off, the loop makes no interior checks and takes the
-    slacks twice per iteration: of x and of the look-ahead point."""
+    slacks of x once per iteration; the look-ahead slacks are taken inline."""
     counts = {"require_interior": 0, "slacks": 0, "in_neighborhood": 0}
     for name in counts:
         original = getattr(geometry, name)
@@ -346,7 +346,55 @@ def test_kernel_validates_only_at_entry(monkeypatch):
     # make one interior check, which takes the slacks once
     assert counts["in_neighborhood"] == 1
     assert counts["require_interior"] == 2
-    assert counts["slacks"] == 2 * config.maxiter + 2
+    assert counts["slacks"] == config.maxiter + 2
+
+
+def _count_calls(monkeypatch, *functions):
+    """Count the calls to each function, in every module that looks it up."""
+    counts = Counter()
+    for original in functions:
+        def counting(*args, _name=original.__name__, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (geometry, schedules, solver, stepsize):
+            if getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, counting)
+    return counts
+
+
+def test_audited_run_checks_each_next_iterate_once(monkeypatch):
+    """The audit reads the kernel's slacks of x and makes one interior check,
+    of x_next; the shifted barrier makes one per iterate, and run() entry,
+    the first barrier value and the final certificate one each."""
+    counts = _count_calls(monkeypatch, geometry.require_interior)
+    objective, config, x1 = _kernel_runs()[0]
+    config = replace(config, audit_level="invariants")
+    run(objective, config, x1)
+    assert counts["require_interior"] == 2 * config.maxiter + 3
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["box", "one-sided"])
+def test_audited_loop_calls_no_public_validator(case, monkeypatch):
+    """Neither the kernel nor the audit calls a validating public function."""
+    counts = _count_calls(monkeypatch, ratio_test, stepsize.slack_products,
+                          stepsize.local_lipschitz, step_size_bundle, build_hk,
+                          barrier_gradient)
+    objective, config, x1 = _kernel_runs()[case]
+    seen = []
+    run(objective, replace(config, audit_level="invariants"), x1, observer=seen.append)
+    assert len(seen) == config.maxiter
+    assert sum(counts.values()) == 0
+
+
+def test_audit_interior_check_keeps_its_error():
+    """A next iterate on a finite bound that passes the membership test (a
+    zero margin) fails the audit's interior check as NotInterior."""
+    config, step = _audited_step()
+    x_next = step["x_next"].copy()
+    x_next[2] = config.bounds.lower[2]
+    with pytest.raises(NotInterior, match="coordinate 2 has nonpositive slack"):
+        solver._audit_step(config, dict(step, x_next=x_next, theta_k=0.0))
 
 
 @pytest.mark.parametrize("mu1", [-0.1, 0.0, np.nan, np.inf])

@@ -56,6 +56,10 @@ SHAPES = {
     # error rows in the next
     "quad-power-audit-seeds": [*QUAD_POWER_AUDIT, "--seeds", "0,1,2"],
     "inadmissible-power-seeds": [*INADMISSIBLE_POWER, "--seeds", "0,1"],
+    # an infinite side, where the ratio-test margin and the clip meet +inf
+    "logreg-open-upper": ["--model", "logistic", "--dim", "10", "--samples", "200",
+                          "--maxiter", "150", "--bounds", "-1", "inf", "--audit", "full",
+                          "--trace", *THREE],
 }
 
 WRITE_PAIR = """
