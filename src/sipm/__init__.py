@@ -30,8 +30,7 @@ from .schedules import (BufferSequences, ExponentTriple, PowerSchedule,
                         StaircaseSchedule, build_staircase, min_mu1_threshold,
                         mu1_init, sequences, theta0_init, validate_exponents)
 from .solver import RunResult, SolverConfig, build_hk, run, sipm_step
-from .stepsize import (Constants, ScheduleContext, SlackProducts, StepSizeBundle,
-                       local_lipschitz, ratio_test, slack_products,
-                       step_size_bundle)
+from .stepsize import (Constants, ScheduleContext, StepSizeBundle, local_lipschitz,
+                       ratio_test, slack_products, step_size_bundle)
 
 __version__ = "0.1.0"

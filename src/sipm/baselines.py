@@ -5,14 +5,20 @@ simplified interior-point variant replaces the ratio test with an orthogonal
 projection onto the inner neighborhood and pays for it with the conservative
 curvature-bound step size, whose recurrence stalls at a positive floor; the
 ``recurrence_ratio`` diagnostic exposes that floor numerically.
+
+``run_simplified`` takes each iterate's slacks in one interior check and
+steps with ``_simplified_step``: the barrier gradient from those slacks and
+a clip onto the neighborhood, whose capped theta keeps it nonempty.  The
+public ``simplified_ipm_step`` validates its input, then takes the same step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, InvalidBudget, ThetaLinkViolation
-from .geometry import DELTA_CAP, barrier_gradient, project_to_neighborhood, range_gap
+from .errors import DomainError, InvalidBudget
+from .geometry import (DELTA_CAP, _barrier_gradient, project_to_neighborhood, range_gap,
+                       require_interior)
 from .problems import gradient_oracle
 from .solver import RunResult, _final_metrics
 
@@ -41,19 +47,24 @@ def c_constant(bounds, kappa_inf, mu1):
     return min(1.0 / largest, C_CAP)
 
 
-def simplified_ipm_step(x, grad_f, bounds, mu, theta, ell_f, theta_link_c=None):
+def simplified_ipm_step(x, grad_f, bounds, mu, theta, ell_f):
     """One step of the projection variant with the conservative step size.
 
     q is the barrier gradient, alpha = 1/(ell_f + 2*mu/theta**2), and the
     update is the orthogonal projection of x - alpha*q onto the theta
-    neighborhood.  When ``theta_link_c`` is given the precondition
-    theta <= c * mu is enforced.
+    neighborhood.  Raises NotInterior unless x is strictly interior and
+    EmptyNeighborhood when that neighborhood is empty.
     """
-    if theta_link_c is not None and theta > theta_link_c * mu:
-        raise ThetaLinkViolation(f"theta={theta} exceeds c*mu={theta_link_c * mu}")
-    q = barrier_gradient(grad_f, x, bounds, mu)
+    x = np.asarray(x, dtype=float)
+    x_next = _simplified_step(x, grad_f, *require_interior(x, bounds), bounds, mu, theta, ell_f)
+    return project_to_neighborhood(x_next, bounds, theta)   # x_next, or EmptyNeighborhood
+
+
+def _simplified_step(x, g, lo, up, bounds, mu, theta, ell_f):
+    """simplified_ipm_step from the slacks (lo, up) of x, for a nonempty neighborhood."""
+    q = _barrier_gradient(g, lo, up, mu)
     alpha = 1.0 / (ell_f + 2.0 * mu / theta ** 2)
-    return project_to_neighborhood(np.asarray(x, dtype=float) - alpha * q, bounds, theta)
+    return np.clip(x - alpha * q, bounds.lower + theta, bounds.upper - theta)
 
 
 def recurrence_ratio(mu_seq, c, psi, ell_f, C):
@@ -111,8 +122,8 @@ def run_simplified(objective, bounds, mu_seq, ell_f, c, x1, maxiter,
                    mode="deterministic", batch_fraction=0.01, seed=0):
     """Run the simplified projection variant with theta_k = c * mu_k.
 
-    theta is clamped just below half the box width so the projection target
-    stays nonempty when mu is still large.  A ``mu_seq`` with fewer than
+    theta is clamped just below half the box width, so each step clips onto a
+    nonempty neighborhood without checking it.  A ``mu_seq`` with fewer than
     maxiter entries raises InvalidBudget.
     """
     _require_length("mu_seq", mu_seq, maxiter)
@@ -121,6 +132,7 @@ def run_simplified(objective, bounds, mu_seq, ell_f, c, x1, maxiter,
     gradient = gradient_oracle(objective, mode, batch_fraction, seed)
     for k in range(maxiter):
         mu = float(mu_seq[k])
-        x = simplified_ipm_step(x, gradient(x), bounds, mu, min(c * mu, theta_cap), ell_f)
+        x = _simplified_step(x, gradient(x), *require_interior(x, bounds), bounds, mu,
+                             min(c * mu, theta_cap), ell_f)
     mu_last = float(mu_seq[maxiter - 1]) if maxiter >= 1 else None
     return RunResult(final_x=x, **_final_metrics(objective, bounds, x, mu_last=mu_last))

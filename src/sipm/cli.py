@@ -19,6 +19,16 @@ def _seed_list(text):
     return tuple(int(s) for s in text.split(","))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads -inf as a number, not as an option, so that ``--bounds -inf 1``
+    gives a box open below; subcommand parsers share the class."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string.lower() in ("-inf", "-infinity"):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _add_common(parser, multi_solver):
     parser.add_argument("--model", choices=MODELS, default="quadratic")
     if multi_solver:
@@ -133,7 +143,7 @@ def _cmd_parse_check(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sipm",
         description="Interior-point and projection solvers for box-constrained "
                     "smooth minimization, with a benchmark harness.")

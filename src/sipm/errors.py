@@ -77,10 +77,6 @@ class NonFiniteGradient(SipmError):
         self.k = k
 
 
-class ThetaLinkViolation(SipmError):
-    """The simplified variant requires theta <= c * mu."""
-
-
 class DomainError(SipmError):
     """An argument leaves the mathematical domain of the operation."""
 

@@ -123,12 +123,18 @@ def barrier_value(f_value, x, bounds, mu):
     Returns ``f_value - mu * sum(log(x_i - lower_i)) - mu * sum(log(upper_i - x_i))``
     with each sum running over the finite sides only.
     """
-    lo, up = require_interior(x, bounds)
+    return _barrier_value(f_value, *require_interior(x, bounds), bounds, mu)
+
+
+def _barrier_value(f_value, lo, up, bounds, mu, chi=None):
+    """barrier_value from the slacks (lo, up); shifted_barrier_value given chi."""
     total = float(f_value)
     if bounds.finite_lower.any():
         total -= mu * float(np.sum(np.log(lo[bounds.finite_lower])))
     if bounds.finite_upper.any():
         total -= mu * float(np.sum(np.log(up[bounds.finite_upper])))
+    if chi is not None:   # the shift of shifted_barrier_value, on |L| + |U| sides
+        total += mu * np.log(chi) * int(bounds.finite_lower.sum() + bounds.finite_upper.sum())
     return total
 
 
@@ -152,8 +158,7 @@ def shifted_barrier_value(f_value, x, bounds, mu, chi):
     """
     if not chi > 1.0:
         raise ValueError("chi must exceed 1")
-    count = int(bounds.finite_lower.sum()) + int(bounds.finite_upper.sum())
-    return barrier_value(f_value, x, bounds, mu) + mu * np.log(chi) * count
+    return _barrier_value(f_value, *require_interior(x, bounds), bounds, mu, chi)
 
 
 def barrier_gradient(g, x, bounds, mu):

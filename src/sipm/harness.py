@@ -187,9 +187,9 @@ def resolve_maxiter(spec):
     NaN) with a finite side, an infinite side under a quadratic problem, an
     empty seed list, a repeated problem name, solver or seed, or a problem
     hidden width below 1, and InvalidBudget for a stochastic batch fraction
-    outside (0, 1] or a budget below one iteration, before any problem is
-    built.  An empty solver list is valid: it estimates the constants and
-    runs nothing.
+    outside (0, 1], epochs in deterministic mode or a budget below one
+    iteration, before any problem is built.  An empty solver list is valid:
+    it estimates the constants and runs nothing.
     """
     for name, allowed in SPEC_CHOICES.items():
         if getattr(spec, name) not in allowed:
@@ -224,7 +224,10 @@ def resolve_maxiter(spec):
             raise InvalidSpec(f"{name}={values!r} repeats an entry")
     if spec.mode == "stochastic" and not 0.0 < spec.batch_fraction <= 1.0:
         raise InvalidBudget(f"batch_fraction={spec.batch_fraction} must lie in (0, 1]")
-    if spec.mode == "stochastic" and spec.epochs is not None:
+    if spec.mode == "deterministic" and spec.epochs is not None:
+        raise InvalidBudget(f"epochs={spec.epochs} counts mini-batch passes; "
+                            "a deterministic run takes maxiter")
+    if spec.epochs is not None:
         maxiter = int(round(spec.epochs / spec.batch_fraction))
     elif spec.maxiter is None:
         raise InvalidBudget("need either maxiter or (stochastic) epochs")
@@ -333,7 +336,7 @@ def run_experiment(spec):
     solver cell, and a failed solver run one for its cell.  In deterministic
     mode only the first seed's cells run; the other seeds get copies of its
     rows, listed under ``timing["copied_seeds::<problem>"]``, while
-    ``timing["cells"]`` times the cells that ran.
+    ``timing["cells"]`` times the cells that ran, or their seed's failed set-up.
     """
     maxiter = resolve_maxiter(spec)
     audit = "full_trace" if spec.trace else SPEC_AUDIT[spec.audit]
@@ -377,6 +380,7 @@ def run_experiment(spec):
         computed = seeds[:1] if spec.mode == "deterministic" else seeds
         first_run, first_comparison = len(report["runs"]), len(report["comparisons"])
         for seed in computed:
+            t_set_up = time.perf_counter()
             try:
                 # the gradient (estimate) at x1 that sizes the barrier start
                 g_probe = gradient_oracle(objective, spec.mode, spec.batch_fraction,
@@ -386,9 +390,11 @@ def run_experiment(spec):
                 schedule = _schedule_for(spec, mu1, theta0, maxiter)
                 buffers = _buffers_for(spec, maxiter)
                 seq = sequences(schedule, buffers, maxiter)
-            except Exception as err:  # every cell of this seed records it
-                report["runs"].extend(_error_entry(problem.name, solver_name, seed, err)
-                                      for solver_name in ordered_solvers)
+            except Exception as err:  # every cell of this seed records it, timed as the set-up
+                elapsed = time.perf_counter() - t_set_up
+                for solver_name in ordered_solvers:
+                    report["runs"].append(_error_entry(problem.name, solver_name, seed, err))
+                    report["timing"]["cells"][f"{problem.name}::{solver_name}::{seed}"] = elapsed
                 continue
 
             anchor = None   # (result, run entry) of the seed's sipm run

@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import (InfeasibleStart, InvalidChoice, InvalidConstants, InvalidExponents,
                      InvalidMu1, InvalidTheta0, InvariantViolation, ThetaTooLarge)
-from .geometry import (DELTA_CAP, Bounds, KktCertificate, _barrier_gradient, default_chi,
-                       in_neighborhood, kkt_certificate, projected_gradient_norm,
-                       range_gap, require_interior, shifted_barrier_value, slacks)
+from .geometry import (DELTA_CAP, Bounds, KktCertificate, _barrier_gradient, _barrier_value,
+                       default_chi, in_neighborhood, kkt_certificate,
+                       projected_gradient_norm, range_gap, require_interior, slacks)
 from .problems import MODES, gradient_oracle
 from .schedules import (BufferSequences, PowerSchedule, StaircaseSchedule, sequences,
                         validate_exponents)
@@ -134,18 +134,20 @@ def sipm_step(x, k, g, config, delta, seq):
                 theta_k=theta_k, theta_prev=theta_prev,
                 stalled=gamma_k == 0.0 and bool((d != 0.0).any()))
     if config.audit_level != "off":
-        _audit_step(config, step)
+        step["lo_next"], step["up_next"] = _audit_step(config, step)
     return step
 
 
 def _audit_step(config, step):
+    """Check one step's contracts; returns the slacks of x_next."""
     k, x_next, q, d = step["k"], step["x_next"], step["q"], step["d"]
     bundle, gamma_k, mu_k, theta_k = step["bundle"], step["gamma_k"], step["mu_k"], step["theta_k"]
     bounds, ell_f = config.bounds, config.constants.ell_f
     if not in_neighborhood(x_next, bounds, theta_k):
         raise InvariantViolation(k, "next iterate left the theta_k neighborhood")
     tol = 1e-12
-    a, b = _slack_products(step["lo"], step["up"], *require_interior(x_next, bounds))
+    lo_next, up_next = require_interior(x_next, bounds)
+    a, b = _slack_products(step["lo"], step["up"], lo_next, up_next)
     ell_pair = ell_f + mu_k / a + mu_k / b
     ell_cap = ell_f + 2.0 * mu_k / theta_k ** 2
     if not _rel_ok(ell_pair, bundle.ell_k, tol):
@@ -162,6 +164,7 @@ def _audit_step(config, step):
         raise InvariantViolation(k, "realized step exceeds the look-ahead step")
     if (q != 0.0).any() and not float(q @ d) < 0.0:
         raise InvariantViolation(k, "direction is not a descent direction for q")
+    return lo_next, up_next
 
 
 def run(objective, config, x1, observer=None):
@@ -200,7 +203,7 @@ def run(objective, config, x1, observer=None):
         raise ThetaTooLarge(f"theta0={theta0} must be below delta/2={0.5 * delta}")
     if not in_neighborhood(x, bounds, theta0):
         raise InfeasibleStart("x1 is outside the theta0 neighborhood")
-    require_interior(x, bounds)   # l + theta0 can round to l on a wide box
+    lo, up = require_interior(x, bounds)   # l + theta0 can round to l on a wide box
 
     gradient = gradient_oracle(objective, config.mode, config.batch_fraction,
                                config.rng_seed)
@@ -214,9 +217,9 @@ def run(objective, config, x1, observer=None):
     stall_count = 0
     alpha_first = math.nan
     alpha_last = math.nan
-    # the shifted barrier at the current iterate with its mu_k: it fills the
-    # trace row and is the left side of the decrease check
-    phi_curr = (shifted_barrier_value(objective.value(x), x, bounds, mu1, chi)
+    # the shifted barrier at the current iterate with its mu_k, on the slacks of
+    # its interior check: the trace row's phi_tilde, the decrease check's left side
+    phi_curr = (_barrier_value(objective.value(x), lo, up, bounds, mu1, chi)
                 if need_f else math.nan)
 
     for k in range(1, config.maxiter + 1):
@@ -238,7 +241,8 @@ def run(objective, config, x1, observer=None):
         alpha_last = alpha_k
 
         if need_f:
-            phi_next = shifted_barrier_value(objective.value(x), x, bounds, seq["mu"][k + 1], chi)
+            phi_next = _barrier_value(objective.value(x), step["lo_next"], step["up_next"],
+                                      bounds, seq["mu"][k + 1], chi)
             if audit_decrease:
                 q, h_diag = step["q"], step["h_diag"]
                 descent = 0.5 * step["gamma_k"] * alpha_k * float(np.sum(q * q / h_diag))

@@ -44,17 +44,6 @@ class ScheduleContext:
 
 
 @dataclass(frozen=True)
-class SlackProducts:
-    """Minimal products of current and look-ahead slacks on each side.
-
-    Infinite on a side with no finite bound (the minimum over an empty set).
-    """
-
-    a: float
-    b: float
-
-
-@dataclass(frozen=True)
 class StepSizeBundle:
     alpha_min: float
     alpha_pre: float
@@ -67,10 +56,10 @@ class StepSizeBundle:
 
 
 def slack_products(x, xbar, bounds):
-    """a = min_i (x_i - l_i) * min(x_i - l_i, xbar_i - l_i) over finite lower
-    sides, and the analogous product b over finite upper sides."""
-    return SlackProducts(*_slack_products(*require_interior(x, bounds),
-                                          *require_interior(xbar, bounds)))
+    """(a, b): a = min_i (x_i - l_i) * min(x_i - l_i, xbar_i - l_i) over finite
+    lower sides, b the analogous product over finite upper sides; infinite on
+    a side with no finite bound (the minimum over an empty set)."""
+    return _slack_products(*require_interior(x, bounds), *require_interior(xbar, bounds))
 
 
 def _slack_products(lo_x, up_x, lo_b, up_b):
@@ -83,8 +72,8 @@ def _slack_products(lo_x, up_x, lo_b, up_b):
 def local_lipschitz(mu, x, xbar, bounds, ell_f):
     """Lipschitz constant of the barrier gradient on the segment [x, xbar]:
     ell_f + mu/a + mu/b with mu/inf = 0."""
-    products = slack_products(x, xbar, bounds)
-    return ell_f + mu / products.a + mu / products.b
+    a, b = slack_products(x, xbar, bounds)
+    return ell_f + mu / a + mu / b
 
 
 def ratio_test(x, direction, scale, bounds, theta, gamma_max):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sipm import (Bounds, BufferSequences, Constants, SolverConfig, build_staircase,
-                  c_constant, estimate_constants, gradient_oracle, in_neighborhood,
-                  match_sipm_endpoints, psgm_step, quadratic_objective, recurrence_ratio,
-                  run, run_psgm, run_simplified, simplified_ipm_step, theta0_init)
+from sipm import (DELTA_CAP, Bounds, BufferSequences, Constants, SolverConfig,
+                  build_staircase, c_constant, estimate_constants, gradient_oracle,
+                  in_neighborhood, match_sipm_endpoints, psgm_step, quadratic_objective,
+                  range_gap, recurrence_ratio, run, run_psgm, run_simplified,
+                  simplified_ipm_step, theta0_init)
 from sipm.errors import (DimensionMismatch, DomainError, InvalidBudget, InvalidChoice,
-                         NonFiniteGradient, ThetaLinkViolation)
+                         NonFiniteGradient)
 
 
 def test_psgm_step_examples():
@@ -59,9 +60,25 @@ def test_simplified_step_clamps_and_links():
     out = simplified_ipm_step(np.array([0.2]), obj.gradient(np.array([0.2])),
                               bounds, 0.05, 0.2, 1.0)
     assert_allclose(out, [0.2])  # clamp lands exactly on lower + theta
-    with pytest.raises(ThetaLinkViolation):
-        simplified_ipm_step(np.array([0.5]), np.zeros(1), bounds, mu=0.01,
-                            theta=0.5, ell_f=1.0, theta_link_c=1.0)
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+def test_run_simplified_is_a_loop_of_public_steps(mode):
+    """run_simplified steps on the slack helper that simplified_ipm_step
+    validates its input for, so a loop of public steps gives the same bits."""
+    obj = quadratic_objective([1.5, -0.3, 0.2, -2.0], [3.0, 1.0, 0.5, 2.0],
+                              noise_level=0.3, sample_count=30, seed=4)
+    bounds, x1, maxiter, ell_f, c = Bounds.cube(4, -1.0, 1.0), np.zeros(4), 300, 3.0, 0.4
+    mu_seq = 0.5 / np.arange(1.0, maxiter + 1)
+    result = run_simplified(obj, bounds, mu_seq, ell_f, c, x1, maxiter, mode=mode,
+                            batch_fraction=0.1, seed=2)
+    gradient = gradient_oracle(obj, mode, 0.1, 2)
+    theta_cap = 0.499 * range_gap(bounds, DELTA_CAP)
+    x = x1
+    for mu in mu_seq:
+        x = simplified_ipm_step(x, gradient(x), bounds, mu, min(c * mu, theta_cap), ell_f)
+    assert result.final_x.tobytes() == x.tobytes()
+    assert not np.array_equal(x, x1)
 
 
 def test_simplified_fixed_point():

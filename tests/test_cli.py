@@ -110,8 +110,9 @@ def test_deterministic_power_schedule_gate(tmp_path):
     ["--mode", "stoch", "--epochs", "0.001"],
     ["--maxiter", "0"],
     ["--schedule", "power", "--maxiter", "0"],
+    ["--mode", "det", "--epochs", "3", "--maxiter", "7"],
 ], ids=["batch-frac-0", "batch-frac-negative", "tiny-epochs", "maxiter-0",
-        "power-maxiter-0"])
+        "power-maxiter-0", "deterministic-epochs"])
 def test_bad_budget_is_a_typed_error(budget, tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["bench", "--model", "logistic", "--dim", "3", "--samples", "20",
@@ -153,7 +154,10 @@ def test_bad_hidden_width_is_a_typed_error(tmp_path, capsys):
     (["--bounds", "1", "-1"], "bounds=(1.0, -1.0) must be two numbers lo < hi"),
     (["--model", "quadratic", "--bounds", "-1", "inf"],
      "problem 'quadratic': a quadratic's center is drawn inside the box"),
-], ids=["reversed", "open-quadratic"])
+    (["--model", "quadratic", "--bounds", "-inf", "1"],
+     "problem 'quadratic': a quadratic's center is drawn inside the box, "
+     "so bounds=(-inf, 1.0)"),
+], ids=["reversed", "open-quadratic", "open-below-quadratic"])
 def test_bad_bounds_are_a_typed_error(bounds, message, tmp_path, capsys):
     """A bad box fails before any problem is built, with exit status 1,
     instead of a report whose rows are untyped numpy errors."""
@@ -163,6 +167,18 @@ def test_bad_bounds_are_a_typed_error(bounds, message, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: InvalidSpec: {message}")
     assert not out.exists()
+
+
+def test_lower_open_box_runs(tmp_path):
+    """argparse reads -inf as an option, so a box open below used to exit 2
+    with "expected 2 arguments"; it now reaches the spec as a number."""
+    out = tmp_path / "r.json"
+    assert main(["bench", "--model", "logistic", "--bounds", "-inf", "1", "--dim", "3",
+                 "--samples", "20", "--maxiter", "10", "--solver", "sipm,psgm,proj-ipm",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["bounds"] == [-float("inf"), 1.0]
+    assert len(report["runs"]) == 3 and not any("error" in r for r in report["runs"])
 
 
 def test_seeds_must_be_integers(capsys):

@@ -13,7 +13,7 @@ from sipm import (Bounds, ExperimentSpec, LogisticObjective, Objective, ProblemS
                   run_experiment, save_constants, shifted_barrier_value,
                   synthetic_classification)
 from sipm import harness
-from sipm.errors import InvalidChoice, InvalidSpec
+from sipm.errors import InvalidBudget, InvalidChoice, InvalidSpec
 from sipm.harness import resolve_maxiter
 
 
@@ -195,10 +195,11 @@ def test_unknown_choice_is_a_typed_error(name, value, monkeypatch):
     (dict(bounds=(-1.0, np.inf)), InvalidSpec, "'toy': a quadratic's center"),
     (dict(bounds=(-1.0,)), InvalidSpec, "must be two numbers"),
     (dict(bounds=("-1", 1.0)), InvalidSpec, "must be two numbers"),
+    (dict(epochs=3.0, maxiter=7), InvalidBudget, "epochs=3.0 counts mini-batch passes"),
 ], ids=["unknown-solver", "repeated-solver", "no-seeds", "repeated-seed",
         "repeated-problem-name", "unknown-model", "hidden-0", "bounds-reversed",
         "bounds-empty", "bounds-nan", "bounds-unbounded", "bounds-open-quadratic",
-        "bounds-one-value", "bounds-string"])
+        "bounds-one-value", "bounds-string", "deterministic-epochs"])
 def test_bad_solver_or_seed_list_fails_before_any_problem(fault, error, match,
                                                           monkeypatch):
     def no_build(problem, spec):
@@ -551,10 +552,9 @@ def test_deterministic_seeds_copy_the_single_seed_reports(case, tmp_path):
     ran = {int(cell.rsplit("::", 1)[1]) for cell in report["timing"]["cells"]}
     copied = report["timing"][f"copied_seeds::{name}"]
     assert copied == [4, 2]
+    assert ran == {0} and sorted(ran | set(copied)) == sorted(spec.seeds)
     if case == "failed-set-up":   # no cell got as far as its solver
-        assert ran == set() and all("error" in r for r in report["runs"])
-    else:
-        assert ran == {0} and sorted(ran | set(copied)) == sorted(spec.seeds)
+        assert all("error" in r for r in report["runs"])
     if case == "inadmissible-power":
         assert [("error" in r) for r in report["runs"]] == [True, False, False] * 3
     if case == "quadratic-trace-audit":

@@ -130,9 +130,9 @@ def test_slack_products_match_masked_formula():
     for _, x, d, scale, bounds, theta, gamma_max, _, _ in instances():
         gamma = ratio_test(x, d, scale, bounds, theta, gamma_max)
         xbar = x + (0.5 * gamma * scale) * d
-        products = slack_products(x, xbar, bounds)
-        a, b = masked_slack_products(x, xbar, bounds)
-        assert same(products.a, a) and same(products.b, b)
+        a, b = slack_products(x, xbar, bounds)
+        a_masked, b_masked = masked_slack_products(x, xbar, bounds)
+        assert same(a, a_masked) and same(b, b_masked)
 
 
 def test_start_parameters_match_masked_formulas():

@@ -19,3 +19,20 @@ def test_every_shape_parses(shape, seed):
     args = cli.build_parser().parse_args(report_identity.bench_argv(shape, seed))
     assert args.command == "bench"
     assert (args.init_seed, args.data_seed) == (seed, seed)
+
+
+def test_failed_bench_is_a_difference_and_the_rest_still_runs(monkeypatch, capsys):
+    """A bench that exits non-zero used to abort the whole comparison with a
+    CalledProcessError; its line now shows each side's exit status, it counts
+    as a difference, and the next shape is still compared."""
+    monkeypatch.setattr(report_identity, "SEEDS", (0,))
+    monkeypatch.setattr(report_identity, "SHAPES", {
+        "bad-budget": ["--model", "quadratic", "--maxiter", "0"],
+        "tiny": ["--model", "quadratic", "--dim", "2", "--maxiter", "5"]})
+    src = str(TOOL.parents[1] / "src")
+    assert report_identity.main([src, src]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("bad-budget") and "parent exit 1  change exit 1" in lines[0]
+    assert lines[0].endswith("DIFFERENT")
+    assert lines[1].startswith("tiny") and lines[1].endswith("same")
+    assert lines[2] == "1 of 2 reports differ"

@@ -10,7 +10,7 @@ from sipm import (DELTA_CAP, Bounds, BufferSequences, Constants, ExponentTriple,
                   PowerSchedule, ScheduleContext, SolverConfig, StaircaseSchedule,
                   barrier_gradient, build_hk, build_staircase, quadratic_objective,
                   range_gap, ratio_test, run, sequences, sipm_step, step_size_bundle)
-from sipm import geometry, schedules, solver, stepsize
+from sipm import baselines, geometry, schedules, solver, stepsize
 from sipm.errors import (HorizonExceeded, InfeasibleStart, InvalidChoice, InvalidConstants,
                          InvalidExponents, InvalidMu1, InvalidTheta0, InvariantViolation,
                          NotInterior, SipmError, ThetaTooLarge)
@@ -357,7 +357,7 @@ def _count_calls(monkeypatch, *functions):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        for module in (geometry, schedules, solver, stepsize):
+        for module in (baselines, geometry, schedules, solver, stepsize):
             if getattr(module, original.__name__, None) is original:
                 monkeypatch.setattr(module, original.__name__, counting)
     return counts
@@ -365,25 +365,33 @@ def _count_calls(monkeypatch, *functions):
 
 def test_audited_run_checks_each_next_iterate_once(monkeypatch):
     """The audit reads the kernel's slacks of x and makes one interior check,
-    of x_next; the shifted barrier makes one per iterate, and run() entry,
-    the first barrier value and the final certificate one each."""
+    of x_next, whose slacks the shifted barrier reuses; run() entry, whose
+    slacks give the first barrier value, and the final certificate make one
+    each."""
     counts = _count_calls(monkeypatch, geometry.require_interior)
     objective, config, x1 = _kernel_runs()[0]
     config = replace(config, audit_level="invariants")
     run(objective, config, x1)
-    assert counts["require_interior"] == 2 * config.maxiter + 3
+    assert counts["require_interior"] == config.maxiter + 2
 
 
 @pytest.mark.parametrize("case", [0, 1], ids=["box", "one-sided"])
 def test_audited_loop_calls_no_public_validator(case, monkeypatch):
-    """Neither the kernel nor the audit calls a validating public function."""
-    counts = _count_calls(monkeypatch, ratio_test, stepsize.slack_products,
-                          stepsize.local_lipschitz, step_size_bundle, build_hk,
-                          barrier_gradient)
+    """Neither the sipm kernel with its full_trace audit nor the proj-ipm loop
+    calls a validating public function; both step on the slack helpers."""
+    counts = _count_calls(monkeypatch, geometry.barrier_value, geometry.shifted_barrier_value,
+                          barrier_gradient, geometry.project_to_neighborhood,
+                          baselines.simplified_ipm_step, build_hk, ratio_test,
+                          stepsize.slack_products, stepsize.local_lipschitz, step_size_bundle)
     objective, config, x1 = _kernel_runs()[case]
     seen = []
-    run(objective, replace(config, audit_level="invariants"), x1, observer=seen.append)
-    assert len(seen) == config.maxiter
+    result = run(objective, replace(config, audit_level="full_trace"), x1,
+                 observer=seen.append)
+    assert len(seen) == len(result.records) == config.maxiter
+    mu_seq = sequences(config.schedule, config.buffers, config.maxiter)["mu"][1:]
+    baselines.run_simplified(objective, config.bounds, mu_seq, config.constants.ell_f, 0.5,
+                             x1, config.maxiter, mode=config.mode,
+                             batch_fraction=config.batch_fraction, seed=config.rng_seed)
     assert sum(counts.values()) == 0
 
 
@@ -412,15 +420,16 @@ def test_barrier_start_must_be_positive_and_finite(mu1):
 
 def test_shifted_barrier_evaluated_once_per_iterate(monkeypatch):
     """An audited run evaluates the shifted barrier once per iterate: the
-    decrease check's value at x_{k+1} is the next trace row's."""
+    decrease check's value at x_{k+1} is the next trace row's, and it equals
+    the public shifted_barrier_value there."""
     calls = []
-    original = geometry.shifted_barrier_value
 
     def counting(*args):
         calls.append(args)
-        return original(*args)
+        return geometry._barrier_value(*args)
 
-    monkeypatch.setattr(solver, "shifted_barrier_value", counting)
+    monkeypatch.setattr(solver, "_barrier_value", counting)
+    original = geometry.shifted_barrier_value
     objective, config, x1 = _kernel_runs()[0]
     config = replace(config, maxiter=40, audit_level="full_trace")
     seen = []

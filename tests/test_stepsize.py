@@ -57,12 +57,9 @@ def random_instance(rng):
 
 def test_slack_products_examples():
     b = box([0.0], [2.0])
-    sp = slack_products([1.0], [1.0], b)
-    assert sp.a == 1.0 and sp.b == 1.0
-    sp = slack_products([0.5], [1.0], b)
-    assert_allclose([sp.a, sp.b], [0.25, 1.5])
-    sp = slack_products([1.0], [1.0], box([-INF], [2.0]))
-    assert sp.a == INF and sp.b == 1.0
+    assert slack_products([1.0], [1.0], b) == (1.0, 1.0)
+    assert_allclose(slack_products([0.5], [1.0], b), [0.25, 1.5])
+    assert slack_products([1.0], [1.0], box([-INF], [2.0])) == (INF, 1.0)
     with pytest.raises(NotInterior):
         slack_products([0.0], [1.0], b)
 

@@ -7,8 +7,10 @@ Runs each ``sipm bench`` shape in SHAPES at ``--init-seed``/``--data-seed``
 that tree first on ``PYTHONPATH``.  Prints the sha256 of each report's
 canonical bytes (the report without its ``timing`` block, as
 ``harness.canonical_report_bytes`` renders it) per shape, seed and side, and
-exits 1 if any pair differs.  Every process runs in one temporary
-directory, where the parent tree first writes the train/test pairs that the
+exits 1 if any pair differs.  A bench that exits non-zero on either side
+prints each side's exit status in place of its hash, counts as a difference,
+and the comparison goes on with the next shape.  Every process runs in one
+temporary directory, where the parent tree first writes the train/test pairs that the
 LIBSVM shapes read, with ``synthetic_classification`` and
 ``serialize_libsvm``: one pair with raw labels -1/+1 and one with the same
 rows labeled 0/1, so the label mapping of ``SparseDataset.to_arrays`` is
@@ -90,9 +92,12 @@ def _env(src):
 
 
 def report_sha256(src, argv, work):
-    """Run one bench in a fresh process on the tree ``src``; hash its report."""
-    subprocess.run([sys.executable, "-m", "sipm.cli", *argv, "--out", "report.json"],
-                   env=_env(src), cwd=work, check=True)
+    """Run one bench in a fresh process on the tree ``src``; hash its report,
+    or return ``exit <status>`` when the bench fails."""
+    status = subprocess.run([sys.executable, "-m", "sipm.cli", *argv, "--out", "report.json"],
+                            env=_env(src), cwd=work).returncode
+    if status:
+        return f"exit {status}"
     with open(os.path.join(work, "report.json"), encoding="ascii") as handle:
         report = json.load(handle)
     payload = {key: value for key, value in report.items() if key != "timing"}
@@ -115,7 +120,7 @@ def main(argv=None):
             for seed in SEEDS:
                 bench = bench_argv(shape, seed)
                 hashes = [report_sha256(src, bench, work) for src in (parent, change)]
-                same = hashes[0] == hashes[1]
+                same = hashes[0] == hashes[1] and not hashes[0].startswith("exit")
                 mismatches += not same
                 print(f"{shape:<20} seed {seed}  parent {hashes[0]}  change {hashes[1]}  "
                       f"{'same' if same else 'DIFFERENT'}", flush=True)
