@@ -171,12 +171,13 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one command; any SipmError becomes one ``error: <Type>: <message>``
-    line on stderr and exit status 1."""
+    """Run one command; any SipmError or OSError (a data file that cannot be
+    read, an output path that cannot be written) becomes one
+    ``error: <Type>: <message>`` line on stderr and exit status 1."""
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except SipmError as err:
+    except (SipmError, OSError) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
 

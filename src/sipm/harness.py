@@ -2,10 +2,14 @@
 
 The protocol per problem is: fix one starting point, estimate the curvature
 and gradient-bound constants with a 500-iteration bootstrap that uses
-placeholder constants of 1, derive the barrier start and the neighborhood
-margin from those estimates, then run every requested solver over every seed,
-sipm first.  Each baseline cell writes its comparisons with the seed's sipm
-run, the relative performance ``(a - b) / max(a, b, 1)`` per metric, as it ends.
+placeholder constants of 1, set up each seed's run from those estimates,
+then run every requested solver over every seed, sipm first.  One recipe,
+``_solver_config``, sets up both the bootstrap (a deterministic staircase)
+and each seed: the barrier start mu1 from the gradient (estimate) at the
+start point, the neighborhood margin theta0 capped by the constants, then
+the schedule and buffers; every cell of the seed reads that config.  Each
+baseline cell writes its comparisons with the seed's sipm run, the relative
+performance ``(a - b) / max(a, b, 1)`` per metric, as it ends.
 
 A seed reaches a run only through the stochastic oracle: with exact gradients
 the barrier start, every solver's steps and so every row are the same for
@@ -45,6 +49,7 @@ from .solver import CONFIG_CHOICES, SolverConfig, run
 from .stepsize import Constants
 
 BOOTSTRAP_ITERS = 500
+BOOTSTRAP_CONSTANTS = Constants(ell_f=1.0, kappa_inf=1.0, sigma_inf=0.0)
 SIGMA_DRAWS = 100
 # spec.audit -> SolverConfig.audit_level of an untraced spec.  Only trace
 # rows need "full_trace", and a spec writes them only with trace set, which
@@ -83,19 +88,6 @@ def relative_performance(value_a, value_b):
     return (value_a - value_b) / max(value_a, value_b, 1.0)
 
 
-def _bootstrap_config(objective, x1, bounds, maxiter):
-    """Deterministic staircase setup with placeholder constants of 1."""
-    g1 = objective.gradient(x1)
-    mu1 = mu1_init(g1, x1, bounds)
-    delta = range_gap(bounds, DELTA_CAP)
-    theta0 = theta0_init(x1, bounds, 1.0, 0.0, mu1, delta)
-    schedule = build_staircase(mu1, maxiter, theta0=theta0)
-    return SolverConfig(mode="deterministic", bounds=bounds, schedule=schedule,
-                        buffers=BufferSequences(mode="practical", maxiter=maxiter),
-                        constants=Constants(ell_f=1.0, kappa_inf=1.0, sigma_inf=0.0),
-                        maxiter=maxiter)
-
-
 def estimate_constants(objective, x1, bounds, mode="deterministic",
                        batch_fraction=0.01, seed=0, bootstrap_iters=BOOTSTRAP_ITERS):
     """Estimate the Lipschitz, gradient-bound, and noise-bound constants.
@@ -110,7 +102,8 @@ def estimate_constants(objective, x1, bounds, mode="deterministic",
     """
     if mode not in MODES:
         raise InvalidChoice("mode", mode, MODES)
-    config = _bootstrap_config(objective, x1, bounds, bootstrap_iters)
+    config = _solver_config(ExperimentSpec(problems=()), objective.gradient(x1), x1, bounds,
+                            BOOTSTRAP_CONSTANTS, bootstrap_iters)
     visited = []   # (x, exact gradient at x) per bootstrap iteration
     run(objective, config, x1,
         observer=lambda info: visited.append((info["x"], info["g"])))
@@ -177,6 +170,14 @@ class ExperimentSpec:
     buffer_bases: tuple = (1.0, 1.0)
 
 
+def _require_count(name, value, least):
+    """InvalidSpec naming ``name`` unless ``value`` is an integer >= ``least``."""
+    if not isinstance(value, numbers.Integral):
+        raise InvalidSpec(f"{name}={value!r} must be an integer")
+    if value < least:
+        raise InvalidSpec(f"{name}={value} must be at least {least}")
+
+
 def resolve_maxiter(spec):
     """Iteration budget: epochs/batch_fraction in stochastic mode when epochs
     are given, the explicit maxiter otherwise.
@@ -185,10 +186,13 @@ def resolve_maxiter(spec):
     SPEC_CHOICES, a problem model outside MODELS or a solver outside
     SOLVERS, InvalidSpec for bounds that are not two numbers lo < hi (neither
     NaN) with a finite side, an infinite side under a quadratic problem, an
-    empty seed list, a repeated problem name, solver or seed, or a problem
-    hidden width below 1, and InvalidBudget for a stochastic batch fraction
-    outside (0, 1], epochs in deterministic mode or a budget below one
-    iteration, before any problem is built.  An empty solver list is valid:
+    empty seed list, a repeated problem name, solver or seed, a problem dim,
+    samples or hidden width that is not an integer of at least 1, or a seed,
+    init_seed or problem data_seed that is not a non-negative integer, and
+    InvalidBudget for a stochastic batch fraction outside (0, 1], epochs in
+    deterministic mode, epochs that give no finite budget, a maxiter that is
+    not an integer or a budget below one iteration, before any problem is
+    built.  An empty solver list is valid:
     it estimates the constants and runs nothing.
     """
     for name, allowed in SPEC_CHOICES.items():
@@ -197,9 +201,10 @@ def resolve_maxiter(spec):
     for problem in spec.problems:
         if problem.model not in MODELS:
             raise InvalidChoice("model", problem.model, MODELS)
-        if problem.hidden is not None and problem.hidden < 1:
-            raise InvalidSpec(f"problem {problem.name!r}: hidden={problem.hidden} "
-                              "must be at least 1")
+        for field, least in (("dim", 1), ("samples", 1), ("hidden", 1), ("data_seed", 0)):
+            if field != "hidden" or problem.hidden is not None:
+                _require_count(f"problem {problem.name!r}: {field}", getattr(problem, field),
+                               least)
     for solver in spec.solvers:
         if solver not in SOLVERS:
             raise InvalidChoice("solvers", solver, SOLVERS)
@@ -222,15 +227,24 @@ def resolve_maxiter(spec):
                          ("seeds", spec.seeds)):
         if len(set(values)) < len(values):
             raise InvalidSpec(f"{name}={values!r} repeats an entry")
+    for seed in spec.seeds:
+        _require_count(f"seeds={spec.seeds!r}: seed", seed, 0)
+    _require_count("init_seed", spec.init_seed, 0)
     if spec.mode == "stochastic" and not 0.0 < spec.batch_fraction <= 1.0:
         raise InvalidBudget(f"batch_fraction={spec.batch_fraction} must lie in (0, 1]")
     if spec.mode == "deterministic" and spec.epochs is not None:
         raise InvalidBudget(f"epochs={spec.epochs} counts mini-batch passes; "
                             "a deterministic run takes maxiter")
     if spec.epochs is not None:
-        maxiter = int(round(spec.epochs / spec.batch_fraction))
+        budget = spec.epochs / spec.batch_fraction
+        if not math.isfinite(budget):
+            raise InvalidBudget(f"epochs={spec.epochs} gives the iteration budget "
+                                f"{budget}, which is not finite")
+        maxiter = int(round(budget))
     elif spec.maxiter is None:
         raise InvalidBudget("need either maxiter or (stochastic) epochs")
+    elif not isinstance(spec.maxiter, numbers.Integral):
+        raise InvalidBudget(f"maxiter={spec.maxiter!r} must be an integer")
     else:
         maxiter = int(spec.maxiter)
     if maxiter < 1:
@@ -297,19 +311,27 @@ def _constants_for(problem, spec, objective, x1, bounds):
     return estimated, False
 
 
-def _schedule_for(spec, mu1, theta0, maxiter):
+def _solver_config(spec, g1, x1, bounds, constants, maxiter, seed=0, audit_level="off"):
+    """The one recipe of a sipm run: mu1 from the gradient (estimate) g1 at
+    x1, theta0 capped by the constants, then the spec's schedule and
+    buffers over the budget."""
+    mu1 = mu1_init(g1, x1, bounds)
+    theta0 = theta0_init(x1, bounds, constants.kappa_inf, constants.sigma_inf, mu1,
+                         range_gap(bounds, DELTA_CAP))
     if spec.schedule == "staircase":
-        return build_staircase(mu1, maxiter, theta0=theta0)
-    triple = ExponentTriple(*spec.exponents)
-    return PowerSchedule(mu1=mu1, theta0=theta0, exponents=triple)
-
-
-def _buffers_for(spec, maxiter):
+        schedule = build_staircase(mu1, maxiter, theta0=theta0)
+    else:
+        schedule = PowerSchedule(mu1=mu1, theta0=theta0,
+                                 exponents=ExponentTriple(*spec.exponents))
     if spec.param_mode == "practical":
-        return BufferSequences(mode="practical", maxiter=maxiter)
-    a_base, g_base = spec.buffer_bases
-    return BufferSequences(mode="theory", alpha_buff_base=a_base,
-                           gamma_buff_base=g_base, t_mu=spec.exponents[0])
+        buffers = BufferSequences(mode="practical", maxiter=maxiter)
+    else:
+        a_base, g_base = spec.buffer_bases
+        buffers = BufferSequences(mode="theory", alpha_buff_base=a_base,
+                                  gamma_buff_base=g_base, t_mu=spec.exponents[0])
+    return SolverConfig(mode=spec.mode, bounds=bounds, schedule=schedule, buffers=buffers,
+                        constants=constants, maxiter=maxiter, rng_seed=seed,
+                        batch_fraction=spec.batch_fraction, audit_level=audit_level)
 
 
 def _run_metrics(result, objective_test):
@@ -354,22 +376,21 @@ def run_experiment(spec):
         except Exception as err:  # record and keep going
             report["runs"].append(_error_entry(problem.name, None, None, err))
             continue
-        delta = range_gap(bounds, DELTA_CAP)
         report["constants"][problem.name] = {
             "ell_f_bar": estimated.ell_f_bar,
             "kappa_inf_bar": estimated.kappa_inf_bar,
             "sigma_inf_bar": estimated.sigma_inf_bar,
-            "delta": delta,
-            "bootstrap": {"iterations": BOOTSTRAP_ITERS, "placeholder_constants": 1.0,
+            "delta": range_gap(bounds, DELTA_CAP),
+            "bootstrap": {"iterations": BOOTSTRAP_ITERS,
+                          "placeholder_constants": BOOTSTRAP_CONSTANTS.ell_f,
                           "sigma_draws": SIGMA_DRAWS},
         }
         # cache hits change wall time, never content; keep them out of the
         # canonical report bytes
         report["timing"][f"constants_cached::{problem.name}"] = cached
-        sigma = estimated.sigma_inf_bar if spec.mode == "stochastic" else 0.0
-        constants = Constants(ell_f=estimated.ell_f_bar,
-                              kappa_inf=estimated.kappa_inf_bar,
-                              sigma_inf=sigma)
+        constants = Constants(ell_f=estimated.ell_f_bar, kappa_inf=estimated.kappa_inf_bar,
+                              sigma_inf=estimated.sigma_inf_bar
+                              if spec.mode == "stochastic" else 0.0)
 
         # the interior-point run anchors the baselines' steps and comparisons,
         # so it goes first within each seed whatever order the caller listed
@@ -385,11 +406,9 @@ def run_experiment(spec):
                 # the gradient (estimate) at x1 that sizes the barrier start
                 g_probe = gradient_oracle(objective, spec.mode, spec.batch_fraction,
                                           [seed, 1])(x1)
-                mu1 = mu1_init(g_probe, x1, bounds)
-                theta0 = theta0_init(x1, bounds, estimated.kappa_inf_bar, sigma, mu1, delta)
-                schedule = _schedule_for(spec, mu1, theta0, maxiter)
-                buffers = _buffers_for(spec, maxiter)
-                seq = sequences(schedule, buffers, maxiter)
+                config = _solver_config(spec, g_probe, x1, bounds, constants, maxiter,
+                                        seed, audit)
+                seq = sequences(config.schedule, config.buffers, maxiter)
             except Exception as err:  # every cell of this seed records it, timed as the set-up
                 elapsed = time.perf_counter() - t_set_up
                 for solver_name in ordered_solvers:
@@ -403,12 +422,6 @@ def run_experiment(spec):
                 t_cell = time.perf_counter()
                 try:
                     if solver_name == "sipm":
-                        config = SolverConfig(mode=spec.mode, bounds=bounds,
-                                              schedule=schedule, buffers=buffers,
-                                              constants=constants, maxiter=maxiter,
-                                              rng_seed=seed,
-                                              batch_fraction=spec.batch_fraction,
-                                              audit_level=audit)
                         result = run(objective, config, x1)
                     elif solver_name == "psgm":
                         steps = seq["s"][1:]
@@ -419,17 +432,17 @@ def run_experiment(spec):
                                           mode=spec.mode,
                                           batch_fraction=spec.batch_fraction, seed=seed)
                     else:  # proj-ipm, the last name resolve_maxiter admits
-                        c = c_constant(bounds, estimated.kappa_inf_bar, mu1)
+                        c = c_constant(bounds, estimated.kappa_inf_bar, config.schedule.mu1)
                         result = run_simplified(objective, bounds, seq["mu"][1:maxiter + 1],
                                                 estimated.ell_f_bar, c, x1, maxiter,
                                                 mode=spec.mode,
                                                 batch_fraction=spec.batch_fraction,
                                                 seed=seed)
                     entry = {"problem": problem.name, "solver": solver_name,
-                             "seed": seed, "mu1": mu1, "theta0": theta0,
-                             "maxiter": maxiter}
+                             "seed": seed, "mu1": config.schedule.mu1,
+                             "theta0": config.schedule.theta0, "maxiter": maxiter}
                     if spec.schedule == "staircase":
-                        entry["schedule_degenerate"] = schedule.degenerate
+                        entry["schedule_degenerate"] = config.schedule.degenerate
                     if solver_name == "proj-ipm":
                         entry["theta_link_c"] = c
                     entry.update(_run_metrics(result, objective_test))

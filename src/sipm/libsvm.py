@@ -2,9 +2,10 @@
 
 Each nonempty line is ``label index:value index:value ...`` with 1-based,
 strictly increasing feature indices and finite labels and values.  Blank
-lines and lines starting with '#' are skipped.  Parsing is single pass and
-keeps memory proportional to the number of nonzeros, and so does the
-training matrix: ``SparseDataset.to_arrays`` returns it in CSR form.
+lines and lines starting with '#' are skipped; every line, comments too,
+must be ASCII.  Parsing is single pass and keeps memory proportional to the
+number of nonzeros, and so does the training matrix:
+``SparseDataset.to_arrays`` returns it in CSR form.
 """
 
 from __future__ import annotations
@@ -76,6 +77,9 @@ def parse_libsvm(source, n_features=None):
     labels = []
     max_index = 0
     for lineno, raw in enumerate(lines, start=1):
+        if not raw.isascii():
+            column = next(i for i, char in enumerate(raw, start=1) if not char.isascii())
+            raise MalformedLine(lineno, f"non-ASCII character at column {column}")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -119,7 +123,9 @@ def parse_libsvm(source, n_features=None):
 
 
 def parse_libsvm_file(path, n_features=None):
-    with open(path, "r", encoding="ascii") as handle:
+    # a non-ASCII byte decodes to a lone surrogate, which the parser rejects
+    # with its line number
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         return parse_libsvm(handle, n_features=n_features)
 
 

@@ -111,8 +111,10 @@ def test_deterministic_power_schedule_gate(tmp_path):
     ["--maxiter", "0"],
     ["--schedule", "power", "--maxiter", "0"],
     ["--mode", "det", "--epochs", "3", "--maxiter", "7"],
+    ["--mode", "stoch", "--epochs", "nan"],
+    ["--mode", "stoch", "--epochs", "inf"],
 ], ids=["batch-frac-0", "batch-frac-negative", "tiny-epochs", "maxiter-0",
-        "power-maxiter-0", "deterministic-epochs"])
+        "power-maxiter-0", "deterministic-epochs", "epochs-nan", "epochs-inf"])
 def test_bad_budget_is_a_typed_error(budget, tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["bench", "--model", "logistic", "--dim", "3", "--samples", "20",
@@ -214,3 +216,56 @@ def test_parse_check_error_names_its_type(tmp_path, capsys):
     data.write_text("+1 1:0.5\nabc 1:2\n")
     assert main(["parse-check", "--train", str(data)]) == 1
     assert capsys.readouterr().err == "error: MalformedLine: line 2: label 'abc' is not numeric\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--model", "logistic", "--samples", "0"], "problem 'logistic': samples=0"),
+    (["--model", "quadratic", "--mode", "stoch", "--samples", "0"],
+     "problem 'quadratic': samples=0"),
+    (["--model", "quadratic", "--dim", "0"], "problem 'quadratic': dim=0"),
+    (["--model", "logistic", "--dim", "0"], "problem 'logistic': dim=0"),
+    (["--mode", "stoch", "--seeds", "-1"], "seeds=(-1,): seed=-1"),
+    (["--seeds", "0,-1"], "seeds=(0, -1): seed=-1"),
+    (["--init-seed", "-1"], "init_seed=-1"),
+    (["--data-seed", "-1"], "problem 'quadratic': data_seed=-1"),
+], ids=["logistic-samples-0", "stoch-quadratic-samples-0", "quadratic-dim-0",
+        "logistic-dim-0", "stoch-seed-negative", "det-seed-negative",
+        "init-seed-negative", "data-seed-negative"])
+def test_bad_size_or_seed_is_a_typed_error(args, message, tmp_path, capsys):
+    """A zero size or a negative seed fails before any problem is built,
+    instead of a report whose rows are IndexError, BatchTooLarge or numpy's
+    "expected non-negative integer"."""
+    out = tmp_path / "r.json"
+    assert main(["bench", "--maxiter", "5", *args, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: InvalidSpec: {message} must be at least ")
+    assert not out.exists()
+
+
+def test_parse_check_names_the_line_of_a_non_ascii_byte(tmp_path, capsys):
+    data = tmp_path / "bad.libsvm"
+    data.write_bytes(b"+1 1:0.5\n-1 2:1\xff\n")
+    assert main(["parse-check", "--train", str(data)]) == 1
+    assert capsys.readouterr().err == (
+        "error: MalformedLine: line 2: non-ASCII character at column 7\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["parse-check", "--train", "missing.libsvm"],
+    ["bench", "--maxiter", "5", "--out", "no/such/dir/r.json"],
+], ids=["unreadable-train", "unwritable-out"])
+def test_os_error_is_an_error_line(args, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: FileNotFoundError: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_bench_with_missing_train_still_writes_its_error_row(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["bench", "--model", "logistic", "--train", str(tmp_path / "missing.libsvm"),
+                 "--maxiter", "5", "--out", str(out)]) == 0
+    (entry,) = json.loads(out.read_text())["runs"]
+    assert entry["error"].startswith("FileNotFoundError: ")

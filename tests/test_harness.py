@@ -15,6 +15,8 @@ from sipm import (Bounds, ExperimentSpec, LogisticObjective, Objective, ProblemS
 from sipm import harness
 from sipm.errors import InvalidBudget, InvalidChoice, InvalidSpec
 from sipm.harness import resolve_maxiter
+from sipm.schedules import BufferSequences, ExponentTriple, StaircaseSchedule
+from sipm.stepsize import Constants
 
 
 def test_initial_point():
@@ -82,10 +84,11 @@ def test_estimate_constants_oracle_recomputation():
     assert est.ell_f_bar <= 1.5 + 1e-12
 
     # independent replay of the bootstrap via the public solver
-    from sipm.harness import _bootstrap_config
-    from sipm import run
+    config = harness._solver_config(ExperimentSpec(problems=()), obj.gradient(x1), x1,
+                                    bounds, harness.BOOTSTRAP_CONSTANTS,
+                                    harness.BOOTSTRAP_ITERS)
     visited = []
-    run(obj, _bootstrap_config(obj, x1, bounds, 500), x1,
+    run(obj, config, x1,
         observer=lambda info: visited.append(info["x"]))
     grads = [obj.gradient(x) for x in visited]
     kappa = max(float(np.max(np.abs(g))) for g in grads)
@@ -196,10 +199,36 @@ def test_unknown_choice_is_a_typed_error(name, value, monkeypatch):
     (dict(bounds=(-1.0,)), InvalidSpec, "must be two numbers"),
     (dict(bounds=("-1", 1.0)), InvalidSpec, "must be two numbers"),
     (dict(epochs=3.0, maxiter=7), InvalidBudget, "epochs=3.0 counts mini-batch passes"),
+    (dict(mode="stochastic", epochs=float("nan")), InvalidBudget, "epochs=nan"),
+    (dict(mode="stochastic", epochs=float("inf")), InvalidBudget, "epochs=inf"),
+    (dict(mode="stochastic", epochs=1e307, batch_fraction=0.001), InvalidBudget,
+     "epochs=1e\\+307 gives the iteration budget inf"),
+    (dict(maxiter=float("inf")), InvalidBudget, "maxiter=inf must be an integer"),
+    (dict(maxiter=2.7), InvalidBudget, "maxiter=2.7 must be an integer"),
+    (dict(problems=(ProblemSpec(name="toy", model="quadratic", dim=0),)), InvalidSpec,
+     "'toy': dim=0 must be at least 1"),
+    (dict(problems=(ProblemSpec(name="lr", model="logistic", dim=0),)), InvalidSpec,
+     "'lr': dim=0 must be at least 1"),
+    (dict(problems=(ProblemSpec(name="lr", model="logistic", samples=0),)), InvalidSpec,
+     "'lr': samples=0 must be at least 1"),
+    (dict(problems=(ProblemSpec(name="toy", model="quadratic", samples=0),),
+          mode="stochastic"), InvalidSpec, "'toy': samples=0 must be at least 1"),
+    (dict(problems=(ProblemSpec(name="toy", model="quadratic", dim=2.5),)), InvalidSpec,
+     "'toy': dim=2.5 must be an integer"),
+    (dict(problems=(ProblemSpec(name="toy", model="quadratic", data_seed=-1),)),
+     InvalidSpec, "'toy': data_seed=-1 must be at least 0"),
+    (dict(seeds=(0, -1)), InvalidSpec, "seed=-1 must be at least 0"),
+    (dict(mode="stochastic", seeds=(-1,)), InvalidSpec, "seed=-1 must be at least 0"),
+    (dict(seeds=("0",)), InvalidSpec, "seed='0' must be an integer"),
+    (dict(init_seed=-1), InvalidSpec, "init_seed=-1 must be at least 0"),
 ], ids=["unknown-solver", "repeated-solver", "no-seeds", "repeated-seed",
         "repeated-problem-name", "unknown-model", "hidden-0", "bounds-reversed",
         "bounds-empty", "bounds-nan", "bounds-unbounded", "bounds-open-quadratic",
-        "bounds-one-value", "bounds-string", "deterministic-epochs"])
+        "bounds-one-value", "bounds-string", "deterministic-epochs", "epochs-nan",
+        "epochs-inf", "epochs-overflow", "maxiter-inf", "maxiter-float", "quadratic-dim-0",
+        "logistic-dim-0", "logistic-samples-0", "stochastic-quadratic-samples-0",
+        "dim-not-integer", "data-seed-negative", "seed-negative", "stochastic-seed-negative",
+        "seed-not-integer", "init-seed-negative"])
 def test_bad_solver_or_seed_list_fails_before_any_problem(fault, error, match,
                                                           monkeypatch):
     def no_build(problem, spec):
@@ -484,6 +513,61 @@ def test_theory_buffers_reach_the_sipm_run(monkeypatch):
     buffers = configs[-1].buffers   # the cell run, after the bootstrap
     assert (buffers.mode, buffers.alpha_buff_base, buffers.gamma_buff_base,
             buffers.t_mu) == ("theory", 0.5, 2.0, -0.5)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(),
+    dict(mode="stochastic", schedule="power", param_mode="theory",
+         exponents=(-0.75, -0.75, -0.2), buffer_bases=(0.5, 2.0), batch_fraction=0.1,
+         seeds=(0, 3), audit="full")], ids=["staircase-practical-det", "power-theory-stoch"])
+def test_every_run_config_comes_from_one_recipe(overrides, monkeypatch):
+    """run() gets the bootstrap's config first, then one config per computed
+    seed; each cell's entry reads its mu1, theta0 and budget from that config."""
+    configs = []
+    original = harness.run
+
+    def keep(objective, config, x1, observer=None):
+        configs.append(config)
+        return original(objective, config, x1, observer)
+
+    monkeypatch.setattr(harness, "run", keep)
+    spec = small_spec(**overrides)
+    report = run_experiment(spec)
+    assert not any("error" in entry for entry in report["runs"])
+
+    bootstrap, cells = configs[0], configs[1:]
+    assert (bootstrap.mode, bootstrap.buffers.mode, bootstrap.constants, bootstrap.maxiter,
+            bootstrap.rng_seed, bootstrap.audit_level) == (
+        "deterministic", "practical", harness.BOOTSTRAP_CONSTANTS, harness.BOOTSTRAP_ITERS,
+        0, "off")
+    assert isinstance(bootstrap.schedule, StaircaseSchedule)
+    assert report["constants"]["toy"]["bootstrap"]["placeholder_constants"] == 1.0
+
+    computed = spec.seeds if spec.mode == "stochastic" else spec.seeds[:1]
+    assert [config.rng_seed for config in cells] == list(computed)
+    maxiter = resolve_maxiter(spec)
+    estimated = report["constants"]["toy"]
+    for config in cells:
+        entries = [e for e in report["runs"] if e["seed"] == config.rng_seed]
+        assert [e["solver"] for e in entries] == ["sipm", "psgm", "proj-ipm"]
+        for entry in entries:
+            assert (entry["mu1"], entry["theta0"], entry["maxiter"]) == (
+                config.schedule.mu1, config.schedule.theta0, config.maxiter)
+        assert (config.mode, config.maxiter, config.batch_fraction, config.audit_level) == (
+            spec.mode, maxiter, spec.batch_fraction, "invariants" if spec.audit == "full"
+            else "off")
+        assert config.constants == Constants(
+            estimated["ell_f_bar"], estimated["kappa_inf_bar"],
+            estimated["sigma_inf_bar"] if spec.mode == "stochastic" else 0.0)
+        if spec.schedule == "staircase":
+            assert isinstance(config.schedule, StaircaseSchedule)
+            assert entries[0]["schedule_degenerate"] == config.schedule.degenerate
+            assert config.buffers == BufferSequences(mode="practical", maxiter=maxiter)
+        else:
+            assert config.schedule.exponents == ExponentTriple(*spec.exponents)
+            assert "schedule_degenerate" not in entries[0]
+            assert config.buffers == BufferSequences(
+                mode="theory", alpha_buff_base=0.5, gamma_buff_base=2.0, t_mu=-0.75)
 
 
 def count_cells(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sipm import align_feature_space, parse_libsvm, serialize_libsvm
+from sipm import align_feature_space, parse_libsvm, parse_libsvm_file, serialize_libsvm
 from sipm.errors import LabelMismatch, MalformedLine, NonIncreasingIndex, NotBinary
 
 
@@ -49,6 +49,23 @@ def test_parse_rejects_non_finite_numbers(line):
     with pytest.raises(MalformedLine, match="not finite") as err:
         parse_libsvm("-1 1:1\n" + line + "\n")
     assert err.value.line_number == 2
+
+
+@pytest.mark.parametrize("data, line, column", [
+    (b"+1 1:0.5\n-1 2:1\xff\n", 2, 7),
+    (b"# caf\xc3\xa9\n+1 1:0.5\n", 1, 6),
+], ids=["value", "comment"])
+def test_non_ascii_byte_is_a_malformed_line(data, line, column, tmp_path):
+    """The file used to fail as a UnicodeDecodeError with a byte position,
+    even inside a comment; the format stays ASCII-only, and the error now
+    names the line."""
+    path = tmp_path / "bad.libsvm"
+    path.write_bytes(data)
+    with pytest.raises(MalformedLine, match=f"^line {line}: non-ASCII character at "
+                                            f"column {column}$"):
+        parse_libsvm_file(str(path))
+    with pytest.raises(MalformedLine, match=f"^line {line}: "):
+        parse_libsvm(data.decode("utf-8", errors="replace"))
 
 
 def test_parse_rejects_nonincreasing_indices():

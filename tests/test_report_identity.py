@@ -36,3 +36,17 @@ def test_failed_bench_is_a_difference_and_the_rest_still_runs(monkeypatch, capsy
     assert lines[0].endswith("DIFFERENT")
     assert lines[1].startswith("tiny") and lines[1].endswith("same")
     assert lines[2] == "1 of 2 reports differ"
+    total = report_identity.source_lines(src)
+    assert lines[3] == f"sipm/*.py lines  parent {total}  change {total}  (+0)"
+
+
+def test_source_lines_count_like_wc(tmp_path):
+    """Each tree's sipm/*.py newline total, as ``wc -l`` sums it: a last line
+    without a newline does not count, and files outside sipm/*.py are not read."""
+    package = tmp_path / "sipm"
+    package.mkdir()
+    (package / "a.py").write_text("one\ntwo\n")
+    (package / "b.py").write_text("three\nfour")
+    (package / "notes.txt").write_text("x\n" * 50)
+    (tmp_path / "other.py").write_text("y\n" * 50)
+    assert report_identity.source_lines(str(tmp_path)) == 3

@@ -7,7 +7,9 @@ Runs each ``sipm bench`` shape in SHAPES at ``--init-seed``/``--data-seed``
 that tree first on ``PYTHONPATH``.  Prints the sha256 of each report's
 canonical bytes (the report without its ``timing`` block, as
 ``harness.canonical_report_bytes`` renders it) per shape, seed and side, and
-exits 1 if any pair differs.  A bench that exits non-zero on either side
+exits 1 if any pair differs.  Last it prints each tree's ``sipm/*.py``
+line total, as ``wc -l`` counts it, so a refactor's size figure comes from
+the same run as its identity check.  A bench that exits non-zero on either side
 prints each side's exit status in place of its hash, counts as a difference,
 and the comparison goes on with the next shape.  Every process runs in one
 temporary directory, where the parent tree first writes the train/test pairs that the
@@ -19,6 +21,7 @@ hashes, the same from one call to the next.
 """
 
 import argparse
+import glob
 import hashlib
 import json
 import os
@@ -105,6 +108,15 @@ def report_sha256(src, argv, work):
                           .encode("ascii")).hexdigest()
 
 
+def source_lines(src):
+    """Newline count of the tree's ``sipm/*.py`` files, the total of ``wc -l``."""
+    total = 0
+    for path in glob.glob(os.path.join(src, "sipm", "*.py")):
+        with open(path, "rb") as handle:
+            total += handle.read().count(b"\n")
+    return total
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description="Compare the canonical report bytes "
                                                  "of two sipm source trees.")
@@ -125,6 +137,8 @@ def main(argv=None):
                 print(f"{shape:<20} seed {seed}  parent {hashes[0]}  change {hashes[1]}  "
                       f"{'same' if same else 'DIFFERENT'}", flush=True)
     print(f"{mismatches} of {len(SHAPES) * len(SEEDS)} reports differ")
+    lines = [source_lines(src) for src in (parent, change)]
+    print(f"sipm/*.py lines  parent {lines[0]}  change {lines[1]}  ({lines[1] - lines[0]:+d})")
     return 1 if mismatches else 0
 
 
