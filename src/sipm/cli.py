@@ -29,14 +29,9 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def _add_common(parser, multi_solver):
+def _add_common(parser):
+    """The flags of every experiment command: problem, budget, box, seeds, output."""
     parser.add_argument("--model", choices=MODELS, default="quadratic")
-    if multi_solver:
-        parser.add_argument("--solver", default="sipm,psgm",
-                            help="comma-separated subset of sipm,psgm,proj-ipm")
-    else:
-        parser.add_argument("--solver", choices=SOLVERS,
-                            default="sipm")
     parser.add_argument("--mode", choices=("det", "stoch"), default="det")
     parser.add_argument("--train", metavar="PATH", default=None)
     parser.add_argument("--test", metavar="PATH", default=None)
@@ -47,16 +42,7 @@ def _add_common(parser, multi_solver):
                         help="comma-separated integers")
     parser.add_argument("--bounds", nargs=2, type=float, default=(-1.0, 1.0),
                         metavar=("LO", "HI"))
-    parser.add_argument("--t-mu", type=float, default=-1.0)
-    parser.add_argument("--t-theta", type=float, default=-1.0)
-    parser.add_argument("--t-alpha", type=float, default=0.0)
-    parser.add_argument("--schedule", choices=SPEC_CHOICES["schedule"],
-                        default="staircase")
-    parser.add_argument("--param-mode", choices=SPEC_CHOICES["param_mode"],
-                        default="practical")
-    parser.add_argument("--audit", choices=SPEC_CHOICES["audit"], default="off")
     parser.add_argument("--out", default="-")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--dim", type=int, default=5,
                         help="dimension (quadratic) or feature count (synthetic data)")
     parser.add_argument("--samples", type=int, default=50,
@@ -65,23 +51,40 @@ def _add_common(parser, multi_solver):
     parser.add_argument("--init-seed", type=int, default=0)
     parser.add_argument("--hidden", type=int, default=None)
     parser.add_argument("--cache-dir", default=None)
+
+
+def _add_run_flags(parser, multi_solver):
+    """The flags that only solve and bench read: solvers, schedule, audit, report."""
+    if multi_solver:
+        parser.add_argument("--solver", default="sipm,psgm",
+                            help="comma-separated subset of sipm,psgm,proj-ipm")
+    else:
+        parser.add_argument("--solver", choices=SOLVERS,
+                            default="sipm")
+    parser.add_argument("--t-mu", type=float, default=-1.0)
+    parser.add_argument("--t-theta", type=float, default=-1.0)
+    parser.add_argument("--t-alpha", type=float, default=0.0)
+    parser.add_argument("--schedule", choices=SPEC_CHOICES["schedule"],
+                        default="staircase")
+    parser.add_argument("--param-mode", choices=SPEC_CHOICES["param_mode"],
+                        default="practical")
+    parser.add_argument("--audit", choices=SPEC_CHOICES["audit"], default="off")
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--trace", action="store_true")
 
 
-def _spec_from_args(args, solvers):
+def _spec_from_args(args, **run_options):
+    """The one-problem spec of a command; ``run_options`` holds what the
+    solve and bench flags set, and estimate leaves at the spec defaults."""
     problem = ProblemSpec(name=args.model, model=args.model,
                           train_path=args.train, test_path=args.test,
                           dim=args.dim, data_seed=args.data_seed,
                           samples=args.samples, hidden=args.hidden)
-    return ExperimentSpec(problems=(problem,), solvers=solvers,
-                          mode=MODES[args.mode], schedule=args.schedule,
-                          param_mode=args.param_mode,
-                          exponents=(args.t_mu, args.t_theta, args.t_alpha),
+    return ExperimentSpec(problems=(problem,), mode=MODES[args.mode],
                           maxiter=args.maxiter, epochs=args.epochs,
                           batch_fraction=args.batch_frac, seeds=args.seeds,
-                          bounds=tuple(args.bounds), audit=args.audit,
-                          init_seed=args.init_seed, cache_dir=args.cache_dir,
-                          trace=args.trace)
+                          bounds=tuple(args.bounds), init_seed=args.init_seed,
+                          cache_dir=args.cache_dir, **run_options)
 
 
 def _emit(text, out_path):
@@ -102,14 +105,17 @@ def _cmd_run(args):
     solvers = tuple(s.strip() for s in args.solver.split(",") if s.strip())
     if not solvers:   # a spec without solvers is an estimate; bench must run one
         raise InvalidChoice("solver", args.solver, SOLVERS)
-    spec = _spec_from_args(args, solvers)
+    spec = _spec_from_args(args, solvers=solvers, schedule=args.schedule,
+                           param_mode=args.param_mode,
+                           exponents=(args.t_mu, args.t_theta, args.t_alpha),
+                           audit=args.audit, trace=args.trace)
     _write_report(run_experiment(spec), args)
     return 0
 
 
 def _cmd_estimate(args):
     """An experiment without solvers: the problem's constants, or its error."""
-    report = run_experiment(_spec_from_args(args, ()))
+    report = run_experiment(_spec_from_args(args, solvers=()))
     config = report["config"]
     name = config["problems"][0]["name"]
     if name not in report["constants"]:   # the problem's one error entry
@@ -150,15 +156,17 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run one solver on one problem")
-    _add_common(p_solve, multi_solver=False)
+    _add_common(p_solve)
+    _add_run_flags(p_solve, multi_solver=False)
     p_solve.set_defaults(handler=_cmd_run)
 
     p_estimate = sub.add_parser("estimate", help="estimate problem constants")
-    _add_common(p_estimate, multi_solver=False)
+    _add_common(p_estimate)
     p_estimate.set_defaults(handler=_cmd_estimate)
 
     p_bench = sub.add_parser("bench", help="compare solvers over seeds")
-    _add_common(p_bench, multi_solver=True)
+    _add_common(p_bench)
+    _add_run_flags(p_bench, multi_solver=True)
     p_bench.set_defaults(handler=_cmd_run)
 
     p_check = sub.add_parser("parse-check", help="validate LIBSVM data files")

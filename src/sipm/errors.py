@@ -58,15 +58,18 @@ class InvalidChoice(SipmError, ValueError):
 
 class InvalidSpec(SipmError, ValueError):
     """An experiment's seed list is empty, its problem names, solvers or seeds
-    repeat, a problem's hidden width is below 1, or its bounds are bad."""
+    repeat, a problem's size is below 1, it names a data file it would not
+    read, or the bounds are bad."""
 
 
 class InvalidConstants(SipmError, ValueError):
-    """A solver constant (ell_f, kappa_inf or sigma_inf) is negative or not finite."""
+    """A solver constant (ell_f, kappa_inf or sigma_inf) is negative or not
+    finite, or a constants cache file does not hold three such numbers."""
 
 
 class InvalidExponents(SipmError, ValueError):
-    """A power schedule's exponents lie outside the admissible region of the run's mode."""
+    """A power schedule's exponents lie outside the admissible region of the
+    run's mode, or grow so fast that a parameter overflows a float."""
 
 
 class NonFiniteGradient(SipmError):

@@ -7,9 +7,9 @@ then run every requested solver over every seed, sipm first.  One recipe,
 ``_solver_config``, sets up both the bootstrap (a deterministic staircase)
 and each seed: the barrier start mu1 from the gradient (estimate) at the
 start point, the neighborhood margin theta0 capped by the constants, then
-the schedule and buffers; every cell of the seed reads that config.  Each
-baseline cell writes its comparisons with the seed's sipm run, the relative
-performance ``(a - b) / max(a, b, 1)`` per metric, as it ends.
+the schedule and buffers; every cell of the seed reads that config and its
+one parameter table, ``config.sequences``.  A baseline cell ends by writing
+each metric's ``(a - b) / max(a, b, 1)`` against the seed's sipm run.
 
 A seed reaches a run only through the stochastic oracle: with exact gradients
 the barrier start, every solver's steps and so every row are the same for
@@ -33,18 +33,18 @@ import math
 import numbers
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .baselines import c_constant, match_sipm_endpoints, run_psgm, run_simplified
-from .errors import InvalidBudget, InvalidChoice, InvalidSpec
+from .errors import InvalidBudget, InvalidChoice, InvalidConstants, InvalidSpec
 from .geometry import DELTA_CAP, Bounds, range_gap
 from .libsvm import align_feature_space, parse_libsvm_file
 from .problems import (MODES, gradient_oracle, logistic_objective, nn_objective,
                        quadratic_objective, synthetic_classification)
 from .schedules import (BufferSequences, ExponentTriple, PowerSchedule,
-                        build_staircase, mu1_init, sequences, theta0_init)
+                        build_staircase, mu1_init, theta0_init)
 from .solver import CONFIG_CHOICES, SolverConfig, run
 from .stepsize import Constants
 
@@ -127,14 +127,29 @@ def estimate_constants(objective, x1, bounds, mode="deterministic",
 
 
 def save_constants(path, constants):
-    with open(path, "w", encoding="ascii") as handle:
+    """Write a temporary file beside ``path`` and move it into place, so an
+    interrupted write never leaves a partial file at ``path``."""
+    partial = f"{path}.{os.getpid()}.tmp"
+    with open(partial, "w", encoding="ascii") as handle:
         json.dump(asdict(constants), handle, sort_keys=True)
+    os.replace(partial, path)
 
 
 def load_constants(path):
-    with open(path, "r", encoding="ascii") as handle:
-        data = json.load(handle)
-    return EstimatedConstants(**data)
+    """InvalidConstants naming ``path`` unless the file is one JSON object of
+    the three constants, each a finite nonnegative number."""
+    keys = [f.name for f in fields(EstimatedConstants)]
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            data = json.load(handle)
+    except ValueError as err:   # not ASCII, or not JSON (a truncated write)
+        raise InvalidConstants(f"cached constants {path}: {err}") from None
+    if not (isinstance(data, dict) and sorted(data) == sorted(keys) and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) and 0.0 <= v < math.inf
+            for v in data.values())):
+        raise InvalidConstants(f"cached constants {path}: need exactly the keys {keys}, "
+                               f"each a finite nonnegative number, got {data!r}")
+    return EstimatedConstants(**{key: float(data[key]) for key in keys})
 
 
 @dataclass(frozen=True)
@@ -184,16 +199,17 @@ def resolve_maxiter(spec):
 
     Raises InvalidChoice for a mode, schedule, param_mode or audit outside
     SPEC_CHOICES, a problem model outside MODELS or a solver outside
-    SOLVERS, InvalidSpec for bounds that are not two numbers lo < hi (neither
-    NaN) with a finite side, an infinite side under a quadratic problem, an
-    empty seed list, a repeated problem name, solver or seed, a problem dim,
-    samples or hidden width that is not an integer of at least 1, or a seed,
-    init_seed or problem data_seed that is not a non-negative integer, and
-    InvalidBudget for a stochastic batch fraction outside (0, 1], epochs in
-    deterministic mode, epochs that give no finite budget, a maxiter that is
-    not an integer or a budget below one iteration, before any problem is
-    built.  An empty solver list is valid:
-    it estimates the constants and runs nothing.
+    SOLVERS, InvalidSpec for a data path the problem would not read (any on
+    a quadratic, a test_path without a train_path), bounds that are not two
+    numbers lo < hi (neither NaN) with a finite side, an infinite side under
+    a quadratic problem, an empty seed list, a repeated problem name, solver
+    or seed, a problem dim, samples or hidden width that is not an integer of
+    at least 1, or a seed, init_seed or problem data_seed that is not a
+    non-negative integer, and InvalidBudget for a stochastic batch fraction
+    outside (0, 1], epochs in deterministic mode, epochs that give no finite
+    budget, a maxiter that is not an integer or a budget below one iteration,
+    before any problem is built.  An empty solver list is valid: it estimates
+    the constants and runs nothing.
     """
     for name, allowed in SPEC_CHOICES.items():
         if getattr(spec, name) not in allowed:
@@ -201,6 +217,12 @@ def resolve_maxiter(spec):
     for problem in spec.problems:
         if problem.model not in MODELS:
             raise InvalidChoice("model", problem.model, MODELS)
+        data_paths = (problem.train_path, problem.test_path)
+        if problem.model == "quadratic" and data_paths != (None, None):
+            raise InvalidSpec(f"problem {problem.name!r}: a quadratic reads no data file, "
+                              f"got (train_path, test_path)={data_paths!r}")
+        if problem.test_path is not None and problem.train_path is None:
+            raise InvalidSpec(f"problem {problem.name!r}: test_path needs a train_path")
         for field, least in (("dim", 1), ("samples", 1), ("hidden", 1), ("data_seed", 0)):
             if field != "hidden" or problem.hidden is not None:
                 _require_count(f"problem {problem.name!r}: {field}", getattr(problem, field),
@@ -408,7 +430,7 @@ def run_experiment(spec):
                                           [seed, 1])(x1)
                 config = _solver_config(spec, g_probe, x1, bounds, constants, maxiter,
                                         seed, audit)
-                seq = sequences(config.schedule, config.buffers, maxiter)
+                seq = config.sequences
             except Exception as err:  # every cell of this seed records it, timed as the set-up
                 elapsed = time.perf_counter() - t_set_up
                 for solver_name in ordered_solvers:
@@ -428,16 +450,16 @@ def run_experiment(spec):
                         if anchor is not None:
                             steps = match_sipm_endpoints(steps, anchor[0].alpha_first,
                                                          anchor[0].alpha_last)
-                        result = run_psgm(objective, bounds, steps, x1, maxiter,
-                                          mode=spec.mode,
-                                          batch_fraction=spec.batch_fraction, seed=seed)
+                        result = run_psgm(objective, config.bounds, steps, x1, config.maxiter,
+                                          mode=config.mode, batch_fraction=config.batch_fraction,
+                                          seed=config.rng_seed)
                     else:  # proj-ipm, the last name resolve_maxiter admits
-                        c = c_constant(bounds, estimated.kappa_inf_bar, config.schedule.mu1)
-                        result = run_simplified(objective, bounds, seq["mu"][1:maxiter + 1],
-                                                estimated.ell_f_bar, c, x1, maxiter,
-                                                mode=spec.mode,
-                                                batch_fraction=spec.batch_fraction,
-                                                seed=seed)
+                        c = c_constant(config.bounds, config.constants.kappa_inf,
+                                       config.schedule.mu1)
+                        result = run_simplified(objective, config.bounds, seq["mu"][1:-1],
+                                                config.constants.ell_f, c, x1, config.maxiter,
+                                                mode=config.mode, seed=config.rng_seed,
+                                                batch_fraction=config.batch_fraction)
                     entry = {"problem": problem.name, "solver": solver_name,
                              "seed": seed, "mu1": config.schedule.mu1,
                              "theta0": config.schedule.theta0, "maxiter": maxiter}

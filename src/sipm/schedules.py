@@ -9,9 +9,10 @@ and stochastic convergence regimes.
 
 No sequence depends on the iterates, so ``sequences`` evaluates one run's
 values once, before its first iteration, and a staircase shorter than the
-run raises HorizonExceeded there.  The solver kernel and both baselines
-read that table; this module is the only one that evaluates a schedule or
-a buffer.
+run raises HorizonExceeded there, and a power that overflows a float
+InvalidExponents.  Each ``SolverConfig`` builds its run's table, which the
+solver kernel and both baselines read; this module is the only one that
+evaluates a schedule or a buffer.
 
 Indexing note: ``schedule.theta(k)`` returns theta_k, which for the power
 family is ``theta0 * (k+1)**t_theta``.  The shift is deliberate and matches
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HorizonExceeded, InvalidMu1, InvalidTheta0
+from .errors import HorizonExceeded, InvalidExponents, InvalidMu1, InvalidTheta0
 from .geometry import require_interior
 
 MU_FLOOR = 1e-8
@@ -210,20 +211,33 @@ class BufferSequences:
         return (self.maxiter / k) ** 0.55
 
 
+def _evaluated(name, method, ks):
+    """[method(k) for k in ks], where a power that overflows a float raises
+    InvalidExponents naming the sequence and the first such k."""
+    values = []
+    for k in ks:
+        try:
+            values.append(method(k))
+        except OverflowError:
+            raise InvalidExponents(f"{name}_k overflows a float at k={k}; only exponents "
+                                   "outside every admissible region grow") from None
+    return values
+
+
 def sequences(schedule, buffers, maxiter):
     """One run's parameters, each per-k method evaluated once: a dict of
     float lists indexed by k, with NaN at k = 0 for all but ``theta``.  ``mu``
     ends with mu_{maxiter+1}, or mu_maxiter again where a staircase ends."""
     ks = range(1, maxiter + 1)
-    mu = [math.nan] + [schedule.mu(k) for k in ks]
+    mu = [math.nan] + _evaluated("mu", schedule.mu, ks)
     try:
-        mu.append(schedule.mu(maxiter + 1))
+        mu += _evaluated("mu", schedule.mu, [maxiter + 1])
     except HorizonExceeded:
         mu.append(mu[-1])
-    return dict(theta=[schedule.theta(k) for k in range(maxiter + 1)],
-                s=[math.nan] + [schedule.s(k) for k in ks], mu=mu,
-                alpha_buff=[math.nan] + [buffers.alpha(k) for k in ks],
-                gamma_buff=[math.nan] + [buffers.gamma(k) for k in ks])
+    return dict(theta=_evaluated("theta", schedule.theta, range(maxiter + 1)),
+                s=[math.nan] + _evaluated("s", schedule.s, ks), mu=mu,
+                alpha_buff=[math.nan] + _evaluated("alpha_buff", buffers.alpha, ks),
+                gamma_buff=[math.nan] + _evaluated("gamma_buff", buffers.gamma, ks))
 
 
 def mu1_init(g1, x1, bounds):

@@ -2,8 +2,9 @@
 
 Every iterate is kept inside a shrinking inner neighborhood of the box by a
 closed-form ratio test, so no fraction-to-the-boundary rule, line search, or
-step acceptance test is needed.  ``sipm_step`` takes the slacks of x once and
-``stepsize._step`` does the rest of the step.  The loop runs with either exact
+step acceptance test is needed.  A ``SolverConfig`` builds its run's parameter
+table once, on first read; ``sipm_step`` reads it, takes the slacks of x once,
+and ``stepsize._step`` does the rest.  The loop runs with either exact
 gradients or seeded mini-batch estimates; with auditing enabled each step is
 checked, on its record's slacks, against the contracts the step-size rules are
 supposed to guarantee and any failure raises InvariantViolation.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +45,15 @@ class SolverConfig:
     batch_fraction: float = 0.01
     hk_strategy: str = "practical"    # "practical" | "identity"
     audit_level: str = "off"          # "off" | "invariants" | "full_trace"
+
+    # built on first read and kept; not fields, so replace() starts them afresh
+    @cached_property
+    def delta(self):
+        return range_gap(self.bounds, DELTA_CAP)
+
+    @cached_property
+    def sequences(self):   # the run's one parameter table
+        return sequences(self.schedule, self.buffers, self.maxiter)
 
 
 @dataclass
@@ -109,10 +120,10 @@ def _rel_ok(lhs, rhs, tol):
     return lhs <= rhs + tol * (1.0 + abs(rhs))
 
 
-def sipm_step(x, k, g, config, delta, seq):
+def sipm_step(x, k, g, config):
     """Iteration k from x: scaling, barrier gradient, then ``stepsize._step``.
 
-    ``g`` is the (estimated) gradient at x, ``seq`` the run's ``sequences``
+    ``g`` is the (estimated) gradient at x, ``config.sequences`` the run's
     table.  Returns the step's one record, a dict that ``run`` hands to its
     observer and takes its stall count, step sizes, audits and trace row from.
 
@@ -120,6 +131,7 @@ def sipm_step(x, k, g, config, delta, seq):
     record's lo/up.  Nothing is validated: ``run`` checks its inputs at entry,
     and the final clip keeps x_next in the theta_k (the next prior) neighborhood.
     """
+    seq = config.sequences
     mu_k, theta_k, theta_prev = seq["mu"][k], seq["theta"][k], seq["theta"][k - 1]
     lo, up = slacks(x, config.bounds)
     h_diag, lam_min, lam_max = _hk(lo, up, mu_k, config.constants.ell_f, config.hk_strategy)
@@ -127,7 +139,7 @@ def sipm_step(x, k, g, config, delta, seq):
     bundle, d, gamma_k, x_next = _step(
         x, lo, up, q, h_diag, lam_min, k, config.bounds, mu_k, theta_k, theta_prev,
         config.schedule.t_alpha, seq["alpha_buff"][k], seq["gamma_buff"][k],
-        config.constants, delta, config.mode == "stochastic")
+        config.constants, config.delta, config.mode == "stochastic")
     step = dict(k=k, x=x, x_next=x_next, g=g, q=q, d=d, lo=lo, up=up,
                 h_diag=h_diag, lam_min=lam_min, lam_max=lam_max,
                 bundle=bundle, gamma_k=gamma_k, mu_k=mu_k,
@@ -192,8 +204,7 @@ def run(objective, config, x1, observer=None):
             raise InvalidConstants(f"{name}={value} must be nonnegative and finite")
     bounds = config.bounds
     x = np.asarray(x1, dtype=float).copy()
-    delta = range_gap(bounds, DELTA_CAP)
-    seq = sequences(config.schedule, config.buffers, config.maxiter)
+    delta, seq = config.delta, config.sequences
     theta0, mu1 = seq["theta"][0], seq["mu"][1]
     if not 0.0 < mu1 < math.inf:
         raise InvalidMu1(f"mu1={mu1} must be positive and finite")
@@ -223,7 +234,7 @@ def run(objective, config, x1, observer=None):
                 if need_f else math.nan)
 
     for k in range(1, config.maxiter + 1):
-        step = sipm_step(x, k, gradient(x), config, delta, seq)
+        step = sipm_step(x, k, gradient(x), config)
         if observer is not None:
             observer(step)
         x = step["x_next"]

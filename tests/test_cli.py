@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sipm import harness
+from sipm import cli, harness
 from sipm.cli import main
 
 
@@ -269,3 +269,78 @@ def test_bench_with_missing_train_still_writes_its_error_row(tmp_path):
                  "--maxiter", "5", "--out", str(out)]) == 0
     (entry,) = json.loads(out.read_text())["runs"]
     assert entry["error"].startswith("FileNotFoundError: ")
+
+
+@pytest.mark.parametrize("model, paths, message", [
+    ("logistic", ["--test", "t.libsvm"], "'logistic': test_path needs a train_path"),
+    ("quadratic", ["--train", "t.libsvm"], "'quadratic': a quadratic reads no data file"),
+], ids=["test-without-train", "quadratic-with-train"])
+def test_unread_data_path_is_an_error_line(model, paths, message, tmp_path, capsys,
+                                           monkeypatch):
+    """Both commands used to exit 0, training on synthetic data or running the
+    random quadratic, and ignore the file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.libsvm").write_text("1 1:0.5\n-1 2:1.0\n")
+    assert main(["bench", "--model", model, *paths, "--maxiter", "5",
+                 "--out", "r.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: InvalidSpec: problem {message}") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("cached", ['{"ell_f_bar": 1.0,\n', '{"ell_f_bar": 1.0}'],
+                         ids=["truncated", "missing-keys"])
+def test_bad_cache_file_is_an_error_line(cached, tmp_path, capsys):
+    """JSONDecodeError and TypeError lines that named no file are now one
+    InvalidConstants line naming the cache file."""
+    cache = tmp_path / "cache"
+    argv = ["estimate", "--model", "quadratic", "--dim", "3", "--cache-dir", str(cache)]
+    assert main(argv) == 0
+    (path,) = cache.iterdir()
+    path.write_text(cached)
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: InvalidConstants: cached constants {path}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_overflowing_schedule_is_a_typed_error_row(tmp_path):
+    """Every cell of the seed used to read OverflowError: (34, 'Numerical
+    result out of range')."""
+    out = tmp_path / "r.json"
+    assert main(["bench", "--model", "quadratic", "--dim", "3", "--maxiter", "50",
+                 "--schedule", "power", "--t-mu", "1000", "--t-theta", "1000",
+                 "--solver", "sipm,psgm,proj-ipm", "--out", str(out)]) == 0
+    runs = json.loads(out.read_text())["runs"]
+    assert [entry["solver"] for entry in runs] == ["sipm", "psgm", "proj-ipm"]
+    assert all(entry["error"].startswith("InvalidExponents: mu_k overflows a float at k=3")
+               for entry in runs)
+
+
+@pytest.mark.parametrize("flag", [
+    ["--format", "csv"], ["--trace"], ["--audit", "full"], ["--solver", "sipm"],
+    ["--schedule", "power"], ["--param-mode", "theory"], ["--t-mu", "-0.5"],
+    ["--t-theta", "-0.5"], ["--t-alpha", "-0.1"]], ids=lambda flag: flag[0])
+def test_estimate_rejects_the_flags_it_does_not_read(flag, capsys):
+    """estimate used to accept these and ignore them (``--format csv`` still
+    printed JSON); solve and bench keep them."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["estimate", "--model", "quadratic", "--dim", "3", *flag])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    for command in ("solve", "bench"):
+        assert cli.build_parser().parse_args([command, *flag]).command == command
+
+
+def test_estimate_spec_takes_the_spec_defaults(capsys, monkeypatch):
+    specs = []
+    original = cli.run_experiment
+    monkeypatch.setattr(cli, "run_experiment", lambda spec: specs.append(spec) or original(spec))
+    assert main(["estimate", "--model", "quadratic", "--dim", "3"]) == 0
+    (spec,) = specs
+    defaults = harness.ExperimentSpec(problems=())
+    assert spec.solvers == ()
+    for name in ("schedule", "param_mode", "exponents", "audit", "trace"):
+        assert getattr(spec, name) == getattr(defaults, name)

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from sipm import (Bounds, ExperimentSpec, LogisticObjective, Objective, ProblemS
                   run_experiment, save_constants, shifted_barrier_value,
                   synthetic_classification)
 from sipm import harness
-from sipm.errors import InvalidBudget, InvalidChoice, InvalidSpec
+from sipm.errors import InvalidBudget, InvalidChoice, InvalidConstants, InvalidSpec
 from sipm.harness import resolve_maxiter
 from sipm.schedules import BufferSequences, ExponentTriple, StaircaseSchedule
 from sipm.stepsize import Constants
@@ -154,6 +155,60 @@ def test_constants_cache_roundtrip(tmp_path):
     assert load_constants(path) == est
 
 
+BAD_CACHE_FILES = {
+    "truncated": '{"ell_f_bar": 1.0,\n',
+    "missing-keys": '{"ell_f_bar": 1.0}',
+    "extra-key": '{"ell_f_bar": 1.0, "kappa_inf_bar": 1.0, "sigma_inf_bar": 0.0, "x": 1}',
+    "nan-and-negative": '{"ell_f_bar": NaN, "kappa_inf_bar": -1, "sigma_inf_bar": 0.0}',
+    "infinite": '{"ell_f_bar": Infinity, "kappa_inf_bar": 1.0, "sigma_inf_bar": 0.0}',
+    "not-a-number": '{"ell_f_bar": "1", "kappa_inf_bar": true, "sigma_inf_bar": 0.0}',
+    "not-an-object": '[1.0, 1.0, 0.0]',
+    "not-ascii": '{"ell_f_bar": 1.0 \u00e9}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CACHE_FILES))
+def test_bad_cache_file_is_invalid_constants(case, tmp_path):
+    """A cache file that is not one JSON object of three finite nonnegative
+    numbers used to fail as JSONDecodeError or TypeError, or to reach the
+    solvers; it is InvalidConstants naming the file."""
+    path = tmp_path / "constants.json"
+    path.write_text(BAD_CACHE_FILES[case], encoding="utf-8")
+    with pytest.raises(InvalidConstants, match=re.escape(f"cached constants {path}: ")):
+        load_constants(path)
+
+
+@pytest.mark.parametrize("case", ["truncated", "nan-and-negative"])
+def test_bad_cache_file_is_the_problems_one_error_row(case, tmp_path, monkeypatch):
+    """The problem gets one error row and no cell runs, psgm included."""
+    calls = count_cells(monkeypatch)
+    spec = small_spec(tmp_path)
+    (tmp_path / harness._cache_key(spec.problems[0], spec)).write_text(BAD_CACHE_FILES[case])
+    report = run_experiment(spec)
+    (entry,) = report["runs"]
+    assert (entry["problem"], entry["solver"]) == ("toy", None)
+    assert entry["error"].startswith("InvalidConstants: cached constants ")
+    assert not any(calls.values()) and report["constants"] == {}
+    assert report["comparisons"] == []
+
+
+def test_interrupted_cache_write_keeps_the_old_file(tmp_path, monkeypatch):
+    """save_constants moves a finished file into place, so a write that
+    fails part way leaves the cache file as it was."""
+    path = tmp_path / "constants.json"
+    old = harness.EstimatedConstants(1.0, 2.0, 0.0)
+    save_constants(path, old)
+
+    def interrupted(obj, handle, **kwargs):
+        handle.write('{"ell_f_bar": ')
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness.json, "dump", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        save_constants(path, harness.EstimatedConstants(3.0, 4.0, 0.0))
+    assert load_constants(path) == old
+
+
 def test_resolve_maxiter():
     spec = ExperimentSpec(problems=(), mode="stochastic", epochs=1.0,
                           batch_fraction=0.01)
@@ -221,6 +276,12 @@ def test_unknown_choice_is_a_typed_error(name, value, monkeypatch):
     (dict(mode="stochastic", seeds=(-1,)), InvalidSpec, "seed=-1 must be at least 0"),
     (dict(seeds=("0",)), InvalidSpec, "seed='0' must be an integer"),
     (dict(init_seed=-1), InvalidSpec, "init_seed=-1 must be at least 0"),
+    (dict(problems=(ProblemSpec(name="toy", model="quadratic", train_path="t.libsvm"),)),
+     InvalidSpec, "'toy': a quadratic reads no data file"),
+    (dict(problems=(ProblemSpec(name="toy", model="quadratic", test_path="t.libsvm"),)),
+     InvalidSpec, "'toy': a quadratic reads no data file"),
+    (dict(problems=(ProblemSpec(name="lr", model="logistic", test_path="t.libsvm"),)),
+     InvalidSpec, "'lr': test_path needs a train_path"),
 ], ids=["unknown-solver", "repeated-solver", "no-seeds", "repeated-seed",
         "repeated-problem-name", "unknown-model", "hidden-0", "bounds-reversed",
         "bounds-empty", "bounds-nan", "bounds-unbounded", "bounds-open-quadratic",
@@ -228,7 +289,8 @@ def test_unknown_choice_is_a_typed_error(name, value, monkeypatch):
         "epochs-inf", "epochs-overflow", "maxiter-inf", "maxiter-float", "quadratic-dim-0",
         "logistic-dim-0", "logistic-samples-0", "stochastic-quadratic-samples-0",
         "dim-not-integer", "data-seed-negative", "seed-negative", "stochastic-seed-negative",
-        "seed-not-integer", "init-seed-negative"])
+        "seed-not-integer", "init-seed-negative", "quadratic-train-path",
+        "quadratic-test-path", "test-without-train"])
 def test_bad_solver_or_seed_list_fails_before_any_problem(fault, error, match,
                                                           monkeypatch):
     def no_build(problem, spec):
@@ -292,14 +354,40 @@ def test_empty_solver_list():
     assert report["comparisons"] == []
 
 
+def count_tables(monkeypatch):
+    """Record the budget of every parameter table built, by its one
+    evaluation of the alpha buffer at k = 1."""
+    budgets = []
+    alpha = BufferSequences.alpha
+
+    def counting(self, k):
+        if k == 1:
+            budgets.append(self.maxiter)
+        return alpha(self, k)
+
+    monkeypatch.setattr(BufferSequences, "alpha", counting)
+    return budgets
+
+
 def test_solverless_spec_sets_up_no_seed(monkeypatch):
     """An estimate (no solvers) builds no per-seed parameter table, whatever
-    the budget and seed count."""
-    calls = []
-    monkeypatch.setattr(harness, "sequences", lambda *args: calls.append(args))
+    the budget and seed count: the bootstrap's is the only one."""
+    budgets = count_tables(monkeypatch)
     report = run_experiment(small_spec(solvers=(), maxiter=200000, seeds=tuple(range(10))))
-    assert calls == [] and report["runs"] == []
+    assert budgets == [harness.BOOTSTRAP_ITERS] and report["runs"] == []
     assert "toy" in report["constants"]
+
+
+@pytest.mark.parametrize("mode, seeds, tables", [("stochastic", (0, 1), 3),
+                                                 ("deterministic", (0, 1, 2), 2)])
+def test_each_computed_seed_builds_one_table(mode, seeds, tables, monkeypatch):
+    """The bootstrap builds one table and each computed seed one more, which
+    its sipm, psgm and proj-ipm cells all read."""
+    budgets = count_tables(monkeypatch)
+    report = run_experiment(small_spec(mode=mode, seeds=seeds))
+    assert not any("error" in entry for entry in report["runs"])
+    assert len(report["runs"]) == 3 * len(seeds)
+    assert budgets == [harness.BOOTSTRAP_ITERS] + [60] * (tables - 1)
 
 
 def test_psgm_anchors_regardless_of_solver_order():

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from sipm import (Bounds, BufferSequences, ExponentTriple, PowerSchedule,
                   StaircaseSchedule, build_staircase, min_mu1_threshold, mu1_init,
                   sequences, theta0_init, validate_exponents)
-from sipm.errors import HorizonExceeded, InvalidMu1, InvalidTheta0
+from sipm.errors import HorizonExceeded, InvalidExponents, InvalidMu1, InvalidTheta0
 
 INF = np.inf
 
@@ -191,3 +191,19 @@ def test_sequences_reject_a_staircase_shorter_than_the_run():
         sequences(build_staircase(0.5, 10), BufferSequences.zero(), 11)
     with pytest.raises(HorizonExceeded):
         PowerSchedule(mu1=1.0, theta0=0.2, exponents=ExponentTriple(-1, -1, 0)).s(0)
+
+
+@pytest.mark.parametrize("exponents, buffers, message", [
+    ((1000.0, 1000.0, 0.0), BufferSequences(mode="practical", maxiter=50), "mu_k"),
+    ((-1.0, 1000.0, 0.0), BufferSequences(mode="practical", maxiter=50), "theta_k"),
+    ((-1.0, -1.0, 0.0), BufferSequences(mode="theory", alpha_buff_base=1.0,
+                                        gamma_buff_base=1.0, t_mu=200.0), "alpha_buff_k"),
+], ids=["mu", "theta", "theory-buffer"])
+def test_overflowing_power_is_a_typed_error(exponents, buffers, message):
+    """A power that overflows a float used to escape as OverflowError; the
+    table names the sequence and the first k: 3**1000 and 6**400 overflow,
+    2**1000 and 5**400 do not."""
+    first = {"mu_k": 3, "theta_k": 2, "alpha_buff_k": 6}[message]
+    schedule = PowerSchedule(mu1=0.1, theta0=0.01, exponents=ExponentTriple(*exponents))
+    with pytest.raises(InvalidExponents, match=f"^{message} overflows a float at k={first};"):
+        sequences(schedule, buffers, 50)

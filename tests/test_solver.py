@@ -1,5 +1,5 @@
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -204,8 +204,7 @@ def test_sipm_step_direct_call():
     sched = build_staircase(0.1, 3, theta0=0.05)
     config = quad_config(bounds, sched, 3)
     x = np.array([1.0])
-    seq = sequences(config.schedule, config.buffers, config.maxiter)
-    step = sipm_step(x, 1, obj.gradient(x), config, delta=2.0, seq=seq)
+    step = sipm_step(x, 1, obj.gradient(x), config)
     assert step["k"] == 1
     assert step["gamma_k"] > 0.0
     assert step["stalled"] is False
@@ -227,6 +226,23 @@ def test_deterministic_exponent_gate_enforced(t_theta):
         run(obj, config, np.array([0.0]))
     assert isinstance(err.value, SipmError) and isinstance(err.value, ValueError)
     assert calls == []
+
+
+def test_config_derives_delta_and_its_table_once():
+    """delta and the parameter table are built on first read and kept; they
+    are not fields, so equality, repr and replace() ignore them."""
+    config = quad_config(Bounds.cube(2, -1.0, 3.0), build_staircase(0.2, 30, theta0=0.05), 30)
+    names = [f.name for f in fields(SolverConfig)]
+    assert "delta" not in names and "sequences" not in names
+    assert config.delta == range_gap(config.bounds, DELTA_CAP)
+    table = config.sequences
+    assert config.sequences is table
+    assert table == sequences(config.schedule, config.buffers, config.maxiter)
+    twin = quad_config(config.bounds, config.schedule, 30)
+    assert twin == config and hash(twin) == hash(config) and repr(twin) == repr(config)
+    assert "sequences" not in asdict(config)
+    shorter = replace(config, maxiter=20, schedule=build_staircase(0.2, 20, theta0=0.05))
+    assert len(shorter.sequences["theta"]) == 21 and config.sequences is table
 
 
 @pytest.mark.parametrize("family", ["staircase", "power"])

@@ -44,6 +44,9 @@ SHAPES = {
     "quad-power-audit": QUAD_POWER_AUDIT,
     "logreg-stoch": ["--model", "logistic", "--mode", "stoch", "--epochs", "1",
                      "--dim", "10", "--samples", "400", "--trace", *THREE],
+    # each stochastic seed sets up its own config and table; no other shape computes two
+    "logreg-stoch-seeds": ["--model", "logistic", "--mode", "stoch", "--epochs", "1",
+                           "--dim", "10", "--samples", "400", "--seeds", "0,1,2", *THREE],
     "logreg-stoch-theory": ["--model", "logistic", "--mode", "stoch", "--epochs", "1",
                             "--dim", "10", "--samples", "400", "--trace", *THREE,
                             "--schedule", "power", "--t-mu", "-0.75", "--t-theta", "-0.75",
