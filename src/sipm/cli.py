@@ -30,7 +30,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(parser):
-    """The flags of every experiment command: problem, budget, box, seeds, output."""
+    """The flags of every experiment command: problem, budget, box, output."""
     parser.add_argument("--model", choices=MODELS, default="quadratic")
     parser.add_argument("--mode", choices=("det", "stoch"), default="det")
     parser.add_argument("--train", metavar="PATH", default=None)
@@ -38,8 +38,6 @@ def _add_common(parser):
     parser.add_argument("--maxiter", type=int, default=100)
     parser.add_argument("--epochs", type=float, default=None)
     parser.add_argument("--batch-frac", type=float, default=0.01)
-    parser.add_argument("--seeds", type=_seed_list, default="0",
-                        help="comma-separated integers")
     parser.add_argument("--bounds", nargs=2, type=float, default=(-1.0, 1.0),
                         metavar=("LO", "HI"))
     parser.add_argument("--out", default="-")
@@ -54,13 +52,15 @@ def _add_common(parser):
 
 
 def _add_run_flags(parser, multi_solver):
-    """The flags that only solve and bench read: solvers, schedule, audit, report."""
+    """The flags that only solve and bench read: solvers, seeds, schedule, audit, report."""
     if multi_solver:
         parser.add_argument("--solver", default="sipm,psgm",
                             help="comma-separated subset of sipm,psgm,proj-ipm")
     else:
         parser.add_argument("--solver", choices=SOLVERS,
                             default="sipm")
+    parser.add_argument("--seeds", type=_seed_list, default="0",
+                        help="comma-separated integers")
     parser.add_argument("--t-mu", type=float, default=-1.0)
     parser.add_argument("--t-theta", type=float, default=-1.0)
     parser.add_argument("--t-alpha", type=float, default=0.0)
@@ -82,9 +82,8 @@ def _spec_from_args(args, **run_options):
                           samples=args.samples, hidden=args.hidden)
     return ExperimentSpec(problems=(problem,), mode=MODES[args.mode],
                           maxiter=args.maxiter, epochs=args.epochs,
-                          batch_fraction=args.batch_frac, seeds=args.seeds,
-                          bounds=tuple(args.bounds), init_seed=args.init_seed,
-                          cache_dir=args.cache_dir, **run_options)
+                          batch_fraction=args.batch_frac, bounds=tuple(args.bounds),
+                          init_seed=args.init_seed, cache_dir=args.cache_dir, **run_options)
 
 
 def _emit(text, out_path):
@@ -105,7 +104,7 @@ def _cmd_run(args):
     solvers = tuple(s.strip() for s in args.solver.split(",") if s.strip())
     if not solvers:   # a spec without solvers is an estimate; bench must run one
         raise InvalidChoice("solver", args.solver, SOLVERS)
-    spec = _spec_from_args(args, solvers=solvers, schedule=args.schedule,
+    spec = _spec_from_args(args, solvers=solvers, seeds=args.seeds, schedule=args.schedule,
                            param_mode=args.param_mode,
                            exponents=(args.t_mu, args.t_theta, args.t_alpha),
                            audit=args.audit, trace=args.trace)

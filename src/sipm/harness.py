@@ -41,8 +41,8 @@ from .baselines import c_constant, match_sipm_endpoints, run_psgm, run_simplifie
 from .errors import InvalidBudget, InvalidChoice, InvalidConstants, InvalidSpec
 from .geometry import DELTA_CAP, Bounds, range_gap
 from .libsvm import align_feature_space, parse_libsvm_file
-from .problems import (MODES, gradient_oracle, logistic_objective, nn_objective,
-                       quadratic_objective, synthetic_classification)
+from .problems import (MODES, _require_batch_fraction, gradient_oracle, logistic_objective,
+                       nn_objective, quadratic_objective, synthetic_classification)
 from .schedules import (BufferSequences, ExponentTriple, PowerSchedule,
                         build_staircase, mu1_init, theta0_init)
 from .solver import CONFIG_CHOICES, SolverConfig, run
@@ -98,10 +98,13 @@ def estimate_constants(objective, x1, bounds, mode="deterministic",
     estimate (pairs with displacement below 1e-14 are skipped).  In
     stochastic mode the noise bound is the largest inf-norm deviation of 100
     seeded mini-batch gradients at the start point; otherwise it is 0.  A
-    mode outside MODES raises InvalidChoice before any gradient is taken.
+    mode outside MODES raises InvalidChoice, and in stochastic mode a batch
+    fraction outside (0, 1] InvalidBudget, before any gradient is taken.
     """
     if mode not in MODES:
         raise InvalidChoice("mode", mode, MODES)
+    if mode == "stochastic":
+        _require_batch_fraction(batch_fraction)
     config = _solver_config(ExperimentSpec(problems=()), objective.gradient(x1), x1, bounds,
                             BOOTSTRAP_CONSTANTS, bootstrap_iters)
     visited = []   # (x, exact gradient at x) per bootstrap iteration
@@ -252,8 +255,8 @@ def resolve_maxiter(spec):
     for seed in spec.seeds:
         _require_count(f"seeds={spec.seeds!r}: seed", seed, 0)
     _require_count("init_seed", spec.init_seed, 0)
-    if spec.mode == "stochastic" and not 0.0 < spec.batch_fraction <= 1.0:
-        raise InvalidBudget(f"batch_fraction={spec.batch_fraction} must lie in (0, 1]")
+    if spec.mode == "stochastic":
+        _require_batch_fraction(spec.batch_fraction)
     if spec.mode == "deterministic" and spec.epochs is not None:
         raise InvalidBudget(f"epochs={spec.epochs} counts mini-batch passes; "
                             "a deterministic run takes maxiter")

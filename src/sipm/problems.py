@@ -20,8 +20,8 @@ import math
 import numpy as np
 from scipy.special import expit
 
-from .errors import (BatchTooLarge, DimensionMismatch, DomainError, InvalidChoice,
-                     LabelMismatch, NonFiniteGradient, NotBinary)
+from .errors import (BatchTooLarge, DimensionMismatch, DomainError, InvalidBudget,
+                     InvalidChoice, LabelMismatch, NonFiniteGradient, NotBinary)
 
 MODES = ("deterministic", "stochastic")
 
@@ -327,6 +327,11 @@ def batch_sampler(m, batch_size, seed):
     return draws()
 
 
+def _require_batch_fraction(batch_fraction):
+    if not 0.0 < batch_fraction <= 1.0:
+        raise InvalidBudget(f"batch_fraction={batch_fraction} must lie in (0, 1]")
+
+
 def gradient_oracle(objective, mode, batch_fraction, seed):
     """The gradient every solver iteration reads, as a function ``x -> g``.
 
@@ -337,15 +342,15 @@ def gradient_oracle(objective, mode, batch_fraction, seed):
     with a NaN or infinite entry raises NonFiniteGradient, and one whose shape
     differs from x's raises DimensionMismatch, each naming the 1-based call
     count, which is the iteration number in every solver loop.  A mode
-    outside MODES raises InvalidChoice.
+    outside MODES raises InvalidChoice, and in stochastic mode a batch
+    fraction outside (0, 1] raises InvalidBudget.
     """
     if mode not in MODES:
         raise InvalidChoice("mode", mode, MODES)
     if mode == "deterministic":
         draw = objective.gradient
     else:
-        if not 0.0 < batch_fraction <= 1.0:
-            raise ValueError("batch_fraction must lie in (0, 1]")
+        _require_batch_fraction(batch_fraction)
         m = objective.sample_count
         batches = batch_sampler(m, max(1, math.ceil(batch_fraction * m)), seed)
 

@@ -5,9 +5,9 @@ closed-form ratio test, so no fraction-to-the-boundary rule, line search, or
 step acceptance test is needed.  A ``SolverConfig`` builds its run's parameter
 table once, on first read; ``sipm_step`` reads it, takes the slacks of x once,
 and ``stepsize._step`` does the rest.  The loop runs with either exact
-gradients or seeded mini-batch estimates; with auditing enabled each step is
-checked, on its record's slacks, against the contracts the step-size rules are
-supposed to guarantee and any failure raises InvariantViolation.
+gradients or seeded mini-batch estimates; with auditing enabled ``run`` checks
+each step's record against the contracts the step-size rules are supposed to
+guarantee, and any failure raises InvariantViolation.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ from .schedules import (BufferSequences, PowerSchedule, StaircaseSchedule, seque
                         validate_exponents)
 from .stepsize import Constants, _slack_products, _step
 
-CONFIG_CHOICES = {"mode": MODES,
-                  "hk_strategy": ("practical", "identity"),
-                  "audit_level": ("off", "invariants", "full_trace")}
+CONFIG_CHOICES = {"mode": MODES, "audit_level": ("off", "invariants", "full_trace")}
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,6 @@ class SolverConfig:
     maxiter: int
     rng_seed: int = 0
     batch_fraction: float = 0.01
-    hk_strategy: str = "practical"    # "practical" | "identity"
     audit_level: str = "off"          # "off" | "invariants" | "full_trace"
 
     # built on first read and kept; not fields, so replace() starts them afresh
@@ -95,24 +92,21 @@ def _final_metrics(objective, bounds, x, mu_last=None):
                 final_kkt=cert)
 
 
-def build_hk(x, bounds, mu, ell_f_bar, strategy):
-    """Diagonal scaling for one iteration, with its extreme eigenvalues.
+def build_hk(x, bounds, mu, ell_f_bar, strategy="practical"):
+    """Diagonal scaling for one iteration, with its extreme eigenvalues:
+    ell_f_bar + mu/(x_i - l_i)^2 + mu/(u_i - x_i)^2 per coordinate (infinite
+    sides contribute nothing).  ``strategy`` names this one rule; any other
+    value raises InvalidChoice."""
+    if strategy != "practical":
+        raise InvalidChoice("strategy", strategy, ("practical",))
+    diag, lam_min = _hk(*require_interior(x, bounds), mu, ell_f_bar)
+    return diag, lam_min, float(diag.max())
 
-    practical: ell_f_bar + mu/(x_i - l_i)^2 + mu/(u_i - x_i)^2 per coordinate
-    (infinite sides contribute nothing), identity: all ones.
-    """
-    return _hk(*require_interior(x, bounds), mu, ell_f_bar, strategy)
 
-
-def _hk(lo, up, mu, ell_f_bar, strategy):
-    """build_hk from the slacks (lo, up) of an interior point."""
-    if strategy == "practical":
-        diag = float(ell_f_bar) + mu / lo ** 2 + mu / up ** 2
-    elif strategy == "identity":
-        diag = np.ones(lo.size)
-    else:
-        raise ValueError(f"unknown scaling strategy {strategy!r}")
-    return diag, float(diag.min()), float(diag.max())
+def _hk(lo, up, mu, ell_f_bar):
+    """(diag, min(diag)) of build_hk from the slacks (lo, up) of an interior point."""
+    diag = float(ell_f_bar) + mu / lo ** 2 + mu / up ** 2
+    return diag, float(diag.min())
 
 
 def _rel_ok(lhs, rhs, tol):
@@ -128,26 +122,23 @@ def sipm_step(x, k, g, config):
     observer and takes its stall count, step sizes, audits and trace row from.
 
     Every quantity derives from the slacks of x, taken once and kept as the
-    record's lo/up.  Nothing is validated: ``run`` checks its inputs at entry,
-    and the final clip keeps x_next in the theta_k (the next prior) neighborhood.
+    record's lo/up.  Nothing is validated or audited: ``run`` checks its inputs
+    at entry and audits each record, and the final clip keeps x_next in the
+    theta_k (the next prior) neighborhood.
     """
     seq = config.sequences
     mu_k, theta_k, theta_prev = seq["mu"][k], seq["theta"][k], seq["theta"][k - 1]
     lo, up = slacks(x, config.bounds)
-    h_diag, lam_min, lam_max = _hk(lo, up, mu_k, config.constants.ell_f, config.hk_strategy)
+    h_diag, lam_min = _hk(lo, up, mu_k, config.constants.ell_f)
     q = _barrier_gradient(g, lo, up, mu_k)
     bundle, d, gamma_k, x_next = _step(
         x, lo, up, q, h_diag, lam_min, k, config.bounds, mu_k, theta_k, theta_prev,
         config.schedule.t_alpha, seq["alpha_buff"][k], seq["gamma_buff"][k],
         config.constants, config.delta, config.mode == "stochastic")
-    step = dict(k=k, x=x, x_next=x_next, g=g, q=q, d=d, lo=lo, up=up,
-                h_diag=h_diag, lam_min=lam_min, lam_max=lam_max,
-                bundle=bundle, gamma_k=gamma_k, mu_k=mu_k,
-                theta_k=theta_k, theta_prev=theta_prev,
+    return dict(k=k, x=x, x_next=x_next, g=g, q=q, d=d, lo=lo, up=up,
+                h_diag=h_diag, lam_min=lam_min, bundle=bundle, gamma_k=gamma_k,
+                mu_k=mu_k, theta_k=theta_k, theta_prev=theta_prev,
                 stalled=gamma_k == 0.0 and bool((d != 0.0).any()))
-    if config.audit_level != "off":
-        step["lo_next"], step["up_next"] = _audit_step(config, step)
-    return step
 
 
 def _audit_step(config, step):
@@ -189,7 +180,8 @@ def run(objective, config, x1, observer=None):
     only, ``records`` keeps one row of that step's scalars per iteration.
 
     Inputs are validated once, here; the oracle rejects non-finite gradients,
-    and the iterations check nothing else unless auditing is enabled.
+    and the iterations check nothing else unless auditing is enabled, when
+    ``_audit_step`` checks each step before the observer sees it.
     """
     for name, allowed in CONFIG_CHOICES.items():
         if getattr(config, name) not in allowed:
@@ -203,6 +195,10 @@ def run(objective, config, x1, observer=None):
         if not 0.0 <= value < math.inf:
             raise InvalidConstants(f"{name}={value} must be nonnegative and finite")
     bounds = config.bounds
+    unscaled = np.flatnonzero(~(bounds.finite_lower | bounds.finite_upper))
+    if config.constants.ell_f == 0.0 and unscaled.size:
+        raise InvalidConstants(f"ell_f=0 leaves coordinate {unscaled[0]} unscaled: it has "
+                               "no finite bound, so H_k is 0 there")
     x = np.asarray(x1, dtype=float).copy()
     delta, seq = config.delta, config.sequences
     theta0, mu1 = seq["theta"][0], seq["mu"][1]
@@ -219,7 +215,8 @@ def run(objective, config, x1, observer=None):
     gradient = gradient_oracle(objective, config.mode, config.batch_fraction,
                                config.rng_seed)
 
-    audit_decrease = config.audit_level != "off" and config.mode == "deterministic"
+    audit = config.audit_level != "off"
+    audit_decrease = audit and config.mode == "deterministic"
     keep_trace = config.audit_level == "full_trace"
     need_f = audit_decrease or keep_trace
     chi = default_chi(bounds)
@@ -235,6 +232,8 @@ def run(objective, config, x1, observer=None):
 
     for k in range(1, config.maxiter + 1):
         step = sipm_step(x, k, gradient(x), config)
+        if audit:
+            lo, up = _audit_step(config, step)   # the slacks of x_{k+1}
         if observer is not None:
             observer(step)
         x = step["x_next"]
@@ -252,8 +251,8 @@ def run(objective, config, x1, observer=None):
         alpha_last = alpha_k
 
         if need_f:
-            phi_next = _barrier_value(objective.value(x), step["lo_next"], step["up_next"],
-                                      bounds, seq["mu"][k + 1], chi)
+            phi_next = _barrier_value(objective.value(x), lo, up, bounds,
+                                      seq["mu"][k + 1], chi)
             if audit_decrease:
                 q, h_diag = step["q"], step["h_diag"]
                 descent = 0.5 * step["gamma_k"] * alpha_k * float(np.sum(q * q / h_diag))

@@ -3,7 +3,7 @@
 ``_step`` owns one iteration after the scaling H_k and the barrier gradient q,
 in a fixed order: alpha_min from the conservative curvature bound, alpha_max
 from the buffer allowance, gamma_min and gamma_max from alpha_max, the
-look-ahead step alpha_pre from the current point's own slacks, its largest
+look-ahead step alpha_pre from the current point's squared slacks, its largest
 admissible fraction gamma_bar, ell_k along the look-ahead segment, alpha_k,
 the ratio test's gamma_k and the clipped update.  It takes the neighborhood
 sides and the ratio-test margin once, for both ratio tests and the clip.
@@ -126,7 +126,7 @@ def _step(x, lo, up, q, h_diag, lam_min, k, bounds, mu, theta_k, theta_prev, t_a
     """One step from x, its slacks (lo, up) and lam_min = min(h_diag): returns
     (bundle, d = -q / h_diag, gamma_k, x_next), x_next clipped to theta_k."""
     if not lam_min > 0.0:
-        raise ValueError("scaling diagonal must be strictly positive")
+        raise ValueError(f"iteration {k}: scaling diagonal must be strictly positive")
     k_pow = float(k) ** t_alpha
     alpha_min = lam_min * k_pow / (constants.ell_f + 2.0 * mu / theta_k ** 2)
     alpha_max = alpha_min + alpha_buff
@@ -136,7 +136,7 @@ def _step(x, lo, up, q, h_diag, lam_min, k, bounds, mu, theta_k, theta_prev, t_a
     gamma_min = min(1.0, lam_min * bracket / (alpha_max * (grad_bound + mu / theta_prev)))
     gamma_max = min(1.0, gamma_min + gamma_buff)
 
-    a, b = _slack_products(lo, up, lo, up)
+    a, b = float((lo * lo).min()), float((up * up).min())
     alpha_pre = lam_min * k_pow / (constants.ell_f + mu / a + mu / b)
     d = -q / h_diag
     inner_lo, inner_up = bounds.lower + theta_k, bounds.upper - theta_k

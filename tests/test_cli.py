@@ -130,14 +130,20 @@ def test_empty_solver_list_is_a_typed_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["solve", "estimate", "bench"])
+SPEC_ERRORS = {  # estimate takes no --seeds; its spec error here is a size
+    "solve": (["--dim", "2", "--seeds", "0,0"], "seeds=(0, 0) repeats an entry"),
+    "estimate": (["--dim", "0"], "problem 'quadratic': dim=0 must be at least 1"),
+    "bench": (["--dim", "2", "--seeds", "0,0"], "seeds=(0, 0) repeats an entry")}
+
+
+@pytest.mark.parametrize("command", list(SPEC_ERRORS))
 def test_spec_error_is_an_error_line(command, tmp_path, capsys):
     out = tmp_path / "r.json"
-    assert main([command, "--model", "quadratic", "--dim", "2", "--seeds", "0,0",
-                 "--out", str(out)]) == 1
+    flags, message = SPEC_ERRORS[command]
+    assert main([command, "--model", "quadratic", *flags, "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: InvalidSpec: seeds=(0, 0) repeats an entry")
+    assert captured.err.startswith(f"error: InvalidSpec: {message}")
     assert not out.exists()
 
 
@@ -322,10 +328,10 @@ def test_overflowing_schedule_is_a_typed_error_row(tmp_path):
 @pytest.mark.parametrize("flag", [
     ["--format", "csv"], ["--trace"], ["--audit", "full"], ["--solver", "sipm"],
     ["--schedule", "power"], ["--param-mode", "theory"], ["--t-mu", "-0.5"],
-    ["--t-theta", "-0.5"], ["--t-alpha", "-0.1"]], ids=lambda flag: flag[0])
+    ["--t-theta", "-0.5"], ["--t-alpha", "-0.1"], ["--seeds", "4,5"]], ids=lambda flag: flag[0])
 def test_estimate_rejects_the_flags_it_does_not_read(flag, capsys):
     """estimate used to accept these and ignore them (``--format csv`` still
-    printed JSON); solve and bench keep them."""
+    printed JSON, ``--seeds 4,5`` was only validated); solve and bench keep them."""
     with pytest.raises(SystemExit) as exit_info:
         main(["estimate", "--model", "quadratic", "--dim", "3", *flag])
     assert exit_info.value.code == 2

@@ -11,7 +11,8 @@ from sipm import (Bounds, ExperimentSpec, LogisticObjective, Objective, ProblemS
                   QuadraticObjective, batch_sampler, canonical_report_bytes, default_chi, estimate_constants,
                   initial_point, load_constants, logistic_objective, quadratic_objective,
                   relative_performance, report_to_csv, report_to_json, run,
-                  run_experiment, save_constants, shifted_barrier_value,
+                  run_experiment, run_psgm, run_simplified, save_constants,
+                  shifted_barrier_value,
                   synthetic_classification)
 from sipm import harness
 from sipm.errors import InvalidBudget, InvalidChoice, InvalidConstants, InvalidSpec
@@ -120,6 +121,38 @@ def test_estimate_constants_reuses_bootstrap_gradients(mode):
     estimate_constants(obj, initial_point(obj.n, 0), bounds, mode=mode,
                        batch_fraction=0.1, bootstrap_iters=iters)
     assert len(calls) <= iters + 2
+
+
+def _stochastic_entry(entry, fraction, obj):
+    """Call one of the four entry points that build a stochastic oracle."""
+    bounds, x1 = Bounds.cube(1, -1.0, 1.0), np.zeros(1)
+    if entry == "sipm":
+        config = harness._solver_config(ExperimentSpec(problems=()), np.zeros(1), x1, bounds,
+                                        Constants(ell_f=1.0, kappa_inf=1.0), 5)
+        run(obj, dataclasses.replace(config, mode="stochastic", batch_fraction=fraction), x1)
+    elif entry == "psgm":
+        run_psgm(obj, bounds, np.full(5, 0.1), x1, 5, mode="stochastic",
+                 batch_fraction=fraction)
+    elif entry == "proj-ipm":
+        run_simplified(obj, bounds, np.full(5, 0.1), 1.0, 0.5, x1, 5,
+                       mode="stochastic", batch_fraction=fraction)
+    else:
+        estimate_constants(obj, x1, bounds, mode="stochastic", batch_fraction=fraction)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.5, np.nan])
+@pytest.mark.parametrize("entry", ["sipm", "psgm", "proj-ipm", "estimate"])
+def test_bad_batch_fraction_is_a_typed_error_before_any_gradient(entry, fraction):
+    """A batch fraction outside (0, 1] used to be a bare ValueError from the
+    oracle, and estimate_constants raised it only after its whole bootstrap;
+    every entry point now raises InvalidBudget before any gradient call."""
+    calls = []
+    obj = quadratic_objective([0.2], [1.0], noise_level=0.1, sample_count=20)
+    obj.gradient = lambda x: calls.append(x) or np.zeros(1)
+    obj.stochastic_gradient = lambda x, batch: calls.append(x) or np.zeros(1)
+    with pytest.raises(InvalidBudget, match=r"batch_fraction=.* must lie in \(0, 1\]"):
+        _stochastic_entry(entry, fraction, obj)
+    assert calls == []
 
 
 def test_sigma_estimate_bounds_enumerated_batches():

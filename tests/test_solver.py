@@ -38,8 +38,10 @@ def test_build_hk():
     diag, _, _ = build_hk(np.array([0.5]), one_sided, 1.0, 1.0, "practical")
     assert_allclose(diag, [1.0 + 4.0])
 
-    diag, lam_min, lam_max = build_hk(np.array([1.0]), bounds, 1.0, 1.0, "identity")
-    assert diag.tolist() == [1.0] and lam_min == lam_max == 1.0
+    # one scaling rule: the strategy argument names it, and nothing else passes
+    assert build_hk(np.array([1.0]), bounds, 1.0, 1.0)[0].tolist() == [3.0]
+    with pytest.raises(InvalidChoice, match="identity"):
+        build_hk(np.array([1.0]), bounds, 1.0, 1.0, "identity")
 
     with pytest.raises(NotInterior):
         build_hk(np.array([0.0]), bounds, 1.0, 1.0, "practical")
@@ -54,23 +56,25 @@ def test_single_step_matches_symbolic_trace():
     config = SolverConfig(mode="deterministic", bounds=bounds, schedule=sched,
                           buffers=BufferSequences.zero(),
                           constants=Constants(ell_f=1.0, kappa_inf=1.5),
-                          maxiter=1, hk_strategy="identity", audit_level="invariants")
+                          maxiter=1, audit_level="invariants")
     got = run(obj, config, np.array([1.0])).final_x[0]
 
     mu, th1, th0 = F(1, 10), F(1, 40), F(1, 20)
     ell_f, kappa, delta = F(1), F(3, 2), F(2)
+    h = ell_f + mu / F(1) ** 2 + mu / F(1) ** 2   # H_k at x = 1: unit slacks
+    assert h == F(6, 5)
     q = (F(1) - F(3, 2)) - mu / F(1) + mu / F(1)
-    d = -q
-    alpha_min = F(1) / (ell_f + 2 * mu / th1 ** 2)
+    d = -q / h
+    alpha_min = h / (ell_f + 2 * mu / th1 ** 2)
     alpha_max = alpha_min
     bracket = F(1, 2) * mu * delta / (mu + F(1, 2) * kappa * delta) - th1
-    gamma_min = min(F(1), bracket / (alpha_max * (kappa + mu / th0)))
+    gamma_min = min(F(1), h * bracket / (alpha_max * (kappa + mu / th0)))
     gamma_max = min(F(1), gamma_min)
-    alpha_pre = F(1) / (ell_f + mu + mu)
+    alpha_pre = h / (ell_f + mu + mu)
     gamma_bar = min(gamma_max, (F(2) - th1 - F(1)) / (alpha_pre * d))
     xbar = F(1) + gamma_bar * alpha_pre * d
     ell_k = ell_f + mu / min(F(1), xbar) + mu / min(F(1), F(2) - xbar)
-    alpha_k = min(F(1) / ell_k, alpha_max)
+    alpha_k = min(h / ell_k, alpha_max)
     gamma_k = min(gamma_max, (F(2) - th1 - F(1)) / (alpha_k * d))
     x2 = F(1) + gamma_k * alpha_k * d
 
@@ -160,8 +164,7 @@ def test_start_validation():
         run(obj, quad_config(bounds, flat, 10), np.array([0.0]))
 
 
-@pytest.mark.parametrize("name, value", [("mode", "stoch"), ("audit_level", "full"),
-                                         ("hk_strategy", "custom")])
+@pytest.mark.parametrize("name, value", [("mode", "stoch"), ("audit_level", "full")])
 @pytest.mark.parametrize("maxiter", [0, 10])
 def test_unknown_config_choice_is_rejected_at_entry(name, value, maxiter):
     obj = quadratic_objective([0.0], [1.0], noise_level=0.1, sample_count=10)
@@ -324,9 +327,9 @@ def test_kernel_matches_public_functions(case):
     assert all(nxt["x"] is prev["x_next"] for prev, nxt in zip(seen, seen[1:]))
     for info in seen:
         x, k, mu_k = info["x"], info["k"], info["mu_k"]
-        h_diag, lam_min, lam_max = build_hk(x, bounds, mu_k, constants.ell_f, "practical")
+        h_diag, lam_min, _ = build_hk(x, bounds, mu_k, constants.ell_f, "practical")
         assert h_diag.tobytes() == info["h_diag"].tobytes()
-        assert (lam_min, lam_max) == (info["lam_min"], info["lam_max"])
+        assert lam_min == info["lam_min"]
         q = barrier_gradient(info["g"], x, bounds, mu_k)
         assert q.tobytes() == info["q"].tobytes()
         ctx = ScheduleContext(mu_k=mu_k, theta_k=info["theta_k"],
@@ -476,6 +479,81 @@ def test_bad_constants_fail_before_the_oracle(name, value, mode, monkeypatch):
         run(obj, config, np.zeros(2))
     assert isinstance(err.value, SipmError) and isinstance(err.value, ValueError)
     assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+def test_unscaled_coordinate_fails_before_the_oracle(mode, monkeypatch):
+    """With ell_f = 0 a coordinate with no finite side has H_k = 0; the run
+    used to fail at iteration 1 with a bare ValueError naming no iteration."""
+    calls = []
+    monkeypatch.setattr(solver, "gradient_oracle", lambda *args: calls.append(args))
+    obj = quadratic_objective([0.3, 0.2], [1.0, 1.0], noise_level=0.1, sample_count=10)
+    bounds = Bounds(np.array([-1.0, -np.inf]), np.array([1.0, np.inf]))
+    config = quad_config(bounds, build_staircase(0.2, 20, theta0=0.05), 20, mode=mode,
+                         constants=Constants(ell_f=0.0, kappa_inf=1.0), audit_level="off")
+    with pytest.raises(InvalidConstants, match="ell_f=0 leaves coordinate 1 unscaled"):
+        run(obj, config, np.zeros(2))
+    assert calls == []
+    # a positive ell_f scales it
+    monkeypatch.undo()
+    assert np.isfinite(run(obj, replace(config, constants=Constants(ell_f=0.5, kappa_inf=1.0)),
+                           np.zeros(2)).final_objective)
+
+
+def test_kernel_scaling_guard_names_the_iteration():
+    """Where the entry check cannot see it, a zero scaling entry still stops
+    the step, now naming the iteration: mu_k/(x - l)^2 underflows to 0 on a
+    wide box, and step_size_bundle takes the diagonal from its caller."""
+    sched = PowerSchedule(mu1=1e-20, theta0=0.05, exponents=ExponentTriple(-1.0, -1.0, 0.0))
+    config = quad_config(Bounds.cube(1, -1e154, 1e154), sched, 5,
+                         buffers=BufferSequences.zero(),
+                         constants=Constants(ell_f=0.0, kappa_inf=1.0), audit_level="off")
+    with pytest.raises(ValueError, match="iteration 1: scaling diagonal must be strictly"):
+        run(quadratic_objective([0.3], [1.0]), config, np.zeros(1))
+    ctx = ScheduleContext(mu_k=0.1, theta_k=0.05, theta_prev=0.1, t_alpha=0.0,
+                          alpha_buff=0.0, gamma_buff=0.0)
+    with pytest.raises(ValueError, match="iteration 3: scaling diagonal must be strictly"):
+        step_size_bundle(np.array([1.0]), np.zeros(1), np.zeros(1), 3, Bounds.cube(1, 0.0, 2.0),
+                         ctx, Constants(ell_f=1.0, kappa_inf=1.0), 2.0)
+
+
+RECORD_KEYS = {"k", "x", "x_next", "g", "q", "d", "lo", "up", "h_diag", "lam_min", "bundle",
+               "gamma_k", "mu_k", "theta_k", "theta_prev", "stalled"}
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["box", "one-sided"])
+def test_step_record_has_one_shape_at_every_audit_level(case):
+    """sipm_step computes the step and nothing else: its record has the same
+    16 keys whether run() audits it or not (audited records used to add the
+    slacks of x_next as lo_next/up_next)."""
+    objective, config, x1 = _kernel_runs()[case]
+    shapes = set()
+    for level in ("off", "invariants", "full_trace"):
+        seen = []
+        run(objective, replace(config, audit_level=level, maxiter=10), x1,
+            observer=seen.append)
+        shapes |= {frozenset(step) for step in seen}
+    assert shapes == {frozenset(RECORD_KEYS)}
+
+
+def test_run_audits_each_step_before_its_observer(monkeypatch):
+    """run(), not sipm_step, audits: the audit sees each record before the
+    observer does, and sipm_step alone never audits."""
+    events = []
+    original = solver._audit_step
+
+    def auditing(config, step):
+        events.append(("audit", step["k"]))
+        return original(config, step)
+
+    monkeypatch.setattr(solver, "_audit_step", auditing)
+    objective, config, x1 = _kernel_runs()[0]
+    config = replace(config, audit_level="invariants", maxiter=3)
+    run(objective, config, x1, observer=lambda step: events.append(("observe", step["k"])))
+    assert events == [(name, k) for k in (1, 2, 3) for name in ("audit", "observe")]
+    events.clear()
+    sipm_step(x1, 1, objective.gradient(x1), config)
+    assert events == []
 
 
 def test_zero_curvature_constant_is_valid():

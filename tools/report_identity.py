@@ -68,6 +68,10 @@ SHAPES = {
     "logreg-open-upper": ["--model", "logistic", "--dim", "10", "--samples", "200",
                           "--maxiter", "150", "--bounds", "-1", "inf", "--audit", "full",
                           "--trace", *THREE],
+    # the same with the lower side open: x - l = +inf in H_k and the squared-slack minima
+    "logreg-open-lower": ["--model", "logistic", "--dim", "10", "--samples", "200",
+                          "--maxiter", "150", "--bounds", "-inf", "1", "--audit", "full",
+                          "--trace", *THREE],
 }
 
 WRITE_PAIR = """
