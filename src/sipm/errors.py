@@ -59,7 +59,7 @@ class InvalidChoice(SipmError, ValueError):
 class InvalidSpec(SipmError, ValueError):
     """An experiment's seed list is empty, its problem names, solvers or seeds
     repeat, a problem's size is below 1, it names a data file it would not
-    read, or the bounds are bad."""
+    read, or the bounds are bad (in the spec or in a ``Bounds`` box)."""
 
 
 class InvalidConstants(SipmError, ValueError):

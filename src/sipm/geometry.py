@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyNeighborhood, NotInterior
+from .errors import EmptyNeighborhood, InvalidSpec, NotInterior
 
 
 @dataclass(frozen=True, eq=False)
@@ -18,9 +18,10 @@ class Bounds:
     """An axis-aligned box [lower, upper] with extended-real sides.
 
     Every coordinate must satisfy ``lower < upper`` and at least one side of
-    one coordinate must be finite.  Masks of the finite-bound index sets are
-    cached for the logarithms, side counts and ranges; elsewhere an open
-    side's infinite slack already contributes nothing.
+    one coordinate must be finite; a box that breaks either rule, or has
+    sides of unequal length, raises InvalidSpec.  Masks of the finite-bound
+    index sets are cached for the logarithms, side counts and ranges;
+    elsewhere an open side's infinite slack already contributes nothing.
     """
 
     lower: np.ndarray
@@ -32,13 +33,13 @@ class Bounds:
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lower.ndim != 1 or lower.shape != upper.shape:
-            raise ValueError("lower and upper must be 1-D arrays of equal length")
+            raise InvalidSpec("lower and upper must be 1-D arrays of equal length")
         if not np.all(lower < upper):
-            raise ValueError("every coordinate needs lower < upper")
+            raise InvalidSpec("every coordinate needs lower < upper")
         finite_lower = np.isfinite(lower)
         finite_upper = np.isfinite(upper)
         if not (finite_lower.any() or finite_upper.any()):
-            raise ValueError("at least one bound must be finite")
+            raise InvalidSpec("at least one bound must be finite")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "finite_lower", finite_lower)

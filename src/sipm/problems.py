@@ -8,8 +8,9 @@ samples; averaging the stochastic gradient over all batches of a fixed size
 reproduces the full gradient exactly because batches are uniform subsets
 drawn without replacement.  The two data models take their feature matrix
 dense or as a scipy.sparse matrix, which they keep in CSR form; the data
-type picks the path, and scipy.sparse is only imported for sparse input.
-Both take any two label values and share one intake, ``_labeled_data``.
+type picks the path.  Both take any two label values and share one intake,
+``_labeled_data``.  ``import sipm`` and quadratic runs load no scipy:
+building a data model loads scipy.special, and sparse input scipy.sparse.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (BatchTooLarge, DimensionMismatch, DomainError, InvalidBudget,
                      InvalidChoice, LabelMismatch, NonFiniteGradient, NotBinary)
@@ -68,8 +68,11 @@ def _labeled_data(features, labels):
     """The one intake of both data models: a finite float feature matrix (CSR
     for any scipy.sparse input, dense otherwise) of shape (m, n_f) with m >= 1,
     and one label per row, mapped to -1/+1 by map_labels unless it is -1/+1
-    already.  A NaN or infinite feature raises DomainError naming its
-    0-based row."""
+    already, then scipy's ``expit``, imported here so that building a model,
+    not ``import sipm`` or its first gradient, pays for scipy.special.  A NaN
+    or infinite feature raises DomainError naming its 0-based row."""
+    from scipy.special import expit
+
     sparse = hasattr(features, "tocsr")   # any scipy.sparse matrix or array
     if sparse:
         from scipy.sparse import csr_matrix
@@ -88,7 +91,7 @@ def _labeled_data(features, labels):
         raise DomainError(f"feature row {rows[0]} holds a non-finite value")
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         labels = map_labels(labels)
-    return features, labels
+    return features, labels, expit
 
 
 def _as_arrays(dataset):
@@ -156,7 +159,7 @@ class LogisticObjective(Objective):
     """
 
     def __init__(self, features, labels):
-        self.features, self.labels = _labeled_data(features, labels)
+        self.features, self.labels, self._expit = _labeled_data(features, labels)
         self.sample_count, self.n_features = self.features.shape
         self.n = self.n_features + 1
         self._sparse = hasattr(self.features, "tocsr")
@@ -171,7 +174,7 @@ class LogisticObjective(Objective):
         """Gradient over the rows that ``matvec`` (rows times weights) and
         ``rmatvec`` (transposed rows times coefficients) multiply with."""
         t = y * (matvec(x[:-1]) + x[-1])
-        coef = -y * expit(-t)
+        coef = -y * self._expit(-t)
         g = np.empty(self.n)
         g[:-1] = rmatvec(coef) / coef.size
         g[-1] = coef.mean()
@@ -205,7 +208,7 @@ class OneHiddenLayerObjective(Objective):
     """
 
     def __init__(self, features, labels, hidden):
-        self.features, labels = _labeled_data(features, labels)
+        self.features, labels, self._expit = _labeled_data(features, labels)
         self.sample_count, self.n_features = self.features.shape
         if hidden is None:
             hidden = default_hidden_width(self.n_features)
@@ -239,7 +242,7 @@ class OneHiddenLayerObjective(Objective):
     def _batch_gradient(self, x, a, y01):
         w1, b1, w2, b2 = self._unpack(x)
         z, s = self._forward(x, a)
-        ds = (expit(s) - y01) / y01.size
+        ds = (self._expit(s) - y01) / y01.size
         g_w2 = z.T @ ds
         g_b2 = float(np.sum(ds))
         d_pre = np.outer(ds, w2) * (1.0 - z ** 2)

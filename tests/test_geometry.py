@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from sipm import (Bounds, barrier_gradient, barrier_value, default_chi,
                   in_neighborhood, kkt_certificate, project_to_neighborhood,
                   projected_gradient_norm, range_gap, shifted_barrier_value)
-from sipm.errors import EmptyNeighborhood, NotInterior
+from sipm.errors import EmptyNeighborhood, InvalidSpec, NotInterior, SipmError
 
 INF = np.inf
 
@@ -40,6 +40,17 @@ def test_bounds_validation():
     b = box([0.0, -INF], [2.0, 5.0])
     assert b.finite_lower.tolist() == [True, False]
     assert b.finite_upper.tolist() == [True, True]
+
+
+def test_bad_bounds_raise_invalid_spec():
+    # a reversed side used to raise a bare ValueError; InvalidSpec is still one
+    with pytest.raises(InvalidSpec, match="lower < upper") as info:
+        Bounds([1.0], [0.0])
+    assert isinstance(info.value, SipmError) and isinstance(info.value, ValueError)
+    with pytest.raises(InvalidSpec, match="equal length"):
+        Bounds([0.0, 0.0], [1.0])
+    with pytest.raises(InvalidSpec, match="at least one bound must be finite"):
+        Bounds([-INF], [INF])
 
 
 def test_range_gap():

@@ -2,9 +2,11 @@
 
 Dense and CSR feature matrices of the same data must give the same values
 and gradients up to round-off, and a dense run must never import
-scipy.sparse.
+scipy.sparse.  ``import sipm`` and quadratic runs import no scipy at all;
+a data model imports scipy.special when it is built.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -79,7 +81,7 @@ def test_csr_logistic_batch_mean_is_the_full_gradient():
                          ids=["csr_matrix", "coo_array"])
 def test_as_arrays_accepts_a_sparse_pair(to_sparse):
     dense = np.array([[0.0, 1.5], [2.0, 0.0], [0.0, 0.0]])
-    features, labels = _labeled_data(to_sparse(dense), [0, 1, 1])
+    features, labels, _ = _labeled_data(to_sparse(dense), [0, 1, 1])
     assert features.format == "csr" and features.dtype == float
     assert_allclose(features.toarray(), dense)
     assert_allclose(labels, [-1.0, 1.0, 1.0])
@@ -104,16 +106,81 @@ def test_cli_bench_on_libsvm_files(model, tmp_path):
         assert np.isfinite(entry["final_objective_test"])
 
 
-def test_dense_path_does_not_import_scipy_sparse():
-    code = ("import sys, sipm\n"
-            "data = sipm.synthetic_classification(20, 3)\n"
-            "sipm.logistic_objective(data).gradient([0.0] * 4)\n"
-            "sipm.nn_objective(data, hidden=2)\n"
-            "sipm.quadratic_objective([0.0], [1.0])\n"
-            "print('scipy.sparse' in sys.modules)\n")
+def _run_python(code, cwd):
+    """Run ``code`` in a fresh interpreter on this checkout's sources; its
+    last line of output, read as JSON."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.strip() == "False"
+                          text=True, check=True, cwd=cwd)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_dense_path_does_not_import_scipy_sparse(tmp_path):
+    quadratic = ("import json, sys\n"
+                 "import sipm, sipm.cli\n"
+                 "def scipy_modules():\n"
+                 "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                 "seen = [scipy_modules()]\n"
+                 "seen.append(sipm.cli.main(['bench', '--model', 'quadratic', '--dim', '3',\n"
+                 "    '--maxiter', '20', '--solver', 'sipm,psgm,proj-ipm', '--out', 'r.json']))\n"
+                 "seen.append(scipy_modules())\n"
+                 "print(json.dumps(seen))\n")
+    assert _run_python(quadratic, tmp_path) == [[], 0, []]
+    assert (tmp_path / "r.json").exists()
+    # scipy.special must load when a data model is built, not at its first
+    # gradient: perfbench's setup_s times the build, its bench_s the gradients
+    for build in ("sipm.logistic_objective(data)", "sipm.nn_objective(data, hidden=2)"):
+        data_model = ("import json, sys, sipm\n"
+                      "data = sipm.synthetic_classification(20, 3)\n"
+                      f"model = {build}\n"
+                      "seen = ['scipy.special' in sys.modules]\n"
+                      "model.gradient([0.0] * model.n)\n"
+                      "model.stochastic_gradient([0.0] * model.n, [0, 3])\n"
+                      "sipm.quadratic_objective([0.0], [1.0])\n"
+                      "seen.append('scipy.sparse' in sys.modules)\n"
+                      "print(json.dumps(seen))\n")
+        assert _run_python(data_model, tmp_path) == [True, False], build
+
+
+def _imports_scipy_at_import_time(tree):
+    """The scipy imports a module runs when it is imported: every import
+    statement outside a function body (module level, under an if or try,
+    or in a class body)."""
+    found = []
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module.split(".")[0] == "scipy":
+                found.append(node.module)
+        pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_no_sipm_module_imports_scipy_at_import_time():
+    package = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src", "sipm")
+    names = sorted(n for n in os.listdir(package) if n.endswith(".py"))
+    assert "problems.py" in names and "libsvm.py" in names
+    offenders = {}
+    for name in names:
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            found = _imports_scipy_at_import_time(ast.parse(handle.read(), name))
+        if found:
+            offenders[name] = found
+    assert offenders == {}
+
+
+def test_import_scan_sees_nested_scipy_imports():
+    code = ("import numpy\n"
+            "try:\n    from scipy.special import expit\nexcept ImportError:\n    pass\n"
+            "class A:\n    import scipy.sparse as sp\n"
+            "def f():\n    import scipy.linalg\n")
+    assert sorted(_imports_scipy_at_import_time(ast.parse(code))) == \
+        ["scipy.sparse", "scipy.special"]
