@@ -33,7 +33,7 @@ class InfeasibleStart(SipmError):
     """The starting point is outside the initial inner neighborhood."""
 
 
-class ThetaTooLarge(SipmError):
+class ThetaTooLarge(InvalidTheta0):
     """theta_0 must be strictly smaller than half the box range."""
 
 
@@ -46,7 +46,7 @@ class InvariantViolation(SipmError):
 
 
 class InvalidBudget(SipmError, ValueError):
-    """An experiment's iteration budget or batch fraction is out of range."""
+    """An iteration budget or a batch fraction is out of range."""
 
 
 class InvalidChoice(SipmError, ValueError):
@@ -57,14 +57,14 @@ class InvalidChoice(SipmError, ValueError):
 
 
 class InvalidSpec(SipmError, ValueError):
-    """An experiment's seed list is empty, its problem names, solvers or seeds
-    repeat, a problem's size is below 1, it names a data file it would not
-    read, or the bounds are bad (in the spec or in a ``Bounds`` box)."""
+    """An experiment spec field, a ``Bounds`` box or a buffer setting is out of
+    range; README's "Where inputs are validated" lists each check."""
 
 
 class InvalidConstants(SipmError, ValueError):
     """A solver constant (ell_f, kappa_inf or sigma_inf) is negative or not
-    finite, or a constants cache file does not hold three such numbers."""
+    finite, it leaves the scaling diagonal H_k without a positive entry, or a
+    constants cache file does not hold three such numbers."""
 
 
 class InvalidExponents(SipmError, ValueError):
@@ -80,7 +80,7 @@ class NonFiniteGradient(SipmError):
         self.k = k
 
 
-class DomainError(SipmError):
+class DomainError(SipmError, ValueError):
     """An argument leaves the mathematical domain of the operation."""
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyNeighborhood, InvalidSpec, NotInterior
+from .errors import DomainError, EmptyNeighborhood, InvalidSpec, NotInterior
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,8 +92,8 @@ DELTA_CAP = 100.0
 
 def range_gap(bounds, cap):
     """min(cap, smallest coordinate range), the finite box-width constant."""
-    if cap <= 0:
-        raise ValueError("cap must be positive")
+    if not cap > 0:
+        raise DomainError(f"cap={cap} must be positive")
     return float(min(cap, np.min(bounds.gaps())))
 
 
@@ -158,7 +158,7 @@ def shifted_barrier_value(f_value, x, bounds, mu, chi):
     without changing gradients.
     """
     if not chi > 1.0:
-        raise ValueError("chi must exceed 1")
+        raise DomainError(f"chi={chi} must exceed 1")
     return _barrier_value(f_value, *require_interior(x, bounds), bounds, mu, chi)
 
 

@@ -41,7 +41,7 @@ from .baselines import c_constant, match_sipm_endpoints, run_psgm, run_simplifie
 from .errors import InvalidBudget, InvalidChoice, InvalidConstants, InvalidSpec
 from .geometry import DELTA_CAP, Bounds, range_gap
 from .libsvm import align_feature_space, parse_libsvm_file
-from .problems import (MODES, _require_batch_fraction, gradient_oracle, logistic_objective,
+from .problems import (_require_batch_fraction, gradient_oracle, logistic_objective,
                        nn_objective, quadratic_objective, synthetic_classification)
 from .schedules import (BufferSequences, ExponentTriple, PowerSchedule,
                         build_staircase, mu1_init, theta0_init)
@@ -98,13 +98,11 @@ def estimate_constants(objective, x1, bounds, mode="deterministic",
     estimate (pairs with displacement below 1e-14 are skipped).  In
     stochastic mode the noise bound is the largest inf-norm deviation of 100
     seeded mini-batch gradients at the start point; otherwise it is 0.  A
-    mode outside MODES raises InvalidChoice, and in stochastic mode a batch
-    fraction outside (0, 1] InvalidBudget, before any gradient is taken.
+    mode or batch fraction that ``gradient_oracle`` rejects raises its
+    error before any gradient is taken.
     """
-    if mode not in MODES:
-        raise InvalidChoice("mode", mode, MODES)
-    if mode == "stochastic":
-        _require_batch_fraction(batch_fraction)
+    # the noise draws' oracle checks mode and fraction; its sampler draws lazily
+    sample = gradient_oracle(objective, mode, batch_fraction, [seed, 2])
     config = _solver_config(ExperimentSpec(problems=()), objective.gradient(x1), x1, bounds,
                             BOOTSTRAP_CONSTANTS, bootstrap_iters)
     visited = []   # (x, exact gradient at x) per bootstrap iteration
@@ -122,7 +120,6 @@ def estimate_constants(objective, x1, bounds, mode="deterministic",
 
     sigma = 0.0
     if mode == "stochastic":
-        sample = gradient_oracle(objective, mode, batch_fraction, [seed, 2])
         g_true = visited[0][1]   # the bootstrap starts at x1
         for _ in range(SIGMA_DRAWS):
             sigma = max(sigma, float(np.max(np.abs(sample(x1) - g_true))))
@@ -196,23 +193,20 @@ def _require_count(name, value, least):
         raise InvalidSpec(f"{name}={value} must be at least {least}")
 
 
-def resolve_maxiter(spec):
-    """Iteration budget: epochs/batch_fraction in stochastic mode when epochs
-    are given, the explicit maxiter otherwise.
+def _finite_reals(values, count, least=-math.inf):
+    """True iff ``values`` holds ``count`` finite real numbers of at least ``least``."""
+    try:
+        return len(values) == count and all(isinstance(v, numbers.Real) and math.isfinite(v)
+                                            and v >= least for v in values)
+    except TypeError:   # not a sequence
+        return False
 
-    Raises InvalidChoice for a mode, schedule, param_mode or audit outside
-    SPEC_CHOICES, a problem model outside MODELS or a solver outside
-    SOLVERS, InvalidSpec for a data path the problem would not read (any on
-    a quadratic, a test_path without a train_path), bounds that are not two
-    numbers lo < hi (neither NaN) with a finite side, an infinite side under
-    a quadratic problem, an empty seed list, a repeated problem name, solver
-    or seed, a problem dim, samples or hidden width that is not an integer of
-    at least 1, or a seed, init_seed or problem data_seed that is not a
-    non-negative integer, and InvalidBudget for a stochastic batch fraction
-    outside (0, 1], epochs in deterministic mode, epochs that give no finite
-    budget, a maxiter that is not an integer or a budget below one iteration,
-    before any problem is built.  An empty solver list is valid: it estimates
-    the constants and runs nothing.
+
+def validate_spec(spec):
+    """Check every field of an experiment spec, before any problem is built,
+    and return its iteration budget: epochs/batch_fraction in stochastic mode
+    when epochs are given, the explicit maxiter otherwise.  README's "Where
+    inputs are validated" lists the checks and their error types.
     """
     for name, allowed in SPEC_CHOICES.items():
         if getattr(spec, name) not in allowed:
@@ -255,6 +249,15 @@ def resolve_maxiter(spec):
     for seed in spec.seeds:
         _require_count(f"seeds={spec.seeds!r}: seed", seed, 0)
     _require_count("init_seed", spec.init_seed, 0)
+    if not _finite_reals(spec.exponents, 3):
+        raise InvalidSpec(f"exponents={spec.exponents!r} must be three finite real numbers")
+    if not _finite_reals(spec.buffer_bases, 2, least=0.0):
+        raise InvalidSpec(f"buffer_bases={spec.buffer_bases!r} must be two finite "
+                          "numbers of at least 0")
+    for problem in spec.problems:
+        if not _finite_reals((problem.noise_level,), 1, least=0.0):
+            raise InvalidSpec(f"problem {problem.name!r}: noise_level="
+                              f"{problem.noise_level!r} must be a finite number of at least 0")
     if spec.mode == "stochastic":
         _require_batch_fraction(spec.batch_fraction)
     if spec.mode == "deterministic" and spec.epochs is not None:
@@ -295,7 +298,7 @@ def _build_problem(problem, spec):
     if problem.model == "logistic":
         def make(ds):
             return logistic_objective(ds)
-    else:  # "nn", the last model resolve_maxiter admits
+    else:  # "nn", the last model validate_spec admits
         def make(ds):
             return nn_objective(ds, hidden=problem.hidden)
     if problem.train_path is None:
@@ -385,7 +388,7 @@ def run_experiment(spec):
     rows, listed under ``timing["copied_seeds::<problem>"]``, while
     ``timing["cells"]`` times the cells that ran, or their seed's failed set-up.
     """
-    maxiter = resolve_maxiter(spec)
+    maxiter = validate_spec(spec)
     audit = "full_trace" if spec.trace else SPEC_AUDIT[spec.audit]
     report = {"config": _config_block(spec, maxiter), "constants": {},
               "runs": [], "comparisons": [], "timing": {"cells": {}}}
@@ -456,7 +459,7 @@ def run_experiment(spec):
                         result = run_psgm(objective, config.bounds, steps, x1, config.maxiter,
                                           mode=config.mode, batch_fraction=config.batch_fraction,
                                           seed=config.rng_seed)
-                    else:  # proj-ipm, the last name resolve_maxiter admits
+                    else:  # proj-ipm, the last name validate_spec admits
                         c = c_constant(config.bounds, config.constants.kappa_inf,
                                        config.schedule.mu1)
                         result = run_simplified(objective, config.bounds, seq["mu"][1:-1],

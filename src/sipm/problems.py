@@ -302,8 +302,8 @@ def nn_dimension(n_features, hidden=None):
 
 def finite_difference_gradient(objective, x, step):
     """Central differences (f(x + h e_i) - f(x - h e_i)) / (2 h) per coordinate."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not step > 0.0:
+        raise DomainError(f"step={step} must be positive")
     x = np.asarray(x, dtype=float)
     g = np.empty_like(x)
     for i in range(x.size):

@@ -23,12 +23,15 @@ callers should never add their own off-by-one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HorizonExceeded, InvalidExponents, InvalidMu1, InvalidTheta0
+from .errors import (HorizonExceeded, InvalidBudget, InvalidChoice, InvalidExponents,
+                     InvalidMu1, InvalidSpec, ThetaTooLarge)
 from .geometry import require_interior
+from .problems import MODES
 
 MU_FLOOR = 1e-8
 
@@ -72,7 +75,7 @@ def validate_exponents(triple, setting):
         if not t_mu + 2.0 * t_alpha < -1.0:
             violations.append("t_mu + 2*t_alpha must be below -1")
     else:
-        raise ValueError(f"unknown setting {setting!r}")
+        raise InvalidChoice("setting", setting, MODES)
     return violations
 
 
@@ -138,6 +141,12 @@ class StaircaseSchedule:
         return 0.0
 
 
+def _require_budget(owner, maxiter):
+    """InvalidBudget naming ``owner`` unless ``maxiter`` is an integer >= 1."""
+    if not (isinstance(maxiter, numbers.Integral) and maxiter >= 1):
+        raise InvalidBudget(f"{owner}: maxiter={maxiter!r} must be an integer of at least 1")
+
+
 def build_staircase(mu1, maxiter, theta0=1.0):
     """Construct the staircase schedule for a barrier start mu1 and a budget.
 
@@ -149,8 +158,7 @@ def build_staircase(mu1, maxiter, theta0=1.0):
     """
     if mu1 < MU_FLOOR:
         raise InvalidMu1(f"mu1={mu1} is below the terminal barrier value {MU_FLOOR}")
-    if maxiter < 1:
-        raise ValueError("maxiter must be a positive integer")
+    _require_budget("staircase", maxiter)
     final = MU_FLOOR / mu1
     # nu is the largest integer with -nu > log10(final); snap near-integer
     # exponents so float rounding in the quotient cannot shift the count.
@@ -189,12 +197,11 @@ class BufferSequences:
     def __post_init__(self):
         if self.mode == "theory":
             if self.t_mu is None:
-                raise ValueError("theory buffers need t_mu")
+                raise InvalidSpec("theory buffers need t_mu")
         elif self.mode == "practical":
-            if self.maxiter is None:
-                raise ValueError("practical buffers need maxiter")
+            _require_budget("practical buffers", self.maxiter)
         else:
-            raise ValueError(f"unknown buffer mode {self.mode!r}")
+            raise InvalidChoice("mode", self.mode, ("theory", "practical"))
 
     @classmethod
     def zero(cls):
@@ -272,5 +279,5 @@ def min_mu1_threshold(theta0, kappa_inf, sigma_inf, delta):
     Deterministic configurations pass sigma_inf = 0.
     """
     if theta0 >= 0.5 * delta:
-        raise InvalidTheta0(f"theta0={theta0} must be below delta/2={0.5 * delta}")
+        raise ThetaTooLarge(f"theta0={theta0} must be below delta/2={0.5 * delta}")
     return 0.5 * theta0 * (kappa_inf + sigma_inf) * delta / (0.5 * delta - theta0)

@@ -13,13 +13,15 @@ guarantee, and any failure raises InvariantViolation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import (InfeasibleStart, InvalidChoice, InvalidConstants, InvalidExponents,
-                     InvalidMu1, InvalidTheta0, InvariantViolation, ThetaTooLarge)
+from .errors import (InfeasibleStart, InvalidBudget, InvalidChoice, InvalidConstants,
+                     InvalidExponents, InvalidMu1, InvalidTheta0, InvariantViolation,
+                     ThetaTooLarge)
 from .geometry import (DELTA_CAP, Bounds, KktCertificate, _barrier_gradient, _barrier_value,
                        default_chi, in_neighborhood, kkt_certificate,
                        projected_gradient_norm, range_gap, require_interior, slacks)
@@ -186,6 +188,8 @@ def run(objective, config, x1, observer=None):
     for name, allowed in CONFIG_CHOICES.items():
         if getattr(config, name) not in allowed:
             raise InvalidChoice(name, getattr(config, name), allowed)
+    if not (isinstance(config.maxiter, numbers.Integral) and config.maxiter >= 0):
+        raise InvalidBudget(f"maxiter={config.maxiter!r} must be an integer of at least 0")
     if isinstance(config.schedule, PowerSchedule):
         violations = validate_exponents(config.schedule.exponents, config.mode)
         if violations:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInPriorNeighborhood
+from .errors import InvalidConstants, NotInPriorNeighborhood
 from .geometry import in_neighborhood, require_interior
 
 
@@ -126,7 +126,7 @@ def _step(x, lo, up, q, h_diag, lam_min, k, bounds, mu, theta_k, theta_prev, t_a
     """One step from x, its slacks (lo, up) and lam_min = min(h_diag): returns
     (bundle, d = -q / h_diag, gamma_k, x_next), x_next clipped to theta_k."""
     if not lam_min > 0.0:
-        raise ValueError(f"iteration {k}: scaling diagonal must be strictly positive")
+        raise InvalidConstants(f"iteration {k}: scaling diagonal must be strictly positive")
     k_pow = float(k) ** t_alpha
     alpha_min = lam_min * k_pow / (constants.ell_f + 2.0 * mu / theta_k ** 2)
     alpha_max = alpha_min + alpha_buff

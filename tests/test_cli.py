@@ -249,6 +249,18 @@ def test_bad_size_or_seed_is_a_typed_error(args, message, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_nan_theory_exponent_is_a_typed_error(tmp_path, capsys):
+    """--t-mu nan used to exit 0 with a report that said param_mode theory
+    while the NaN buffers dropped out of min() and the step went unclipped."""
+    out = tmp_path / "r.json"
+    assert main(["bench", "--model", "quadratic", "--dim", "3", "--maxiter", "30",
+                 "--param-mode", "theory", "--t-mu", "nan", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: InvalidSpec: exponents=(nan, -1.0, 0.0) must be ")
+    assert not out.exists()
+
+
 def test_parse_check_names_the_line_of_a_non_ascii_byte(tmp_path, capsys):
     data = tmp_path / "bad.libsvm"
     data.write_bytes(b"+1 1:0.5\n-1 2:1\xff\n")

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from sipm import (Bounds, barrier_gradient, barrier_value, default_chi,
                   in_neighborhood, kkt_certificate, project_to_neighborhood,
                   projected_gradient_norm, range_gap, shifted_barrier_value)
-from sipm.errors import EmptyNeighborhood, InvalidSpec, NotInterior, SipmError
+from sipm.errors import DomainError, EmptyNeighborhood, InvalidSpec, NotInterior, SipmError
 
 INF = np.inf
 
@@ -57,6 +57,20 @@ def test_range_gap():
     assert range_gap(box([0.0, 0.0], [2.0, 5.0]), 100.0) == 2.0
     assert range_gap(box([0.0], [INF]), 100.0) == 100.0
     assert range_gap(box([-1.0, -1.0], [1.0, 1.0]), 0.5) == 0.5
+
+
+@pytest.mark.parametrize("cap", [0.0, -1.0, np.nan])
+def test_range_gap_rejects_a_cap_that_is_not_positive(cap):
+    # a NaN cap used to pass the guard and return nan
+    with pytest.raises(DomainError, match="must be positive") as err:
+        range_gap(box([0.0], [2.0]), cap)
+    assert isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize("chi", [1.0, np.nan])
+def test_shifted_barrier_rejects_chi_not_above_one(chi):
+    with pytest.raises(DomainError, match="must exceed 1"):
+        shifted_barrier_value(0.0, [1.0], box([0.0], [2.0]), 1.0, chi)
 
 
 def test_in_neighborhood():

@@ -16,7 +16,7 @@ from sipm import (Bounds, ExperimentSpec, LogisticObjective, Objective, ProblemS
                   synthetic_classification)
 from sipm import harness
 from sipm.errors import InvalidBudget, InvalidChoice, InvalidConstants, InvalidSpec
-from sipm.harness import resolve_maxiter
+from sipm.harness import validate_spec
 from sipm.schedules import BufferSequences, ExponentTriple, StaircaseSchedule
 from sipm.stepsize import Constants
 
@@ -242,14 +242,14 @@ def test_interrupted_cache_write_keeps_the_old_file(tmp_path, monkeypatch):
     assert load_constants(path) == old
 
 
-def test_resolve_maxiter():
+def test_validate_spec():
     spec = ExperimentSpec(problems=(), mode="stochastic", epochs=1.0,
                           batch_fraction=0.01)
-    assert resolve_maxiter(spec) == 100
+    assert validate_spec(spec) == 100
     spec = ExperimentSpec(problems=(), maxiter=250)
-    assert resolve_maxiter(spec) == 250
+    assert validate_spec(spec) == 250
     with pytest.raises(ValueError):
-        resolve_maxiter(ExperimentSpec(problems=(), maxiter=None))
+        validate_spec(ExperimentSpec(problems=(), maxiter=None))
 
 
 @pytest.mark.parametrize("name, value", [("mode", "stoch"), ("schedule", "powr"),
@@ -262,7 +262,7 @@ def test_unknown_choice_is_a_typed_error(name, value, monkeypatch):
     monkeypatch.setattr(harness, "_build_problem", no_build)
     spec = small_spec(**{name: value})
     with pytest.raises(InvalidChoice, match=name):
-        resolve_maxiter(spec)
+        validate_spec(spec)
     with pytest.raises(InvalidChoice, match=repr(value)):
         run_experiment(spec)
 
@@ -315,6 +315,15 @@ def test_unknown_choice_is_a_typed_error(name, value, monkeypatch):
      InvalidSpec, "'toy': a quadratic reads no data file"),
     (dict(problems=(ProblemSpec(name="lr", model="logistic", test_path="t.libsvm"),)),
      InvalidSpec, "'lr': test_path needs a train_path"),
+    (dict(exponents=(np.nan, -1.0, 0.0)), InvalidSpec, "three finite real numbers"),
+    (dict(exponents=(-1.0, -1.0)), InvalidSpec, "three finite real numbers"),
+    (dict(param_mode="theory", buffer_bases=(np.nan, 1.0)), InvalidSpec,
+     "buffer_bases=\\(nan, 1.0\\) must be two finite numbers of at least 0"),
+    (dict(buffer_bases=(-1.0, 1.0)), InvalidSpec, "two finite numbers of at least 0"),
+    (dict(param_mode="theory", buffer_bases=(1.0,)), InvalidSpec,
+     "two finite numbers of at least 0"),
+    (dict(problems=(ProblemSpec(name="toy", model="quadratic", noise_level=-0.1),),
+          mode="stochastic"), InvalidSpec, "'toy': noise_level=-0.1 must be a finite number"),
 ], ids=["unknown-solver", "repeated-solver", "no-seeds", "repeated-seed",
         "repeated-problem-name", "unknown-model", "hidden-0", "bounds-reversed",
         "bounds-empty", "bounds-nan", "bounds-unbounded", "bounds-open-quadratic",
@@ -323,7 +332,9 @@ def test_unknown_choice_is_a_typed_error(name, value, monkeypatch):
         "logistic-dim-0", "logistic-samples-0", "stochastic-quadratic-samples-0",
         "dim-not-integer", "data-seed-negative", "seed-negative", "stochastic-seed-negative",
         "seed-not-integer", "init-seed-negative", "quadratic-train-path",
-        "quadratic-test-path", "test-without-train"])
+        "quadratic-test-path", "test-without-train", "exponents-nan", "exponents-two",
+        "buffer-bases-nan", "buffer-bases-negative", "buffer-bases-one",
+        "noise-level-negative"])
 def test_bad_solver_or_seed_list_fails_before_any_problem(fault, error, match,
                                                           monkeypatch):
     def no_build(problem, spec):
@@ -332,7 +343,7 @@ def test_bad_solver_or_seed_list_fails_before_any_problem(fault, error, match,
     monkeypatch.setattr(harness, "_build_problem", no_build)
     spec = small_spec(**fault)
     with pytest.raises(error, match=match):
-        resolve_maxiter(spec)
+        validate_spec(spec)
     with pytest.raises(error, match=match):
         run_experiment(spec)
 
@@ -341,7 +352,7 @@ def test_open_sided_logistic_bounds_are_valid():
     """A logistic problem has no drawn center, so an open upper side runs."""
     spec = small_spec(problems=(ProblemSpec(name="lr", model="logistic", samples=40),),
                       bounds=(-1.0, np.inf), maxiter=20, seeds=(0,))
-    assert resolve_maxiter(spec) == 20
+    assert validate_spec(spec) == 20
     runs = run_experiment(spec)["runs"]
     assert len(runs) == 3 and not any("error" in entry for entry in runs)
 
@@ -581,11 +592,12 @@ def test_failed_estimate_is_recorded_per_problem():
 
 
 def test_failed_schedule_is_recorded_per_cell():
-    report = run_experiment(small_spec(schedule="power", exponents=(-1.0, -1.0),
+    # mu_k = mu1 * k**1000 overflows a float at k = 3, in the seed's set-up
+    report = run_experiment(small_spec(schedule="power", exponents=(1000.0, 1000.0, 0.0),
                                        solvers=("sipm", "psgm")))
     assert [(r["solver"], r["seed"]) for r in report["runs"]] == [
         ("sipm", 0), ("psgm", 0), ("sipm", 1), ("psgm", 1)]
-    assert all(r["error"].startswith("TypeError") for r in report["runs"])
+    assert all(r["error"].startswith("InvalidExponents") for r in report["runs"])
     assert "toy" in report["constants"]
 
 
@@ -666,7 +678,7 @@ def test_every_run_config_comes_from_one_recipe(overrides, monkeypatch):
 
     computed = spec.seeds if spec.mode == "stochastic" else spec.seeds[:1]
     assert [config.rng_seed for config in cells] == list(computed)
-    maxiter = resolve_maxiter(spec)
+    maxiter = validate_spec(spec)
     estimated = report["constants"]["toy"]
     for config in cells:
         entries = [e for e in report["runs"] if e["seed"] == config.rng_seed]
@@ -734,8 +746,9 @@ COPY_CASES = {
     # t_theta != t_mu: the sipm cell is an error row, psgm runs unanchored
     "inadmissible-power": lambda tmp_path: small_spec(schedule="power",
                                                       exponents=(-1.0, 0.5, 0.0)),
-    # a two-entry exponent tuple fails the seed's set-up, before any cell
-    "failed-set-up": lambda tmp_path: small_spec(schedule="power", exponents=(-1.0, -1.0)),
+    # an overflowing power fails the seed's set-up, before any cell
+    "failed-set-up": lambda tmp_path: small_spec(schedule="power",
+                                                 exponents=(1000.0, 1000.0, 0.0)),
 }
 
 

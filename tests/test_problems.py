@@ -85,6 +85,13 @@ def test_finite_difference_exact_on_quadratic():
         finite_difference_gradient(obj, x, 0.0)
 
 
+def test_finite_difference_rejects_a_nan_step():
+    # a NaN step used to pass the guard and return a NaN gradient
+    obj = quadratic_objective([0.5], [2.0])
+    with pytest.raises(DomainError, match="step=nan must be positive"):
+        finite_difference_gradient(obj, np.array([1.0]), np.nan)
+
+
 def enumeration_mean(objective, x, m, batch_size):
     total = np.zeros(objective.n)
     count = 0

@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 from sipm import (Bounds, BufferSequences, ExponentTriple, PowerSchedule,
                   StaircaseSchedule, build_staircase, min_mu1_threshold, mu1_init,
                   sequences, theta0_init, validate_exponents)
-from sipm.errors import HorizonExceeded, InvalidExponents, InvalidMu1, InvalidTheta0
+from sipm.errors import (HorizonExceeded, InvalidBudget, InvalidChoice, InvalidExponents,
+                         InvalidMu1, InvalidSpec, InvalidTheta0, SipmError)
 
 INF = np.inf
 
@@ -191,6 +192,31 @@ def test_sequences_reject_a_staircase_shorter_than_the_run():
         sequences(build_staircase(0.5, 10), BufferSequences.zero(), 11)
     with pytest.raises(HorizonExceeded):
         PowerSchedule(mu1=1.0, theta0=0.2, exponents=ExponentTriple(-1, -1, 0)).s(0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: BufferSequences(mode="practical", maxiter=-3), "practical buffers: maxiter=-3"),
+    (lambda: BufferSequences(mode="practical"), "practical buffers: maxiter=None"),
+    (lambda: build_staircase(0.1, 2.5), "staircase: maxiter=2.5"),
+    (lambda: build_staircase(0.1, math.nan), "staircase: maxiter=nan"),
+], ids=["buffers-negative", "buffers-none", "staircase-float", "staircase-nan"])
+def test_schedule_and_buffer_budgets_are_positive_integers(make, message):
+    """Negative practical buffers used to give complex allowances, a float
+    staircase budget was truncated to 2 iterations and a NaN one failed as a
+    bare ValueError from int()."""
+    with pytest.raises(InvalidBudget, match=f"^{message} must be an integer of at least 1$"):
+        make()
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: validate_exponents(ExponentTriple(-1, -1, 0), "nonsense"), InvalidChoice),
+    (lambda: BufferSequences(mode="bogus"), InvalidChoice),
+    (lambda: BufferSequences(mode="theory"), InvalidSpec),
+], ids=["setting", "buffer-mode", "theory-without-t-mu"])
+def test_bad_schedule_arguments_are_typed_errors(make, error):
+    with pytest.raises(error) as err:
+        make()
+    assert isinstance(err.value, SipmError) and isinstance(err.value, ValueError)
 
 
 @pytest.mark.parametrize("exponents, buffers, message", [

@@ -8,12 +8,13 @@ from numpy.testing import assert_allclose
 
 from sipm import (DELTA_CAP, Bounds, BufferSequences, Constants, ExponentTriple,
                   PowerSchedule, ScheduleContext, SolverConfig, StaircaseSchedule,
-                  barrier_gradient, build_hk, build_staircase, quadratic_objective,
-                  range_gap, ratio_test, run, sequences, sipm_step, step_size_bundle)
+                  barrier_gradient, build_hk, build_staircase, min_mu1_threshold,
+                  quadratic_objective, range_gap, ratio_test, run, sequences, sipm_step,
+                  step_size_bundle)
 from sipm import baselines, geometry, schedules, solver, stepsize
-from sipm.errors import (HorizonExceeded, InfeasibleStart, InvalidChoice, InvalidConstants,
-                         InvalidExponents, InvalidMu1, InvalidTheta0, InvariantViolation,
-                         NotInterior, SipmError, ThetaTooLarge)
+from sipm.errors import (HorizonExceeded, InfeasibleStart, InvalidBudget, InvalidChoice,
+                         InvalidConstants, InvalidExponents, InvalidMu1, InvalidTheta0,
+                         InvariantViolation, NotInterior, SipmError, ThetaTooLarge)
 
 
 def quad_config(bounds, schedule, maxiter, **kwargs):
@@ -162,6 +163,34 @@ def test_start_validation():
     flat = build_staircase(0.5, 10, theta0=0.0)
     with pytest.raises(InvalidTheta0):
         run(obj, quad_config(bounds, flat, 10), np.array([0.0]))
+
+
+@pytest.mark.parametrize("maxiter", [-1, 2.0])
+def test_bad_maxiter_is_rejected_at_entry(maxiter, monkeypatch):
+    """maxiter=-1 used to fail as an IndexError from the parameter table and
+    maxiter=2.0 as a TypeError from range(); both now fail before the table
+    or the oracle is built."""
+    built = []
+    monkeypatch.setattr(solver, "sequences", lambda *args: built.append("table"))
+    monkeypatch.setattr(solver, "gradient_oracle", lambda *args: built.append("oracle"))
+    obj = quadratic_objective([0.0], [1.0])
+    config = replace(quad_config(Bounds.cube(1, -1.0, 1.0),
+                                 build_staircase(0.5, 10, theta0=0.2), 10), maxiter=maxiter)
+    with pytest.raises(InvalidBudget, match=f"maxiter={maxiter!r} must be an integer"):
+        run(obj, config, np.array([0.0]))
+    assert built == []
+
+
+def test_theta0_too_large_is_one_condition_at_both_sites():
+    """run() raised ThetaTooLarge and min_mu1_threshold InvalidTheta0 for the
+    same theta0 >= delta/2; one except now catches both."""
+    wide = build_staircase(0.5, 10, theta0=1.5)
+    config = quad_config(Bounds.cube(1, -1.0, 1.0), wide, 10)
+    for call in (lambda: run(quadratic_objective([0.0], [1.0]), config, np.array([0.0])),
+                 lambda: min_mu1_threshold(1.5, 1.0, 0.0, 2.0)):
+        with pytest.raises(InvalidTheta0, match="must be below delta/2=1.0") as err:
+            call()
+        assert isinstance(err.value, ThetaTooLarge)
 
 
 @pytest.mark.parametrize("name, value", [("mode", "stoch"), ("audit_level", "full")])

@@ -163,18 +163,53 @@ def _imports_scipy_at_import_time(tree):
     return found
 
 
-def test_no_sipm_module_imports_scipy_at_import_time():
+def _package_trees():
+    """{file name: parsed module} of every src/sipm/*.py."""
     package = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "src", "sipm")
-    names = sorted(n for n in os.listdir(package) if n.endswith(".py"))
-    assert "problems.py" in names and "libsvm.py" in names
-    offenders = {}
-    for name in names:
+    trees = {}
+    for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
         with open(os.path.join(package, name), encoding="utf-8") as handle:
-            found = _imports_scipy_at_import_time(ast.parse(handle.read(), name))
-        if found:
-            offenders[name] = found
+            trees[name] = ast.parse(handle.read(), name)
+    assert "problems.py" in trees and "libsvm.py" in trees
+    return trees
+
+
+def test_no_sipm_module_imports_scipy_at_import_time():
+    offenders = {name: found for name, tree in _package_trees().items()
+                 if (found := _imports_scipy_at_import_time(tree))}
     assert offenders == {}
+
+
+UNTYPED = ("ValueError", "TypeError")
+
+
+def _untyped_raises(tree):
+    """Line numbers of ``raise ValueError(...)`` and ``raise TypeError(...)``,
+    called or bare, anywhere in a module."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in UNTYPED:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_every_raise_in_the_package_is_a_typed_error():
+    """Each error the package raises is a SipmError; input errors are also
+    ValueErrors through their class, never a bare ValueError or TypeError."""
+    offenders = {name: lines for name, tree in _package_trees().items()
+                 if (lines := _untyped_raises(tree))}
+    assert offenders == {}
+
+
+def test_raise_scan_sees_untyped_raises():
+    code = ("def f(x):\n"
+            "    if x:\n        raise ValueError('x')\n"
+            "    try:\n        pass\n    except KeyError:\n        raise TypeError\n"
+            "    raise errors.DomainError('x')\n")
+    assert _untyped_raises(ast.parse(code)) == [3, 7]
 
 
 def test_import_scan_sees_nested_scipy_imports():
