@@ -2,14 +2,16 @@
 
 The protocol per problem is: fix one starting point, estimate the curvature
 and gradient-bound constants with a 500-iteration bootstrap that uses
-placeholder constants of 1, set up each seed's run from those estimates,
-then run every requested solver over every seed, sipm first.  One recipe,
-``_solver_config``, sets up both the bootstrap (a deterministic staircase)
-and each seed: the barrier start mu1 from the gradient (estimate) at the
-start point, the neighborhood margin theta0 capped by the constants, then
-the schedule and buffers; every cell of the seed reads that config and its
-one parameter table, ``config.sequences``.  A baseline cell ends by writing
-each metric's ``(a - b) / max(a, b, 1)`` against the seed's sipm run.
+placeholder constants of 1 (it scans each iterate as the run makes it, so it
+keeps O(n) memory, not its history), set up each seed's run from those
+estimates, then run every requested solver over every seed, sipm first.  One
+recipe, ``_solver_config``, sets up both the bootstrap (a deterministic
+staircase) and each seed: the barrier start mu1 from the gradient (estimate)
+at the start point, the neighborhood margin theta0 capped by the constants,
+then the schedule and buffers; every cell of the seed reads that config and
+its one parameter table, ``config.sequences``.  A baseline cell ends by
+writing each metric's ``(a - b) / max(a, b, 1)`` against the seed's sipm
+run.
 
 A seed reaches a run only through the stochastic oracle: with exact gradients
 the barrier start, every solver's steps and so every row are the same for
@@ -100,27 +102,36 @@ def estimate_constants(objective, x1, bounds, mode="deterministic",
     seeded mini-batch gradients at the start point; otherwise it is 0.  A
     mode or batch fraction that ``gradient_oracle`` rejects raises its
     error before any gradient is taken.
+
+    The scan runs in the bootstrap's observer and keeps only the previous
+    iterate and gradient, the first gradient and two running maxima, so the
+    estimate holds O(n) memory whatever ``bootstrap_iters`` is.
     """
     # the noise draws' oracle checks mode and fraction; its sampler draws lazily
     sample = gradient_oracle(objective, mode, batch_fraction, [seed, 2])
     config = _solver_config(ExperimentSpec(problems=()), objective.gradient(x1), x1, bounds,
                             BOOTSTRAP_CONSTANTS, bootstrap_iters)
-    visited = []   # (x, exact gradient at x) per bootstrap iteration
-    run(objective, config, x1,
-        observer=lambda info: visited.append((info["x"], info["g"])))
+    kappa = ell = 0.0   # gradient inf-norms and secant ratios are nonnegative
+    g_true = prev = None   # the gradient at x1; the previous (x, exact gradient at x)
 
-    kappa = max(float(np.max(np.abs(g))) for _, g in visited)
-    ell = 0.0
-    for (x_prev, g_prev), (x_next, g_next) in zip(visited, visited[1:]):
-        move = float(np.linalg.norm(x_next - x_prev))
-        if move > 1e-14:
-            ell = max(ell, float(np.linalg.norm(g_next - g_prev)) / move)
+    def scan(step):
+        nonlocal kappa, ell, g_true, prev
+        x, g = step["x"], step["g"]
+        kappa = max(kappa, float(np.max(np.abs(g))))
+        if prev is None:
+            g_true = g   # the bootstrap starts at x1
+        else:
+            move = float(np.linalg.norm(x - prev[0]))
+            if move > 1e-14:
+                ell = max(ell, float(np.linalg.norm(g - prev[1])) / move)
+        prev = x, g
+
+    run(objective, config, x1, observer=scan)
     if ell == 0.0:
         ell = 1.0  # no usable secant pair; keep the bootstrap placeholder
 
     sigma = 0.0
     if mode == "stochastic":
-        g_true = visited[0][1]   # the bootstrap starts at x1
         for _ in range(SIGMA_DRAWS):
             sigma = max(sigma, float(np.max(np.abs(sample(x1) - g_true))))
     return EstimatedConstants(ell_f_bar=ell, kappa_inf_bar=kappa, sigma_inf_bar=sigma)
@@ -214,6 +225,8 @@ def validate_spec(spec):
     for problem in spec.problems:
         if problem.model not in MODELS:
             raise InvalidChoice("model", problem.model, MODELS)
+        if not isinstance(problem.name, str):
+            raise InvalidSpec(f"problem name {problem.name!r} must be a string")
         data_paths = (problem.train_path, problem.test_path)
         if problem.model == "quadratic" and data_paths != (None, None):
             raise InvalidSpec(f"problem {problem.name!r}: a quadratic reads no data file, "
@@ -241,13 +254,13 @@ def validate_spec(spec):
                               f"inside the box, so bounds={spec.bounds!r} must be finite")
     if not spec.seeds:
         raise InvalidSpec("the seed list is empty")
+    for seed in spec.seeds:   # integers, so the repeat check can hash them
+        _require_count(f"seeds={spec.seeds!r}: seed", seed, 0)
     names = tuple(problem.name for problem in spec.problems)
     for name, values in (("problems", names), ("solvers", spec.solvers),
                          ("seeds", spec.seeds)):
         if len(set(values)) < len(values):
             raise InvalidSpec(f"{name}={values!r} repeats an entry")
-    for seed in spec.seeds:
-        _require_count(f"seeds={spec.seeds!r}: seed", seed, 0)
     _require_count("init_seed", spec.init_seed, 0)
     if not _finite_reals(spec.exponents, 3):
         raise InvalidSpec(f"exponents={spec.exponents!r} must be three finite real numbers")
@@ -258,12 +271,14 @@ def validate_spec(spec):
         if not _finite_reals((problem.noise_level,), 1, least=0.0):
             raise InvalidSpec(f"problem {problem.name!r}: noise_level="
                               f"{problem.noise_level!r} must be a finite number of at least 0")
-    if spec.mode == "stochastic":
-        _require_batch_fraction(spec.batch_fraction)
+    # checked in both modes: the report and the cache key keep it either way
+    _require_batch_fraction(spec.batch_fraction)
     if spec.mode == "deterministic" and spec.epochs is not None:
         raise InvalidBudget(f"epochs={spec.epochs} counts mini-batch passes; "
                             "a deterministic run takes maxiter")
     if spec.epochs is not None:
+        if not isinstance(spec.epochs, numbers.Real):
+            raise InvalidBudget(f"epochs={spec.epochs!r} must be a real number")
         budget = spec.epochs / spec.batch_fraction
         if not math.isfinite(budget):
             raise InvalidBudget(f"epochs={spec.epochs} gives the iteration budget "

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -331,8 +332,9 @@ def batch_sampler(m, batch_size, seed):
 
 
 def _require_batch_fraction(batch_fraction):
-    if not 0.0 < batch_fraction <= 1.0:
-        raise InvalidBudget(f"batch_fraction={batch_fraction} must lie in (0, 1]")
+    """InvalidBudget unless ``batch_fraction`` is a real number in (0, 1]."""
+    if not (isinstance(batch_fraction, numbers.Real) and 0.0 < batch_fraction <= 1.0):
+        raise InvalidBudget(f"batch_fraction={batch_fraction!r} must lie in (0, 1]")
 
 
 def gradient_oracle(objective, mode, batch_fraction, seed):

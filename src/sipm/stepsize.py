@@ -6,7 +6,8 @@ from the buffer allowance, gamma_min and gamma_max from alpha_max, the
 look-ahead step alpha_pre from the current point's squared slacks, its largest
 admissible fraction gamma_bar, ell_k along the look-ahead segment, alpha_k,
 the ratio test's gamma_k and the clipped update.  It takes the neighborhood
-sides and the ratio-test margin once, for both ratio tests and the clip.
+sides and the ratio-test margin once, for both ratio tests and the clip, and
+the mask of moving coordinates once, for both ratio tests.
 
 Public functions validate their input, then call the same slack-based helpers
 (leading underscore) as the solver kernel.
@@ -89,15 +90,17 @@ def ratio_test(x, direction, scale, bounds, theta, gamma_max):
     x = np.asarray(x, dtype=float)
     d = np.asarray(direction, dtype=float)
     margin = np.where(d < 0.0, bounds.lower + theta, bounds.upper - theta) - x
-    return _ratio(margin, d, scale, gamma_max)
-
-
-def _ratio(margin, d, scale, gamma_max):
-    """ratio_test from the margin to the side each coordinate moves to."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = margin / (scale * d)
+        return _ratio(margin, d, scale, gamma_max, d != 0.0)
+
+
+def _ratio(margin, d, scale, gamma_max, moving):
+    """ratio_test from the margin to the side each coordinate moves to, over
+    the coordinates ``moving`` (d != 0).  A zero or NaN d makes a ratio that
+    divides by 0 or is NaN, so the caller ignores those numpy warnings."""
+    ratios = margin / (scale * d)
     # fmin skips a NaN ratio, so a NaN direction entry imposes no limit
-    gamma = min(float(gamma_max), float(np.fmin.reduce(ratios, where=d != 0.0, initial=np.inf)))
+    gamma = min(float(gamma_max), float(np.fmin.reduce(ratios, where=moving, initial=np.inf)))
     return max(0.0, gamma)
 
 
@@ -115,16 +118,17 @@ def step_size_bundle(x, q, h_diag, k, bounds, sched, constants, delta, stochasti
         raise NotInPriorNeighborhood(
             f"iterate left the previous neighborhood (theta={sched.theta_prev})")
     h_diag = np.asarray(h_diag, dtype=float)
-    return _step(np.asarray(x, dtype=float), lo, up, np.asarray(q, dtype=float), h_diag,
-                 float(h_diag.min()), k, bounds, sched.mu_k, sched.theta_k, sched.theta_prev,
-                 sched.t_alpha, sched.alpha_buff, sched.gamma_buff, constants, delta,
-                 stochastic)[0]
+    return _step(np.asarray(x, dtype=float), lo, up, lo * lo, up * up,
+                 np.asarray(q, dtype=float), h_diag, float(h_diag.min()), k, bounds,
+                 sched.mu_k, sched.theta_k, sched.theta_prev, sched.t_alpha,
+                 sched.alpha_buff, sched.gamma_buff, constants, delta, stochastic)[0]
 
 
-def _step(x, lo, up, q, h_diag, lam_min, k, bounds, mu, theta_k, theta_prev, t_alpha,
-          alpha_buff, gamma_buff, constants, delta, stochastic):
-    """One step from x, its slacks (lo, up) and lam_min = min(h_diag): returns
-    (bundle, d = -q / h_diag, gamma_k, x_next), x_next clipped to theta_k."""
+def _step(x, lo, up, lo2, up2, q, h_diag, lam_min, k, bounds, mu, theta_k, theta_prev,
+          t_alpha, alpha_buff, gamma_buff, constants, delta, stochastic):
+    """One step from x, its slacks (lo, up), their squares (lo2, up2) and
+    lam_min = min(h_diag): returns (bundle, d = -q / h_diag, gamma_k, x_next),
+    x_next clipped to theta_k."""
     if not lam_min > 0.0:
         raise InvalidConstants(f"iteration {k}: scaling diagonal must be strictly positive")
     k_pow = float(k) ** t_alpha
@@ -136,18 +140,19 @@ def _step(x, lo, up, q, h_diag, lam_min, k, bounds, mu, theta_k, theta_prev, t_a
     gamma_min = min(1.0, lam_min * bracket / (alpha_max * (grad_bound + mu / theta_prev)))
     gamma_max = min(1.0, gamma_min + gamma_buff)
 
-    a, b = float((lo * lo).min()), float((up * up).min())
+    a, b = float(lo2.min()), float(up2.min())
     alpha_pre = lam_min * k_pow / (constants.ell_f + mu / a + mu / b)
     d = -q / h_diag
     inner_lo, inner_up = bounds.lower + theta_k, bounds.upper - theta_k
     margin = np.where(d < 0.0, inner_lo, inner_up) - x
-    gamma_bar = _ratio(margin, d, alpha_pre, gamma_max)
-    x_pre = x + (gamma_bar * alpha_pre) * d
-    a, b = _slack_products(lo, up, x_pre - bounds.lower, bounds.upper - x_pre)
-    ell_k = constants.ell_f + mu / a + mu / b
-    alpha_k = min(lam_min * k_pow / ell_k, alpha_max)
-
-    gamma_k = _ratio(margin, d, alpha_k, gamma_max)
+    moving = d != 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):   # for both ratio tests
+        gamma_bar = _ratio(margin, d, alpha_pre, gamma_max, moving)
+        x_pre = x + (gamma_bar * alpha_pre) * d
+        a, b = _slack_products(lo, up, x_pre - bounds.lower, bounds.upper - x_pre)
+        ell_k = constants.ell_f + mu / a + mu / b
+        alpha_k = min(lam_min * k_pow / ell_k, alpha_max)
+        gamma_k = _ratio(margin, d, alpha_k, gamma_max, moving)
     # The binding ratio is exact in real arithmetic; the fused update can land
     # an ulp outside the neighborhood, so snap it back.
     x_next = (x + (gamma_k * alpha_k) * d).clip(inner_lo, inner_up)

@@ -123,6 +123,17 @@ def test_bad_budget_is_a_typed_error(budget, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_deterministic_batch_fraction_is_checked(tmp_path, capsys):
+    """A deterministic run reads no batch fraction, yet its report and cache
+    key keep it; --batch-frac 7 used to exit 0 with batch_fraction: 7."""
+    out = tmp_path / "r.json"
+    assert main(["bench", "--model", "quadratic", "--dim", "3", "--maxiter", "5",
+                 "--batch-frac", "7", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: InvalidBudget: batch_fraction=7.0 must lie in (0, 1]\n"
+    assert not out.exists()
+
+
 def test_empty_solver_list_is_a_typed_error(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["bench", "--model", "quadratic", "--solver", ",", "--out", str(out)]) == 1

@@ -37,6 +37,8 @@ QUAD_POWER_AUDIT = ["--model", "quadratic", "--dim", "10", "--maxiter", "150",
                     "--solver", "psgm,sipm,proj-ipm"]
 INADMISSIBLE_POWER = ["--model", "quadratic", "--dim", "5", "--maxiter", "50",
                       "--schedule", "power", "--t-theta", "0.5", *THREE]
+LIBSVM_STOCH = ["--train", "train.libsvm", "--test", "test.libsvm", "--mode", "stoch",
+                "--epochs", "1", "--batch-frac", "0.05", "--seeds", "0,3", *THREE]
 # name -> bench arguments
 SHAPES = {
     "quad-det": ["--model", "quadratic", "--dim", "50", "--maxiter", "200",
@@ -57,6 +59,9 @@ SHAPES = {
                     "--maxiter", "100", "--seeds", "0,3", *THREE],
     "libsvm-01-pair": ["--model", "nn", "--train", "train01.libsvm", "--test", "test01.libsvm",
                        "--maxiter", "100", "--seeds", "0,3", *THREE],
+    # CSR mini-batches, for the logistic model and the network's stochastic bootstrap
+    "libsvm-stoch": ["--model", "logistic", *LIBSVM_STOCH],
+    "libsvm-nn-stoch": ["--model", "nn", *LIBSVM_STOCH],
     "baselines-only": ["--model", "quadratic", "--dim", "10", "--maxiter", "100",
                        "--solver", "psgm,proj-ipm"],
     "inadmissible-power": INADMISSIBLE_POWER,
