@@ -10,7 +10,7 @@ package.
 
 from . import errors
 from .baselines import (c_constant, match_sipm_endpoints, psgm_step, recurrence_ratio,
-                        run_psgm, run_simplified, simplified_ipm_step)
+                        run_psgm, run_simplified)
 from .geometry import (DELTA_CAP, Bounds, KktCertificate, barrier_gradient, barrier_value,
                        default_chi, in_neighborhood, kkt_certificate,
                        project_to_neighborhood, projected_gradient_norm, range_gap,
@@ -30,7 +30,7 @@ from .schedules import (BufferSequences, ExponentTriple, PowerSchedule,
                         StaircaseSchedule, build_staircase, min_mu1_threshold,
                         mu1_init, sequences, theta0_init, validate_exponents)
 from .solver import RunResult, SolverConfig, build_hk, run, sipm_step
-from .stepsize import (Constants, ScheduleContext, StepSizeBundle, local_lipschitz,
-                       ratio_test, slack_products, step_size_bundle)
+from .stepsize import (Constants, ScheduleContext, StepSizeBundle, ratio_test,
+                       step_size_bundle)
 
 __version__ = "0.1.0"

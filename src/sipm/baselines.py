@@ -8,8 +8,7 @@ curvature-bound step size, whose recurrence stalls at a positive floor; the
 
 ``run_simplified`` takes each iterate's slacks in one interior check and
 steps with ``_simplified_step``: the barrier gradient from those slacks and
-a clip onto the neighborhood, whose capped theta keeps it nonempty.  The
-public ``simplified_ipm_step`` validates its input, then takes the same step.
+a clip onto the neighborhood, whose capped theta keeps it nonempty.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, InvalidBudget
-from .geometry import (DELTA_CAP, _barrier_gradient, project_to_neighborhood, range_gap,
-                       require_interior)
+from .geometry import DELTA_CAP, _barrier_gradient, range_gap, require_interior
 from .problems import gradient_oracle
 from .solver import RunResult, _final_metrics
 
@@ -47,21 +45,11 @@ def c_constant(bounds, kappa_inf, mu1):
     return min(1.0 / largest, C_CAP)
 
 
-def simplified_ipm_step(x, grad_f, bounds, mu, theta, ell_f):
-    """One step of the projection variant with the conservative step size.
-
-    q is the barrier gradient, alpha = 1/(ell_f + 2*mu/theta**2), and the
-    update is the orthogonal projection of x - alpha*q onto the theta
-    neighborhood.  Raises NotInterior unless x is strictly interior and
-    EmptyNeighborhood when that neighborhood is empty.
-    """
-    x = np.asarray(x, dtype=float)
-    x_next = _simplified_step(x, grad_f, *require_interior(x, bounds), bounds, mu, theta, ell_f)
-    return project_to_neighborhood(x_next, bounds, theta)   # x_next, or EmptyNeighborhood
-
-
 def _simplified_step(x, g, lo, up, bounds, mu, theta, ell_f):
-    """simplified_ipm_step from the slacks (lo, up) of x, for a nonempty neighborhood."""
+    """One step of the projection variant from the slacks (lo, up) of x: the
+    barrier gradient q, the conservative step size alpha = 1/(ell_f +
+    2*mu/theta**2), and the orthogonal projection of x - alpha*q onto the
+    theta neighborhood, which must be nonempty."""
     q = _barrier_gradient(g, lo, up, mu)
     alpha = 1.0 / (ell_f + 2.0 * mu / theta ** 2)
     return np.clip(x - alpha * q, bounds.lower + theta, bounds.upper - theta)

@@ -43,7 +43,7 @@ from .baselines import c_constant, match_sipm_endpoints, run_psgm, run_simplifie
 from .errors import InvalidBudget, InvalidChoice, InvalidConstants, InvalidSpec
 from .geometry import DELTA_CAP, Bounds, range_gap
 from .libsvm import align_feature_space, parse_libsvm_file
-from .problems import (_require_batch_fraction, gradient_oracle, logistic_objective,
+from .problems import (_number, _require_batch_fraction, gradient_oracle, logistic_objective,
                        nn_objective, quadratic_objective, synthetic_classification)
 from .schedules import (BufferSequences, ExponentTriple, PowerSchedule,
                         build_staircase, mu1_init, theta0_init)
@@ -91,10 +91,10 @@ def relative_performance(value_a, value_b):
 
 
 def estimate_constants(objective, x1, bounds, mode="deterministic",
-                       batch_fraction=0.01, seed=0, bootstrap_iters=BOOTSTRAP_ITERS):
+                       batch_fraction=0.01, seed=0):
     """Estimate the Lipschitz, gradient-bound, and noise-bound constants.
 
-    Runs ``bootstrap_iters`` deterministic iterations with both curvature
+    Runs ``BOOTSTRAP_ITERS`` deterministic iterations with both curvature
     constants set to 1, then takes the largest visited gradient inf-norm as
     the gradient bound and the largest gradient secant ratio as the Lipschitz
     estimate (pairs with displacement below 1e-14 are skipped).  In
@@ -105,12 +105,12 @@ def estimate_constants(objective, x1, bounds, mode="deterministic",
 
     The scan runs in the bootstrap's observer and keeps only the previous
     iterate and gradient, the first gradient and two running maxima, so the
-    estimate holds O(n) memory whatever ``bootstrap_iters`` is.
+    estimate holds O(n) memory whatever ``BOOTSTRAP_ITERS`` is.
     """
     # the noise draws' oracle checks mode and fraction; its sampler draws lazily
     sample = gradient_oracle(objective, mode, batch_fraction, [seed, 2])
     config = _solver_config(ExperimentSpec(problems=()), objective.gradient(x1), x1, bounds,
-                            BOOTSTRAP_CONSTANTS, bootstrap_iters)
+                            BOOTSTRAP_CONSTANTS, BOOTSTRAP_ITERS)
     kappa = ell = 0.0   # gradient inf-norms and secant ratios are nonnegative
     g_true = prev = None   # the gradient at x1; the previous (x, exact gradient at x)
 
@@ -155,9 +155,8 @@ def load_constants(path):
             data = json.load(handle)
     except ValueError as err:   # not ASCII, or not JSON (a truncated write)
         raise InvalidConstants(f"cached constants {path}: {err}") from None
-    if not (isinstance(data, dict) and sorted(data) == sorted(keys) and all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool) and 0.0 <= v < math.inf
-            for v in data.values())):
+    if not (isinstance(data, dict) and sorted(data) == sorted(keys)
+            and all(_number(v) and 0.0 <= v < math.inf for v in data.values())):
         raise InvalidConstants(f"cached constants {path}: need exactly the keys {keys}, "
                                f"each a finite nonnegative number, got {data!r}")
     return EstimatedConstants(**{key: float(data[key]) for key in keys})
@@ -198,7 +197,7 @@ class ExperimentSpec:
 
 def _require_count(name, value, least):
     """InvalidSpec naming ``name`` unless ``value`` is an integer >= ``least``."""
-    if not isinstance(value, numbers.Integral):
+    if not _number(value, numbers.Integral):
         raise InvalidSpec(f"{name}={value!r} must be an integer")
     if value < least:
         raise InvalidSpec(f"{name}={value} must be at least {least}")
@@ -207,7 +206,7 @@ def _require_count(name, value, least):
 def _finite_reals(values, count, least=-math.inf):
     """True iff ``values`` holds ``count`` finite real numbers of at least ``least``."""
     try:
-        return len(values) == count and all(isinstance(v, numbers.Real) and math.isfinite(v)
+        return len(values) == count and all(_number(v) and math.isfinite(v)
                                             and v >= least for v in values)
     except TypeError:   # not a sequence
         return False
@@ -244,7 +243,7 @@ def validate_spec(spec):
         lo, hi = spec.bounds
     except (TypeError, ValueError):
         raise InvalidSpec(f"bounds={spec.bounds!r} must be two numbers") from None
-    if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)) \
+    if not (_number(lo) and _number(hi)) \
             or not lo < hi or math.isinf(lo) and math.isinf(hi):
         raise InvalidSpec(f"bounds={spec.bounds!r} must be two numbers lo < hi, "
                           "neither NaN, with at least one finite")
@@ -277,7 +276,7 @@ def validate_spec(spec):
         raise InvalidBudget(f"epochs={spec.epochs} counts mini-batch passes; "
                             "a deterministic run takes maxiter")
     if spec.epochs is not None:
-        if not isinstance(spec.epochs, numbers.Real):
+        if not _number(spec.epochs):
             raise InvalidBudget(f"epochs={spec.epochs!r} must be a real number")
         budget = spec.epochs / spec.batch_fraction
         if not math.isfinite(budget):
@@ -286,7 +285,7 @@ def validate_spec(spec):
         maxiter = int(round(budget))
     elif spec.maxiter is None:
         raise InvalidBudget("need either maxiter or (stochastic) epochs")
-    elif not isinstance(spec.maxiter, numbers.Integral):
+    elif not _number(spec.maxiter, numbers.Integral):
         raise InvalidBudget(f"maxiter={spec.maxiter!r} must be an integer")
     else:
         maxiter = int(spec.maxiter)

@@ -54,22 +54,18 @@ class SparseDataset:
         return csr_matrix((pairs[:, 1].copy(), pairs[:, 0].astype(np.int64) - 1, indptr),
                           shape=(self.m, self.n_features))
 
-    def dense_features(self):
-        """Materialize the rows as a dense (m, n_features) array."""
-        return self._csr_features().toarray()
-
     def to_arrays(self):
         """CSR features plus labels mapped to -1/+1 by map_labels, in the
         pinned label order or else by sorted raw value."""
         return self._csr_features(), map_labels(self.labels, self.label_order)
 
 
-def parse_libsvm(source, n_features=None):
+def parse_libsvm(source):
     """Parse LIBSVM text into a SparseDataset.
 
     ``source`` may be a string of text or any iterable of lines.  The feature
-    count defaults to the largest index seen; an explicit ``n_features`` can
-    only widen it.  More than two distinct labels raises NotBinary (a single
+    count is the largest index seen; align_feature_space widens a split to
+    its partner's.  More than two distinct labels raises NotBinary (a single
     label value is allowed so test splits remain parseable).
     """
     lines = source.splitlines() if isinstance(source, str) else source
@@ -118,15 +114,14 @@ def parse_libsvm(source, n_features=None):
     distinct = sorted(set(labels))
     if len(distinct) > 2:
         raise NotBinary(f"found {len(distinct)} distinct labels, expected at most 2")
-    width = max(max_index, n_features or 0)
-    return SparseDataset(rows=tuple(rows), labels=tuple(labels), n_features=width)
+    return SparseDataset(rows=tuple(rows), labels=tuple(labels), n_features=max_index)
 
 
-def parse_libsvm_file(path, n_features=None):
+def parse_libsvm_file(path):
     # a non-ASCII byte decodes to a lone surrogate, which the parser rejects
     # with its line number
     with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
-        return parse_libsvm(handle, n_features=n_features)
+        return parse_libsvm(handle)
 
 
 def _fmt(value):

@@ -331,9 +331,14 @@ def batch_sampler(m, batch_size, seed):
     return draws()
 
 
+def _number(value, kind=numbers.Real):
+    """True iff ``value`` is a ``kind`` number other than a bool (True is 1 to numbers)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _require_batch_fraction(batch_fraction):
     """InvalidBudget unless ``batch_fraction`` is a real number in (0, 1]."""
-    if not (isinstance(batch_fraction, numbers.Real) and 0.0 < batch_fraction <= 1.0):
+    if not (_number(batch_fraction) and 0.0 < batch_fraction <= 1.0):
         raise InvalidBudget(f"batch_fraction={batch_fraction!r} must lie in (0, 1]")
 
 

@@ -203,10 +203,6 @@ class BufferSequences:
         else:
             raise InvalidChoice("mode", self.mode, ("theory", "practical"))
 
-    @classmethod
-    def zero(cls):
-        return cls(mode="theory", alpha_buff_base=0.0, gamma_buff_base=0.0, t_mu=-1.0)
-
     def alpha(self, k):
         if self.mode == "theory":
             return self.alpha_buff_base * float(k) ** (2.0 * self.t_mu)

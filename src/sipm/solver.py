@@ -19,13 +19,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (InfeasibleStart, InvalidBudget, InvalidChoice, InvalidConstants,
-                     InvalidExponents, InvalidMu1, InvalidTheta0, InvariantViolation,
-                     ThetaTooLarge)
+from .errors import (DimensionMismatch, InfeasibleStart, InvalidBudget, InvalidChoice,
+                     InvalidConstants, InvalidExponents, InvalidMu1, InvalidTheta0,
+                     InvariantViolation, ThetaTooLarge)
 from .geometry import (DELTA_CAP, Bounds, KktCertificate, _barrier_gradient, _barrier_value,
                        default_chi, in_neighborhood, kkt_certificate,
                        projected_gradient_norm, range_gap, require_interior, slacks)
-from .problems import MODES, gradient_oracle
+from .problems import MODES, _number, gradient_oracle
 from .schedules import (BufferSequences, PowerSchedule, StaircaseSchedule, sequences,
                         validate_exponents)
 from .stepsize import Constants, _slack_products, _step
@@ -141,10 +141,9 @@ def sipm_step(x, k, g, config):
         x, lo, up, lo2, up2, q, h_diag, lam_min, k, config.bounds, mu_k, theta_k, theta_prev,
         config.schedule.t_alpha, seq["alpha_buff"][k], seq["gamma_buff"][k],
         config.constants, config.delta, config.mode == "stochastic")
-    return dict(k=k, x=x, x_next=x_next, g=g, q=q, d=d, lo=lo, up=up,
-                h_diag=h_diag, lam_min=lam_min, bundle=bundle, gamma_k=gamma_k,
-                mu_k=mu_k, theta_k=theta_k, theta_prev=theta_prev,
-                stalled=gamma_k == 0.0 and bool((d != 0.0).any()))
+    return dict(k=k, x=x, x_next=x_next, g=g, q=q, d=d, lo=lo, up=up, h_diag=h_diag,
+                bundle=bundle, gamma_k=gamma_k, mu_k=mu_k, theta_k=theta_k,
+                theta_prev=theta_prev, stalled=gamma_k == 0.0 and bool((d != 0.0).any()))
 
 
 def _audit_step(config, step):
@@ -189,10 +188,15 @@ def run(objective, config, x1, observer=None):
     and the iterations check nothing else unless auditing is enabled, when
     ``_audit_step`` checks each step before the observer sees it.
     """
+    bounds = config.bounds
+    x = np.asarray(x1, dtype=float).copy()
+    if x.shape != bounds.lower.shape:
+        raise DimensionMismatch(f"x1 has shape {x.shape}, but the bounds have shape "
+                                f"{bounds.lower.shape}")
     for name, allowed in CONFIG_CHOICES.items():
         if getattr(config, name) not in allowed:
             raise InvalidChoice(name, getattr(config, name), allowed)
-    if not (isinstance(config.maxiter, numbers.Integral) and config.maxiter >= 0):
+    if not (_number(config.maxiter, numbers.Integral) and config.maxiter >= 0):
         raise InvalidBudget(f"maxiter={config.maxiter!r} must be an integer of at least 0")
     if isinstance(config.schedule, PowerSchedule):
         violations = validate_exponents(config.schedule.exponents, config.mode)
@@ -200,14 +204,12 @@ def run(objective, config, x1, observer=None):
             raise InvalidExponents(f"exponents invalid for the {config.mode} setting: "
                                    + "; ".join(violations))
     for name, value in vars(config.constants).items():
-        if not 0.0 <= value < math.inf:
+        if not (_number(value) and 0.0 <= value < math.inf):
             raise InvalidConstants(f"{name}={value} must be nonnegative and finite")
-    bounds = config.bounds
     unscaled = np.flatnonzero(~(bounds.finite_lower | bounds.finite_upper))
     if config.constants.ell_f == 0.0 and unscaled.size:
         raise InvalidConstants(f"ell_f=0 leaves coordinate {unscaled[0]} unscaled: it has "
                                "no finite bound, so H_k is 0 there")
-    x = np.asarray(x1, dtype=float).copy()
     delta, seq = config.delta, config.sequences
     theta0, mu1 = seq["theta"][0], seq["mu"][1]
     if not 0.0 < mu1 < math.inf:

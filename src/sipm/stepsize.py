@@ -56,25 +56,13 @@ class StepSizeBundle:
     gamma_max: float
 
 
-def slack_products(x, xbar, bounds):
-    """(a, b): a = min_i (x_i - l_i) * min(x_i - l_i, xbar_i - l_i) over finite
-    lower sides, b the analogous product over finite upper sides; infinite on
-    a side with no finite bound (the minimum over an empty set)."""
-    return _slack_products(*require_interior(x, bounds), *require_interior(xbar, bounds))
-
-
 def _slack_products(lo_x, up_x, lo_b, up_b):
-    """The minima (a, b) of slack_products from the slacks of x and of xbar;
-    an open side's infinite slacks give infinite products, which min ignores."""
+    """(a, b) from the slacks of x and of xbar: a = min_i (x_i - l_i) *
+    min(x_i - l_i, xbar_i - l_i), b the analogous product over the upper
+    sides.  An open side's infinite slacks give infinite products, which min
+    ignores, so a side with no finite bound gives inf."""
     return (float((lo_x * np.minimum(lo_x, lo_b)).min()),
             float((up_x * np.minimum(up_x, up_b)).min()))
-
-
-def local_lipschitz(mu, x, xbar, bounds, ell_f):
-    """Lipschitz constant of the barrier gradient on the segment [x, xbar]:
-    ell_f + mu/a + mu/b with mu/inf = 0."""
-    a, b = slack_products(x, xbar, bounds)
-    return ell_f + mu / a + mu / b
 
 
 def ratio_test(x, direction, scale, bounds, theta, gamma_max):

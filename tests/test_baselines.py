@@ -7,10 +7,15 @@ from numpy.testing import assert_allclose
 from sipm import (DELTA_CAP, Bounds, BufferSequences, Constants, SolverConfig,
                   build_staircase, c_constant, estimate_constants, gradient_oracle,
                   in_neighborhood, match_sipm_endpoints, psgm_step, quadratic_objective,
-                  range_gap, recurrence_ratio, run, run_psgm, run_simplified,
-                  simplified_ipm_step, theta0_init)
+                  range_gap, recurrence_ratio, run, run_psgm, run_simplified, theta0_init)
+from sipm.baselines import _simplified_step
 from sipm.errors import (DimensionMismatch, DomainError, InvalidBudget, InvalidChoice,
                          NonFiniteGradient)
+from sipm.geometry import slacks
+
+
+def simplified_step(x, g, bounds, mu, theta, ell_f):
+    return _simplified_step(x, g, *slacks(x, bounds), bounds, mu, theta, ell_f)
 
 
 def test_psgm_step_examples():
@@ -44,7 +49,7 @@ def test_simplified_step_matches_symbolic_trace():
     obj = quadratic_objective([0.0], [1.0])
     bounds = Bounds.cube(1, -1.0, 1.0)
     x = np.array([0.5])
-    got = simplified_ipm_step(x, obj.gradient(x), bounds, 0.1, 0.01, 1.0)
+    got = simplified_step(x, obj.gradient(x), bounds, 0.1, 0.01, 1.0)
 
     mu, theta, ell = F(1, 10), F(1, 100), F(1)
     q = F(1, 2) - mu / (F(1, 2) + F(1)) + mu / (F(1) - F(1, 2))
@@ -57,15 +62,16 @@ def test_simplified_step_matches_symbolic_trace():
 def test_simplified_step_clamps_and_links():
     obj = quadratic_objective([-5.0], [1.0])
     bounds = Bounds.cube(1, 0.0, 2.0)
-    out = simplified_ipm_step(np.array([0.2]), obj.gradient(np.array([0.2])),
-                              bounds, 0.05, 0.2, 1.0)
+    out = simplified_step(np.array([0.2]), obj.gradient(np.array([0.2])),
+                          bounds, 0.05, 0.2, 1.0)
     assert_allclose(out, [0.2])  # clamp lands exactly on lower + theta
 
 
 @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
-def test_run_simplified_is_a_loop_of_public_steps(mode):
-    """run_simplified steps on the slack helper that simplified_ipm_step
-    validates its input for, so a loop of public steps gives the same bits."""
+def test_run_simplified_replays_the_projected_step_formula(mode):
+    """run_simplified's trajectory is, bit for bit, the loop x <- clip(x -
+    alpha*q, l + theta, u - theta) with q = g - mu/(x - l) + mu/(u - x),
+    alpha = 1/(ell_f + 2*mu/theta**2) and theta = min(c*mu, 0.499*delta)."""
     obj = quadratic_objective([1.5, -0.3, 0.2, -2.0], [3.0, 1.0, 0.5, 2.0],
                               noise_level=0.3, sample_count=30, seed=4)
     bounds, x1, maxiter, ell_f, c = Bounds.cube(4, -1.0, 1.0), np.zeros(4), 300, 3.0, 0.4
@@ -76,7 +82,10 @@ def test_run_simplified_is_a_loop_of_public_steps(mode):
     theta_cap = 0.499 * range_gap(bounds, DELTA_CAP)
     x = x1
     for mu in mu_seq:
-        x = simplified_ipm_step(x, gradient(x), bounds, mu, min(c * mu, theta_cap), ell_f)
+        theta = min(c * mu, theta_cap)
+        q = gradient(x) - mu / (x - bounds.lower) + mu / (bounds.upper - x)
+        alpha = 1.0 / (ell_f + 2.0 * mu / theta ** 2)
+        x = np.clip(x - alpha * q, bounds.lower + theta, bounds.upper - theta)
     assert result.final_x.tobytes() == x.tobytes()
     assert not np.array_equal(x, x1)
 
@@ -86,7 +95,7 @@ def test_simplified_fixed_point():
     # gradient exactly balancing the barrier terms gives q = 0
     mu, x = 0.1, np.array([0.3])
     g = mu / (x - (-1.0)) - mu / (1.0 - x)
-    out = simplified_ipm_step(x, g, bounds, mu, 0.01, 1.0)
+    out = simplified_step(x, g, bounds, mu, 0.01, 1.0)
     assert_allclose(out, x)
 
 
@@ -98,7 +107,7 @@ def test_simplified_output_in_neighborhood():
         mu = rng.uniform(0.01, 0.2)
         x = rng.uniform(-0.9, 0.9, size=3)
         g = rng.normal(size=3)
-        out = simplified_ipm_step(x, g, bounds, mu, theta, 1.0)
+        out = simplified_step(x, g, bounds, mu, theta, 1.0)
         assert in_neighborhood(out, bounds, theta)
 
 

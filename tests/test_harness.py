@@ -105,7 +105,7 @@ def test_estimate_constants_oracle_recomputation():
     assert est.ell_f_bar == ell
 
 
-def test_estimate_constants_memory_does_not_grow_with_the_bootstrap():
+def test_estimate_constants_memory_does_not_grow_with_the_bootstrap(monkeypatch):
     """The bootstrap used to keep every iterate and its gradient, 2 * iters * n
     floats (about 22 MB more at 400 than at 50 iterations here); the streamed
     scan keeps O(n), so the traced peak stays within 4 * n floats."""
@@ -115,9 +115,10 @@ def test_estimate_constants_memory_does_not_grow_with_the_bootstrap():
     bounds, x1 = Bounds.cube(n, -1.0, 1.0), initial_point(n, 0)
 
     def traced_peak(iters):
+        monkeypatch.setattr(harness, "BOOTSTRAP_ITERS", iters)
         tracemalloc.start()
         try:
-            estimate_constants(obj, x1, bounds, bootstrap_iters=iters)
+            estimate_constants(obj, x1, bounds)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -127,7 +128,7 @@ def test_estimate_constants_memory_does_not_grow_with_the_bootstrap():
 
 
 @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
-def test_estimate_constants_reuses_bootstrap_gradients(mode):
+def test_estimate_constants_reuses_bootstrap_gradients(mode, monkeypatch):
     # one exact gradient per bootstrap iteration, plus the start point's in the
     # bootstrap setup and the final point's in the run's metrics
     calls = []
@@ -141,8 +142,8 @@ def test_estimate_constants_reuses_bootstrap_gradients(mode):
     obj = Counting(A, y)
     bounds = Bounds.cube(obj.n, -1.0, 1.0)
     iters = 50
-    estimate_constants(obj, initial_point(obj.n, 0), bounds, mode=mode,
-                       batch_fraction=0.1, bootstrap_iters=iters)
+    monkeypatch.setattr(harness, "BOOTSTRAP_ITERS", iters)
+    estimate_constants(obj, initial_point(obj.n, 0), bounds, mode=mode, batch_fraction=0.1)
     assert len(calls) <= iters + 2
 
 
@@ -376,6 +377,35 @@ def test_bad_solver_or_seed_list_fails_before_any_problem(fault, error, match,
     with pytest.raises(error, match=match):
         validate_spec(spec)
     with pytest.raises(error, match=match):
+        run_experiment(spec)
+
+
+@pytest.mark.parametrize("fault, error", [
+    (dict(maxiter=True), InvalidBudget),
+    (dict(seeds=(True,)), InvalidSpec),
+    (dict(problems=(ProblemSpec(name="toy", model="quadratic", dim=True),)), InvalidSpec),
+    (dict(batch_fraction=True), InvalidBudget),
+    (dict(bounds=(False, 1.0)), InvalidSpec),
+    (dict(exponents=(-1.0, -1.0, False)), InvalidSpec),
+    (dict(mode="stochastic", epochs=True), InvalidBudget),
+    (dict(param_mode="theory", buffer_bases=(1.0, True)), InvalidSpec),
+    (dict(problems=(ProblemSpec(name="toy", model="quadratic", noise_level=True),),
+          mode="stochastic"), InvalidSpec),
+], ids=["maxiter", "seeds", "dim", "batch_fraction", "bounds", "exponents", "epochs",
+        "buffer_bases", "noise_level"])
+def test_a_bool_is_not_a_number(fault, error, monkeypatch):
+    """Python counts True as 1, so maxiter=True ran one iteration and kept
+    "maxiter": true in the report, seeds=(True,) wrote "seed": true rows, and
+    dim=True failed late as an untyped TypeError row.  Each numeric spec
+    field now rejects a bool, as load_constants does, before any problem."""
+    def no_build(problem, spec):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr(harness, "_build_problem", no_build)
+    spec = small_spec(**fault)
+    with pytest.raises(error, match="True|False"):
+        validate_spec(spec)
+    with pytest.raises(error, match="True|False"):
         run_experiment(spec)
 
 

@@ -14,7 +14,7 @@ def test_parse_basic_line():
     assert ds.n_features == 3
     assert ds.labels == (1.0, -1.0)
     assert ds.rows[0] == ((1, 0.5), (3, -1.2))
-    dense = ds.dense_features()
+    dense = ds.to_arrays()[0].toarray()
     assert_allclose(dense, [[0.5, 0.0, -1.2], [0.0, 1.0, 0.0]])
 
 
@@ -86,13 +86,6 @@ def test_parse_label_cardinality():
         single.to_arrays()
 
 
-def test_feature_count_override_widens():
-    ds = parse_libsvm("+1 1:1\n-1 2:1\n", n_features=10)
-    assert ds.n_features == 10
-    ds = parse_libsvm("+1 5:1\n-1 2:1\n", n_features=3)
-    assert ds.n_features == 5
-
-
 def test_to_arrays_maps_labels_by_sorted_order():
     ds = parse_libsvm("0 1:1\n1 2:1\n")
     _, y = ds.to_arrays()
@@ -154,7 +147,7 @@ def test_dense_matches_reference_parse():
     for _ in range(50):
         text = random_corpus(rng, 20)
         ds = parse_libsvm(text)
-        dense = ds.dense_features()
+        dense = ds._csr_features().toarray()
         ref = np.zeros_like(dense)
         for r, line in enumerate(line for line in text.splitlines() if line.strip()):
             for token in line.split()[1:]:

@@ -10,9 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from sipm import (barrier_gradient, build_hk, kkt_certificate, mu1_init, ratio_test,
-                  slack_products, theta0_init)
+from sipm import barrier_gradient, build_hk, kkt_certificate, mu1_init, ratio_test, theta0_init
+from sipm.geometry import slacks
 from sipm.solver import _active_set_certificate
+from sipm.stepsize import _slack_products
 
 from test_stepsize import box, random_instance
 
@@ -130,7 +131,7 @@ def test_slack_products_match_masked_formula():
     for _, x, d, scale, bounds, theta, gamma_max, _, _ in instances():
         gamma = ratio_test(x, d, scale, bounds, theta, gamma_max)
         xbar = x + (0.5 * gamma * scale) * d
-        a, b = slack_products(x, xbar, bounds)
+        a, b = _slack_products(*slacks(x, bounds), *slacks(xbar, bounds))
         a_masked, b_masked = masked_slack_products(x, xbar, bounds)
         assert same(a, a_masked) and same(b, b_masked)
 

@@ -189,7 +189,7 @@ def test_sequences_match_the_per_k_methods(family, buffer_mode, at_horizon):
 
 def test_sequences_reject_a_staircase_shorter_than_the_run():
     with pytest.raises(HorizonExceeded):
-        sequences(build_staircase(0.5, 10), BufferSequences.zero(), 11)
+        sequences(build_staircase(0.5, 10), BufferSequences(mode="theory", t_mu=-1.0), 11)
     with pytest.raises(HorizonExceeded):
         PowerSchedule(mu1=1.0, theta0=0.2, exponents=ExponentTriple(-1, -1, 0)).s(0)
 

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from dataclasses import asdict, fields, replace
 from fractions import Fraction as F
@@ -12,9 +13,12 @@ from sipm import (DELTA_CAP, Bounds, BufferSequences, Constants, ExponentTriple,
                   quadratic_objective, range_gap, ratio_test, run, sequences, sipm_step,
                   step_size_bundle)
 from sipm import baselines, geometry, schedules, solver, stepsize
-from sipm.errors import (HorizonExceeded, InfeasibleStart, InvalidBudget, InvalidChoice,
-                         InvalidConstants, InvalidExponents, InvalidMu1, InvalidTheta0,
-                         InvariantViolation, NotInterior, SipmError, ThetaTooLarge)
+from sipm.errors import (DimensionMismatch, HorizonExceeded, InfeasibleStart, InvalidBudget,
+                         InvalidChoice, InvalidConstants, InvalidExponents, InvalidMu1,
+                         InvalidTheta0, InvariantViolation, NotInterior, SipmError,
+                         ThetaTooLarge)
+
+ZERO_BUFFERS = BufferSequences(mode="theory", t_mu=-1.0)   # both bases 0
 
 
 def quad_config(bounds, schedule, maxiter, **kwargs):
@@ -55,7 +59,7 @@ def test_single_step_matches_symbolic_trace():
     sched = PowerSchedule(mu1=0.1, theta0=0.05,
                           exponents=ExponentTriple(-1.0, -1.0, 0.0))
     config = SolverConfig(mode="deterministic", bounds=bounds, schedule=sched,
-                          buffers=BufferSequences.zero(),
+                          buffers=ZERO_BUFFERS,
                           constants=Constants(ell_f=1.0, kappa_inf=1.5),
                           maxiter=1, audit_level="invariants")
     got = run(obj, config, np.array([1.0])).final_x[0]
@@ -165,11 +169,11 @@ def test_start_validation():
         run(obj, quad_config(bounds, flat, 10), np.array([0.0]))
 
 
-@pytest.mark.parametrize("maxiter", [-1, 2.0])
+@pytest.mark.parametrize("maxiter", [-1, 2.0, True])
 def test_bad_maxiter_is_rejected_at_entry(maxiter, monkeypatch):
-    """maxiter=-1 used to fail as an IndexError from the parameter table and
-    maxiter=2.0 as a TypeError from range(); both now fail before the table
-    or the oracle is built."""
+    """maxiter=-1 used to fail as an IndexError from the parameter table,
+    maxiter=2.0 as a TypeError from range(), and maxiter=True ran one
+    iteration; each now fails before the table or the oracle is built."""
     built = []
     monkeypatch.setattr(solver, "sequences", lambda *args: built.append("table"))
     monkeypatch.setattr(solver, "gradient_oracle", lambda *args: built.append("oracle"))
@@ -178,6 +182,21 @@ def test_bad_maxiter_is_rejected_at_entry(maxiter, monkeypatch):
                                  build_staircase(0.5, 10, theta0=0.2), 10), maxiter=maxiter)
     with pytest.raises(InvalidBudget, match=f"maxiter={maxiter!r} must be an integer"):
         run(obj, config, np.array([0.0]))
+    assert built == []
+
+
+@pytest.mark.parametrize("x1", [np.zeros(3), np.zeros((1, 2))], ids=["too-long", "2-D"])
+def test_start_point_shape_is_checked_first(x1, monkeypatch):
+    """An x1 longer than the bounds used to fail as a bare numpy broadcast
+    ValueError from in_neighborhood, and a (1, n) one broadcast against them;
+    both now raise DimensionMismatch naming both shapes before anything is built."""
+    built = []
+    monkeypatch.setattr(solver, "sequences", lambda *args: built.append("table"))
+    monkeypatch.setattr(solver, "gradient_oracle", lambda *args: built.append("oracle"))
+    config = quad_config(Bounds.cube(2, -1.0, 1.0), build_staircase(0.5, 10, theta0=0.2), 10)
+    message = f"x1 has shape {x1.shape}, but the bounds have shape (2,)"
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        run(quadratic_objective([0.0, 0.0], [1.0, 1.0]), config, x1)
     assert built == []
 
 
@@ -209,7 +228,7 @@ def test_stochastic_exponent_gate_enforced():
     sched = PowerSchedule(mu1=0.1, theta0=0.05,
                           exponents=ExponentTriple(-1.0, -1.0, 0.0))
     config = quad_config(bounds, sched, 5, mode="stochastic",
-                         buffers=BufferSequences.zero(),
+                         buffers=ZERO_BUFFERS,
                          constants=Constants(ell_f=1.0, kappa_inf=2.0, sigma_inf=0.1))
     with pytest.raises(ValueError, match="stochastic"):
         run(obj, config, np.array([0.0]))
@@ -253,7 +272,7 @@ def test_deterministic_exponent_gate_enforced(t_theta):
     sched = PowerSchedule(mu1=0.1, theta0=0.05,
                           exponents=ExponentTriple(-1.0, t_theta, 0.0))
     config = quad_config(Bounds.cube(1, -1.0, 1.0), sched, 5,
-                         buffers=BufferSequences.zero(), audit_level="off")
+                         buffers=ZERO_BUFFERS, audit_level="off")
     with pytest.raises(InvalidExponents, match="deterministic") as err:
         run(obj, config, np.array([0.0]))
     assert isinstance(err.value, SipmError) and isinstance(err.value, ValueError)
@@ -358,7 +377,7 @@ def test_kernel_matches_public_functions(case):
         x, k, mu_k = info["x"], info["k"], info["mu_k"]
         h_diag, lam_min, _ = build_hk(x, bounds, mu_k, constants.ell_f, "practical")
         assert h_diag.tobytes() == info["h_diag"].tobytes()
-        assert lam_min == info["lam_min"]
+        assert lam_min == info["h_diag"].min()
         q = barrier_gradient(info["g"], x, bounds, mu_k)
         assert q.tobytes() == info["q"].tobytes()
         ctx = ScheduleContext(mu_k=mu_k, theta_k=info["theta_k"],
@@ -429,8 +448,7 @@ def test_audited_loop_calls_no_public_validator(case, monkeypatch):
     calls a validating public function; both step on the slack helpers."""
     counts = _count_calls(monkeypatch, geometry.barrier_value, geometry.shifted_barrier_value,
                           barrier_gradient, geometry.project_to_neighborhood,
-                          baselines.simplified_ipm_step, build_hk, ratio_test,
-                          stepsize.slack_products, stepsize.local_lipschitz, step_size_bundle)
+                          build_hk, ratio_test, step_size_bundle)
     objective, config, x1 = _kernel_runs()[case]
     seen = []
     result = run(objective, replace(config, audit_level="full_trace"), x1,
@@ -460,7 +478,7 @@ def test_barrier_start_must_be_positive_and_finite(mu1):
     obj.gradient = lambda x: calls.append(x) or np.zeros(2)
     sched = PowerSchedule(mu1=mu1, theta0=0.05, exponents=ExponentTriple(-1.0, -1.0, 0.0))
     config = quad_config(Bounds.cube(2, -1.0, 1.0), sched, 5,
-                         buffers=BufferSequences.zero(), audit_level="off")
+                         buffers=ZERO_BUFFERS, audit_level="off")
     with pytest.raises(InvalidMu1, match="positive and finite"):
         run(obj, config, np.zeros(2))
     assert calls == []
@@ -535,7 +553,7 @@ def test_kernel_scaling_guard_names_the_iteration():
     wide box, and step_size_bundle takes the diagonal from its caller."""
     sched = PowerSchedule(mu1=1e-20, theta0=0.05, exponents=ExponentTriple(-1.0, -1.0, 0.0))
     config = quad_config(Bounds.cube(1, -1e154, 1e154), sched, 5,
-                         buffers=BufferSequences.zero(),
+                         buffers=ZERO_BUFFERS,
                          constants=Constants(ell_f=0.0, kappa_inf=1.0), audit_level="off")
     with pytest.raises(ValueError, match="iteration 1: scaling diagonal must be strictly"):
         run(quadratic_objective([0.3], [1.0]), config, np.zeros(1))
@@ -546,14 +564,14 @@ def test_kernel_scaling_guard_names_the_iteration():
                          ctx, Constants(ell_f=1.0, kappa_inf=1.0), 2.0)
 
 
-RECORD_KEYS = {"k", "x", "x_next", "g", "q", "d", "lo", "up", "h_diag", "lam_min", "bundle",
-               "gamma_k", "mu_k", "theta_k", "theta_prev", "stalled"}
+RECORD_KEYS = {"k", "x", "x_next", "g", "q", "d", "lo", "up", "h_diag", "bundle", "gamma_k",
+               "mu_k", "theta_k", "theta_prev", "stalled"}
 
 
 @pytest.mark.parametrize("case", [0, 1], ids=["box", "one-sided"])
 def test_step_record_has_one_shape_at_every_audit_level(case):
     """sipm_step computes the step and nothing else: its record has the same
-    16 keys whether run() audits it or not (audited records used to add the
+    15 keys whether run() audits it or not (audited records used to add the
     slacks of x_next as lo_next/up_next)."""
     objective, config, x1 = _kernel_runs()[case]
     shapes = set()

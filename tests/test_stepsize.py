@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sipm import (Bounds, Constants, ScheduleContext, in_neighborhood,
-                  local_lipschitz, ratio_test, slack_products, step_size_bundle)
-from sipm.errors import NotInPriorNeighborhood, NotInterior
+from sipm import Bounds, Constants, ScheduleContext, in_neighborhood, ratio_test, step_size_bundle
+from sipm.errors import NotInPriorNeighborhood
+from sipm.geometry import slacks
+from sipm.stepsize import _slack_products
 
 INF = np.inf
 
@@ -55,20 +56,29 @@ def random_instance(rng):
     return x, d, scale, bounds, theta, gamma_max
 
 
+def slack_products(x, xbar, bounds):
+    return _slack_products(*slacks(x, bounds), *slacks(xbar, bounds))
+
+
 def test_slack_products_examples():
     b = box([0.0], [2.0])
     assert slack_products([1.0], [1.0], b) == (1.0, 1.0)
     assert_allclose(slack_products([0.5], [1.0], b), [0.25, 1.5])
     assert slack_products([1.0], [1.0], box([-INF], [2.0])) == (INF, 1.0)
-    with pytest.raises(NotInterior):
-        slack_products([0.0], [1.0], b)
 
 
 def test_local_lipschitz_examples():
+    """ell_f + mu/a + mu/b, the kernel's Lipschitz constant on a segment, with
+    mu/inf = 0 on an open side."""
+    def ell(mu, x, xbar, bounds, ell_f):
+        a, b = slack_products(x, xbar, bounds)
+        return ell_f + mu / a + mu / b
+
     b = box([0.0], [2.0])
-    assert_allclose(local_lipschitz(1.0, [1.0], [1.0], b, 0.0), 2.0)
-    assert_allclose(local_lipschitz(1e-12, [1.0], [1.0], b, 3.0), 3.0, rtol=1e-11)
-    assert_allclose(local_lipschitz(1.0, [0.5], [1.0], b, 1.0), 1.0 + 4.0 + 2.0 / 3.0)
+    assert_allclose(ell(1.0, [1.0], [1.0], b, 0.0), 2.0)
+    assert_allclose(ell(1e-12, [1.0], [1.0], b, 3.0), 3.0, rtol=1e-11)
+    assert_allclose(ell(1.0, [0.5], [1.0], b, 1.0), 1.0 + 4.0 + 2.0 / 3.0)
+    assert ell(1.0, [1.0], [1.0], box([-INF], [2.0]), 0.5) == 1.5
 
 
 def test_ratio_test_examples():

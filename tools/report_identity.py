@@ -62,6 +62,9 @@ SHAPES = {
     # CSR mini-batches, for the logistic model and the network's stochastic bootstrap
     "libsvm-stoch": ["--model", "logistic", *LIBSVM_STOCH],
     "libsvm-nn-stoch": ["--model", "nn", *LIBSVM_STOCH],
+    # the quadratic's stochastic oracle and its sigma draws
+    "quad-stoch": ["--model", "quadratic", "--mode", "stoch", "--dim", "10", "--samples", "40",
+                   "--epochs", "2", "--batch-frac", "0.1", "--seeds", "0,1", *THREE],
     "baselines-only": ["--model", "quadratic", "--dim", "10", "--maxiter", "100",
                        "--solver", "psgm,proj-ipm"],
     "inadmissible-power": INADMISSIBLE_POWER,
