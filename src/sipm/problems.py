@@ -9,8 +9,12 @@ reproduces the full gradient exactly because batches are uniform subsets
 drawn without replacement.  The two data models take their feature matrix
 dense or as a scipy.sparse matrix, which they keep in CSR form; the data
 type picks the path.  Both take any two label values and share one intake,
-``_labeled_data``.  ``import sipm`` and quadratic runs load no scipy:
-building a data model loads scipy.special, and sparse input scipy.sparse.
+``_labeled_data``.  Each keeps its last full-data pass, keyed on the bytes
+of x: the network's hidden activations and outputs, the logistic model's
+margins.  So ``value`` and ``gradient`` at one point share one pass;
+mini-batch passes are never kept.  ``import sipm`` and quadratic runs load
+no scipy: building a data model loads scipy.special, and sparse input
+scipy.sparse.
 """
 
 from __future__ import annotations
@@ -95,6 +99,27 @@ def _labeled_data(features, labels):
     return features, labels, expit
 
 
+class _DataModel(Objective):
+    """A model over labeled rows that keeps its last full-data pass.
+
+    ``_full_pass(x)`` returns ``_pass(x)`` over every row, computed once per
+    point: the entry is keyed on ``x.tobytes()``, so -0.0, a NaN or an array
+    changed in place since the last call is a new point.  The old entry is
+    dropped before a new pass is computed, so at most one pass is held.  The
+    rows are fixed once the model is built, as the CSR transpose assumes too.
+    """
+
+    _pass_key = _pass_value = None
+
+    def _full_pass(self, x):
+        key = x.tobytes()
+        if key != self._pass_key:
+            self._pass_key = self._pass_value = None
+            self._pass_value = self._pass(x)
+            self._pass_key = key
+        return self._pass_value
+
+
 def _as_arrays(dataset):
     """A dataset's (features, labels), or the (features, labels) pair itself."""
     return dataset.to_arrays() if hasattr(dataset, "to_arrays") else dataset
@@ -152,11 +177,12 @@ def _csr_rows(a, rows):
     return np.repeat(np.arange(rows.size), counts), a.indices[take], a.data[take]
 
 
-class LogisticObjective(Objective):
+class LogisticObjective(_DataModel):
     """Mean logistic loss over labeled rows, parameterized as [weights, bias].
 
     A CSR feature matrix gets its transpose built once, in CSR form too, so
-    the full gradient's product with the transpose runs row by row.
+    the full gradient's product with the transpose runs row by row.  The
+    full-data pass is the margins ``labels * (features @ w + b)``.
     """
 
     def __init__(self, features, labels):
@@ -166,15 +192,21 @@ class LogisticObjective(Objective):
         self._sparse = hasattr(self.features, "tocsr")
         self._features_t = self.features.T.tocsr() if self._sparse else self.features.T
 
+    @staticmethod
+    def _margins(x, y, matvec):
+        """Margins of the rows that ``matvec`` (rows times weights) multiplies with."""
+        return y * (matvec(x[:-1]) + x[-1])
+
+    def _pass(self, x):
+        return self._margins(x, self.labels, self.features.__matmul__)
+
     def value(self, x):
         x = _check_dim(x, self.n)
-        t = self.labels * (self.features @ x[:-1] + x[-1])
-        return float(np.mean(np.logaddexp(0.0, -t)))
+        return float(np.mean(np.logaddexp(0.0, -self._full_pass(x))))
 
-    def _batch_gradient(self, x, y, matvec, rmatvec):
-        """Gradient over the rows that ``matvec`` (rows times weights) and
-        ``rmatvec`` (transposed rows times coefficients) multiply with."""
-        t = y * (matvec(x[:-1]) + x[-1])
+    def _batch_gradient(self, t, y, rmatvec):
+        """Gradient over the rows with margins ``t`` and labels ``y`` that
+        ``rmatvec`` (transposed rows times coefficients) multiplies with."""
         coef = -y * self._expit(-t)
         g = np.empty(self.n)
         g[:-1] = rmatvec(coef) / coef.size
@@ -183,7 +215,7 @@ class LogisticObjective(Objective):
 
     def gradient(self, x):
         x = _check_dim(x, self.n)
-        return self._batch_gradient(x, self.labels, self.features.__matmul__,
+        return self._batch_gradient(self._full_pass(x), self.labels,
                                     self._features_t.__matmul__)
 
     def stochastic_gradient(self, x, batch):
@@ -192,20 +224,23 @@ class LogisticObjective(Objective):
         y = self.labels[rows]
         if self._sparse:
             pos, cols, vals = _csr_rows(self.features, rows)
+            t = self._margins(
+                x, y, lambda w: np.bincount(pos, weights=vals * w[cols], minlength=rows.size))
             return self._batch_gradient(
-                x, y, lambda w: np.bincount(pos, weights=vals * w[cols], minlength=rows.size),
-                lambda c: np.bincount(cols, weights=vals * c[pos], minlength=self.n_features))
+                t, y, lambda c: np.bincount(cols, weights=vals * c[pos],
+                                            minlength=self.n_features))
         a = self.features[rows]
-        return self._batch_gradient(x, y, a.__matmul__, a.T.__matmul__)
+        return self._batch_gradient(self._margins(x, y, a.__matmul__), y, a.T.__matmul__)
 
 
-class OneHiddenLayerObjective(Objective):
+class OneHiddenLayerObjective(_DataModel):
     """tanh hidden layer of width h, sigmoid output, mean cross-entropy loss.
 
     The flat parameter vector packs [W1.ravel(), b1, w2, b2] for W1 of shape
     (h, n_f), giving dimension (n_f + 2) * h + 1; ``hidden=None`` takes
     ``default_hidden_width(n_f)``.  Gradients come from exact
-    backpropagation through the stabilized softplus form of the loss.
+    backpropagation through the stabilized softplus form of the loss.  The
+    full-data pass is ``_forward``'s hidden activations and outputs (z, s).
     """
 
     def __init__(self, features, labels, hidden):
@@ -234,15 +269,19 @@ class OneHiddenLayerObjective(Objective):
         s = z @ w2 + b2
         return z, s
 
+    def _pass(self, x):
+        return self._forward(x, self.features)
+
     def value(self, x):
         x = _check_dim(x, self.n)
-        _, s = self._forward(x, self.features)
+        _, s = self._full_pass(x)
         # -[y log p + (1-y) log(1-p)] with p = sigmoid(s) is softplus(s) - y*s
         return float(np.mean(np.logaddexp(0.0, s) - self.y01 * s))
 
-    def _batch_gradient(self, x, a, y01):
-        w1, b1, w2, b2 = self._unpack(x)
-        z, s = self._forward(x, a)
+    def _batch_gradient(self, x, a, y01, z, s):
+        """Backpropagation over the rows ``a`` with labels ``y01``, from
+        their forward pass (z, s) at x."""
+        w2 = self._unpack(x)[2]
         ds = (self._expit(s) - y01) / y01.size
         g_w2 = z.T @ ds
         g_b2 = float(np.sum(ds))
@@ -255,7 +294,7 @@ class OneHiddenLayerObjective(Objective):
 
     def gradient(self, x):
         x = _check_dim(x, self.n)
-        return self._batch_gradient(x, self.features, self.y01)
+        return self._batch_gradient(x, self.features, self.y01, *self._full_pass(x))
 
     def stochastic_gradient(self, x, batch):
         x = _check_dim(x, self.n)
@@ -268,7 +307,7 @@ class OneHiddenLayerObjective(Objective):
             a[pos, cols] = vals
         else:
             a = self.features[rows]
-        return self._batch_gradient(x, a, self.y01[rows])
+        return self._batch_gradient(x, a, self.y01[rows], *self._forward(x, a))
 
 
 def quadratic_objective(center, curvature, noise_level=0.0, sample_count=1, seed=0):

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import (HorizonExceeded, InvalidBudget, InvalidChoice, InvalidExponents,
                      InvalidMu1, InvalidSpec, ThetaTooLarge)
 from .geometry import require_interior
-from .problems import MODES
+from .problems import MODES, _number
 
 MU_FLOOR = 1e-8
 
@@ -142,8 +142,8 @@ class StaircaseSchedule:
 
 
 def _require_budget(owner, maxiter):
-    """InvalidBudget naming ``owner`` unless ``maxiter`` is an integer >= 1."""
-    if not (isinstance(maxiter, numbers.Integral) and maxiter >= 1):
+    """InvalidBudget naming ``owner`` unless ``maxiter`` is an integer >= 1 (not a bool)."""
+    if not (_number(maxiter, numbers.Integral) and maxiter >= 1):
         raise InvalidBudget(f"{owner}: maxiter={maxiter!r} must be an integer of at least 1")
 
 

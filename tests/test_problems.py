@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sipm import (LogisticObjective, OneHiddenLayerObjective, batch_sampler,
-                  default_hidden_width, finite_difference_gradient, logistic_dimension,
-                  logistic_objective, nn_dimension, nn_objective, quadratic_objective,
-                  synthetic_classification)
+from sipm import (Bounds, Constants, ExperimentSpec, LogisticObjective,
+                  OneHiddenLayerObjective, batch_sampler, default_hidden_width,
+                  estimate_constants, finite_difference_gradient, harness, initial_point,
+                  logistic_dimension, logistic_objective, nn_dimension, nn_objective,
+                  quadratic_objective, run, synthetic_classification)
 from sipm.errors import (BatchTooLarge, DimensionMismatch, DomainError, LabelMismatch,
                          NotBinary)
 from sipm.problems import map_labels
@@ -244,3 +245,142 @@ def test_synthetic_classification_shape():
     A2, y2 = synthetic_classification(40, 5, seed=11)
     assert_allclose(A, A2)
     assert_allclose(y, y2)
+
+
+def _memo_pair(model, sparse, seed=3):
+    """Two objectives over the same data: one to call repeatedly, and a maker
+    of fresh ones, whose first call at a point computes its pass anew."""
+    features, labels = synthetic_classification(30, 4, seed=6)
+    if sparse:
+        features = np.where(np.abs(features) > 0.5, features, 0.0)
+    make = CONSTRUCTORS[model]
+    obj = make(_features(features, sparse), labels)
+    xs = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(2, obj.n))
+    return obj, lambda: make(_features(features, sparse), labels), xs
+
+
+def _same(a, b):
+    return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
+
+
+def _counting_passes(monkeypatch, obj):
+    """The points of the objective's full-data passes, one per pass."""
+    calls = []
+    real = obj._pass
+
+    def counted(x):
+        calls.append(x.copy())
+        return real(x)
+
+    monkeypatch.setattr(obj, "_pass", counted)
+    return calls
+
+
+ORDERS = {"value-gradient": [("value", 0), ("gradient", 0)],
+          "gradient-value": [("gradient", 0), ("value", 0)],
+          "interleaved": [("value", 0), ("gradient", 1), ("gradient", 0), ("value", 1),
+                          ("value", 0), ("gradient", 0), ("gradient", 1)]}
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("model", sorted(CONSTRUCTORS))
+def test_kept_pass_gives_a_fresh_objectives_bits(model, sparse, order):
+    """Each call equals, bit for bit, the same call on a fresh objective, in
+    whatever order ``value`` and ``gradient`` visit the points."""
+    obj, fresh, xs = _memo_pair(model, sparse)
+    for name, i in ORDERS[order]:
+        assert _same(getattr(obj, name)(xs[i]), getattr(fresh(), name)(xs[i]))
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("model", sorted(CONSTRUCTORS))
+def test_value_and_gradient_at_one_point_share_one_pass(model, sparse, monkeypatch):
+    obj, _, xs = _memo_pair(model, sparse)
+    calls = _counting_passes(monkeypatch, obj)
+    obj.value(xs[0])
+    obj.gradient(xs[0])
+    obj.value(xs[0].copy())   # the key is the bytes, not the array
+    assert len(calls) == 1
+    obj.gradient(xs[1])
+    obj.value(xs[0])          # one entry only: x0's pass was dropped for x1's
+    assert len(calls) == 3
+    obj.stochastic_gradient(xs[0], np.array([1, 4, 9]))   # batches are never kept
+    obj.value(xs[0])
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("model", sorted(CONSTRUCTORS))
+def test_a_point_changed_in_place_is_a_new_point(model, sparse):
+    obj, fresh, xs = _memo_pair(model, sparse)
+    x = xs[0].copy()
+    obj.value(x)
+    obj.gradient(x)
+    x[0] += 0.25
+    assert _same(obj.value(x), fresh().value(x))
+    x[-1] -= 0.5
+    assert _same(obj.gradient(x), fresh().gradient(x))
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("model", sorted(CONSTRUCTORS))
+def test_signed_zeros_are_separate_points(model, sparse, monkeypatch):
+    obj, fresh, xs = _memo_pair(model, sparse)
+    plus, minus = xs[0].copy(), xs[0].copy()
+    plus[[0, -1]], minus[[0, -1]] = 0.0, -0.0
+    calls = _counting_passes(monkeypatch, obj)
+    for x in (plus, minus, plus):
+        assert _same(obj.gradient(x), fresh().gradient(x))
+        assert _same(obj.value(x), fresh().value(x))
+    assert [np.signbit(x[[0, -1]]).tolist() for x in calls] == [[False, False], [True, True],
+                                                                [False, False]]
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("model", sorted(CONSTRUCTORS))
+def test_a_nan_point_never_takes_another_points_pass(model, sparse, monkeypatch):
+    """NaN != NaN, yet a key on the bytes still tells NaN points apart: one
+    in another coordinate, or with another payload, gets its own pass, and
+    none is served the finite point's."""
+    obj, fresh, xs = _memo_pair(model, sparse)
+    quiet, payload = xs[0].copy(), xs[0].copy()
+    quiet[0] = np.nan
+    payload[0] = np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0]
+    assert quiet.tobytes() != payload.tobytes()
+    moved = xs[0].copy()
+    moved[1] = np.nan
+    calls = _counting_passes(monkeypatch, obj)
+    obj.value(xs[0])
+    for x in (quiet, payload, moved):
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(obj.value(x))
+            assert _same(obj.gradient(x), fresh().gradient(x))
+    assert len(calls) == 4
+    assert obj.value(xs[0]) == fresh().value(xs[0])
+
+
+def test_an_audited_network_run_makes_one_full_pass_per_point(monkeypatch):
+    """The decrease check takes f at every new iterate, and the next
+    iteration the gradient there: K iterations visit K + 1 points, and each
+    point's forward pass over the data is computed once."""
+    data = synthetic_classification(30, 4, seed=6)
+    obj, probe = nn_objective(data, hidden=3), nn_objective(data, hidden=3)
+    bounds = Bounds.cube(obj.n, -1.0, 1.0)
+    x1 = initial_point(obj.n, 2)
+    est = estimate_constants(probe, x1, bounds)
+    constants = Constants(ell_f=est.ell_f_bar, kappa_inf=est.kappa_inf_bar, sigma_inf=0.0)
+    K = 40
+    config = harness._solver_config(ExperimentSpec(problems=()), probe.gradient(x1), x1,
+                                    bounds, constants, K, audit_level="full_trace")
+    full = []
+    forward = obj._forward
+
+    def spy(x, a):
+        full.append(a is obj.features)
+        return forward(x, a)
+
+    monkeypatch.setattr(obj, "_forward", spy)
+    result = run(obj, config, x1)
+    assert len(full) == K + 1 and all(full)
+    assert result.final_objective == probe.value(result.final_x)

@@ -199,11 +199,15 @@ def test_sequences_reject_a_staircase_shorter_than_the_run():
     (lambda: BufferSequences(mode="practical"), "practical buffers: maxiter=None"),
     (lambda: build_staircase(0.1, 2.5), "staircase: maxiter=2.5"),
     (lambda: build_staircase(0.1, math.nan), "staircase: maxiter=nan"),
-], ids=["buffers-negative", "buffers-none", "staircase-float", "staircase-nan"])
+    (lambda: BufferSequences(mode="practical", maxiter=True), "practical buffers: maxiter=True"),
+    (lambda: build_staircase(0.5, True), "staircase: maxiter=True"),
+], ids=["buffers-negative", "buffers-none", "staircase-float", "staircase-nan", "buffers-bool",
+        "staircase-bool"])
 def test_schedule_and_buffer_budgets_are_positive_integers(make, message):
     """Negative practical buffers used to give complex allowances, a float
     staircase budget was truncated to 2 iterations and a NaN one failed as a
-    bare ValueError from int()."""
+    bare ValueError from int().  A bool budget passed as the integer 1: a
+    one-iteration staircase, and buffers holding ``maxiter=True``."""
     with pytest.raises(InvalidBudget, match=f"^{message} must be an integer of at least 1$"):
         make()
 

@@ -37,6 +37,8 @@ QUAD_POWER_AUDIT = ["--model", "quadratic", "--dim", "10", "--maxiter", "150",
                     "--solver", "psgm,sipm,proj-ipm"]
 INADMISSIBLE_POWER = ["--model", "quadratic", "--dim", "5", "--maxiter", "50",
                       "--schedule", "power", "--t-theta", "0.5", *THREE]
+LIBSVM_AUDIT = ["--train", "train.libsvm", "--test", "test.libsvm", "--maxiter", "60",
+                "--audit", "full", "--trace", "--seeds", "0,3", *THREE]
 LIBSVM_STOCH = ["--train", "train.libsvm", "--test", "test.libsvm", "--mode", "stoch",
                 "--epochs", "1", "--batch-frac", "0.05", "--seeds", "0,3", *THREE]
 # name -> bench arguments
@@ -59,6 +61,9 @@ SHAPES = {
                     "--maxiter", "100", "--seeds", "0,3", *THREE],
     "libsvm-01-pair": ["--model", "nn", "--train", "train01.libsvm", "--test", "test01.libsvm",
                        "--maxiter", "100", "--seeds", "0,3", *THREE],
+    # a full-data value and gradient at every iterate, over CSR rows
+    "libsvm-audit": ["--model", "logistic", *LIBSVM_AUDIT],
+    "libsvm-nn-audit": ["--model", "nn", *LIBSVM_AUDIT],
     # CSR mini-batches, for the logistic model and the network's stochastic bootstrap
     "libsvm-stoch": ["--model", "logistic", *LIBSVM_STOCH],
     "libsvm-nn-stoch": ["--model", "nn", *LIBSVM_STOCH],
