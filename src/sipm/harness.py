@@ -232,6 +232,9 @@ def validate_spec(spec):
                               f"got (train_path, test_path)={data_paths!r}")
         if problem.test_path is not None and problem.train_path is None:
             raise InvalidSpec(f"problem {problem.name!r}: test_path needs a train_path")
+        if problem.hidden is not None and problem.model != "nn":
+            raise InvalidSpec(f"problem {problem.name!r}: hidden={problem.hidden!r} is a "
+                              f"network width, and a {problem.model} model has no hidden layer")
         for field, least in (("dim", 1), ("samples", 1), ("hidden", 1), ("data_seed", 0)):
             if field != "hidden" or problem.hidden is not None:
                 _require_count(f"problem {problem.name!r}: {field}", getattr(problem, field),

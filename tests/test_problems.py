@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -11,7 +12,7 @@ from sipm import (Bounds, Constants, ExperimentSpec, LogisticObjective,
                   quadratic_objective, run, synthetic_classification)
 from sipm.errors import (BatchTooLarge, DimensionMismatch, DomainError, LabelMismatch,
                          NotBinary)
-from sipm.problems import map_labels
+from sipm.problems import _sigmoid_of_minus, map_labels
 
 
 def test_quadratic_examples():
@@ -245,6 +246,77 @@ def test_synthetic_classification_shape():
     A2, y2 = synthetic_classification(40, 5, seed=11)
     assert_allclose(A, A2)
     assert_allclose(y, y2)
+
+
+def _tail_point(obj, reach):
+    """A point where every logistic margin or network output is +-reach:
+    logistic margins labels * b with w = 0, network outputs b2 with every
+    other parameter 0."""
+    x = np.zeros(obj.n)
+    x[-1] = reach
+    return x
+
+
+def _oracles(obj, x, batches):
+    """value, gradient and each batch's stochastic gradient at x, with every
+    warning an error (the tests' RuntimeWarning filter, made explicit)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return (obj.value(x), obj.gradient(x),
+                [obj.stochastic_gradient(x, batch) for batch in batches])
+
+
+@pytest.mark.parametrize("reach", [1000.0, 1e6])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+def test_logistic_sigmoid_tails_give_the_limits(sparse, reach):
+    """Margins +reach (row 0) and -reach (row 1): exp overflows on row 1,
+    and the sigmoid still gives its limits 0 and 1, with no warning."""
+    obj = LogisticObjective(_features(np.array([[1.0], [1.0]]), sparse), [1.0, -1.0])
+    x = _tail_point(obj, reach)
+    assert_allclose(obj._pass(x), [reach, -reach], rtol=0.0, atol=0.0)
+    value, gradient, (first, second) = _oracles(obj, x, ([0], [1]))
+    # log(1 + exp(-reach)) = 0 and log(1 + exp(reach)) = reach
+    assert value == reach / 2.0
+    # coefficients -y * sigmoid(-t): 0 on row 0, +1 on row 1
+    assert gradient.tolist() == [0.5, 0.5]
+    assert first.tolist() == [0.0, 0.0]
+    assert second.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("reach", [1000.0, -1000.0, 1e6, -1e6])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+def test_network_sigmoid_tails_give_the_limits(sparse, reach):
+    """Every output is reach; labels 1, 0, 1.  The sigmoid of the outputs is
+    exactly 1 or 0, so each gradient is the limit's, with no warning."""
+    features = np.array([[0.5, -1.0], [2.0, 0.0], [-1.0, 1.0]])
+    obj = OneHiddenLayerObjective(_features(features, sparse), [1.0, -1.0, 1.0], 2)
+    x = _tail_point(obj, reach)
+    value, gradient, (batch,) = _oracles(obj, x, ([0, 1],))
+    y01 = np.array([1.0, 0.0, 1.0])
+    p = 1.0 if reach > 0 else 0.0
+    # softplus(s) - y * s at s = +-reach: reach or 0 per row
+    assert value == float(np.mean(np.logaddexp(0.0, reach) - y01 * reach))
+    assert np.all(np.isfinite(gradient)) and np.all(np.isfinite(batch))
+    # only b2 moves: the sum of (sigmoid(s) - y) / m; w2 sees z = 0, W1 and b1 see w2 = 0
+    assert gradient[:-1].tolist() == [0.0] * (obj.n - 1)
+    assert gradient[-1] == np.sum(p - y01) / 3.0
+    assert batch[:-1].tolist() == [0.0] * (obj.n - 1)
+    assert batch[-1] == np.sum(p - y01[:2]) / 2.0
+
+
+def test_sigmoid_stays_within_4_ulp_of_scipy_expit():
+    """The numpy sigmoid against scipy.special.expit, both signs, on 200,000
+    seeded normal(0, 5) arguments: numpy's and glibc's exp may differ in
+    their last bits, so a few ulp is the bound, not equality."""
+    from scipy.special import expit
+
+    t = np.random.default_rng(20).normal(0.0, 5.0, size=200_000)
+    np.testing.assert_array_max_ulp(_sigmoid_of_minus(-t), expit(t), maxulp=4)
+    np.testing.assert_array_max_ulp(_sigmoid_of_minus(t), expit(-t), maxulp=4)
+    # the in-place form the network uses gives the same bits
+    u = -t
+    assert _sigmoid_of_minus(u, out=u) is u
+    assert np.array_equal(u, _sigmoid_of_minus(-t))
 
 
 def _memo_pair(model, sparse, seed=3):

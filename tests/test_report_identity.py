@@ -50,3 +50,56 @@ def test_source_lines_count_like_wc(tmp_path):
     (package / "notes.txt").write_text("x\n" * 50)
     (tmp_path / "other.py").write_text("y\n" * 50)
     assert report_identity.source_lines(str(tmp_path)) == 3
+
+
+def _report(objective=0.5, r_p=-0.2, kappa=1.5, extra=None):
+    report = {"config": {"bounds": [-1.0, 1.0]},
+              "constants": {"lr": {"kappa_inf_bar": kappa, "bootstrap": {"iterations": 500}}},
+              "runs": [{"solver": "sipm", "seed": 0, "final_objective_train": objective,
+                        "stalls": 0, "schedule_degenerate": False},
+                       {"solver": "psgm", "seed": 0, "final_objective_train": 0.6}],
+              "comparisons": [{"problem": "lr", "baseline": "psgm", "metric": "m",
+                               "seed": 0, "r_p": r_p},
+                              {"problem": "lr", "baseline": "psgm", "metric": "n",
+                               "seed": 0, "r_p": 0.1}]}
+    if extra:
+        report["runs"][0].update(extra)
+    return report
+
+
+def test_explain_names_the_largest_drift_and_the_sign_flips():
+    """Two reports built in memory: the largest relative change under runs
+    and constants, matched by path, and the r_p entries that changed sign."""
+    parent = _report()
+    change = _report(objective=0.5 * (1 + 1e-9), r_p=0.05, kappa=1.5 * (1 + 4e-12))
+    path, drift = report_identity.largest_relative_change(parent, change)
+    assert path == "runs[0].final_objective_train"
+    assert drift == pytest.approx(1e-9, rel=1e-6)
+    assert report_identity.sign_flips(parent, change) == 1
+    assert report_identity.explain(parent, change) == (
+        "largest relative change 1e-09 at runs[0].final_objective_train; 1 r_p sign flips")
+
+
+def test_explain_notes_a_structure_change_and_ignores_config():
+    """A path on one side only is a structure note, not a drift; numbers
+    outside runs and constants, and bools, never count as drift."""
+    parent = _report()
+    change = _report(extra={"trace": [1.0, 2.0]})
+    change["config"]["bounds"] = [-2.0, 1.0]
+    assert report_identity.largest_relative_change(parent, change) == (None, 0.0)
+    assert report_identity.sign_flips(parent, change) == 0
+    assert report_identity.explain(parent, change) == (
+        "largest relative change 0 (no number under runs or constants moved); "
+        "0 r_p sign flips; structure differs: 0 paths only in parent, 2 only in change")
+
+
+def test_leaves_and_relative_change():
+    assert report_identity.leaves({"a": [1, {"b": None}], "c": {}}) == \
+        {"a[0]": 1, "a[1].b": None, "c": {}}
+    assert report_identity.relative_change(2.0, 1.0) == 0.5
+    assert report_identity.relative_change(0.0, -3.0) == 1.0
+    assert report_identity.relative_change(float("nan"), float("nan")) == 0.0
+    assert report_identity.relative_change(float("inf"), 1.0) == float("inf")
+    # a sign flip needs both signs: zero against a sign counts, equal signs do not
+    assert report_identity.sign_flips(_report(r_p=0.0), _report(r_p=-1e-3)) == 1
+    assert report_identity.sign_flips(_report(r_p=-0.3), _report(r_p=-1e-3)) == 0

@@ -2,8 +2,9 @@
 
 Dense and CSR feature matrices of the same data must give the same values
 and gradients up to round-off, and a dense run must never import
-scipy.sparse.  ``import sipm`` and quadratic runs import no scipy at all;
-a data model imports scipy.special when it is built.
+scipy.sparse.  ``import sipm``, quadratic runs and dense data models import
+no scipy at all; only sparse input loads scipy.sparse, and no module of the
+package imports scipy.special.
 """
 
 import ast
@@ -90,7 +91,7 @@ def test_csr_logistic_batch_mean_is_the_full_gradient():
                          ids=["csr_matrix", "coo_array"])
 def test_as_arrays_accepts_a_sparse_pair(to_sparse):
     dense = np.array([[0.0, 1.5], [2.0, 0.0], [0.0, 0.0]])
-    features, labels, _ = _labeled_data(to_sparse(dense), [0, 1, 1])
+    features, labels = _labeled_data(to_sparse(dense), [0, 1, 1])
     assert features.format == "csr" and features.dtype == float
     assert_allclose(features.toarray(), dense)
     assert_allclose(labels, [-1.0, 1.0, 1.0])
@@ -126,11 +127,14 @@ def _run_python(code, cwd):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def test_dense_path_does_not_import_scipy_sparse(tmp_path):
-    quadratic = ("import json, sys\n"
-                 "import sipm, sipm.cli\n"
+SCIPY_MODULES = ("import json, sys\n"
                  "def scipy_modules():\n"
-                 "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                 "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n")
+
+
+def test_dense_path_does_not_import_scipy_sparse(tmp_path):
+    quadratic = (SCIPY_MODULES +
+                 "import sipm, sipm.cli\n"
                  "seen = [scipy_modules()]\n"
                  "seen.append(sipm.cli.main(['bench', '--model', 'quadratic', '--dim', '3',\n"
                  "    '--maxiter', '20', '--solver', 'sipm,psgm,proj-ipm', '--out', 'r.json']))\n"
@@ -138,19 +142,20 @@ def test_dense_path_does_not_import_scipy_sparse(tmp_path):
                  "print(json.dumps(seen))\n")
     assert _run_python(quadratic, tmp_path) == [[], 0, []]
     assert (tmp_path / "r.json").exists()
-    # scipy.special must load when a data model is built, not at its first
-    # gradient: perfbench's setup_s times the build, its bench_s the gradients
+    # a dense data model loads no scipy module, neither when it is built nor
+    # at its gradients: the sigmoid is numpy's
     for build in ("sipm.logistic_objective(data)", "sipm.nn_objective(data, hidden=2)"):
-        data_model = ("import json, sys, sipm\n"
+        data_model = (SCIPY_MODULES +
+                      "import sipm\n"
                       "data = sipm.synthetic_classification(20, 3)\n"
                       f"model = {build}\n"
-                      "seen = ['scipy.special' in sys.modules]\n"
+                      "seen = [scipy_modules()]\n"
+                      "model.value([0.0] * model.n)\n"
                       "model.gradient([0.0] * model.n)\n"
                       "model.stochastic_gradient([0.0] * model.n, [0, 3])\n"
-                      "sipm.quadratic_objective([0.0], [1.0])\n"
-                      "seen.append('scipy.sparse' in sys.modules)\n"
+                      "seen.append(scipy_modules())\n"
                       "print(json.dumps(seen))\n")
-        assert _run_python(data_model, tmp_path) == [True, False], build
+        assert _run_python(data_model, tmp_path) == [[], []], build
 
 
 def _imports_scipy_at_import_time(tree):
@@ -182,6 +187,42 @@ def _package_trees():
             trees[name] = ast.parse(handle.read(), name)
     assert "problems.py" in trees and "libsvm.py" in trees
     return trees
+
+
+def _imports_scipy_special(tree):
+    """Line numbers of every import of scipy.special or of a name from it,
+    in any scope, function bodies included."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(name == "scipy.special" or name.startswith("scipy.special.")
+               for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_sipm_module_imports_scipy_special():
+    """The sigmoid is numpy's, so no module needs scipy.special, not even
+    inside a function."""
+    offenders = {name: lines for name, tree in _package_trees().items()
+                 if (lines := _imports_scipy_special(tree))}
+    assert offenders == {}
+
+
+def test_scipy_special_scan_sees_every_form():
+    code = ("import numpy\n"
+            "def f():\n    from scipy.special import expit\n"
+            "def g():\n    import scipy.special as sp\n"
+            "from scipy import special\n"
+            "import scipy.special._ufuncs\n"
+            "from scipy.sparse import csr_matrix\n"
+            "import scipy.specialty\n")
+    assert _imports_scipy_special(ast.parse(code)) == [3, 5, 6, 7]
 
 
 def test_no_sipm_module_imports_scipy_at_import_time():

@@ -9,7 +9,11 @@ canonical bytes (the report without its ``timing`` block, as
 ``harness.canonical_report_bytes`` renders it) per shape, seed and side, and
 exits 1 if any pair differs.  Last it prints each tree's ``sipm/*.py``
 line total, as ``wc -l`` counts it, so a refactor's size figure comes from
-the same run as its identity check.  A bench that exits non-zero on either side
+the same run as its identity check.  Under each pair of reports that differ,
+one indented line says how (``explain``): the largest relative change of any
+number under ``runs`` and ``constants``, matched by path, the count of
+``r_p`` sign flips in ``comparisons``, and whether the two reports' structure
+differs.  A bench that exits non-zero on either side
 prints each side's exit status in place of its hash, counts as a difference,
 and the comparison goes on with the next shape.  Every process runs in one
 temporary directory, where the parent tree first writes the train/test pairs that the
@@ -24,6 +28,7 @@ import argparse
 import glob
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -114,18 +119,100 @@ def _env(src):
     return env
 
 
-def report_sha256(src, argv, work):
-    """Run one bench in a fresh process on the tree ``src``; hash its report,
-    or return ``exit <status>`` when the bench fails."""
+def run_report(src, argv, work):
+    """Run one bench in a fresh process on the tree ``src``; return its report
+    without the ``timing`` block, or ``exit <status>`` when the bench fails."""
     status = subprocess.run([sys.executable, "-m", "sipm.cli", *argv, "--out", "report.json"],
                             env=_env(src), cwd=work).returncode
     if status:
         return f"exit {status}"
     with open(os.path.join(work, "report.json"), encoding="ascii") as handle:
         report = json.load(handle)
-    payload = {key: value for key, value in report.items() if key != "timing"}
+    return {key: value for key, value in report.items() if key != "timing"}
+
+
+def canonical_sha256(payload):
+    """The sha256 of a report's canonical bytes, as ``canonical_report_bytes`` renders them."""
     return hashlib.sha256(json.dumps(payload, sort_keys=True, indent=2)
                           .encode("ascii")).hexdigest()
+
+
+def leaves(tree, path=""):
+    """{path: value} of every leaf under ``tree``, an empty dict or list being
+    one: dict keys join with '.', list indices show as [i], so one path names
+    one value in either report."""
+    if not tree and isinstance(tree, (dict, list)):
+        return {path: tree}
+    if isinstance(tree, dict):
+        items = ((f"{path}.{key}" if path else str(key), value) for key, value in tree.items())
+    elif isinstance(tree, list):
+        items = ((f"{path}[{i}]", value) for i, value in enumerate(tree))
+    else:
+        return {path: tree}
+    found = {}
+    for sub, value in items:
+        found.update(leaves(value, sub))
+    return found
+
+
+def _number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def relative_change(a, b):
+    """|a - b| / max(|a|, |b|): 0 for equal numbers (two NaNs too), inf when
+    they differ and either is not finite."""
+    if a == b or (a != a and b != b):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def largest_relative_change(parent, change):
+    """(path, relative change) of the number under ``runs`` and ``constants``
+    that moved most, matched by path; (None, 0.0) when none moved."""
+    old, new = (leaves({key: report.get(key) for key in ("runs", "constants")})
+                for report in (parent, change))
+    worst = (None, 0.0)
+    for path in sorted(old.keys() & new.keys()):
+        if _number(old[path]) and _number(new[path]):
+            drift = relative_change(old[path], new[path])
+            if drift > worst[1]:
+                worst = (path, drift)
+    return worst
+
+
+def _sign(value):
+    return (value > 0) - (value < 0)
+
+
+def sign_flips(parent, change):
+    """Count of ``comparisons`` entries whose ``r_p`` changes sign, matched by
+    (problem, baseline, metric, seed); an entry on one side only, or a
+    non-number ``r_p``, counts as no flip."""
+    def keyed(report):
+        return {(row.get("problem"), row.get("baseline"), row.get("metric"), row.get("seed")):
+                row.get("r_p") for row in report.get("comparisons", [])}
+
+    old, new = keyed(parent), keyed(change)
+    return sum(1 for key in old.keys() & new.keys()
+               if _number(old[key]) and _number(new[key])
+               and _sign(old[key]) != _sign(new[key]))
+
+
+def explain(parent, change):
+    """One line on how two reports differ: the largest relative change of a
+    number under runs and constants, the r_p sign flips, and a note when the
+    reports do not share one structure (a path on one side only)."""
+    path, drift = largest_relative_change(parent, change)
+    moved = f"{drift:.3g} at {path}" if path else "0 (no number under runs or constants moved)"
+    line = f"largest relative change {moved}; {sign_flips(parent, change)} r_p sign flips"
+    old, new = leaves(parent).keys(), leaves(change).keys()
+    if old != new:
+        line += (f"; structure differs: {len(old - new)} paths only in parent, "
+                 f"{len(new - old)} only in change")
+    return line
 
 
 def source_lines(src):
@@ -151,11 +238,15 @@ def main(argv=None):
         for shape in SHAPES:
             for seed in SEEDS:
                 bench = bench_argv(shape, seed)
-                hashes = [report_sha256(src, bench, work) for src in (parent, change)]
+                reports = [run_report(src, bench, work) for src in (parent, change)]
+                hashes = [report if isinstance(report, str) else canonical_sha256(report)
+                          for report in reports]
                 same = hashes[0] == hashes[1] and not hashes[0].startswith("exit")
                 mismatches += not same
                 print(f"{shape:<20} seed {seed}  parent {hashes[0]}  change {hashes[1]}  "
                       f"{'same' if same else 'DIFFERENT'}", flush=True)
+                if not same and not any(isinstance(report, str) for report in reports):
+                    print(f"    {explain(*reports)}", flush=True)
     print(f"{mismatches} of {len(SHAPES) * len(SEEDS)} reports differ")
     lines = [source_lines(src) for src in (parent, change)]
     print(f"sipm/*.py lines  parent {lines[0]}  change {lines[1]}  ({lines[1] - lines[0]:+d})")
