@@ -9,8 +9,8 @@ package.
 """
 
 from . import errors
-from .baselines import (c_constant, match_sipm_endpoints, psgm_step, recurrence_ratio,
-                        run_psgm, run_simplified)
+from .baselines import (c_constant, match_sipm_endpoints, recurrence_ratio, run_psgm,
+                        run_simplified)
 from .geometry import (DELTA_CAP, Bounds, KktCertificate, barrier_gradient, barrier_value,
                        default_chi, in_neighborhood, kkt_certificate,
                        project_to_neighborhood, projected_gradient_norm, range_gap,

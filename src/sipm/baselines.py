@@ -23,12 +23,6 @@ from .solver import RunResult, _final_metrics
 C_CAP = 1e6
 
 
-def psgm_step(x, g, alpha, bounds):
-    """Projected gradient step: clamp x - alpha * g onto [l, u]."""
-    x = np.asarray(x, dtype=float)
-    return np.clip(x - alpha * np.asarray(g, dtype=float), bounds.lower, bounds.upper)
-
-
 def c_constant(bounds, kappa_inf, mu1):
     """Neighborhood link constant min_i 1 / (kappa_inf + 2*mu1/(u_i - l_i)).
 
@@ -93,15 +87,15 @@ def run_psgm(objective, bounds, steps, x1, maxiter, mode="deterministic",
              batch_fraction=0.01, seed=0):
     """Run the projected-(stochastic-)gradient baseline for maxiter iterations.
 
-    ``steps`` is the per-iteration step-size sequence; fewer than maxiter
-    entries raise InvalidBudget.  Final metrics use true gradients,
+    Each iteration clamps x - steps[k] * g onto the box; fewer than maxiter
+    ``steps`` raise InvalidBudget.  Final metrics use true gradients,
     mirroring the interior-point runs.
     """
     _require_length("steps", steps, maxiter)
     x = np.asarray(x1, dtype=float).copy()
     gradient = gradient_oracle(objective, mode, batch_fraction, seed)
     for k in range(maxiter):
-        x = psgm_step(x, gradient(x), steps[k], bounds)
+        x = np.clip(x - steps[k] * gradient(x), bounds.lower, bounds.upper)
     # the final iterate may sit on the box boundary: active-set certificate
     return RunResult(final_x=x, **_final_metrics(objective, bounds, x))
 

@@ -9,13 +9,13 @@ reproduces the full gradient exactly because batches are uniform subsets
 drawn without replacement.  The two data models take their feature matrix
 dense or as a scipy.sparse matrix, which they keep in CSR form; the data
 type picks the path.  Both take any two label values and share one intake,
-``_labeled_data``.  Each keeps its last full-data pass, keyed on the bytes
-of x: the network's hidden activations and outputs, the logistic model's
-margins.  So ``value`` and ``gradient`` at one point share one pass;
-mini-batch passes are never kept.  Both sigmoids are numpy's, through
-``_sigmoid_of_minus``, so only sparse input loads scipy, and then only
-scipy.sparse: ``import sipm``, quadratic runs and dense data models load
-no scipy at all.
+``_DataModel.__init__``, which runs ``_labeled_data``.  Each keeps its last
+full-data pass, keyed on the bytes of x: the network's hidden activations
+and outputs, the logistic model's margins, shared by ``value`` and
+``gradient`` at one point; mini-batch passes are never kept.  Both sigmoids
+are numpy's, through ``_sigmoid_of_minus``, so only sparse input loads
+scipy, and then only scipy.sparse: ``import sipm``, quadratic runs and dense
+data models load no scipy at all.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def _sigmoid_of_minus(u, out=None):
 
 
 class _DataModel(Objective):
-    """A model over labeled rows that keeps its last full-data pass.
+    """A model over ``_labeled_data``'s rows that keeps its last full-data pass.
 
     ``_full_pass(x)`` returns ``_pass(x)`` over every row, computed once per
     point: the entry is keyed on ``x.tobytes()``, so -0.0, a NaN or an array
@@ -119,6 +119,11 @@ class _DataModel(Objective):
     """
 
     _pass_key = _pass_value = None
+
+    def __init__(self, features, labels):
+        self.features, self.labels = _labeled_data(features, labels)
+        self.sample_count, self.n_features = self.features.shape
+        self._sparse = hasattr(self.features, "tocsr")
 
     def _full_pass(self, x):
         key = x.tobytes()
@@ -195,10 +200,8 @@ class LogisticObjective(_DataModel):
     """
 
     def __init__(self, features, labels):
-        self.features, self.labels = _labeled_data(features, labels)
-        self.sample_count, self.n_features = self.features.shape
-        self.n = self.n_features + 1
-        self._sparse = hasattr(self.features, "tocsr")
+        super().__init__(features, labels)
+        self.n = logistic_dimension(self.n_features)
         self._features_t = self.features.T.tocsr() if self._sparse else self.features.T
 
     @staticmethod
@@ -254,16 +257,14 @@ class OneHiddenLayerObjective(_DataModel):
     """
 
     def __init__(self, features, labels, hidden):
-        self.features, labels = _labeled_data(features, labels)
-        self.sample_count, self.n_features = self.features.shape
+        super().__init__(features, labels)
         if hidden is None:
             hidden = default_hidden_width(self.n_features)
         if hidden < 1:
             raise DomainError("hidden width must be at least 1")
         self.hidden = int(hidden)
-        self.y01 = 0.5 * (labels + 1.0)  # {-1,+1} -> {0,1}
-        self.n = (self.n_features + 2) * self.hidden + 1
-        self._sparse = hasattr(self.features, "tocsr")
+        self.y01 = 0.5 * (self.labels + 1.0)  # {-1,+1} -> {0,1}
+        self.n = nn_dimension(self.n_features, self.hidden)
 
     def _unpack(self, x):
         h, nf = self.hidden, self.n_features

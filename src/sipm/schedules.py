@@ -53,19 +53,17 @@ def validate_exponents(triple, setting):
     exception is raised for an inadmissible triple.
     """
     t_mu, t_theta, t_alpha = triple.t_mu, triple.t_theta, triple.t_alpha
-    violations = []
+    if setting not in MODES:
+        raise InvalidChoice("setting", setting, MODES)
+    violations = ["t_mu must equal t_theta"] if t_mu != t_theta else []
     if setting == "deterministic":
-        if t_mu != t_theta:
-            violations.append("t_mu must equal t_theta")
         if not t_mu < 0.0:
             violations.append("t_mu must be negative")
         if not t_alpha <= 0.0:
             violations.append("t_alpha must be nonpositive")
         if not -1.0 <= t_mu + t_alpha < 0.0:
             violations.append("t_mu + t_alpha must lie in [-1, 0)")
-    elif setting == "stochastic":
-        if t_mu != t_theta:
-            violations.append("t_mu must equal t_theta")
+    else:
         if not -1.0 < t_mu < -0.5:
             violations.append("t_mu must lie in (-1, -1/2)")
         if not t_alpha < 0.0:
@@ -74,8 +72,6 @@ def validate_exponents(triple, setting):
             violations.append("t_mu + t_alpha must lie in [-1, 0)")
         if not t_mu + 2.0 * t_alpha < -1.0:
             violations.append("t_mu + 2*t_alpha must be below -1")
-    else:
-        raise InvalidChoice("setting", setting, MODES)
     return violations
 
 

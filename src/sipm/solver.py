@@ -101,16 +101,13 @@ def build_hk(x, bounds, mu, ell_f_bar, strategy="practical"):
     value raises InvalidChoice."""
     if strategy != "practical":
         raise InvalidChoice("strategy", strategy, ("practical",))
-    lo, up = require_interior(x, bounds)
-    diag, lam_min = _hk(lo * lo, up * up, mu, ell_f_bar)
-    return diag, lam_min, float(diag.max())
+    diag = _hk(*require_interior(x, bounds), mu, ell_f_bar)
+    return diag, float(diag.min()), float(diag.max())
 
 
-def _hk(lo2, up2, mu, ell_f_bar):
-    """(diag, min(diag)) of build_hk from the squared slacks (lo2, up2) of an
-    interior point."""
-    diag = float(ell_f_bar) + mu / lo2 + mu / up2
-    return diag, float(diag.min())
+def _hk(lo, up, mu, ell_f_bar):
+    """build_hk's diagonal from the slacks (lo, up) of an interior point."""
+    return float(ell_f_bar) + mu / (lo * lo) + mu / (up * up)
 
 
 def _rel_ok(lhs, rhs, tol):
@@ -126,19 +123,17 @@ def sipm_step(x, k, g, config):
     observer and takes its stall count, step sizes, audits and trace row from.
 
     Every quantity derives from the slacks of x, taken once and kept as the
-    record's lo/up, and from their squares, taken once for H_k and ``_step``.
-    Nothing is validated or audited: ``run`` checks its inputs at entry and
-    audits each record, and the final clip keeps x_next in the theta_k (the
-    next prior) neighborhood.
+    record's lo/up.  Nothing is validated or audited: ``run`` checks its
+    inputs at entry and audits each record, and the final clip keeps x_next
+    in the theta_k (the next prior) neighborhood.
     """
     seq = config.sequences
     mu_k, theta_k, theta_prev = seq["mu"][k], seq["theta"][k], seq["theta"][k - 1]
     lo, up = slacks(x, config.bounds)
-    lo2, up2 = lo * lo, up * up   # H_k's terms and _step's squared-slack minima
-    h_diag, lam_min = _hk(lo2, up2, mu_k, config.constants.ell_f)
+    h_diag = _hk(lo, up, mu_k, config.constants.ell_f)
     q = _barrier_gradient(g, lo, up, mu_k)
     bundle, d, gamma_k, x_next = _step(
-        x, lo, up, lo2, up2, q, h_diag, lam_min, k, config.bounds, mu_k, theta_k, theta_prev,
+        x, lo, up, q, h_diag, k, config.bounds, mu_k, theta_k, theta_prev,
         config.schedule.t_alpha, seq["alpha_buff"][k], seq["gamma_buff"][k],
         config.constants, config.delta, config.mode == "stochastic")
     return dict(k=k, x=x, x_next=x_next, g=g, q=q, d=d, lo=lo, up=up, h_diag=h_diag,

@@ -1,13 +1,13 @@
 """Slack-product Lipschitz machinery and the step-size pipeline.
 
 ``_step`` owns one iteration after the scaling H_k and the barrier gradient q,
-in a fixed order: alpha_min from the conservative curvature bound, alpha_max
-from the buffer allowance, gamma_min and gamma_max from alpha_max, the
-look-ahead step alpha_pre from the current point's squared slacks, its largest
-admissible fraction gamma_bar, ell_k along the look-ahead segment, alpha_k,
-the ratio test's gamma_k and the clipped update.  It takes the neighborhood
-sides and the ratio-test margin once, for both ratio tests and the clip, and
-the mask of moving coordinates once, for both ratio tests.
+in a fixed order: lam_min = min(H_k), alpha_min from the conservative
+curvature bound, alpha_max from the buffer allowance, gamma_min and gamma_max
+from alpha_max, the look-ahead step alpha_pre from the current point's
+smallest slacks, its largest admissible fraction gamma_bar, ell_k along the
+look-ahead segment, alpha_k, the ratio test's gamma_k and the clipped update.
+It takes the neighborhood sides and the ratio-test margin once, for both
+ratio tests and the clip, and the mask of moving coordinates once, for both.
 
 Public functions validate their input, then call the same slack-based helpers
 (leading underscore) as the solver kernel.
@@ -105,18 +105,17 @@ def step_size_bundle(x, q, h_diag, k, bounds, sched, constants, delta, stochasti
     if not in_neighborhood(x, bounds, sched.theta_prev):
         raise NotInPriorNeighborhood(
             f"iterate left the previous neighborhood (theta={sched.theta_prev})")
-    h_diag = np.asarray(h_diag, dtype=float)
-    return _step(np.asarray(x, dtype=float), lo, up, lo * lo, up * up,
-                 np.asarray(q, dtype=float), h_diag, float(h_diag.min()), k, bounds,
-                 sched.mu_k, sched.theta_k, sched.theta_prev, sched.t_alpha,
-                 sched.alpha_buff, sched.gamma_buff, constants, delta, stochastic)[0]
+    return _step(np.asarray(x, dtype=float), lo, up, np.asarray(q, dtype=float),
+                 np.asarray(h_diag, dtype=float), k, bounds, sched.mu_k, sched.theta_k,
+                 sched.theta_prev, sched.t_alpha, sched.alpha_buff, sched.gamma_buff,
+                 constants, delta, stochastic)[0]
 
 
-def _step(x, lo, up, lo2, up2, q, h_diag, lam_min, k, bounds, mu, theta_k, theta_prev,
-          t_alpha, alpha_buff, gamma_buff, constants, delta, stochastic):
-    """One step from x, its slacks (lo, up), their squares (lo2, up2) and
-    lam_min = min(h_diag): returns (bundle, d = -q / h_diag, gamma_k, x_next),
-    x_next clipped to theta_k."""
+def _step(x, lo, up, q, h_diag, k, bounds, mu, theta_k, theta_prev, t_alpha, alpha_buff,
+          gamma_buff, constants, delta, stochastic):
+    """One step from x and its slacks (lo, up): returns (bundle, d = -q / h_diag,
+    gamma_k, x_next), x_next clipped to theta_k."""
+    lam_min = float(h_diag.min())
     if not lam_min > 0.0:
         raise InvalidConstants(f"iteration {k}: scaling diagonal must be strictly positive")
     k_pow = float(k) ** t_alpha
@@ -128,8 +127,10 @@ def _step(x, lo, up, lo2, up2, q, h_diag, lam_min, k, bounds, mu, theta_k, theta
     gamma_min = min(1.0, lam_min * bracket / (alpha_max * (grad_bound + mu / theta_prev)))
     gamma_max = min(1.0, gamma_min + gamma_buff)
 
-    a, b = float(lo2.min()), float(up2.min())
-    alpha_pre = lam_min * k_pow / (constants.ell_f + mu / a + mu / b)
+    # min(lo)**2 is min(lo**2) bit for bit: slacks are nonnegative and rounding
+    # is monotone, so the smallest slack squared rounds to the smallest square
+    a, b = float(lo.min()), float(up.min())
+    alpha_pre = lam_min * k_pow / (constants.ell_f + mu / (a * a) + mu / (b * b))
     d = -q / h_diag
     inner_lo, inner_up = bounds.lower + theta_k, bounds.upper - theta_k
     margin = np.where(d < 0.0, inner_lo, inner_up) - x

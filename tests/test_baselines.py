@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from sipm import (DELTA_CAP, Bounds, BufferSequences, Constants, SolverConfig,
                   build_staircase, c_constant, estimate_constants, gradient_oracle,
-                  in_neighborhood, match_sipm_endpoints, psgm_step, quadratic_objective,
+                  in_neighborhood, match_sipm_endpoints, quadratic_objective,
                   range_gap, recurrence_ratio, run, run_psgm, run_simplified, theta0_init)
 from sipm.baselines import _simplified_step
 from sipm.errors import (DimensionMismatch, DomainError, InvalidBudget, InvalidChoice,
@@ -16,6 +16,14 @@ from sipm.geometry import slacks
 
 def simplified_step(x, g, bounds, mu, theta, ell_f):
     return _simplified_step(x, g, *slacks(x, bounds), bounds, mu, theta, ell_f)
+
+
+def psgm_step(x, g, alpha, bounds):
+    """One run_psgm iteration from x with step alpha, on a unit-curvature
+    quadratic whose gradient at x is g."""
+    x = np.asarray(x, dtype=float)
+    objective = quadratic_objective(x - g, np.ones(x.size))
+    return run_psgm(objective, bounds, [alpha], x, 1).final_x
 
 
 def test_psgm_step_examples():
