@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, InvalidBudget
 from .geometry import DELTA_CAP, _barrier_gradient, range_gap, require_interior
 from .problems import gradient_oracle
-from .solver import RunResult, _final_metrics
+from .solver import RunResult, _final_metrics, _first_iterate
 
 C_CAP = 1e6
 
@@ -78,21 +78,28 @@ def match_sipm_endpoints(shape, alpha_first, alpha_last):
     return alpha_first * (alpha_last / alpha_first) ** exponent
 
 
-def _require_length(name, sequence, maxiter):
+def _require_length(name, sequence, maxiter, positive):
+    """InvalidBudget unless ``sequence`` has maxiter entries; DomainError naming
+    the first that is NaN, infinite, negative or, if ``positive``, zero."""
     if len(sequence) < maxiter:
         raise InvalidBudget(f"{name} has {len(sequence)} entries, fewer than maxiter={maxiter}")
+    values = np.asarray(sequence[:maxiter], dtype=float)
+    bad = np.flatnonzero(~((values > 0.0 if positive else values >= 0.0) & (values < np.inf)))
+    if bad.size:
+        raise DomainError(f"{name}[{bad[0]}]={float(values[bad[0]])} must be finite and "
+                          + ("positive" if positive else "nonnegative"))
 
 
 def run_psgm(objective, bounds, steps, x1, maxiter, mode="deterministic",
              batch_fraction=0.01, seed=0):
     """Run the projected-(stochastic-)gradient baseline for maxiter iterations.
 
-    Each iteration clamps x - steps[k] * g onto the box; fewer than maxiter
-    ``steps`` raise InvalidBudget.  Final metrics use true gradients,
-    mirroring the interior-point runs.
+    Each iteration clamps x - steps[k] * g onto the box, with maxiter finite
+    ``steps`` of at least 0 (``_require_length``).  Final metrics use true
+    gradients, mirroring the interior-point runs.
     """
-    _require_length("steps", steps, maxiter)
-    x = np.asarray(x1, dtype=float).copy()
+    x = _first_iterate(x1, bounds, maxiter)
+    _require_length("steps", steps, maxiter, positive=False)
     gradient = gradient_oracle(objective, mode, batch_fraction, seed)
     for k in range(maxiter):
         x = np.clip(x - steps[k] * gradient(x), bounds.lower, bounds.upper)
@@ -105,11 +112,11 @@ def run_simplified(objective, bounds, mu_seq, ell_f, c, x1, maxiter,
     """Run the simplified projection variant with theta_k = c * mu_k.
 
     theta is clamped just below half the box width, so each step clips onto a
-    nonempty neighborhood without checking it.  A ``mu_seq`` with fewer than
-    maxiter entries raises InvalidBudget.
+    nonempty neighborhood without checking it.  ``mu_seq`` needs maxiter
+    finite positive entries (``_require_length``).
     """
-    _require_length("mu_seq", mu_seq, maxiter)
-    x = np.asarray(x1, dtype=float).copy()
+    x = _first_iterate(x1, bounds, maxiter)
+    _require_length("mu_seq", mu_seq, maxiter, positive=True)
     theta_cap = 0.499 * range_gap(bounds, DELTA_CAP)
     gradient = gradient_oracle(objective, mode, batch_fraction, seed)
     for k in range(maxiter):

@@ -313,8 +313,7 @@ def _build_problem(problem, spec):
         return quadratic_objective(center, curvature, noise_level=noise,
                                    sample_count=samples, seed=problem.data_seed), None
     if problem.model == "logistic":
-        def make(ds):
-            return logistic_objective(ds)
+        make = logistic_objective
     else:  # "nn", the last model validate_spec admits
         def make(ds):
             return nn_objective(ds, hidden=problem.hidden)

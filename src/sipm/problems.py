@@ -154,6 +154,8 @@ class QuadraticObjective(Objective):
             raise DimensionMismatch("center and curvature must be equal-length vectors")
         if np.any(self.curvature <= 0.0):
             raise DomainError("curvature entries must be positive")
+        if not (_number(noise_level) and 0.0 <= noise_level < math.inf):
+            raise DomainError(f"noise_level={noise_level!r} must be finite and nonnegative")
         self.n = self.center.size
         self.sample_count = int(sample_count)
         noise = np.zeros((self.sample_count, self.n))
@@ -260,8 +262,8 @@ class OneHiddenLayerObjective(_DataModel):
         super().__init__(features, labels)
         if hidden is None:
             hidden = default_hidden_width(self.n_features)
-        if hidden < 1:
-            raise DomainError("hidden width must be at least 1")
+        if not (_number(hidden, numbers.Integral) and hidden >= 1):
+            raise DomainError(f"hidden={hidden!r} must be an integer of at least 1")
         self.hidden = int(hidden)
         self.y01 = 0.5 * (self.labels + 1.0)  # {-1,+1} -> {0,1}
         self.n = nn_dimension(self.n_features, self.hidden)
@@ -373,8 +375,8 @@ def batch_sampler(m, batch_size, seed):
     Reproducible under the seed; every draw is an independent sorted subset of
     size ``batch_size`` from range(m).
     """
-    if not 1 <= batch_size <= m:
-        raise BatchTooLarge(f"batch_size={batch_size} outside [1, {m}]")
+    if not (_number(batch_size, numbers.Integral) and 1 <= batch_size <= m):
+        raise BatchTooLarge(f"batch_size={batch_size!r} must be an integer in [1, {m}]")
     rng = np.random.default_rng(seed)
 
     def draws():
@@ -442,6 +444,8 @@ def synthetic_classification(m, n_features, seed=0):
     score plus Gaussian noise, with one label flipped if a class is missing.
     Returns (features, labels in {-1, +1}).
     """
+    if not (_number(m, numbers.Integral) and m >= 1):
+        raise DimensionMismatch(f"m={m!r} must be an integer of at least 1")
     rng = np.random.default_rng(seed)
     features = rng.uniform(-1.0, 1.0, size=(m, n_features))
     w = rng.normal(size=n_features)

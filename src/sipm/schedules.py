@@ -61,17 +61,15 @@ def validate_exponents(triple, setting):
             violations.append("t_mu must be negative")
         if not t_alpha <= 0.0:
             violations.append("t_alpha must be nonpositive")
-        if not -1.0 <= t_mu + t_alpha < 0.0:
-            violations.append("t_mu + t_alpha must lie in [-1, 0)")
     else:
         if not -1.0 < t_mu < -0.5:
             violations.append("t_mu must lie in (-1, -1/2)")
         if not t_alpha < 0.0:
             violations.append("t_alpha must be negative")
-        if not -1.0 <= t_mu + t_alpha < 0.0:
-            violations.append("t_mu + t_alpha must lie in [-1, 0)")
-        if not t_mu + 2.0 * t_alpha < -1.0:
-            violations.append("t_mu + 2*t_alpha must be below -1")
+    if not -1.0 <= t_mu + t_alpha < 0.0:
+        violations.append("t_mu + t_alpha must lie in [-1, 0)")
+    if setting == "stochastic" and not t_mu + 2.0 * t_alpha < -1.0:
+        violations.append("t_mu + 2*t_alpha must be below -1")
     return violations
 
 
@@ -116,6 +114,7 @@ class StaircaseSchedule:
     levels: tuple
     repetition_length: int
     degenerate: bool = False
+    t_alpha = 0.0   # a constant, not a field: budgeted runs use flat step-size decay
 
     def s(self, k):
         if not 1 <= k <= self.maxiter:
@@ -130,11 +129,6 @@ class StaircaseSchedule:
         if k == 0:
             return self.theta0
         return self.theta0 * self.s(k)
-
-    @property
-    def t_alpha(self):
-        # Budgeted runs use flat step-size decay.
-        return 0.0
 
 
 def _require_budget(owner, maxiter):

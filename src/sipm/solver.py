@@ -110,6 +110,17 @@ def _hk(lo, up, mu, ell_f_bar):
     return float(ell_f_bar) + mu / (lo * lo) + mu / (up * up)
 
 
+def _first_iterate(x1, bounds, maxiter):
+    """A float copy of x1, after the entry checks that all three solvers share."""
+    x = np.asarray(x1, dtype=float).copy()
+    if x.shape != bounds.lower.shape:
+        raise DimensionMismatch(f"x1 has shape {x.shape}, but the bounds have shape "
+                                f"{bounds.lower.shape}")
+    if not (_number(maxiter, numbers.Integral) and maxiter >= 0):
+        raise InvalidBudget(f"maxiter={maxiter!r} must be an integer of at least 0")
+    return x
+
+
 def _rel_ok(lhs, rhs, tol):
     """lhs <= rhs up to a relative slack of tol."""
     return lhs <= rhs + tol * (1.0 + abs(rhs))
@@ -184,15 +195,10 @@ def run(objective, config, x1, observer=None):
     ``_audit_step`` checks each step before the observer sees it.
     """
     bounds = config.bounds
-    x = np.asarray(x1, dtype=float).copy()
-    if x.shape != bounds.lower.shape:
-        raise DimensionMismatch(f"x1 has shape {x.shape}, but the bounds have shape "
-                                f"{bounds.lower.shape}")
+    x = _first_iterate(x1, bounds, config.maxiter)
     for name, allowed in CONFIG_CHOICES.items():
         if getattr(config, name) not in allowed:
             raise InvalidChoice(name, getattr(config, name), allowed)
-    if not (_number(config.maxiter, numbers.Integral) and config.maxiter >= 0):
-        raise InvalidBudget(f"maxiter={config.maxiter!r} must be an integer of at least 0")
     if isinstance(config.schedule, PowerSchedule):
         violations = validate_exponents(config.schedule.exponents, config.mode)
         if violations:

@@ -146,6 +146,7 @@ def test_match_sipm_endpoints():
     assert np.all(np.diff(steps) < 0.0)
     flat = match_sipm_endpoints(np.array([1.0, 1.0]), 0.5, 0.5)
     assert_allclose(flat, [0.5, 0.5])
+    assert match_sipm_endpoints([], 0.5, 0.005).shape == (0,)
 
 
 def test_sipm_beats_simplified_on_strongly_convex_problem():
@@ -296,3 +297,57 @@ def test_short_sequence_is_a_budget_error(baseline):
             run_psgm(obj, bounds, np.full(5, 0.1), np.zeros(1), 10)
         else:
             run_simplified(obj, bounds, np.full(5, 0.1), 1.0, 0.5, np.zeros(1), 10)
+
+
+BASELINE_RUNS = {
+    "psgm": lambda bounds, x1, maxiter: run_psgm(
+        quadratic_objective([0.2], [1.0]), bounds, [0.5] * 3, x1, maxiter),
+    "proj-ipm": lambda bounds, x1, maxiter: run_simplified(
+        quadratic_objective([0.2], [1.0]), bounds, [0.1] * 3, 1.0, 0.5, x1, maxiter),
+}
+
+
+@pytest.mark.parametrize("maxiter", [-1, True, 2.5], ids=["negative", "bool", "float"])
+@pytest.mark.parametrize("baseline", sorted(BASELINE_RUNS))
+def test_baselines_check_maxiter_as_run_does(baseline, maxiter):
+    """A negative maxiter used to return x1 unmoved, True to run one step and
+    2.5 to fail as a bare TypeError; run() refuses all three."""
+    with pytest.raises(InvalidBudget, match=f"^maxiter={maxiter!r} must be an integer"):
+        BASELINE_RUNS[baseline](Bounds.cube(1), np.zeros(1), maxiter)
+
+
+@pytest.mark.parametrize("baseline", sorted(BASELINE_RUNS))
+def test_baselines_check_the_start_shape_as_run_does(baseline):
+    """A start of the wrong shape used to fail in the oracle, naming a vector
+    length that the caller never passed."""
+    with pytest.raises(DimensionMismatch,
+                       match=r"^x1 has shape \(1,\), but the bounds have shape \(2,\)$"):
+        BASELINE_RUNS[baseline](Bounds.cube(2), np.zeros(1), 3)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("steps", np.nan, "steps[1]=nan must be finite and nonnegative"),
+    ("steps", np.inf, "steps[1]=inf must be finite and nonnegative"),
+    ("steps", -1.0, "steps[1]=-1.0 must be finite and nonnegative"),
+    ("mu_seq", np.nan, "mu_seq[1]=nan must be finite and positive"),
+    ("mu_seq", np.inf, "mu_seq[1]=inf must be finite and positive"),
+    ("mu_seq", -0.1, "mu_seq[1]=-0.1 must be finite and positive"),
+    ("mu_seq", 0.0, "mu_seq[1]=0.0 must be finite and positive"),
+], ids=["step-nan", "step-inf", "step-negative", "mu-nan", "mu-inf", "mu-negative",
+        "mu-zero"])
+def test_bad_sequence_entry_is_named_before_any_step(name, value, message):
+    """A NaN step or mu used to surface one iteration later as a
+    NonFiniteGradient, and a negative one ran without an error."""
+    obj = quadratic_objective([0.2], [1.0])
+    sequence, bounds, x1 = [0.1, value, 0.1], Bounds.cube(1), np.zeros(1)
+    with pytest.raises(DomainError) as err:
+        if name == "steps":
+            run_psgm(obj, bounds, sequence, x1, 3)
+        else:
+            run_simplified(obj, bounds, sequence, 1.0, 0.5, x1, 3)
+    assert str(err.value) == message
+    # only the first maxiter entries are read, so only they are checked
+    if name == "steps":
+        run_psgm(obj, bounds, sequence, x1, 1)
+    else:
+        run_simplified(obj, bounds, sequence, 1.0, 0.5, x1, 1)

@@ -345,6 +345,7 @@ def test_unknown_choice_is_a_typed_error(name, value, monkeypatch):
      InvalidSpec, "'lr': test_path needs a train_path"),
     (dict(exponents=(np.nan, -1.0, 0.0)), InvalidSpec, "three finite real numbers"),
     (dict(exponents=(-1.0, -1.0)), InvalidSpec, "three finite real numbers"),
+    (dict(exponents=-1.0), InvalidSpec, "three finite real numbers"),
     (dict(param_mode="theory", buffer_bases=(np.nan, 1.0)), InvalidSpec,
      "buffer_bases=\\(nan, 1.0\\) must be two finite numbers of at least 0"),
     (dict(buffer_bases=(-1.0, 1.0)), InvalidSpec, "two finite numbers of at least 0"),
@@ -369,6 +370,7 @@ def test_unknown_choice_is_a_typed_error(name, value, monkeypatch):
         "dim-not-integer", "data-seed-negative", "seed-negative", "stochastic-seed-negative",
         "seed-not-integer", "init-seed-negative", "quadratic-train-path",
         "quadratic-test-path", "test-without-train", "exponents-nan", "exponents-two",
+        "exponents-not-a-sequence",
         "buffer-bases-nan", "buffer-bases-negative", "buffer-bases-one",
         "noise-level-negative", "epochs-string", "batch-fraction-string",
         "problem-name-unhashable", "seed-unhashable", "deterministic-batch-fraction"])

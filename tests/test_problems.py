@@ -223,9 +223,29 @@ def test_constructors_name_the_first_non_finite_feature_row(model, sparse):
     lambda: OneHiddenLayerObjective(*synthetic_classification(10, 3, seed=1), 0),
     lambda: quadratic_objective([0.1, 0.2], [1.0, 0.0]),
     lambda: quadratic_objective([0.1, 0.2], [-1.0, 2.0]),
-], ids=["hidden-0", "zero-curvature", "negative-curvature"])
+    lambda: nn_objective(synthetic_classification(5, 2), hidden=2.5),
+    lambda: nn_objective(synthetic_classification(5, 2), hidden=True),
+    lambda: quadratic_objective([0, 0], [1, 1], noise_level=-1.0, sample_count=5),
+    lambda: quadratic_objective([0, 0], [1, 1], noise_level=np.nan, sample_count=5),
+], ids=["hidden-0", "zero-curvature", "negative-curvature", "hidden-float", "hidden-bool",
+        "noise-negative", "noise-nan"])
 def test_model_sizes_outside_the_domain_are_typed_errors(make):
+    """A width of 2.5 used to build a network of width 2 and True one of
+    width 1; a negative or NaN noise level gave noiseless gradients."""
     with pytest.raises(DomainError):
+        make()
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: quadratic_objective([0.1, 0.2], [1.0, 2.0, 3.0]), DimensionMismatch),
+    (lambda: synthetic_classification(0, 3), DimensionMismatch),
+    (lambda: next(batch_sampler(10, 2.5, 0)), BatchTooLarge),
+    (lambda: next(batch_sampler(10, True, 0)), BatchTooLarge),
+], ids=["quadratic-unequal-shapes", "no-samples", "batch-float", "batch-bool"])
+def test_shapes_and_batch_sizes_are_typed_errors(make, error):
+    """synthetic_classification(0, 3) used to fail as a bare IndexError and a
+    batch size of 2.5 or True as a bare TypeError at the first draw."""
+    with pytest.raises(error):
         make()
 
 

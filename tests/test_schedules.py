@@ -38,6 +38,20 @@ def test_exponent_boundaries():
         validate_exponents(ExponentTriple(-1, -1, 0), "nonsense")
 
 
+@pytest.mark.parametrize("triple, setting, violations", [
+    ((0.5, 0.25, 0.5), "deterministic",
+     ["t_mu must equal t_theta", "t_mu must be negative", "t_alpha must be nonpositive",
+      "t_mu + t_alpha must lie in [-1, 0)"]),
+    ((-0.5, -0.5, -0.75), "deterministic", ["t_mu + t_alpha must lie in [-1, 0)"]),
+    ((0.0, -0.5, 0.0), "stochastic",
+     ["t_mu must equal t_theta", "t_mu must lie in (-1, -1/2)", "t_alpha must be negative",
+      "t_mu + t_alpha must lie in [-1, 0)", "t_mu + 2*t_alpha must be below -1"]),
+    ((-0.75, -0.75, -0.5), "stochastic", ["t_mu + t_alpha must lie in [-1, 0)"]),
+], ids=["deterministic-all", "deterministic-sum", "stochastic-all", "stochastic-sum"])
+def test_exponent_violations_come_in_order(triple, setting, violations):
+    assert validate_exponents(ExponentTriple(*triple), setting) == violations
+
+
 def test_power_schedule_values():
     sched = PowerSchedule(mu1=1.0, theta0=0.2, exponents=ExponentTriple(-1.0, -0.5, 0.0))
     assert sched.mu(4) == 0.25
@@ -45,6 +59,8 @@ def test_power_schedule_values():
     assert sched.theta(0) == 0.2
     with pytest.raises(HorizonExceeded):
         sched.mu(0)
+    with pytest.raises(HorizonExceeded):
+        sched.theta(-1)
 
 
 def test_power_schedule_monotone_vanishing():

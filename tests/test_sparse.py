@@ -158,6 +158,32 @@ def test_dense_path_does_not_import_scipy_sparse(tmp_path):
         assert _run_python(data_model, tmp_path) == [[], []], build
 
 
+def test_the_package_runs_without_scipy(tmp_path):
+    """scipy is the optional ``sparse`` extra: with it blocked, ``import sipm``,
+    a dense logistic bench and parse-check work, a LIBSVM bench records the
+    ModuleNotFoundError in its error row, and estimate on LIBSVM exits 1."""
+    (tmp_path / "train.libsvm").write_text(TRAIN)
+    (tmp_path / "test.libsvm").write_text(TEST)
+    libsvm = "'--train', 'train.libsvm', '--test', 'test.libsvm'"
+    blocked = ("import json, sys\n"
+               "sys.modules['scipy'] = None   # any scipy import now fails\n"
+               "import sipm.cli\n"
+               "print(json.dumps([sipm.cli.main(argv) for argv in (\n"
+               "    ['bench', '--model', 'logistic', '--dim', '3', '--samples', '30',\n"
+               "     '--maxiter', '20', '--out', 'dense.json'],\n"
+               f"    ['parse-check', {libsvm}, '--out', 'check.json'],\n"
+               f"    ['bench', '--model', 'logistic', {libsvm}, '--maxiter', '20',\n"
+               "     '--out', 'sparse.json'],\n"
+               "    ['estimate', '--model', 'logistic', '--train', 'train.libsvm'])]))\n")
+    assert _run_python(blocked, tmp_path) == [0, 0, 0, 1]
+    dense = json.loads((tmp_path / "dense.json").read_text())["runs"]
+    assert dense and all("error" not in entry for entry in dense)
+    assert json.loads((tmp_path / "check.json").read_text())["train"]["m"] == 6
+    sparse = json.loads((tmp_path / "sparse.json").read_text())["runs"]
+    assert sparse and all(entry["error"].startswith("ModuleNotFoundError")
+                          for entry in sparse)
+
+
 def _imports_scipy_at_import_time(tree):
     """The scipy imports a module runs when it is imported: every import
     statement outside a function body (module level, under an if or try,
