@@ -26,14 +26,11 @@ C_CAP = 1e6
 def c_constant(bounds, kappa_inf, mu1):
     """Neighborhood link constant min_i 1 / (kappa_inf + 2*mu1/(u_i - l_i)).
 
-    The minimum runs over coordinates with at least one finite bound; a
-    coordinate with one infinite side contributes 1/kappa_inf.  Degenerate
-    inputs that would make the constant infinite are capped at 1e6.
+    A coordinate with an infinite side contributes 1/kappa_inf, which never
+    undercuts the others.  Degenerate inputs that would make the constant
+    infinite are capped at 1e6.
     """
-    finite_any = bounds.finite_lower | bounds.finite_upper
-    gaps = bounds.gaps()[finite_any]
-    terms = kappa_inf + np.where(np.isfinite(gaps), 2.0 * mu1 / gaps, 0.0)
-    largest = float(np.max(terms))  # min of reciprocals
+    largest = float(np.max(kappa_inf + 2.0 * mu1 / bounds.gaps()))  # min of reciprocals
     if largest <= 0.0:
         return C_CAP
     return min(1.0 / largest, C_CAP)
@@ -72,7 +69,7 @@ def match_sipm_endpoints(shape, alpha_first, alpha_last):
     if shape.size == 0:
         return shape
     s_end = shape[-1]
-    if s_end >= 1.0 or alpha_first <= 0.0 or alpha_last <= 0.0 or alpha_last == alpha_first:
+    if s_end >= 1.0 or alpha_first <= 0.0 or alpha_last <= 0.0:
         return np.full(shape.size, alpha_first)
     exponent = np.log(shape) / np.log(s_end)
     return alpha_first * (alpha_last / alpha_first) ** exponent

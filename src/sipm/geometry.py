@@ -106,14 +106,12 @@ def in_neighborhood(x, bounds, theta):
 def project_to_neighborhood(x, bounds, theta):
     """Componentwise clamp onto {x : lower + theta <= x <= upper - theta}.
 
-    Raises EmptyNeighborhood when theta is at least half the range of some
-    doubly finite coordinate, which would make the target set empty.
+    Raises EmptyNeighborhood when theta is at least half the smallest range,
+    which would make the target set empty; an infinite range binds only an
+    infinite theta.
     """
-    both = bounds.finite_lower & bounds.finite_upper
-    if both.any() and theta >= 0.5 * np.min(bounds.gaps()[both]):
-        raise EmptyNeighborhood(
-            f"theta={theta} is not below half the smallest doubly finite range"
-        )
+    if theta >= 0.5 * np.min(bounds.gaps()):
+        raise EmptyNeighborhood(f"theta={theta} is not below half the smallest range")
     x = np.asarray(x, dtype=float)
     return np.clip(x, bounds.lower + theta, bounds.upper - theta)
 
@@ -129,11 +127,9 @@ def barrier_value(f_value, x, bounds, mu):
 
 def _barrier_value(f_value, lo, up, bounds, mu, chi=None):
     """barrier_value from the slacks (lo, up); shifted_barrier_value given chi."""
-    total = float(f_value)
-    if bounds.finite_lower.any():
-        total -= mu * float(np.sum(np.log(lo[bounds.finite_lower])))
-    if bounds.finite_upper.any():
-        total -= mu * float(np.sum(np.log(up[bounds.finite_upper])))
+    # an empty sum is 0, so a side with no finite bound subtracts 0
+    total = float(f_value) - mu * float(np.sum(np.log(lo[bounds.finite_lower])))
+    total -= mu * float(np.sum(np.log(up[bounds.finite_upper])))
     if chi is not None:   # the shift of shifted_barrier_value, on |L| + |U| sides
         total += mu * np.log(chi) * int(bounds.finite_lower.sum() + bounds.finite_upper.sum())
     return total

@@ -53,10 +53,11 @@ from .stepsize import Constants
 BOOTSTRAP_ITERS = 500
 BOOTSTRAP_CONSTANTS = Constants(ell_f=1.0, kappa_inf=1.0, sigma_inf=0.0)
 SIGMA_DRAWS = 100
+START_RADIUS = 0.01   # initial_point draws x1 from this cube; the spec's box must hold it
 # spec.audit -> SolverConfig.audit_level of an untraced spec.  Only trace
 # rows need "full_trace", and a spec writes them only with trace set, which
 # runs every sipm cell at "full_trace".
-SPEC_AUDIT = {"off": "off", "invariants": "invariants", "full": "invariants"}
+SPEC_AUDIT = {"off": "off", "full": "invariants"}
 MODELS = ("quadratic", "logistic", "nn")
 SOLVERS = ("sipm", "psgm", "proj-ipm")
 # config.baselines entries; psgm rescales its steps to sipm's first and last.
@@ -80,9 +81,9 @@ class EstimatedConstants:
 
 
 def initial_point(n, seed):
-    """Seeded uniform start in [-0.01, 0.01]^n, fixed once per problem."""
+    """Seeded uniform start in [-START_RADIUS, START_RADIUS]^n, fixed once per problem."""
     rng = np.random.default_rng(seed)
-    return rng.uniform(-0.01, 0.01, size=n)
+    return rng.uniform(-START_RADIUS, START_RADIUS, size=n)
 
 
 def relative_performance(value_a, value_b):
@@ -109,21 +110,19 @@ def estimate_constants(objective, x1, bounds, mode="deterministic",
     """
     # the noise draws' oracle checks mode and fraction; its sampler draws lazily
     sample = gradient_oracle(objective, mode, batch_fraction, [seed, 2])
-    config = _solver_config(ExperimentSpec(problems=()), objective.gradient(x1), x1, bounds,
+    g_true = objective.gradient(x1)
+    config = _solver_config(ExperimentSpec(problems=()), g_true, x1, bounds,
                             BOOTSTRAP_CONSTANTS, BOOTSTRAP_ITERS)
     kappa = ell = 0.0   # gradient inf-norms and secant ratios are nonnegative
-    g_true = prev = None   # the gradient at x1; the previous (x, exact gradient at x)
+    prev = x1, g_true   # the previous (x, exact gradient at x); the bootstrap starts at x1
 
     def scan(step):
-        nonlocal kappa, ell, g_true, prev
+        nonlocal kappa, ell, prev
         x, g = step["x"], step["g"]
         kappa = max(kappa, float(np.max(np.abs(g))))
-        if prev is None:
-            g_true = g   # the bootstrap starts at x1
-        else:
-            move = float(np.linalg.norm(x - prev[0]))
-            if move > 1e-14:
-                ell = max(ell, float(np.linalg.norm(g - prev[1])) / move)
+        move = float(np.linalg.norm(x - prev[0]))
+        if move > 1e-14:
+            ell = max(ell, float(np.linalg.norm(g - prev[1])) / move)
         prev = x, g
 
     run(objective, config, x1, observer=scan)
@@ -250,6 +249,9 @@ def validate_spec(spec):
             or not lo < hi or math.isinf(lo) and math.isinf(hi):
         raise InvalidSpec(f"bounds={spec.bounds!r} must be two numbers lo < hi, "
                           "neither NaN, with at least one finite")
+    if not (lo < -START_RADIUS and hi > START_RADIUS):
+        raise InvalidSpec(f"bounds={spec.bounds!r} must hold the start cube [-{START_RADIUS}, "
+                          f"{START_RADIUS}]^n inside: lo < -{START_RADIUS}, hi > {START_RADIUS}")
     for problem in spec.problems:
         if problem.model == "quadratic" and not (math.isfinite(lo) and math.isfinite(hi)):
             raise InvalidSpec(f"problem {problem.name!r}: a quadratic's center is drawn "

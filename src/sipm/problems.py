@@ -156,6 +156,8 @@ class QuadraticObjective(Objective):
             raise DomainError("curvature entries must be positive")
         if not (_number(noise_level) and 0.0 <= noise_level < math.inf):
             raise DomainError(f"noise_level={noise_level!r} must be finite and nonnegative")
+        if not (_number(sample_count, numbers.Integral) and sample_count >= 1):
+            raise DomainError(f"sample_count={sample_count!r} must be an integer of at least 1")
         self.n = self.center.size
         self.sample_count = int(sample_count)
         noise = np.zeros((self.sample_count, self.n))

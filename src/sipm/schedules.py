@@ -113,8 +113,11 @@ class StaircaseSchedule:
     maxiter: int
     levels: tuple
     repetition_length: int
-    degenerate: bool = False
     t_alpha = 0.0   # a constant, not a field: budgeted runs use flat step-size decay
+
+    @property
+    def degenerate(self):   # mu1 at the floor: its one level holds mu constant
+        return len(self.levels) == 1
 
     def s(self, k):
         if not 1 <= k <= self.maxiter:
@@ -143,8 +146,8 @@ def build_staircase(mu1, maxiter, theta0=1.0):
     The levels are {1, 1e-1, ..., 10**-nu, 1e-8/mu1}, where nu is the largest
     integer with 10**-nu > 1e-8/mu1, each repeated floor(maxiter/levels) times
     with the remainder absorbed by the last level.  When mu1 equals the 1e-8
-    floor no such nu exists; the schedule collapses to a constant and is
-    flagged as degenerate.
+    floor nu is -1, and the one level 1e-8/mu1 = 1 holds mu constant: the
+    schedule is degenerate.
     """
     if mu1 < MU_FLOOR:
         raise InvalidMu1(f"mu1={mu1} is below the terminal barrier value {MU_FLOOR}")
@@ -155,16 +158,10 @@ def build_staircase(mu1, maxiter, theta0=1.0):
     t = 8.0 + math.log10(mu1)
     t_round = round(t)
     nu = int(t_round) - 1 if abs(t - t_round) < 1e-9 else math.floor(t)
-    if nu < 0:
-        levels = (1.0, 1.0)
-        degenerate = True
-    else:
-        levels = tuple(10.0 ** -j for j in range(nu + 1)) + (final,)
-        degenerate = False
+    levels = tuple(10.0 ** -j for j in range(nu + 1)) + (final,)
     repetition = max(1, maxiter // len(levels))
     return StaircaseSchedule(mu1=float(mu1), theta0=float(theta0), maxiter=int(maxiter),
-                             levels=levels, repetition_length=repetition,
-                             degenerate=degenerate)
+                             levels=levels, repetition_length=repetition)
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,11 @@ def _first_iterate(x1, bounds, maxiter):
                                 f"{bounds.lower.shape}")
     if not (_number(maxiter, numbers.Integral) and maxiter >= 0):
         raise InvalidBudget(f"maxiter={maxiter!r} must be an integer of at least 0")
+    outside = np.flatnonzero(~((bounds.lower <= x) & (x <= bounds.upper)))
+    if outside.size:
+        i = outside[0]
+        raise InfeasibleStart(f"x1[{i}]={x[i]} lies outside [{bounds.lower[i]}, "
+                              f"{bounds.upper[i]}]")
     return x
 
 
@@ -146,7 +151,7 @@ def sipm_step(x, k, g, config):
     bundle, d, gamma_k, x_next = _step(
         x, lo, up, q, h_diag, k, config.bounds, mu_k, theta_k, theta_prev,
         config.schedule.t_alpha, seq["alpha_buff"][k], seq["gamma_buff"][k],
-        config.constants, config.delta, config.mode == "stochastic")
+        config.constants, config.delta)
     return dict(k=k, x=x, x_next=x_next, g=g, q=q, d=d, lo=lo, up=up, h_diag=h_diag,
                 bundle=bundle, gamma_k=gamma_k, mu_k=mu_k, theta_k=theta_k,
                 theta_prev=theta_prev, stalled=gamma_k == 0.0 and bool((d != 0.0).any()))

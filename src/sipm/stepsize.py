@@ -92,14 +92,14 @@ def _ratio(margin, d, scale, gamma_max, moving):
     return max(0.0, gamma)
 
 
-def step_size_bundle(x, q, h_diag, k, bounds, sched, constants, delta, stochastic=False):
+def step_size_bundle(x, q, h_diag, k, bounds, sched, constants, delta):
     """Run the full step-size pipeline at iteration k.
 
     ``sched`` carries the current mu/theta values and buffer allowances, and
-    ``constants`` the problem-level bounds.  In stochastic mode the gradient
-    magnitude bound is kappa_inf + sigma_inf; the step-fraction floor always
-    uses alpha_max in its denominator, which is a valid lower bound because
-    alpha_k never exceeds alpha_max.
+    ``constants`` the problem-level bounds.  The gradient magnitude bound is
+    kappa_inf + sigma_inf, where exact gradients carry sigma_inf = 0; the
+    step-fraction floor always uses alpha_max in its denominator, which is a
+    valid lower bound because alpha_k never exceeds alpha_max.
     """
     lo, up = require_interior(x, bounds)
     if not in_neighborhood(x, bounds, sched.theta_prev):
@@ -108,11 +108,11 @@ def step_size_bundle(x, q, h_diag, k, bounds, sched, constants, delta, stochasti
     return _step(np.asarray(x, dtype=float), lo, up, np.asarray(q, dtype=float),
                  np.asarray(h_diag, dtype=float), k, bounds, sched.mu_k, sched.theta_k,
                  sched.theta_prev, sched.t_alpha, sched.alpha_buff, sched.gamma_buff,
-                 constants, delta, stochastic)[0]
+                 constants, delta)[0]
 
 
 def _step(x, lo, up, q, h_diag, k, bounds, mu, theta_k, theta_prev, t_alpha, alpha_buff,
-          gamma_buff, constants, delta, stochastic):
+          gamma_buff, constants, delta):
     """One step from x and its slacks (lo, up): returns (bundle, d = -q / h_diag,
     gamma_k, x_next), x_next clipped to theta_k."""
     lam_min = float(h_diag.min())
@@ -122,7 +122,7 @@ def _step(x, lo, up, q, h_diag, k, bounds, mu, theta_k, theta_prev, t_alpha, alp
     alpha_min = lam_min * k_pow / (constants.ell_f + 2.0 * mu / theta_k ** 2)
     alpha_max = alpha_min + alpha_buff
 
-    grad_bound = constants.kappa_inf + (constants.sigma_inf if stochastic else 0.0)
+    grad_bound = constants.kappa_inf + constants.sigma_inf
     bracket = 0.5 * mu * delta / (mu + 0.5 * grad_bound * delta) - theta_k
     gamma_min = min(1.0, lam_min * bracket / (alpha_max * (grad_bound + mu / theta_prev)))
     gamma_max = min(1.0, gamma_min + gamma_buff)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,8 +10,8 @@ from sipm import (DELTA_CAP, Bounds, BufferSequences, Constants, SolverConfig,
                   in_neighborhood, match_sipm_endpoints, quadratic_objective,
                   range_gap, recurrence_ratio, run, run_psgm, run_simplified, theta0_init)
 from sipm.baselines import _simplified_step
-from sipm.errors import (DimensionMismatch, DomainError, InvalidBudget, InvalidChoice,
-                         NonFiniteGradient)
+from sipm.errors import (DimensionMismatch, DomainError, InfeasibleStart, InvalidBudget,
+                         InvalidChoice, NonFiniteGradient)
 from sipm.geometry import slacks
 
 
@@ -146,6 +147,8 @@ def test_match_sipm_endpoints():
     assert np.all(np.diff(steps) < 0.0)
     flat = match_sipm_endpoints(np.array([1.0, 1.0]), 0.5, 0.5)
     assert_allclose(flat, [0.5, 0.5])
+    # equal endpoints: the geometric formula's 1.0**e is 1, so alpha_first exactly
+    assert match_sipm_endpoints(shape, 0.3, 0.3).tolist() == [0.3, 0.3, 0.3]
     assert match_sipm_endpoints([], 0.5, 0.005).shape == (0,)
 
 
@@ -323,6 +326,21 @@ def test_baselines_check_the_start_shape_as_run_does(baseline):
     with pytest.raises(DimensionMismatch,
                        match=r"^x1 has shape \(1,\), but the bounds have shape \(2,\)$"):
         BASELINE_RUNS[baseline](Bounds.cube(2), np.zeros(1), 3)
+
+
+@pytest.mark.parametrize("x1, message", [
+    ([5.0, 0.0], "x1[0]=5.0 lies outside [-1.0, 1.0]"),
+    ([0.0, -1.5], "x1[1]=-1.5 lies outside [-1.0, 1.0]"),
+    ([np.nan, 0.0], "x1[0]=nan lies outside [-1.0, 1.0]"),
+], ids=["above", "below", "nan"])
+@pytest.mark.parametrize("maxiter", [0, 3])
+@pytest.mark.parametrize("baseline", sorted(BASELINE_RUNS))
+def test_baselines_refuse_a_start_outside_the_box(baseline, maxiter, x1, message):
+    """A start outside the box used to come back as final_x unmoved, or to
+    take its first gradient outside the box; a start on its boundary is valid."""
+    with pytest.raises(InfeasibleStart, match=f"^{re.escape(message)}$"):
+        BASELINE_RUNS[baseline](Bounds.cube(2), np.array(x1), maxiter)
+    assert BASELINE_RUNS[baseline](Bounds.cube(1), np.ones(1), 0).final_x.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("name, value, message", [

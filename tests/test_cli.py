@@ -48,14 +48,35 @@ def test_estimate_reads_and_writes_the_cache(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == first
 
 
-def test_estimate_failure_is_an_error_line(capsys):
-    # on the box [0.005, 1] the seeded 3-d start has a nonpositive slack
-    code = main(["estimate", "--model", "quadratic", "--dim", "3", "--bounds", "0.005", "1",
-                 "--init-seed", "4"])
+def test_estimate_failure_is_an_error_line(tmp_path, capsys):
+    # the problem's cached constants are cut short, so it has none to print
+    argv = ["estimate", "--model", "quadratic", "--dim", "3", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    (cached,) = tmp_path.iterdir()
+    cached.write_text('{"ell_f_bar": 1.0,\n')
+    capsys.readouterr()
+    code = main(argv)
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: NotInterior")
+    assert captured.err.startswith("error: InvalidConstants: cached constants ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "quadratic", "--dim", "3", "--maxiter", "20", "--bounds", "0", "1"],
+    ["--model", "logistic", "--dim", "3", "--samples", "20", "--maxiter", "20",
+     "--bounds", "0.5", "2"],
+    ["--model", "logistic", "--dim", "3", "--samples", "20", "--maxiter", "20",
+     "--bounds", "-inf", "0.01"],
+], ids=["quadratic-0-1", "logistic-0.5-2", "logistic-touching"])
+def test_a_box_without_the_start_cube_names_bounds(argv, capsys):
+    """x1 is drawn from [-0.01, 0.01]^n; a box that does not hold that cube
+    used to exit 0 with a NotInterior row that named no flag."""
+    assert main(["bench", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: InvalidSpec: bounds=")
+    assert "start cube [-0.01, 0.01]^n" in captured.err
 
 
 def test_stochastic_epochs_budget(tmp_path):

@@ -99,6 +99,11 @@ def test_project_to_neighborhood():
     assert_allclose(project_to_neighborhood([3.0, -3.0], b2, 0.25), [1.75, 0.25])
     with pytest.raises(EmptyNeighborhood):
         project_to_neighborhood([1.0, 1.0], b2, 1.0)
+    # an infinite range binds only an infinite theta
+    open_sides = box([0.0, -INF], [INF, 1.0])
+    assert_allclose(project_to_neighborhood([-1.0, 5.0], open_sides, 50.0), [50.0, -49.0])
+    with pytest.raises(EmptyNeighborhood):
+        project_to_neighborhood([1.0, 0.0], open_sides, INF)
 
 
 def test_projection_idempotent_and_member():

@@ -360,6 +360,11 @@ def test_unknown_choice_is_a_typed_error(name, value, monkeypatch):
      r"problem name \['toy'\] must be a string"),
     (dict(seeds=([0],)), InvalidSpec, r"seed=\[0\] must be an integer"),
     (dict(batch_fraction=7), InvalidBudget, r"batch_fraction=7 must lie in \(0, 1\]"),
+    (dict(bounds=(0.0, 1.0)), InvalidSpec,
+     r"bounds=\(0.0, 1.0\) must hold the start cube \[-0.01, 0.01\]\^n"),
+    (dict(problems=(ProblemSpec(name="lr", model="logistic"),), bounds=(0.5, 2.0)),
+     InvalidSpec, r"inside: lo < -0.01, hi > 0.01"),
+    (dict(bounds=(-1.0, 0.01)), InvalidSpec, r"must hold the start cube"),
 ], ids=["unknown-solver", "repeated-solver", "no-seeds", "repeated-seed",
         "repeated-problem-name", "unknown-model", "hidden-0", "logistic-hidden",
         "quadratic-hidden", "bounds-reversed",
@@ -373,7 +378,8 @@ def test_unknown_choice_is_a_typed_error(name, value, monkeypatch):
         "exponents-not-a-sequence",
         "buffer-bases-nan", "buffer-bases-negative", "buffer-bases-one",
         "noise-level-negative", "epochs-string", "batch-fraction-string",
-        "problem-name-unhashable", "seed-unhashable", "deterministic-batch-fraction"])
+        "problem-name-unhashable", "seed-unhashable", "deterministic-batch-fraction",
+        "bounds-0-1", "bounds-above-the-start", "bounds-touching-the-start"])
 def test_bad_solver_or_seed_list_fails_before_any_problem(fault, error, match,
                                                           monkeypatch):
     def no_build(problem, spec):
@@ -642,16 +648,18 @@ def test_constants_cache_keyed_on_estimate_inputs(tmp_path):
     assert constants(from_file, (-1.0, 1.0), cache)[1] is False
 
 
-def test_failed_estimate_is_recorded_per_problem():
-    # on the box [0.005, 1] the start of the 3-d problem has a nonpositive
-    # slack, so its constants cannot be estimated; the 1-d problem still runs
+def test_failed_estimate_is_recorded_per_problem(tmp_path):
+    # the 3-d problem's cached constants are a truncated file, so it has no
+    # constants; the 1-d problem still runs
     problems = (ProblemSpec(name="bad", model="quadratic", dim=3),
                 ProblemSpec(name="good", model="quadratic", dim=1))
-    report = run_experiment(ExperimentSpec(problems=problems, solvers=("sipm", "psgm"),
-                                           bounds=(0.005, 1.0), maxiter=50, init_seed=4))
+    spec = ExperimentSpec(problems=problems, solvers=("sipm", "psgm"), maxiter=50,
+                          init_seed=4, cache_dir=str(tmp_path))
+    (tmp_path / harness._cache_key(problems[0], spec)).write_text(BAD_CACHE_FILES["truncated"])
+    report = run_experiment(spec)
     bad, *good = report["runs"]
     assert bad["problem"] == "bad" and bad["solver"] is None
-    assert bad["error"].startswith("NotInterior")
+    assert bad["error"].startswith("InvalidConstants: cached constants ")
     assert [(r["problem"], r["solver"]) for r in good] == [("good", "sipm"),
                                                            ("good", "psgm")]
     assert not any("error" in r for r in good)
@@ -670,8 +678,9 @@ def test_failed_schedule_is_recorded_per_cell():
 
 
 def test_untraced_full_audit_runs_as_invariants(monkeypatch):
-    """Without trace, audit="full" keeps no rows, so it makes no per-iteration
-    value calls and writes the same runs as "invariants"."""
+    """Without trace, audit="full" runs at audit_level "invariants": it keeps
+    no rows, so it makes no per-iteration value calls and writes the same
+    runs as audit="off".  "invariants" is no second spec name for it."""
     value = QuadraticObjective.value
     counts = {}
 
@@ -681,7 +690,7 @@ def test_untraced_full_audit_runs_as_invariants(monkeypatch):
 
     monkeypatch.setattr(QuadraticObjective, "value", counting)
     runs = {}
-    for cell in (("invariants", False), ("full", False), ("full", True)):
+    for cell in (("off", False), ("full", False), ("full", True)):
         counts[cell] = 0
         audit, trace = cell
         report = run_experiment(small_spec(solvers=("sipm",), seeds=(0,), maxiter=300,
@@ -690,10 +699,13 @@ def test_untraced_full_audit_runs_as_invariants(monkeypatch):
                                 for entry in report["runs"]]
         if not trace:
             assert "trace" not in report["runs"][0]
-    assert counts["full", False] == counts["invariants", False] < 10
+    assert counts["full", False] == counts["off", False] < 10
     assert counts["full", True] > 300   # a traced run fills phi_tilde per row
-    assert runs["full", False] == runs["invariants", False] == runs["full", True]
+    assert runs["full", False] == runs["off", False] == runs["full", True]
     assert not any("error" in entry for entry in runs["full", False])
+    assert harness.SPEC_AUDIT == {"off": "off", "full": "invariants"}
+    with pytest.raises(InvalidChoice, match="'invariants'"):
+        validate_spec(small_spec(audit="invariants"))
 
 
 def test_theory_buffers_reach_the_sipm_run(monkeypatch):

@@ -227,12 +227,19 @@ def test_constructors_name_the_first_non_finite_feature_row(model, sparse):
     lambda: nn_objective(synthetic_classification(5, 2), hidden=True),
     lambda: quadratic_objective([0, 0], [1, 1], noise_level=-1.0, sample_count=5),
     lambda: quadratic_objective([0, 0], [1, 1], noise_level=np.nan, sample_count=5),
+    lambda: quadratic_objective([0], [1], noise_level=0.1, sample_count=2.5),
+    lambda: quadratic_objective([0], [1], noise_level=0.1, sample_count=True),
+    lambda: quadratic_objective([0], [1], noise_level=0.1, sample_count=0),
+    lambda: quadratic_objective([0], [1], noise_level=0.1, sample_count=-3),
 ], ids=["hidden-0", "zero-curvature", "negative-curvature", "hidden-float", "hidden-bool",
-        "noise-negative", "noise-nan"])
+        "noise-negative", "noise-nan", "samples-float", "samples-bool", "samples-0",
+        "samples-negative"])
 def test_model_sizes_outside_the_domain_are_typed_errors(make):
     """A width of 2.5 used to build a network of width 2 and True one of
-    width 1; a negative or NaN noise level gave noiseless gradients."""
-    with pytest.raises(DomainError):
+    width 1; a negative or NaN noise level gave noiseless gradients.  A
+    quadratic's sample_count of 2.5 built 2 samples and True 1; 0 failed at
+    the first draw as BatchTooLarge and -3 as numpy's bare ValueError."""
+    with pytest.raises(DomainError, match="hidden|curvature|noise_level|sample_count"):
         make()
 
 

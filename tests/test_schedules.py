@@ -95,8 +95,11 @@ def test_staircase_examples():
 
     degenerate = build_staircase(1e-8, 10)
     assert degenerate.degenerate
-    assert degenerate.levels == (1.0, 1.0)
-    assert degenerate.mu(5) == 1e-8
+    assert degenerate.levels == (1.0,)
+    assert degenerate.repetition_length == 10
+    assert degenerate.mu(5) == degenerate.mu(10) == 1e-8
+    assert degenerate.theta(7) == degenerate.theta0
+    assert not sched.degenerate
 
     with pytest.raises(InvalidMu1):
         build_staircase(1e-9, 10)

@@ -369,7 +369,6 @@ def test_kernel_matches_public_functions(case):
     run(objective, config, x1, observer=seen.append)
     bounds, constants = config.bounds, config.constants
     delta = range_gap(bounds, DELTA_CAP)
-    stochastic = config.mode == "stochastic"
     assert any(b.gamma_bar < b.gamma_max for b in (i["bundle"] for i in seen))
     # the observer sees the iterates themselves, not defensive copies
     assert all(nxt["x"] is prev["x_next"] for prev, nxt in zip(seen, seen[1:]))
@@ -385,8 +384,7 @@ def test_kernel_matches_public_functions(case):
                               t_alpha=config.schedule.t_alpha,
                               alpha_buff=config.buffers.alpha(k),
                               gamma_buff=config.buffers.gamma(k))
-        bundle = step_size_bundle(x, q, h_diag, k, bounds, ctx, constants, delta,
-                                  stochastic=stochastic)
+        bundle = step_size_bundle(x, q, h_diag, k, bounds, ctx, constants, delta)
         assert bundle == info["bundle"]
         gamma_k = ratio_test(x, info["d"], bundle.alpha_k, bounds, info["theta_k"],
                              bundle.gamma_max)

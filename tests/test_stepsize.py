@@ -137,6 +137,21 @@ def test_bundle_gamma_min_example():
     assert_allclose(bundle.gamma_min, 0.4 / 6.0)
 
 
+def test_bundle_gradient_bound_is_kappa_plus_sigma():
+    """The kernel knows no mode: its gradient bound is kappa_inf + sigma_inf,
+    so exact gradients pass sigma_inf = 0 and any sigma_inf loosens it."""
+    b = box([-50.0], [50.0])
+    sched = ctx(1.0, 0.1, 0.2, alpha_buff=0.5)
+    split = step_size_bundle(np.zeros(1), np.ones(1), np.ones(1), 1, b, sched,
+                             Constants(ell_f=1.0, kappa_inf=1.0, sigma_inf=0.5), delta=2.0)
+    summed = step_size_bundle(np.zeros(1), np.ones(1), np.ones(1), 1, b, sched,
+                              Constants(ell_f=1.0, kappa_inf=1.5), delta=2.0)
+    exact = step_size_bundle(np.zeros(1), np.ones(1), np.ones(1), 1, b, sched,
+                             Constants(ell_f=1.0, kappa_inf=1.0), delta=2.0)
+    assert split == summed
+    assert split.gamma_min < exact.gamma_min
+
+
 def test_bundle_zero_gradient():
     b = box([0.0], [2.0])
     bundle = step_size_bundle(np.array([1.0]), np.zeros(1), np.ones(1), 1, b,
@@ -174,8 +189,7 @@ def test_bundle_orderings():
         k = int(rng.integers(1, 50))
         sched = ctx(mu, theta_k, theta_prev, t_alpha=-0.25,
                     alpha_buff=rng.uniform(0.0, 2.0), gamma_buff=rng.uniform(0.0, 1.0))
-        bundle = step_size_bundle(x, q, h, k, b, sched, const, delta=2.0,
-                                  stochastic=True)
+        bundle = step_size_bundle(x, q, h, k, b, sched, const, delta=2.0)
         assert bundle.alpha_min <= bundle.alpha_k <= bundle.alpha_max + 1e-15
         assert bundle.gamma_min <= bundle.gamma_max <= 1.0
         assert bundle.alpha_k <= bundle.alpha_pre + 1e-15

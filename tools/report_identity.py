@@ -62,6 +62,9 @@ SHAPES = {
                             "--t-alpha", "-0.2", "--param-mode", "theory"],
     "nn-audit": ["--model", "nn", "--dim", "5", "--samples", "100", "--maxiter", "150",
                  "--audit", "full", "--trace", *THREE],
+    # the network's dense mini-batch gradient; no other shape runs it
+    "nn-stoch": ["--model", "nn", "--mode", "stoch", "--epochs", "1", "--dim", "5",
+                 "--samples", "200", "--batch-frac", "0.05", "--seeds", "0,1", *THREE],
     "libsvm-pair": ["--model", "logistic", "--train", "train.libsvm", "--test", "test.libsvm",
                     "--maxiter", "100", "--seeds", "0,3", *THREE],
     "libsvm-01-pair": ["--model", "nn", "--train", "train01.libsvm", "--test", "test01.libsvm",
