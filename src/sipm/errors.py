@@ -17,8 +17,8 @@ class HorizonExceeded(SipmError):
     """A schedule was evaluated outside its iteration horizon."""
 
 
-class InvalidMu1(SipmError):
-    """The initial barrier parameter is below the terminal floor."""
+class InvalidMu1(SipmError, ValueError):
+    """The initial barrier parameter is below the terminal floor or not finite."""
 
 
 class InvalidTheta0(SipmError):

@@ -11,7 +11,9 @@ at the start point, the neighborhood margin theta0 capped by the constants,
 then the schedule and buffers; every cell of the seed reads that config and
 its one parameter table, ``config.sequences``.  A baseline cell ends by
 writing each metric's ``(a - b) / max(a, b, 1)`` against the seed's sipm
-run.
+run.  psgm rescales the schedule's shape ``s_k`` to that run's first and
+last step, so it records the run's error when the run fails; only a spec
+that lists no sipm runs psgm on the raw shape.
 
 A seed reaches a run only through the stochastic oracle: with exact gradients
 the barrier start, every solver's steps and so every row are the same for
@@ -34,6 +36,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, fields
 
@@ -43,8 +46,9 @@ from .baselines import c_constant, match_sipm_endpoints, run_psgm, run_simplifie
 from .errors import InvalidBudget, InvalidChoice, InvalidConstants, InvalidSpec
 from .geometry import DELTA_CAP, Bounds, range_gap
 from .libsvm import align_feature_space, parse_libsvm_file
-from .problems import (_number, _require_batch_fraction, gradient_oracle, logistic_objective,
-                       nn_objective, quadratic_objective, synthetic_classification)
+from .problems import (_number, _require_batch_fraction, _rng, gradient_oracle,
+                       logistic_objective, nn_objective, quadratic_objective,
+                       synthetic_classification)
 from .schedules import (BufferSequences, ExponentTriple, PowerSchedule,
                         build_staircase, mu1_init, theta0_init)
 from .solver import CONFIG_CHOICES, SolverConfig, run
@@ -60,12 +64,6 @@ START_RADIUS = 0.01   # initial_point draws x1 from this cube; the spec's box mu
 SPEC_AUDIT = {"off": "off", "full": "invariants"}
 MODELS = ("quadratic", "logistic", "nn")
 SOLVERS = ("sipm", "psgm", "proj-ipm")
-# config.baselines entries; psgm rescales its steps to sipm's first and last.
-# step_schedule and theta_link_c are unfilled placeholders kept for the bytes.
-BASELINES = {"psgm": {"kind": "psgm", "step_schedule": (),
-                      "schedule_link": "match_sipm_endpoints", "theta_link_c": None},
-             "proj-ipm": {"kind": "simplified_ipm", "step_schedule": (),
-                          "schedule_link": "explicit", "theta_link_c": None}}
 COMPARED_METRICS = ("final_objective_train", "projected_grad_norm", "final_objective_test")
 SPEC_CHOICES = {"mode": CONFIG_CHOICES["mode"],
                 "schedule": ("staircase", "power"),
@@ -82,8 +80,7 @@ class EstimatedConstants:
 
 def initial_point(n, seed):
     """Seeded uniform start in [-START_RADIUS, START_RADIUS]^n, fixed once per problem."""
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-START_RADIUS, START_RADIUS, size=n)
+    return _rng(seed).uniform(-START_RADIUS, START_RADIUS, size=n)
 
 
 def relative_performance(value_a, value_b):
@@ -155,7 +152,7 @@ def load_constants(path):
     except ValueError as err:   # not ASCII, or not JSON (a truncated write)
         raise InvalidConstants(f"cached constants {path}: {err}") from None
     if not (isinstance(data, dict) and sorted(data) == sorted(keys)
-            and all(_number(v) and 0.0 <= v < math.inf for v in data.values())):
+            and all(_number(v) and 0.0 <= v <= sys.float_info.max for v in data.values())):
         raise InvalidConstants(f"cached constants {path}: need exactly the keys {keys}, "
                                f"each a finite nonnegative number, got {data!r}")
     return EstimatedConstants(**{key: float(data[key]) for key in keys})
@@ -307,7 +304,7 @@ def _build_problem(problem, spec):
     """
     lo, hi = spec.bounds
     if problem.model == "quadratic":
-        rng = np.random.default_rng(problem.data_seed)
+        rng = _rng(problem.data_seed)
         center = rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo), size=problem.dim)
         curvature = rng.uniform(0.5, 2.0, size=problem.dim)
         noise = problem.noise_level if spec.mode == "stochastic" else 0.0
@@ -422,15 +419,11 @@ def run_experiment(spec):
         except Exception as err:  # record and keep going
             report["runs"].append(_error_entry(problem.name, None, None, err))
             continue
-        report["constants"][problem.name] = {
-            "ell_f_bar": estimated.ell_f_bar,
-            "kappa_inf_bar": estimated.kappa_inf_bar,
-            "sigma_inf_bar": estimated.sigma_inf_bar,
-            "delta": range_gap(bounds, DELTA_CAP),
-            "bootstrap": {"iterations": BOOTSTRAP_ITERS,
-                          "placeholder_constants": BOOTSTRAP_CONSTANTS.ell_f,
-                          "sigma_draws": SIGMA_DRAWS},
-        }
+        report["constants"][problem.name] = dict(
+            asdict(estimated), delta=range_gap(bounds, DELTA_CAP),
+            bootstrap={"iterations": BOOTSTRAP_ITERS,
+                       "placeholder_constants": BOOTSTRAP_CONSTANTS.ell_f,
+                       "sigma_draws": SIGMA_DRAWS})
         # cache hits change wall time, never content; keep them out of the
         # canonical report bytes
         report["timing"][f"constants_cached::{problem.name}"] = cached
@@ -462,7 +455,7 @@ def run_experiment(spec):
                     report["timing"]["cells"][f"{problem.name}::{solver_name}::{seed}"] = elapsed
                 continue
 
-            anchor = None   # (result, run entry) of the seed's sipm run
+            anchor = None   # the seed's sipm run: (result, run entry), or its error
             for solver_name in ordered_solvers:
                 cell = f"{problem.name}::{solver_name}::{seed}"
                 t_cell = time.perf_counter()
@@ -470,6 +463,8 @@ def run_experiment(spec):
                     if solver_name == "sipm":
                         result = run(objective, config, x1)
                     elif solver_name == "psgm":
+                        if isinstance(anchor, Exception):
+                            raise anchor   # psgm's steps are a function of that run
                         steps = seq["s"][1:]
                         if anchor is not None:
                             steps = match_sipm_endpoints(steps, anchor[0].alpha_first,
@@ -487,8 +482,6 @@ def run_experiment(spec):
                     entry = {"problem": problem.name, "solver": solver_name,
                              "seed": seed, "mu1": config.schedule.mu1,
                              "theta0": config.schedule.theta0, "maxiter": maxiter}
-                    if spec.schedule == "staircase":
-                        entry["schedule_degenerate"] = config.schedule.degenerate
                     if solver_name == "proj-ipm":
                         entry["theta_link_c"] = c
                     entry.update(_run_metrics(result, objective_test))
@@ -497,7 +490,7 @@ def run_experiment(spec):
                     report["runs"].append(entry)
                     if solver_name == "sipm":
                         anchor = result, entry
-                    elif anchor is not None:
+                    elif isinstance(anchor, tuple):
                         report["comparisons"].extend(
                             {"problem": problem.name, "baseline": solver_name,
                              "seed": seed, "metric": metric,
@@ -505,6 +498,8 @@ def run_experiment(spec):
                             for metric in COMPARED_METRICS if metric in entry)
                 except Exception as err:
                     report["runs"].append(_error_entry(problem.name, solver_name, seed, err))
+                    if solver_name == "sipm":
+                        anchor = err
                 report["timing"]["cells"][cell] = time.perf_counter() - t_cell
 
         copied = seeds[len(computed):]
@@ -521,18 +516,15 @@ def run_experiment(spec):
 
 
 def _config_block(spec, maxiter):
-    block = asdict(spec)
-    block["problems"] = [asdict(p) for p in spec.problems]
-    block["resolved_maxiter"] = maxiter
-    block["baselines"] = {name: dict(BASELINES[name])
-                          for name in spec.solvers if name in BASELINES}
-    return block
+    """The spec and its budget; an open side is "-inf" or "inf", as --bounds reads it."""
+    return dict(asdict(spec), resolved_maxiter=maxiter,
+                bounds=[b if math.isfinite(b) else str(b) for b in spec.bounds])
 
 
 def canonical_report_bytes(report):
     """Deterministic bytes of a report with the timing block removed."""
-    payload = {key: value for key, value in report.items() if key != "timing"}
-    return json.dumps(payload, sort_keys=True, indent=2).encode("ascii")
+    return report_to_json({key: value for key, value in report.items()
+                           if key != "timing"}).encode("ascii")
 
 
 def report_to_json(report):

@@ -152,8 +152,10 @@ class QuadraticObjective(Objective):
         self.curvature = np.asarray(curvature, dtype=float)
         if self.center.shape != self.curvature.shape or self.center.ndim != 1:
             raise DimensionMismatch("center and curvature must be equal-length vectors")
-        if np.any(self.curvature <= 0.0):
-            raise DomainError("curvature entries must be positive")
+        if not (np.isfinite(self.center).all() and np.isfinite(self.curvature).all()
+                and np.all(self.curvature > 0.0)):
+            raise DomainError("center entries must be finite, curvature entries finite "
+                              "and positive")
         if not (_number(noise_level) and 0.0 <= noise_level < math.inf):
             raise DomainError(f"noise_level={noise_level!r} must be finite and nonnegative")
         if not (_number(sample_count, numbers.Integral) and sample_count >= 1):
@@ -161,8 +163,8 @@ class QuadraticObjective(Objective):
         self.n = self.center.size
         self.sample_count = int(sample_count)
         noise = np.zeros((self.sample_count, self.n))
+        rng = _rng(seed)
         if noise_level > 0.0 and self.sample_count > 1:
-            rng = np.random.default_rng(seed)
             noise = rng.uniform(-1.0, 1.0, size=(self.sample_count, self.n))
             noise -= noise.mean(axis=0)
             peak = np.max(np.abs(noise))
@@ -379,7 +381,7 @@ def batch_sampler(m, batch_size, seed):
     """
     if not (_number(batch_size, numbers.Integral) and 1 <= batch_size <= m):
         raise BatchTooLarge(f"batch_size={batch_size!r} must be an integer in [1, {m}]")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
 
     def draws():
         while True:
@@ -391,6 +393,17 @@ def batch_sampler(m, batch_size, seed):
 def _number(value, kind=numbers.Real):
     """True iff ``value`` is a ``kind`` number other than a bool (True is 1 to numbers)."""
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _rng(seed):
+    """``np.random.default_rng(seed)`` for a seed that is an integer >= 0 or a
+    nonempty list or tuple of them; DomainError naming the seed otherwise,
+    None (a fresh, irreproducible stream) and bools included."""
+    entries = seed if isinstance(seed, (list, tuple)) else [seed]
+    if not (entries and all(_number(e, numbers.Integral) and e >= 0 for e in entries)):
+        raise DomainError(f"seed={seed!r} must be an integer of at least 0, "
+                          "or a list of them")
+    return np.random.default_rng(seed)
 
 
 def _require_batch_fraction(batch_fraction):
@@ -410,7 +423,8 @@ def gradient_oracle(objective, mode, batch_fraction, seed):
     differs from x's raises DimensionMismatch, each naming the 1-based call
     count, which is the iteration number in every solver loop.  A mode
     outside MODES raises InvalidChoice, and in stochastic mode a batch
-    fraction outside (0, 1] raises InvalidBudget.
+    fraction outside (0, 1] raises InvalidBudget and a seed that ``_rng``
+    refuses DomainError.
     """
     if mode not in MODES:
         raise InvalidChoice("mode", mode, MODES)
@@ -448,7 +462,9 @@ def synthetic_classification(m, n_features, seed=0):
     """
     if not (_number(m, numbers.Integral) and m >= 1):
         raise DimensionMismatch(f"m={m!r} must be an integer of at least 1")
-    rng = np.random.default_rng(seed)
+    if not (_number(n_features, numbers.Integral) and n_features >= 0):
+        raise DimensionMismatch(f"n_features={n_features!r} must be an integer of at least 0")
+    rng = _rng(seed)
     features = rng.uniform(-1.0, 1.0, size=(m, n_features))
     w = rng.normal(size=n_features)
     scores = features @ w + 0.3 * rng.normal(size=m)

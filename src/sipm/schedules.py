@@ -115,10 +115,6 @@ class StaircaseSchedule:
     repetition_length: int
     t_alpha = 0.0   # a constant, not a field: budgeted runs use flat step-size decay
 
-    @property
-    def degenerate(self):   # mu1 at the floor: its one level holds mu constant
-        return len(self.levels) == 1
-
     def s(self, k):
         if not 1 <= k <= self.maxiter:
             raise HorizonExceeded(f"k={k} outside staircase horizon [1, {self.maxiter}]")
@@ -146,11 +142,11 @@ def build_staircase(mu1, maxiter, theta0=1.0):
     The levels are {1, 1e-1, ..., 10**-nu, 1e-8/mu1}, where nu is the largest
     integer with 10**-nu > 1e-8/mu1, each repeated floor(maxiter/levels) times
     with the remainder absorbed by the last level.  When mu1 equals the 1e-8
-    floor nu is -1, and the one level 1e-8/mu1 = 1 holds mu constant: the
-    schedule is degenerate.
+    floor nu is -1, and the one level 1e-8/mu1 = 1 holds mu constant.
     """
-    if mu1 < MU_FLOOR:
-        raise InvalidMu1(f"mu1={mu1} is below the terminal barrier value {MU_FLOOR}")
+    if not (_number(mu1) and MU_FLOOR <= mu1 < math.inf):
+        raise InvalidMu1(f"mu1={mu1!r} must be a finite number of at least the terminal "
+                         f"barrier value {MU_FLOOR}")
     _require_budget("staircase", maxiter)
     final = MU_FLOOR / mu1
     # nu is the largest integer with -nu > log10(final); snap near-integer

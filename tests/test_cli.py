@@ -231,8 +231,27 @@ def test_lower_open_box_runs(tmp_path):
                  "--samples", "20", "--maxiter", "10", "--solver", "sipm,psgm,proj-ipm",
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["config"]["bounds"] == [-float("inf"), 1.0]
+    assert report["config"]["bounds"] == ["-inf", 1.0]
     assert len(report["runs"]) == 3 and not any("error" in r for r in report["runs"])
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize("bounds, written", [
+    (["-inf", "1"], ["-inf", 1.0]), (["-1", "inf"], [-1.0, "inf"])],
+    ids=["open-below", "open-above"])
+def test_open_box_report_is_strict_json(bounds, written, tmp_path):
+    """An open side used to be written as -Infinity or Infinity, which a
+    strict JSON parser rejects; it is the string that --bounds reads."""
+    out = tmp_path / "r.json"
+    assert main(["bench", "--model", "logistic", "--bounds", *bounds, "--dim", "3",
+                 "--samples", "20", "--maxiter", "10", "--solver", "sipm,psgm,proj-ipm",
+                 "--audit", "full", "--trace", "--out", str(out)]) == 0
+    report = json.loads(out.read_text(), parse_constant=_refuse)
+    assert report["config"]["bounds"] == written
+    assert not any("error" in r for r in report["runs"])
 
 
 def test_seeds_must_be_integers(capsys):

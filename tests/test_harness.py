@@ -18,7 +18,8 @@ from sipm import (Bounds, ExperimentSpec, LogisticObjective, Objective, ProblemS
 from sipm import harness
 from sipm.errors import InvalidBudget, InvalidChoice, InvalidConstants, InvalidSpec
 from sipm.harness import validate_spec
-from sipm.schedules import BufferSequences, ExponentTriple, StaircaseSchedule
+from sipm.schedules import (BufferSequences, ExponentTriple, StaircaseSchedule,
+                            build_staircase)
 from sipm.stepsize import Constants
 
 
@@ -221,14 +222,17 @@ BAD_CACHE_FILES = {
     "not-a-number": '{"ell_f_bar": "1", "kappa_inf_bar": true, "sigma_inf_bar": 0.0}',
     "not-an-object": '[1.0, 1.0, 0.0]',
     "not-ascii": '{"ell_f_bar": 1.0 \u00e9}',
+    # an integer that passes a finiteness check but overflows float()
+    "too-large-for-a-float": '{"ell_f_bar": 1' + "0" * 400
+                             + ', "kappa_inf_bar": 1, "sigma_inf_bar": 0}',
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CACHE_FILES))
 def test_bad_cache_file_is_invalid_constants(case, tmp_path):
     """A cache file that is not one JSON object of three finite nonnegative
-    numbers used to fail as JSONDecodeError or TypeError, or to reach the
-    solvers; it is InvalidConstants naming the file."""
+    numbers used to fail as JSONDecodeError, TypeError or OverflowError, or
+    to reach the solvers; it is InvalidConstants naming the file."""
     path = tmp_path / "constants.json"
     path.write_text(BAD_CACHE_FILES[case], encoding="utf-8")
     with pytest.raises(InvalidConstants, match=re.escape(f"cached constants {path}: ")):
@@ -515,6 +519,44 @@ def test_psgm_anchors_regardless_of_solver_order():
     assert pick(flipped)["final_objective_train"] == pick(normal)["final_objective_train"]
 
 
+def keep_psgm_steps(monkeypatch):
+    """The step lists that run_experiment hands run_psgm, one per call."""
+    steps = []
+    original = harness.run_psgm
+
+    def keep(objective, bounds, s, *args, **kwargs):
+        steps.append(list(s))
+        return original(objective, bounds, s, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_psgm", keep)
+    return steps
+
+
+def test_failed_sipm_run_fails_its_psgm_cell(monkeypatch):
+    """psgm's steps are rescaled to the seed's sipm run.  When that run
+    failed, psgm used to run on the raw shape s_k, in a row that looked like
+    any other; its cell now carries the run's error.  proj-ipm still runs,
+    with nothing to compare against."""
+    steps = keep_psgm_steps(monkeypatch)
+    report = run_experiment(small_spec(schedule="power", exponents=(-1.0, 0.5, 0.0),
+                                       seeds=(0,)))
+    sipm, psgm, proj = report["runs"]
+    assert sipm["error"].startswith("InvalidExponents: exponents invalid")
+    assert psgm == dict(sipm, solver="psgm")
+    assert "error" not in proj and report["comparisons"] == []
+    assert steps == []
+
+
+def test_psgm_without_sipm_runs_on_the_raw_shape(monkeypatch):
+    """A spec that lists no sipm has no run to rescale to: psgm takes s_k."""
+    steps = keep_psgm_steps(monkeypatch)
+    report = run_experiment(small_spec(solvers=("psgm", "proj-ipm"), seeds=(0,)))
+    psgm, proj = report["runs"]
+    assert "error" not in psgm and "error" not in proj and report["comparisons"] == []
+    shape = build_staircase(psgm["mu1"], 60)
+    assert steps == [[shape.s(k) for k in range(1, 61)]]
+
+
 def test_failure_markers_keep_report():
     bad = ProblemSpec(name="missing", model="logistic", train_path="/no/such/file")
     report = run_experiment(small_spec(problems=(ProblemSpec(name="toy",
@@ -774,11 +816,9 @@ def test_every_run_config_comes_from_one_recipe(overrides, monkeypatch):
             estimated["sigma_inf_bar"] if spec.mode == "stochastic" else 0.0)
         if spec.schedule == "staircase":
             assert isinstance(config.schedule, StaircaseSchedule)
-            assert entries[0]["schedule_degenerate"] == config.schedule.degenerate
             assert config.buffers == BufferSequences(mode="practical", maxiter=maxiter)
         else:
             assert config.schedule.exponents == ExponentTriple(*spec.exponents)
-            assert "schedule_degenerate" not in entries[0]
             assert config.buffers == BufferSequences(
                 mode="theory", alpha_buff_base=0.5, gamma_buff_base=2.0, t_mu=-0.75)
 
@@ -823,7 +863,8 @@ COPY_CASES = {
     "quadratic-trace-audit": lambda tmp_path: small_spec(trace=True, audit="full"),
     "logistic-libsvm-pair": lambda tmp_path: small_spec(
         problems=(libsvm_pair_problem(tmp_path),), maxiter=40),
-    # t_theta != t_mu: the sipm cell is an error row, psgm runs unanchored
+    # t_theta != t_mu: the sipm cell is an error row, and so is psgm, whose steps
+    # are a function of it; proj-ipm runs
     "inadmissible-power": lambda tmp_path: small_spec(schedule="power",
                                                       exponents=(-1.0, 0.5, 0.0)),
     # an overflowing power fails the seed's set-up, before any cell
@@ -854,6 +895,6 @@ def test_deterministic_seeds_copy_the_single_seed_reports(case, tmp_path):
     if case == "failed-set-up":   # no cell got as far as its solver
         assert all("error" in r for r in report["runs"])
     if case == "inadmissible-power":
-        assert [("error" in r) for r in report["runs"]] == [True, False, False] * 3
+        assert [("error" in r) for r in report["runs"]] == [True, True, False] * 3
     if case == "quadratic-trace-audit":
         assert all(len(r["trace"]) == 60 for r in report["runs"] if r["solver"] == "sipm")

@@ -1,3 +1,4 @@
+import re
 import warnings
 from itertools import combinations
 
@@ -5,14 +6,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sipm import (Bounds, Constants, ExperimentSpec, LogisticObjective,
-                  OneHiddenLayerObjective, batch_sampler, default_hidden_width,
-                  estimate_constants, finite_difference_gradient, harness, initial_point,
-                  logistic_dimension, logistic_objective, nn_dimension, nn_objective,
-                  quadratic_objective, run, synthetic_classification)
+from sipm import (Bounds, BufferSequences, Constants, ExperimentSpec, LogisticObjective,
+                  OneHiddenLayerObjective, SolverConfig, batch_sampler, build_staircase,
+                  default_hidden_width, estimate_constants, finite_difference_gradient,
+                  gradient_oracle, harness, initial_point, logistic_dimension,
+                  logistic_objective, nn_dimension, nn_objective, quadratic_objective, run,
+                  run_psgm, synthetic_classification)
 from sipm.errors import (BatchTooLarge, DimensionMismatch, DomainError, LabelMismatch,
                          NotBinary)
-from sipm.problems import _sigmoid_of_minus, map_labels
+from sipm.problems import _rng, _sigmoid_of_minus, map_labels
 
 
 def test_quadratic_examples():
@@ -231,14 +233,19 @@ def test_constructors_name_the_first_non_finite_feature_row(model, sparse):
     lambda: quadratic_objective([0], [1], noise_level=0.1, sample_count=True),
     lambda: quadratic_objective([0], [1], noise_level=0.1, sample_count=0),
     lambda: quadratic_objective([0], [1], noise_level=0.1, sample_count=-3),
+    lambda: quadratic_objective([np.nan], [1.0]),
+    lambda: quadratic_objective([0.0], [np.nan]),
+    lambda: quadratic_objective([0.0], [np.inf]),
 ], ids=["hidden-0", "zero-curvature", "negative-curvature", "hidden-float", "hidden-bool",
         "noise-negative", "noise-nan", "samples-float", "samples-bool", "samples-0",
-        "samples-negative"])
+        "samples-negative", "center-nan", "curvature-nan", "curvature-inf"])
 def test_model_sizes_outside_the_domain_are_typed_errors(make):
     """A width of 2.5 used to build a network of width 2 and True one of
     width 1; a negative or NaN noise level gave noiseless gradients.  A
     quadratic's sample_count of 2.5 built 2 samples and True 1; 0 failed at
-    the first draw as BatchTooLarge and -3 as numpy's bare ValueError."""
+    the first draw as BatchTooLarge and -3 as numpy's bare ValueError.  A NaN
+    center or a NaN or infinite curvature built a quadratic whose gradient
+    failed run() only at iteration 1, as NonFiniteGradient."""
     with pytest.raises(DomainError, match="hidden|curvature|noise_level|sample_count"):
         make()
 
@@ -248,10 +255,16 @@ def test_model_sizes_outside_the_domain_are_typed_errors(make):
     (lambda: synthetic_classification(0, 3), DimensionMismatch),
     (lambda: next(batch_sampler(10, 2.5, 0)), BatchTooLarge),
     (lambda: next(batch_sampler(10, True, 0)), BatchTooLarge),
-], ids=["quadratic-unequal-shapes", "no-samples", "batch-float", "batch-bool"])
+    (lambda: synthetic_classification(5, -1), DimensionMismatch),
+    (lambda: synthetic_classification(5, 2.5), DimensionMismatch),
+    (lambda: synthetic_classification(5, True), DimensionMismatch),
+], ids=["quadratic-unequal-shapes", "no-samples", "batch-float", "batch-bool",
+        "features-negative", "features-float", "features-bool"])
 def test_shapes_and_batch_sizes_are_typed_errors(make, error):
     """synthetic_classification(0, 3) used to fail as a bare IndexError and a
-    batch size of 2.5 or True as a bare TypeError at the first draw."""
+    batch size of 2.5 or True as a bare TypeError at the first draw; a
+    feature count of -1 failed as numpy's bare ValueError and 2.5 or True as
+    a bare TypeError."""
     with pytest.raises(error):
         make()
 
@@ -483,3 +496,41 @@ def test_an_audited_network_run_makes_one_full_pass_per_point(monkeypatch):
     result = run(obj, config, x1)
     assert len(full) == K + 1 and all(full)
     assert result.final_objective == probe.value(result.final_x)
+
+
+def _stochastic_config(seed):
+    bounds = Bounds.cube(2, -1.0, 1.0)
+    return SolverConfig(mode="stochastic", bounds=bounds,
+                        schedule=build_staircase(0.01, 10, theta0=0.05),
+                        buffers=BufferSequences(mode="practical", maxiter=10),
+                        constants=Constants(ell_f=1.0, kappa_inf=1.0, sigma_inf=0.1),
+                        maxiter=10, rng_seed=seed, batch_fraction=0.5)
+
+
+NOISY = quadratic_objective([0.1, -0.2], [1.0, 2.0], noise_level=0.1, sample_count=4)
+SEED_USES = {
+    "oracle": lambda seed: gradient_oracle(NOISY, "stochastic", 0.5, seed),
+    "psgm": lambda seed: run_psgm(NOISY, Bounds.cube(2, -1.0, 1.0), [0.1] * 5, np.zeros(2), 5,
+                                  mode="stochastic", batch_fraction=0.5, seed=seed),
+    "quadratic": lambda seed: quadratic_objective([0.0], [1.0], noise_level=0.1,
+                                                  sample_count=3, seed=seed),
+    "synthetic": lambda seed: synthetic_classification(5, 2, seed=seed),
+    "initial-point": lambda seed: initial_point(3, seed),
+    "solver-config": lambda seed: run(NOISY, _stochastic_config(seed), np.zeros(2)),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None, True, [3, -1], []],
+                         ids=["negative", "float", "none", "bool", "negative-entry", "empty"])
+@pytest.mark.parametrize("use", sorted(SEED_USES))
+def test_seeds_outside_the_domain_are_typed_errors(use, seed):
+    """A negative seed used to fail as numpy's bare ValueError and 1.5 as a
+    bare TypeError; a stochastic run with rng_seed=None drew a fresh,
+    irreproducible stream and rng_seed=True ran as seed 1."""
+    with pytest.raises(DomainError, match=re.escape(f"seed={seed!r} must be an integer")):
+        SEED_USES[use](seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(7), [7, 1], (7, 2)])
+def test_a_valid_seed_builds_numpys_generator(seed):
+    assert _rng(seed).random(4).tolist() == np.random.default_rng(seed).random(4).tolist()

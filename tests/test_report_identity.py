@@ -56,7 +56,7 @@ def _report(objective=0.5, r_p=-0.2, kappa=1.5, extra=None):
     report = {"config": {"bounds": [-1.0, 1.0]},
               "constants": {"lr": {"kappa_inf_bar": kappa, "bootstrap": {"iterations": 500}}},
               "runs": [{"solver": "sipm", "seed": 0, "final_objective_train": objective,
-                        "stalls": 0, "schedule_degenerate": False},
+                        "stalls": 0},
                        {"solver": "psgm", "seed": 0, "final_objective_train": 0.6}],
               "comparisons": [{"problem": "lr", "baseline": "psgm", "metric": "m",
                                "seed": 0, "r_p": r_p},
@@ -90,7 +90,30 @@ def test_explain_notes_a_structure_change_and_ignores_config():
     assert report_identity.sign_flips(parent, change) == 0
     assert report_identity.explain(parent, change) == (
         "largest relative change 0 (no number under runs or constants moved); "
-        "0 r_p sign flips; structure differs: 0 paths only in parent, 2 only in change")
+        "0 r_p sign flips; structure differs: 0 paths only in parent, "
+        "2 only in change (runs[0].trace)")
+
+
+def test_explain_names_the_keys_on_one_side_only():
+    """Up to three of the outermost keys that one side lacks are named, each
+    standing for its leaves, so a moved key can be told from a moved value."""
+    parent = _report()
+    parent["config"]["baselines"] = {"psgm": {"kind": "psgm", "step_schedule": []}}
+    for row in parent["runs"]:
+        row["schedule_degenerate"] = False
+    change = _report(extra={"error": "InvalidExponents: x"})
+    assert report_identity.one_sided(parent, change) == [
+        "config.baselines", "runs[0].schedule_degenerate", "runs[1].schedule_degenerate"]
+    assert report_identity.one_sided(change, parent) == ["runs[0].error"]
+    assert report_identity.explain(parent, change).endswith(
+        "structure differs: 4 paths only in parent (config.baselines, "
+        "runs[0].schedule_degenerate, runs[1].schedule_degenerate), "
+        "1 only in change (runs[0].error)")
+    parent["runs"].append({"solver": "proj-ipm"})
+    assert report_identity.explain(parent, change).endswith(
+        "structure differs: 5 paths only in parent (config.baselines, "
+        "runs[0].schedule_degenerate, runs[1].schedule_degenerate, ...), "
+        "1 only in change (runs[0].error)")
 
 
 def test_leaves_and_relative_change():

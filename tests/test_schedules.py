@@ -94,12 +94,10 @@ def test_staircase_examples():
     assert_allclose(sched.mu(40), 1e-8, rtol=1e-12)
 
     degenerate = build_staircase(1e-8, 10)
-    assert degenerate.degenerate
     assert degenerate.levels == (1.0,)
     assert degenerate.repetition_length == 10
     assert degenerate.mu(5) == degenerate.mu(10) == 1e-8
     assert degenerate.theta(7) == degenerate.theta0
-    assert not sched.degenerate
 
     with pytest.raises(InvalidMu1):
         build_staircase(1e-9, 10)
@@ -235,8 +233,13 @@ def test_schedule_and_buffer_budgets_are_positive_integers(make, message):
     (lambda: validate_exponents(ExponentTriple(-1, -1, 0), "nonsense"), InvalidChoice),
     (lambda: BufferSequences(mode="bogus"), InvalidChoice),
     (lambda: BufferSequences(mode="theory"), InvalidSpec),
-], ids=["setting", "buffer-mode", "theory-without-t-mu"])
+    (lambda: build_staircase(math.nan, 10), InvalidMu1),
+    (lambda: build_staircase(math.inf, 10), InvalidMu1),
+], ids=["setting", "buffer-mode", "theory-without-t-mu", "staircase-mu1-nan",
+        "staircase-mu1-inf"])
 def test_bad_schedule_arguments_are_typed_errors(make, error):
+    """build_staircase(nan, 10) used to fail as a bare ValueError (a NaN to
+    int) and build_staircase(inf, 10) as a bare OverflowError."""
     with pytest.raises(error) as err:
         make()
     assert isinstance(err.value, SipmError) and isinstance(err.value, ValueError)

@@ -13,7 +13,8 @@ the same run as its identity check.  Under each pair of reports that differ,
 one indented line says how (``explain``): the largest relative change of any
 number under ``runs`` and ``constants``, matched by path, the count of
 ``r_p`` sign flips in ``comparisons``, and whether the two reports' structure
-differs.  A bench that exits non-zero on either side
+differs, naming up to three keys that one side lacks, such as
+``config.baselines``.  A bench that exits non-zero on either side
 prints each side's exit status in place of its hash, counts as a difference,
 and the comparison goes on with the next shape.  Every process runs in one
 temporary directory, where the parent tree first writes the train/test pairs that the
@@ -140,22 +141,41 @@ def canonical_sha256(payload):
                           .encode("ascii")).hexdigest()
 
 
+def _children(tree, path):
+    """{path: value} of the items of a nonempty dict or list under ``path``,
+    None for a leaf: dict keys join with '.', list indices show as [i]."""
+    if isinstance(tree, dict) and tree:
+        return {f"{path}.{key}" if path else str(key): value for key, value in tree.items()}
+    if isinstance(tree, list) and tree:
+        return {f"{path}[{i}]": value for i, value in enumerate(tree)}
+    return None
+
+
 def leaves(tree, path=""):
     """{path: value} of every leaf under ``tree``, an empty dict or list being
-    one: dict keys join with '.', list indices show as [i], so one path names
-    one value in either report."""
-    if not tree and isinstance(tree, (dict, list)):
-        return {path: tree}
-    if isinstance(tree, dict):
-        items = ((f"{path}.{key}" if path else str(key), value) for key, value in tree.items())
-    elif isinstance(tree, list):
-        items = ((f"{path}[{i}]", value) for i, value in enumerate(tree))
-    else:
+    one, so one path names one value in either report."""
+    children = _children(tree, path)
+    if children is None:
         return {path: tree}
     found = {}
-    for sub, value in items:
+    for sub, value in children.items():
         found.update(leaves(value, sub))
     return found
+
+
+def one_sided(tree, other, path=""):
+    """The outermost paths under ``tree`` that ``other`` lacks, in the order
+    of ``tree``: a key such as ``config.baselines`` stands for all its leaves."""
+    mine, theirs = _children(tree, path) or {}, _children(other, path) or {}
+    found = []
+    for sub, value in mine.items():
+        found += one_sided(value, theirs[sub], sub) if sub in theirs else [sub]
+    return found
+
+
+def _first_three(paths):
+    shown = ", ".join(paths[:3]) + (", ..." if len(paths) > 3 else "")
+    return f" ({shown})" if paths else ""
 
 
 def _number(value):
@@ -207,14 +227,16 @@ def sign_flips(parent, change):
 def explain(parent, change):
     """One line on how two reports differ: the largest relative change of a
     number under runs and constants, the r_p sign flips, and a note when the
-    reports do not share one structure (a path on one side only)."""
+    reports do not share one structure: the count of leaf paths on each side
+    only, with up to three of the outermost such keys named."""
     path, drift = largest_relative_change(parent, change)
     moved = f"{drift:.3g} at {path}" if path else "0 (no number under runs or constants moved)"
     line = f"largest relative change {moved}; {sign_flips(parent, change)} r_p sign flips"
     old, new = leaves(parent).keys(), leaves(change).keys()
     if old != new:
-        line += (f"; structure differs: {len(old - new)} paths only in parent, "
-                 f"{len(new - old)} only in change")
+        line += (f"; structure differs: {len(old - new)} paths only in parent"
+                 f"{_first_three(one_sided(parent, change))}, {len(new - old)} only in "
+                 f"change{_first_three(one_sided(change, parent))}")
     return line
 
 
