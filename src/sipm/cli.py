@@ -83,7 +83,7 @@ def _spec_from_args(args, **run_options):
     return ExperimentSpec(problems=(problem,), mode=MODES[args.mode],
                           maxiter=args.maxiter, epochs=args.epochs,
                           batch_fraction=args.batch_frac, bounds=tuple(args.bounds),
-                          init_seed=args.init_seed, cache_dir=args.cache_dir, **run_options)
+                          init_seed=args.init_seed, **run_options)
 
 
 def _emit(text, out_path):
@@ -108,13 +108,13 @@ def _cmd_run(args):
                            param_mode=args.param_mode,
                            exponents=(args.t_mu, args.t_theta, args.t_alpha),
                            audit=args.audit, trace=args.trace)
-    _write_report(run_experiment(spec), args)
+    _write_report(run_experiment(spec, cache_dir=args.cache_dir), args)
     return 0
 
 
 def _cmd_estimate(args):
     """An experiment without solvers: the problem's constants, or its error."""
-    report = run_experiment(_spec_from_args(args, solvers=()))
+    report = run_experiment(_spec_from_args(args, solvers=()), cache_dir=args.cache_dir)
     config = report["config"]
     name = config["problems"][0]["name"]
     if name not in report["constants"]:   # the problem's one error entry

@@ -57,8 +57,9 @@ class InvalidChoice(SipmError, ValueError):
 
 
 class InvalidSpec(SipmError, ValueError):
-    """An experiment spec field, a ``Bounds`` box or a buffer setting is out of
-    range; README's "Where inputs are validated" lists each check."""
+    """An experiment spec field, ``run_experiment``'s ``cache_dir``, a ``Bounds``
+    box or a buffer setting is out of range; README's "Where inputs are
+    validated" lists each check."""
 
 
 class InvalidConstants(SipmError, ValueError):

@@ -57,6 +57,7 @@ from .stepsize import Constants
 BOOTSTRAP_ITERS = 500
 BOOTSTRAP_CONSTANTS = Constants(ell_f=1.0, kappa_inf=1.0, sigma_inf=0.0)
 SIGMA_DRAWS = 100
+QUAD_NOISE_LEVEL = 0.1   # a stochastic quadratic's noise bound, as quadratic_objective reads it
 START_RADIUS = 0.01   # initial_point draws x1 from this cube; the spec's box must hold it
 # spec.audit -> SolverConfig.audit_level of an untraced spec.  Only trace
 # rows need "full_trace", and a spec writes them only with trace set, which
@@ -166,8 +167,7 @@ class ProblemSpec:
     test_path: str | None = None
     dim: int = 5                    # quadratic only
     data_seed: int = 0
-    samples: int = 50               # quadratic stochastic sample count
-    noise_level: float = 0.1        # quadratic stochastic noise bound
+    samples: int = 50               # synthetic dataset rows; stochastic quadratic sample count
     hidden: int | None = None       # nn width override
 
 
@@ -186,9 +186,7 @@ class ExperimentSpec:
     bounds: tuple = (-1.0, 1.0)
     audit: str = "off"
     init_seed: int = 0
-    cache_dir: str | None = None
     trace: bool = False
-    buffer_bases: tuple = (1.0, 1.0)
 
 
 def _require_count(name, value, least):
@@ -199,11 +197,10 @@ def _require_count(name, value, least):
         raise InvalidSpec(f"{name}={value} must be at least {least}")
 
 
-def _finite_reals(values, count, least=-math.inf):
-    """True iff ``values`` holds ``count`` finite real numbers of at least ``least``."""
+def _finite_reals(values, count):
+    """True iff ``values`` holds ``count`` finite real numbers."""
     try:
-        return len(values) == count and all(_number(v) and math.isfinite(v)
-                                            and v >= least for v in values)
+        return len(values) == count and all(_number(v) and math.isfinite(v) for v in values)
     except TypeError:   # not a sequence
         return False
 
@@ -222,6 +219,10 @@ def validate_spec(spec):
             raise InvalidChoice("model", problem.model, MODELS)
         if not isinstance(problem.name, str):
             raise InvalidSpec(f"problem name {problem.name!r} must be a string")
+        for field in ("train_path", "test_path"):   # open(0) would read standard input
+            if not isinstance(getattr(problem, field), (str, type(None))):
+                raise InvalidSpec(f"problem {problem.name!r}: {field}="
+                                  f"{getattr(problem, field)!r} must be a string or None")
         data_paths = (problem.train_path, problem.test_path)
         if problem.model == "quadratic" and data_paths != (None, None):
             raise InvalidSpec(f"problem {problem.name!r}: a quadratic reads no data file, "
@@ -263,15 +264,10 @@ def validate_spec(spec):
         if len(set(values)) < len(values):
             raise InvalidSpec(f"{name}={values!r} repeats an entry")
     _require_count("init_seed", spec.init_seed, 0)
+    if not isinstance(spec.trace, bool):
+        raise InvalidSpec(f"trace={spec.trace!r} must be True or False")
     if not _finite_reals(spec.exponents, 3):
         raise InvalidSpec(f"exponents={spec.exponents!r} must be three finite real numbers")
-    if not _finite_reals(spec.buffer_bases, 2, least=0.0):
-        raise InvalidSpec(f"buffer_bases={spec.buffer_bases!r} must be two finite "
-                          "numbers of at least 0")
-    for problem in spec.problems:
-        if not _finite_reals((problem.noise_level,), 1, least=0.0):
-            raise InvalidSpec(f"problem {problem.name!r}: noise_level="
-                              f"{problem.noise_level!r} must be a finite number of at least 0")
     # checked in both modes: the report and the cache key keep it either way
     _require_batch_fraction(spec.batch_fraction)
     if spec.mode == "deterministic" and spec.epochs is not None:
@@ -307,7 +303,7 @@ def _build_problem(problem, spec):
         rng = _rng(problem.data_seed)
         center = rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo), size=problem.dim)
         curvature = rng.uniform(0.5, 2.0, size=problem.dim)
-        noise = problem.noise_level if spec.mode == "stochastic" else 0.0
+        noise = QUAD_NOISE_LEVEL if spec.mode == "stochastic" else 0.0
         samples = problem.samples if spec.mode == "stochastic" else 1
         return quadratic_objective(center, curvature, noise_level=noise,
                                    sample_count=samples, seed=problem.data_seed), None
@@ -333,7 +329,7 @@ def _cache_key(problem, spec):
     estimate reads, down to the bytes of its data files."""
     digest = hashlib.sha256(json.dumps(
         [asdict(problem), list(spec.bounds), spec.mode, spec.batch_fraction,
-         spec.init_seed, BOOTSTRAP_ITERS, SIGMA_DRAWS]).encode("ascii"))
+         spec.init_seed, BOOTSTRAP_ITERS, SIGMA_DRAWS, QUAD_NOISE_LEVEL]).encode("ascii"))
     for path in (problem.train_path, problem.test_path):
         if path is not None:
             with open(path, "rb") as handle:
@@ -341,15 +337,15 @@ def _cache_key(problem, spec):
     return f"{problem.name}__{digest.hexdigest()}.json"
 
 
-def _constants_for(problem, spec, objective, x1, bounds):
-    path = os.path.join(spec.cache_dir, _cache_key(problem, spec)) if spec.cache_dir else None
+def _constants_for(problem, spec, objective, x1, bounds, cache_dir):
+    path = os.path.join(cache_dir, _cache_key(problem, spec)) if cache_dir else None
     if path and os.path.exists(path):
         return load_constants(path), True
     estimated = estimate_constants(objective, x1, bounds, mode=spec.mode,
                                    batch_fraction=spec.batch_fraction,
                                    seed=spec.init_seed)
     if path:
-        os.makedirs(spec.cache_dir, exist_ok=True)
+        os.makedirs(cache_dir, exist_ok=True)
         save_constants(path, estimated)
     return estimated, False
 
@@ -369,9 +365,8 @@ def _solver_config(spec, g1, x1, bounds, constants, maxiter, seed=0, audit_level
     if spec.param_mode == "practical":
         buffers = BufferSequences(mode="practical", maxiter=maxiter)
     else:
-        a_base, g_base = spec.buffer_bases
-        buffers = BufferSequences(mode="theory", alpha_buff_base=a_base,
-                                  gamma_buff_base=g_base, t_mu=spec.exponents[0])
+        buffers = BufferSequences(mode="theory", alpha_buff_base=1.0,
+                                  gamma_buff_base=1.0, t_mu=spec.exponents[0])
     return SolverConfig(mode=spec.mode, bounds=bounds, schedule=schedule, buffers=buffers,
                         constants=constants, maxiter=maxiter, rng_seed=seed,
                         batch_fraction=spec.batch_fraction, audit_level=audit_level)
@@ -392,8 +387,9 @@ def _error_entry(problem, solver, seed, err):
             "error": f"{type(err).__name__}: {err}"}
 
 
-def run_experiment(spec):
+def run_experiment(spec, cache_dir=None):
     """Run every (problem, solver, seed) cell and assemble the report dict.
+    A set ``cache_dir`` holds each problem's constants; it changes no canonical byte.
 
     Failures are recorded as error markers without aborting the rest of the
     experiment: a problem that cannot be built or whose constants cannot be
@@ -404,6 +400,8 @@ def run_experiment(spec):
     ``timing["cells"]`` times the cells that ran, or their seed's failed set-up.
     """
     maxiter = validate_spec(spec)
+    if cache_dir is not None and not isinstance(cache_dir, (str, os.PathLike)):
+        raise InvalidSpec(f"cache_dir={cache_dir!r} must be a path or None")
     audit = "full_trace" if spec.trace else SPEC_AUDIT[spec.audit]
     report = {"config": _config_block(spec, maxiter), "constants": {},
               "runs": [], "comparisons": [], "timing": {"cells": {}}}
@@ -415,7 +413,7 @@ def run_experiment(spec):
             objective, objective_test = _build_problem(problem, spec)
             bounds = Bounds.cube(objective.n, lo, hi)
             x1 = initial_point(objective.n, spec.init_seed)
-            estimated, cached = _constants_for(problem, spec, objective, x1, bounds)
+            estimated, cached = _constants_for(problem, spec, objective, x1, bounds, cache_dir)
         except Exception as err:  # record and keep going
             report["runs"].append(_error_entry(problem.name, None, None, err))
             continue
@@ -428,8 +426,7 @@ def run_experiment(spec):
         # canonical report bytes
         report["timing"][f"constants_cached::{problem.name}"] = cached
         constants = Constants(ell_f=estimated.ell_f_bar, kappa_inf=estimated.kappa_inf_bar,
-                              sigma_inf=estimated.sigma_inf_bar
-                              if spec.mode == "stochastic" else 0.0)
+                              sigma_inf=estimated.sigma_inf_bar)
 
         # the interior-point run anchors the baselines' steps and comparisons,
         # so it goes first within each seed whatever order the caller listed

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -420,10 +421,36 @@ def test_estimate_rejects_the_flags_it_does_not_read(flag, capsys):
 def test_estimate_spec_takes_the_spec_defaults(capsys, monkeypatch):
     specs = []
     original = cli.run_experiment
-    monkeypatch.setattr(cli, "run_experiment", lambda spec: specs.append(spec) or original(spec))
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda spec, cache_dir: specs.append(spec) or original(spec, cache_dir))
     assert main(["estimate", "--model", "quadratic", "--dim", "3"]) == 0
     (spec,) = specs
     defaults = harness.ExperimentSpec(problems=())
     assert spec.solvers == ()
     for name in ("schedule", "param_mode", "exponents", "audit", "trace"):
         assert getattr(spec, name) == getattr(defaults, name)
+
+
+def test_every_spec_field_is_reachable_from_the_cli(tmp_path, monkeypatch):
+    """Each spec field with a default has a bench flag that moves it, so the
+    spec holds no library-only option; the cache directory is passed beside
+    the spec, not in it."""
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda spec, cache_dir: calls.append((spec, cache_dir)) or {"runs": []})
+    assert main(["bench", "--model", "nn", "--train", "a", "--test", "b", "--dim", "7",
+                 "--samples", "9", "--data-seed", "3", "--hidden", "4", "--mode", "stoch",
+                 "--epochs", "2", "--maxiter", "7", "--batch-frac", "0.5",
+                 "--bounds", "-2", "2", "--init-seed", "5", "--cache-dir", "c",
+                 "--solver", "psgm,proj-ipm", "--seeds", "3,4", "--t-mu", "-0.5",
+                 "--t-theta", "-0.5", "--t-alpha", "-0.1", "--schedule", "power",
+                 "--param-mode", "theory", "--audit", "full", "--trace",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    ((spec, cache_dir),) = calls
+    assert cache_dir == "c"
+    (problem,) = spec.problems
+    assert (problem.name, problem.model) == ("nn", "nn")
+    for value in (spec, problem):
+        for field in dataclasses.fields(value):
+            if field.default is not dataclasses.MISSING:
+                assert getattr(value, field.name) != field.default, field.name

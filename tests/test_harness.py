@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import pathlib
 import re
 import tracemalloc
 
@@ -243,9 +244,9 @@ def test_bad_cache_file_is_invalid_constants(case, tmp_path):
 def test_bad_cache_file_is_the_problems_one_error_row(case, tmp_path, monkeypatch):
     """The problem gets one error row and no cell runs, psgm included."""
     calls = count_cells(monkeypatch)
-    spec = small_spec(tmp_path)
+    spec = small_spec()
     (tmp_path / harness._cache_key(spec.problems[0], spec)).write_text(BAD_CACHE_FILES[case])
-    report = run_experiment(spec)
+    report = run_experiment(spec, cache_dir=str(tmp_path))
     (entry,) = report["runs"]
     assert (entry["problem"], entry["solver"]) == ("toy", None)
     assert entry["error"].startswith("InvalidConstants: cached constants ")
@@ -350,13 +351,12 @@ def test_unknown_choice_is_a_typed_error(name, value, monkeypatch):
     (dict(exponents=(np.nan, -1.0, 0.0)), InvalidSpec, "three finite real numbers"),
     (dict(exponents=(-1.0, -1.0)), InvalidSpec, "three finite real numbers"),
     (dict(exponents=-1.0), InvalidSpec, "three finite real numbers"),
-    (dict(param_mode="theory", buffer_bases=(np.nan, 1.0)), InvalidSpec,
-     "buffer_bases=\\(nan, 1.0\\) must be two finite numbers of at least 0"),
-    (dict(buffer_bases=(-1.0, 1.0)), InvalidSpec, "two finite numbers of at least 0"),
-    (dict(param_mode="theory", buffer_bases=(1.0,)), InvalidSpec,
-     "two finite numbers of at least 0"),
-    (dict(problems=(ProblemSpec(name="toy", model="quadratic", noise_level=-0.1),),
-          mode="stochastic"), InvalidSpec, "'toy': noise_level=-0.1 must be a finite number"),
+    (dict(problems=(ProblemSpec(name="lr", model="logistic", train_path=0),)), InvalidSpec,
+     "'lr': train_path=0 must be a string or None"),
+    (dict(problems=(ProblemSpec(name="lr", model="logistic", train_path="a",
+                                test_path=pathlib.Path("b")),)), InvalidSpec,
+     r"'lr': test_path=\w*Path\('b'\) must be a string or None"),
+    (dict(trace="no"), InvalidSpec, "trace='no' must be True or False"),
     (dict(mode="stochastic", epochs="1"), InvalidBudget, "epochs='1' must be a real number"),
     (dict(mode="stochastic", epochs=1.0, batch_fraction="0.1"), InvalidBudget,
      r"batch_fraction='0.1' must lie in \(0, 1\]"),
@@ -379,9 +379,8 @@ def test_unknown_choice_is_a_typed_error(name, value, monkeypatch):
         "dim-not-integer", "data-seed-negative", "seed-negative", "stochastic-seed-negative",
         "seed-not-integer", "init-seed-negative", "quadratic-train-path",
         "quadratic-test-path", "test-without-train", "exponents-nan", "exponents-two",
-        "exponents-not-a-sequence",
-        "buffer-bases-nan", "buffer-bases-negative", "buffer-bases-one",
-        "noise-level-negative", "epochs-string", "batch-fraction-string",
+        "exponents-not-a-sequence", "train-path-descriptor", "test-path-not-a-string",
+        "trace-string", "epochs-string", "batch-fraction-string",
         "problem-name-unhashable", "seed-unhashable", "deterministic-batch-fraction",
         "bounds-0-1", "bounds-above-the-start", "bounds-touching-the-start"])
 def test_bad_solver_or_seed_list_fails_before_any_problem(fault, error, match,
@@ -405,16 +404,17 @@ def test_bad_solver_or_seed_list_fails_before_any_problem(fault, error, match,
     (dict(bounds=(False, 1.0)), InvalidSpec),
     (dict(exponents=(-1.0, -1.0, False)), InvalidSpec),
     (dict(mode="stochastic", epochs=True), InvalidBudget),
-    (dict(param_mode="theory", buffer_bases=(1.0, True)), InvalidSpec),
-    (dict(problems=(ProblemSpec(name="toy", model="quadratic", noise_level=True),),
-          mode="stochastic"), InvalidSpec),
+    (dict(problems=(ProblemSpec(name="lr", model="logistic", train_path=True),)),
+     InvalidSpec),
+    (dict(trace=1), InvalidSpec),
 ], ids=["maxiter", "seeds", "dim", "batch_fraction", "bounds", "exponents", "epochs",
-        "buffer_bases", "noise_level"])
+        "train_path", "trace"])
 def test_a_bool_is_not_a_number(fault, error, monkeypatch):
     """Python counts True as 1, so maxiter=True ran one iteration and kept
     "maxiter": true in the report, seeds=(True,) wrote "seed": true rows, and
     dim=True failed late as an untyped TypeError row.  Each numeric spec
-    field now rejects a bool, as load_constants does, before any problem."""
+    field now rejects a bool, as load_constants does, before any problem.
+    train_path=True opened file descriptor 1; it and trace=1 are refused."""
     def no_build(problem, spec):
         raise AssertionError("a problem was built")
 
@@ -435,17 +435,16 @@ def test_open_sided_logistic_bounds_are_valid():
     assert len(runs) == 3 and not any("error" in entry for entry in runs)
 
 
-def small_spec(tmp_path=None, **kwargs):
+def small_spec(**kwargs):
     problem = ProblemSpec(name="toy", model="quadratic", dim=3, data_seed=2)
     defaults = dict(problems=(problem,), solvers=("sipm", "psgm", "proj-ipm"),
-                    maxiter=60, seeds=(0, 1),
-                    cache_dir=str(tmp_path) if tmp_path else None)
+                    maxiter=60, seeds=(0, 1))
     defaults.update(kwargs)
     return ExperimentSpec(**defaults)
 
 
 def test_run_experiment_report_shape(tmp_path):
-    report = run_experiment(small_spec(tmp_path))
+    report = run_experiment(small_spec(), cache_dir=str(tmp_path))
     assert set(report) == {"config", "constants", "runs", "comparisons", "timing"}
     assert len(report["runs"]) == 6
     for entry in report["runs"]:
@@ -459,8 +458,8 @@ def test_run_experiment_report_shape(tmp_path):
         assert -1.0 <= comp["r_p"] <= 1.0
 
 
-def test_report_regeneration_byte_identical(tmp_path):
-    spec = small_spec(tmp_path)
+def test_report_regeneration_byte_identical():
+    spec = small_spec()
     first = canonical_report_bytes(run_experiment(spec))
     second = canonical_report_bytes(run_experiment(spec))
     assert first == second
@@ -468,6 +467,36 @@ def test_report_regeneration_byte_identical(tmp_path):
     report = run_experiment(spec)
     report["timing"]["total_s"] = 123.0
     assert canonical_report_bytes(report) == first
+
+
+def test_the_cache_changes_no_canonical_byte(tmp_path):
+    """The cache directory is not part of the experiment: a report without
+    one, on a cache miss and on a cache hit has the same canonical bytes."""
+    spec = small_spec()
+    cache = str(tmp_path / "cache")
+    reports = [run_experiment(spec), run_experiment(spec, cache_dir=cache),
+               run_experiment(spec, cache_dir=cache)]
+    assert [r["timing"]["constants_cached::toy"] for r in reports] == [False, False, True]
+    assert len({canonical_report_bytes(r) for r in reports}) == 1
+    assert "cache_dir" not in reports[0]["config"]
+
+
+def test_cache_dir_is_a_path_or_none(tmp_path, monkeypatch):
+    """cache_dir=5 was a bare TypeError problem row, and a pathlib.Path ran
+    every cell, then failed in report_to_json; a Path now works, and any
+    other type is refused before any problem is built."""
+    cache = tmp_path / "cache"
+    first = run_experiment(small_spec(), cache_dir=cache)
+    assert report_to_json(first) and len(list(cache.iterdir())) == 1
+    assert run_experiment(small_spec(), cache_dir=cache)["timing"]["constants_cached::toy"]
+
+    def no_build(problem, spec):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr(harness, "_build_problem", no_build)
+    for bad in (5, b"cache"):
+        with pytest.raises(InvalidSpec, match="cache_dir=.* must be a path or None"):
+            run_experiment(small_spec(), cache_dir=bad)
 
 
 def test_empty_solver_list():
@@ -663,8 +692,8 @@ def test_constants_cache_keyed_on_estimate_inputs(tmp_path):
     other = ProblemSpec(name="q", model="quadratic", dim=8, data_seed=3)
 
     def constants(problem, bounds, cache_dir):
-        report = run_experiment(ExperimentSpec(problems=(problem,), solvers=(),
-                                               bounds=bounds, cache_dir=cache_dir))
+        report = run_experiment(ExperimentSpec(problems=(problem,), solvers=(), bounds=bounds),
+                                cache_dir=cache_dir)
         return report["constants"]["q"], report["timing"]["constants_cached::q"]
 
     fresh, _ = constants(other, (-3.0, 3.0), None)
@@ -696,9 +725,9 @@ def test_failed_estimate_is_recorded_per_problem(tmp_path):
     problems = (ProblemSpec(name="bad", model="quadratic", dim=3),
                 ProblemSpec(name="good", model="quadratic", dim=1))
     spec = ExperimentSpec(problems=problems, solvers=("sipm", "psgm"), maxiter=50,
-                          init_seed=4, cache_dir=str(tmp_path))
+                          init_seed=4)
     (tmp_path / harness._cache_key(problems[0], spec)).write_text(BAD_CACHE_FILES["truncated"])
-    report = run_experiment(spec)
+    report = run_experiment(spec, cache_dir=str(tmp_path))
     bad, *good = report["runs"]
     assert bad["problem"] == "bad" and bad["solver"] is None
     assert bad["error"].startswith("InvalidConstants: cached constants ")
@@ -751,7 +780,7 @@ def test_untraced_full_audit_runs_as_invariants(monkeypatch):
 
 
 def test_theory_buffers_reach_the_sipm_run(monkeypatch):
-    """param_mode="theory" hands the spec's buffer bases and t_mu to run()."""
+    """param_mode="theory" hands buffer bases of 1 and the spec's t_mu to run()."""
     configs = []
     original = harness.run
 
@@ -761,19 +790,18 @@ def test_theory_buffers_reach_the_sipm_run(monkeypatch):
 
     monkeypatch.setattr(harness, "run", keep)
     report = run_experiment(small_spec(schedule="power", param_mode="theory",
-                                       exponents=(-0.5, -0.5, -0.25),
-                                       buffer_bases=(0.5, 2.0), seeds=(0,)))
+                                       exponents=(-0.5, -0.5, -0.25), seeds=(0,)))
     assert not any("error" in entry for entry in report["runs"])
     assert len(report["comparisons"]) == 4
     buffers = configs[-1].buffers   # the cell run, after the bootstrap
     assert (buffers.mode, buffers.alpha_buff_base, buffers.gamma_buff_base,
-            buffers.t_mu) == ("theory", 0.5, 2.0, -0.5)
+            buffers.t_mu) == ("theory", 1.0, 1.0, -0.5)
 
 
 @pytest.mark.parametrize("overrides", [
     dict(),
     dict(mode="stochastic", schedule="power", param_mode="theory",
-         exponents=(-0.75, -0.75, -0.2), buffer_bases=(0.5, 2.0), batch_fraction=0.1,
+         exponents=(-0.75, -0.75, -0.2), batch_fraction=0.1,
          seeds=(0, 3), audit="full")], ids=["staircase-practical-det", "power-theory-stoch"])
 def test_every_run_config_comes_from_one_recipe(overrides, monkeypatch):
     """run() gets the bootstrap's config first, then one config per computed
@@ -820,7 +848,7 @@ def test_every_run_config_comes_from_one_recipe(overrides, monkeypatch):
         else:
             assert config.schedule.exponents == ExponentTriple(*spec.exponents)
             assert config.buffers == BufferSequences(
-                mode="theory", alpha_buff_base=0.5, gamma_buff_base=2.0, t_mu=-0.75)
+                mode="theory", alpha_buff_base=1.0, gamma_buff_base=1.0, t_mu=-0.75)
 
 
 def count_cells(monkeypatch):
