@@ -23,9 +23,9 @@ from .libsvm import (SparseDataset, align_feature_space, parse_libsvm,
                      parse_libsvm_file, serialize_libsvm)
 from .problems import (LogisticObjective, Objective, OneHiddenLayerObjective,
                        QuadraticObjective, batch_sampler, default_hidden_width,
-                       finite_difference_gradient, gradient_oracle, logistic_dimension,
-                       logistic_objective, nn_dimension, nn_objective,
-                       quadratic_objective, synthetic_classification)
+                       gradient_oracle, logistic_dimension, logistic_objective,
+                       nn_dimension, nn_objective, quadratic_objective,
+                       synthetic_classification)
 from .schedules import (BufferSequences, ExponentTriple, PowerSchedule,
                         StaircaseSchedule, build_staircase, min_mu1_threshold,
                         mu1_init, sequences, theta0_init, validate_exponents)

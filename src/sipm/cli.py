@@ -1,14 +1,21 @@
-"""Command-line front end: solve, estimate, bench, parse-check."""
+"""Command-line front end: solve, estimate, bench, parse-check.
+
+A flag that sets a spec field takes that field's ``ProblemSpec`` or
+``ExperimentSpec`` default.  bench's ``--solver`` (sipm,psgm) and the flags no
+field defaults (``--model``, ``--out``, ``--format``, ``--cache-dir``) carry
+their own.
+"""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .errors import InvalidChoice, SipmError
-from .harness import (MODELS, SOLVERS, SPEC_CHOICES, ExperimentSpec, ProblemSpec,
-                      report_to_csv, report_to_json, run_experiment)
+from .harness import (MODELS, SOLVERS, SPEC_CHOICES, EstimatedConstants, ExperimentSpec,
+                      ProblemSpec, report_to_csv, report_to_json, run_experiment)
 from .libsvm import align_feature_space, parse_libsvm_file
 
 MODES = {"det": "deterministic", "stoch": "stochastic"}
@@ -32,22 +39,23 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(parser):
     """The flags of every experiment command: problem, budget, box, output."""
     parser.add_argument("--model", choices=MODELS, default="quadratic")
-    parser.add_argument("--mode", choices=("det", "stoch"), default="det")
-    parser.add_argument("--train", metavar="PATH", default=None)
-    parser.add_argument("--test", metavar="PATH", default=None)
-    parser.add_argument("--maxiter", type=int, default=100)
-    parser.add_argument("--epochs", type=float, default=None)
-    parser.add_argument("--batch-frac", type=float, default=0.01)
-    parser.add_argument("--bounds", nargs=2, type=float, default=(-1.0, 1.0),
+    flag_of_mode = {mode: flag for flag, mode in MODES.items()}
+    parser.add_argument("--mode", choices=MODES, default=flag_of_mode[ExperimentSpec.mode])
+    parser.add_argument("--train", metavar="PATH", default=ProblemSpec.train_path)
+    parser.add_argument("--test", metavar="PATH", default=ProblemSpec.test_path)
+    parser.add_argument("--maxiter", type=int, default=ExperimentSpec.maxiter)
+    parser.add_argument("--epochs", type=float, default=ExperimentSpec.epochs)
+    parser.add_argument("--batch-frac", type=float, default=ExperimentSpec.batch_fraction)
+    parser.add_argument("--bounds", nargs=2, type=float, default=ExperimentSpec.bounds,
                         metavar=("LO", "HI"))
     parser.add_argument("--out", default="-")
-    parser.add_argument("--dim", type=int, default=5,
+    parser.add_argument("--dim", type=int, default=ProblemSpec.dim,
                         help="dimension (quadratic) or feature count (synthetic data)")
-    parser.add_argument("--samples", type=int, default=50,
+    parser.add_argument("--samples", type=int, default=ProblemSpec.samples,
                         help="sample count for synthetic datasets")
-    parser.add_argument("--data-seed", type=int, default=0)
-    parser.add_argument("--init-seed", type=int, default=0)
-    parser.add_argument("--hidden", type=int, default=None)
+    parser.add_argument("--data-seed", type=int, default=ProblemSpec.data_seed)
+    parser.add_argument("--init-seed", type=int, default=ExperimentSpec.init_seed)
+    parser.add_argument("--hidden", type=int, default=ProblemSpec.hidden)
     parser.add_argument("--cache-dir", default=None)
 
 
@@ -55,20 +63,19 @@ def _add_run_flags(parser, multi_solver):
     """The flags that only solve and bench read: solvers, seeds, schedule, audit, report."""
     if multi_solver:
         parser.add_argument("--solver", default="sipm,psgm",
-                            help="comma-separated subset of sipm,psgm,proj-ipm")
+                            help=f"comma-separated subset of {','.join(SOLVERS)}")
     else:
         parser.add_argument("--solver", choices=SOLVERS,
-                            default="sipm")
-    parser.add_argument("--seeds", type=_seed_list, default="0",
+                            default=",".join(ExperimentSpec.solvers))
+    parser.add_argument("--seeds", type=_seed_list, default=ExperimentSpec.seeds,
                         help="comma-separated integers")
-    parser.add_argument("--t-mu", type=float, default=-1.0)
-    parser.add_argument("--t-theta", type=float, default=-1.0)
-    parser.add_argument("--t-alpha", type=float, default=0.0)
+    for flag, exponent in zip(("--t-mu", "--t-theta", "--t-alpha"), ExperimentSpec.exponents):
+        parser.add_argument(flag, type=float, default=exponent)
     parser.add_argument("--schedule", choices=SPEC_CHOICES["schedule"],
-                        default="staircase")
+                        default=ExperimentSpec.schedule)
     parser.add_argument("--param-mode", choices=SPEC_CHOICES["param_mode"],
-                        default="practical")
-    parser.add_argument("--audit", choices=SPEC_CHOICES["audit"], default="off")
+                        default=ExperimentSpec.param_mode)
+    parser.add_argument("--audit", choices=SPEC_CHOICES["audit"], default=ExperimentSpec.audit)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--trace", action="store_true")
 
@@ -124,8 +131,7 @@ def _cmd_estimate(args):
     payload = {"problem": name,
                "mode": config["mode"],
                "resolved_maxiter": config["resolved_maxiter"],
-               "constants": {key: estimated[key]
-                             for key in ("ell_f_bar", "kappa_inf_bar", "sigma_inf_bar")}}
+               "constants": {f.name: estimated[f.name] for f in fields(EstimatedConstants)}}
     _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
     return 0
 

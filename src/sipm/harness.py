@@ -93,14 +93,14 @@ def estimate_constants(objective, x1, bounds, mode="deterministic",
                        batch_fraction=0.01, seed=0):
     """Estimate the Lipschitz, gradient-bound, and noise-bound constants.
 
-    Runs ``BOOTSTRAP_ITERS`` deterministic iterations with both curvature
-    constants set to 1, then takes the largest visited gradient inf-norm as
-    the gradient bound and the largest gradient secant ratio as the Lipschitz
-    estimate (pairs with displacement below 1e-14 are skipped).  In
-    stochastic mode the noise bound is the largest inf-norm deviation of 100
-    seeded mini-batch gradients at the start point; otherwise it is 0.  A
-    mode or batch fraction that ``gradient_oracle`` rejects raises its
-    error before any gradient is taken.
+    Runs ``BOOTSTRAP_ITERS`` iterations of ``BOOTSTRAP_SPEC``'s deterministic
+    staircase with both curvature constants set to 1, then takes the largest
+    visited gradient inf-norm as the gradient bound and the largest gradient
+    secant ratio as the Lipschitz estimate (pairs with displacement below
+    1e-14 are skipped).  In stochastic mode the noise bound is the largest
+    inf-norm deviation of 100 seeded mini-batch gradients at the start point;
+    otherwise it is 0.  A mode or batch fraction that ``gradient_oracle``
+    rejects raises its error before any gradient is taken.
 
     The scan runs in the bootstrap's observer and keeps only the previous
     iterate and gradient, the first gradient and two running maxima, so the
@@ -109,8 +109,8 @@ def estimate_constants(objective, x1, bounds, mode="deterministic",
     # the noise draws' oracle checks mode and fraction; its sampler draws lazily
     sample = gradient_oracle(objective, mode, batch_fraction, [seed, 2])
     g_true = objective.gradient(x1)
-    config = _solver_config(ExperimentSpec(problems=()), g_true, x1, bounds,
-                            BOOTSTRAP_CONSTANTS, BOOTSTRAP_ITERS)
+    config = _solver_config(BOOTSTRAP_SPEC, g_true, x1, bounds, BOOTSTRAP_CONSTANTS,
+                            BOOTSTRAP_ITERS)
     kappa = ell = 0.0   # gradient inf-norms and secant ratios are nonnegative
     prev = x1, g_true   # the previous (x, exact gradient at x); the bootstrap starts at x1
 
@@ -187,6 +187,12 @@ class ExperimentSpec:
     audit: str = "off"
     init_seed: int = 0
     trace: bool = False
+
+
+# the bootstrap's run: a deterministic staircase with practical buffers reads
+# no other spec field, so no experiment default reaches the estimate
+BOOTSTRAP_SPEC = ExperimentSpec(problems=(), mode="deterministic", schedule="staircase",
+                                param_mode="practical")
 
 
 def _require_count(name, value, least):
@@ -329,7 +335,8 @@ def _cache_key(problem, spec):
     estimate reads, down to the bytes of its data files."""
     digest = hashlib.sha256(json.dumps(
         [asdict(problem), list(spec.bounds), spec.mode, spec.batch_fraction,
-         spec.init_seed, BOOTSTRAP_ITERS, SIGMA_DRAWS, QUAD_NOISE_LEVEL]).encode("ascii"))
+         spec.init_seed, asdict(BOOTSTRAP_SPEC), asdict(BOOTSTRAP_CONSTANTS), BOOTSTRAP_ITERS,
+         SIGMA_DRAWS, QUAD_NOISE_LEVEL]).encode("ascii"))
     for path in (problem.train_path, problem.test_path):
         if path is not None:
             with open(path, "rb") as handle:

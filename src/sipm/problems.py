@@ -360,19 +360,6 @@ def nn_dimension(n_features, hidden=None):
     return (n_features + 2) * hidden + 1
 
 
-def finite_difference_gradient(objective, x, step):
-    """Central differences (f(x + h e_i) - f(x - h e_i)) / (2 h) per coordinate."""
-    if not step > 0.0:
-        raise DomainError(f"step={step} must be positive")
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = step
-        g[i] = (objective.value(x + e) - objective.value(x - e)) / (2.0 * step)
-    return g
-
-
 def batch_sampler(m, batch_size, seed):
     """Endless stream of uniform random index subsets drawn without replacement.
 

@@ -419,16 +419,25 @@ def test_estimate_rejects_the_flags_it_does_not_read(flag, capsys):
 
 
 def test_estimate_spec_takes_the_spec_defaults(capsys, monkeypatch):
+    """Without optional flags, solve, bench and estimate build the spec of
+    every ProblemSpec and ExperimentSpec default, but for the flags that carry
+    their own: --model (quadratic) and bench's --solver (sipm,psgm); an
+    estimate runs no solver."""
     specs = []
     original = cli.run_experiment
     monkeypatch.setattr(cli, "run_experiment",
                         lambda spec, cache_dir: specs.append(spec) or original(spec, cache_dir))
-    assert main(["estimate", "--model", "quadratic", "--dim", "3"]) == 0
-    (spec,) = specs
-    defaults = harness.ExperimentSpec(problems=())
-    assert spec.solvers == ()
-    for name in ("schedule", "param_mode", "exponents", "audit", "trace"):
-        assert getattr(spec, name) == getattr(defaults, name)
+    own = {"solve": {}, "bench": {"solvers": ("sipm", "psgm")}, "estimate": {"solvers": ()}}
+    for command, own_defaults in own.items():
+        assert main([command]) == 0
+        spec = specs.pop()
+        (problem,) = spec.problems
+        assert (problem.name, problem.model) == ("quadratic", "quadratic")
+        for value, expected in ((spec, own_defaults), (problem, {})):
+            for field in dataclasses.fields(value):
+                if field.default is not dataclasses.MISSING:
+                    assert getattr(value, field.name) == expected.get(field.name, field.default), \
+                        (command, field.name)
 
 
 def test_every_spec_field_is_reachable_from_the_cli(tmp_path, monkeypatch):

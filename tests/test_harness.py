@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import json
 import pathlib
 import re
@@ -89,9 +90,8 @@ def test_estimate_constants_oracle_recomputation():
     assert est.ell_f_bar <= 1.5 + 1e-12
 
     # independent replay of the bootstrap via the public solver
-    config = harness._solver_config(ExperimentSpec(problems=()), obj.gradient(x1), x1,
-                                    bounds, harness.BOOTSTRAP_CONSTANTS,
-                                    harness.BOOTSTRAP_ITERS)
+    config = harness._solver_config(harness.BOOTSTRAP_SPEC, obj.gradient(x1), x1, bounds,
+                                    harness.BOOTSTRAP_CONSTANTS, harness.BOOTSTRAP_ITERS)
     visited = []
     run(obj, config, x1,
         observer=lambda info: visited.append(info["x"]))
@@ -105,6 +105,24 @@ def test_estimate_constants_oracle_recomputation():
     # the streamed scan makes the replay's float operations in the same order
     assert est.kappa_inf_bar == kappa
     assert est.ell_f_bar == ell
+
+
+def test_the_bootstrap_reads_no_experiment_default(monkeypatch):
+    """The bootstrap's run used to be set up from ExperimentSpec(problems=()),
+    so a changed spec default moved every estimate without moving its cache
+    key; BOOTSTRAP_SPEC names the settings, and the cache key reads them."""
+    spec = ExperimentSpec(problems=(ProblemSpec(name="q", model="quadratic", dim=5),),
+                          solvers=())
+    objective, _ = harness._build_problem(spec.problems[0], spec)
+    x1, bounds = initial_point(5, 0), Bounds.cube(5, -1.0, 1.0)
+    unpatched = estimate_constants(objective, x1, bounds)
+    key = harness._cache_key(spec.problems[0], spec)
+    monkeypatch.setattr(harness, "ExperimentSpec",
+                        functools.partial(ExperimentSpec, schedule="power"))
+    assert estimate_constants(objective, x1, bounds) == unpatched
+    monkeypatch.setattr(harness, "BOOTSTRAP_SPEC",
+                        dataclasses.replace(harness.BOOTSTRAP_SPEC, schedule="power"))
+    assert harness._cache_key(spec.problems[0], spec) != key
 
 
 def test_estimate_constants_memory_does_not_grow_with_the_bootstrap(monkeypatch):
