@@ -100,7 +100,7 @@ def range_gap(bounds, cap):
 def in_neighborhood(x, bounds, theta):
     """True iff lower + theta <= x <= upper - theta (infinite sides always pass)."""
     x = np.asarray(x, dtype=float)
-    return bool(np.all(x >= bounds.lower + theta) and np.all(x <= bounds.upper - theta))
+    return bool((x >= bounds.lower + theta).all() and (x <= bounds.upper - theta).all())
 
 
 def project_to_neighborhood(x, bounds, theta):
@@ -108,8 +108,11 @@ def project_to_neighborhood(x, bounds, theta):
 
     Raises EmptyNeighborhood when theta is at least half the smallest range,
     which would make the target set empty; an infinite range binds only an
-    infinite theta.
+    infinite theta.  A NaN theta, which no comparison catches, raises
+    DomainError.
     """
+    if np.isnan(theta):
+        raise DomainError(f"theta={theta} is NaN")
     if theta >= 0.5 * np.min(bounds.gaps()):
         raise EmptyNeighborhood(f"theta={theta} is not below half the smallest range")
     x = np.asarray(x, dtype=float)
@@ -128,8 +131,8 @@ def barrier_value(f_value, x, bounds, mu):
 def _barrier_value(f_value, lo, up, bounds, mu, chi=None):
     """barrier_value from the slacks (lo, up); shifted_barrier_value given chi."""
     # an empty sum is 0, so a side with no finite bound subtracts 0
-    total = float(f_value) - mu * float(np.sum(np.log(lo[bounds.finite_lower])))
-    total -= mu * float(np.sum(np.log(up[bounds.finite_upper])))
+    total = float(f_value) - mu * float(np.add.reduce(np.log(lo[bounds.finite_lower])))
+    total -= mu * float(np.add.reduce(np.log(up[bounds.finite_upper])))
     if chi is not None:   # the shift of shifted_barrier_value, on |L| + |U| sides
         total += mu * np.log(chi) * int(bounds.finite_lower.sum() + bounds.finite_upper.sum())
     return total

@@ -117,10 +117,12 @@ def estimate_constants(objective, x1, bounds, mode="deterministic",
     def scan(step):
         nonlocal kappa, ell, prev
         x, g = step["x"], step["g"]
-        kappa = max(kappa, float(np.max(np.abs(g))))
-        move = float(np.linalg.norm(x - prev[0]))
+        kappa = max(kappa, float(np.abs(g).max()))
+        dx = x - prev[0]
+        move = math.sqrt(dx @ dx)   # np.linalg.norm's bits, a 1-D norm being sqrt(dot)
         if move > 1e-14:
-            ell = max(ell, float(np.linalg.norm(g - prev[1])) / move)
+            dg = g - prev[1]
+            ell = max(ell, math.sqrt(dg @ dg) / move)
         prev = x, g
 
     run(objective, config, x1, observer=scan)

@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import MalformedLine, NonIncreasingIndex, NotBinary
+from .errors import DomainError, MalformedLine, NonIncreasingIndex, NotBinary
 from .problems import map_labels
 
 
@@ -124,7 +124,13 @@ def parse_libsvm_file(path):
         return parse_libsvm(handle)
 
 
-def _fmt(value):
+def _fmt(value, row, index=None):
+    """``value``, the label of 0-based row ``row`` or its value at ``index``,
+    as text; DomainError naming the row, the entry and the value unless it
+    is finite."""
+    if not math.isfinite(value):
+        what = "label" if index is None else f"value at index {index}"
+        raise DomainError(f"row {row}: {what} {value!r} is not finite")
     # integers print bare so round-trips stay byte-stable and familiar
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
@@ -132,10 +138,11 @@ def _fmt(value):
 
 
 def serialize_libsvm(dataset):
-    """Render a SparseDataset back to LIBSVM text (exact float round-trip)."""
+    """Render a SparseDataset back to LIBSVM text (exact float round-trip).
+    A NaN or infinite label or value raises DomainError naming its row."""
     lines = []
-    for label, row in zip(dataset.labels, dataset.rows):
-        parts = [_fmt(label)] + [f"{idx}:{_fmt(val)}" for idx, val in row]
+    for i, (label, row) in enumerate(zip(dataset.labels, dataset.rows)):
+        parts = [_fmt(label, i)] + [f"{idx}:{_fmt(val, i, idx)}" for idx, val in row]
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
 

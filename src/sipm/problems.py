@@ -213,23 +213,29 @@ class LogisticObjective(_DataModel):
     @staticmethod
     def _margins(x, y, matvec):
         """Margins of the rows that ``matvec`` (rows times weights) multiplies with."""
-        return y * (matvec(x[:-1]) + x[-1])
+        t = matvec(x[:-1])
+        t += x[-1]
+        t *= y
+        return t
 
     def _pass(self, x):
         return self._margins(x, self.labels, self.features.__matmul__)
 
     def value(self, x):
         x = _check_dim(x, self.n)
-        return float(np.mean(np.logaddexp(0.0, -self._full_pass(x))))
+        loss = np.negative(self._full_pass(x))
+        np.logaddexp(0.0, loss, out=loss)
+        return float(np.add.reduce(loss) / loss.size)   # np.mean's bits, without its wrapper
 
     def _batch_gradient(self, t, y, rmatvec):
         """Gradient over the rows with margins ``t`` and labels ``y`` that
         ``rmatvec`` (transposed rows times coefficients) multiplies with."""
-        coef = _sigmoid_of_minus(t)
-        coef *= -y
+        coef = _sigmoid_of_minus(t)   # a new array: t may be the kept pass
+        coef *= y
+        np.negative(coef, out=coef)
         g = np.empty(self.n)
-        g[:-1] = rmatvec(coef) / coef.size
-        g[-1] = coef.mean()
+        np.divide(rmatvec(coef), coef.size, out=g[:-1])
+        g[-1] = np.add.reduce(coef) / coef.size
         return g
 
     def gradient(self, x):
@@ -282,8 +288,11 @@ class OneHiddenLayerObjective(_DataModel):
 
     def _forward(self, x, a):
         w1, b1, w2, b2 = self._unpack(x)
-        z = np.tanh(a @ w1.T + b1)
-        s = z @ w2 + b2
+        z = a @ w1.T
+        z += b1
+        np.tanh(z, out=z)
+        s = z @ w2
+        s += b2
         return z, s
 
     def _pass(self, x):
@@ -293,7 +302,9 @@ class OneHiddenLayerObjective(_DataModel):
         x = _check_dim(x, self.n)
         _, s = self._full_pass(x)
         # -[y log p + (1-y) log(1-p)] with p = sigmoid(s) is softplus(s) - y*s
-        return float(np.mean(np.logaddexp(0.0, s) - self.y01 * s))
+        loss = np.logaddexp(0.0, s)
+        loss -= self.y01 * s
+        return float(np.add.reduce(loss) / loss.size)
 
     def _batch_gradient(self, x, a, y01, z, s):
         """Backpropagation over the rows ``a`` with labels ``y01``, from
@@ -304,12 +315,14 @@ class OneHiddenLayerObjective(_DataModel):
         ds -= y01
         ds /= y01.size
         g_w2 = z.T @ ds
-        g_b2 = float(np.sum(ds))
-        d_pre = np.outer(ds, w2) * (1.0 - z ** 2)
+        g_b2 = float(np.add.reduce(ds))
+        d_pre = np.square(z)   # (1 - z**2) times the outer product of ds and w2
+        np.subtract(1.0, d_pre, out=d_pre)
+        d_pre *= np.multiply.outer(ds, w2)
         # for CSR rows this runs as their transpose's product with d_pre,
         # as fast as with a stored CSR transpose
         g_w1 = d_pre.T @ a
-        g_b1 = d_pre.sum(axis=0)
+        g_b1 = np.add.reduce(d_pre, axis=0)
         return np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])
 
     def gradient(self, x):

@@ -260,7 +260,7 @@ def run(objective, config, x1, observer=None):
             records.append(dict(k=k, mu_k=step["mu_k"], theta_k=step["theta_k"],
                                 alpha_k=alpha_k, gamma_k=step["gamma_k"],
                                 ell_k=step["bundle"].ell_k,
-                                q_norm=float(np.linalg.norm(step["q"])),
+                                q_norm=math.sqrt(step["q"] @ step["q"]),   # norm's bits
                                 phi_tilde=phi_curr, stalled=step["stalled"]))
         if math.isnan(alpha_first):
             alpha_first = alpha_k
@@ -271,7 +271,7 @@ def run(objective, config, x1, observer=None):
                                       seq["mu"][k + 1], chi)
             if audit_decrease:
                 q, h_diag = step["q"], step["h_diag"]
-                descent = 0.5 * step["gamma_k"] * alpha_k * float(np.sum(q * q / h_diag))
+                descent = 0.5 * step["gamma_k"] * alpha_k * float(np.add.reduce(q * q / h_diag))
                 if phi_next - phi_curr > -descent + 1e-10 * (1.0 + abs(phi_curr)):
                     raise InvariantViolation(k, "barrier decrease inequality failed")
             phi_curr = phi_next

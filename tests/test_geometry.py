@@ -106,6 +106,17 @@ def test_project_to_neighborhood():
         project_to_neighborhood([1.0, 0.0], open_sides, INF)
 
 
+
+def test_project_to_neighborhood_refuses_a_nan_theta():
+    """theta >= half the smallest range is False for a NaN theta, so the
+    projection used to return NaN coordinates; it now raises DomainError
+    naming theta, not EmptyNeighborhood."""
+    with pytest.raises(DomainError, match=r"^theta=nan is NaN$"):
+        project_to_neighborhood(np.zeros(2), Bounds.cube(2), np.nan)
+    with pytest.raises(DomainError, match="theta=nan"):
+        project_to_neighborhood([1.0, 0.0], box([0.0, -INF], [INF, 1.0]), float("nan"))
+
+
 def test_projection_idempotent_and_member():
     rng = np.random.default_rng(5)
     for _ in range(200):

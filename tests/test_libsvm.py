@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sipm import align_feature_space, parse_libsvm, parse_libsvm_file, serialize_libsvm
-from sipm.errors import LabelMismatch, MalformedLine, NonIncreasingIndex, NotBinary
+from sipm import (SparseDataset, align_feature_space, parse_libsvm, parse_libsvm_file,
+                  serialize_libsvm)
+from sipm.errors import (DomainError, LabelMismatch, MalformedLine, NonIncreasingIndex,
+                         NotBinary)
 
 
 def test_parse_basic_line():
@@ -139,6 +141,24 @@ def test_round_trip_stability():
     ds = parse_libsvm(text)
     again = parse_libsvm(serialize_libsvm(ds))
     assert again == ds
+
+
+
+@pytest.mark.parametrize("rows, labels, message", [
+    ((((1, 0.5),), ((1, np.inf),)), (1.0, -1.0), "row 1: value at index 1 inf is not finite"),
+    ((((2, -np.inf),),), (1.0,), "row 0: value at index 2 -inf is not finite"),
+    ((((1, np.nan),),), (1.0,), "row 0: value at index 1 nan is not finite"),
+    ((((1, 0.5),),), (np.inf,), "row 0: label inf is not finite"),
+    ((((1, 0.5),),), (np.nan,), "row 0: label nan is not finite"),
+], ids=["inf", "-inf", "nan", "inf-label", "nan-label"])
+def test_serialize_names_a_non_finite_entry(rows, labels, message):
+    """An infinite value used to raise a bare OverflowError from int(), and a
+    NaN or an infinite label a bare ValueError; each is a DomainError naming
+    the 0-based row, the entry and the value."""
+    dataset = SparseDataset(rows=rows, labels=labels, n_features=2)
+    with pytest.raises(DomainError) as caught:
+        serialize_libsvm(dataset)
+    assert str(caught.value) == message
 
 
 def test_dense_matches_reference_parse():

@@ -1,5 +1,6 @@
 import importlib.util
 import pathlib
+import shutil
 
 import pytest
 
@@ -126,3 +127,55 @@ def test_leaves_and_relative_change():
     # a sign flip needs both signs: zero against a sign counts, equal signs do not
     assert report_identity.sign_flips(_report(r_p=0.0), _report(r_p=-1e-3)) == 1
     assert report_identity.sign_flips(_report(r_p=-0.3), _report(r_p=-1e-3)) == 0
+
+
+TOY_SHAPES = {
+    "bad-budget": ["--model", "quadratic", "--maxiter", "0"],
+    "tiny": ["--model", "quadratic", "--dim", "2", "--maxiter", "5",
+             "--solver", "sipm,psgm,proj-ipm"],
+}
+
+
+def _iterate_lines(monkeypatch, capsys, parent, change):
+    monkeypatch.setattr(report_identity, "SEEDS", (0,))
+    monkeypatch.setattr(report_identity, "SHAPES", TOY_SHAPES)
+    status = report_identity.main([parent, change, "--iterates"])
+    return status, capsys.readouterr().out.splitlines()
+
+
+def test_iterates_hash_every_solver_call_bootstrap_included(monkeypatch, capsys):
+    """With --iterates each shape runs in process per tree, and every call of
+    harness.run, run_psgm and run_simplified prints the sha256 of its final_x:
+    the bootstrap's run first, then the seed's three solvers.  A bench that
+    exits non-zero is a difference; its calls are still listed."""
+    src = str(TOOL.parents[1] / "src")
+    status, lines = _iterate_lines(monkeypatch, capsys, src, src)
+    assert status == 1
+    assert lines[0].startswith("bad-budget") and lines[0].endswith(
+        "parent exit 1  change exit 1  DIFFERENT")
+    tiny = [line for line in lines if line.startswith("tiny")]
+    assert [line.split()[4:6] for line in tiny] == [
+        ["1", "run"], ["2", "run"], ["3", "run_psgm"], ["4", "run_simplified"]]
+    for line in tiny:
+        words = line.split()
+        assert words[7] == words[9] and len(words[7]) == 64 and words[-1] == "same"
+    assert lines[-2] == "1 of 4 calls differ"
+
+
+def test_iterates_see_a_changed_tree(monkeypatch, capsys, tmp_path):
+    """A copy of the tree that draws the quadratic's center from a smaller
+    range moves every call's final iterate, the bootstrap's first."""
+    src = TOOL.parents[1] / "src"
+    shutil.copytree(src / "sipm", tmp_path / "sipm",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    harness_py = tmp_path / "sipm" / "harness.py"
+    text = harness_py.read_text()
+    center = "rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo)"
+    assert text.count(center) == 1
+    harness_py.write_text(text.replace(center, center.replace("0.2", "0.3")))
+    monkeypatch.setattr(report_identity, "SEEDS", (0,))
+    monkeypatch.setattr(report_identity, "SHAPES", {"tiny": TOY_SHAPES["tiny"]})
+    assert report_identity.main([str(src), str(tmp_path), "--iterates"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6 and all(line.endswith("DIFFERENT") for line in lines[:4])
+    assert lines[4] == "4 of 4 calls differ"

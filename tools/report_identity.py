@@ -1,6 +1,6 @@
 """Check that two source trees write the same canonical report bytes.
 
-Usage: python3 tools/report_identity.py PARENT_SRC CHANGE_SRC
+Usage: python3 tools/report_identity.py PARENT_SRC CHANGE_SRC [--iterates]
 
 Runs each ``sipm bench`` shape in SHAPES at ``--init-seed``/``--data-seed``
 0 and 7, once per tree, each in a fresh ``python -m sipm.cli`` process with
@@ -23,11 +23,24 @@ LIBSVM shapes read, with ``synthetic_classification`` and
 rows labeled 0/1, so the label mapping of ``SparseDataset.to_arrays`` is
 checked too.  Relative paths keep the reports' bytes, and so the printed
 hashes, the same from one call to the next.
+
+With ``--iterates`` the tool compares final iterates instead of reports.
+One ``python -c ITERATES`` process per tree runs every shape and seed in
+process through ``sipm.cli.main``, with ``harness.run``, ``run_psgm`` and
+``run_simplified`` wrapped, so every solver call the bench makes is seen,
+each problem's bootstrap included.  It prints one line per call, in call
+order: the solver, and per side the sha256 of the call's ``final_x`` bytes
+(``raised <Type>`` for a call that raised, ``missing`` where one side made
+fewer calls).  A call whose two sides differ counts as a difference, and so
+does a bench that exits non-zero on either side, whose line shows each
+side's exit status.  Last come the count of differing calls and the line
+totals, and the tool exits 1 on any difference.
 """
 
 import argparse
 import glob
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -110,6 +123,40 @@ for suffix, raw in (("", {-1.0: -1.0, 1.0: 1.0}), ("01", {-1.0: 0.0, 1.0: 1.0}))
                 n_features=20)))
 """
 
+# run in one process per tree, in the work directory: argv[1] is a JSON list of
+# [key, bench argv] jobs, argv[2] the file that receives {key: {status, calls}}
+ITERATES = """
+import hashlib, json, sys
+import sipm.cli
+from sipm import harness
+
+calls = []
+
+def wrap(name, solver):
+    def wrapped(*args, **kwargs):
+        try:
+            result = solver(*args, **kwargs)
+        except Exception as err:
+            calls.append([name, f"raised {type(err).__name__}"])
+            raise
+        calls.append([name, hashlib.sha256(result.final_x.tobytes()).hexdigest()])
+        return result
+    return wrapped
+
+for name in ("run", "run_psgm", "run_simplified"):
+    setattr(harness, name, wrap(name, getattr(harness, name)))
+found = {}
+for key, argv in json.loads(sys.argv[1]):
+    calls.clear()
+    try:   # a bench that crashes is one difference; the other shapes still run
+        status = sipm.cli.main([*argv, "--out", "iterates-report.json"])
+    except Exception as err:
+        status = f"raised {type(err).__name__}"
+    found[key] = {"status": status, "calls": list(calls)}
+with open(sys.argv[2], "w", encoding="ascii") as handle:
+    json.dump(found, handle)
+"""
+
 
 def bench_argv(shape, seed):
     """The ``sipm`` argument list of one shape at one seed."""
@@ -133,6 +180,41 @@ def run_report(src, argv, work):
     with open(os.path.join(work, "report.json"), encoding="ascii") as handle:
         report = json.load(handle)
     return {key: value for key, value in report.items() if key != "timing"}
+
+
+def run_iterates(src, jobs, work, name):
+    """Run every ``(key, bench argv)`` job in one process on the tree ``src``;
+    return {key: {"status": exit status, "calls": [[solver, sha256], ...]}}."""
+    subprocess.run([sys.executable, "-c", ITERATES, json.dumps(jobs), name],
+                   env=_env(src), cwd=work, check=True)
+    with open(os.path.join(work, name), encoding="ascii") as handle:
+        return json.load(handle)
+
+
+def compare_iterates(parent, change, work):
+    """Print one line per solver call of every shape and seed; return the
+    count of differing calls and failed benches."""
+    cases = [(shape, seed) for shape in SHAPES for seed in SEEDS]
+    jobs = [(f"{shape} {seed}", bench_argv(shape, seed)) for shape, seed in cases]
+    sides = [run_iterates(src, jobs, work, f"iterates-{i}.json")
+             for i, src in enumerate((parent, change))]
+    differing = calls = 0
+    for shape, seed in cases:
+        old, new = (side[f"{shape} {seed}"] for side in sides)
+        where = f"{shape:<24} seed {seed}"
+        if old["status"] or new["status"]:
+            differing += 1
+            print(f"{where}  parent exit {old['status']}  change exit {new['status']}  "
+                  "DIFFERENT", flush=True)
+        pairs = itertools.zip_longest(old["calls"], new["calls"], fillvalue=[None, "missing"])
+        for i, (mine, theirs) in enumerate(pairs, 1):
+            same = mine == theirs
+            differing += not same
+            calls += 1
+            print(f"{where}  call {i:>2} {mine[0] or theirs[0]:<14} parent {mine[1]}  "
+                  f"change {theirs[1]}  {'same' if same else 'DIFFERENT'}", flush=True)
+    print(f"{differing} of {calls} calls differ")
+    return differing
 
 
 def canonical_sha256(payload):
@@ -249,30 +331,40 @@ def source_lines(src):
     return total
 
 
+def compare_reports(parent, change, work):
+    """Print one line per shape and seed, and one under each differing pair;
+    return the count of differing reports."""
+    mismatches = 0
+    for shape in SHAPES:
+        for seed in SEEDS:
+            bench = bench_argv(shape, seed)
+            reports = [run_report(src, bench, work) for src in (parent, change)]
+            hashes = [report if isinstance(report, str) else canonical_sha256(report)
+                      for report in reports]
+            same = hashes[0] == hashes[1] and not hashes[0].startswith("exit")
+            mismatches += not same
+            print(f"{shape:<20} seed {seed}  parent {hashes[0]}  change {hashes[1]}  "
+                  f"{'same' if same else 'DIFFERENT'}", flush=True)
+            if not same and not any(isinstance(report, str) for report in reports):
+                print(f"    {explain(*reports)}", flush=True)
+    print(f"{mismatches} of {len(SHAPES) * len(SEEDS)} reports differ")
+    return mismatches
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description="Compare the canonical report bytes "
                                                  "of two sipm source trees.")
     parser.add_argument("parent_src", help="the src directory of the parent tree")
     parser.add_argument("change_src", help="the src directory of the changed tree")
+    parser.add_argument("--iterates", action="store_true",
+                        help="compare every solver call's final iterate, not the reports")
     args = parser.parse_args(argv)
     parent, change = args.parent_src, args.change_src
-    mismatches = 0
+    compare = compare_iterates if args.iterates else compare_reports
     with tempfile.TemporaryDirectory() as work:
         subprocess.run([sys.executable, "-c", WRITE_PAIR], env=_env(parent), cwd=work,
                        check=True)
-        for shape in SHAPES:
-            for seed in SEEDS:
-                bench = bench_argv(shape, seed)
-                reports = [run_report(src, bench, work) for src in (parent, change)]
-                hashes = [report if isinstance(report, str) else canonical_sha256(report)
-                          for report in reports]
-                same = hashes[0] == hashes[1] and not hashes[0].startswith("exit")
-                mismatches += not same
-                print(f"{shape:<20} seed {seed}  parent {hashes[0]}  change {hashes[1]}  "
-                      f"{'same' if same else 'DIFFERENT'}", flush=True)
-                if not same and not any(isinstance(report, str) for report in reports):
-                    print(f"    {explain(*reports)}", flush=True)
-    print(f"{mismatches} of {len(SHAPES) * len(SEEDS)} reports differ")
+        mismatches = compare(parent, change, work)
     lines = [source_lines(src) for src in (parent, change)]
     print(f"sipm/*.py lines  parent {lines[0]}  change {lines[1]}  ({lines[1] - lines[0]:+d})")
     return 1 if mismatches else 0
