@@ -223,8 +223,7 @@ class LogisticObjective(_DataModel):
 
     def value(self, x):
         x = _check_dim(x, self.n)
-        loss = np.negative(self._full_pass(x))
-        np.logaddexp(0.0, loss, out=loss)
+        loss = np.logaddexp(0.0, -self._full_pass(x))
         return float(np.add.reduce(loss) / loss.size)   # np.mean's bits, without its wrapper
 
     def _batch_gradient(self, t, y, rmatvec):
@@ -322,7 +321,8 @@ class OneHiddenLayerObjective(_DataModel):
         # for CSR rows this runs as their transpose's product with d_pre,
         # as fast as with a stored CSR transpose
         g_w1 = d_pre.T @ a
-        g_b1 = np.add.reduce(d_pre, axis=0)
+        # reduce's bits (rows added in order) without a call per row; width 1 is summed pairwise
+        g_b1 = np.einsum("ij->j", d_pre) if w2.size > 1 else np.add.reduce(d_pre, axis=0)
         return np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])
 
     def gradient(self, x):
