@@ -9,16 +9,18 @@ their own.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from contextlib import nullcontext
 from dataclasses import fields
+from itertools import islice
 
 from .errors import InvalidChoice, SipmError
 from .harness import (MODELS, SOLVERS, SPEC_CHOICES, EstimatedConstants, ExperimentSpec,
-                      ProblemSpec, report_to_csv, report_to_json, run_experiment)
+                      ProblemSpec, report_csv_chunks, report_json_chunks, run_experiment)
 from .libsvm import align_feature_space, parse_libsvm_file
 
 MODES = {"det": "deterministic", "stoch": "stochastic"}
+EMIT_BATCH = 4096   # output chunks joined per write
 
 
 def _seed_list(text):
@@ -93,17 +95,26 @@ def _spec_from_args(args, **run_options):
                           init_seed=args.init_seed, **run_options)
 
 
-def _emit(text, out_path):
-    if out_path == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        with open(out_path, "w", encoding="ascii") as handle:
+def _emit(chunks, out_path):
+    """Write text given as an iterable of string chunks to ``out_path``, or
+    to stdout for "-", ending stdout's text with a newline if it has none.
+    Chunks are joined ``EMIT_BATCH`` at a time, so the whole text is never
+    held, and one ``write`` call serves a few thousand of them."""
+    chunks = iter(chunks)
+    with (nullcontext(sys.stdout) if out_path == "-"
+          else open(out_path, "w", encoding="ascii")) as handle:
+        text = ""
+        for batch in iter(lambda: list(islice(chunks, EMIT_BATCH)), []):
+            text = "".join(batch)
             handle.write(text)
+        if out_path == "-" and not text.endswith("\n"):
+            handle.write("\n")
 
 
 def _write_report(report, args):
-    text = report_to_json(report) if args.format == "json" else report_to_csv(report)
-    _emit(text, args.out)
+    """Stream a finished run's report to ``args.out`` in ``args.format``."""
+    chunks = report_json_chunks if args.format == "json" else report_csv_chunks
+    _emit(chunks(report), args.out)
 
 
 def _cmd_run(args):
@@ -132,7 +143,7 @@ def _cmd_estimate(args):
                "mode": config["mode"],
                "resolved_maxiter": config["resolved_maxiter"],
                "constants": {f.name: estimated[f.name] for f in fields(EstimatedConstants)}}
-    _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
+    _emit(report_json_chunks(payload), args.out)
     return 0
 
 
@@ -149,7 +160,7 @@ def _cmd_parse_check(args):
         test = parse_libsvm_file(args.test)
         summary["test"] = _file_summary(test)
         summary["aligned_n_f"] = align_feature_space(train, test)[0].n_features
-    _emit(json.dumps(summary, sort_keys=True, indent=2), args.out)
+    _emit(report_json_chunks(summary), args.out)
     return 0
 
 

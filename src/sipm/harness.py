@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
 import numbers
@@ -39,6 +38,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from .stepsize import Constants
 BOOTSTRAP_ITERS = 500
 BOOTSTRAP_CONSTANTS = Constants(ell_f=1.0, kappa_inf=1.0, sigma_inf=0.0)
 SIGMA_DRAWS = 100
+HASH_BLOCK = 1 << 18   # bytes of a data file that _cache_key reads at a time
 QUAD_NOISE_LEVEL = 0.1   # a stochastic quadratic's noise bound, as quadratic_objective reads it
 START_RADIUS = 0.01   # initial_point draws x1 from this cube; the spec's box must hold it
 # spec.audit -> SolverConfig.audit_level of an untraced spec.  Only trace
@@ -342,7 +343,8 @@ def _cache_key(problem, spec):
     for path in (problem.train_path, problem.test_path):
         if path is not None:
             with open(path, "rb") as handle:
-                digest.update(handle.read())
+                for block in iter(lambda: handle.read(HASH_BLOCK), b""):
+                    digest.update(block)
     return f"{problem.name}__{digest.hexdigest()}.json"
 
 
@@ -533,8 +535,18 @@ def canonical_report_bytes(report):
                            if key != "timing"}).encode("ascii")
 
 
+# the one JSON format of reports and CLI output.  With indent set, CPython
+# 3.11 encodes in pure Python, chunk by chunk, whether joined or streamed.
+_JSON = json.JSONEncoder(sort_keys=True, indent=2)
+
+
 def report_to_json(report):
-    return json.dumps(report, sort_keys=True, indent=2)
+    return _JSON.encode(report)
+
+
+def report_json_chunks(report):
+    """report_to_json's text as an iterator of short strings."""
+    return _JSON.iterencode(report)
 
 
 RUN_COLUMNS = ("problem", "solver", "seed", "mu1", "theta0", "maxiter",
@@ -542,11 +554,15 @@ RUN_COLUMNS = ("problem", "solver", "seed", "mu1", "theta0", "maxiter",
                "projected_grad_norm", "kkt_stationarity", "stalls", "error")
 
 
+def report_csv_chunks(report):
+    """report_to_csv's text one line at a time: ``writerow`` returns what its
+    target's ``write`` returns, here the formatted line itself."""
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+    yield writer.writerow(RUN_COLUMNS)
+    for entry in report["runs"]:
+        yield writer.writerow([entry.get(col, "") for col in RUN_COLUMNS])
+
+
 def report_to_csv(report):
     """Flatten the runs block: one row per run, fixed column order."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(RUN_COLUMNS)
-    for entry in report["runs"]:
-        writer.writerow([entry.get(col, "") for col in RUN_COLUMNS])
-    return buffer.getvalue()
+    return "".join(report_csv_chunks(report))

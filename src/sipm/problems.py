@@ -57,13 +57,19 @@ def _check_dim(x, n):
 
 def map_labels(labels, order=None):
     """Map finite labels to -1/+1, ``order[0]`` to -1 and ``order[1]`` to +1; the order
-    defaults to the sorted distinct labels, and a label outside it raises LabelMismatch."""
+    defaults to the sorted distinct labels, and a label outside it raises LabelMismatch.
+    A given order that is not two distinct finite values raises NotBinary naming it."""
     labels = np.asarray(labels, dtype=float)
     if not np.isfinite(labels).all():
         raise NotBinary("labels must be finite")
-    order = np.unique(labels) if order is None else np.asarray(order, dtype=float)
-    if order.size != 2:
-        raise NotBinary(f"need exactly two distinct label values, got {order.size}")
+    if order is None:
+        order = np.unique(labels)
+        if order.size != 2:
+            raise NotBinary(f"need exactly two distinct label values, got {order.size}")
+    else:
+        order = np.asarray(order, dtype=float)
+        if order.shape != (2,) or not np.isfinite(order).all() or order[0] == order[1]:
+            raise NotBinary(f"label order {order.tolist()} must be two distinct finite values")
     stray = np.setdiff1d(labels, order)
     if stray.size:
         raise LabelMismatch(f"labels {stray.tolist()} are not in the order {order.tolist()}")

@@ -1,5 +1,7 @@
+import argparse
 import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
@@ -463,3 +465,77 @@ def test_every_spec_field_is_reachable_from_the_cli(tmp_path, monkeypatch):
         for field in dataclasses.fields(value):
             if field.default is not dataclasses.MISSING:
                 assert getattr(value, field.name) != field.default, field.name
+
+
+@pytest.fixture(scope="module")
+def traced_report(tmp_path_factory):
+    """A traced sipm,psgm,proj-ipm report with one error row, from a problem
+    whose data file is missing."""
+    missing = str(tmp_path_factory.mktemp("data") / "missing.libsvm")
+    problems = (harness.ProblemSpec(name="q", model="quadratic", dim=2),
+                harness.ProblemSpec(name="gone", model="logistic", train_path=missing))
+    report = harness.run_experiment(harness.ExperimentSpec(
+        problems=problems, solvers=("sipm", "psgm", "proj-ipm"), maxiter=20, seeds=(0, 1),
+        trace=True))
+    assert sum("error" in row for row in report["runs"]) == 1
+    assert sum("trace" in row for row in report["runs"]) == 2
+    return report
+
+
+@pytest.mark.parametrize("batch", [7, None], ids=["batch-7", "batch-default"])
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_streamed_report_bytes(fmt, to_file, batch, traced_report, tmp_path, capsys,
+                               monkeypatch):
+    """A file holds report_to_json's (or report_to_csv's) text; stdout gets
+    the same text, ending in one newline; the output opens after the run."""
+    out = tmp_path / f"report.{fmt}"
+
+    def finished_run(spec, cache_dir):
+        assert spec.trace and spec.solvers == ("sipm", "psgm", "proj-ipm")
+        assert not out.exists()
+        return traced_report
+
+    monkeypatch.setattr(cli, "run_experiment", finished_run)
+    if batch is not None:
+        monkeypatch.setattr(cli, "EMIT_BATCH", batch)
+    argv = ["bench", "--solver", "sipm,psgm,proj-ipm", "--trace", "--format", fmt]
+    assert main(argv + (["--out", str(out)] if to_file else [])) == 0
+    text = harness.report_to_json(traced_report) if fmt == "json" \
+        else harness.report_to_csv(traced_report)
+    written = capsys.readouterr().out
+    if to_file:
+        assert written == "" and out.read_bytes() == text.encode("ascii")
+    else:
+        assert written == (text + "\n" if fmt == "json" else text)
+
+
+def test_estimate_and_parse_check_output_is_unchanged(tmp_path, capsys):
+    data = tmp_path / "ok.libsvm"
+    data.write_text("+1 1:0.5 3:-1.2\n-1 2:1.0\n")
+    out = tmp_path / "out.json"
+    for argv in (["estimate", "--model", "quadratic", "--dim", "3"],
+                 ["parse-check", "--train", str(data)]):
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert printed == json.dumps(json.loads(printed), sort_keys=True, indent=2) + "\n"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == printed[:-1]
+
+
+def test_writing_a_report_holds_no_copy_of_its_text(tmp_path):
+    """The report used to be rendered into one string before the write; the
+    streamed write holds a few thousand chunks at a time."""
+    rows = [dict(k=k, mu_k=1.0 / k, theta_k=0.5 / k, alpha_k=0.25, gamma_k=1.0, ell_k=2.0,
+                 q_norm=0.1 * k, phi_tilde=-3.0 + k, stalled=False) for k in range(1, 20_001)]
+    report = {"config": {}, "constants": {}, "comparisons": [], "timing": {},
+              "runs": [{"problem": "q", "solver": "sipm", "seed": 0, "trace": rows}]}
+    length = len(harness.report_to_json(report))
+    args = argparse.Namespace(format="json", out=str(tmp_path / "report.json"))
+    tracemalloc.start()
+    try:
+        cli._write_report(report, args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < length / 4

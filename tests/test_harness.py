@@ -737,6 +737,39 @@ def test_constants_cache_keyed_on_estimate_inputs(tmp_path):
     assert constants(from_file, (-1.0, 1.0), cache)[1] is False
 
 
+@pytest.mark.parametrize("size", [0, 1, 6, 7, 100, 1000])
+def test_cache_key_hashes_a_data_file_in_blocks_as_one_read(size, tmp_path, monkeypatch):
+    """Hashing in blocks gives the digest of the whole file read at once
+    (``read(-1)``), so cache files written before the change still hit."""
+    data = tmp_path / "train.libsvm"
+    data.write_bytes(np.random.default_rng(size).bytes(size))
+    problem = ProblemSpec(name="q", model="logistic", train_path=str(data))
+    spec = ExperimentSpec(problems=(problem,))
+
+    def key(block):
+        monkeypatch.setattr(harness, "HASH_BLOCK", block)
+        return harness._cache_key(problem, spec)
+
+    whole = key(-1)
+    assert key(7) == whole and key(1) == whole and key(1 << 18) == whole
+
+
+def test_cache_key_memory_does_not_grow_with_the_data_file(tmp_path):
+    """An 8 MB data file used to be read into one bytes object; the key now
+    reads HASH_BLOCK bytes at a time."""
+    data = tmp_path / "train.libsvm"
+    data.write_bytes(bytes(8 << 20))
+    problem = ProblemSpec(name="q", model="logistic", train_path=str(data))
+    spec = ExperimentSpec(problems=(problem,))
+    tracemalloc.start()
+    try:
+        harness._cache_key(problem, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_failed_estimate_is_recorded_per_problem(tmp_path):
     # the 3-d problem's cached constants are a truncated file, so it has no
     # constants; the 1-d problem still runs

@@ -13,6 +13,7 @@ from sipm import (Bounds, BufferSequences, Constants, ExperimentSpec, LogisticOb
                   nn_objective, quadratic_objective, run, run_psgm, synthetic_classification)
 from sipm.errors import (BatchTooLarge, DimensionMismatch, DomainError, LabelMismatch,
                          NotBinary)
+from sipm.libsvm import SparseDataset
 from sipm.problems import _rng, _sigmoid_of_minus, map_labels
 
 
@@ -148,6 +149,21 @@ def test_label_mapping_in_a_pinned_order():
         map_labels([2.0, 3.0], order=(2.0, 5.0))
     with pytest.raises(NotBinary):
         map_labels([2.0], order=(2.0,))
+
+
+@pytest.mark.parametrize("order", [(1.0, 1.0), (0.0, -0.0), (1.0, np.nan), (1.0, np.inf),
+                                   (1.0,), (1.0, 2.0, 3.0)])
+def test_label_order_must_be_two_distinct_finite_values(order):
+    """A one-value order used to map every label to -1: a one-class model."""
+    with pytest.raises(NotBinary, match=r"label order \["):
+        map_labels([1.0, 1.0, 1.0], order=order)
+
+
+def test_a_dataset_with_a_one_value_order_builds_no_model():
+    ds = SparseDataset(rows=(((1, 0.5),), ((1, -0.5),)), labels=(1.0, 1.0), n_features=1,
+                       label_order=(1.0, 1.0))
+    with pytest.raises(NotBinary, match=r"label order \[1\.0, 1\.0\]"):
+        logistic_objective(ds)
 
 
 CONSTRUCTORS = {"logistic": LogisticObjective,
