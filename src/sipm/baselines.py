@@ -6,9 +6,9 @@ projection onto the inner neighborhood and pays for it with the conservative
 curvature-bound step size, whose recurrence stalls at a positive floor; the
 ``recurrence_ratio`` diagnostic exposes that floor numerically.
 
-``run_simplified`` takes each iterate's slacks in one interior check and
-steps with ``_simplified_step``: the barrier gradient from those slacks and
-a clip onto the neighborhood, whose capped theta keeps it nonempty.
+``run_simplified`` takes each iterate's stacked slacks in one interior check
+and steps with ``_simplified_step``: the barrier gradient from those slacks
+and a clip onto the neighborhood, whose capped theta keeps it nonempty.
 """
 
 from __future__ import annotations
@@ -36,12 +36,12 @@ def c_constant(bounds, kappa_inf, mu1):
     return min(1.0 / largest, C_CAP)
 
 
-def _simplified_step(x, g, lo, up, bounds, mu, theta, ell_f):
-    """One step of the projection variant from the slacks (lo, up) of x: the
+def _simplified_step(x, g, s, bounds, mu, theta, ell_f):
+    """One step of the projection variant from the stacked slacks s of x: the
     barrier gradient q, the conservative step size alpha = 1/(ell_f +
     2*mu/theta**2), and the orthogonal projection of x - alpha*q onto the
     theta neighborhood, which must be nonempty."""
-    q = _barrier_gradient(g, lo, up, mu)
+    q = _barrier_gradient(g, s, mu)
     alpha = 1.0 / (ell_f + 2.0 * mu / theta ** 2)
     return np.clip(x - alpha * q, bounds.lower + theta, bounds.upper - theta)
 
@@ -118,7 +118,7 @@ def run_simplified(objective, bounds, mu_seq, ell_f, c, x1, maxiter,
     gradient = gradient_oracle(objective, mode, batch_fraction, seed)
     for k in range(maxiter):
         mu = float(mu_seq[k])
-        x = _simplified_step(x, gradient(x), *require_interior(x, bounds), bounds, mu,
+        x = _simplified_step(x, gradient(x), require_interior(x, bounds), bounds, mu,
                              min(c * mu, theta_cap), ell_f)
     mu_last = float(mu_seq[maxiter - 1]) if maxiter >= 1 else None
     return RunResult(final_x=x, **_final_metrics(objective, bounds, x, mu_last=mu_last))

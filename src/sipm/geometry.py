@@ -12,6 +12,8 @@ import numpy as np
 
 from .errors import DomainError, EmptyNeighborhood, InvalidSpec, NotInterior
 
+_SIGNS = np.array([[1.0], [-1.0]])
+
 
 @dataclass(frozen=True, eq=False)
 class Bounds:
@@ -19,15 +21,16 @@ class Bounds:
 
     Every coordinate must satisfy ``lower < upper`` and at least one side of
     one coordinate must be finite; a box that breaks either rule, or has
-    sides of unequal length, raises InvalidSpec.  Masks of the finite-bound
-    index sets are cached for the logarithms, side counts and ranges;
-    elsewhere an open side's infinite slack already contributes nothing.
+    sides of unequal length, raises InvalidSpec.  ``sides`` = [lower; -upper]
+    is kept for ``slacks``, finite-side masks for the logarithms, side counts
+    and ranges; elsewhere an open side's infinite slack contributes nothing.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     finite_lower: np.ndarray = field(init=False, repr=False)
     finite_upper: np.ndarray = field(init=False, repr=False)
+    sides: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
@@ -44,6 +47,7 @@ class Bounds:
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "finite_lower", finite_lower)
         object.__setattr__(self, "finite_upper", finite_upper)
+        object.__setattr__(self, "sides", np.array((lower, -upper)))
 
     @classmethod
     def cube(cls, n, lo=-1.0, hi=1.0):
@@ -70,20 +74,20 @@ class KktCertificate:
 
 
 def slacks(x, bounds):
-    """Distances to the two sides: (x - lower, upper - x); infinite on open sides."""
-    x = np.asarray(x, dtype=float)
-    return x - bounds.lower, bounds.upper - x
+    """One (2, n) array: x - lower and (-x) - (-upper), which is upper - x bit for
+    bit (negation is exact, IEEE addition commutes); infinite on open sides."""
+    return _SIGNS * np.asarray(x, dtype=float) - bounds.sides
 
 
 def require_interior(x, bounds):
     """The slacks of x, after raising NotInterior unless every finite-side
     slack is strictly positive (open sides have infinite slack)."""
-    lo, up = slacks(x, bounds)
-    bad = (lo <= 0.0) | (up <= 0.0)
-    if bad.any():
-        i = int(np.argmax(bad))
+    s = slacks(x, bounds)
+    bad = s <= 0.0
+    if np.logical_or.reduce(bad, axis=None):
+        i = int(np.argmax(np.logical_or.reduce(bad)))
         raise NotInterior(f"coordinate {i} has nonpositive slack to a finite bound")
-    return lo, up
+    return s
 
 
 # Cap on the box-width constant delta that every solver and the harness use.
@@ -98,9 +102,8 @@ def range_gap(bounds, cap):
 
 
 def in_neighborhood(x, bounds, theta):
-    """True iff lower + theta <= x <= upper - theta (infinite sides always pass)."""
-    x = np.asarray(x, dtype=float)
-    return bool((x >= bounds.lower + theta).all() and (x <= bounds.upper - theta).all())
+    """True iff lower + theta <= x and -x >= theta - upper, i.e. x <= upper - theta."""
+    return bool(np.logical_and.reduce(_SIGNS * x >= bounds.sides + theta, axis=None))
 
 
 def project_to_neighborhood(x, bounds, theta):
@@ -125,14 +128,14 @@ def barrier_value(f_value, x, bounds, mu):
     Returns ``f_value - mu * sum(log(x_i - lower_i)) - mu * sum(log(upper_i - x_i))``
     with each sum running over the finite sides only.
     """
-    return _barrier_value(f_value, *require_interior(x, bounds), bounds, mu)
+    return _barrier_value(f_value, require_interior(x, bounds), bounds, mu)
 
 
-def _barrier_value(f_value, lo, up, bounds, mu, chi=None):
-    """barrier_value from the slacks (lo, up); shifted_barrier_value given chi."""
+def _barrier_value(f_value, s, bounds, mu, chi=None):
+    """barrier_value from the stacked slacks s; shifted_barrier_value given chi."""
     # an empty sum is 0, so a side with no finite bound subtracts 0
-    total = float(f_value) - mu * float(np.add.reduce(np.log(lo[bounds.finite_lower])))
-    total -= mu * float(np.add.reduce(np.log(up[bounds.finite_upper])))
+    total = float(f_value) - mu * float(np.add.reduce(np.log(s[0, bounds.finite_lower])))
+    total -= mu * float(np.add.reduce(np.log(s[1, bounds.finite_upper])))
     if chi is not None:   # the shift of shifted_barrier_value, on |L| + |U| sides
         total += mu * np.log(chi) * int(bounds.finite_lower.sum() + bounds.finite_upper.sum())
     return total
@@ -158,7 +161,7 @@ def shifted_barrier_value(f_value, x, bounds, mu, chi):
     """
     if not chi > 1.0:
         raise DomainError(f"chi={chi} must exceed 1")
-    return _barrier_value(f_value, *require_interior(x, bounds), bounds, mu, chi)
+    return _barrier_value(f_value, require_interior(x, bounds), bounds, mu, chi)
 
 
 def barrier_gradient(g, x, bounds, mu):
@@ -167,12 +170,13 @@ def barrier_gradient(g, x, bounds, mu):
     q_i = g_i - mu / (x_i - lower_i) + mu / (upper_i - x_i), where an open
     side's infinite slack contributes zero.
     """
-    return _barrier_gradient(g, *require_interior(x, bounds), mu)
+    return _barrier_gradient(g, require_interior(x, bounds), mu)
 
 
-def _barrier_gradient(g, lo, up, mu):
-    """barrier_gradient from the slacks (lo, up) of an interior point."""
-    return np.asarray(g, dtype=float) - mu / lo + mu / up
+def _barrier_gradient(g, s, mu):
+    """barrier_gradient from the stacked slacks s of an interior point."""
+    r = mu / s
+    return np.asarray(g, dtype=float) - r[0] + r[1]
 
 
 def projected_gradient_norm(x, g, bounds):
@@ -189,9 +193,7 @@ def kkt_certificate(x, g, bounds, mu):
     mu exactly by construction, so the complementarity residual is reported as
     mu rather than recomputed coordinatewise.
     """
-    lo, up = require_interior(x, bounds)
-    y = mu / lo
-    z = mu / up
+    y, z = mu / require_interior(x, bounds)
     residual = float(np.max(np.abs(np.asarray(g, dtype=float) - y + z)))
     return KktCertificate(y=y, z=z, stationarity_residual=residual,
                           complementarity_residual=float(mu))

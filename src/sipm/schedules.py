@@ -235,9 +235,8 @@ def mu1_init(g1, x1, bounds):
     Reciprocals of infinite slacks are zero; a zero D gives an infinite ratio
     so the minimum selects 1.
     """
-    lo, up = require_interior(x1, bounds)
-    d = 1.0 / up - 1.0 / lo
-    norm_d = float(np.max(np.abs(d)))
+    r = 1.0 / require_interior(x1, bounds)
+    norm_d = float(np.max(np.abs(r[1] - r[0])))
     g_norm = float(np.linalg.norm(np.asarray(g1, dtype=float)))
     ratio = math.inf if norm_d == 0.0 else 1e-3 * g_norm / norm_d
     return max(1e-5, min(ratio, 1.0))

@@ -101,13 +101,14 @@ def build_hk(x, bounds, mu, ell_f_bar, strategy="practical"):
     value raises InvalidChoice."""
     if strategy != "practical":
         raise InvalidChoice("strategy", strategy, ("practical",))
-    diag = _hk(*require_interior(x, bounds), mu, ell_f_bar)
+    diag = _hk(require_interior(x, bounds), mu, ell_f_bar)
     return diag, float(diag.min()), float(diag.max())
 
 
-def _hk(lo, up, mu, ell_f_bar):
-    """build_hk's diagonal from the slacks (lo, up) of an interior point."""
-    return float(ell_f_bar) + mu / (lo * lo) + mu / (up * up)
+def _hk(s, mu, ell_f_bar):
+    """build_hk's diagonal from the stacked slacks s of an interior point."""
+    r = mu / (s * s)
+    return float(ell_f_bar) + r[0] + r[1]
 
 
 def _first_iterate(x1, bounds, maxiter):
@@ -138,35 +139,35 @@ def sipm_step(x, k, g, config):
     table.  Returns the step's one record, a dict that ``run`` hands to its
     observer and takes its stall count, step sizes, audits and trace row from.
 
-    Every quantity derives from the slacks of x, taken once and kept as the
-    record's lo/up.  Nothing is validated or audited: ``run`` checks its
-    inputs at entry and audits each record, and the final clip keeps x_next
-    in the theta_k (the next prior) neighborhood.
+    Every quantity derives from the slacks of x, taken once as one (2, n)
+    array whose rows are the record's lo/up.  Nothing is validated or
+    audited: ``run`` checks its inputs at entry and audits each record, and
+    the final clip keeps x_next in the theta_k (the next prior) neighborhood.
     """
     seq = config.sequences
     mu_k, theta_k, theta_prev = seq["mu"][k], seq["theta"][k], seq["theta"][k - 1]
-    lo, up = slacks(x, config.bounds)
-    h_diag = _hk(lo, up, mu_k, config.constants.ell_f)
-    q = _barrier_gradient(g, lo, up, mu_k)
+    s = slacks(x, config.bounds)
+    h_diag = _hk(s, mu_k, config.constants.ell_f)
+    q = _barrier_gradient(g, s, mu_k)
     bundle, d, gamma_k, x_next = _step(
-        x, lo, up, q, h_diag, k, config.bounds, mu_k, theta_k, theta_prev,
+        x, s, q, h_diag, k, config.bounds, mu_k, theta_k, theta_prev,
         config.schedule.t_alpha, seq["alpha_buff"][k], seq["gamma_buff"][k],
         config.constants, config.delta)
-    return dict(k=k, x=x, x_next=x_next, g=g, q=q, d=d, lo=lo, up=up, h_diag=h_diag,
+    return dict(k=k, x=x, x_next=x_next, g=g, q=q, d=d, lo=s[0], up=s[1], h_diag=h_diag,
                 bundle=bundle, gamma_k=gamma_k, mu_k=mu_k, theta_k=theta_k,
                 theta_prev=theta_prev, stalled=gamma_k == 0.0 and bool((d != 0.0).any()))
 
 
 def _audit_step(config, step):
-    """Check one step's contracts; returns the slacks of x_next."""
+    """Check one step's contracts; returns the stacked slacks of x_next."""
     k, x_next, q, d = step["k"], step["x_next"], step["q"], step["d"]
     bundle, gamma_k, mu_k, theta_k = step["bundle"], step["gamma_k"], step["mu_k"], step["theta_k"]
     bounds, ell_f = config.bounds, config.constants.ell_f
     if not in_neighborhood(x_next, bounds, theta_k):
         raise InvariantViolation(k, "next iterate left the theta_k neighborhood")
     tol = 1e-12
-    lo_next, up_next = require_interior(x_next, bounds)
-    a, b = _slack_products(step["lo"], step["up"], lo_next, up_next)
+    s_next = require_interior(x_next, bounds)
+    a, b = _slack_products(np.array((step["lo"], step["up"])), s_next)
     ell_pair = ell_f + mu_k / a + mu_k / b
     ell_cap = ell_f + 2.0 * mu_k / theta_k ** 2
     if not _rel_ok(ell_pair, bundle.ell_k, tol):
@@ -183,7 +184,7 @@ def _audit_step(config, step):
         raise InvariantViolation(k, "realized step exceeds the look-ahead step")
     if (q != 0.0).any() and not float(q @ d) < 0.0:
         raise InvariantViolation(k, "direction is not a descent direction for q")
-    return lo_next, up_next
+    return s_next
 
 
 def run(objective, config, x1, observer=None):
@@ -226,7 +227,7 @@ def run(objective, config, x1, observer=None):
         raise ThetaTooLarge(f"theta0={theta0} must be below delta/2={0.5 * delta}")
     if not in_neighborhood(x, bounds, theta0):
         raise InfeasibleStart("x1 is outside the theta0 neighborhood")
-    lo, up = require_interior(x, bounds)   # l + theta0 can round to l on a wide box
+    s = require_interior(x, bounds)   # l + theta0 can round to l on a wide box
 
     gradient = gradient_oracle(objective, config.mode, config.batch_fraction,
                                config.rng_seed)
@@ -243,13 +244,13 @@ def run(objective, config, x1, observer=None):
     alpha_last = math.nan
     # the shifted barrier at the current iterate with its mu_k, on the slacks of
     # its interior check: the trace row's phi_tilde, the decrease check's left side
-    phi_curr = (_barrier_value(objective.value(x), lo, up, bounds, mu1, chi)
+    phi_curr = (_barrier_value(objective.value(x), s, bounds, mu1, chi)
                 if need_f else math.nan)
 
     for k in range(1, config.maxiter + 1):
         step = sipm_step(x, k, gradient(x), config)
         if audit:
-            lo, up = _audit_step(config, step)   # the slacks of x_{k+1}
+            s = _audit_step(config, step)   # the slacks of x_{k+1}
         if observer is not None:
             observer(step)
         x = step["x_next"]
@@ -267,8 +268,7 @@ def run(objective, config, x1, observer=None):
         alpha_last = alpha_k
 
         if need_f:
-            phi_next = _barrier_value(objective.value(x), lo, up, bounds,
-                                      seq["mu"][k + 1], chi)
+            phi_next = _barrier_value(objective.value(x), s, bounds, seq["mu"][k + 1], chi)
             if audit_decrease:
                 q, h_diag = step["q"], step["h_diag"]
                 descent = 0.5 * step["gamma_k"] * alpha_k * float(np.add.reduce(q * q / h_diag))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConstants, NotInPriorNeighborhood
-from .geometry import in_neighborhood, require_interior
+from .geometry import _SIGNS, in_neighborhood, require_interior
 
 
 @dataclass(frozen=True)
@@ -56,15 +56,15 @@ class StepSizeBundle:
     gamma_max: float
 
 
-def _slack_products(lo_x, up_x, lo_b, up_b):
-    """(a, b) from the slacks of x and of xbar: a = min_i (x_i - l_i) *
+def _slack_products(s_x, s_b):
+    """(a, b) from the stacked slacks of x and of xbar: a = min_i (x_i - l_i) *
     min(x_i - l_i, xbar_i - l_i), b the analogous product over the upper
     sides.  An open side's infinite slacks give infinite products, which min
     ignores, so a side with no finite bound gives inf."""
-    return (float((lo_x * np.minimum(lo_x, lo_b)).min()),
-            float((up_x * np.minimum(up_x, up_b)).min()))
+    return tuple(np.minimum.reduce(s_x * np.minimum(s_x, s_b), axis=1).tolist())
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def ratio_test(x, direction, scale, bounds, theta, gamma_max):
     """Largest fraction gamma in [0, gamma_max] with x + gamma*scale*direction
     inside the theta-neighborhood.
@@ -78,14 +78,13 @@ def ratio_test(x, direction, scale, bounds, theta, gamma_max):
     x = np.asarray(x, dtype=float)
     d = np.asarray(direction, dtype=float)
     margin = np.where(d < 0.0, bounds.lower + theta, bounds.upper - theta) - x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _ratio(margin, d, scale, gamma_max, d != 0.0)
+    return _ratio(margin, d, scale, gamma_max, d != 0.0)
 
 
 def _ratio(margin, d, scale, gamma_max, moving):
     """ratio_test from the margin to the side each coordinate moves to, over
     the coordinates ``moving`` (d != 0).  A zero or NaN d makes a ratio that
-    divides by 0 or is NaN, so the caller ignores those numpy warnings."""
+    divides by 0 or is NaN, so both callers ignore those numpy warnings."""
     ratios = margin / (scale * d)
     # fmin skips a NaN ratio, so a NaN direction entry imposes no limit
     gamma = min(float(gamma_max), float(np.fmin.reduce(ratios, where=moving, initial=np.inf)))
@@ -101,21 +100,22 @@ def step_size_bundle(x, q, h_diag, k, bounds, sched, constants, delta):
     step-fraction floor always uses alpha_max in its denominator, which is a
     valid lower bound because alpha_k never exceeds alpha_max.
     """
-    lo, up = require_interior(x, bounds)
+    x = np.asarray(x, dtype=float)
+    s = require_interior(x, bounds)
     if not in_neighborhood(x, bounds, sched.theta_prev):
         raise NotInPriorNeighborhood(
             f"iterate left the previous neighborhood (theta={sched.theta_prev})")
-    return _step(np.asarray(x, dtype=float), lo, up, np.asarray(q, dtype=float),
-                 np.asarray(h_diag, dtype=float), k, bounds, sched.mu_k, sched.theta_k,
-                 sched.theta_prev, sched.t_alpha, sched.alpha_buff, sched.gamma_buff,
-                 constants, delta)[0]
+    return _step(x, s, np.asarray(q, dtype=float), np.asarray(h_diag, dtype=float),
+                 k, bounds, sched.mu_k, sched.theta_k, sched.theta_prev, sched.t_alpha,
+                 sched.alpha_buff, sched.gamma_buff, constants, delta)[0]
 
 
-def _step(x, lo, up, q, h_diag, k, bounds, mu, theta_k, theta_prev, t_alpha, alpha_buff,
+@np.errstate(divide="ignore", invalid="ignore")   # for both ratio tests
+def _step(x, s, q, h_diag, k, bounds, mu, theta_k, theta_prev, t_alpha, alpha_buff,
           gamma_buff, constants, delta):
-    """One step from x and its slacks (lo, up): returns (bundle, d = -q / h_diag,
+    """One step from x and its stacked slacks s: returns (bundle, d = -q / h_diag,
     gamma_k, x_next), x_next clipped to theta_k."""
-    lam_min = float(h_diag.min())
+    lam_min = float(np.minimum.reduce(h_diag))
     if not lam_min > 0.0:
         raise InvalidConstants(f"iteration {k}: scaling diagonal must be strictly positive")
     k_pow = float(k) ** t_alpha
@@ -129,19 +129,18 @@ def _step(x, lo, up, q, h_diag, k, bounds, mu, theta_k, theta_prev, t_alpha, alp
 
     # min(lo)**2 is min(lo**2) bit for bit: slacks are nonnegative and rounding
     # is monotone, so the smallest slack squared rounds to the smallest square
-    a, b = float(lo.min()), float(up.min())
+    a, b = np.minimum.reduce(s, axis=1).tolist()
     alpha_pre = lam_min * k_pow / (constants.ell_f + mu / (a * a) + mu / (b * b))
     d = -q / h_diag
     inner_lo, inner_up = bounds.lower + theta_k, bounds.upper - theta_k
     margin = np.where(d < 0.0, inner_lo, inner_up) - x
     moving = d != 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):   # for both ratio tests
-        gamma_bar = _ratio(margin, d, alpha_pre, gamma_max, moving)
-        x_pre = x + (gamma_bar * alpha_pre) * d
-        a, b = _slack_products(lo, up, x_pre - bounds.lower, bounds.upper - x_pre)
-        ell_k = constants.ell_f + mu / a + mu / b
-        alpha_k = min(lam_min * k_pow / ell_k, alpha_max)
-        gamma_k = _ratio(margin, d, alpha_k, gamma_max, moving)
+    gamma_bar = _ratio(margin, d, alpha_pre, gamma_max, moving)
+    x_pre = x + (gamma_bar * alpha_pre) * d
+    a, b = _slack_products(s, _SIGNS * x_pre - bounds.sides)
+    ell_k = constants.ell_f + mu / a + mu / b
+    alpha_k = min(lam_min * k_pow / ell_k, alpha_max)
+    gamma_k = _ratio(margin, d, alpha_k, gamma_max, moving)
     # The binding ratio is exact in real arithmetic; the fused update can land
     # an ulp outside the neighborhood, so snap it back.
     x_next = (x + (gamma_k * alpha_k) * d).clip(inner_lo, inner_up)

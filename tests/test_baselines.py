@@ -16,7 +16,7 @@ from sipm.geometry import slacks
 
 
 def simplified_step(x, g, bounds, mu, theta, ell_f):
-    return _simplified_step(x, g, *slacks(x, bounds), bounds, mu, theta, ell_f)
+    return _simplified_step(x, g, slacks(x, bounds), bounds, mu, theta, ell_f)
 
 
 def psgm_step(x, g, alpha, bounds):

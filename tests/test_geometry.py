@@ -6,6 +6,7 @@ from sipm import (Bounds, barrier_gradient, barrier_value, default_chi,
                   in_neighborhood, kkt_certificate, project_to_neighborhood,
                   projected_gradient_norm, range_gap, shifted_barrier_value)
 from sipm.errors import DomainError, EmptyNeighborhood, InvalidSpec, NotInterior, SipmError
+from sipm.geometry import slacks
 
 INF = np.inf
 
@@ -78,6 +79,49 @@ def test_in_neighborhood():
     assert in_neighborhood([0.1], b, 0.1)
     assert not in_neighborhood([0.05], b, 0.1)
     assert in_neighborhood([1.95], box([0.0], [INF]), 0.1)
+
+
+def stacked_slack_cases():
+    """Seeded (x, bounds) pairs: boxes open on either side, -0.0 in the
+    bounds and in x, points on a finite side, and NaN entries of both signs."""
+    rng = np.random.default_rng(29)
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
+        lo = rng.choice([-1.0, -0.0, -3.0, -INF], size=n)
+        hi = rng.choice([1.0, 2.0, -0.0, INF], size=n)
+        hi[(lo == 0.0) & (hi == 0.0)] = 1.0
+        if not (np.isfinite(lo).any() or np.isfinite(hi).any()):
+            lo[0] = -1.0
+        x = rng.uniform(-1.0, 1.0, size=n)
+        pick = rng.integers(0, 7, size=n)
+        x[pick == 1] = np.where(np.isfinite(lo), lo, -0.0)[pick == 1]
+        x[pick == 2] = np.where(np.isfinite(hi), hi, 0.0)[pick == 2]
+        x[pick == 3] = -0.0
+        x[pick == 4] = 0.0
+        x[pick == 5] = rng.choice([np.nan, -np.nan])
+        yield x, box(lo, hi)
+
+
+def test_stacked_slacks_are_the_two_differences_bit_for_bit():
+    """slacks() is one (2, n) array whose rows are x - lower and upper - x,
+    byte for byte, also for signed zeros, infinite sides, points on a side
+    and NaN entries."""
+    for x, b in stacked_slack_cases():
+        s = slacks(x, b)
+        assert s.shape == (2, b.n)
+        assert s[0].tobytes() == (x - b.lower).tobytes()
+        assert s[1].tobytes() == (b.upper - x).tobytes()
+        lo, up = s   # callers may still unpack the two rows
+        assert lo.tobytes() == s[0].tobytes() and up.tobytes() == s[1].tobytes()
+
+
+def test_stacked_neighborhood_test_matches_the_two_sided_one():
+    """in_neighborhood compares -x >= theta - upper for the upper side; that
+    is x <= upper - theta for every case of the stacked-slack draws."""
+    for x, b in stacked_slack_cases():
+        for theta in (0.0, 0.05, 0.5):
+            two_sided = bool((x >= b.lower + theta).all() and (x <= b.upper - theta).all())
+            assert in_neighborhood(x, b, theta) == two_sided
 
 
 def test_neighborhood_nesting():

@@ -131,7 +131,7 @@ def test_slack_products_match_masked_formula():
     for _, x, d, scale, bounds, theta, gamma_max, _, _ in instances():
         gamma = ratio_test(x, d, scale, bounds, theta, gamma_max)
         xbar = x + (0.5 * gamma * scale) * d
-        a, b = _slack_products(*slacks(x, bounds), *slacks(xbar, bounds))
+        a, b = _slack_products(slacks(x, bounds), slacks(xbar, bounds))
         a_masked, b_masked = masked_slack_products(x, xbar, bounds)
         assert same(a, a_masked) and same(b, b_masked)
 

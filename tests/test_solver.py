@@ -581,6 +581,22 @@ def test_step_record_has_one_shape_at_every_audit_level(case):
     assert shapes == {frozenset(RECORD_KEYS)}
 
 
+@pytest.mark.parametrize("case", [0, 1], ids=["box", "one-sided"])
+def test_step_record_slacks_are_rows_of_one_array(case):
+    """The record's lo/up are the two rows of one (2, n) slack array, and
+    they are x - lower and upper - x bit for bit."""
+    objective, config, x1 = _kernel_runs()[case]
+    seen = []
+    run(objective, replace(config, maxiter=20), x1, observer=seen.append)
+    bounds = config.bounds
+    for step in seen:
+        lo, up = step["lo"], step["up"]
+        assert lo.base is up.base and lo.base.shape == (2, bounds.n)
+        assert lo.tobytes() == (step["x"] - bounds.lower).tobytes()
+        assert up.tobytes() == (bounds.upper - step["x"]).tobytes()
+        assert lo.base.tobytes() == geometry.slacks(step["x"], bounds).tobytes()
+
+
 def test_run_audits_each_step_before_its_observer(monkeypatch):
     """run(), not sipm_step, audits: the audit sees each record before the
     observer does, and sipm_step alone never audits."""

@@ -57,7 +57,7 @@ def random_instance(rng):
 
 
 def slack_products(x, xbar, bounds):
-    return _slack_products(*slacks(x, bounds), *slacks(xbar, bounds))
+    return _slack_products(slacks(x, bounds), slacks(xbar, bounds))
 
 
 def test_slack_products_examples():
