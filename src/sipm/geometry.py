@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EmptyNeighborhood, InvalidSpec, NotInterior
+from .errors import DimensionMismatch, DomainError, EmptyNeighborhood, InvalidSpec, NotInterior
 
 _SIGNS = np.array([[1.0], [-1.0]])
 
@@ -90,6 +90,22 @@ def require_interior(x, bounds):
     return s
 
 
+def _vector(name, value, bounds):
+    """value as a float array, after raising DimensionMismatch, naming both
+    shapes, unless it has the shape of the bounds."""
+    array = np.asarray(value, dtype=float)
+    if array.shape != bounds.lower.shape:
+        raise DimensionMismatch(f"{name} has shape {array.shape}, but the bounds have shape "
+                                f"{bounds.lower.shape}")
+    return array
+
+
+def _require_nonnegative(name, value):
+    """DomainError naming value unless it is at least 0 (a NaN is not)."""
+    if not value >= 0.0:
+        raise DomainError(f"{name}={value} is " + ("negative" if value < 0.0 else "NaN"))
+
+
 # Cap on the box-width constant delta that every solver and the harness use.
 DELTA_CAP = 100.0
 
@@ -102,7 +118,9 @@ def range_gap(bounds, cap):
 
 
 def in_neighborhood(x, bounds, theta):
-    """True iff lower + theta <= x and -x >= theta - upper, i.e. x <= upper - theta."""
+    """True iff lower + theta <= x and -x >= theta - upper, i.e. x <= upper - theta.
+    A negative or NaN theta raises DomainError."""
+    _require_nonnegative("theta", theta)
     return bool(np.logical_and.reduce(_SIGNS * x >= bounds.sides + theta, axis=None))
 
 
@@ -111,24 +129,25 @@ def project_to_neighborhood(x, bounds, theta):
 
     Raises EmptyNeighborhood when theta is at least half the smallest range,
     which would make the target set empty; an infinite range binds only an
-    infinite theta.  A NaN theta, which no comparison catches, raises
-    DomainError.
+    infinite theta.  A negative or NaN theta, whose clamp would leave the
+    box or be NaN, raises DomainError, and an x not of the bounds' shape
+    DimensionMismatch.
     """
-    if np.isnan(theta):
-        raise DomainError(f"theta={theta} is NaN")
+    _require_nonnegative("theta", theta)
     if theta >= 0.5 * np.min(bounds.gaps()):
         raise EmptyNeighborhood(f"theta={theta} is not below half the smallest range")
-    x = np.asarray(x, dtype=float)
-    return np.clip(x, bounds.lower + theta, bounds.upper - theta)
+    return np.clip(_vector("x", x, bounds), bounds.lower + theta, bounds.upper - theta)
 
 
 def barrier_value(f_value, x, bounds, mu):
     """Log-barrier-augmented objective value at a strictly interior point.
 
     Returns ``f_value - mu * sum(log(x_i - lower_i)) - mu * sum(log(upper_i - x_i))``
-    with each sum running over the finite sides only.
+    with each sum running over the finite sides only.  An x not of the
+    bounds' shape raises DimensionMismatch, a negative or NaN mu DomainError.
     """
-    return _barrier_value(f_value, require_interior(x, bounds), bounds, mu)
+    _require_nonnegative("mu", mu)
+    return _barrier_value(f_value, require_interior(_vector("x", x, bounds), bounds), bounds, mu)
 
 
 def _barrier_value(f_value, s, bounds, mu, chi=None):
@@ -157,20 +176,25 @@ def shifted_barrier_value(f_value, x, bounds, mu, chi):
 
     Algebraically equal to ``barrier_value + mu * log(chi) * (|L| + |U|)``;
     the shift keeps the function bounded below when chi dominates the slacks,
-    without changing gradients.
+    without changing gradients.  Checks as barrier_value, and chi > 1.
     """
     if not chi > 1.0:
         raise DomainError(f"chi={chi} must exceed 1")
-    return _barrier_value(f_value, require_interior(x, bounds), bounds, mu, chi)
+    _require_nonnegative("mu", mu)
+    s = require_interior(_vector("x", x, bounds), bounds)
+    return _barrier_value(f_value, s, bounds, mu, chi)
 
 
 def barrier_gradient(g, x, bounds, mu):
     """Gradient of the barrier-augmented function given a gradient (estimate) g.
 
     q_i = g_i - mu / (x_i - lower_i) + mu / (upper_i - x_i), where an open
-    side's infinite slack contributes zero.
+    side's infinite slack contributes zero.  g and x must have the bounds'
+    shape (DimensionMismatch) and mu must be at least 0 (DomainError).
     """
-    return _barrier_gradient(g, require_interior(x, bounds), mu)
+    g = _vector("g", g, bounds)
+    _require_nonnegative("mu", mu)
+    return _barrier_gradient(g, require_interior(_vector("x", x, bounds), bounds), mu)
 
 
 def _barrier_gradient(g, s, mu):
@@ -180,9 +204,10 @@ def _barrier_gradient(g, s, mu):
 
 
 def projected_gradient_norm(x, g, bounds):
-    """Stationarity measure: inf-norm of proj_[l,u](x - g) - x."""
-    x = np.asarray(x, dtype=float)
-    step = np.clip(x - np.asarray(g, dtype=float), bounds.lower, bounds.upper) - x
+    """Stationarity measure: inf-norm of proj_[l,u](x - g) - x.  x and g must
+    have the bounds' shape (DimensionMismatch)."""
+    x = _vector("x", x, bounds)
+    step = np.clip(x - _vector("g", g, bounds), bounds.lower, bounds.upper) - x
     return float(np.max(np.abs(step))) if step.size else 0.0
 
 
@@ -191,9 +216,12 @@ def kkt_certificate(x, g, bounds, mu):
 
     The complementarity products (x_i - l_i) * y_i and (u_i - x_i) * z_i equal
     mu exactly by construction, so the complementarity residual is reported as
-    mu rather than recomputed coordinatewise.
+    mu rather than recomputed coordinatewise.  x and g must have the bounds'
+    shape (DimensionMismatch) and mu must be at least 0 (DomainError).
     """
-    y, z = mu / require_interior(x, bounds)
-    residual = float(np.max(np.abs(np.asarray(g, dtype=float) - y + z)))
+    g = _vector("g", g, bounds)
+    _require_nonnegative("mu", mu)
+    y, z = mu / require_interior(_vector("x", x, bounds), bounds)
+    residual = float(np.max(np.abs(g - y + z)))
     return KktCertificate(y=y, z=z, stationarity_residual=residual,
                           complementarity_residual=float(mu))

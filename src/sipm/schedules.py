@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (HorizonExceeded, InvalidBudget, InvalidChoice, InvalidExponents,
                      InvalidMu1, InvalidSpec, ThetaTooLarge)
-from .geometry import require_interior
+from .geometry import _vector, require_interior
 from .problems import MODES, _number
 
 MU_FLOOR = 1e-8
@@ -233,19 +233,22 @@ def mu1_init(g1, x1, bounds):
     difference of reciprocal slacks diag(u - x1)^-1 - diag(x1 - l)^-1 and
     ||D|| is its spectral norm, i.e. the largest absolute diagonal entry.
     Reciprocals of infinite slacks are zero; a zero D gives an infinite ratio
-    so the minimum selects 1.
+    so the minimum selects 1.  g1 and x1 must have the bounds' shape
+    (DimensionMismatch).
     """
-    r = 1.0 / require_interior(x1, bounds)
+    g1 = _vector("g1", g1, bounds)
+    r = 1.0 / require_interior(_vector("x1", x1, bounds), bounds)
     norm_d = float(np.max(np.abs(r[1] - r[0])))
-    g_norm = float(np.linalg.norm(np.asarray(g1, dtype=float)))
+    g_norm = float(np.linalg.norm(g1))
     ratio = math.inf if norm_d == 0.0 else 1e-3 * g_norm / norm_d
     return max(1e-5, min(ratio, 1.0))
 
 
 def theta0_init(x1, bounds, kappa_inf, sigma_inf, mu1, delta):
     """Initial neighborhood margin: min of the start slacks and the cap
-    1 / (2/delta + (kappa_inf + sigma_inf)/mu1)."""
-    lo, up = require_interior(x1, bounds)
+    1 / (2/delta + (kappa_inf + sigma_inf)/mu1).  x1 must have the bounds'
+    shape (DimensionMismatch)."""
+    lo, up = require_interior(_vector("x1", x1, bounds), bounds)
     theta_bar = 1.0 / (2.0 / delta + (kappa_inf + sigma_inf) / mu1)
     return min(float(np.min(lo)), float(np.min(up)), theta_bar)
 

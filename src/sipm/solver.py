@@ -19,12 +19,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (DimensionMismatch, InfeasibleStart, InvalidBudget, InvalidChoice,
-                     InvalidConstants, InvalidExponents, InvalidMu1, InvalidTheta0,
-                     InvariantViolation, ThetaTooLarge)
+from .errors import (InfeasibleStart, InvalidBudget, InvalidChoice, InvalidConstants,
+                     InvalidExponents, InvalidMu1, InvalidTheta0, InvariantViolation,
+                     ThetaTooLarge)
 from .geometry import (DELTA_CAP, Bounds, KktCertificate, _barrier_gradient, _barrier_value,
-                       default_chi, in_neighborhood, kkt_certificate,
-                       projected_gradient_norm, range_gap, require_interior, slacks)
+                       _require_nonnegative, _vector, default_chi, in_neighborhood,
+                       kkt_certificate, projected_gradient_norm, range_gap, require_interior,
+                       slacks)
 from .problems import MODES, _number, gradient_oracle
 from .schedules import (BufferSequences, PowerSchedule, StaircaseSchedule, sequences,
                         validate_exponents)
@@ -98,10 +99,12 @@ def build_hk(x, bounds, mu, ell_f_bar, strategy="practical"):
     """Diagonal scaling for one iteration, with its extreme eigenvalues:
     ell_f_bar + mu/(x_i - l_i)^2 + mu/(u_i - x_i)^2 per coordinate (infinite
     sides contribute nothing).  ``strategy`` names this one rule; any other
-    value raises InvalidChoice."""
+    value raises InvalidChoice, an x not of the bounds' shape
+    DimensionMismatch, and a negative or NaN mu DomainError."""
     if strategy != "practical":
         raise InvalidChoice("strategy", strategy, ("practical",))
-    diag = _hk(require_interior(x, bounds), mu, ell_f_bar)
+    _require_nonnegative("mu", mu)
+    diag = _hk(require_interior(_vector("x", x, bounds), bounds), mu, ell_f_bar)
     return diag, float(diag.min()), float(diag.max())
 
 
@@ -113,10 +116,7 @@ def _hk(s, mu, ell_f_bar):
 
 def _first_iterate(x1, bounds, maxiter):
     """A float copy of x1, after the entry checks that all three solvers share."""
-    x = np.asarray(x1, dtype=float).copy()
-    if x.shape != bounds.lower.shape:
-        raise DimensionMismatch(f"x1 has shape {x.shape}, but the bounds have shape "
-                                f"{bounds.lower.shape}")
+    x = _vector("x1", x1, bounds).copy()
     if not (_number(maxiter, numbers.Integral) and maxiter >= 0):
         raise InvalidBudget(f"maxiter={maxiter!r} must be an integer of at least 0")
     outside = np.flatnonzero(~((bounds.lower <= x) & (x <= bounds.upper)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConstants, NotInPriorNeighborhood
-from .geometry import _SIGNS, in_neighborhood, require_interior
+from .geometry import _SIGNS, _require_nonnegative, _vector, in_neighborhood, require_interior
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,12 @@ def ratio_test(x, direction, scale, bounds, theta, gamma_max):
     nonzero direction, of (bound margin)/(scale * d_i) toward the side the
     coordinate moves to.  An infinite side gives an infinite ratio, so it
     imposes no limit.  Returns 0 when x sits on the neighborhood boundary and
-    the direction points outward.
+    the direction points outward.  x and direction must have the bounds'
+    shape (DimensionMismatch) and theta must be at least 0 (DomainError).
     """
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(direction, dtype=float)
+    x = _vector("x", x, bounds)
+    d = _vector("direction", direction, bounds)
+    _require_nonnegative("theta", theta)
     margin = np.where(d < 0.0, bounds.lower + theta, bounds.upper - theta) - x
     return _ratio(margin, d, scale, gamma_max, d != 0.0)
 
@@ -98,16 +100,18 @@ def step_size_bundle(x, q, h_diag, k, bounds, sched, constants, delta):
     ``constants`` the problem-level bounds.  The gradient magnitude bound is
     kappa_inf + sigma_inf, where exact gradients carry sigma_inf = 0; the
     step-fraction floor always uses alpha_max in its denominator, which is a
-    valid lower bound because alpha_k never exceeds alpha_max.
+    valid lower bound because alpha_k never exceeds alpha_max.  x, q and
+    h_diag must have the bounds' shape (DimensionMismatch).
     """
-    x = np.asarray(x, dtype=float)
+    x = _vector("x", x, bounds)
+    q = _vector("q", q, bounds)
+    h_diag = _vector("h_diag", h_diag, bounds)
     s = require_interior(x, bounds)
     if not in_neighborhood(x, bounds, sched.theta_prev):
         raise NotInPriorNeighborhood(
             f"iterate left the previous neighborhood (theta={sched.theta_prev})")
-    return _step(x, s, np.asarray(q, dtype=float), np.asarray(h_diag, dtype=float),
-                 k, bounds, sched.mu_k, sched.theta_k, sched.theta_prev, sched.t_alpha,
-                 sched.alpha_buff, sched.gamma_buff, constants, delta)[0]
+    return _step(x, s, q, h_diag, k, bounds, sched.mu_k, sched.theta_k, sched.theta_prev,
+                 sched.t_alpha, sched.alpha_buff, sched.gamma_buff, constants, delta)[0]
 
 
 @np.errstate(divide="ignore", invalid="ignore")   # for both ratio tests

@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sipm import (Bounds, barrier_gradient, barrier_value, default_chi,
-                  in_neighborhood, kkt_certificate, project_to_neighborhood,
-                  projected_gradient_norm, range_gap, shifted_barrier_value)
-from sipm.errors import DomainError, EmptyNeighborhood, InvalidSpec, NotInterior, SipmError
+from sipm import (Bounds, Constants, ScheduleContext, barrier_gradient, barrier_value,
+                  build_hk, default_chi, in_neighborhood, kkt_certificate, mu1_init,
+                  project_to_neighborhood, projected_gradient_norm, range_gap, ratio_test,
+                  shifted_barrier_value, step_size_bundle, theta0_init)
+from sipm.errors import (DimensionMismatch, DomainError, EmptyNeighborhood, InvalidSpec,
+                         NotInterior, SipmError)
 from sipm.geometry import slacks
 
 INF = np.inf
@@ -275,3 +279,79 @@ def test_kkt_certificate():
         ref = kkt_certificate(x, np.zeros(b.n), b, mu)
         cert = kkt_certificate(x, ref.y - ref.z, b, mu)
         assert cert.stationarity_residual <= 1e-15
+
+
+CUBE3 = Bounds.cube(3)
+X3 = np.array([0.1, -0.2, 0.3])
+CTX = ScheduleContext(mu_k=0.1, theta_k=0.01, theta_prev=0.02, t_alpha=0.0, alpha_buff=0.0,
+                      gamma_buff=0.0)
+CONSTANTS = Constants(ell_f=1.0, kappa_inf=1.0)
+# name -> (call with one array of the given length, the argument's name in the message)
+MISSHAPEN = {
+    "barrier_gradient-g": (lambda v: barrier_gradient(v, X3, CUBE3, 0.1), "g"),
+    "barrier_gradient-x": (lambda v: barrier_gradient(X3, v, CUBE3, 0.1), "x"),
+    "projected_gradient_norm-g": (lambda v: projected_gradient_norm(X3, v, CUBE3), "g"),
+    "projected_gradient_norm-x": (lambda v: projected_gradient_norm(v, X3, CUBE3), "x"),
+    "kkt_certificate-g": (lambda v: kkt_certificate(X3, v, CUBE3, 0.1), "g"),
+    "kkt_certificate-x": (lambda v: kkt_certificate(v, X3, CUBE3, 0.1), "x"),
+    "ratio_test-direction": (lambda v: ratio_test(X3, v, 0.5, CUBE3, 0.01, 1.0), "direction"),
+    "ratio_test-x": (lambda v: ratio_test(v, X3, 0.5, CUBE3, 0.01, 1.0), "x"),
+    "step_size_bundle-q": (lambda v: step_size_bundle(X3, v, np.ones(3), 2, CUBE3, CTX,
+                                                      CONSTANTS, 2.0), "q"),
+    "step_size_bundle-h_diag": (lambda v: step_size_bundle(X3, X3, v, 2, CUBE3, CTX,
+                                                           CONSTANTS, 2.0), "h_diag"),
+    "mu1_init-g1": (lambda v: mu1_init(v, X3, CUBE3), "g1"),
+    "build_hk-x": (lambda v: build_hk(v, CUBE3, 0.1, 1.0), "x"),
+    "barrier_value-x": (lambda v: barrier_value(0.0, v, CUBE3, 0.1), "x"),
+    "shifted_barrier_value-x": (lambda v: shifted_barrier_value(0.0, v, CUBE3, 0.1, 3.0), "x"),
+    "project_to_neighborhood-x": (lambda v: project_to_neighborhood(v, CUBE3, 0.1), "x"),
+    "theta0_init-x1": (lambda v: theta0_init(v, CUBE3, 1.0, 0.0, 0.1, 2.0), "x1"),
+}
+
+
+@pytest.mark.parametrize("length", [1, 2, 4])
+@pytest.mark.parametrize("case", sorted(MISSHAPEN))
+def test_public_helpers_refuse_arrays_of_another_length(case, length):
+    """A length-1 array used to broadcast silently (barrier_gradient(ones(1),
+    zeros(3), cube(3), 0.1) gave [1, 1, 1]) and other lengths failed as bare
+    numpy errors or, for mu1_init's g1, were ignored; each now raises
+    DimensionMismatch naming both shapes."""
+    call, name = MISSHAPEN[case]
+    message = f"{name} has shape ({length},), but the bounds have shape (3,)"
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        call(np.full(length, 0.1))
+
+
+# name -> call with one value of theta or mu
+NEGATIVE_OR_NAN = {
+    "in_neighborhood-theta": lambda v: in_neighborhood([1.2, 0.0, 0.0], CUBE3, v),
+    "project_to_neighborhood-theta": lambda v: project_to_neighborhood([5.0, -5.0, 0.0],
+                                                                       CUBE3, v),
+    "ratio_test-theta": lambda v: ratio_test(X3, X3, 0.5, CUBE3, v, 1.0),
+    "build_hk-mu": lambda v: build_hk(X3, CUBE3, v, 1.0),
+    "barrier_value-mu": lambda v: barrier_value(0.0, X3, CUBE3, v),
+    "shifted_barrier_value-mu": lambda v: shifted_barrier_value(0.0, X3, CUBE3, v, 3.0),
+    "barrier_gradient-mu": lambda v: barrier_gradient(X3, X3, CUBE3, v),
+    "kkt_certificate-mu": lambda v: kkt_certificate(X3, X3, CUBE3, v),
+}
+
+
+@pytest.mark.parametrize("value, says", [(-0.5, "is negative"), (np.nan, "is NaN")],
+                         ids=["negative", "nan"])
+@pytest.mark.parametrize("case", sorted(NEGATIVE_OR_NAN))
+def test_public_helpers_refuse_a_negative_or_nan_theta_or_mu(case, value, says):
+    """project_to_neighborhood([5, -5, 0], cube(3), -0.5) used to return
+    [1.5, -1.5, 0], outside the box; in_neighborhood([1.2, 0, 0], cube(3),
+    -0.5) returned True, build_hk with mu=-1 a negative diagonal and
+    barrier_value with mu=nan a NaN.  Each now raises DomainError naming the
+    parameter."""
+    name = case.rsplit("-", 1)[1]
+    with pytest.raises(DomainError, match=f"^{name}={value} {says}$"):
+        NEGATIVE_OR_NAN[case](value)
+
+
+def test_zero_theta_and_mu_stay_valid():
+    assert in_neighborhood([1.0, 0.0, -1.0], CUBE3, 0.0)
+    assert project_to_neighborhood([5.0, -5.0, 0.0], CUBE3, 0.0).tolist() == [1.0, -1.0, 0.0]
+    assert build_hk(X3, CUBE3, 0.0, 1.0)[0].tolist() == [1.0, 1.0, 1.0]
+    assert barrier_gradient(X3, X3, CUBE3, 0.0).tolist() == X3.tolist()
