@@ -153,8 +153,8 @@ def barrier_value(f_value, x, bounds, mu):
 def _barrier_value(f_value, s, bounds, mu, chi=None):
     """barrier_value from the stacked slacks s; shifted_barrier_value given chi."""
     # an empty sum is 0, so a side with no finite bound subtracts 0
-    total = float(f_value) - mu * float(np.add.reduce(np.log(s[0, bounds.finite_lower])))
-    total -= mu * float(np.add.reduce(np.log(s[1, bounds.finite_upper])))
+    total = float(f_value) - mu * float(np.add.reduce(np.log(s[0][bounds.finite_lower])))
+    total -= mu * float(np.add.reduce(np.log(s[1][bounds.finite_upper])))
     if chi is not None:   # the shift of shifted_barrier_value, on |L| + |U| sides
         total += mu * np.log(chi) * int(bounds.finite_lower.sum() + bounds.finite_upper.sum())
     return total
