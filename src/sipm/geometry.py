@@ -119,8 +119,14 @@ def range_gap(bounds, cap):
 
 def in_neighborhood(x, bounds, theta):
     """True iff lower + theta <= x and -x >= theta - upper, i.e. x <= upper - theta.
-    A negative or NaN theta raises DomainError."""
+    An x not of the bounds' shape raises DimensionMismatch, a negative or NaN
+    theta DomainError."""
     _require_nonnegative("theta", theta)
+    return _in_neighborhood(_vector("x", x, bounds), bounds, theta)
+
+
+def _in_neighborhood(x, bounds, theta):
+    """in_neighborhood without its checks, for the audit of every step."""
     return bool(np.logical_and.reduce(_SIGNS * x >= bounds.sides + theta, axis=None))
 
 

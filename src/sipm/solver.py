@@ -23,9 +23,9 @@ from .errors import (InfeasibleStart, InvalidBudget, InvalidChoice, InvalidConst
                      InvalidExponents, InvalidMu1, InvalidTheta0, InvariantViolation,
                      ThetaTooLarge)
 from .geometry import (DELTA_CAP, Bounds, KktCertificate, _barrier_gradient, _barrier_value,
-                       _require_nonnegative, _vector, default_chi, in_neighborhood,
-                       kkt_certificate, projected_gradient_norm, range_gap, require_interior,
-                       slacks)
+                       _in_neighborhood, _require_nonnegative, _vector, default_chi,
+                       in_neighborhood, kkt_certificate, projected_gradient_norm, range_gap,
+                       require_interior, slacks)
 from .problems import MODES, _number, gradient_oracle
 from .schedules import (BufferSequences, PowerSchedule, StaircaseSchedule, sequences,
                         validate_exponents)
@@ -163,7 +163,7 @@ def _audit_step(config, step):
     k, x_next, q, d = step["k"], step["x_next"], step["q"], step["d"]
     bundle, gamma_k, mu_k, theta_k = step["bundle"], step["gamma_k"], step["mu_k"], step["theta_k"]
     bounds, ell_f = config.bounds, config.constants.ell_f
-    if not in_neighborhood(x_next, bounds, theta_k):
+    if not _in_neighborhood(x_next, bounds, theta_k):
         raise InvariantViolation(k, "next iterate left the theta_k neighborhood")
     tol = 1e-12
     s_next = require_interior(x_next, bounds)

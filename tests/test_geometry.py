@@ -305,6 +305,7 @@ MISSHAPEN = {
     "barrier_value-x": (lambda v: barrier_value(0.0, v, CUBE3, 0.1), "x"),
     "shifted_barrier_value-x": (lambda v: shifted_barrier_value(0.0, v, CUBE3, 0.1, 3.0), "x"),
     "project_to_neighborhood-x": (lambda v: project_to_neighborhood(v, CUBE3, 0.1), "x"),
+    "in_neighborhood-x": (lambda v: in_neighborhood(v, CUBE3, 0.1), "x"),
     "theta0_init-x1": (lambda v: theta0_init(v, CUBE3, 1.0, 0.0, 0.1, 2.0), "x1"),
 }
 
