@@ -118,9 +118,10 @@ def range_gap(bounds, cap):
 
 
 def in_neighborhood(x, bounds, theta):
-    """True iff lower + theta <= x and -x >= theta - upper, i.e. x <= upper - theta.
-    An x not of the bounds' shape raises DimensionMismatch, a negative or NaN
-    theta DomainError."""
+    """True iff lower + theta <= x <= upper - theta (infinite sides always pass);
+    the upper side is compared as -x >= theta - upper, which rounds to the
+    negation of upper - theta.  An x not of the bounds' shape raises
+    DimensionMismatch, a negative or NaN theta DomainError."""
     _require_nonnegative("theta", theta)
     return _in_neighborhood(_vector("x", x, bounds), bounds, theta)
 
