@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, InvalidBudget
-from .geometry import DELTA_CAP, _barrier_gradient, range_gap, require_interior
+from .geometry import DELTA_CAP, _barrier_gradient, _inner_sides, range_gap, require_interior
 from .problems import gradient_oracle
 from .solver import RunResult, _final_metrics, _first_iterate
 
@@ -43,7 +43,7 @@ def _simplified_step(x, g, s, bounds, mu, theta, ell_f):
     theta neighborhood, which must be nonempty."""
     q = _barrier_gradient(g, s, mu)
     alpha = 1.0 / (ell_f + 2.0 * mu / theta ** 2)
-    return np.clip(x - alpha * q, bounds.lower + theta, bounds.upper - theta)
+    return (x - alpha * q).clip(*_inner_sides(bounds, theta))
 
 
 def recurrence_ratio(mu_seq, c, psi, ell_f, C):
@@ -99,7 +99,7 @@ def run_psgm(objective, bounds, steps, x1, maxiter, mode="deterministic",
     _require_length("steps", steps, maxiter, positive=False)
     gradient = gradient_oracle(objective, mode, batch_fraction, seed)
     for k in range(maxiter):
-        x = np.clip(x - steps[k] * gradient(x), bounds.lower, bounds.upper)
+        x = (x - steps[k] * gradient(x)).clip(bounds.lower, bounds.upper)
     # the final iterate may sit on the box boundary: active-set certificate
     return RunResult(final_x=x, **_final_metrics(objective, bounds, x))
 

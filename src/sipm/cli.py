@@ -62,7 +62,9 @@ def _add_common(parser):
 
 
 def _add_run_flags(parser, multi_solver):
-    """The flags that only solve and bench read: solvers, seeds, schedule, audit, report."""
+    """solve's and bench's flags: the common ones, then the ones only they read
+    (solvers, seeds, schedule, audit, report)."""
+    _add_common(parser)
     if multi_solver:
         parser.add_argument("--solver", default="sipm,psgm",
                             help=f"comma-separated subset of {','.join(SOLVERS)}")
@@ -164,33 +166,38 @@ def _cmd_parse_check(args):
     return 0
 
 
-def build_parser():
+def _add_parse_check_flags(parser):
+    parser.add_argument("--train", metavar="PATH", required=True)
+    parser.add_argument("--test", metavar="PATH", default=None)
+    parser.add_argument("--out", default="-")
+
+
+# name: (help, handler, the function that adds its flags)
+COMMANDS = {
+    "solve": ("run one solver on one problem", _cmd_run,
+              lambda parser: _add_run_flags(parser, multi_solver=False)),
+    "estimate": ("estimate problem constants", _cmd_estimate, _add_common),
+    "bench": ("compare solvers over seeds", _cmd_run,
+              lambda parser: _add_run_flags(parser, multi_solver=True)),
+    "parse-check": ("validate LIBSVM data files", _cmd_parse_check, _add_parse_check_flags),
+}
+
+
+def build_parser(command=None):
+    """The sipm parser with every subcommand.  Given one subcommand's name, it
+    adds the flags of that one only (``main`` parses one command); given
+    anything else, those of all four.  Usage, help and error texts are the
+    same either way for the named command."""
     parser = _Parser(
         prog="sipm",
         description="Interior-point and projection solvers for box-constrained "
                     "smooth minimization, with a benchmark harness.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="run one solver on one problem")
-    _add_common(p_solve)
-    _add_run_flags(p_solve, multi_solver=False)
-    p_solve.set_defaults(handler=_cmd_run)
-
-    p_estimate = sub.add_parser("estimate", help="estimate problem constants")
-    _add_common(p_estimate)
-    p_estimate.set_defaults(handler=_cmd_estimate)
-
-    p_bench = sub.add_parser("bench", help="compare solvers over seeds")
-    _add_common(p_bench)
-    _add_run_flags(p_bench, multi_solver=True)
-    p_bench.set_defaults(handler=_cmd_run)
-
-    p_check = sub.add_parser("parse-check", help="validate LIBSVM data files")
-    p_check.add_argument("--train", metavar="PATH", required=True)
-    p_check.add_argument("--test", metavar="PATH", default=None)
-    p_check.add_argument("--out", default="-")
-    p_check.set_defaults(handler=_cmd_parse_check)
-
+    for name, (help_text, handler, add_flags) in COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        if command == name or command not in COMMANDS:
+            add_flags(subparser)
+        subparser.set_defaults(handler=handler)
     return parser
 
 
@@ -198,7 +205,8 @@ def main(argv=None):
     """Run one command; any SipmError or OSError (a data file that cannot be
     read, an output path that cannot be written) becomes one
     ``error: <Type>: <message>`` line on stderr and exit status 1."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
     except (SipmError, OSError) as err:

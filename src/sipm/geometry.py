@@ -1,7 +1,8 @@
 """Box geometry, log-barrier evaluation, inner neighborhoods, and stationarity measures.
 
 All operations here are pure functions of their arguments and safe to call
-from any number of concurrent solver runs.
+from any number of concurrent solver runs; ``_inner_sides`` keeps its last
+result on the bounds, in one tuple that it reads and replaces whole.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ class Bounds:
         object.__setattr__(self, "finite_lower", finite_lower)
         object.__setattr__(self, "finite_upper", finite_upper)
         object.__setattr__(self, "sides", np.array((lower, -upper)))
+        object.__setattr__(self, "_inner", (None, None))   # _inner_sides' last theta, sides
 
     @classmethod
     def cube(cls, n, lo=-1.0, hi=1.0):
@@ -131,6 +133,21 @@ def _in_neighborhood(x, bounds, theta):
     return bool(np.logical_and.reduce(_SIGNS * x >= bounds.sides + theta, axis=None))
 
 
+def _inner_sides(bounds, theta):
+    """(lower + theta, upper - theta), which the bounds keep for the next call
+    with the same theta, since a staircase holds theta for a whole level; the
+    two arrays are read-only, as every such call shares them.  A zero theta is
+    rebuilt every time, because its sign reaches the signed zeros of the sides."""
+    memo_theta, sides = bounds._inner
+    if memo_theta == theta and theta:
+        return sides
+    sides = bounds.lower + theta, bounds.upper - theta
+    for side in sides:
+        side.flags.writeable = False
+    object.__setattr__(bounds, "_inner", (theta, sides))
+    return sides
+
+
 def project_to_neighborhood(x, bounds, theta):
     """Componentwise clamp onto {x : lower + theta <= x <= upper - theta}.
 
@@ -143,7 +160,7 @@ def project_to_neighborhood(x, bounds, theta):
     _require_nonnegative("theta", theta)
     if theta >= 0.5 * np.min(bounds.gaps()):
         raise EmptyNeighborhood(f"theta={theta} is not below half the smallest range")
-    return np.clip(_vector("x", x, bounds), bounds.lower + theta, bounds.upper - theta)
+    return np.clip(_vector("x", x, bounds), *_inner_sides(bounds, theta))
 
 
 def barrier_value(f_value, x, bounds, mu):

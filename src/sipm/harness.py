@@ -2,10 +2,10 @@
 
 The protocol per problem is: fix one starting point, estimate the curvature
 and gradient-bound constants with a 500-iteration bootstrap that uses
-placeholder constants of 1 (it scans each iterate as the run makes it, so it
-keeps O(n) memory, not its history), set up each seed's run from those
-estimates, then run every requested solver over every seed, sipm first.  One
-recipe, ``_solver_config``, sets up both the bootstrap (a deterministic
+placeholder constants of 1 (it scans the iterates in blocks as the run makes
+them, so it keeps O(n) memory, not its history), set up each seed's run from
+those estimates, then run every requested solver over every seed, sipm first.
+One recipe, ``_solver_config``, sets up both the bootstrap (a deterministic
 staircase) and each seed: the barrier start mu1 from the gradient (estimate)
 at the start point, the neighborhood margin theta0 capped by the constants,
 then the schedule and buffers; every cell of the seed reads that config and
@@ -58,6 +58,7 @@ BOOTSTRAP_ITERS = 500
 BOOTSTRAP_CONSTANTS = Constants(ell_f=1.0, kappa_inf=1.0, sigma_inf=0.0)
 SIGMA_DRAWS = 100
 HASH_BLOCK = 1 << 18   # bytes of a data file that _cache_key reads at a time
+SCAN_BLOCK = 32   # bootstrap steps per fold of _SecantScan, fewer where its rows pass 64 KiB
 QUAD_NOISE_LEVEL = 0.1   # a stochastic quadratic's noise bound, as quadratic_objective reads it
 START_RADIUS = 0.01   # initial_point draws x1 from this cube; the spec's box must hold it
 # spec.audit -> SolverConfig.audit_level of an untraced spec.  Only trace
@@ -103,38 +104,68 @@ def estimate_constants(objective, x1, bounds, mode="deterministic",
     otherwise it is 0.  A mode or batch fraction that ``gradient_oracle``
     rejects raises its error before any gradient is taken.
 
-    The scan runs in the bootstrap's observer and keeps only the previous
-    iterate and gradient, the first gradient and two running maxima, so the
-    estimate holds O(n) memory whatever ``BOOTSTRAP_ITERS`` is.
+    The scan, the bootstrap's observer ``_SecantScan``, folds blocks of at
+    most ``SCAN_BLOCK`` steps into two running maxima from two arrays that it
+    keeps within 64 KiB each where n allows, so the estimate holds O(n) memory
+    whatever ``BOOTSTRAP_ITERS`` is.
     """
     # the noise draws' oracle checks mode and fraction; its sampler draws lazily
     sample = gradient_oracle(objective, mode, batch_fraction, [seed, 2])
     g_true = objective.gradient(x1)
     config = _solver_config(BOOTSTRAP_SPEC, g_true, x1, bounds, BOOTSTRAP_CONSTANTS,
                             BOOTSTRAP_ITERS)
-    kappa = ell = 0.0   # gradient inf-norms and secant ratios are nonnegative
-    prev = x1, g_true   # the previous (x, exact gradient at x); the bootstrap starts at x1
-
-    def scan(step):
-        nonlocal kappa, ell, prev
-        x, g = step["x"], step["g"]
-        kappa = max(kappa, float(np.abs(g).max()))
-        dx = x - prev[0]
-        move = math.sqrt(dx @ dx)   # np.linalg.norm's bits, a 1-D norm being sqrt(dot)
-        if move > 1e-14:
-            dg = g - prev[1]
-            ell = max(ell, math.sqrt(dg @ dg) / move)
-        prev = x, g
-
+    scan = _SecantScan(x1, g_true)   # the bootstrap starts at x1
     run(objective, config, x1, observer=scan)
-    if ell == 0.0:
-        ell = 1.0  # no usable secant pair; keep the bootstrap placeholder
+    scan.fold()
+    ell = scan.ell or 1.0   # no usable secant pair: keep the bootstrap placeholder
 
     sigma = 0.0
     if mode == "stochastic":
         for _ in range(SIGMA_DRAWS):
             sigma = max(sigma, float(np.max(np.abs(sample(x1) - g_true))))
-    return EstimatedConstants(ell_f_bar=ell, kappa_inf_bar=kappa, sigma_inf_bar=sigma)
+    return EstimatedConstants(ell_f_bar=ell, kappa_inf_bar=scan.kappa, sigma_inf_bar=sigma)
+
+
+def _row_dots(a):
+    """Each row's dot product with itself, with the bits of ``row @ row``: a
+    batched (1, n) @ (n, 1) matmul runs each row through the same dot kernel."""
+    return np.matmul(a[:, None, :], a[:, :, None]).reshape(-1)
+
+
+class _SecantScan:
+    """The bootstrap's observer: the largest gradient inf-norm (kappa) and secant
+    ratio (ell) along the path from (x1, g1), skipping pairs that move by at most
+    1e-14.  Steps are copied into two (B + 1, n) arrays, B = SCAN_BLOCK or fewer
+    where that passes 64 KiB, row 0 holding the last point scanned; ``fold``
+    scans them in a few calls, each pair's norms with ``math.sqrt(d @ d)``'s bits.
+    """
+
+    def __init__(self, x1, g1):
+        n = np.size(g1)
+        rows = max(2, min(SCAN_BLOCK + 1, (1 << 16) // (8 * n)))
+        self.xs, self.gs = np.empty((rows, n)), np.empty((rows, n))
+        self.xs[0], self.gs[0] = x1, g1
+        self.filled = 0   # rows after row 0 not folded yet
+        self.kappa = self.ell = 0.0   # gradient inf-norms and secant ratios are nonnegative
+
+    def __call__(self, step):
+        i = self.filled = self.filled + 1
+        self.xs[i], self.gs[i] = step["x"], step["g"]
+        if i == len(self.xs) - 1:
+            self.fold()
+
+    @np.errstate(divide="ignore", invalid="ignore")   # the skipped pairs' ratios
+    def fold(self):
+        i, self.filled = self.filled, 0
+        if i:
+            xs, gs = self.xs[:i + 1], self.gs[:i + 1]
+            self.kappa = max(self.kappa, float(np.abs(gs[1:]).max()))
+            moves = np.sqrt(_row_dots(xs[1:] - xs[:-1]))
+            ratios = np.sqrt(_row_dots(gs[1:] - gs[:-1])) / moves
+            # fmax skips a NaN ratio, as max(ell, nan) keeps ell
+            self.ell = max(self.ell, float(np.fmax.reduce(ratios, where=moves > 1e-14,
+                                                          initial=0.0)))
+            xs[0], gs[0] = xs[i], gs[i]
 
 
 def save_constants(path, constants):

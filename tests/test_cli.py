@@ -539,3 +539,59 @@ def test_writing_a_report_holds_no_copy_of_its_text(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < length / 4
+
+
+# every flag each subcommand registered when build_parser built all four every time
+FLAGS = {
+    "solve": {"--audit", "--batch-frac", "--bounds", "--cache-dir", "--data-seed", "--dim",
+              "--epochs", "--format", "--help", "--hidden", "--init-seed", "--maxiter",
+              "--mode", "--model", "--out", "--param-mode", "--samples", "--schedule",
+              "--seeds", "--solver", "--t-alpha", "--t-mu", "--t-theta", "--test", "--trace",
+              "--train", "-h"},
+    "estimate": {"--batch-frac", "--bounds", "--cache-dir", "--data-seed", "--dim", "--epochs",
+                 "--help", "--hidden", "--init-seed", "--maxiter", "--mode", "--model",
+                 "--out", "--samples", "--test", "--train", "-h"},
+    "parse-check": {"--help", "--out", "--test", "--train", "-h"},
+}
+FLAGS["bench"] = FLAGS["solve"]
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _action_fields(subparser):
+    return [(a.option_strings, a.dest, a.default, a.choices, a.nargs, a.type, a.required,
+             a.help, a.metavar) for a in subparser._actions]
+
+
+def test_a_full_parser_registers_every_flag_and_one_command_its_own():
+    full = _subparsers(cli.build_parser())
+    assert list(full) == ["solve", "estimate", "bench", "parse-check"]
+    for name, subparser in full.items():
+        assert {o for a in subparser._actions for o in a.option_strings} == FLAGS[name]
+        alone = _subparsers(cli.build_parser(name))
+        assert list(alone) == list(full)
+        assert _action_fields(alone[name]) == _action_fields(subparser)
+        assert alone[name].get_default("handler") is subparser.get_default("handler")
+
+
+def _outcome(call, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        call()
+    captured = capsys.readouterr()
+    return exit_info.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["solve", "--help"], ["estimate", "--help"], ["bench", "--help"],
+    ["parse-check", "--help"], ["bench", "--bogus"], ["estimate", "--maxiter", "x"],
+    ["parse-check"], ["frobnicate"], []], ids=" ".join)
+def test_help_and_parse_errors_match_a_fully_built_parser(argv, capsys):
+    """main builds only its command's flags; what it prints and its exit status
+    are those of the parser with all four commands."""
+    seen = _outcome(lambda: main(argv), capsys)
+    assert seen == _outcome(lambda: cli.build_parser().parse_args(argv), capsys)
+    assert seen[0] == (0 if "--help" in argv else 2)
+    if argv == ["frobnicate"]:
+        assert "invalid choice: 'frobnicate'" in seen[2]

@@ -10,6 +10,7 @@ from sipm import (Bounds, Constants, ScheduleContext, barrier_gradient, barrier_
                   shifted_barrier_value, step_size_bundle, theta0_init)
 from sipm.errors import (DimensionMismatch, DomainError, EmptyNeighborhood, InvalidSpec,
                          NotInterior, SipmError)
+from sipm import geometry
 from sipm.geometry import slacks
 
 INF = np.inf
@@ -356,3 +357,19 @@ def test_zero_theta_and_mu_stay_valid():
     assert project_to_neighborhood([5.0, -5.0, 0.0], CUBE3, 0.0).tolist() == [1.0, -1.0, 0.0]
     assert build_hk(X3, CUBE3, 0.0, 1.0)[0].tolist() == [1.0, 1.0, 1.0]
     assert barrier_gradient(X3, X3, CUBE3, 0.0).tolist() == X3.tolist()
+
+
+def test_inner_sides_are_kept_per_bounds_and_theta_and_rebuilt_for_a_zero():
+    """_inner_sides returns lower + theta and upper - theta with their bits,
+    from its one-entry memo only for the same bounds and the same nonzero theta:
+    a zero theta's sign reaches the sides' signed zeros."""
+    box = Bounds(np.array([-0.0, -1.0, -np.inf]), np.array([0.5, -0.0, 1.0]))
+    other = Bounds(box.lower.copy(), box.upper.copy())
+    for bounds, theta in [(box, 0.25), (box, 0.25), (box, 0.1), (other, 0.1), (box, 0.0),
+                          (box, -0.0), (box, -0.0), (box, 0.0), (other, 0.0), (box, 0.1)]:
+        lo, up = geometry._inner_sides(bounds, theta)
+        assert lo.tobytes() == (bounds.lower + theta).tobytes()
+        assert up.tobytes() == (bounds.upper - theta).tobytes()
+    assert geometry._inner_sides(box, 0.1) is geometry._inner_sides(box, 0.1)
+    assert not any(side.flags.writeable for side in geometry._inner_sides(box, 0.1))
+    assert geometry._inner_sides(other, 0.1) is not geometry._inner_sides(box, 0.1)
