@@ -541,7 +541,7 @@ def test_writing_a_report_holds_no_copy_of_its_text(tmp_path):
     assert peak < length / 4
 
 
-# every flag each subcommand registered when build_parser built all four every time
+# every flag of each subcommand, as a full build_parser() registers it
 FLAGS = {
     "solve": {"--audit", "--batch-frac", "--bounds", "--cache-dir", "--data-seed", "--dim",
               "--epochs", "--format", "--help", "--hidden", "--init-seed", "--maxiter",

@@ -8,9 +8,9 @@ from sipm import (Bounds, Constants, ScheduleContext, barrier_gradient, barrier_
                   build_hk, default_chi, in_neighborhood, kkt_certificate, mu1_init,
                   project_to_neighborhood, projected_gradient_norm, range_gap, ratio_test,
                   shifted_barrier_value, step_size_bundle, theta0_init)
+from sipm import geometry
 from sipm.errors import (DimensionMismatch, DomainError, EmptyNeighborhood, InvalidSpec,
                          NotInterior, SipmError)
-from sipm import geometry
 from sipm.geometry import slacks
 
 INF = np.inf
@@ -361,7 +361,7 @@ def test_zero_theta_and_mu_stay_valid():
 
 def test_inner_sides_are_kept_per_bounds_and_theta_and_rebuilt_for_a_zero():
     """_inner_sides returns lower + theta and upper - theta with their bits,
-    from its one-entry memo only for the same bounds and the same nonzero theta:
+    read-only, and the pair each Bounds keeps only for the same nonzero theta:
     a zero theta's sign reaches the sides' signed zeros."""
     box = Bounds(np.array([-0.0, -1.0, -np.inf]), np.array([0.5, -0.0, 1.0]))
     other = Bounds(box.lower.copy(), box.upper.copy())
