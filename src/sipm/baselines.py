@@ -36,14 +36,15 @@ def c_constant(bounds, kappa_inf, mu1):
     return min(1.0 / largest, C_CAP)
 
 
-def _simplified_step(x, g, s, bounds, mu, theta, ell_f):
+def _simplified_step(x, g, s, bounds, mu, theta, ell_f, theta_prev=None):
     """One step of the projection variant from the stacked slacks s of x: the
     barrier gradient q, the conservative step size alpha = 1/(ell_f +
     2*mu/theta**2), and the orthogonal projection of x - alpha*q onto the
-    theta neighborhood, which must be nonempty."""
+    theta neighborhood, which must be nonempty.  theta_prev is the previous
+    step's theta (``_inner_sides``)."""
     q = _barrier_gradient(g, s, mu)
     alpha = 1.0 / (ell_f + 2.0 * mu / theta ** 2)
-    return (x - alpha * q).clip(*_inner_sides(bounds, theta))
+    return (x - alpha * q).clip(*_inner_sides(bounds, theta, theta_prev))
 
 
 def recurrence_ratio(mu_seq, c, psi, ell_f, C):
@@ -116,9 +117,11 @@ def run_simplified(objective, bounds, mu_seq, ell_f, c, x1, maxiter,
     _require_length("mu_seq", mu_seq, maxiter, positive=True)
     theta_cap = 0.499 * range_gap(bounds, DELTA_CAP)
     gradient = gradient_oracle(objective, mode, batch_fraction, seed)
+    theta = None
     for k in range(maxiter):
         mu = float(mu_seq[k])
+        theta_prev, theta = theta, min(c * mu, theta_cap)
         x = _simplified_step(x, gradient(x), require_interior(x, bounds), bounds, mu,
-                             min(c * mu, theta_cap), ell_f)
+                             theta, ell_f, theta_prev)
     mu_last = float(mu_seq[maxiter - 1]) if maxiter >= 1 else None
     return RunResult(final_x=x, **_final_metrics(objective, bounds, x, mu_last=mu_last))

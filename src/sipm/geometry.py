@@ -133,13 +133,16 @@ def _in_neighborhood(x, bounds, theta):
     return bool(np.logical_and.reduce(_SIGNS * x >= bounds.sides + theta, axis=None))
 
 
-def _inner_sides(bounds, theta):
-    """(lower + theta, upper - theta), which the bounds keep for the next call
-    with the same theta, since a staircase holds theta for a whole level; the
-    two arrays are read-only, as every such call shares them.  A zero theta is
-    rebuilt every time, because its sign reaches the signed zeros of the sides."""
+def _inner_sides(bounds, theta, theta_prev):
+    """(lower + theta, upper - theta).  Where theta equals the previous step's
+    theta_prev, as on a staircase level, the bounds keep the pair for the next
+    such call, read-only since every such call shares it; a theta that moves
+    every step (a power schedule) is built directly and never kept.  A zero
+    theta is always built, because its sign reaches the sides' signed zeros."""
+    if theta != theta_prev or not theta:
+        return bounds.lower + theta, bounds.upper - theta
     memo_theta, sides = bounds._inner
-    if memo_theta == theta and theta:
+    if memo_theta == theta:
         return sides
     sides = bounds.lower + theta, bounds.upper - theta
     for side in sides:
@@ -160,7 +163,7 @@ def project_to_neighborhood(x, bounds, theta):
     _require_nonnegative("theta", theta)
     if theta >= 0.5 * np.min(bounds.gaps()):
         raise EmptyNeighborhood(f"theta={theta} is not below half the smallest range")
-    return np.clip(_vector("x", x, bounds), *_inner_sides(bounds, theta))
+    return np.clip(_vector("x", x, bounds), bounds.lower + theta, bounds.upper - theta)
 
 
 def barrier_value(f_value, x, bounds, mu):

@@ -2,10 +2,10 @@
 
 The protocol per problem is: fix one starting point, estimate the curvature
 and gradient-bound constants with a 500-iteration bootstrap that uses
-placeholder constants of 1 (it scans the iterates in blocks as the run makes
-them, so it keeps O(n) memory, not its history), set up each seed's run from
-those estimates, then run every requested solver over every seed, sipm first.
-One recipe, ``_solver_config``, sets up both the bootstrap (a deterministic
+placeholder constants of 1 (it scans each iterate as the run makes it, so it
+keeps O(n) memory, not its history), set up each seed's run from those
+estimates, then run every requested solver over every seed, sipm first.  One
+recipe, ``_solver_config``, sets up both the bootstrap (a deterministic
 staircase) and each seed: the barrier start mu1 from the gradient (estimate)
 at the start point, the neighborhood margin theta0 capped by the constants,
 then the schedule and buffers; every cell of the seed reads that config and
@@ -58,7 +58,9 @@ BOOTSTRAP_ITERS = 500
 BOOTSTRAP_CONSTANTS = Constants(ell_f=1.0, kappa_inf=1.0, sigma_inf=0.0)
 SIGMA_DRAWS = 100
 HASH_BLOCK = 1 << 18   # bytes of a data file that _cache_key reads at a time
-SCAN_BLOCK = 32   # bootstrap steps per fold of _SecantScan, fewer where its rows pass 64 KiB
+# _secant_scan's blocks: SCAN_BLOCK steps, fewer where an array would pass
+# SCAN_BYTES, and none where fewer than SCAN_MIN_BLOCK (n > 3640) would not pay
+SCAN_BLOCK, SCAN_BYTES, SCAN_MIN_BLOCK = 32, 1 << 18, 8
 QUAD_NOISE_LEVEL = 0.1   # a stochastic quadratic's noise bound, as quadratic_objective reads it
 START_RADIUS = 0.01   # initial_point draws x1 from this cube; the spec's box must hold it
 # spec.audit -> SolverConfig.audit_level of an untraced spec.  Only trace
@@ -104,17 +106,18 @@ def estimate_constants(objective, x1, bounds, mode="deterministic",
     otherwise it is 0.  A mode or batch fraction that ``gradient_oracle``
     rejects raises its error before any gradient is taken.
 
-    The scan, the bootstrap's observer ``_SecantScan``, folds blocks of at
-    most ``SCAN_BLOCK`` steps into two running maxima from two arrays that it
-    keeps within 64 KiB each where n allows, so the estimate holds O(n) memory
-    whatever ``BOOTSTRAP_ITERS`` is.
+    The scan, the bootstrap's observer from ``_secant_scan``, folds blocks of
+    at most ``SCAN_BLOCK`` steps into two running maxima from two arrays of at
+    most ``SCAN_BYTES`` each, or takes each pair as it comes where n is too
+    large for a block to pay, so the estimate holds O(n) memory whatever
+    ``BOOTSTRAP_ITERS`` is.
     """
     # the noise draws' oracle checks mode and fraction; its sampler draws lazily
     sample = gradient_oracle(objective, mode, batch_fraction, [seed, 2])
     g_true = objective.gradient(x1)
     config = _solver_config(BOOTSTRAP_SPEC, g_true, x1, bounds, BOOTSTRAP_CONSTANTS,
                             BOOTSTRAP_ITERS)
-    scan = _SecantScan(x1, g_true)   # the bootstrap starts at x1
+    scan = _secant_scan(x1, g_true)   # the bootstrap starts at x1
     run(objective, config, x1, observer=scan)
     scan.fold()
     ell = scan.ell or 1.0   # no usable secant pair: keep the bootstrap placeholder
@@ -132,21 +135,48 @@ def _row_dots(a):
     return np.matmul(a[:, None, :], a[:, :, None]).reshape(-1)
 
 
-class _SecantScan:
-    """The bootstrap's observer: the largest gradient inf-norm (kappa) and secant
-    ratio (ell) along the path from (x1, g1), skipping pairs that move by at most
-    1e-14.  Steps are copied into two (B + 1, n) arrays, B = SCAN_BLOCK or fewer
-    where that passes 64 KiB, row 0 holding the last point scanned; ``fold``
-    scans them in a few calls, each pair's norms with ``math.sqrt(d @ d)``'s bits.
-    """
+def _secant_scan(x1, g1):
+    """The bootstrap's observer from (x1, g1): a ``_BlockScan`` of as many steps
+    as the module's SCAN_* limits allow, or a ``_PairScan`` above them."""
+    block = min(SCAN_BLOCK, SCAN_BYTES // (8 * np.size(g1)) - 1)
+    return _BlockScan(x1, g1, block) if block >= SCAN_MIN_BLOCK else _PairScan(x1, g1)
+
+
+class _PairScan:
+    """The largest gradient inf-norm (kappa) and secant ratio (ell) along the
+    path from (x1, g1), skipping pairs that move by at most 1e-14, one pair
+    per step; ``fold`` has nothing left to scan."""
 
     def __init__(self, x1, g1):
-        n = np.size(g1)
-        rows = max(2, min(SCAN_BLOCK + 1, (1 << 16) // (8 * n)))
-        self.xs, self.gs = np.empty((rows, n)), np.empty((rows, n))
+        self.prev = x1, g1
+        self.kappa = self.ell = 0.0   # gradient inf-norms and secant ratios are nonnegative
+
+    def __call__(self, step):
+        x, g = step["x"], step["g"]
+        self.kappa = max(self.kappa, float(np.abs(g).max()))
+        dx = x - self.prev[0]
+        move = math.sqrt(dx @ dx)   # np.linalg.norm's bits, a 1-D norm being sqrt(dot)
+        if move > 1e-14:
+            dg = g - self.prev[1]
+            self.ell = max(self.ell, math.sqrt(dg @ dg) / move)
+        self.prev = x, g
+
+    def fold(self):
+        pass
+
+
+class _BlockScan:
+    """``_PairScan``'s maxima, bit for bit, from blocks of ``block`` steps:
+    each step is copied into two (block + 1, n) arrays, row 0 holding the last
+    point scanned, and ``fold`` scans them in a few calls, each pair's norms
+    with ``math.sqrt(d @ d)``'s bits."""
+
+    def __init__(self, x1, g1, block):
+        shape = block + 1, np.size(g1)
+        self.xs, self.gs = np.empty(shape), np.empty(shape)
         self.xs[0], self.gs[0] = x1, g1
         self.filled = 0   # rows after row 0 not folded yet
-        self.kappa = self.ell = 0.0   # gradient inf-norms and secant ratios are nonnegative
+        self.kappa = self.ell = 0.0
 
     def __call__(self, step):
         i = self.filled = self.filled + 1

@@ -6,7 +6,7 @@ curvature bound, alpha_max from the buffer allowance, gamma_min and gamma_max
 from alpha_max, the look-ahead step alpha_pre from the current point's
 smallest slacks, its largest admissible fraction gamma_bar, ell_k along the
 look-ahead segment, alpha_k, the ratio test's gamma_k and the clipped update.
-It takes the neighborhood sides (from ``_inner_sides``, built once per theta)
+It takes the neighborhood sides (once per staircase level, ``_inner_sides``)
 and the ratio-test margin once, for both ratio tests and the clip, and the
 mask of moving coordinates once, for both.
 
@@ -81,7 +81,7 @@ def ratio_test(x, direction, scale, bounds, theta, gamma_max):
     x = _vector("x", x, bounds)
     d = _vector("direction", direction, bounds)
     _require_nonnegative("theta", theta)
-    margin = np.where(d < 0.0, *_inner_sides(bounds, theta)) - x
+    margin = np.where(d < 0.0, bounds.lower + theta, bounds.upper - theta) - x
     return _ratio(margin, d, scale, gamma_max, d != 0.0)
 
 
@@ -138,7 +138,7 @@ def _step(x, s, q, h_diag, k, bounds, mu, theta_k, theta_prev, t_alpha, alpha_bu
     a, b = np.minimum.reduce(s, axis=1).tolist()
     alpha_pre = lam_min * k_pow / (constants.ell_f + mu / (a * a) + mu / (b * b))
     d = -q / h_diag
-    inner_lo, inner_up = _inner_sides(bounds, theta_k)
+    inner_lo, inner_up = _inner_sides(bounds, theta_k, theta_prev)
     margin = np.where(d < 0.0, inner_lo, inner_up) - x
     moving = d != 0.0
     gamma_bar = _ratio(margin, d, alpha_pre, gamma_max, moving)

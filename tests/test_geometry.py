@@ -359,17 +359,25 @@ def test_zero_theta_and_mu_stay_valid():
     assert barrier_gradient(X3, X3, CUBE3, 0.0).tolist() == X3.tolist()
 
 
-def test_inner_sides_are_kept_per_bounds_and_theta_and_rebuilt_for_a_zero():
-    """_inner_sides returns lower + theta and upper - theta with their bits,
-    read-only, and the pair each Bounds keeps only for the same nonzero theta:
-    a zero theta's sign reaches the sides' signed zeros."""
+def test_inner_sides_are_kept_only_for_a_held_nonzero_theta():
+    """_inner_sides returns lower + theta and upper - theta with their bits.
+    Each Bounds keeps the pair, read-only, where theta equals the previous
+    step's theta and is nonzero (a zero theta's sign reaches the sides' signed
+    zeros); a theta that moves is built fresh and leaves the kept pair alone."""
     box = Bounds(np.array([-0.0, -1.0, -np.inf]), np.array([0.5, -0.0, 1.0]))
     other = Bounds(box.lower.copy(), box.upper.copy())
-    for bounds, theta in [(box, 0.25), (box, 0.25), (box, 0.1), (other, 0.1), (box, 0.0),
-                          (box, -0.0), (box, -0.0), (box, 0.0), (other, 0.0), (box, 0.1)]:
-        lo, up = geometry._inner_sides(bounds, theta)
+    for bounds, theta, theta_prev in [
+            (box, 0.25, None), (box, 0.25, 0.25), (box, 0.1, 0.25), (box, 0.1, 0.1),
+            (other, 0.1, 0.1), (box, 0.0, 0.0), (box, -0.0, -0.0), (box, -0.0, 0.0),
+            (box, 0.0, -0.0), (other, 0.0, 0.1), (box, 0.1, 0.1)]:
+        lo, up = geometry._inner_sides(bounds, theta, theta_prev)
         assert lo.tobytes() == (bounds.lower + theta).tobytes()
         assert up.tobytes() == (bounds.upper - theta).tobytes()
-    assert geometry._inner_sides(box, 0.1) is geometry._inner_sides(box, 0.1)
-    assert not any(side.flags.writeable for side in geometry._inner_sides(box, 0.1))
-    assert geometry._inner_sides(other, 0.1) is not geometry._inner_sides(box, 0.1)
+    held = geometry._inner_sides(box, 0.1, 0.1)
+    assert held is geometry._inner_sides(box, 0.1, 0.1)
+    assert not any(side.flags.writeable for side in held)
+    assert geometry._inner_sides(other, 0.1, 0.1) is not held
+    moving = geometry._inner_sides(box, 0.1, 0.2)
+    assert moving is not held and all(side.flags.writeable for side in moving)
+    geometry._inner_sides(box, 0.3, 0.2)
+    assert geometry._inner_sides(box, 0.1, 0.1) is held

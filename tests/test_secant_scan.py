@@ -1,8 +1,9 @@
 """The bootstrap's blocked secant scan against the per-pair scan it replaced.
 
-``harness._SecantScan`` folds blocks of up to ``SCAN_BLOCK`` steps with a
-batched row dot; the reference below is the per-pair observer it replaced,
-float operation for float operation, and every comparison is ``==``.
+``harness._BlockScan`` folds blocks of up to ``SCAN_BLOCK`` steps with a
+batched row dot, and ``harness._PairScan`` takes the pairs one by one where n
+is too large for a block; the reference below is the per-pair observer they
+replaced, float operation for float operation, and every comparison is ``==``.
 """
 
 import math
@@ -77,7 +78,9 @@ def _logistic_half_open():
 PROBLEMS = {
     "quadratic-50": lambda: _quadratic(50),
     "quadratic-1": lambda: _quadratic(1),
-    "quadratic-300": lambda: _quadratic(300),   # fewer rows than SCAN_BLOCK + 1
+    "quadratic-300": lambda: _quadratic(300),
+    "quadratic-2000": lambda: _quadratic(2000),   # a block of 15 steps
+    "quadratic-4000": lambda: _quadratic(4000),   # one pair per step
     "logistic-half-open": _logistic_half_open,
     "linear": lambda: (LinearObjective([0.4, -1.5, 0.2]), Bounds.cube(3, -1.0, 1.0)),
 }
@@ -111,7 +114,7 @@ def _feed(points, n):
     """(kappa, ell) of both scans over points[1:], starting from points[0]."""
     (x1, g1), steps = points[0], [dict(x=x, g=g) for x, g in points[1:]]
     scan, result = reference_scan(x1, g1)
-    blocked = harness._SecantScan(x1, g1)
+    blocked = harness._secant_scan(x1, g1)
     for step in steps:
         scan(step)
         blocked(step)
@@ -119,7 +122,7 @@ def _feed(points, n):
     return result(), (blocked.kappa, blocked.ell)
 
 
-@pytest.mark.parametrize("n", [1, 7, 50, 251])
+@pytest.mark.parametrize("n", [1, 7, 50, 251, 4000])
 def test_blocked_scan_matches_on_walks_with_zero_and_tiny_moves(n):
     rng = np.random.default_rng(n)
     points = [(rng.uniform(-1, 1, n), rng.standard_normal(n))]
@@ -167,18 +170,24 @@ def test_the_row_dot_has_the_bits_of_a_vector_dot():
         assert batched.tobytes() == single.tobytes(), n
 
 
-def test_the_scan_arrays_stay_within_64_kib_at_n_4000(monkeypatch):
-    scans = []
+@pytest.mark.parametrize("n, block", [(1, 32), (50, 32), (992, 32), (993, 32 - 1),
+                                      (2000, 15), (3640, 8), (3641, None), (4000, None)])
+def test_the_scan_block_stays_within_its_byte_cap(n, block, monkeypatch):
+    """Each block array holds at most SCAN_BYTES; where that leaves fewer than
+    SCAN_MIN_BLOCK steps, the scan keeps no block and takes one pair a step."""
+    scans, make = [], harness._secant_scan
 
-    class Recorded(harness._SecantScan):
-        def __init__(self, x1, g1):
-            super().__init__(x1, g1)
-            scans.append(self)
+    def recorded(x1, g1):
+        scans.append(make(x1, g1))
+        return scans[-1]
 
-    monkeypatch.setattr(harness, "_SecantScan", Recorded)
+    monkeypatch.setattr(harness, "_secant_scan", recorded)
     monkeypatch.setattr(harness, "BOOTSTRAP_ITERS", 5)
-    objective, bounds = _quadratic(4000)
-    estimate_constants(objective, initial_point(4000, 0), bounds)
+    objective, bounds = _quadratic(n)
+    estimate_constants(objective, initial_point(n, 0), bounds)
     (scan,) = scans
-    assert len(scan.xs) >= 2 and scan.xs.nbytes <= 1 << 16 and scan.gs.nbytes <= 1 << 16
-    assert len(harness._SecantScan(np.zeros(50), np.zeros(50)).xs) == harness.SCAN_BLOCK + 1
+    if block is None:
+        assert isinstance(scan, harness._PairScan)
+    else:
+        assert len(scan.xs) == len(scan.gs) == block + 1
+        assert scan.xs.nbytes <= harness.SCAN_BYTES and scan.gs.nbytes <= harness.SCAN_BYTES
