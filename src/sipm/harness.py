@@ -51,6 +51,7 @@ from .problems import (_number, _require_batch_fraction, _rng, gradient_oracle,
                        synthetic_classification)
 from .schedules import (BufferSequences, ExponentTriple, PowerSchedule,
                         build_staircase, mu1_init, theta0_init)
+from .secant_scan import _secant_scan
 from .solver import CONFIG_CHOICES, SolverConfig, run
 from .stepsize import Constants
 
@@ -58,9 +59,6 @@ BOOTSTRAP_ITERS = 500
 BOOTSTRAP_CONSTANTS = Constants(ell_f=1.0, kappa_inf=1.0, sigma_inf=0.0)
 SIGMA_DRAWS = 100
 HASH_BLOCK = 1 << 18   # bytes of a data file that _cache_key reads at a time
-# _secant_scan's blocks: SCAN_BLOCK steps, fewer where an array would pass
-# SCAN_BYTES, and none where fewer than SCAN_MIN_BLOCK (n > 3640) would not pay
-SCAN_BLOCK, SCAN_BYTES, SCAN_MIN_BLOCK = 32, 1 << 18, 8
 QUAD_NOISE_LEVEL = 0.1   # a stochastic quadratic's noise bound, as quadratic_objective reads it
 START_RADIUS = 0.01   # initial_point draws x1 from this cube; the spec's box must hold it
 # spec.audit -> SolverConfig.audit_level of an untraced spec.  Only trace
@@ -106,8 +104,8 @@ def estimate_constants(objective, x1, bounds, mode="deterministic",
     otherwise it is 0.  A mode or batch fraction that ``gradient_oracle``
     rejects raises its error before any gradient is taken.
 
-    The scan, the bootstrap's observer from ``_secant_scan``, folds blocks of
-    at most ``SCAN_BLOCK`` steps into two running maxima from two arrays of at
+    The scan, the bootstrap's observer from ``secant_scan``, folds blocks of at
+    most ``SCAN_BLOCK`` steps into two running maxima from two arrays of at
     most ``SCAN_BYTES`` each, or takes each pair as it comes where n is too
     large for a block to pay, so the estimate holds O(n) memory whatever
     ``BOOTSTRAP_ITERS`` is.
@@ -127,75 +125,6 @@ def estimate_constants(objective, x1, bounds, mode="deterministic",
         for _ in range(SIGMA_DRAWS):
             sigma = max(sigma, float(np.max(np.abs(sample(x1) - g_true))))
     return EstimatedConstants(ell_f_bar=ell, kappa_inf_bar=scan.kappa, sigma_inf_bar=sigma)
-
-
-def _row_dots(a):
-    """Each row's dot product with itself, with the bits of ``row @ row``: a
-    batched (1, n) @ (n, 1) matmul runs each row through the same dot kernel."""
-    return np.matmul(a[:, None, :], a[:, :, None]).reshape(-1)
-
-
-def _secant_scan(x1, g1):
-    """The bootstrap's observer from (x1, g1): a ``_BlockScan`` of as many steps
-    as the module's SCAN_* limits allow, or a ``_PairScan`` above them."""
-    block = min(SCAN_BLOCK, SCAN_BYTES // (8 * np.size(g1)) - 1)
-    return _BlockScan(x1, g1, block) if block >= SCAN_MIN_BLOCK else _PairScan(x1, g1)
-
-
-class _PairScan:
-    """The largest gradient inf-norm (kappa) and secant ratio (ell) along the
-    path from (x1, g1), skipping pairs that move by at most 1e-14, one pair
-    per step; ``fold`` has nothing left to scan."""
-
-    def __init__(self, x1, g1):
-        self.prev = x1, g1
-        self.kappa = self.ell = 0.0   # gradient inf-norms and secant ratios are nonnegative
-
-    def __call__(self, step):
-        x, g = step["x"], step["g"]
-        self.kappa = max(self.kappa, float(np.abs(g).max()))
-        dx = x - self.prev[0]
-        move = math.sqrt(dx @ dx)   # np.linalg.norm's bits, a 1-D norm being sqrt(dot)
-        if move > 1e-14:
-            dg = g - self.prev[1]
-            self.ell = max(self.ell, math.sqrt(dg @ dg) / move)
-        self.prev = x, g
-
-    def fold(self):
-        pass
-
-
-class _BlockScan:
-    """``_PairScan``'s maxima, bit for bit, from blocks of ``block`` steps:
-    each step is copied into two (block + 1, n) arrays, row 0 holding the last
-    point scanned, and ``fold`` scans them in a few calls, each pair's norms
-    with ``math.sqrt(d @ d)``'s bits."""
-
-    def __init__(self, x1, g1, block):
-        shape = block + 1, np.size(g1)
-        self.xs, self.gs = np.empty(shape), np.empty(shape)
-        self.xs[0], self.gs[0] = x1, g1
-        self.filled = 0   # rows after row 0 not folded yet
-        self.kappa = self.ell = 0.0
-
-    def __call__(self, step):
-        i = self.filled = self.filled + 1
-        self.xs[i], self.gs[i] = step["x"], step["g"]
-        if i == len(self.xs) - 1:
-            self.fold()
-
-    @np.errstate(divide="ignore", invalid="ignore")   # the skipped pairs' ratios
-    def fold(self):
-        i, self.filled = self.filled, 0
-        if i:
-            xs, gs = self.xs[:i + 1], self.gs[:i + 1]
-            self.kappa = max(self.kappa, float(np.abs(gs[1:]).max()))
-            moves = np.sqrt(_row_dots(xs[1:] - xs[:-1]))
-            ratios = np.sqrt(_row_dots(gs[1:] - gs[:-1])) / moves
-            # fmax skips a NaN ratio, as max(ell, nan) keeps ell
-            self.ell = max(self.ell, float(np.fmax.reduce(ratios, where=moves > 1e-14,
-                                                          initial=0.0)))
-            xs[0], gs[0] = xs[i], gs[i]
 
 
 def save_constants(path, constants):

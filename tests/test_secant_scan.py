@@ -1,8 +1,8 @@
 """The bootstrap's blocked secant scan against the per-pair scan it replaced.
 
-``harness._BlockScan`` folds blocks of up to ``SCAN_BLOCK`` steps with a
-batched row dot, and ``harness._PairScan`` takes the pairs one by one where n
-is too large for a block; the reference below is the per-pair observer they
+``secant_scan._BlockScan`` folds blocks of up to ``SCAN_BLOCK`` steps with a
+batched row dot, and ``secant_scan._PairScan`` takes the pairs one by one where
+n is too large for a block; the reference below is the per-pair observer they
 replaced, float operation for float operation, and every comparison is ``==``.
 """
 
@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from sipm import (Bounds, Objective, estimate_constants, harness, initial_point,
-                  logistic_objective, quadratic_objective, synthetic_classification)
+                  logistic_objective, quadratic_objective, secant_scan,
+                  synthetic_classification)
 from sipm.solver import run
 
 
@@ -103,7 +104,7 @@ LENGTHS = {"1": lambda B: 1, "B-1": lambda B: B - 1, "B": lambda B: B,
 
 @pytest.mark.parametrize("length", sorted(LENGTHS))
 def test_blocked_scan_matches_at_every_block_boundary(length, monkeypatch):
-    monkeypatch.setattr(harness, "BOOTSTRAP_ITERS", LENGTHS[length](harness.SCAN_BLOCK))
+    monkeypatch.setattr(harness, "BOOTSTRAP_ITERS", LENGTHS[length](secant_scan.SCAN_BLOCK))
     objective, bounds = _quadratic(50)
     x1 = initial_point(50, 0)
     est = estimate_constants(objective, x1, bounds)
@@ -114,7 +115,7 @@ def _feed(points, n):
     """(kappa, ell) of both scans over points[1:], starting from points[0]."""
     (x1, g1), steps = points[0], [dict(x=x, g=g) for x, g in points[1:]]
     scan, result = reference_scan(x1, g1)
-    blocked = harness._secant_scan(x1, g1)
+    blocked = secant_scan._secant_scan(x1, g1)
     for step in steps:
         scan(step)
         blocked(step)
@@ -165,7 +166,7 @@ def test_the_row_dot_has_the_bits_of_a_vector_dot():
     for n in range(1, 601):
         rows = rng.standard_normal((5, n)) * 10.0 ** rng.integers(-150, 151, size=(5, 1))
         rows[rng.random(rows.shape) < 0.1] = -0.0
-        batched = harness._row_dots(rows)
+        batched = secant_scan._row_dots(rows)
         single = np.array([row.copy() @ row.copy() for row in rows])
         assert batched.tobytes() == single.tobytes(), n
 
@@ -175,7 +176,7 @@ def test_the_row_dot_has_the_bits_of_a_vector_dot():
 def test_the_scan_block_stays_within_its_byte_cap(n, block, monkeypatch):
     """Each block array holds at most SCAN_BYTES; where that leaves fewer than
     SCAN_MIN_BLOCK steps, the scan keeps no block and takes one pair a step."""
-    scans, make = [], harness._secant_scan
+    scans, make = [], secant_scan._secant_scan
 
     def recorded(x1, g1):
         scans.append(make(x1, g1))
@@ -187,7 +188,7 @@ def test_the_scan_block_stays_within_its_byte_cap(n, block, monkeypatch):
     estimate_constants(objective, initial_point(n, 0), bounds)
     (scan,) = scans
     if block is None:
-        assert isinstance(scan, harness._PairScan)
+        assert isinstance(scan, secant_scan._PairScan)
     else:
         assert len(scan.xs) == len(scan.gs) == block + 1
-        assert scan.xs.nbytes <= harness.SCAN_BYTES and scan.gs.nbytes <= harness.SCAN_BYTES
+        assert max(scan.xs.nbytes, scan.gs.nbytes) <= secant_scan.SCAN_BYTES
