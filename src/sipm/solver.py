@@ -100,10 +100,11 @@ def build_hk(x, bounds, mu, ell_f_bar, strategy="practical"):
     ell_f_bar + mu/(x_i - l_i)^2 + mu/(u_i - x_i)^2 per coordinate (infinite
     sides contribute nothing).  ``strategy`` names this one rule; any other
     value raises InvalidChoice, an x not of the bounds' shape
-    DimensionMismatch, and a negative or NaN mu DomainError."""
+    DimensionMismatch, and a negative or NaN mu or ell_f_bar DomainError."""
     if strategy != "practical":
         raise InvalidChoice("strategy", strategy, ("practical",))
     _require_nonnegative("mu", mu)
+    _require_nonnegative("ell_f_bar", ell_f_bar)
     diag = _hk(require_interior(_vector("x", x, bounds), bounds), mu, ell_f_bar)
     return diag, float(diag.min()), float(diag.max())
 

@@ -10,6 +10,14 @@ It takes the neighborhood sides (once per staircase level, ``_inner_sides``)
 and the ratio-test margin once, for both ratio tests and the clip, and the
 mask of moving coordinates once, for both.
 
+The second ratio test runs only where the look-ahead binds (gamma_bar <
+gamma_max) or alpha_k lies outside (0, alpha_pre]; otherwise gamma_k = gamma_bar.
+The update runs only where gamma_k or alpha_k differs from the look-ahead's;
+otherwise x_next is x_pre, clipped.  Proof: rounding is monotone, so
+|fl(alpha_k*d_i)| <= |fl(alpha_pre*d_i)| and a ratio at or above gamma_max > 0
+stays there or was NaN (a zero gamma_max gives 0 both ways); equal factors give
+equal bits.
+
 Public functions validate their input, then call the same slack-based helpers
 (leading underscore) as the solver kernel.
 """
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConstants, NotInPriorNeighborhood
+from .errors import DomainError, InvalidConstants, NotInPriorNeighborhood
 from .geometry import (_SIGNS, _inner_sides, _require_nonnegative, _vector, in_neighborhood,
                        require_interior)
 
@@ -76,11 +84,14 @@ def ratio_test(x, direction, scale, bounds, theta, gamma_max):
     coordinate moves to.  An infinite side gives an infinite ratio, so it
     imposes no limit.  Returns 0 when x sits on the neighborhood boundary and
     the direction points outward.  x and direction must have the bounds'
-    shape (DimensionMismatch) and theta must be at least 0 (DomainError).
+    shape (DimensionMismatch), and theta, scale and gamma_max must each be at
+    least 0 (DomainError); a zero scale leaves x where it is.
     """
     x = _vector("x", x, bounds)
     d = _vector("direction", direction, bounds)
     _require_nonnegative("theta", theta)
+    _require_nonnegative("scale", scale)
+    _require_nonnegative("gamma_max", gamma_max)
     margin = np.where(d < 0.0, bounds.lower + theta, bounds.upper - theta) - x
     return _ratio(margin, d, scale, gamma_max, d != 0.0)
 
@@ -103,8 +114,15 @@ def step_size_bundle(x, q, h_diag, k, bounds, sched, constants, delta):
     kappa_inf + sigma_inf, where exact gradients carry sigma_inf = 0; the
     step-fraction floor always uses alpha_max in its denominator, which is a
     valid lower bound because alpha_k never exceeds alpha_max.  x, q and
-    h_diag must have the bounds' shape (DimensionMismatch).
+    h_diag must have the bounds' shape (DimensionMismatch), k must be positive
+    and sched.t_alpha finite (DomainError), so that k**t_alpha is positive and
+    finite.
     """
+    _require_nonnegative("k", k)
+    if k == 0:
+        raise DomainError("k=0 is not an iteration: they count from 1")
+    if not np.isfinite(sched.t_alpha):
+        raise DomainError(f"t_alpha={sched.t_alpha} is not finite")
     x = _vector("x", x, bounds)
     q = _vector("q", q, bounds)
     h_diag = _vector("h_diag", h_diag, bounds)
@@ -146,10 +164,14 @@ def _step(x, s, q, h_diag, k, bounds, mu, theta_k, theta_prev, t_alpha, alpha_bu
     a, b = _slack_products(s, _SIGNS * x_pre - bounds.sides)
     ell_k = constants.ell_f + mu / a + mu / b
     alpha_k = min(lam_min * k_pow / ell_k, alpha_max)
-    gamma_k = _ratio(margin, d, alpha_k, gamma_max, moving)
+    if gamma_bar == gamma_max and 0.0 < alpha_k <= alpha_pre:
+        gamma_k = gamma_bar   # gamma_max capped the look-ahead, so it caps this step
+    else:
+        gamma_k = _ratio(margin, d, alpha_k, gamma_max, moving)
     # The binding ratio is exact in real arithmetic; the fused update can land
     # an ulp outside the neighborhood, so snap it back.
-    x_next = (x + (gamma_k * alpha_k) * d).clip(inner_lo, inner_up)
+    same = gamma_k == gamma_bar and alpha_k == alpha_pre   # then x_pre is the update
+    x_next = (x_pre if same else x + (gamma_k * alpha_k) * d).clip(inner_lo, inner_up)
     return StepSizeBundle(alpha_min=alpha_min, alpha_pre=alpha_pre, gamma_bar=gamma_bar,
                           ell_k=ell_k, alpha_max=alpha_max, alpha_k=alpha_k,
                           gamma_min=gamma_min, gamma_max=gamma_max), d, gamma_k, x_next

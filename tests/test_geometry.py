@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -324,13 +325,19 @@ def test_public_helpers_refuse_arrays_of_another_length(case, length):
         call(np.full(length, 0.1))
 
 
-# name -> call with one value of theta or mu
+# name-parameter -> call with one value of that scalar parameter
 NEGATIVE_OR_NAN = {
     "in_neighborhood-theta": lambda v: in_neighborhood([1.2, 0.0, 0.0], CUBE3, v),
     "project_to_neighborhood-theta": lambda v: project_to_neighborhood([5.0, -5.0, 0.0],
                                                                        CUBE3, v),
     "ratio_test-theta": lambda v: ratio_test(X3, X3, 0.5, CUBE3, v, 1.0),
+    "ratio_test-scale": lambda v: ratio_test(np.zeros(3), [1.0, -2.0, 0.5], v, CUBE3, 0.1, 1.0),
+    "ratio_test-gamma_max": lambda v: ratio_test(np.zeros(3), [1.0, -2.0, 0.5], 1.0, CUBE3,
+                                                 0.1, v),
     "build_hk-mu": lambda v: build_hk(X3, CUBE3, v, 1.0),
+    "build_hk-ell_f_bar": lambda v: build_hk(np.zeros(3), CUBE3, 0.1, v),
+    "step_size_bundle-k": lambda v: step_size_bundle(X3, X3, np.ones(3), v, CUBE3, CTX,
+                                                     CONSTANTS, 2.0),
     "barrier_value-mu": lambda v: barrier_value(0.0, X3, CUBE3, v),
     "shifted_barrier_value-mu": lambda v: shifted_barrier_value(0.0, X3, CUBE3, v, 3.0),
     "barrier_gradient-mu": lambda v: barrier_gradient(X3, X3, CUBE3, v),
@@ -345,15 +352,37 @@ def test_public_helpers_refuse_a_negative_or_nan_theta_or_mu(case, value, says):
     """project_to_neighborhood([5, -5, 0], cube(3), -0.5) used to return
     [1.5, -1.5, 0], outside the box; in_neighborhood([1.2, 0, 0], cube(3),
     -0.5) returned True, build_hk with mu=-1 a negative diagonal and
-    barrier_value with mu=nan a NaN.  Each now raises DomainError naming the
+    barrier_value with mu=nan a NaN.  The step helpers' other scalars went the
+    same way: ratio_test(zeros(3), [1, -2, 0.5], nan, cube(3), 0.1, 1) returned
+    1 and a scale of -1 returned 0, a NaN gamma_max returned 0, build_hk with
+    ell_f_bar=-5 a -4.8 diagonal, and step_size_bundle with k=-1 failed as a
+    TypeError about complex numbers.  Each now raises DomainError naming the
     parameter."""
     name = case.rsplit("-", 1)[1]
     with pytest.raises(DomainError, match=f"^{name}={value} {says}$"):
         NEGATIVE_OR_NAN[case](value)
 
 
+def test_step_size_bundle_refuses_an_iteration_zero_and_a_non_finite_t_alpha():
+    """k=0 with t_alpha=-0.5 used to fail as a ZeroDivisionError in 0**-0.5,
+    and with t_alpha=0.5 as one in gamma_min, after alpha_max came out 0; a
+    NaN t_alpha gave NaN step sizes."""
+    with pytest.raises(DomainError, match="^k=0 is not an iteration: they count from 1$"):
+        step_size_bundle(X3, X3, np.ones(3), 0, CUBE3, replace(CTX, t_alpha=-0.5),
+                         CONSTANTS, 2.0)
+    for t_alpha in (np.nan, -np.inf, np.inf):
+        with pytest.raises(DomainError, match=f"^t_alpha={t_alpha} is not finite$"):
+            step_size_bundle(X3, X3, np.ones(3), 2, CUBE3, replace(CTX, t_alpha=t_alpha),
+                             CONSTANTS, 2.0)
+
+
 def test_zero_theta_and_mu_stay_valid():
+    """So do a zero ratio-test scale, which leaves x where it is, a zero
+    gamma_max and a zero ell_f_bar."""
     assert in_neighborhood([1.0, 0.0, -1.0], CUBE3, 0.0)
+    assert ratio_test(np.zeros(3), [1.0, -2.0, 0.5], 0.0, CUBE3, 0.1, 1.0) == 1.0
+    assert ratio_test(np.zeros(3), [1.0, -2.0, 0.5], 1.0, CUBE3, 0.1, 0.0) == 0.0
+    assert build_hk(X3, CUBE3, 0.0, 0.0)[0].tolist() == [0.0, 0.0, 0.0]
     assert project_to_neighborhood([5.0, -5.0, 0.0], CUBE3, 0.0).tolist() == [1.0, -1.0, 0.0]
     assert build_hk(X3, CUBE3, 0.0, 1.0)[0].tolist() == [1.0, 1.0, 1.0]
     assert barrier_gradient(X3, X3, CUBE3, 0.0).tolist() == X3.tolist()

@@ -17,7 +17,7 @@ from sipm import (Bounds, ExperimentSpec, LogisticObjective, Objective, ProblemS
                   run_experiment, run_psgm, run_simplified, save_constants,
                   shifted_barrier_value,
                   synthetic_classification)
-from sipm import harness
+from sipm import harness, stepsize
 from sipm.errors import InvalidBudget, InvalidChoice, InvalidConstants, InvalidSpec
 from sipm.harness import validate_spec
 from sipm.schedules import (BufferSequences, ExponentTriple, StaircaseSchedule,
@@ -123,6 +123,28 @@ def test_the_bootstrap_reads_no_experiment_default(monkeypatch):
     monkeypatch.setattr(harness, "BOOTSTRAP_SPEC",
                         dataclasses.replace(harness.BOOTSTRAP_SPEC, schedule="power"))
     assert harness._cache_key(spec.problems[0], spec) != key
+
+
+def test_bootstrap_runs_the_second_ratio_test_only_where_the_look_ahead_binds(monkeypatch):
+    """The step kernel ran two ratio tests per step, 1000 on the n = 50
+    quadratic's 500-step bootstrap; the second now runs only where gamma_max
+    did not cap the look-ahead or alpha_k left (0, alpha_pre], which no
+    step there does."""
+    spec = ExperimentSpec(problems=(ProblemSpec(name="q", model="quadratic", dim=50),),
+                          solvers=())
+    objective, _ = harness._build_problem(spec.problems[0], spec)
+    x1, bounds = initial_point(50, spec.init_seed), Bounds.cube(50, *spec.bounds)
+    config = harness._solver_config(harness.BOOTSTRAP_SPEC, objective.gradient(x1), x1,
+                                    bounds, harness.BOOTSTRAP_CONSTANTS,
+                                    harness.BOOTSTRAP_ITERS)
+    calls = []
+    ratio = stepsize._ratio
+    monkeypatch.setattr(stepsize, "_ratio", lambda *args: calls.append(1) or ratio(*args))
+    seen = []
+    run(objective, config, x1, observer=seen.append)
+    second = sum(not (b.gamma_bar == b.gamma_max and 0.0 < b.alpha_k <= b.alpha_pre)
+                 for b in (step["bundle"] for step in seen))
+    assert len(calls) == len(seen) + second == 500
 
 
 def test_estimate_constants_memory_does_not_grow_with_the_bootstrap(monkeypatch):

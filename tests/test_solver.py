@@ -342,7 +342,8 @@ def test_past_horizon_fails_before_any_oracle_call():
 
 
 def _kernel_runs():
-    """(objective, config, x1) on a box and on a one-sided box, one per mode."""
+    """(objective, config, x1) on a box and on a one-sided box, one per mode,
+    and on the box toward an interior minimizer."""
     box = Bounds.cube(4, -1.0, 1.0)
     one_sided = Bounds(np.array([0.0, -1.0, 0.0, -np.inf]),
                        np.array([np.inf, np.inf, 2.0, 1.0]))
@@ -357,19 +358,30 @@ def _kernel_runs():
                                 mode="stochastic", rng_seed=3, batch_fraction=0.1,
                                 constants=Constants(ell_f=2.0, kappa_inf=4.0,
                                                     sigma_inf=0.3),
-                                audit_level="off"), np.array([0.5, 0.0, 1.0, 0.0]))]
+                                audit_level="off"), np.array([0.5, 0.0, 1.0, 0.0])),
+            (quadratic_objective([0.3, -0.2, 0.5, -0.4], [3.0, 1.0, 0.5, 2.0]),
+             quad_config(box, build_staircase(0.2, 120, theta0=0.05), 120, audit_level="off"),
+             np.zeros(4))]
 
 
-@pytest.mark.parametrize("case", [0, 1], ids=["box", "one-sided"])
+@pytest.mark.parametrize("case", [0, 1, 2], ids=["box", "one-sided", "interior"])
 def test_kernel_matches_public_functions(case):
     """The kernel and the validating public functions are one implementation:
-    replaying each observed iterate through them gives the same bits."""
+    replaying each observed iterate through them gives the same bits, also
+    where the kernel skipped its second ratio test or its update."""
     objective, config, x1 = _kernel_runs()[case]
     seen = []
     run(objective, config, x1, observer=seen.append)
     bounds, constants = config.bounds, config.constants
     delta = range_gap(bounds, DELTA_CAP)
     assert any(b.gamma_bar < b.gamma_max for b in (i["bundle"] for i in seen))
+    no_second_test = [b.gamma_bar == b.gamma_max and 0.0 < b.alpha_k <= b.alpha_pre
+                      for b in (i["bundle"] for i in seen)]
+    no_update = [i["gamma_k"] == i["bundle"].gamma_bar
+                 and i["bundle"].alpha_k == i["bundle"].alpha_pre for i in seen]
+    assert any(no_second_test) and not all(no_second_test)
+    # pressed toward the bounds, every look-ahead segment shortens the step
+    assert (any(no_update) and not all(no_update)) if case == 2 else not any(no_update)
     # the observer sees the iterates themselves, not defensive copies
     assert all(nxt["x"] is prev["x_next"] for prev, nxt in zip(seen, seen[1:]))
     for info in seen:

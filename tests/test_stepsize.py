@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sipm import Bounds, Constants, ScheduleContext, in_neighborhood, ratio_test, step_size_bundle
+from sipm import (DELTA_CAP, Bounds, Constants, ScheduleContext, in_neighborhood, range_gap,
+                  ratio_test, step_size_bundle)
+from sipm import stepsize
 from sipm.errors import NotInPriorNeighborhood
 from sipm.geometry import slacks
 from sipm.stepsize import _slack_products
@@ -193,3 +195,84 @@ def test_bundle_orderings():
         assert bundle.alpha_min <= bundle.alpha_k <= bundle.alpha_max + 1e-15
         assert bundle.gamma_min <= bundle.gamma_max <= 1.0
         assert bundle.alpha_k <= bundle.alpha_pre + 1e-15
+
+
+def reference_tail(x, d, bundle, bounds, theta_k):
+    """The step's tail as it ran before the look-ahead shortcuts, kept as the
+    reference: (gamma_bar, gamma_k, x_next) from both ratio tests and the full
+    update, always."""
+    inner_lo, inner_up = bounds.lower + theta_k, bounds.upper - theta_k
+    margin = np.where(d < 0.0, inner_lo, inner_up) - x
+    moving = d != 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma_bar = stepsize._ratio(margin, d, bundle.alpha_pre, bundle.gamma_max, moving)
+        gamma_k = stepsize._ratio(margin, d, bundle.alpha_k, bundle.gamma_max, moving)
+    return gamma_bar, gamma_k, (x + (gamma_k * bundle.alpha_k) * d).clip(inner_lo, inner_up)
+
+
+def random_step(rng, case):
+    """(x, stepsize._step's arguments after x) for one seeded step of ``case``."""
+    n = int(rng.integers(1, 7))
+    lo, hi = rng.uniform(-3.0, -0.5, size=n), rng.uniform(0.5, 3.0, size=n)
+    if case == "open-sides":
+        kind = rng.integers(0, 3, size=n)
+        lo[kind == 1] = -INF
+        hi[kind == 2] = INF
+    bounds = box(lo, hi)
+    delta = range_gap(bounds, DELTA_CAP)
+    mu = rng.uniform(1e-3, 0.5)
+    constants = Constants(ell_f=rng.uniform(0.1, 3.0), kappa_inf=rng.uniform(0.5, 5.0))
+    theta_prev = theta_k = rng.uniform(0.01, 0.2)
+    gamma_buff = rng.uniform(0.0, 1.0)
+    if case == "power-theta":
+        theta_k = rng.uniform(0.001, theta_prev)
+    if case == "gamma-max-zero":
+        # theta at the root of gamma_min's bracket gives gamma_max 0, past it < 0
+        root = 0.5 * mu * delta / (mu + 0.5 * constants.kappa_inf * delta)
+        theta_prev = theta_k = root * rng.choice([1.0, 1.5])
+        gamma_buff = 0.0
+    x = rng.uniform(np.maximum(lo, -3.0) + theta_prev, np.minimum(hi, 3.0) - theta_prev)
+    q = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 2.0)
+    if case == "signed-zeros":
+        x[rng.random(n) < 0.5] = -0.0
+        q[rng.random(n) < 0.5] = rng.choice([0.0, -0.0])   # d = -q/h: the other zero
+    if case == "nan-direction":
+        q[int(rng.integers(0, n))] = np.nan
+    h_diag = rng.uniform(0.5, 3.0, size=n)
+    return x, (slacks(x, bounds), q, h_diag, int(rng.integers(1, 50)), bounds, mu, theta_k,
+               theta_prev, rng.choice([0.0, -0.25]), rng.uniform(0.0, 2.0), gamma_buff,
+               constants, delta)
+
+
+# case -> a property of (x, bundle, d, theta_k, theta_prev) that some of its steps have
+STEP_CASES = {
+    "binding": lambda x, b, d, tk, tp: b.gamma_bar < b.gamma_max,
+    "shorter-step": lambda x, b, d, tk, tp: (b.gamma_bar == b.gamma_max
+                                             and b.alpha_k < b.alpha_pre),
+    "gamma-max-zero": lambda x, b, d, tk, tp: b.gamma_max <= 0.0,
+    "signed-zeros": lambda x, b, d, tk, tp: ((np.signbit(d) & (d == 0.0)).any()
+                                             and (np.signbit(x) & (x == 0.0)).any()),
+    "nan-direction": lambda x, b, d, tk, tp: np.isnan(d).any(),
+    "open-sides": lambda x, b, d, tk, tp: True,
+    "power-theta": lambda x, b, d, tk, tp: tk < tp,
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_step_shortcuts_match_the_full_tail(case):
+    """The kernel skips the second ratio test where gamma_max capped the
+    look-ahead and 0 < alpha_k <= alpha_pre, and the update where the step
+    equals the look-ahead; over seeded steps it still returns the reference
+    tail's gamma_k and x_next bit for bit."""
+    rng = np.random.default_rng(sorted(STEP_CASES).index(case))
+    seen = 0
+    for _ in range(300):
+        x, args = random_step(rng, case)
+        bundle, d, gamma_k, x_next = stepsize._step(x, *args)
+        bounds, theta_k, theta_prev = args[4], args[6], args[7]
+        gamma_bar, want_gamma, want_x = reference_tail(x, d, bundle, bounds, theta_k)
+        assert gamma_bar == bundle.gamma_bar
+        assert np.float64(gamma_k).tobytes() == np.float64(want_gamma).tobytes()
+        assert x_next.tobytes() == want_x.tobytes()
+        seen += bool(STEP_CASES[case](x, bundle, d, theta_k, theta_prev))
+    assert seen >= 10
