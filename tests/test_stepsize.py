@@ -239,13 +239,16 @@ def random_step(rng, case):
     if case == "nan-direction":
         q[int(rng.integers(0, n))] = np.nan
     h_diag = rng.uniform(0.5, 3.0, size=n)
+    # a negative buffer, which no caller passes, drives alpha_k below 0
+    alpha_buff = -rng.uniform(0.5, 2.0) if case == "alpha-outside" else rng.uniform(0.0, 2.0)
     return x, (slacks(x, bounds), q, h_diag, int(rng.integers(1, 50)), bounds, mu, theta_k,
-               theta_prev, rng.choice([0.0, -0.25]), rng.uniform(0.0, 2.0), gamma_buff,
-               constants, delta)
+               theta_prev, rng.choice([0.0, -0.25]), alpha_buff, gamma_buff, constants, delta)
 
 
 # case -> a property of (x, bundle, d, theta_k, theta_prev) that some of its steps have
 STEP_CASES = {
+    "alpha-outside": lambda x, b, d, tk, tp: (b.gamma_bar == b.gamma_max > 0.0
+                                              and not 0.0 < b.alpha_k <= b.alpha_pre),
     "binding": lambda x, b, d, tk, tp: b.gamma_bar < b.gamma_max,
     "shorter-step": lambda x, b, d, tk, tp: (b.gamma_bar == b.gamma_max
                                              and b.alpha_k < b.alpha_pre),
