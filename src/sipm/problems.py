@@ -12,10 +12,12 @@ type picks the path.  Both take any two label values and share one intake,
 ``_DataModel.__init__``, which runs ``_labeled_data``.  Each keeps its last
 full-data pass, keyed on the bytes of x: the network's hidden activations
 and outputs, the logistic model's margins, shared by ``value`` and
-``gradient`` at one point; mini-batch passes are never kept.  Both sigmoids
-are numpy's, through ``_sigmoid_of_minus``, so only sparse input loads
-scipy, and then only scipy.sparse: ``import sipm``, quadratic runs and dense
-data models load no scipy at all.
+``gradient`` at one point; mini-batch passes are never kept, and dense ones
+gather their rows with ``ndarray.take``.  A stochastic ``gradient_oracle``
+keeps its seed's batch draws on the objective (``_shared_batches``).  Both
+sigmoids are numpy's, through ``_sigmoid_of_minus``, so only sparse input
+loads scipy, and then only scipy.sparse: ``import sipm``, quadratic runs and
+dense data models load no scipy at all.
 """
 
 from __future__ import annotations
@@ -215,6 +217,7 @@ class LogisticObjective(_DataModel):
         super().__init__(features, labels)
         self.n = logistic_dimension(self.n_features)
         self._features_t = self.features.T.tocsr() if self._sparse else self.features.T
+        self._neg_labels = -self.labels   # the gradient's coefficient factor
 
     @staticmethod
     def _margins(x, y, matvec):
@@ -232,12 +235,12 @@ class LogisticObjective(_DataModel):
         loss = np.logaddexp(0.0, -self._full_pass(x))
         return float(np.add.reduce(loss) / loss.size)   # np.mean's bits, without its wrapper
 
-    def _batch_gradient(self, t, y, rmatvec):
-        """Gradient over the rows with margins ``t`` and labels ``y`` that
-        ``rmatvec`` (transposed rows times coefficients) multiplies with."""
+    def _batch_gradient(self, t, neg_y, rmatvec):
+        """Gradient over the rows with margins ``t`` and negated labels ``neg_y``
+        that ``rmatvec`` (transposed rows times coefficients) multiplies with.
+        c * -y has the bits of -(c * y): rounding is symmetric in sign."""
         coef = _sigmoid_of_minus(t)   # a new array: t may be the kept pass
-        coef *= y
-        np.negative(coef, out=coef)
+        coef *= neg_y
         g = np.empty(self.n)
         np.divide(rmatvec(coef), coef.size, out=g[:-1])
         g[-1] = np.add.reduce(coef) / coef.size
@@ -245,22 +248,24 @@ class LogisticObjective(_DataModel):
 
     def gradient(self, x):
         x = _check_dim(x, self.n)
-        return self._batch_gradient(self._full_pass(x), self.labels,
+        return self._batch_gradient(self._full_pass(x), self._neg_labels,
                                     self._features_t.__matmul__)
 
     def stochastic_gradient(self, x, batch):
         x = _check_dim(x, self.n)
         rows = np.asarray(batch, dtype=int)
-        y = self.labels[rows]
+        # a 1-D gather is faster by fancy indexing, a block of rows by take
+        y, neg_y = self.labels[rows], self._neg_labels[rows]
         if self._sparse:
             pos, cols, vals = _csr_rows(self.features, rows)
             t = self._margins(
                 x, y, lambda w: np.bincount(pos, weights=vals * w[cols], minlength=rows.size))
             return self._batch_gradient(
-                t, y, lambda c: np.bincount(cols, weights=vals * c[pos],
-                                            minlength=self.n_features))
-        a = self.features[rows]
-        return self._batch_gradient(self._margins(x, y, a.__matmul__), y, a.T.__matmul__)
+                t, neg_y, lambda c: np.bincount(cols, weights=vals * c[pos],
+                                                minlength=self.n_features))
+        a = self.features.take(rows, axis=0)
+        # c @ a is a.T @ c bit for bit, without the transposed view
+        return self._batch_gradient(self._margins(x, y, a.__matmul__), neg_y, a.__rmatmul__)
 
 
 class OneHiddenLayerObjective(_DataModel):
@@ -345,7 +350,7 @@ class OneHiddenLayerObjective(_DataModel):
             a = np.zeros((rows.size, self.n_features))
             a[pos, cols] = vals
         else:
-            a = self.features[rows]
+            a = self.features.take(rows, axis=0)
         return self._batch_gradient(x, a, self.y01[rows], *self._forward(x, a))
 
 
@@ -382,8 +387,10 @@ def nn_dimension(n_features, hidden=None):
 def batch_sampler(m, batch_size, seed):
     """Endless stream of uniform random index subsets drawn without replacement.
 
-    Reproducible under the seed; every draw is an independent sorted subset of
-    size ``batch_size`` from range(m).
+    Reproducible under the seed; every draw is an independent subset of size
+    ``batch_size`` from range(m), sorted in place.  Each call starts a new
+    stream; ``gradient_oracle`` calls it once per objective and seed, and its
+    oracles with that seed share the draws rather than redraw them.
     """
     if not (_number(batch_size, numbers.Integral) and 1 <= batch_size <= m):
         raise BatchTooLarge(f"batch_size={batch_size!r} must be an integer in [1, {m}]")
@@ -391,7 +398,9 @@ def batch_sampler(m, batch_size, seed):
 
     def draws():
         while True:
-            yield np.sort(rng.choice(m, size=batch_size, replace=False))
+            batch = rng.choice(m, size=batch_size, replace=False)
+            batch.sort()
+            yield batch
 
     return draws()
 
@@ -401,14 +410,20 @@ def _number(value, kind=numbers.Real):
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _rng(seed):
-    """``np.random.default_rng(seed)`` for a seed that is an integer >= 0 or a
-    nonempty list or tuple of them; DomainError naming the seed otherwise,
-    None (a fresh, irreproducible stream) and bools included."""
+def _seed_entries(seed):
+    """A seed that is an integer >= 0 or a nonempty list or tuple of them, as a
+    tuple of ints; DomainError naming the seed otherwise, None (a fresh,
+    irreproducible stream) and bools included."""
     entries = seed if isinstance(seed, (list, tuple)) else [seed]
     if not (entries and all(_number(e, numbers.Integral) and e >= 0 for e in entries)):
         raise DomainError(f"seed={seed!r} must be an integer of at least 0, "
                           "or a list of them")
+    return tuple(map(int, entries))
+
+
+def _rng(seed):
+    """``np.random.default_rng(seed)`` for a seed that ``_seed_entries`` admits."""
+    _seed_entries(seed)
     return np.random.default_rng(seed)
 
 
@@ -418,19 +433,51 @@ def _require_batch_fraction(batch_fraction):
         raise InvalidBudget(f"batch_fraction={batch_fraction!r} must lie in (0, 1]")
 
 
+def _shared_batches(objective, batch_size, seed):
+    """An endless iterator over ``batch_sampler(m, batch_size, seed)``'s stream
+    that replays the draws the objective holds for that key.
+
+    The objective holds one stream at a time, as ``_batch_stream``: its key,
+    the draws made so far, read-only, and the sampler that makes the next.
+    An iterator replays the held draws from the first and draws from the
+    sampler past their end, for every iterator of the stream.  A new key
+    replaces the held stream; its iterators go on with their own stream,
+    whose draws are released with the last of them.
+    """
+    key = (batch_size, _seed_entries(seed))
+    stream = getattr(objective, "_batch_stream", None)
+    if stream is None or stream[0] != key:
+        stream = key, [], batch_sampler(objective.sample_count, batch_size, seed)
+        objective._batch_stream = stream
+    _, draws, sampler = stream
+
+    def batches():
+        for i in itertools.count():
+            if i == len(draws):
+                batch = next(sampler)
+                batch.flags.writeable = False   # an objective cannot change a replay
+                draws.append(batch)
+            yield draws[i]
+
+    return batches()
+
+
 def gradient_oracle(objective, mode, batch_fraction, seed):
     """The gradient every solver iteration reads, as a function ``x -> g``.
 
     Deterministic mode gives the exact gradient.  Stochastic mode gives the
     mean over a fresh batch of ``ceil(batch_fraction * m)`` samples (at least
-    one) per call, drawn from ``batch_sampler`` under ``seed``, so two
-    oracles built with the same seed see the same batch stream.  A gradient
+    one) per call, from ``batch_sampler``'s stream under ``seed``.  Oracles
+    built on one objective with the same seed and batch size share that
+    stream (``_shared_batches``): the first draws each batch and the others
+    replay it, so all see the same batches and a seed's batches are drawn
+    once for all three solvers.  A gradient
     with a NaN or infinite entry raises NonFiniteGradient, and one whose shape
     differs from x's raises DimensionMismatch, each naming the 1-based call
     count, which is the iteration number in every solver loop.  A mode
     outside MODES raises InvalidChoice, and in stochastic mode a batch
-    fraction outside (0, 1] raises InvalidBudget and a seed that ``_rng``
-    refuses DomainError.
+    fraction outside (0, 1] raises InvalidBudget and a seed that
+    ``_seed_entries`` refuses DomainError.
     """
     if mode not in MODES:
         raise InvalidChoice("mode", mode, MODES)
@@ -439,7 +486,7 @@ def gradient_oracle(objective, mode, batch_fraction, seed):
     else:
         _require_batch_fraction(batch_fraction)
         m = objective.sample_count
-        batches = batch_sampler(m, max(1, math.ceil(batch_fraction * m)), seed)
+        batches = _shared_batches(objective, max(1, math.ceil(batch_fraction * m)), seed)
 
         def draw(x):
             return objective.stochastic_gradient(x, next(batches))

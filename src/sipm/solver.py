@@ -29,7 +29,7 @@ from .geometry import (DELTA_CAP, Bounds, KktCertificate, _barrier_gradient, _ba
 from .problems import MODES, _number, gradient_oracle
 from .schedules import (BufferSequences, PowerSchedule, StaircaseSchedule, sequences,
                         validate_exponents)
-from .stepsize import Constants, _slack_products, _step
+from .stepsize import Constants, _require_constants, _slack_products, _step
 
 CONFIG_CHOICES = {"mode": MODES, "audit_level": ("off", "invariants", "full_trace")}
 
@@ -211,9 +211,7 @@ def run(objective, config, x1, observer=None):
         if violations:
             raise InvalidExponents(f"exponents invalid for the {config.mode} setting: "
                                    + "; ".join(violations))
-    for name, value in vars(config.constants).items():
-        if not (_number(value) and 0.0 <= value < math.inf):
-            raise InvalidConstants(f"{name}={value} must be nonnegative and finite")
+    _require_constants(config.constants)
     unscaled = np.flatnonzero(~(bounds.finite_lower | bounds.finite_upper))
     if config.constants.ell_f == 0.0 and unscaled.size:
         raise InvalidConstants(f"ell_f=0 leaves coordinate {unscaled[0]} unscaled: it has "

@@ -24,6 +24,7 @@ Public functions validate their input, then call the same slack-based helpers
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ import numpy as np
 from .errors import DomainError, InvalidConstants, NotInPriorNeighborhood
 from .geometry import (_SIGNS, _inner_sides, _require_nonnegative, _vector, in_neighborhood,
                        require_interior)
+from .problems import _number
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,14 @@ class Constants:
     ell_f: float
     kappa_inf: float
     sigma_inf: float = 0.0
+
+
+def _require_constants(constants):
+    """InvalidConstants naming the first field of ``constants`` that is not a
+    number in [0, inf)."""
+    for name, value in vars(constants).items():
+        if not (_number(value) and 0.0 <= value < math.inf):
+            raise InvalidConstants(f"{name}={value} must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -116,13 +126,21 @@ def step_size_bundle(x, q, h_diag, k, bounds, sched, constants, delta):
     valid lower bound because alpha_k never exceeds alpha_max.  x, q and
     h_diag must have the bounds' shape (DimensionMismatch), k must be positive
     and sched.t_alpha finite (DomainError), so that k**t_alpha is positive and
-    finite.
+    finite; sched.mu_k, alpha_buff and gamma_buff must be at least 0, and
+    theta_k and delta positive (DomainError), and the constants as ``run``
+    takes them (InvalidConstants).
     """
     _require_nonnegative("k", k)
     if k == 0:
         raise DomainError("k=0 is not an iteration: they count from 1")
     if not np.isfinite(sched.t_alpha):
         raise DomainError(f"t_alpha={sched.t_alpha} is not finite")
+    for name in ("mu_k", "alpha_buff", "gamma_buff"):
+        _require_nonnegative(name, getattr(sched, name))
+    for name, value in (("theta_k", sched.theta_k), ("delta", delta)):
+        if not value > 0.0:
+            raise DomainError(f"{name}={value} is not positive")
+    _require_constants(constants)
     x = _vector("x", x, bounds)
     q = _vector("q", q, bounds)
     h_diag = _vector("h_diag", h_diag, bounds)

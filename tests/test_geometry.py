@@ -10,8 +10,8 @@ from sipm import (Bounds, Constants, ScheduleContext, barrier_gradient, barrier_
                   project_to_neighborhood, projected_gradient_norm, range_gap, ratio_test,
                   shifted_barrier_value, step_size_bundle, theta0_init)
 from sipm import geometry
-from sipm.errors import (DimensionMismatch, DomainError, EmptyNeighborhood, InvalidSpec,
-                         NotInterior, SipmError)
+from sipm.errors import (DimensionMismatch, DomainError, EmptyNeighborhood, InvalidConstants,
+                         InvalidSpec, NotInterior, SipmError)
 from sipm.geometry import slacks
 
 INF = np.inf
@@ -338,6 +338,10 @@ NEGATIVE_OR_NAN = {
     "build_hk-ell_f_bar": lambda v: build_hk(np.zeros(3), CUBE3, 0.1, v),
     "step_size_bundle-k": lambda v: step_size_bundle(X3, X3, np.ones(3), v, CUBE3, CTX,
                                                      CONSTANTS, 2.0),
+    **{f"step_size_bundle-{field}": (
+        lambda v, field=field: step_size_bundle(X3, X3, np.ones(3), 2, CUBE3,
+                                                replace(CTX, **{field: v}), CONSTANTS, 2.0))
+       for field in ("mu_k", "alpha_buff", "gamma_buff")},
     "barrier_value-mu": lambda v: barrier_value(0.0, X3, CUBE3, v),
     "shifted_barrier_value-mu": lambda v: shifted_barrier_value(0.0, X3, CUBE3, v, 3.0),
     "barrier_gradient-mu": lambda v: barrier_gradient(X3, X3, CUBE3, v),
@@ -356,8 +360,9 @@ def test_public_helpers_refuse_a_negative_or_nan_theta_or_mu(case, value, says):
     same way: ratio_test(zeros(3), [1, -2, 0.5], nan, cube(3), 0.1, 1) returned
     1 and a scale of -1 returned 0, a NaN gamma_max returned 0, build_hk with
     ell_f_bar=-5 a -4.8 diagonal, and step_size_bundle with k=-1 failed as a
-    TypeError about complex numbers.  Each now raises DomainError naming the
-    parameter."""
+    TypeError about complex numbers; with mu_k=-0.1 it returned alpha_min=-0.0005,
+    with alpha_buff=-1 alpha_k=-0.9995, and a NaN gamma_buff passed silently.
+    Each now raises DomainError naming the parameter."""
     name = case.rsplit("-", 1)[1]
     with pytest.raises(DomainError, match=f"^{name}={value} {says}$"):
         NEGATIVE_OR_NAN[case](value)
@@ -374,6 +379,28 @@ def test_step_size_bundle_refuses_an_iteration_zero_and_a_non_finite_t_alpha():
         with pytest.raises(DomainError, match=f"^t_alpha={t_alpha} is not finite$"):
             step_size_bundle(X3, X3, np.ones(3), 2, CUBE3, replace(CTX, t_alpha=t_alpha),
                              CONSTANTS, 2.0)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.5, np.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("name", ["theta_k", "delta"])
+def test_step_size_bundle_refuses_a_theta_k_or_delta_that_is_not_positive(name, value):
+    """theta_k=0 failed as a bare ZeroDivisionError in 2 mu / theta_k**2;
+    a negative or NaN theta_k or delta gave wrong or NaN step sizes."""
+    sched = replace(CTX, theta_k=value) if name == "theta_k" else CTX
+    delta = value if name == "delta" else 2.0
+    with pytest.raises(DomainError, match=f"^{name}={value} is not positive$"):
+        step_size_bundle(X3, X3, np.ones(3), 2, CUBE3, sched, CONSTANTS, delta)
+
+
+@pytest.mark.parametrize("name, value", [("ell_f", -1.0), ("kappa_inf", np.nan),
+                                         ("sigma_inf", np.inf), ("kappa_inf", "1")])
+def test_step_size_bundle_refuses_constants_as_run_does(name, value):
+    """Constants(ell_f=-1) gave alpha_k=-1.56 and a NaN kappa_inf a gamma_max
+    of 1.0; step_size_bundle now applies run's rule, InvalidConstants naming
+    the field."""
+    with pytest.raises(InvalidConstants, match=f"^{name}={value} must be nonnegative"):
+        step_size_bundle(X3, X3, np.ones(3), 2, CUBE3, CTX,
+                         replace(CONSTANTS, **{name: value}), 2.0)
 
 
 def test_zero_theta_and_mu_stay_valid():

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from sipm import OneHiddenLayerObjective, default_hidden_width, synthetic_classification
+from sipm import (OneHiddenLayerObjective, batch_sampler, default_hidden_width, gradient_oracle,
+                  synthetic_classification)
 from sipm.problems import LogisticObjective, _csr_rows, _sigmoid_of_minus
 
 M, N_FEATURES = 60, 7
@@ -124,3 +125,18 @@ def test_mini_batch_gradients_are_the_plain_formulas_bit_for_bit(model, sparse):
         for batch in BATCHES:
             _, gradient = reference(obj, x, batch)
             assert _same_bits(obj.stochastic_gradient(x, batch), gradient)
+
+
+@pytest.mark.parametrize("fraction, size", [(1e-9, 1), (1.0, M)], ids=["size-1", "all-rows"])
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_oracle_batches_on_the_dense_take_path_are_the_plain_formulas(model, fraction, size):
+    """The dense mini-batch gathers its rows with take: a one-row batch and
+    batch_fraction=1, through the stochastic oracle and its shared stream."""
+    make, reference = MODELS[model]
+    obj = make(_data(False))
+    oracles = [gradient_oracle(obj, "stochastic", fraction, 4) for _ in range(2)]
+    draws = batch_sampler(M, size, 4)
+    for x in _points(obj.n):
+        _, gradient = reference(obj, x, next(draws))
+        for oracle in oracles:   # the second replays the first one's batch
+            assert _same_bits(oracle(x), gradient)

@@ -56,6 +56,8 @@ QUAD_POWER_AUDIT = ["--model", "quadratic", "--dim", "10", "--maxiter", "150",
                     "--solver", "psgm,sipm,proj-ipm"]
 INADMISSIBLE_POWER = ["--model", "quadratic", "--dim", "5", "--maxiter", "50",
                       "--schedule", "power", "--t-theta", "0.5", *THREE]
+LOGREG_STOCH = ["--model", "logistic", "--mode", "stoch", "--epochs", "1", "--dim", "10",
+                "--samples", "400"]
 LIBSVM_AUDIT = ["--train", "train.libsvm", "--test", "test.libsvm", "--maxiter", "60",
                 "--audit", "full", "--trace", "--seeds", "0,3", *THREE]
 LIBSVM_STOCH = ["--train", "train.libsvm", "--test", "test.libsvm", "--mode", "stoch",
@@ -65,13 +67,15 @@ SHAPES = {
     "quad-det": ["--model", "quadratic", "--dim", "50", "--maxiter", "200",
                  "--seeds", "0,1,2", *THREE],
     "quad-power-audit": QUAD_POWER_AUDIT,
-    "logreg-stoch": ["--model", "logistic", "--mode", "stoch", "--epochs", "1",
-                     "--dim", "10", "--samples", "400", "--trace", *THREE],
+    "logreg-stoch": [*LOGREG_STOCH, "--trace", *THREE],
     # each stochastic seed sets up its own config and table; no other shape computes two
-    "logreg-stoch-seeds": ["--model", "logistic", "--mode", "stoch", "--epochs", "1",
-                           "--dim", "10", "--samples", "400", "--seeds", "0,1,2", *THREE],
-    "logreg-stoch-theory": ["--model", "logistic", "--mode", "stoch", "--epochs", "1",
-                            "--dim", "10", "--samples", "400", "--trace", *THREE,
+    "logreg-stoch-seeds": [*LOGREG_STOCH, "--seeds", "0,1,2", *THREE],
+    # psgm draws the seed's stream with no sipm run before it, and proj-ipm replays it
+    "logreg-stoch-baselines": [*LOGREG_STOCH, "--seeds", "0,1", "--solver", "psgm,proj-ipm"],
+    # sipm and psgm raise before a draw, so proj-ipm draws the stream itself
+    "logreg-stoch-inadmissible": [*LOGREG_STOCH, "--schedule", "power", "--t-theta", "0.5",
+                                  *THREE],
+    "logreg-stoch-theory": [*LOGREG_STOCH, "--trace", *THREE,
                             "--schedule", "power", "--t-mu", "-0.75", "--t-theta", "-0.75",
                             "--t-alpha", "-0.2", "--param-mode", "theory"],
     "nn-audit": ["--model", "nn", "--dim", "5", "--samples", "100", "--maxiter", "150",
