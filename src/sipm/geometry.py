@@ -125,11 +125,7 @@ def in_neighborhood(x, bounds, theta):
     negation of upper - theta.  An x not of the bounds' shape raises
     DimensionMismatch, a negative or NaN theta DomainError."""
     _require_nonnegative("theta", theta)
-    return _in_neighborhood(_vector("x", x, bounds), bounds, theta)
-
-
-def _in_neighborhood(x, bounds, theta):
-    """in_neighborhood without its checks, for the audit of every step."""
+    x = _vector("x", x, bounds)
     return bool(np.logical_and.reduce(_SIGNS * x >= bounds.sides + theta, axis=None))
 
 

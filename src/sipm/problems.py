@@ -166,8 +166,7 @@ class QuadraticObjective(Objective):
                               "and positive")
         if not (_number(noise_level) and 0.0 <= noise_level < math.inf):
             raise DomainError(f"noise_level={noise_level!r} must be finite and nonnegative")
-        if not (_number(sample_count, numbers.Integral) and sample_count >= 1):
-            raise DomainError(f"sample_count={sample_count!r} must be an integer of at least 1")
+        _require_integer(DomainError, "sample_count", sample_count, 1)
         self.n = self.center.size
         self.sample_count = int(sample_count)
         noise = np.zeros((self.sample_count, self.n))
@@ -282,8 +281,7 @@ class OneHiddenLayerObjective(_DataModel):
         super().__init__(features, labels)
         if hidden is None:
             hidden = default_hidden_width(self.n_features)
-        if not (_number(hidden, numbers.Integral) and hidden >= 1):
-            raise DomainError(f"hidden={hidden!r} must be an integer of at least 1")
+        _require_integer(DomainError, "hidden", hidden, 1)
         self.hidden = int(hidden)
         self.y01 = 0.5 * (self.labels + 1.0)  # {-1,+1} -> {0,1}
         self.n = nn_dimension(self.n_features, self.hidden)
@@ -410,6 +408,12 @@ def _number(value, kind=numbers.Real):
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _require_integer(error, name, value, least):
+    """Raise ``error`` unless ``value`` is an integer of at least ``least`` (not a bool)."""
+    if not (_number(value, numbers.Integral) and value >= least):
+        raise error(f"{name}={value!r} must be an integer of at least {least}")
+
+
 def _seed_entries(seed):
     """A seed that is an integer >= 0 or a nonempty list or tuple of them, as a
     tuple of ints; DomainError naming the seed otherwise, None (a fresh,
@@ -513,10 +517,8 @@ def synthetic_classification(m, n_features, seed=0):
     score plus Gaussian noise, with one label flipped if a class is missing.
     Returns (features, labels in {-1, +1}).
     """
-    if not (_number(m, numbers.Integral) and m >= 1):
-        raise DimensionMismatch(f"m={m!r} must be an integer of at least 1")
-    if not (_number(n_features, numbers.Integral) and n_features >= 0):
-        raise DimensionMismatch(f"n_features={n_features!r} must be an integer of at least 0")
+    _require_integer(DimensionMismatch, "m", m, 1)
+    _require_integer(DimensionMismatch, "n_features", n_features, 0)
     rng = _rng(seed)
     features = rng.uniform(-1.0, 1.0, size=(m, n_features))
     w = rng.normal(size=n_features)

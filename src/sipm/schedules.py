@@ -23,7 +23,6 @@ callers should never add their own off-by-one.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ import numpy as np
 from .errors import (HorizonExceeded, InvalidBudget, InvalidChoice, InvalidExponents,
                      InvalidMu1, InvalidSpec, ThetaTooLarge)
 from .geometry import _vector, require_interior
-from .problems import MODES, _number
+from .problems import MODES, _number, _require_integer
 
 MU_FLOOR = 1e-8
 
@@ -130,12 +129,6 @@ class StaircaseSchedule:
         return self.theta0 * self.s(k)
 
 
-def _require_budget(owner, maxiter):
-    """InvalidBudget naming ``owner`` unless ``maxiter`` is an integer >= 1 (not a bool)."""
-    if not (_number(maxiter, numbers.Integral) and maxiter >= 1):
-        raise InvalidBudget(f"{owner}: maxiter={maxiter!r} must be an integer of at least 1")
-
-
 def build_staircase(mu1, maxiter, theta0=1.0):
     """Construct the staircase schedule for a barrier start mu1 and a budget.
 
@@ -147,7 +140,7 @@ def build_staircase(mu1, maxiter, theta0=1.0):
     if not (_number(mu1) and MU_FLOOR <= mu1 < math.inf):
         raise InvalidMu1(f"mu1={mu1!r} must be a finite number of at least the terminal "
                          f"barrier value {MU_FLOOR}")
-    _require_budget("staircase", maxiter)
+    _require_integer(InvalidBudget, "staircase: maxiter", maxiter, 1)
     final = MU_FLOOR / mu1
     # nu is the largest integer with -nu > log10(final); snap near-integer
     # exponents so float rounding in the quotient cannot shift the count.
@@ -182,7 +175,7 @@ class BufferSequences:
             if self.t_mu is None:
                 raise InvalidSpec("theory buffers need t_mu")
         elif self.mode == "practical":
-            _require_budget("practical buffers", self.maxiter)
+            _require_integer(InvalidBudget, "practical buffers: maxiter", self.maxiter, 1)
         else:
             raise InvalidChoice("mode", self.mode, ("theory", "practical"))
 

@@ -13,7 +13,6 @@ guarantee, and any failure raises InvariantViolation.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -23,10 +22,10 @@ from .errors import (InfeasibleStart, InvalidBudget, InvalidChoice, InvalidConst
                      InvalidExponents, InvalidMu1, InvalidTheta0, InvariantViolation,
                      ThetaTooLarge)
 from .geometry import (DELTA_CAP, Bounds, KktCertificate, _barrier_gradient, _barrier_value,
-                       _in_neighborhood, _require_nonnegative, _vector, default_chi,
+                       _inner_sides, _require_nonnegative, _vector, default_chi,
                        in_neighborhood, kkt_certificate, projected_gradient_norm, range_gap,
                        require_interior, slacks)
-from .problems import MODES, _number, gradient_oracle
+from .problems import MODES, _require_integer, gradient_oracle
 from .schedules import (BufferSequences, PowerSchedule, StaircaseSchedule, sequences,
                         validate_exponents)
 from .stepsize import Constants, _require_constants, _slack_products, _step
@@ -118,8 +117,7 @@ def _hk(s, mu, ell_f_bar):
 def _first_iterate(x1, bounds, maxiter):
     """A float copy of x1, after the entry checks that all three solvers share."""
     x = _vector("x1", x1, bounds).copy()
-    if not (_number(maxiter, numbers.Integral) and maxiter >= 0):
-        raise InvalidBudget(f"maxiter={maxiter!r} must be an integer of at least 0")
+    _require_integer(InvalidBudget, "maxiter", maxiter, 0)
     outside = np.flatnonzero(~((bounds.lower <= x) & (x <= bounds.upper)))
     if outside.size:
         i = outside[0]
@@ -141,7 +139,7 @@ def sipm_step(x, k, g, config):
     observer and takes its stall count, step sizes, audits and trace row from.
 
     Every quantity derives from the slacks of x, taken once as one (2, n)
-    array whose rows are the record's lo/up.  Nothing is validated or
+    array, the record's s: rows x - l and u - x.  Nothing is validated or
     audited: ``run`` checks its inputs at entry and audits each record, and
     the final clip keeps x_next in the theta_k (the next prior) neighborhood.
     """
@@ -154,7 +152,7 @@ def sipm_step(x, k, g, config):
         x, s, q, h_diag, k, config.bounds, mu_k, theta_k, theta_prev,
         config.schedule.t_alpha, seq["alpha_buff"][k], seq["gamma_buff"][k],
         config.constants, config.delta)
-    return dict(k=k, x=x, x_next=x_next, g=g, q=q, d=d, lo=s[0], up=s[1], h_diag=h_diag,
+    return dict(k=k, x=x, x_next=x_next, g=g, q=q, d=d, s=s, h_diag=h_diag,
                 bundle=bundle, gamma_k=gamma_k, mu_k=mu_k, theta_k=theta_k,
                 theta_prev=theta_prev, stalled=gamma_k == 0.0 and bool((d != 0.0).any()))
 
@@ -164,11 +162,14 @@ def _audit_step(config, step):
     k, x_next, q, d = step["k"], step["x_next"], step["q"], step["d"]
     bundle, gamma_k, mu_k, theta_k = step["bundle"], step["gamma_k"], step["mu_k"], step["theta_k"]
     bounds, ell_f = config.bounds, config.constants.ell_f
-    if not _in_neighborhood(x_next, bounds, theta_k):
+    # the sides the step clipped to: x <= u - theta is -x >= -u + theta, as
+    # rounding is symmetric in sign
+    inner_lo, inner_up = _inner_sides(bounds, theta_k, step["theta_prev"])
+    if not np.logical_and.reduce((inner_lo <= x_next) & (x_next <= inner_up)):
         raise InvariantViolation(k, "next iterate left the theta_k neighborhood")
     tol = 1e-12
     s_next = require_interior(x_next, bounds)
-    a, b = _slack_products(np.array((step["lo"], step["up"])), s_next)
+    a, b = _slack_products(step["s"], s_next)
     ell_pair = ell_f + mu_k / a + mu_k / b
     ell_cap = ell_f + 2.0 * mu_k / theta_k ** 2
     if not _rel_ok(ell_pair, bundle.ell_k, tol):

@@ -1,6 +1,8 @@
 import importlib.util
 import pathlib
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -20,25 +22,6 @@ def test_every_shape_parses(shape, seed):
     args = cli.build_parser().parse_args(report_identity.bench_argv(shape, seed))
     assert args.command == "bench"
     assert (args.init_seed, args.data_seed) == (seed, seed)
-
-
-def test_failed_bench_is_a_difference_and_the_rest_still_runs(monkeypatch, capsys):
-    """A bench that exits non-zero used to abort the whole comparison with a
-    CalledProcessError; its line now shows each side's exit status, it counts
-    as a difference, and the next shape is still compared."""
-    monkeypatch.setattr(report_identity, "SEEDS", (0,))
-    monkeypatch.setattr(report_identity, "SHAPES", {
-        "bad-budget": ["--model", "quadratic", "--maxiter", "0"],
-        "tiny": ["--model", "quadratic", "--dim", "2", "--maxiter", "5"]})
-    src = str(TOOL.parents[1] / "src")
-    assert report_identity.main([src, src]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("bad-budget") and "parent exit 1  change exit 1" in lines[0]
-    assert lines[0].endswith("DIFFERENT")
-    assert lines[1].startswith("tiny") and lines[1].endswith("same")
-    assert lines[2] == "1 of 2 reports differ"
-    total = report_identity.source_lines(src)
-    assert lines[3] == f"sipm/*.py lines  parent {total}  change {total}  (+0)"
 
 
 def test_source_lines_count_like_wc(tmp_path):
@@ -134,48 +117,101 @@ TOY_SHAPES = {
     "tiny": ["--model", "quadratic", "--dim", "2", "--maxiter", "5",
              "--solver", "sipm,psgm,proj-ipm"],
 }
+SRC = str(TOOL.parents[1] / "src")
 
 
-def _iterate_lines(monkeypatch, capsys, parent, change):
+def _lines(monkeypatch, capsys, shapes, parent=SRC, change=SRC):
     monkeypatch.setattr(report_identity, "SEEDS", (0,))
-    monkeypatch.setattr(report_identity, "SHAPES", TOY_SHAPES)
-    status = report_identity.main([parent, change, "--iterates"])
+    monkeypatch.setattr(report_identity, "SHAPES", {name: TOY_SHAPES[name] for name in shapes})
+    status = report_identity.main([parent, change])
     return status, capsys.readouterr().out.splitlines()
 
 
-def test_iterates_hash_every_solver_call_bootstrap_included(monkeypatch, capsys):
-    """With --iterates each shape runs in process per tree, and every call of
-    harness.run, run_psgm and run_simplified prints the sha256 of its final_x:
-    the bootstrap's run first, then the seed's three solvers.  A bench that
-    exits non-zero is a difference; its calls are still listed."""
-    src = str(TOOL.parents[1] / "src")
-    status, lines = _iterate_lines(monkeypatch, capsys, src, src)
+def test_failed_bench_is_a_difference_and_the_rest_still_runs(monkeypatch, capsys):
+    """A bench that exits non-zero shows each side's exit status in place of
+    its report hash and counts as a differing report, and the next shape is
+    still compared; the line totals come last."""
+    status, lines = _lines(monkeypatch, capsys, ["bad-budget", "tiny"])
     assert status == 1
     assert lines[0].startswith("bad-budget") and lines[0].endswith(
+        "report         parent exit 1  change exit 1  DIFFERENT")
+    assert lines[1].startswith("tiny") and " report " in lines[1] and lines[1].endswith("same")
+    assert lines[-3:-1] == ["1 of 2 reports differ", "0 of 4 calls differ"]
+    total = report_identity.source_lines(SRC)
+    assert lines[-1] == f"sipm/*.py lines  parent {total}  change {total}  (+0)"
+
+
+def test_failed_bench_after_a_passing_one_is_not_read_as_its_report(monkeypatch, capsys):
+    """Each bench's report file is deleted before it runs, so a bench that
+    fails right after one that wrote a report shows its exit status, not
+    the report before it."""
+    status, lines = _lines(monkeypatch, capsys, ["tiny", "bad-budget"])
+    assert status == 1
+    reports = [line for line in lines if " report " in line]
+    assert reports[0].startswith("tiny") and reports[0].endswith("same")
+    assert reports[1].startswith("bad-budget") and reports[1].endswith(
         "parent exit 1  change exit 1  DIFFERENT")
-    tiny = [line for line in lines if line.startswith("tiny")]
-    assert [line.split()[4:6] for line in tiny] == [
+    assert lines[-3] == "1 of 2 reports differ"
+
+
+def test_every_solver_call_is_hashed_bootstrap_included(monkeypatch, capsys):
+    """Every call of harness.run, run_psgm and run_simplified prints the
+    sha256 of its final_x, after the shape's report line: the bootstrap's run
+    first, then the seed's three solvers."""
+    status, lines = _lines(monkeypatch, capsys, ["tiny"])
+    assert status == 0
+    words = lines[0].split()
+    assert words[3] == "report" and words[5] == words[7] and len(words[5]) == 64
+    assert [line.split()[4:6] for line in lines[1:5]] == [
         ["1", "run"], ["2", "run"], ["3", "run_psgm"], ["4", "run_simplified"]]
-    for line in tiny:
+    for line in lines[1:5]:
         words = line.split()
         assert words[7] == words[9] and len(words[7]) == 64 and words[-1] == "same"
-    assert lines[-2] == "1 of 4 calls differ"
+    assert lines[5:7] == ["0 of 1 reports differ", "0 of 4 calls differ"]
 
 
-def test_iterates_see_a_changed_tree(monkeypatch, capsys, tmp_path):
+def test_a_changed_tree_moves_its_report_and_its_calls(monkeypatch, capsys, tmp_path):
     """A copy of the tree that draws the quadratic's center from a smaller
-    range moves every call's final iterate, the bootstrap's first."""
-    src = TOOL.parents[1] / "src"
-    shutil.copytree(src / "sipm", tmp_path / "sipm",
+    range moves the report hash, with an explain line under it, and every
+    call's final iterate, the bootstrap's first."""
+    shutil.copytree(TOOL.parents[1] / "src" / "sipm", tmp_path / "sipm",
                     ignore=shutil.ignore_patterns("__pycache__"))
     harness_py = tmp_path / "sipm" / "harness.py"
     text = harness_py.read_text()
     center = "rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo)"
     assert text.count(center) == 1
     harness_py.write_text(text.replace(center, center.replace("0.2", "0.3")))
-    monkeypatch.setattr(report_identity, "SEEDS", (0,))
+    status, lines = _lines(monkeypatch, capsys, ["tiny"], change=str(tmp_path))
+    assert status == 1
+    assert " report " in lines[0] and lines[0].endswith("DIFFERENT")
+    assert lines[1].startswith("    largest relative change ")
+    assert len(lines) == 9 and all(line.endswith("DIFFERENT") for line in lines[2:6])
+    assert lines[6:8] == ["1 of 1 reports differ", "4 of 4 calls differ"]
+
+
+def test_a_tree_without_sipm_is_refused(monkeypatch, capsys, tmp_path):
+    """A tree path with no sipm/__init__.py exits non-zero before any bench
+    runs, even with PYTHONPATH pointing at another tree, whose sipm the
+    tree's process would otherwise have imported and compared with itself."""
+    monkeypatch.setenv("PYTHONPATH", SRC)
     monkeypatch.setattr(report_identity, "SHAPES", {"tiny": TOY_SHAPES["tiny"]})
-    assert report_identity.main([str(src), str(tmp_path), "--iterates"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 6 and all(line.endswith("DIFFERENT") for line in lines[:4])
-    assert lines[4] == "4 of 4 calls differ"
+    for trees in ([str(tmp_path), SRC], [SRC, str(tmp_path)]):
+        with pytest.raises(SystemExit) as err:
+            report_identity.main(trees)
+        assert err.value.code == 2
+        assert f"{tmp_path} has no sipm/__init__.py" in capsys.readouterr().err
+
+
+def test_the_runner_stops_on_a_sipm_from_another_tree(tmp_path):
+    """The runner exits non-zero, running no bench, when the sipm it imports
+    does not lie under the tree it was given."""
+    tree, work = tmp_path / "tree", tmp_path / "work"
+    (tree / "sipm").mkdir(parents=True)
+    (tree / "sipm" / "__init__.py").write_text("")
+    work.mkdir()
+    runner = subprocess.run([sys.executable, "-c", report_identity.RUNNER, "[]", "out.json",
+                             str(tree)], env=report_identity._env(SRC), cwd=work,
+                            capture_output=True, text=True)
+    assert runner.returncode == 1
+    assert runner.stderr.endswith(f"not from {tree}\n")
+    assert not (work / "out.json").exists()

@@ -574,14 +574,14 @@ def test_kernel_scaling_guard_names_the_iteration():
                          ctx, Constants(ell_f=1.0, kappa_inf=1.0), 2.0)
 
 
-RECORD_KEYS = {"k", "x", "x_next", "g", "q", "d", "lo", "up", "h_diag", "bundle", "gamma_k",
+RECORD_KEYS = {"k", "x", "x_next", "g", "q", "d", "s", "h_diag", "bundle", "gamma_k",
                "mu_k", "theta_k", "theta_prev", "stalled"}
 
 
 @pytest.mark.parametrize("case", [0, 1], ids=["box", "one-sided"])
 def test_step_record_has_one_shape_at_every_audit_level(case):
     """sipm_step computes the step and nothing else: its record has the same
-    15 keys whether run() audits it or not (audited records used to add the
+    14 keys whether run() audits it or not (audited records used to add the
     slacks of x_next as lo_next/up_next)."""
     objective, config, x1 = _kernel_runs()[case]
     shapes = set()
@@ -595,18 +595,18 @@ def test_step_record_has_one_shape_at_every_audit_level(case):
 
 @pytest.mark.parametrize("case", [0, 1], ids=["box", "one-sided"])
 def test_step_record_slacks_are_rows_of_one_array(case):
-    """The record's lo/up are the two rows of one (2, n) slack array, and
-    they are x - lower and upper - x bit for bit."""
+    """The record's s is one (2, n) slack array whose rows are x - lower and
+    upper - x bit for bit."""
     objective, config, x1 = _kernel_runs()[case]
     seen = []
     run(objective, replace(config, maxiter=20), x1, observer=seen.append)
     bounds = config.bounds
     for step in seen:
-        lo, up = step["lo"], step["up"]
-        assert lo.base is up.base and lo.base.shape == (2, bounds.n)
-        assert lo.tobytes() == (step["x"] - bounds.lower).tobytes()
-        assert up.tobytes() == (bounds.upper - step["x"]).tobytes()
-        assert lo.base.tobytes() == geometry.slacks(step["x"], bounds).tobytes()
+        s = step["s"]
+        assert s.shape == (2, bounds.n)
+        assert s[0].tobytes() == (step["x"] - bounds.lower).tobytes()
+        assert s[1].tobytes() == (bounds.upper - step["x"]).tobytes()
+        assert s.tobytes() == geometry.slacks(step["x"], bounds).tobytes()
 
 
 def test_run_audits_each_step_before_its_observer(monkeypatch):
@@ -684,6 +684,41 @@ def test_each_step_audit_fires(case, message):
     with pytest.raises(InvariantViolation, match=message) as err:
         solver._audit_step(config, _tamper(config, step, case))
     assert err.value.k == step["k"]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["box", "one-sided"])
+def test_audit_neighborhood_verdict_is_the_stacked_checks(case):
+    """The audit checks x_next against the sides the step clipped to, l + theta
+    and u - theta, where the stacked check tests -x >= -u + theta; the two
+    agree on points on, just inside and just outside either side, -0.0 and
+    NaN among them, with theta held (the sides' memo) and moving."""
+    objective, config, x1 = _kernel_runs()[case]
+    config = replace(config, audit_level="invariants", maxiter=20)
+    seen = []
+    run(objective, config, x1, observer=seen.append)
+    bounds, rng = config.bounds, np.random.default_rng(case)
+    verdicts = set()
+    for step in seen[3:6]:
+        theta = step["theta_k"]
+        lo, up = bounds.lower + theta, bounds.upper - theta
+        choices = np.stack([lo, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf), up,
+                            np.nextafter(up, np.inf), np.nextafter(up, -np.inf),
+                            np.zeros(bounds.n), np.full(bounds.n, -0.0),
+                            np.full(bounds.n, np.nan)])
+        for theta_prev in (theta, 2.0 * theta):
+            for _ in range(60):
+                x = choices[rng.integers(len(choices), size=bounds.n), np.arange(bounds.n)]
+                inside = geometry.in_neighborhood(x, bounds, theta)
+                try:   # a point inside may still fail a later check
+                    solver._audit_step(config, dict(step, x_next=x, theta_prev=theta_prev))
+                    fired = False
+                except InvariantViolation as err:
+                    fired = "neighborhood" in str(err)
+                except (ValueError, RuntimeWarning):
+                    fired = False
+                assert fired == (not inside)
+                verdicts.add(inside)
+    assert verdicts == {True, False}
 
 
 def test_decrease_audit_fires():

@@ -1,40 +1,36 @@
-"""Check that two source trees write the same canonical report bytes.
+"""Check that two source trees write the same canonical reports and final iterates.
 
-Usage: python3 tools/report_identity.py PARENT_SRC CHANGE_SRC [--iterates]
+Usage: python3 tools/report_identity.py PARENT_SRC CHANGE_SRC
 
 Runs each ``sipm bench`` shape in SHAPES at ``--init-seed``/``--data-seed``
-0 and 7, once per tree, each in a fresh ``python -m sipm.cli`` process with
-that tree first on ``PYTHONPATH``.  Prints the sha256 of each report's
-canonical bytes (the report without its ``timing`` block, as
-``harness.canonical_report_bytes`` renders it) per shape, seed and side, and
-exits 1 if any pair differs.  Last it prints each tree's ``sipm/*.py``
-line total, as ``wc -l`` counts it, so a refactor's size figure comes from
-the same run as its identity check.  Under each pair of reports that differ,
-one indented line says how (``explain``): the largest relative change of any
-number under ``runs`` and ``constants``, matched by path, the count of
-``r_p`` sign flips in ``comparisons``, and whether the two reports' structure
-differs, naming up to three keys that one side lacks, such as
-``config.baselines``.  A bench that exits non-zero on either side
-prints each side's exit status in place of its hash, counts as a difference,
-and the comparison goes on with the next shape.  Every process runs in one
-temporary directory, where the parent tree first writes the train/test pairs that the
-LIBSVM shapes read, with ``synthetic_classification`` and
-``serialize_libsvm``: one pair with raw labels -1/+1 and one with the same
-rows labeled 0/1, so the label mapping of ``SparseDataset.to_arrays`` is
-checked too.  Relative paths keep the reports' bytes, and so the printed
-hashes, the same from one call to the next.
+0 and 7 through ``sipm.cli.main``, in one ``python -c RUNNER`` process per
+tree with that tree first on ``PYTHONPATH``; ``harness.run``, ``run_psgm``
+and ``run_simplified`` are wrapped, so every solver call is seen, each
+problem's bootstrap included.  A tree with no ``sipm/__init__.py`` is
+refused, and the runner stops unless the ``sipm`` it imported lies under its
+tree.  Each bench's report file is deleted before it runs.
 
-With ``--iterates`` the tool compares final iterates instead of reports.
-One ``python -c ITERATES`` process per tree runs every shape and seed in
-process through ``sipm.cli.main``, with ``harness.run``, ``run_psgm`` and
-``run_simplified`` wrapped, so every solver call the bench makes is seen,
-each problem's bootstrap included.  It prints one line per call, in call
-order: the solver, and per side the sha256 of the call's ``final_x`` bytes
+Per shape and seed it prints one ``report`` line: each side's sha256 of the
+report's canonical bytes (the report without ``timing``, as
+``harness.canonical_report_bytes`` renders it), or the exit status of a
+bench that failed, which counts as a difference while the other shapes
+still run.  Under a differing pair, one indented line says how
+(``explain``): the largest relative change of any number under ``runs`` and
+``constants``, matched by path, the count of ``r_p`` sign flips in
+``comparisons``, and whether the structure differs, naming up to three keys
+that one side lacks, such as ``config.baselines``.  Then comes one line per
+solver call, in call order, with each side's sha256 of its ``final_x`` bytes
 (``raised <Type>`` for a call that raised, ``missing`` where one side made
-fewer calls).  A call whose two sides differ counts as a difference, and so
-does a bench that exits non-zero on either side, whose line shows each
-side's exit status.  Last come the count of differing calls and the line
-totals, and the tool exits 1 on any difference.
+fewer calls).  Last come the counts of differing reports and calls and each
+tree's ``sipm/*.py`` line total, as ``wc -l`` counts it; the tool exits 1 on
+any difference.
+
+The parent tree first writes, in the one temporary work directory, the
+train/test pairs that the LIBSVM shapes read, with
+``synthetic_classification`` and ``serialize_libsvm``: one pair with raw
+labels -1/+1 and one with the same rows labeled 0/1, so the label mapping of
+``SparseDataset.to_arrays`` is checked too.  Relative paths keep the
+reports' bytes, and so the printed hashes, the same from one call to the next.
 """
 
 import argparse
@@ -128,12 +124,17 @@ for suffix, raw in (("", {-1.0: -1.0, 1.0: 1.0}), ("01", {-1.0: 0.0, 1.0: 1.0}))
 """
 
 # run in one process per tree, in the work directory: argv[1] is a JSON list of
-# [key, bench argv] jobs, argv[2] the file that receives {key: {status, calls}}
-ITERATES = """
-import hashlib, json, sys
+# [key, bench argv] jobs, argv[2] the file that receives {key: {status, calls,
+# report}}, argv[3] the tree that sipm must be imported from
+RUNNER = """
+import hashlib, json, os, sys
+import sipm
+
+tree = os.path.realpath(sys.argv[3])
+if os.path.commonpath([tree, os.path.realpath(sipm.__file__)]) != tree:
+    sys.exit(f"sipm was imported from {sipm.__file__}, not from {sys.argv[3]}")
 import sipm.cli
 from sipm import harness
-
 calls = []
 
 def wrap(name, solver):
@@ -152,11 +153,18 @@ for name in ("run", "run_psgm", "run_simplified"):
 found = {}
 for key, argv in json.loads(sys.argv[1]):
     calls.clear()
+    if os.path.exists("report.json"):   # never read one bench's report as the next one's
+        os.remove("report.json")
     try:   # a bench that crashes is one difference; the other shapes still run
-        status = sipm.cli.main([*argv, "--out", "iterates-report.json"])
-    except Exception as err:
+        status = sipm.cli.main([*argv, "--out", "report.json"])
+    except (Exception, SystemExit) as err:
         status = f"raised {type(err).__name__}"
-    found[key] = {"status": status, "calls": list(calls)}
+    report = None
+    if status == 0:
+        with open("report.json", encoding="ascii") as handle:
+            report = json.load(handle)
+        report.pop("timing", None)
+    found[key] = {"status": status, "calls": list(calls), "report": report}
 with open(sys.argv[2], "w", encoding="ascii") as handle:
     json.dump(found, handle)
 """
@@ -174,51 +182,56 @@ def _env(src):
     return env
 
 
-def run_report(src, argv, work):
-    """Run one bench in a fresh process on the tree ``src``; return its report
-    without the ``timing`` block, or ``exit <status>`` when the bench fails."""
-    status = subprocess.run([sys.executable, "-m", "sipm.cli", *argv, "--out", "report.json"],
-                            env=_env(src), cwd=work).returncode
-    if status:
-        return f"exit {status}"
-    with open(os.path.join(work, "report.json"), encoding="ascii") as handle:
-        report = json.load(handle)
-    return {key: value for key, value in report.items() if key != "timing"}
-
-
-def run_iterates(src, jobs, work, name):
+def run_tree(src, jobs, work, name):
     """Run every ``(key, bench argv)`` job in one process on the tree ``src``;
-    return {key: {"status": exit status, "calls": [[solver, sha256], ...]}}."""
-    subprocess.run([sys.executable, "-c", ITERATES, json.dumps(jobs), name],
-                   env=_env(src), cwd=work, check=True)
+    return {key: {"status": exit status, "calls": [[solver, sha256], ...],
+    "report": the report without ``timing``, None where the bench failed}}."""
+    runner = subprocess.run([sys.executable, "-c", RUNNER, json.dumps(jobs), name,
+                             os.path.abspath(src)],
+                            env=_env(src), cwd=work)
+    if runner.returncode:
+        raise SystemExit(f"report_identity: the runner failed on {src}")
     with open(os.path.join(work, name), encoding="ascii") as handle:
         return json.load(handle)
 
 
-def compare_iterates(parent, change, work):
-    """Print one line per solver call of every shape and seed; return the
-    count of differing calls and failed benches."""
+def report_hash(result):
+    """A bench's canonical report sha256, or its exit status where it failed."""
+    if result["status"] != 0:
+        return f"exit {result['status']}"
+    return canonical_sha256(result["report"])
+
+
+def compare(parent, change, work):
+    """Print each shape and seed's report line, with an ``explain`` line under
+    a differing pair, and one line per solver call; return the count of
+    differing reports and calls."""
     cases = [(shape, seed) for shape in SHAPES for seed in SEEDS]
     jobs = [(f"{shape} {seed}", bench_argv(shape, seed)) for shape, seed in cases]
-    sides = [run_iterates(src, jobs, work, f"iterates-{i}.json")
+    sides = [run_tree(src, jobs, work, f"tree-{i}.json")
              for i, src in enumerate((parent, change))]
-    differing = calls = 0
+    reports = calls = differing_calls = 0
     for shape, seed in cases:
         old, new = (side[f"{shape} {seed}"] for side in sides)
-        where = f"{shape:<24} seed {seed}"
-        if old["status"] or new["status"]:
-            differing += 1
-            print(f"{where}  parent exit {old['status']}  change exit {new['status']}  "
-                  "DIFFERENT", flush=True)
+        where = f"{shape:<25} seed {seed}"
+        hashes = [report_hash(old), report_hash(new)]
+        both = None not in (old["report"], new["report"])
+        same = both and hashes[0] == hashes[1]
+        reports += not same
+        print(f"{where}  report         parent {hashes[0]}  change {hashes[1]}  "
+              f"{'same' if same else 'DIFFERENT'}")
+        if both and not same:
+            print(f"    {explain(old['report'], new['report'])}")
         pairs = itertools.zip_longest(old["calls"], new["calls"], fillvalue=[None, "missing"])
         for i, (mine, theirs) in enumerate(pairs, 1):
             same = mine == theirs
-            differing += not same
+            differing_calls += not same
             calls += 1
             print(f"{where}  call {i:>2} {mine[0] or theirs[0]:<14} parent {mine[1]}  "
-                  f"change {theirs[1]}  {'same' if same else 'DIFFERENT'}", flush=True)
-    print(f"{differing} of {calls} calls differ")
-    return differing
+                  f"change {theirs[1]}  {'same' if same else 'DIFFERENT'}")
+    print(f"{reports} of {len(cases)} reports differ")
+    print(f"{differing_calls} of {calls} calls differ")
+    return reports + differing_calls
 
 
 def canonical_sha256(payload):
@@ -335,43 +348,23 @@ def source_lines(src):
     return total
 
 
-def compare_reports(parent, change, work):
-    """Print one line per shape and seed, and one under each differing pair;
-    return the count of differing reports."""
-    mismatches = 0
-    for shape in SHAPES:
-        for seed in SEEDS:
-            bench = bench_argv(shape, seed)
-            reports = [run_report(src, bench, work) for src in (parent, change)]
-            hashes = [report if isinstance(report, str) else canonical_sha256(report)
-                      for report in reports]
-            same = hashes[0] == hashes[1] and not hashes[0].startswith("exit")
-            mismatches += not same
-            print(f"{shape:<20} seed {seed}  parent {hashes[0]}  change {hashes[1]}  "
-                  f"{'same' if same else 'DIFFERENT'}", flush=True)
-            if not same and not any(isinstance(report, str) for report in reports):
-                print(f"    {explain(*reports)}", flush=True)
-    print(f"{mismatches} of {len(SHAPES) * len(SEEDS)} reports differ")
-    return mismatches
-
-
 def main(argv=None):
-    parser = argparse.ArgumentParser(description="Compare the canonical report bytes "
-                                                 "of two sipm source trees.")
+    parser = argparse.ArgumentParser(description="Compare the canonical reports and final "
+                                                 "iterates of two sipm source trees.")
     parser.add_argument("parent_src", help="the src directory of the parent tree")
     parser.add_argument("change_src", help="the src directory of the changed tree")
-    parser.add_argument("--iterates", action="store_true",
-                        help="compare every solver call's final iterate, not the reports")
     args = parser.parse_args(argv)
     parent, change = args.parent_src, args.change_src
-    compare = compare_iterates if args.iterates else compare_reports
+    for src in (parent, change):   # else the next sipm on PYTHONPATH would be compared
+        if not os.path.isfile(os.path.join(src, "sipm", "__init__.py")):
+            parser.error(f"{src} has no sipm/__init__.py")
     with tempfile.TemporaryDirectory() as work:
         subprocess.run([sys.executable, "-c", WRITE_PAIR], env=_env(parent), cwd=work,
                        check=True)
-        mismatches = compare(parent, change, work)
+        differing = compare(parent, change, work)
     lines = [source_lines(src) for src in (parent, change)]
     print(f"sipm/*.py lines  parent {lines[0]}  change {lines[1]}  ({lines[1] - lines[0]:+d})")
-    return 1 if mismatches else 0
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
