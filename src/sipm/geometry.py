@@ -173,14 +173,20 @@ def barrier_value(f_value, x, bounds, mu):
     return _barrier_value(f_value, require_interior(_vector("x", x, bounds), bounds), bounds, mu)
 
 
-def _barrier_value(f_value, s, bounds, mu, chi=None):
-    """barrier_value from the stacked slacks s; shifted_barrier_value given chi."""
+def _barrier_value(f_value, s, bounds, mu, shift=None):
+    """barrier_value from the stacked slacks s; shifted_barrier_value given
+    shift = _barrier_shift(bounds, chi), which a run takes once."""
     # an empty sum is 0, so a side with no finite bound subtracts 0
     total = float(f_value) - mu * float(np.add.reduce(np.log(s[0][bounds.finite_lower])))
     total -= mu * float(np.add.reduce(np.log(s[1][bounds.finite_upper])))
-    if chi is not None:   # the shift of shifted_barrier_value, on |L| + |U| sides
-        total += mu * np.log(chi) * int(bounds.finite_lower.sum() + bounds.finite_upper.sum())
+    if shift is not None:   # shifted_barrier_value's mu * log(chi) on |L| + |U| sides
+        total += mu * shift[0] * shift[1]
     return total
+
+
+def _barrier_shift(bounds, chi):
+    """(log chi, |L| + |U|), the shift's parts that depend on the box and chi only."""
+    return np.log(chi), int(bounds.finite_lower.sum() + bounds.finite_upper.sum())
 
 
 def default_chi(bounds):
@@ -205,7 +211,7 @@ def shifted_barrier_value(f_value, x, bounds, mu, chi):
         raise DomainError(f"chi={chi} must exceed 1")
     _require_nonnegative("mu", mu)
     s = require_interior(_vector("x", x, bounds), bounds)
-    return _barrier_value(f_value, s, bounds, mu, chi)
+    return _barrier_value(f_value, s, bounds, mu, _barrier_shift(bounds, chi))
 
 
 def barrier_gradient(g, x, bounds, mu):

@@ -497,13 +497,15 @@ def gradient_oracle(objective, mode, batch_fraction, seed):
 
     calls = itertools.count(1)
 
-    def gradient(x):
+    def gradient(x):   # np.shape and .all() would cost more than the checks themselves
         g = draw(x)
         k = next(calls)
-        if np.shape(g) != np.shape(x):
+        shape = g.shape if isinstance(g, np.ndarray) else np.shape(g)
+        if shape != (x.shape if isinstance(x, np.ndarray) else np.shape(x)):
             raise DimensionMismatch(f"iteration {k}: the gradient oracle returned shape "
-                                    f"{np.shape(g)} for x of shape {np.shape(x)}")
-        if not np.isfinite(g).all():
+                                    f"{shape} for x of shape {np.shape(x)}")
+        finite = np.isfinite(g)
+        if np.count_nonzero(finite) < finite.size:
             raise NonFiniteGradient(k, "the gradient oracle returned a non-finite entry")
         return g
 

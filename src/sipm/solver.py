@@ -2,12 +2,13 @@
 
 Every iterate is kept inside a shrinking inner neighborhood of the box by a
 closed-form ratio test, so no fraction-to-the-boundary rule, line search, or
-step acceptance test is needed.  A ``SolverConfig`` builds its run's parameter
-table once, on first read; ``sipm_step`` reads it, takes the slacks of x once,
-and ``stepsize._step`` does the rest.  The loop runs with either exact
-gradients or seeded mini-batch estimates; with auditing enabled ``run`` checks
-each step's record against the contracts the step-size rules are supposed to
-guarantee, and any failure raises InvariantViolation.
+step acceptance test is needed.  A ``SolverConfig`` builds its run's table
+and step context (all a step reads of it) once; ``sipm_step`` reads them,
+takes the slacks of x once, and ``stepsize._step`` does the rest.  The loop
+runs with either exact gradients or seeded mini-batch estimates; with
+auditing on ``run`` checks each step's record against the contracts the
+step-size rules are supposed to guarantee, and any failure raises
+InvariantViolation.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 from .errors import (InfeasibleStart, InvalidBudget, InvalidChoice, InvalidConstants,
                      InvalidExponents, InvalidMu1, InvalidTheta0, InvariantViolation,
                      ThetaTooLarge)
-from .geometry import (DELTA_CAP, Bounds, KktCertificate, _barrier_gradient, _barrier_value,
-                       _inner_sides, _require_nonnegative, _vector, default_chi,
+from .geometry import (DELTA_CAP, Bounds, KktCertificate, _barrier_gradient, _barrier_shift,
+                       _barrier_value, _inner_sides, _require_nonnegative, _vector, default_chi,
                        in_neighborhood, kkt_certificate, projected_gradient_norm, range_gap,
                        require_interior, slacks)
 from .problems import MODES, _require_integer, gradient_oracle
@@ -53,6 +54,12 @@ class SolverConfig:
     @cached_property
     def sequences(self):   # the run's one parameter table
         return sequences(self.schedule, self.buffers, self.maxiter)
+
+    @cached_property
+    def step_context(self):   # what sipm_step reads, in the order it unpacks it
+        seq = self.sequences
+        return (self.bounds, self.constants, self.constants.ell_f, self.schedule.t_alpha,
+                self.delta, seq["mu"], seq["theta"], seq["alpha_buff"], seq["gamma_buff"])
 
 
 @dataclass
@@ -131,27 +138,28 @@ def _rel_ok(lhs, rhs, tol):
     return lhs <= rhs + tol * (1.0 + abs(rhs))
 
 
+@np.errstate(divide="ignore", invalid="ignore")   # run() sets this once for its loop
 def sipm_step(x, k, g, config):
     """Iteration k from x: scaling, barrier gradient, then ``stepsize._step``.
 
-    ``g`` is the (estimated) gradient at x, ``config.sequences`` the run's
-    table.  Returns the step's one record, a dict that ``run`` hands to its
-    observer and takes its stall count, step sizes, audits and trace row from.
+    ``g`` is the (estimated) gradient at x.  Returns the step's one record, a
+    dict that ``run`` hands to its observer and takes its stall count, step
+    sizes, audits and trace row from; ``config.step_context`` gives the rest.
 
     Every quantity derives from the slacks of x, taken once as one (2, n)
     array, the record's s: rows x - l and u - x.  Nothing is validated or
     audited: ``run`` checks its inputs at entry and audits each record, and
     the final clip keeps x_next in the theta_k (the next prior) neighborhood.
     """
-    seq = config.sequences
-    mu_k, theta_k, theta_prev = seq["mu"][k], seq["theta"][k], seq["theta"][k - 1]
-    s = slacks(x, config.bounds)
-    h_diag = _hk(s, mu_k, config.constants.ell_f)
+    bounds, constants, ell_f, t_alpha, delta, mu, theta, alpha_buff, gamma_buff = \
+        config.step_context
+    mu_k, theta_k, theta_prev = mu[k], theta[k], theta[k - 1]
+    s = slacks(x, bounds)
+    h_diag = _hk(s, mu_k, ell_f)
     q = _barrier_gradient(g, s, mu_k)
     bundle, d, gamma_k, x_next = _step(
-        x, s, q, h_diag, k, config.bounds, mu_k, theta_k, theta_prev,
-        config.schedule.t_alpha, seq["alpha_buff"][k], seq["gamma_buff"][k],
-        config.constants, config.delta)
+        x, s, q, h_diag, k, bounds, mu_k, theta_k, theta_prev, t_alpha, alpha_buff[k],
+        gamma_buff[k], constants, delta)
     return dict(k=k, x=x, x_next=x_next, g=g, q=q, d=d, s=s, h_diag=h_diag,
                 bundle=bundle, gamma_k=gamma_k, mu_k=mu_k, theta_k=theta_k,
                 theta_prev=theta_prev, stalled=gamma_k == 0.0 and bool((d != 0.0).any()))
@@ -200,7 +208,9 @@ def run(objective, config, x1, observer=None):
 
     Inputs are validated once, here; the oracle rejects non-finite gradients,
     and the iterations check nothing else unless auditing is enabled, when
-    ``_audit_step`` checks each step before the observer sees it.
+    ``_audit_step`` checks each step before the observer sees it and a
+    non-finite objective value raises InvariantViolation.  The loop, observer
+    included, runs under one ``np.errstate`` with divide and invalid off.
     """
     bounds = config.bounds
     x = _first_iterate(x1, bounds, config.maxiter)
@@ -236,7 +246,7 @@ def run(objective, config, x1, observer=None):
     audit_decrease = audit and config.mode == "deterministic"
     keep_trace = config.audit_level == "full_trace"
     need_f = audit_decrease or keep_trace
-    chi = default_chi(bounds)
+    shift = _barrier_shift(bounds, default_chi(bounds))
 
     records = []   # trace rows, scalars only
     stall_count = 0
@@ -244,37 +254,40 @@ def run(objective, config, x1, observer=None):
     alpha_last = math.nan
     # the shifted barrier at the current iterate with its mu_k, on the slacks of
     # its interior check: the trace row's phi_tilde, the decrease check's left side
-    phi_curr = (_barrier_value(objective.value(x), s, bounds, mu1, chi)
-                if need_f else math.nan)
+    phi_curr = _barrier_value(objective.value(x), s, bounds, mu1, shift) if need_f else math.nan
 
-    for k in range(1, config.maxiter + 1):
-        step = sipm_step(x, k, gradient(x), config)
-        if audit:
-            s = _audit_step(config, step)   # the slacks of x_{k+1}
-        if observer is not None:
-            observer(step)
-        x = step["x_next"]
-        alpha_k = step["bundle"].alpha_k
-        if step["stalled"]:
-            stall_count += 1
-        if keep_trace:
-            records.append(dict(k=k, mu_k=step["mu_k"], theta_k=step["theta_k"],
-                                alpha_k=alpha_k, gamma_k=step["gamma_k"],
-                                ell_k=step["bundle"].ell_k,
-                                q_norm=math.sqrt(step["q"] @ step["q"]),   # norm's bits
-                                phi_tilde=phi_curr, stalled=step["stalled"]))
-        if math.isnan(alpha_first):
-            alpha_first = alpha_k
-        alpha_last = alpha_k
+    with np.errstate(divide="ignore", invalid="ignore"):   # once, so sipm_step's is skipped
+        for k in range(1, config.maxiter + 1):
+            step = sipm_step.__wrapped__(x, k, gradient(x), config)
+            if audit:
+                s = _audit_step(config, step)   # the slacks of x_{k+1}
+            if observer is not None:
+                observer(step)
+            x = step["x_next"]
+            alpha_k = step["bundle"].alpha_k
+            if step["stalled"]:
+                stall_count += 1
+            if keep_trace:
+                records.append(dict(k=k, mu_k=step["mu_k"], theta_k=step["theta_k"],
+                                    alpha_k=alpha_k, gamma_k=step["gamma_k"],
+                                    ell_k=step["bundle"].ell_k,
+                                    q_norm=math.sqrt(step["q"] @ step["q"]),   # norm's bits
+                                    phi_tilde=phi_curr, stalled=step["stalled"]))
+            if math.isnan(alpha_first):
+                alpha_first = alpha_k
+            alpha_last = alpha_k
 
-        if need_f:
-            phi_next = _barrier_value(objective.value(x), s, bounds, seq["mu"][k + 1], chi)
-            if audit_decrease:
-                q, h_diag = step["q"], step["h_diag"]
-                descent = 0.5 * step["gamma_k"] * alpha_k * float(np.add.reduce(q * q / h_diag))
-                if phi_next - phi_curr > -descent + 1e-10 * (1.0 + abs(phi_curr)):
-                    raise InvariantViolation(k, "barrier decrease inequality failed")
-            phi_curr = phi_next
+            if need_f:
+                phi_next = _barrier_value(objective.value(x), s, bounds, seq["mu"][k + 1], shift)
+                if not (math.isfinite(phi_curr) and math.isfinite(phi_next)):   # NaN passes below
+                    raise InvariantViolation(k, "objective value is not finite")
+                if audit_decrease:
+                    q, h_diag = step["q"], step["h_diag"]
+                    descent = (0.5 * step["gamma_k"] * alpha_k
+                               * float(np.add.reduce(q * q / h_diag)))
+                    if phi_next - phi_curr > -descent + 1e-10 * (1.0 + abs(phi_curr)):
+                        raise InvariantViolation(k, "barrier decrease inequality failed")
+                phi_curr = phi_next
 
     mu_last = seq["mu"][max(config.maxiter, 1)]
     return RunResult(final_x=x, records=records, stall_count=stall_count,

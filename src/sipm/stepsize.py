@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +65,7 @@ class ScheduleContext:
     gamma_buff: float
 
 
-@dataclass(frozen=True)
-class StepSizeBundle:
+class StepSizeBundle(NamedTuple):
     alpha_min: float
     alpha_pre: float
     gamma_bar: float
@@ -116,6 +116,7 @@ def _ratio(margin, d, scale, gamma_max, moving):
     return max(0.0, gamma)
 
 
+@np.errstate(divide="ignore", invalid="ignore")   # for both ratio tests
 def step_size_bundle(x, q, h_diag, k, bounds, sched, constants, delta):
     """Run the full step-size pipeline at iteration k.
 
@@ -152,11 +153,11 @@ def step_size_bundle(x, q, h_diag, k, bounds, sched, constants, delta):
                  sched.t_alpha, sched.alpha_buff, sched.gamma_buff, constants, delta)[0]
 
 
-@np.errstate(divide="ignore", invalid="ignore")   # for both ratio tests
 def _step(x, s, q, h_diag, k, bounds, mu, theta_k, theta_prev, t_alpha, alpha_buff,
           gamma_buff, constants, delta):
     """One step from x and its stacked slacks s: returns (bundle, d = -q / h_diag,
-    gamma_k, x_next), x_next clipped to theta_k."""
+    gamma_k, x_next), x_next clipped to theta_k.  Its callers turn off numpy's
+    divide and invalid warnings, which a zero or NaN entry of d raises."""
     lam_min = float(np.minimum.reduce(h_diag))
     if not lam_min > 0.0:
         raise InvalidConstants(f"iteration {k}: scaling diagonal must be strictly positive")
@@ -190,6 +191,5 @@ def _step(x, s, q, h_diag, k, bounds, mu, theta_k, theta_prev, t_alpha, alpha_bu
     # an ulp outside the neighborhood, so snap it back.
     same = gamma_k == gamma_bar and alpha_k == alpha_pre   # then x_pre is the update
     x_next = (x_pre if same else x + (gamma_k * alpha_k) * d).clip(inner_lo, inner_up)
-    return StepSizeBundle(alpha_min=alpha_min, alpha_pre=alpha_pre, gamma_bar=gamma_bar,
-                          ell_k=ell_k, alpha_max=alpha_max, alpha_k=alpha_k,
-                          gamma_min=gamma_min, gamma_max=gamma_max), d, gamma_k, x_next
+    return StepSizeBundle(alpha_min, alpha_pre, gamma_bar, ell_k, alpha_max, alpha_k,
+                          gamma_min, gamma_max), d, gamma_k, x_next

@@ -12,7 +12,7 @@ from sipm import (Bounds, BufferSequences, Constants, ExperimentSpec, LogisticOb
                   initial_point, logistic_dimension, logistic_objective, nn_dimension,
                   nn_objective, quadratic_objective, run, run_psgm, synthetic_classification)
 from sipm.errors import (BatchTooLarge, DimensionMismatch, DomainError, LabelMismatch,
-                         NotBinary)
+                         NonFiniteGradient, NotBinary)
 from sipm.libsvm import SparseDataset
 from sipm.problems import _rng, _sigmoid_of_minus, map_labels
 
@@ -550,3 +550,45 @@ def test_seeds_outside_the_domain_are_typed_errors(use, seed):
 @pytest.mark.parametrize("seed", [0, 7, np.int64(7), [7, 1], (7, 2)])
 def test_a_valid_seed_builds_numpys_generator(seed):
     assert _rng(seed).random(4).tolist() == np.random.default_rng(seed).random(4).tolist()
+
+
+def _oracle_returning(*gradients):
+    """A deterministic oracle whose objective returns the given gradients in turn."""
+    objective = quadratic_objective([0.0, 0.0], [1.0, 1.0])
+    returned = iter(gradients)
+    objective.gradient = lambda x: next(returned)
+    return gradient_oracle(objective, "deterministic", 0.1, 0)
+
+
+@pytest.mark.parametrize("x", [np.zeros(2), [0.0, 0.0]], ids=["x-array", "x-list"])
+@pytest.mark.parametrize("g", [np.array([0.5, -1.0]), [0.5, -1.0]], ids=["array", "list"])
+def test_the_oracle_returns_a_well_shaped_finite_gradient_itself(g, x):
+    assert _oracle_returning(g)(x) is g
+
+
+@pytest.mark.parametrize("g, shape", [
+    (np.zeros(3), (3,)), ([0.0, 0.0, 0.0], (3,)), (np.zeros((1, 2)), (1, 2)),
+    ([[0.0, 0.0]], (1, 2)), (0.5, ()), (np.float64(0.5), ()), (np.zeros(()), ()),
+], ids=["array", "list", "2-D-array", "2-D-list", "float", "numpy-scalar", "0-D-array"])
+@pytest.mark.parametrize("x", [np.zeros(2), [0.0, 0.0]], ids=["x-array", "x-list"])
+def test_a_misshapen_gradient_is_a_dimension_mismatch_naming_the_call(g, shape, x):
+    """The oracle reads an ndarray's shape directly and any other gradient's
+    through np.shape; both give the same error and message."""
+    oracle = _oracle_returning(np.zeros(2), g)
+    oracle(x)
+    with pytest.raises(DimensionMismatch) as err:
+        oracle(x)
+    assert str(err.value) == (f"iteration 2: the gradient oracle returned shape {shape} "
+                              "for x of shape (2,)")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("kind", [np.array, list], ids=["array", "list"])
+def test_a_non_finite_gradient_names_the_call(bad, kind):
+    oracle = _oracle_returning(np.zeros(2), np.zeros(2), kind([0.0, bad]))
+    oracle(np.zeros(2))
+    oracle(np.zeros(2))
+    with pytest.raises(NonFiniteGradient) as err:
+        oracle(np.zeros(2))
+    assert err.value.k == 3
+    assert str(err.value) == "iteration 3: the gradient oracle returned a non-finite entry"

@@ -1,4 +1,5 @@
 import re
+import warnings
 from collections import Counter
 from dataclasses import asdict, fields, replace
 from fractions import Fraction as F
@@ -654,16 +655,16 @@ def _tamper(config, step, case):
     if case == "neighborhood":
         return dict(step, x_next=config.bounds.upper - 0.5 * theta_k)
     if case == "segment":
-        return dict(step, bundle=replace(bundle, ell_k=0.0))
+        return dict(step, bundle=bundle._replace(ell_k=0.0))
     if case == "cap":
         cap = config.constants.ell_f + 2.0 * mu_k / theta_k ** 2
-        return dict(step, bundle=replace(bundle, ell_k=2.0 * cap))
+        return dict(step, bundle=bundle._replace(ell_k=2.0 * cap))
     if case == "alpha":
-        return dict(step, bundle=replace(bundle, alpha_k=2.0 * bundle.alpha_max))
+        return dict(step, bundle=bundle._replace(alpha_k=2.0 * bundle.alpha_max))
     if case == "gamma":
         return dict(step, gamma_k=2.0 * bundle.gamma_max)
     if case == "look-ahead":
-        return dict(step, bundle=replace(bundle, gamma_bar=0.0))
+        return dict(step, bundle=bundle._replace(gamma_bar=0.0))
     return dict(step, d=-step["d"])   # "descent"
 
 
@@ -731,3 +732,64 @@ def test_decrease_audit_fires():
     with pytest.raises(InvariantViolation, match="barrier decrease inequality") as err:
         run(objective, config, x1)
     assert err.value.k == 1
+
+
+@pytest.mark.parametrize("mode, audit_level", [("deterministic", "invariants"),
+                                               ("stochastic", "full_trace")])
+@pytest.mark.parametrize("bad, first_bad_call", [(np.nan, 4), (np.inf, 1), (-np.inf, 2)],
+                         ids=["nan-from-call-4", "inf-from-the-start", "minus-inf-from-call-2"])
+def test_an_audited_run_refuses_a_non_finite_objective_value(bad, first_bad_call, mode,
+                                                             audit_level):
+    """A NaN barrier difference, from a NaN value or from inf - inf, compares
+    false, so the decrease check passed it and a run ended with a NaN final
+    objective; a value of -inf passed too.  The audit now raises, naming the
+    iteration whose new value, or the first iteration where the start's
+    value, is not finite."""
+    objective = quadratic_objective([0.3, -0.2, 0.5, -0.4, 0.1], [3.0, 1.0, 0.5, 2.0, 1.0],
+                                    noise_level=0.1, sample_count=20, seed=2)
+    exact, calls = objective.value, []
+
+    def value(x):
+        calls.append(x)
+        return bad if len(calls) >= first_bad_call else exact(x)
+
+    objective.value = value
+    config = quad_config(Bounds.cube(5, -1.0, 1.0), build_staircase(0.2, 30, theta0=0.05), 30,
+                         mode=mode, audit_level=audit_level, batch_fraction=0.1,
+                         constants=Constants(ell_f=3.0, kappa_inf=4.0, sigma_inf=0.3))
+    with pytest.raises(InvariantViolation, match="objective value is not finite") as err:
+        run(objective, config, np.zeros(5))
+    assert err.value.k == max(first_bad_call - 1, 1)
+
+
+def test_zero_and_nan_directions_raise_no_warning_and_run_sets_errstate_once(monkeypatch):
+    """A zero direction entry makes the ratio tests divide by zero and a NaN
+    one meets a NaN; run() turns numpy's divide and invalid warnings off once
+    for its loop, and sipm_step and step_size_bundle each for their call, so
+    none of them warns where a RuntimeWarning is an error."""
+    entered = []
+    errstate = np.errstate
+    monkeypatch.setattr(np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
+    # x1 = 0 minimizes the first and last coordinates on a symmetric box, so
+    # their q and d are 0 at every iterate
+    objective = quadratic_objective([0.0, 0.5, 0.0], [1.0, 2.0, 1.0])
+    config = quad_config(Bounds.cube(3, -1.0, 1.0), build_staircase(0.2, 30, theta0=0.05), 30,
+                         constants=Constants(ell_f=2.0, kappa_inf=2.0))
+    seen = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run(objective, config, np.zeros(3), observer=seen.append)
+        # numpy may enter its own errstate while it imports a module lazily
+        assert entered.count(dict(divide="ignore", invalid="ignore")) == 1
+        assert all(info["d"][0] == info["d"][2] == 0.0 != info["d"][1] for info in seen)
+        x = np.zeros(3)
+        step = sipm_step(x, 1, np.array([0.0, np.nan, 1.0]), config)
+        assert step["d"][0] == 0.0 and np.isnan(step["d"][1])
+        ctx = ScheduleContext(mu_k=step["mu_k"], theta_k=step["theta_k"],
+                              theta_prev=step["theta_prev"], t_alpha=config.schedule.t_alpha,
+                              alpha_buff=config.buffers.alpha(1),
+                              gamma_buff=config.buffers.gamma(1))
+        bundle = step_size_bundle(x, step["q"], step["h_diag"], 1, config.bounds, ctx,
+                                  config.constants, config.delta)
+    assert np.array(bundle).tobytes() == np.array(step["bundle"]).tobytes()   # NaNs too
+    assert not hasattr(stepsize._step, "__wrapped__")   # no errstate of its own

@@ -271,7 +271,8 @@ def test_step_shortcuts_match_the_full_tail(case):
     seen = 0
     for _ in range(300):
         x, args = random_step(rng, case)
-        bundle, d, gamma_k, x_next = stepsize._step(x, *args)
+        with np.errstate(divide="ignore", invalid="ignore"):   # as _step's callers run it
+            bundle, d, gamma_k, x_next = stepsize._step(x, *args)
         bounds, theta_k, theta_prev = args[4], args[6], args[7]
         gamma_bar, want_gamma, want_x = reference_tail(x, d, bundle, bounds, theta_k)
         assert gamma_bar == bundle.gamma_bar
@@ -279,3 +280,27 @@ def test_step_shortcuts_match_the_full_tail(case):
         assert x_next.tobytes() == want_x.tobytes()
         seen += bool(STEP_CASES[case](x, bundle, d, theta_k, theta_prev))
     assert seen >= 10
+
+
+def test_the_bundle_is_an_immutable_tuple_that_the_kernel_and_the_public_function_share():
+    """The bundle is a NamedTuple: its fields cannot be set, ``_replace``
+    gives a changed copy, and step_size_bundle returns the kernel's bundle."""
+    bounds = box([-1.0, -1.0, 0.0], [1.0, 1.0, INF])
+    x, q, h_diag = np.array([0.2, -0.1, 0.5]), np.array([0.5, -0.3, 0.0]), np.full(3, 2.0)
+    sched = ScheduleContext(mu_k=0.1, theta_k=0.05, theta_prev=0.05, t_alpha=0.0,
+                            alpha_buff=1.0, gamma_buff=0.5)
+    constants = Constants(ell_f=1.0, kappa_inf=2.0)
+    delta = range_gap(bounds, DELTA_CAP)
+    bundle = step_size_bundle(x, q, h_diag, 3, bounds, sched, constants, delta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = stepsize._step(x, slacks(x, bounds), q, h_diag, 3, bounds, 0.1, 0.05, 0.05,
+                                0.0, 1.0, 0.5, constants, delta)[0]
+    assert type(bundle) is type(kernel) is stepsize.StepSizeBundle
+    assert bundle == kernel
+    assert bundle._fields == ("alpha_min", "alpha_pre", "gamma_bar", "ell_k", "alpha_max",
+                              "alpha_k", "gamma_min", "gamma_max")
+    with pytest.raises(AttributeError):
+        bundle.alpha_k = 0.0
+    changed = bundle._replace(ell_k=0.0)
+    assert changed.ell_k == 0.0 and bundle.ell_k > 0.0
+    assert changed._replace(ell_k=bundle.ell_k) == bundle
