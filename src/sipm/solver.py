@@ -210,7 +210,8 @@ def run(objective, config, x1, observer=None):
     and the iterations check nothing else unless auditing is enabled, when
     ``_audit_step`` checks each step before the observer sees it and a
     non-finite objective value raises InvariantViolation.  The loop, observer
-    included, runs under one ``np.errstate`` with divide and invalid off.
+    included, runs under one ``np.errstate`` with divide and invalid off, so a
+    global ``np.seterr`` for divide or invalid does not apply inside it.
     """
     bounds = config.bounds
     x = _first_iterate(x1, bounds, config.maxiter)
@@ -246,7 +247,7 @@ def run(objective, config, x1, observer=None):
     audit_decrease = audit and config.mode == "deterministic"
     keep_trace = config.audit_level == "full_trace"
     need_f = audit_decrease or keep_trace
-    shift = _barrier_shift(bounds, default_chi(bounds))
+    shift = _barrier_shift(bounds, default_chi(bounds)) if need_f else None
 
     records = []   # trace rows, scalars only
     stall_count = 0
@@ -255,6 +256,8 @@ def run(objective, config, x1, observer=None):
     # the shifted barrier at the current iterate with its mu_k, on the slacks of
     # its interior check: the trace row's phi_tilde, the decrease check's left side
     phi_curr = _barrier_value(objective.value(x), s, bounds, mu1, shift) if need_f else math.nan
+    if need_f and not math.isfinite(phi_curr):   # a NaN difference passes the check below
+        raise InvariantViolation(1, "objective value is not finite")
 
     with np.errstate(divide="ignore", invalid="ignore"):   # once, so sipm_step's is skipped
         for k in range(1, config.maxiter + 1):
@@ -279,7 +282,7 @@ def run(objective, config, x1, observer=None):
 
             if need_f:
                 phi_next = _barrier_value(objective.value(x), s, bounds, seq["mu"][k + 1], shift)
-                if not (math.isfinite(phi_curr) and math.isfinite(phi_next)):   # NaN passes below
+                if not math.isfinite(phi_next):
                     raise InvariantViolation(k, "objective value is not finite")
                 if audit_decrease:
                     q, h_diag = step["q"], step["h_diag"]
