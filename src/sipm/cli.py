@@ -151,7 +151,7 @@ def _cmd_estimate(args):
 
 def _file_summary(ds):
     """A parsed file's own row count, width, nonzero count and label values."""
-    return {"m": ds.m, "n_f": ds.n_features, "nnz": sum(len(r) for r in ds.rows),
+    return {"m": ds.m, "n_f": ds.n_features, "nnz": ds.rows.indices.size,
             "labels": list(ds.label_values())}
 
 

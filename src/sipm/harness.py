@@ -29,8 +29,6 @@ canonical bytes.
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import json
 import math
 import numbers
@@ -326,6 +324,8 @@ def _build_problem(problem, spec):
 def _cache_key(problem, spec):
     """Cache file name of a problem's constants: a digest of everything the
     estimate reads, down to the bytes of its data files."""
+    import hashlib   # only --cache-dir reads it; it loads OpenSSL
+
     digest = hashlib.sha256(json.dumps(
         [asdict(problem), list(spec.bounds), spec.mode, spec.batch_fraction,
          spec.init_seed, asdict(BOOTSTRAP_SPEC), asdict(BOOTSTRAP_CONSTANTS), BOOTSTRAP_ITERS,
@@ -547,6 +547,8 @@ RUN_COLUMNS = ("problem", "solver", "seed", "mu1", "theta0", "maxiter",
 def report_csv_chunks(report):
     """report_to_csv's text one line at a time: ``writerow`` returns what its
     target's ``write`` returns, here the formatted line itself."""
+    import csv
+
     writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
     yield writer.writerow(RUN_COLUMNS)
     for entry in report["runs"]:

@@ -1,3 +1,5 @@
+import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -68,6 +70,14 @@ def test_non_ascii_byte_is_a_malformed_line(data, line, column, tmp_path):
         parse_libsvm_file(str(path))
     with pytest.raises(MalformedLine, match=f"^line {line}: "):
         parse_libsvm(data.decode("utf-8", errors="replace"))
+
+
+def test_parse_rejects_an_index_past_int64():
+    """Such an index used to parse, and to_arrays then failed as a bare
+    OverflowError; it is a MalformedLine naming its line."""
+    with pytest.raises(MalformedLine, match="^line 2: index 9223372036854775808 is too large$"):
+        parse_libsvm("+1 1:1\n-1 9223372036854775808:1\n")
+    assert parse_libsvm("+1 9223372036854775807:1\n").n_features == 2 ** 63 - 1
 
 
 def test_parse_rejects_nonincreasing_indices():
@@ -174,3 +184,115 @@ def test_dense_matches_reference_parse():
                 idx, _, val = token.partition(":")
                 ref[r, int(idx) - 1] = float(val)
         assert_allclose(dense, ref)
+
+
+@pytest.mark.parametrize("row, message", [
+    (((5, 1.0),), "row 1: entry (5, 1.0): index 5 is outside [1, 2]"),
+    (((0, 1.0),), "row 1: entry (0, 1.0): index 0 is outside [1, 2]"),
+    (((1.5, 1.0),), "row 1: entry (1.5, 1.0): index 1.5 is not an integer"),
+    (((True, 1.0),), "row 1: entry (True, 1.0): index True is not an integer"),
+    (((2, 1.0), (1, 1.0)), "row 1: entry (1, 1.0): index 1 is not above the previous 2"),
+    (((2, 1.0), (2, 3.0)), "row 1: entry (2, 3.0): index 2 is not above the previous 2"),
+    (((1, "x"),), "row 1: entry (1, 'x'): value 'x' is not a real number"),
+    (((1, True),), "row 1: entry (1, True): value True is not a real number"),
+    (((1, 2.0, 3.0),), "row 1: entry (1, 2.0, 3.0): not an (index, value) pair"),
+], ids=["above", "zero", "fraction", "bool-index", "decreasing", "repeated", "text",
+        "bool-value", "triple"])
+def test_constructed_rows_are_checked_at_construction(row, message):
+    """Constructed rows used to be taken unchecked: with n_features=2, index
+    5 or 0 became CSR column 4 or -1, and a gradient over that matrix dropped
+    the entry and then corrupted the heap; 1.5 was truncated to 1, decreasing
+    indices stayed unsorted, and a value 'x' failed as a bare ValueError in
+    to_arrays.  Each is a DomainError naming the row and the entry when the
+    dataset is built."""
+    with pytest.raises(DomainError) as caught:
+        SparseDataset(rows=(((1, 0.5),), row), labels=(1.0, -1.0), n_features=2)
+    assert str(caught.value) == message
+
+
+def test_the_feature_count_is_checked_on_every_construction():
+    ds = parse_libsvm("+1 1:0.5\n-1 2:1.0 3:-2.5\n")
+    with pytest.raises(DomainError) as caught:
+        replace(ds, n_features=2)
+    assert str(caught.value) == "row 1: entry (3, -2.5): index 3 is outside [1, 2]"
+    # numpy integers and floats are integers and real numbers too
+    built = SparseDataset(rows=[[(np.int64(2), np.float32(0.5))], []], labels=(1.0, -1.0),
+                          n_features=3)
+    assert built.rows == (((2, 0.5),), ())
+
+
+def random_rows(rng, m):
+    """Rows of (index, value) pairs with indices above 256, past Python's
+    cached small ints, one row holding -0.0 and a few empty rows."""
+    rows = []
+    for _ in range(m):
+        count = int(rng.integers(0, 6))
+        indices = np.sort(rng.choice(np.arange(1, 600), size=count, replace=False))
+        values = np.round(rng.uniform(-5, 5, size=count), 3)
+        rows.append(tuple((int(i), float(v)) for i, v in zip(indices, values)))
+    rows[1], rows[2] = (), ((3, -0.0), (300, 1.5))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stored_rows_read_as_the_tuples_they_hold(seed):
+    """A parsed dataset and one built from the same tuples answer as the
+    tuple of rows does, and to_arrays gives both the same CSR bytes."""
+    rng = np.random.default_rng(seed)
+    rows = random_rows(rng, 40)
+    labels = tuple(float(y) for y in rng.choice([-1.0, 1.0], size=len(rows)))
+    text = "".join(f"{y:g} " + " ".join(f"{i}:{v!r}" for i, v in row) + "\n"
+                   for y, row in zip(labels, rows))
+    parsed = parse_libsvm(text)
+    built = SparseDataset(rows=rows, labels=labels, n_features=parsed.n_features)
+    for ds in (parsed, built):
+        assert ds.rows == rows and rows == ds.rows and not ds.rows != rows
+        assert hash(ds.rows) == hash(rows) and repr(ds.rows) == repr(rows)
+        assert len(ds.rows) == len(rows) and list(ds.rows) == list(rows)
+        for key in (0, 2, -1, -len(rows), slice(None), slice(1, 9), slice(-5, None),
+                    slice(None, None, -3)):
+            assert ds.rows[key] == rows[key] and type(ds.rows[key]) is tuple
+        assert all(type(i) is int and type(v) is float for row in ds.rows for i, v in row)
+        with pytest.raises(IndexError):
+            ds.rows[len(rows)]
+    assert parsed == built and hash(parsed) == hash(built) and repr(parsed) == repr(built)
+    assert parsed.rows == built.rows
+    again = pickle.loads(pickle.dumps(parsed))
+    assert again == parsed and not again.rows.values.flags.writeable
+    ours, theirs = parsed.to_arrays()[0], built.to_arrays()[0]
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(ours, name), getattr(theirs, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert np.signbit(ours.data[ours.indptr[2]]) and ours.toarray()[2, 299] == 1.5
+
+
+def test_align_feature_space_shares_the_stored_arrays():
+    train = parse_libsvm("+1 1:1 10:2\n-1 3:1\n")
+    test = parse_libsvm("-1 12:0.5\n\n+1\n")
+    for before, after in zip((train, test), align_feature_space(train, test)):
+        for name in ("indptr", "indices", "values"):
+            stored = getattr(after.rows, name)
+            assert np.shares_memory(getattr(before.rows, name), stored)
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 7
+
+
+def test_a_parsed_dataset_holds_arrays_not_tuples():
+    """At most 24 bytes per nonzero and 64 per row stay allocated, labels
+    included; a tuple per nonzero took about 76 bytes."""
+    rng = np.random.default_rng(5)
+    m, per_row = 2000, 5
+    text = "".join(f"{(-1) ** r} " + " ".join(
+        f"{i}:{v:.4f}" for i, v in zip(np.sort(rng.choice(np.arange(1, 500), per_row,
+                                                          replace=False)),
+                                       rng.uniform(-1, 1, per_row))) + "\n"
+        for r in range(m))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ds = parse_libsvm(text)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert ds.m == m and sum(map(len, ds.rows)) == m * per_row
+    assert held <= 24 * m * per_row + 64 * m, held

@@ -203,6 +203,16 @@ def _imports_scipy_at_import_time(tree):
     return found
 
 
+def test_import_loads_neither_hashlib_nor_csv(tmp_path):
+    """hashlib, which loads OpenSSL, served only the --cache-dir key and csv
+    only report_to_csv, yet every CLI process imported both; each is now
+    imported where it is used."""
+    code = ("import json, sys\n"
+            "import sipm, sipm.cli\n"
+            "print(json.dumps(sorted({'hashlib', '_hashlib', 'csv'} & set(sys.modules))))\n")
+    assert _run_python(code, tmp_path) == []
+
+
 def _package_trees():
     """{file name: parsed module} of every src/sipm/*.py."""
     package = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

@@ -29,8 +29,10 @@ The parent tree first writes, in the one temporary work directory, the
 train/test pairs that the LIBSVM shapes read, with
 ``synthetic_classification`` and ``serialize_libsvm``: one pair with raw
 labels -1/+1 and one with the same rows labeled 0/1, so the label mapping of
-``SparseDataset.to_arrays`` is checked too.  Relative paths keep the
-reports' bytes, and so the printed hashes, the same from one call to the next.
+``SparseDataset.to_arrays`` is checked too, and a thinner pair with
+label-only rows whose test split is narrower than its train split.  Relative
+paths keep the reports' bytes, and so the printed hashes, the same from one
+call to the next.
 """
 
 import argparse
@@ -89,6 +91,10 @@ SHAPES = {
     # CSR mini-batches, for the logistic model and the network's stochastic bootstrap
     "libsvm-stoch": ["--model", "logistic", *LIBSVM_STOCH],
     "libsvm-nn-stoch": ["--model", "nn", *LIBSVM_STOCH],
+    # label-only rows in both splits and a test split narrower than its train split
+    "libsvm-thin-stoch": ["--model", "logistic", "--train", "train_thin.libsvm",
+                          "--test", "test_thin.libsvm", "--mode", "stoch", "--epochs", "1",
+                          "--batch-frac", "0.05", "--seeds", "0,3", *THREE],
     # the quadratic's stochastic oracle and its sigma draws
     "quad-stoch": ["--model", "quadratic", "--mode", "stoch", "--dim", "10", "--samples", "40",
                    "--epochs", "2", "--batch-frac", "0.1", "--seeds", "0,1", *THREE],
@@ -121,6 +127,15 @@ for suffix, raw in (("", {-1.0: -1.0, 1.0: 1.0}), ("01", {-1.0: 0.0, 1.0: 1.0}))
             handle.write(serialize_libsvm(SparseDataset(
                 rows=rows[part], labels=tuple(raw[float(y)] for y in labels[part]),
                 n_features=20)))
+# label-only rows, and a test split whose indices stop at 15, below the train
+# split's largest, so that align_feature_space widens it
+thin = tuple(tuple(pair for pair in row if abs(pair[1]) > 0.9) for row in rows)
+narrow = tuple(tuple(pair for pair in row if pair[0] <= 15) for row in thin[240:])
+for path, part, split in (("train_thin.libsvm", thin[:240], slice(0, 240)),
+                          ("test_thin.libsvm", narrow, slice(240, 300))):
+    with open(path, "w", encoding="ascii") as handle:
+        handle.write(serialize_libsvm(SparseDataset(
+            rows=part, labels=tuple(float(y) for y in labels[split]), n_features=20)))
 """
 
 # run in one process per tree, in the work directory: argv[1] is a JSON list of
