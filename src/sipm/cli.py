@@ -20,7 +20,7 @@ from .harness import (MODELS, SOLVERS, SPEC_CHOICES, EstimatedConstants, Experim
 from .libsvm import align_feature_space, parse_libsvm_file
 
 MODES = {"det": "deterministic", "stoch": "stochastic"}
-EMIT_BATCH = 4096   # output chunks joined per write
+EMIT_BATCH = 256   # output chunks joined per write: a JSON chunk is up to a whole row
 
 
 def _seed_list(text):

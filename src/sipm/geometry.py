@@ -86,7 +86,7 @@ def require_interior(x, bounds):
     slack is strictly positive (open sides have infinite slack)."""
     s = slacks(x, bounds)
     bad = s <= 0.0
-    if np.logical_or.reduce(bad, axis=None):
+    if np.count_nonzero(bad):
         i = int(np.argmax(np.logical_or.reduce(bad)))
         raise NotInterior(f"coordinate {i} has nonpositive slack to a finite bound")
     return s

@@ -525,18 +525,79 @@ def canonical_report_bytes(report):
                            if key != "timing"}).encode("ascii")
 
 
-# the one JSON format of reports and CLI output.  With indent set, CPython
-# 3.11 encodes in pure Python, chunk by chunk, whether joined or streamed.
+# the one JSON format of reports and CLI output, and the oracle of _json_chunks
 _JSON = json.JSONEncoder(sort_keys=True, indent=2)
+_C_ENCODERS = []   # [level]: json's C encoder for the items of a level's container
+_SCALARS = {str, int, float, bool, type(None), np.float64}   # C-encoded as _JSON does
+
+
+def _c_encoder(level):
+    """json's C encoder, which takes no indent in CPython 3.11, writing the
+    items of a container at indent ``level`` one per line."""
+    while len(_C_ENCODERS) <= level:
+        _C_ENCODERS.append(json.encoder.c_make_encoder(
+            None, _JSON.default, json.encoder.encode_basestring_ascii, None, ": ",
+            ",\n" + "  " * (len(_C_ENCODERS) + 1), True, False, True))
+    return _C_ENCODERS[level]
+
+
+def _flat_json(o, level):
+    """_JSON's text of o at indent ``level`` unless o is a container of
+    containers (None then).  A container of scalars (str keys; str, int,
+    float, bool or None values) is one call of json's C encoder, and a dict
+    with another key is _JSON's text with its newlines indented: json escapes
+    every newline in a string.  Errors are _JSON's."""
+    if isinstance(o, dict):
+        if not set(map(type, o)) <= {str}:
+            return _JSON.encode(o).replace("\n", "\n" + "  " * level)
+        values = o.values()
+    elif isinstance(o, (list, tuple)):
+        values = o
+    else:   # a scalar, or default's TypeError
+        return "".join(_c_encoder(0)(o, 0))
+    if o and not set(map(type, values)) <= _SCALARS:
+        return None
+    text = "".join(_c_encoder(level)(o, 0))   # '{"a": 1,\n    "b": 2}' at level 1, or '{}'
+    if o:
+        text = text[0] + "\n" + "  " * (level + 1) + text[1:-1] + "\n" + "  " * level + text[-1]
+    return text
+
+
+def _json_chunks(o, level, markers):
+    """_JSON's text of o at indent ``level``, in chunks: a container of
+    containers is walked here, one chunk per item that _flat_json writes."""
+    text = _flat_json(o, level)
+    if text is not None:
+        yield text
+        return
+    if id(o) in markers:   # o holds itself: _JSON raises its ValueError
+        _JSON.encode(o)
+    markers.add(id(o))
+    is_dict = isinstance(o, dict)
+    sep = "\n" + "  " * (level + 1)
+    yield "{" if is_dict else "["
+    for i, item in enumerate(sorted(o.items()) if is_dict else o):
+        head = ("," if i else "") + sep
+        if is_dict:
+            key, item = item
+            head += json.encoder.encode_basestring_ascii(key) + ": "
+        text = _flat_json(item, level + 1)
+        if text is None:
+            yield head
+            yield from _json_chunks(item, level + 1, markers)
+        else:
+            yield head + text
+    markers.discard(id(o))
+    yield "\n" + "  " * level + ("}" if is_dict else "]")
 
 
 def report_to_json(report):
-    return _JSON.encode(report)
+    return "".join(_json_chunks(report, 0, set()))
 
 
 def report_json_chunks(report):
     """report_to_json's text as an iterator of short strings."""
-    return _JSON.iterencode(report)
+    return _json_chunks(report, 0, set())
 
 
 RUN_COLUMNS = ("problem", "solver", "seed", "mu1", "theta0", "maxiter",

@@ -13,11 +13,13 @@ type picks the path.  Both take any two label values and share one intake,
 full-data pass, keyed on the bytes of x: the network's hidden activations
 and outputs, the logistic model's margins, shared by ``value`` and
 ``gradient`` at one point; mini-batch passes are never kept, and dense ones
-gather their rows with ``ndarray.take``.  A stochastic ``gradient_oracle``
-keeps its seed's batch draws on the objective (``_shared_batches``).  Both
-sigmoids are numpy's, through ``_sigmoid_of_minus``, so only sparse input
-loads scipy, and then only scipy.sparse: ``import sipm``, quadratic runs and
-dense data models load no scipy at all.
+gather their rows with ``ndarray.take``.  The logistic model's CSR products
+skip scipy's operators for its compiled kernels (``_csr_product``).  A
+stochastic ``gradient_oracle`` keeps its seed's batch draws on the objective
+(``_shared_batches``).  Both sigmoids are numpy's, through
+``_sigmoid_of_minus``, so only sparse input loads scipy, and then only
+scipy.sparse: ``import sipm``, quadratic runs and dense data models load no
+scipy at all.
 """
 
 from __future__ import annotations
@@ -193,29 +195,51 @@ class QuadraticObjective(Objective):
 
 
 def _csr_rows(a, rows):
-    """The nonzeros of CSR rows ``rows``: their row within the batch, their
-    column and their value, in row order.  A few numpy calls gather them;
-    scipy's row slicing costs several times more at mini-batch sizes."""
+    """CSR rows ``rows`` of ``a`` as the batch's own CSR arrays (indptr in a's
+    index type, indices, data).  A few numpy calls gather them; scipy's row
+    slicing costs several times more at mini-batch sizes."""
     starts = a.indptr[rows]
     counts = a.indptr[rows + 1] - starts
-    ends = np.cumsum(counts)
+    indptr = np.zeros(rows.size + 1, a.indptr.dtype)
+    ends = np.cumsum(counts, out=indptr[1:])
     # position in a.indices/a.data: each row's start plus the offset within it
-    take = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
-    return np.repeat(np.arange(rows.size), counts), a.indices[take], a.data[take]
+    take = np.arange(indptr[-1]) + np.repeat(starts - ends + counts, counts)
+    return indptr, a.indices[take], a.data[take]
+
+
+def _csr_product(indptr, indices, data, shape, fmt="csr"):
+    """v -> A @ v for the ``shape`` matrix A held in ``fmt`` (CSR or CSC)
+    arrays: a fresh zero vector filled by scipy's compiled ``csr_matvec`` or
+    ``csc_matvec``.  That is the call scipy's ``@`` ends in, so the bits are
+    its own, without its Python dispatch (about 3 us a product)."""
+    from scipy.sparse import _sparsetools   # here, so dense models load no scipy
+    kernel = getattr(_sparsetools, fmt + "_matvec")
+
+    def product(v):
+        out = np.zeros(shape[0])
+        kernel(*shape, indptr, indices, data, v, out)
+        return out
+
+    return product
 
 
 class LogisticObjective(_DataModel):
     """Mean logistic loss over labeled rows, parameterized as [weights, bias].
 
     A CSR feature matrix gets its transpose built once, in CSR form too, so
-    the full gradient's product with the transpose runs row by row.  The
-    full-data pass is the margins ``labels * (features @ w + b)``.
+    the full gradient's product with the transpose runs row by row.  Every
+    CSR product, a mini-batch's too, is a ``_csr_product`` with scipy's bits.
+    The full-data pass is the margins ``labels * (features @ w + b)``.
     """
 
     def __init__(self, features, labels):
         super().__init__(features, labels)
         self.n = logistic_dimension(self.n_features)
-        self._features_t = self.features.T.tocsr() if self._sparse else self.features.T
+        if self._sparse:   # csr_matvec on the transpose beats csc_matvec on the rows
+            self._matvec, self._rmatvec = (_csr_product(a.indptr, a.indices, a.data, a.shape)
+                                           for a in (self.features, self.features.T.tocsr()))
+        else:
+            self._matvec, self._rmatvec = self.features.__matmul__, self.features.T.__matmul__
         self._neg_labels = -self.labels   # the gradient's coefficient factor
 
     @staticmethod
@@ -227,7 +251,7 @@ class LogisticObjective(_DataModel):
         return t
 
     def _pass(self, x):
-        return self._margins(x, self.labels, self.features.__matmul__)
+        return self._margins(x, self.labels, self._matvec)
 
     def value(self, x):
         x = _check_dim(x, self.n)
@@ -247,8 +271,7 @@ class LogisticObjective(_DataModel):
 
     def gradient(self, x):
         x = _check_dim(x, self.n)
-        return self._batch_gradient(self._full_pass(x), self._neg_labels,
-                                    self._features_t.__matmul__)
+        return self._batch_gradient(self._full_pass(x), self._neg_labels, self._rmatvec)
 
     def stochastic_gradient(self, x, batch):
         x = _check_dim(x, self.n)
@@ -256,12 +279,10 @@ class LogisticObjective(_DataModel):
         # a 1-D gather is faster by fancy indexing, a block of rows by take
         y, neg_y = self.labels[rows], self._neg_labels[rows]
         if self._sparse:
-            pos, cols, vals = _csr_rows(self.features, rows)
-            t = self._margins(
-                x, y, lambda w: np.bincount(pos, weights=vals * w[cols], minlength=rows.size))
+            batch = _csr_rows(self.features, rows)   # its transpose's CSC arrays too
+            t = self._margins(x, y, _csr_product(*batch, (rows.size, self.n_features)))
             return self._batch_gradient(
-                t, neg_y, lambda c: np.bincount(cols, weights=vals * c[pos],
-                                                minlength=self.n_features))
+                t, neg_y, _csr_product(*batch, (self.n_features, rows.size), "csc"))
         a = self.features.take(rows, axis=0)
         # c @ a is a.T @ c bit for bit, without the transposed view
         return self._batch_gradient(self._margins(x, y, a.__matmul__), neg_y, a.__rmatmul__)
@@ -344,9 +365,9 @@ class OneHiddenLayerObjective(_DataModel):
         if self._sparse:
             # a dense block of the batch's rows: the products below are dense
             # in the hidden width anyway, and faster on it at batch sizes
-            pos, cols, vals = _csr_rows(self.features, rows)
+            indptr, cols, vals = _csr_rows(self.features, rows)
             a = np.zeros((rows.size, self.n_features))
-            a[pos, cols] = vals
+            a[np.repeat(np.arange(rows.size), np.diff(indptr)), cols] = vals
         else:
             a = self.features.take(rows, axis=0)
         return self._batch_gradient(x, a, self.y01[rows], *self._forward(x, a))

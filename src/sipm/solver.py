@@ -151,10 +151,15 @@ def sipm_step(x, k, g, config):
     audited: ``run`` checks its inputs at entry and audits each record, and
     the final clip keeps x_next in the theta_k (the next prior) neighborhood.
     """
+    return _sipm_step(x, slacks(x, config.bounds), k, g, config)
+
+
+def _sipm_step(x, s, k, g, config):
+    """sipm_step from the stacked slacks s of x, which ``run`` hands on from
+    the audit of the step before."""
     bounds, constants, ell_f, t_alpha, delta, mu, theta, alpha_buff, gamma_buff = \
         config.step_context
     mu_k, theta_k, theta_prev = mu[k], theta[k], theta[k - 1]
-    s = slacks(x, bounds)
     h_diag = _hk(s, mu_k, ell_f)
     q = _barrier_gradient(g, s, mu_k)
     bundle, d, gamma_k, x_next = _step(
@@ -173,7 +178,8 @@ def _audit_step(config, step):
     # the sides the step clipped to: x <= u - theta is -x >= -u + theta, as
     # rounding is symmetric in sign
     inner_lo, inner_up = _inner_sides(bounds, theta_k, step["theta_prev"])
-    if not np.logical_and.reduce((inner_lo <= x_next) & (x_next <= inner_up)):
+    inside = (inner_lo <= x_next) & (x_next <= inner_up)
+    if np.count_nonzero(inside) < inside.size:
         raise InvariantViolation(k, "next iterate left the theta_k neighborhood")
     tol = 1e-12
     s_next = require_interior(x_next, bounds)
@@ -203,7 +209,8 @@ def run(objective, config, x1, observer=None):
     The final objective value, projected-gradient norm, and KKT certificate
     are always computed with the true gradient, also in stochastic mode.
     Seeded stochastic runs are exactly reproducible.  ``observer``, when
-    given, receives each iteration's ``sipm_step`` dict; under ``full_trace``
+    given, receives each iteration's ``sipm_step`` dict to read, not to
+    change: the loop has taken the slacks of its x_next; under ``full_trace``
     only, ``records`` keeps one row of that step's scalars per iteration.
 
     Inputs are validated once, here; the oracle rejects non-finite gradients,
@@ -259,11 +266,11 @@ def run(objective, config, x1, observer=None):
     if need_f and not math.isfinite(phi_curr):   # a NaN difference passes the check below
         raise InvariantViolation(1, "objective value is not finite")
 
-    with np.errstate(divide="ignore", invalid="ignore"):   # once, so sipm_step's is skipped
+    with np.errstate(divide="ignore", invalid="ignore"):   # once, not once per sipm_step
         for k in range(1, config.maxiter + 1):
-            step = sipm_step.__wrapped__(x, k, gradient(x), config)
-            if audit:
-                s = _audit_step(config, step)   # the slacks of x_{k+1}
+            step = _sipm_step(x, s, k, gradient(x), config)
+            # the slacks of x_{k+1}: the audit takes them in its interior check
+            s = _audit_step(config, step) if audit else slacks(step["x_next"], bounds)
             if observer is not None:
                 observer(step)
             x = step["x_next"]

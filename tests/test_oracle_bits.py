@@ -10,11 +10,12 @@ same oracles only approximately.
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.sparse import csr_matrix
 
 from sipm import (OneHiddenLayerObjective, batch_sampler, default_hidden_width, gradient_oracle,
                   synthetic_classification)
-from sipm.problems import LogisticObjective, _csr_rows, _sigmoid_of_minus
+from sipm.problems import LogisticObjective, _csr_product, _csr_rows, _sigmoid_of_minus
 
 M, N_FEATURES = 60, 7
 BATCHES = (np.array([0]), np.array([2, 5, 11, 40]), np.arange(M))
@@ -33,15 +34,8 @@ def _logistic_reference(obj, x, batch=None):
     if batch is None:
         y = obj.labels
         t = y * (obj.features @ w + b)
-        rmatvec = obj._features_t.__matmul__
-    elif obj._sparse:
-        y = obj.labels[batch]
-        pos, cols, vals = _csr_rows(obj.features, batch)
-        t = y * (np.bincount(pos, weights=vals * w[cols], minlength=batch.size) + b)
-
-        def rmatvec(c):
-            return np.bincount(cols, weights=vals * c[pos], minlength=obj.n_features)
-    else:
+        rmatvec = obj.features.T.__matmul__
+    else:   # scipy's own row slicing and products for CSR rows
         y = obj.labels[batch]
         a = obj.features[batch]
         t = y * (a @ w + b)
@@ -62,12 +56,7 @@ def _network_reference(obj, x, batch=None):
         a, y01 = obj.features, obj.y01
     else:
         y01 = obj.y01[batch]
-        if obj._sparse:
-            pos, cols, vals = _csr_rows(obj.features, batch)
-            a = np.zeros((batch.size, obj.n_features))
-            a[pos, cols] = vals
-        else:
-            a = obj.features[batch]
+        a = obj.features[batch].toarray() if obj._sparse else obj.features[batch]
     z = np.tanh(a @ w1.T + b1)
     s = z @ w2 + b2
     value = float(np.mean(np.logaddexp(0.0, s) - y01 * s))
@@ -140,3 +129,82 @@ def test_oracle_batches_on_the_dense_take_path_are_the_plain_formulas(model, fra
         _, gradient = reference(obj, x, next(draws))
         for oracle in oracles:   # the second replays the first one's batch
             assert _same_bits(oracle(x), gradient)
+
+
+def _kernel_data(index_dtype):
+    """Seeded CSR rows with label-only rows, stored -0.0 values, rows of 9 to
+    20 nonzeros and indices of ``index_dtype``."""
+    rng = np.random.default_rng(21)
+    dense = rng.normal(size=(M, N_FEATURES * 3)) * (rng.uniform(size=(M, N_FEATURES * 3)) < 0.2)
+    dense[[3, 17, 40]] = 0.0          # label-only rows
+    dense[5, :20] = rng.normal(size=20)
+    dense[8, 1::2] = rng.normal(size=dense.shape[1] // 2)
+    a = csr_matrix(dense)
+    a.data[::7] = -0.0                # stored, not dropped
+    assert np.signbit(a.data[0]) and np.diff(a.indptr).max() > 8
+    a.indptr, a.indices = a.indptr.astype(index_dtype), a.indices.astype(index_dtype)
+    return a
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_csr_kernels_are_scipys_operators_bit_for_bit(index_dtype):
+    """_csr_product against features @ w, features[rows] @ w and
+    features[rows].T @ c, with a strided w and a one-row batch among them."""
+    a = _kernel_data(index_dtype)
+    m, n_f = a.shape
+    rng = np.random.default_rng(22)
+    for w in (rng.normal(size=2 * n_f)[::2], rng.normal(scale=30.0, size=n_f)):
+        assert _same_bits(_csr_product(a.indptr, a.indices, a.data, a.shape)(w), a @ w)
+        for rows in (np.array([5]), np.array([17]), np.array([0, 3, 5, 8, 40, M - 1]),
+                     np.sort(rng.choice(m, 25, replace=False)), np.arange(m)):
+            batch = _csr_rows(a, rows)
+            assert batch[0].dtype == index_dtype and batch[0][-1] == batch[1].size
+            c = rng.normal(size=2 * rows.size)[1::2]
+            assert _same_bits(_csr_product(*batch, (rows.size, n_f))(w), a[rows] @ w)
+            assert _same_bits(_csr_product(*batch, (n_f, rows.size), "csc")(c), a[rows].T @ c)
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_csr_logistic_oracles_on_kernel_data_are_the_plain_formulas(index_dtype):
+    obj = LogisticObjective(_kernel_data(index_dtype), _data(True)[1])
+    for x in _points(obj.n) + [np.random.default_rng(23).normal(size=2 * obj.n)[::2]]:
+        value, gradient = _logistic_reference(obj, x)
+        assert obj.value(x) == value and _same_bits(obj.gradient(x), gradient)
+        for batch in BATCHES + (np.array([3]), np.array([3, 5, 17])):
+            assert _same_bits(obj.stochastic_gradient(x, batch),
+                              _logistic_reference(obj, x, batch)[1])
+
+
+def test_csr_logistic_oracles_skip_scipys_operator_dispatch(monkeypatch):
+    """With scipy.sparse's matmul dispatch refusing every call, the CSR
+    logistic model's oracles still run, to the same bits."""
+    obj = LogisticObjective(*_data(True))
+    x = _points(obj.n)[2]
+    expected = obj.value(x), obj.gradient(x), obj.stochastic_gradient(x, BATCHES[1])
+    obj._pass_key = None   # no kept pass: value computes its margins again
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.sparse's operator dispatch ran")
+
+    for cls in scipy.sparse.csr_matrix.__mro__ + scipy.sparse.csc_matrix.__mro__:
+        for name in ("__matmul__", "__rmatmul__", "_matmul_dispatch"):
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, refuse)
+    with pytest.raises(AssertionError, match="dispatch ran"):
+        obj.features @ x[:-1]
+    assert obj.value(x) == expected[0]
+    assert _same_bits(obj.gradient(x), expected[1])
+    assert _same_bits(obj.stochastic_gradient(x, BATCHES[1]), expected[2])
+
+
+def test_a_batch_of_label_only_rows_gets_the_bias_gradient_alone():
+    """A CSR mini-batch with no nonzero: its margins are the bias alone.  When
+    the batch products were np.bincount sums, their integer zeros made this
+    batch fail with a UFuncTypeError."""
+    obj = LogisticObjective(csr_matrix([[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]]), [1.0, -1.0, 1.0])
+    x = np.array([0.3, -0.2, 0.1])
+    for batch in (np.array([1]), np.array([1, 2])):
+        t = obj.labels[batch] * x[-1]
+        coef = _sigmoid_of_minus(t) * -obj.labels[batch]
+        assert _same_bits(obj.stochastic_gradient(x, batch),
+                          np.array([0.0, 0.0, np.add.reduce(coef) / coef.size]))

@@ -2,6 +2,7 @@ import json
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -33,7 +34,9 @@ def test_head_against_head_on_small_shapes(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(step_pairs, "SHAPES", {
         "quad": ["--model", "quadratic", "--dim", "5", "--maxiter", "20"],
         "stoch": ["--model", "logistic", "--mode", "stoch", "--dim", "5", "--samples", "200",
-                  "--epochs", "0.2"]})
+                  "--epochs", "0.2"],
+        "csr-stoch": [*step_pairs.SHAPES["csr-stoch"], "--batch-frac", "0.05"]})
+    monkeypatch.setattr(step_pairs, "LIBSVM_SHAPE", (120, 9, 3))
     monkeypatch.setattr(step_pairs, "REPEATS", 1)
     monkeypatch.chdir(tmp_path)
     src = str(ROOT / "src")
@@ -41,7 +44,7 @@ def test_head_against_head_on_small_shapes(tmp_path, monkeypatch, capsys):
     summary = json.loads((tmp_path / "pairs.json").read_text())
     assert summary["command"].endswith("--rounds 2")
     assert summary["rounds"] == 2 and summary["repeats"] == 1
-    assert list(summary["shapes"]) == ["quad", "stoch"]
+    assert list(summary["shapes"]) == ["quad", "stoch", "csr-stoch"]
     printed = capsys.readouterr().out
     for shape, s in summary["shapes"].items():
         assert len(s["parent_runs"]) == len(s["change_runs"]) == 2
@@ -49,3 +52,22 @@ def test_head_against_head_on_small_shapes(tmp_path, monkeypatch, capsys):
         assert s["pairs_change_better"].endswith("of 2")
         assert shape in printed
     assert not list(tmp_path.glob("report.json"))   # reports stay in the tool's directory
+
+
+def test_the_csr_shapes_read_an_a1a_like_file(tmp_path):
+    """1605 rows of 14 nonzeros over 123 features, both labels present, the
+    same text on every write."""
+    from sipm import parse_libsvm_file
+
+    src = str(ROOT / "src")
+    for name in ("first.libsvm", "second.libsvm"):
+        step_pairs._python(src, tmp_path, step_pairs.WRITER, name,
+                           json.dumps(step_pairs.LIBSVM_SHAPE))
+    text = (tmp_path / "first.libsvm").read_bytes()
+    assert text == (tmp_path / "second.libsvm").read_bytes()
+    ds = parse_libsvm_file(str(tmp_path / "first.libsvm"))
+    assert (len(ds.labels), ds.n_features) == step_pairs.LIBSVM_SHAPE[:2] == (1605, 123)
+    assert np.array_equal(np.diff(ds.rows.indptr), np.full(1605, 14))
+    assert set(ds.labels) == {-1.0, 1.0}
+    for shape in ("csr-det", "csr-stoch"):
+        assert step_pairs.LIBSVM_FILE in step_pairs.SHAPES[shape]

@@ -12,7 +12,9 @@ has an observer and is not kept).  That run warms the config's table and the
 oracle's batch stream; then REPEATS more ``run()`` calls on the same
 arguments are timed, untraced, and the process reports their median in µs
 per iteration: wall time over ``config.maxiter``, the run's entry checks and
-final metrics included.
+final metrics included.  The two ``csr-`` shapes run the logistic model's CSR
+oracles, full and mini-batch, on an a1a-like file (LIBSVM_SHAPE, seeded)
+that the parent tree's ``serialize_libsvm`` writes before the first round.
 
 Per shape it judges the rounds as ``bench_pairs.judge`` does a metric whose
 lower value is better, with BOUND as the no-regression bound (so at least
@@ -37,15 +39,39 @@ import tempfile
 from bench_pairs import judge, pair_order
 
 QUAD = ["--model", "quadratic", "--maxiter", "200"]
+LIBSVM_FILE = "a1a-like.libsvm"   # written into the tool's directory before the rounds
+LIBSVM_SHAPE = (1605, 123, 14)    # rows, features and nonzeros per row, as in a1a
+CSR = ["--model", "logistic", "--train", LIBSVM_FILE]
 # name -> bench arguments
 SHAPES = {
     "quad-det n=50": [*QUAD, "--dim", "50"],
     "quad-det n=500": [*QUAD, "--dim", "500"],
     "logreg-stoch": ["--model", "logistic", "--mode", "stoch", "--dim", "100",
                      "--samples", "5000", "--epochs", "2"],
+    "csr-det": [*CSR, "--maxiter", "200"],
+    "csr-stoch": [*CSR, "--mode", "stoch", "--epochs", "1"],
 }
 REPEATS = 5   # timed run() calls per shape and process
 BOUND = 0.05   # a shape whose median is slower by more than 5 % reads worse
+
+# argv[1]: the file to write; argv[2]: LIBSVM_SHAPE as JSON
+WRITER = """
+import json, sys
+import numpy as np
+from sipm import SparseDataset, serialize_libsvm
+
+m, n_features, nnz = json.loads(sys.argv[2])
+rng = np.random.default_rng(49)
+columns = np.sort(rng.random((m, n_features)).argsort(axis=1)[:, :nnz], axis=1)
+values = np.round(rng.uniform(-1.0, 1.0, (m, nnz)), 4)
+scores = (values * rng.normal(size=n_features)[columns]).sum(axis=1) + 0.3 * rng.normal(size=m)
+labels = np.where(scores >= 0.0, 1.0, -1.0)
+labels[:2] = 1.0, -1.0   # both classes always present
+rows = tuple(tuple(zip((c + 1).tolist(), v.tolist())) for c, v in zip(columns, values))
+dataset = SparseDataset(rows=rows, labels=tuple(labels.tolist()), n_features=n_features)
+with open(sys.argv[1], "w", encoding="ascii") as handle:
+    handle.write(serialize_libsvm(dataset))
+"""
 
 # argv[1]: the tree; argv[2]: SHAPES as JSON; argv[3]: REPEATS
 TIMER = """
@@ -83,18 +109,24 @@ print(json.dumps(found))
 """
 
 
-def time_tree(src, work):
-    """{shape: median µs per iteration} from one fresh process on the tree src."""
+def _python(src, work, code, *args):
+    """The standard output of ``python -c code *args`` in work, with the tree
+    src first on ``PYTHONPATH``."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.abspath(src),
                                                       env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", TIMER, os.path.abspath(src),
-                           json.dumps(SHAPES), str(REPEATS)],
+    done = subprocess.run([sys.executable, "-c", code, *args],
                           env=env, cwd=work, capture_output=True, text=True)
     if done.returncode != 0:
-        raise SystemExit(f"step_pairs: the timer failed on {src} (exit {done.returncode}):\n"
+        raise SystemExit(f"step_pairs: a process failed on {src} (exit {done.returncode}):\n"
                          f"{done.stderr[-4000:]}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return done.stdout
+
+
+def time_tree(src, work):
+    """{shape: median µs per iteration} from one fresh process on the tree src."""
+    out = _python(src, work, TIMER, os.path.abspath(src), json.dumps(SHAPES), str(REPEATS))
+    return json.loads(out.strip().splitlines()[-1])
 
 
 def summarize(rounds):
@@ -125,6 +157,7 @@ def main(argv=None):
         parser.error("quartiles need --rounds of at least 2")
     rounds = []
     with tempfile.TemporaryDirectory() as work:
+        _python(trees["parent"], work, WRITER, LIBSVM_FILE, json.dumps(LIBSVM_SHAPE))
         for i in range(args.rounds):
             rounds.append({side: time_tree(trees[side], work) for side in pair_order(i)})
     summary = summarize(rounds)
