@@ -29,6 +29,7 @@ canonical bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -527,18 +528,15 @@ def canonical_report_bytes(report):
 
 # the one JSON format of reports and CLI output, and the oracle of _json_chunks
 _JSON = json.JSONEncoder(sort_keys=True, indent=2)
-_C_ENCODERS = []   # [level]: json's C encoder for the items of a level's container
 _SCALARS = {str, int, float, bool, type(None), np.float64}   # C-encoded as _JSON does
 
 
+@functools.cache
 def _c_encoder(level):
     """json's C encoder, which takes no indent in CPython 3.11, writing the
     items of a container at indent ``level`` one per line."""
-    while len(_C_ENCODERS) <= level:
-        _C_ENCODERS.append(json.encoder.c_make_encoder(
-            None, _JSON.default, json.encoder.encode_basestring_ascii, None, ": ",
-            ",\n" + "  " * (len(_C_ENCODERS) + 1), True, False, True))
-    return _C_ENCODERS[level]
+    return json.encoder.c_make_encoder(None, _JSON.default, json.encoder.encode_basestring_ascii,
+                                       None, ": ", ",\n" + "  " * (level + 1), True, False, True)
 
 
 def _flat_json(o, level):

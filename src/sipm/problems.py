@@ -85,12 +85,17 @@ def _labeled_data(features, labels):
     for any scipy.sparse input, dense otherwise) of shape (m, n_f) with m >= 1,
     and one label per row, mapped to -1/+1 by map_labels unless it is -1/+1
     already.  Only sparse input loads scipy (scipy.sparse).  A NaN or infinite
-    feature raises DomainError naming its 0-based row."""
+    feature raises DomainError naming its 0-based row, and a malformed CSR
+    matrix, such as one with an index out of range, DomainError too."""
     sparse = hasattr(features, "tocsr")   # any scipy.sparse matrix or array
     if sparse:
         from scipy.sparse import csr_matrix
 
         features = csr_matrix(features, dtype=float)
+        try:   # scipy's kernels read the indices unchecked: one out of range corrupts memory
+            features.check_format(full_check=True)
+        except ValueError as err:
+            raise DomainError(f"malformed CSR features: {err}") from None
     else:
         features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)

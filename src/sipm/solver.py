@@ -4,7 +4,8 @@ Every iterate is kept inside a shrinking inner neighborhood of the box by a
 closed-form ratio test, so no fraction-to-the-boundary rule, line search, or
 step acceptance test is needed.  A ``SolverConfig`` builds its run's table
 and step context (all a step reads of it) once; ``sipm_step`` reads them,
-takes the slacks of x once, and ``stepsize._step`` does the rest.  The loop
+takes the slacks of x once (``run`` hands on the audit's), and
+``stepsize._step`` does the rest.  The loop
 runs with either exact gradients or seeded mini-batch estimates; with
 auditing on ``run`` checks each step's record against the contracts the
 step-size rules are supposed to guarantee, and any failure raises
@@ -198,7 +199,7 @@ def _audit_step(config, step):
         raise InvariantViolation(k, "gamma_k escaped [gamma_min, gamma_max]")
     if not _rel_ok(gamma_k * bundle.alpha_k, bundle.gamma_bar * bundle.alpha_pre, tol):
         raise InvariantViolation(k, "realized step exceeds the look-ahead step")
-    if (q != 0.0).any() and not float(q @ d) < 0.0:
+    if np.count_nonzero(q) and not float(q @ d) < 0.0:
         raise InvariantViolation(k, "direction is not a descent direction for q")
     return s_next
 

@@ -793,3 +793,26 @@ def test_zero_and_nan_directions_raise_no_warning_and_run_sets_errstate_once(mon
                                   config.constants, config.delta)
     assert np.array(bundle).tobytes() == np.array(step["bundle"]).tobytes()   # NaNs too
     assert not hasattr(stepsize._step, "__wrapped__")   # no errstate of its own
+
+
+def test_an_audited_run_takes_each_iterates_slacks_once(monkeypatch):
+    """The audit's interior check takes the slacks of x_{k+1}, and run hands
+    them to the next step, so an audited run takes no more slacks than an
+    unaudited one, and both end at the same bits."""
+    objective, config, x1 = _kernel_runs()[0]
+    calls = []
+    slacks = geometry.slacks
+
+    def counted(x, bounds):
+        calls.append(1)
+        return slacks(x, bounds)
+
+    monkeypatch.setattr(geometry, "slacks", counted)
+    monkeypatch.setattr(solver, "slacks", counted)
+    counts, finals = [], []
+    for level in ("off", "invariants"):
+        calls.clear()
+        finals.append(run(objective, replace(config, audit_level=level, maxiter=30), x1).final_x)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 30
+    assert np.array_equal(finals[0], finals[1])

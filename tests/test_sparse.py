@@ -305,3 +305,29 @@ def test_import_scan_sees_nested_scipy_imports():
             "def f():\n    import scipy.linalg\n")
     assert sorted(_imports_scipy_at_import_time(ast.parse(code))) == \
         ["scipy.sparse", "scipy.special"]
+
+
+def test_csr_features_with_an_index_out_of_range_are_refused(tmp_path):
+    """scipy.sparse checks a CSR matrix's indices only on request, and its
+    compiled kernels read them unchecked.  Both data models refuse such a
+    matrix; an index past the width used to corrupt the heap when the
+    logistic model built its transpose.  Run in a subprocess, as a failure
+    here aborts the interpreter."""
+    code = ("import json\n"
+            "import numpy as np, scipy.sparse as sp\n"
+            "from sipm import LogisticObjective, OneHiddenLayerObjective\n"
+            "from sipm.errors import DomainError\n"
+            "found = []\n"
+            "for indices in ([0, 7], [0, -1]):\n"
+            "    a = sp.csr_matrix((np.ones(2), np.array(indices), np.array([0, 1, 2])),\n"
+            "                      shape=(2, 3))\n"
+            "    for make in (LogisticObjective, lambda f, y: OneHiddenLayerObjective(f, y, 2)):\n"
+            "        try:\n"
+            "            make(a, [1.0, -1.0])\n"
+            "            found.append('built')\n"
+            "        except DomainError as err:\n"
+            "            found.append(str(err))\n"
+            "print(json.dumps(found))\n")
+    found = _run_python(code, tmp_path)
+    assert len(found) == 4   # scipy words the reason, an index past 3 then one below 0
+    assert all(reason.startswith("malformed CSR features: indices must be") for reason in found)
