@@ -6,8 +6,11 @@ lines and lines starting with '#' are skipped; every line, comments too,
 must be ASCII.  Parsing is single pass and appends each pair to typed
 buffers, so a dataset holds 16 bytes per nonzero and 8 per row besides its
 labels: ``SparseRows``, the CSR arrays that ``SparseDataset.rows`` reads as
-a tuple of rows.  ``SparseDataset.to_arrays`` builds the training matrix,
-in CSR form, straight from them.
+a tuple of rows.  The data models take a dataset's training matrix straight
+from them, as the CSR arrays that scipy's compiled kernels read
+(``problems.CSR``), so a LIBSVM run loads only scipy's compiled kernel
+module, not the scipy.sparse package; ``SparseDataset.to_arrays`` exports
+the same arrays as a scipy.sparse matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, MalformedLine, NonIncreasingIndex, NotBinary
-from .problems import _number, map_labels
+from .problems import CSR, _check_csr, _number, map_labels
+
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 class SparseRows(Sequence):
@@ -142,18 +147,28 @@ class SparseDataset:
     def label_values(self):
         return tuple(sorted(set(self.labels)))
 
-    def _csr_features(self):
-        """The rows as a scipy.sparse CSR matrix of shape (m, n_features)."""
-        from scipy.sparse import csr_matrix
-
+    def _training_arrays(self):
+        """The rows as the ``CSR`` of an (m, n_features) matrix, once
+        ``problems._check_csr`` passes it, plus labels mapped to -1/+1 by
+        map_labels, in the pinned label order or else by sorted raw value.
+        Indices are 0-based, int32 where every index and count fits, as scipy
+        picks them; the values are shared."""
         rows = self.rows
-        return csr_matrix((rows.values.copy(), rows.indices - 1, rows.indptr.copy()),
-                          shape=(self.m, self.n_features))
+        m = rows.indptr.size - 1   # len(rows) refuses an empty indptr with a bare ValueError
+        features = CSR(rows.indptr, rows.indices - 1, rows.values, (m, self.n_features))
+        _check_csr(features)   # on the int64 arrays: narrowing checked ones is exact
+        if max(m, self.n_features, rows.indices.size) <= _INT32_MAX:
+            features = features._replace(indptr=features.indptr.astype(np.int32),
+                                         indices=features.indices.astype(np.int32))
+        return features, map_labels(self.labels, self.label_order)
 
     def to_arrays(self):
-        """CSR features plus labels mapped to -1/+1 by map_labels, in the
-        pinned label order or else by sorted raw value."""
-        return self._csr_features(), map_labels(self.labels, self.label_order)
+        """``_training_arrays``' matrix as a scipy.sparse CSR matrix of copies
+        of its arrays, plus the mapped labels."""
+        from scipy.sparse import csr_matrix
+
+        a, labels = self._training_arrays()
+        return csr_matrix((a.data, a.indices, a.indptr), shape=a.shape, copy=True), labels
 
 
 def parse_libsvm(source):

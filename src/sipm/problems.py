@@ -7,26 +7,36 @@ cross-entropy.  Every model exposes ``value``, ``gradient``, and
 samples; averaging the stochastic gradient over all batches of a fixed size
 reproduces the full gradient exactly because batches are uniform subsets
 drawn without replacement.  The two data models take their feature matrix
-dense or as a scipy.sparse matrix, which they keep in CSR form; the data
-type picks the path.  Both take any two label values and share one intake,
-``_DataModel.__init__``, which runs ``_labeled_data``.  Each keeps its last
-full-data pass, keyed on the bytes of x: the network's hidden activations
-and outputs, the logistic model's margins, shared by ``value`` and
-``gradient`` at one point; mini-batch passes are never kept, and dense ones
-gather their rows with ``ndarray.take``.  The logistic model's CSR products
-skip scipy's operators for its compiled kernels (``_csr_product``).  A
-stochastic ``gradient_oracle`` keeps its seed's batch draws on the objective
-(``_shared_batches``).  Both sigmoids are numpy's, through
-``_sigmoid_of_minus``, so only sparse input loads scipy, and then only
-scipy.sparse: ``import sipm``, quadratic runs and dense data models load no
-scipy at all.
+dense, as a SparseDataset or as a scipy.sparse matrix; both sparse inputs
+become one ``CSR`` of arrays, the only sparse form a model holds, and the
+data type picks the path.  Both take any two label values and share one
+intake, ``_DataModel.__init__``, which runs ``_labeled_data``.  Each keeps
+its last full-data pass, keyed on the bytes of x: the network's hidden
+activations and outputs, the logistic model's margins, shared by ``value``
+and ``gradient`` at one point; mini-batch passes are never kept, and dense
+ones gather their rows with ``ndarray.take``.  Every CSR product calls
+scipy's compiled kernels, with the bits of scipy's own operators: the
+extension module ``scipy.sparse._sparsetools`` alone, loaded by its file
+(``_sparsetools``), so a LIBSVM run never imports the scipy.sparse package.
+A stochastic ``gradient_oracle`` keeps its seed's batch draws on the
+objective (``_shared_batches``).  Both sigmoids are numpy's, through
+``_sigmoid_of_minus``: ``import sipm``, quadratic runs and dense data models
+load no scipy at all, and only a scipy.sparse input loads more of scipy than
+its kernels, since its caller has loaded it already.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
+import importlib.machinery
+import importlib.util
 import itertools
 import math
 import numbers
+import os
+import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,33 +90,72 @@ def map_labels(labels, order=None):
     return np.where(labels == order[0], -1.0, 1.0)
 
 
+class CSR(NamedTuple):
+    """An (m, n_f) sparse matrix as scipy's CSR arrays, the one sparse form a
+    data model holds: ``indptr``, the m + 1 row starts, ``indices``, 0-based
+    columns of indptr's dtype, and float ``data``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+
+def _check_csr(a):
+    """DomainError naming the fault unless the CSR arrays ``a`` are well formed:
+    indptr starts at 0, never decreases and ends at the nnz, indices and data
+    have that one length, and every index lies in [0, n_f).  These are the
+    checks of scipy's ``check_format(full_check=True)``; its kernels read the
+    arrays unchecked, and one index out of range corrupts memory."""
+    indptr, indices, data, (_, n_f) = a
+    steps = np.diff(indptr)
+    outside = (indices < 0) | (indices >= n_f)
+    if not indptr.size or indptr[0] != 0:
+        fault = f"indptr must start at 0, not {indptr[0] if indptr.size else 'be empty'}"
+    elif (steps < 0).any():
+        row = int(np.argmax(steps < 0))
+        fault = f"indptr must not decrease, but row {row} ends before it starts"
+    elif indices.size != data.size:
+        fault = f"indices and data must have one length, not {indices.size} and {data.size}"
+    elif indptr[-1] != indices.size:
+        fault = f"indptr must end at the nnz {indices.size}, not {indptr[-1]}"
+    elif outside.any():
+        at = int(np.argmax(outside))
+        row = int(np.searchsorted(indptr, at, side="right")) - 1
+        fault = f"indices must be in [0, {n_f}), but row {row} holds {indices[at]}"
+    else:
+        return
+    raise DomainError(f"malformed CSR features: {fault}")
+
+
 def _labeled_data(features, labels):
-    """The one intake of both data models: a finite float feature matrix (CSR
-    for any scipy.sparse input, dense otherwise) of shape (m, n_f) with m >= 1,
-    and one label per row, mapped to -1/+1 by map_labels unless it is -1/+1
-    already.  Only sparse input loads scipy (scipy.sparse).  A NaN or infinite
-    feature raises DomainError naming its 0-based row, and a malformed CSR
-    matrix, such as one with an index out of range, DomainError too."""
-    sparse = hasattr(features, "tocsr")   # any scipy.sparse matrix or array
-    if sparse:
+    """The one intake of both data models: a finite float feature matrix of
+    shape (m, n_f) with m >= 1, a ``CSR`` that ``_check_csr`` has passed (a
+    SparseDataset's, or any scipy.sparse input's, converted and checked
+    here), or else dense; and one label per row, mapped to -1/+1 by
+    map_labels unless it is -1/+1 already.  A NaN or infinite feature raises
+    DomainError naming its 0-based row."""
+    if hasattr(features, "tocsr"):   # any scipy.sparse matrix or array, so scipy is loaded
         from scipy.sparse import csr_matrix
 
-        features = csr_matrix(features, dtype=float)
-        try:   # scipy's kernels read the indices unchecked: one out of range corrupts memory
-            features.check_format(full_check=True)
-        except ValueError as err:
-            raise DomainError(f"malformed CSR features: {err}") from None
-    else:
+        a = csr_matrix(features, dtype=float)
+        features = CSR(a.indptr, a.indices, a.data, a.shape)
+        _check_csr(features)
+    sparse = isinstance(features, CSR)
+    if not sparse:
         features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    if features.ndim != 2 or labels.shape != (features.shape[0],):
+    if len(features.shape) != 2 or labels.shape != (features.shape[0],):
         raise DimensionMismatch("features must be (m, n_f) with one label per row")
     if features.shape[0] == 0:
         raise DimensionMismatch("features have no rows")
     finite = np.isfinite(features.data if sparse else features)
     if not finite.all():
-        rows = features.tocoo().row[~finite] if sparse else np.argwhere(~finite)[:, 0]
-        raise DomainError(f"feature row {rows[0]} holds a non-finite value")
+        if sparse:   # the row of the first non-finite value
+            row = np.searchsorted(features.indptr, np.argmin(finite), side="right") - 1
+        else:
+            row = np.argwhere(~finite)[0, 0]
+        raise DomainError(f"feature row {row} holds a non-finite value")
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         labels = map_labels(labels)
     return features, labels
@@ -138,7 +187,12 @@ class _DataModel(Objective):
     def __init__(self, features, labels):
         self.features, self.labels = _labeled_data(features, labels)
         self.sample_count, self.n_features = self.features.shape
-        self._sparse = hasattr(self.features, "tocsr")
+        self._sparse = isinstance(self.features, CSR)
+        if self._sparse:
+            _sparsetools()   # without scipy, the build fails, not the first pass
+        # every run draws its start from numpy.random: load it (and hashlib, 20 ms)
+        # with the data, not at ``import sipm`` or inside the first run
+        importlib.import_module("numpy.random")
 
     def _full_pass(self, x):
         key = x.tobytes()
@@ -150,8 +204,9 @@ class _DataModel(Objective):
 
 
 def _as_arrays(dataset):
-    """A dataset's (features, labels), or the (features, labels) pair itself."""
-    return dataset.to_arrays() if hasattr(dataset, "to_arrays") else dataset
+    """A SparseDataset's CSR arrays and mapped labels, or the (features, labels)
+    pair itself."""
+    return dataset._training_arrays() if hasattr(dataset, "_training_arrays") else dataset
 
 
 class QuadraticObjective(Objective):
@@ -199,6 +254,35 @@ class QuadraticObjective(Objective):
         return self.gradient(x) + self._noise[batch].mean(axis=0)
 
 
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+@functools.cache
+def _sparsetools():
+    """scipy's compiled sparse kernels, the extension module
+    ``scipy.sparse._sparsetools``: scipy.sparse's if it is loaded, or else
+    loaded from its file under scipy's folder, without the scipy.sparse
+    package (about 300 modules: 0.2 s and 20 MB on a 2-core Xeon).
+    ModuleNotFoundError without scipy."""
+    if _SPARSETOOLS in sys.modules:
+        return sys.modules[_SPARSETOOLS]
+    scipy = importlib.util.find_spec("scipy")   # finds scipy, does not import it
+    for folder in scipy.submodule_search_locations if scipy else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(_SPARSETOOLS, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(_SPARSETOOLS, loader))
+                loader.exec_module(module)
+                # loading enters it in sys.modules: a later import of scipy.sparse
+                # would take it from there and leave scipy.sparse without the
+                # attribute, so that import loads its own
+                del sys.modules[_SPARSETOOLS]
+                return module
+    raise ModuleNotFoundError(f"No module named {_SPARSETOOLS!r}", name=_SPARSETOOLS)
+
+
 def _csr_rows(a, rows):
     """CSR rows ``rows`` of ``a`` as the batch's own CSR arrays (indptr in a's
     index type, indices, data).  A few numpy calls gather them; scipy's row
@@ -217,8 +301,7 @@ def _csr_product(indptr, indices, data, shape, fmt="csr"):
     arrays: a fresh zero vector filled by scipy's compiled ``csr_matvec`` or
     ``csc_matvec``.  That is the call scipy's ``@`` ends in, so the bits are
     its own, without its Python dispatch (about 3 us a product)."""
-    from scipy.sparse import _sparsetools   # here, so dense models load no scipy
-    kernel = getattr(_sparsetools, fmt + "_matvec")
+    kernel = getattr(_sparsetools(), fmt + "_matvec")
 
     def product(v):
         out = np.zeros(shape[0])
@@ -226,6 +309,30 @@ def _csr_product(indptr, indices, data, shape, fmt="csr"):
         return out
 
     return product
+
+
+def _csr_matmat(a, b, fmt="csr"):
+    """a @ b for the CSR ``a`` and a dense b of k columns, or with ``fmt="csc"``
+    a.T @ b (a's arrays are its transpose's CSC arrays), as scipy's ``@``
+    runs it: into zeros, by ``<fmt>_matvec`` on b's one column for k = 1 and
+    by ``<fmt>_matvecs`` otherwise, so the bits are scipy's."""
+    shape = a.shape if fmt == "csr" else a.shape[::-1]
+    k = b.shape[1]
+    if k == 1:
+        return _csr_product(*a[:3], shape, fmt)(b.ravel()).reshape(-1, 1)
+    out = np.zeros((shape[0], k))
+    getattr(_sparsetools(), fmt + "_matvecs")(*shape, k, *a[:3], b.ravel(), out.ravel())
+    return out
+
+
+def _transpose(a):
+    """The CSR of a's transpose, whose arrays are a's CSC arrays: scipy's
+    ``csr_tocsc`` fills them, as in ``a.T.tocsr()``, to the same bytes."""
+    m, n_f = a.shape
+    t = CSR(np.empty(n_f + 1, a.indices.dtype), np.empty_like(a.indices),
+            np.empty(a.data.size), (n_f, m))
+    _sparsetools().csr_tocsc(m, n_f, *a[:3], *t[:3])
+    return t
 
 
 class LogisticObjective(_DataModel):
@@ -241,8 +348,8 @@ class LogisticObjective(_DataModel):
         super().__init__(features, labels)
         self.n = logistic_dimension(self.n_features)
         if self._sparse:   # csr_matvec on the transpose beats csc_matvec on the rows
-            self._matvec, self._rmatvec = (_csr_product(a.indptr, a.indices, a.data, a.shape)
-                                           for a in (self.features, self.features.T.tocsr()))
+            self._matvec, self._rmatvec = (_csr_product(*a)
+                                           for a in (self.features, _transpose(self.features)))
         else:
             self._matvec, self._rmatvec = self.features.__matmul__, self.features.T.__matmul__
         self._neg_labels = -self.labels   # the gradient's coefficient factor
@@ -322,7 +429,7 @@ class OneHiddenLayerObjective(_DataModel):
 
     def _forward(self, x, a):
         w1, b1, w2, b2 = self._unpack(x)
-        z = a @ w1.T
+        z = _csr_matmat(a, w1.T) if isinstance(a, CSR) else a @ w1.T
         z += b1
         np.tanh(z, out=z)
         s = z @ w2
@@ -353,9 +460,9 @@ class OneHiddenLayerObjective(_DataModel):
         d_pre = np.square(z)   # (1 - z**2) times the outer product of ds and w2
         np.subtract(1.0, d_pre, out=d_pre)
         d_pre *= np.multiply.outer(ds, w2)
-        # for CSR rows this runs as their transpose's product with d_pre,
-        # as fast as with a stored CSR transpose
-        g_w1 = d_pre.T @ a
+        # for CSR rows, their transpose's product with d_pre, as fast as
+        # with a stored CSR transpose
+        g_w1 = _csr_matmat(a, d_pre, "csc").T if isinstance(a, CSR) else d_pre.T @ a
         # reduce's bits (rows added in order) without a call per row; width 1 is summed pairwise
         g_b1 = np.einsum("ij->j", d_pre) if w2.size > 1 else np.add.reduce(d_pre, axis=0)
         return np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])

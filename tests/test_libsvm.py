@@ -177,7 +177,7 @@ def test_dense_matches_reference_parse():
     for _ in range(50):
         text = random_corpus(rng, 20)
         ds = parse_libsvm(text)
-        dense = ds._csr_features().toarray()
+        dense = ds.to_arrays()[0].toarray()
         ref = np.zeros_like(dense)
         for r, line in enumerate(line for line in text.splitlines() if line.strip()):
             for token in line.split()[1:]:

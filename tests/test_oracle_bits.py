@@ -8,6 +8,11 @@ must equal its reference exactly, on dense and CSR data and at hidden widths
 same oracles only approximately.
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -15,7 +20,8 @@ from scipy.sparse import csr_matrix
 
 from sipm import (OneHiddenLayerObjective, batch_sampler, default_hidden_width, gradient_oracle,
                   synthetic_classification)
-from sipm.problems import LogisticObjective, _csr_product, _csr_rows, _sigmoid_of_minus
+from sipm.problems import (CSR, LogisticObjective, _csr_matmat, _csr_product, _csr_rows,
+                           _sigmoid_of_minus, _transpose)
 
 M, N_FEATURES = 60, 7
 BATCHES = (np.array([0]), np.array([2, 5, 11, 40]), np.arange(M))
@@ -28,16 +34,24 @@ def _data(sparse):
     return (csr_matrix(features) if sparse else features), labels
 
 
+def _rows(obj):
+    """The model's feature matrix: dense, or scipy's CSR matrix of its CSR arrays."""
+    if not obj._sparse:
+        return obj.features
+    a = obj.features
+    return csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+
+
 def _logistic_reference(obj, x, batch=None):
     """(value, gradient) of the logistic model over ``batch`` (all rows if None)."""
     w, b = x[:-1], x[-1]
     if batch is None:
         y = obj.labels
-        t = y * (obj.features @ w + b)
-        rmatvec = obj.features.T.__matmul__
+        t = y * (_rows(obj) @ w + b)
+        rmatvec = _rows(obj).T.__matmul__
     else:   # scipy's own row slicing and products for CSR rows
         y = obj.labels[batch]
-        a = obj.features[batch]
+        a = _rows(obj)[batch]
         t = y * (a @ w + b)
         rmatvec = a.T.__matmul__
     value = float(np.mean(np.logaddexp(0.0, -t)))
@@ -53,10 +67,10 @@ def _network_reference(obj, x, batch=None):
     """(value, gradient) of the network over ``batch`` (all rows if None)."""
     w1, b1, w2, b2 = obj._unpack(x)
     if batch is None:
-        a, y01 = obj.features, obj.y01
+        a, y01 = _rows(obj), obj.y01
     else:
         y01 = obj.y01[batch]
-        a = obj.features[batch].toarray() if obj._sparse else obj.features[batch]
+        a = _rows(obj)[batch].toarray() if obj._sparse else obj.features[batch]
     z = np.tanh(a @ w1.T + b1)
     s = z @ w2 + b2
     value = float(np.mean(np.logaddexp(0.0, s) - y01 * s))
@@ -191,7 +205,7 @@ def test_csr_logistic_oracles_skip_scipys_operator_dispatch(monkeypatch):
             if name in vars(cls):
                 monkeypatch.setattr(cls, name, refuse)
     with pytest.raises(AssertionError, match="dispatch ran"):
-        obj.features @ x[:-1]
+        _rows(obj) @ x[:-1]
     assert obj.value(x) == expected[0]
     assert _same_bits(obj.gradient(x), expected[1])
     assert _same_bits(obj.stochastic_gradient(x, BATCHES[1]), expected[2])
@@ -208,3 +222,92 @@ def test_a_batch_of_label_only_rows_gets_the_bias_gradient_alone():
         coef = _sigmoid_of_minus(t) * -obj.labels[batch]
         assert _same_bits(obj.stochastic_gradient(x, batch),
                           np.array([0.0, 0.0, np.add.reduce(coef) / coef.size]))
+
+
+def _csr(a):
+    """The CSR arrays of the scipy matrix ``a``."""
+    return CSR(a.indptr, a.indices, a.data, a.shape)
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_network_kernel_products_are_scipys_operators_bit_for_bit(index_dtype):
+    """_csr_matmat against a @ w1.T (the forward pass) and d_pre.T @ a (the
+    backprop), at hidden widths 1, 2 and 7, with w1.T a transposed view as
+    the network passes it."""
+    a = _kernel_data(index_dtype)
+    m, n_f = a.shape
+    rng = np.random.default_rng(24)
+    for h in (1, 2, 7):
+        for scale in (1.0, 30.0):
+            w1 = rng.normal(scale=scale, size=(h, n_f))
+            d_pre = rng.normal(scale=scale, size=(m, h))
+            assert _same_bits(_csr_matmat(_csr(a), w1.T), a @ w1.T)
+            assert _same_bits(_csr_matmat(_csr(a), d_pre, "csc").T, d_pre.T @ a)
+
+
+@pytest.mark.parametrize("hidden", [1, None], ids=["h1", "default"])
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_csr_network_oracles_on_kernel_data_are_the_plain_formulas(index_dtype, hidden):
+    obj = OneHiddenLayerObjective(_kernel_data(index_dtype), _data(True)[1], hidden)
+    assert obj.features.indices.dtype == index_dtype
+    for x in _points(obj.n):
+        value, gradient = _network_reference(obj, x)
+        assert obj.value(x) == value and _same_bits(obj.gradient(x), gradient)
+        for batch in BATCHES + (np.array([3]), np.array([3, 5, 17])):
+            assert _same_bits(obj.stochastic_gradient(x, batch),
+                              _network_reference(obj, x, batch)[1])
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_the_csr_transpose_is_scipys_byte_for_byte(index_dtype):
+    """_transpose (csr_tocsc) against scipy's features.T.tocsr(): the same
+    dtypes and bytes in all three arrays, label-only rows and -0.0 included.
+    The model's own transpose keeps its index dtype."""
+    a = _kernel_data(index_dtype)
+    # a csr_array keeps int64 indices, where a csr_matrix's .T casts them to int32
+    ours, theirs = _transpose(_csr(a)), scipy.sparse.csr_array(a).T.tocsr()
+    assert ours.shape == theirs.shape == a.shape[::-1]
+    for name in ("indptr", "indices", "data"):
+        mine, scipys = getattr(ours, name), getattr(theirs, name)
+        assert mine.dtype == scipys.dtype and mine.tobytes() == scipys.tobytes(), name
+
+
+LOADER = """
+import json, sys
+import numpy as np
+from sipm.problems import _sparsetools
+a = np.array([[0.0, 1.5, -0.0], [2.0, 0.0, 0.5]])
+w = np.array([0.25, -3.0, 7.0])
+def ours():
+    import scipy.sparse
+    s = scipy.sparse.csr_matrix(a)
+    out = np.zeros(2)
+    _sparsetools().csr_matvec(2, 3, s.indptr, s.indices, s.data, w, out)
+    return out.tolist(), (s @ w).tolist()
+if sys.argv[1] == "kernels-first":
+    kernels = _sparsetools()
+    alone = sorted(m for m in sys.modules if m.startswith("scipy"))
+    import scipy.sparse
+else:
+    import scipy.sparse
+    alone = None
+    kernels = _sparsetools()
+mine, scipys = ours()
+print(json.dumps([alone, kernels.csr_matvec is scipy.sparse._sparsetools.csr_matvec,
+                  mine == scipys]))
+"""
+
+
+@pytest.mark.parametrize("order", ["kernels-first", "scipy-first"])
+def test_the_kernel_loader_works_with_scipy_sparse_in_either_order(order, tmp_path):
+    """_sparsetools loads the extension module alone, leaving no scipy module
+    in sys.modules, and scipy.sparse then imports it as usual; or, with
+    scipy.sparse imported first, it takes scipy's.  Either way both reach the
+    same kernels, and scipy's products keep working, to the same bits."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", LOADER, order], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    alone = [] if order == "kernels-first" else None
+    assert json.loads(done.stdout) == [alone, True, True]

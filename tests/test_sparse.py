@@ -3,8 +3,8 @@
 Dense and CSR feature matrices of the same data must give the same values
 and gradients up to round-off, and a dense run must never import
 scipy.sparse.  ``import sipm``, quadratic runs and dense data models import
-no scipy at all; only sparse input loads scipy.sparse, and no module of the
-package imports scipy.special.
+no scipy at all; a LIBSVM run loads scipy's compiled kernel module alone,
+and no module of the package imports scipy.special.
 """
 
 import ast
@@ -19,10 +19,12 @@ import pytest
 import scipy.sparse
 from numpy.testing import assert_allclose
 
-from sipm import (LogisticObjective, OneHiddenLayerObjective, align_feature_space,
-                  logistic_objective, nn_objective, parse_libsvm)
+from sipm import (LogisticObjective, OneHiddenLayerObjective, SparseDataset,
+                  align_feature_space, logistic_objective, nn_objective, parse_libsvm)
 from sipm.cli import main
-from sipm.problems import _labeled_data
+from sipm.errors import DomainError
+from sipm.libsvm import SparseRows
+from sipm.problems import CSR, _labeled_data
 
 # row 3 has no features; the test split's index 9 widens the training width 7
 TRAIN = ("+1 1:0.5 3:-1.2 7:0.25\n-1 2:1.0 5:-0.75\n-1\n+1 1:-0.3 4:2.0 6:0.1\n"
@@ -46,6 +48,13 @@ def densify(ds):
     return out
 
 
+def as_scipy(features):
+    """The scipy.sparse CSR matrix of a model's CSR arrays."""
+    assert isinstance(features, CSR)
+    return scipy.sparse.csr_matrix((features.data, features.indices, features.indptr),
+                                   shape=features.shape)
+
+
 def test_to_arrays_is_csr_with_the_parsed_nonzeros():
     train, test = aligned()
     for ds in (train, test):
@@ -64,7 +73,7 @@ def test_dense_and_csr_oracles_agree(model):
         csr, labels = ds.to_arrays()
         sparse_obj = MODELS[model](csr, labels)
         dense_obj = MODELS[model](densify(ds), labels)
-        assert scipy.sparse.issparse(sparse_obj.features)
+        assert np.array_equal(as_scipy(sparse_obj.features).toarray(), densify(ds))
         assert isinstance(dense_obj.features, np.ndarray)
         for _ in range(3):
             x = rng.uniform(-0.5, 0.5, size=dense_obj.n)
@@ -80,7 +89,7 @@ def test_dense_and_csr_oracles_agree(model):
 def test_csr_logistic_batch_mean_is_the_full_gradient():
     train, _ = aligned()
     objective = logistic_objective(train)
-    assert scipy.sparse.issparse(objective.features)
+    assert np.array_equal(as_scipy(objective.features).toarray(), densify(train))
     x = np.random.default_rng(5).uniform(-0.5, 0.5, size=objective.n)
     batches = list(combinations(range(train.m), 4))
     mean = sum(objective.stochastic_gradient(x, np.array(b)) for b in batches) / len(batches)
@@ -92,8 +101,8 @@ def test_csr_logistic_batch_mean_is_the_full_gradient():
 def test_as_arrays_accepts_a_sparse_pair(to_sparse):
     dense = np.array([[0.0, 1.5], [2.0, 0.0], [0.0, 0.0]])
     features, labels = _labeled_data(to_sparse(dense), [0, 1, 1])
-    assert features.format == "csr" and features.dtype == float
-    assert_allclose(features.toarray(), dense)
+    assert features.data.dtype == float
+    assert_allclose(as_scipy(features).toarray(), dense)
     assert_allclose(labels, [-1.0, 1.0, 1.0])
     x = np.array([0.3, -0.2, 0.1])
     assert logistic_objective((to_sparse(dense), [0, 1, 1])).value(x) \
@@ -329,5 +338,45 @@ def test_csr_features_with_an_index_out_of_range_are_refused(tmp_path):
             "            found.append(str(err))\n"
             "print(json.dumps(found))\n")
     found = _run_python(code, tmp_path)
-    assert len(found) == 4   # scipy words the reason, an index past 3 then one below 0
+    assert len(found) == 4   # an index past 3, then one below 0, for each model
     assert all(reason.startswith("malformed CSR features: indices must be") for reason in found)
+
+
+@pytest.mark.parametrize("rows, fault", [
+    (([0, 3], [1], [1.0]), "indptr must end at the nnz 1, not 3"),
+    (([1, 2], [1], [1.0]), "indptr must start at 0, not 1"),
+    (([0, 1], [1], [1.0, 2.0]), "indices and data must have one length, not 1 and 2"),
+    (([], [], []), "indptr must start at 0, not be empty"),
+    # past int32, so a narrowing cast would wrap them to well-formed values
+    (([0, 2 ** 32 + 1], [1], [1.0]), "indptr must end at the nnz 1, not 4294967297"),
+    (([0, 1], [2 - 2 ** 32], [1.0]), "indices must be in [0, 2), but row 0 holds -4294967295"),
+], ids=["indptr-past-nnz", "indptr-from-1", "one-index-two-values", "empty-indptr",
+        "indptr-past-int32", "index-below-int32"])
+def test_malformed_sparse_rows_are_a_domain_error_naming_the_fault(rows, fault):
+    """Each of these arrays used to fail as a bare ValueError, scipy's or
+    len()'s, when a model was built or to_arrays ran; the CSR check names
+    the fault."""
+    ds = SparseDataset(rows=SparseRows(*rows), labels=(1.0,), n_features=2)
+    for build in (logistic_objective, nn_objective, lambda d: d.to_arrays()):
+        with pytest.raises(DomainError) as caught:
+            build(ds)
+        assert str(caught.value) == f"malformed CSR features: {fault}"
+
+
+@pytest.mark.parametrize("model", ["logistic", "nn"])
+def test_a_libsvm_bench_loads_no_scipy_module_but_its_kernels(model, tmp_path):
+    """A LIBSVM bench reaches scipy's compiled kernels without importing the
+    scipy.sparse package: it loads the extension module
+    scipy.sparse._sparsetools alone, and keeps it out of sys.modules."""
+    (tmp_path / "train.libsvm").write_text(TRAIN)
+    (tmp_path / "test.libsvm").write_text(TEST)
+    code = (SCIPY_MODULES +
+            "import sipm.cli\n"
+            f"status = sipm.cli.main(['bench', '--model', '{model}', '--train', 'train.libsvm',\n"
+            "    '--test', 'test.libsvm', '--maxiter', '20', '--solver', 'sipm,psgm,proj-ipm',\n"
+            "    '--out', 'r.json'])\n"
+            "kept = sipm.problems._sparsetools.cache_info().currsize\n"
+            "print(json.dumps([status, kept, scipy_modules()]))\n")
+    assert _run_python(code, tmp_path) == [0, 1, []]
+    runs = json.loads((tmp_path / "r.json").read_text())["runs"]
+    assert len(runs) == 3 and all("error" not in entry for entry in runs)

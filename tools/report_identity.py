@@ -29,7 +29,7 @@ The parent tree first writes, in the one temporary work directory, the
 train/test pairs that the LIBSVM shapes read, with
 ``synthetic_classification`` and ``serialize_libsvm``: one pair with raw
 labels -1/+1 and one with the same rows labeled 0/1, so the label mapping of
-``SparseDataset.to_arrays`` is checked too, and a thinner pair with
+a ``SparseDataset``'s training arrays is checked too, and a thinner pair with
 label-only rows whose test split is narrower than its train split.  Relative
 paths keep the reports' bytes, and so the printed hashes, the same from one
 call to the next.

@@ -10,11 +10,15 @@ bench --solver sipm``, with ``harness.run`` wrapped to keep the
 ``(objective, config, x1)`` of the bench's own sipm run (the bootstrap's run
 has an observer and is not kept).  That run warms the config's table and the
 oracle's batch stream; then REPEATS more ``run()`` calls on the same
-arguments are timed, untraced, and the process reports their median in µs
+arguments are timed, untraced, and the process reports the fastest in µs
 per iteration: wall time over ``config.maxiter``, the run's entry checks and
-final metrics included.  The two ``csr-`` shapes run the logistic model's CSR
-oracles, full and mini-batch, on an a1a-like file (LIBSVM_SHAPE, seeded)
-that the parent tree's ``serialize_libsvm`` writes before the first round.
+final metrics included.  The fastest of 15 calls keeps the interquartile
+range of one tree's processes within 3-19 % of their median on a shared
+2-core Xeon, where the median of 5 spread 17-67 %
+(BENCH_sparsetools_loader.json).  The two ``csr-`` shapes run the logistic
+model's CSR oracles, full and mini-batch, on an a1a-like file (LIBSVM_SHAPE,
+seeded) that the parent tree's ``serialize_libsvm`` writes before the first
+round.
 
 Per shape it judges the rounds as ``bench_pairs.judge`` does a metric whose
 lower value is better, with BOUND as the no-regression bound (so at least
@@ -51,7 +55,7 @@ SHAPES = {
     "csr-det": [*CSR, "--maxiter", "200"],
     "csr-stoch": [*CSR, "--mode", "stoch", "--epochs", "1"],
 }
-REPEATS = 5   # timed run() calls per shape and process
+REPEATS = 15   # timed run() calls per shape and process; the fastest counts
 BOUND = 0.05   # a shape whose median is slower by more than 5 % reads worse
 
 # argv[1]: the file to write; argv[2]: LIBSVM_SHAPE as JSON
@@ -75,7 +79,7 @@ with open(sys.argv[1], "w", encoding="ascii") as handle:
 
 # argv[1]: the tree; argv[2]: SHAPES as JSON; argv[3]: REPEATS
 TIMER = """
-import json, os, statistics, sys, time
+import json, os, sys, time
 import sipm
 
 tree = os.path.realpath(sys.argv[1])
@@ -104,7 +108,7 @@ for shape, argv in json.loads(sys.argv[2]).items():
         start = time.perf_counter()
         original(objective, config, x1)
         times.append(time.perf_counter() - start)
-    found[shape] = statistics.median(times) / config.maxiter * 1e6
+    found[shape] = min(times) / config.maxiter * 1e6
 print(json.dumps(found))
 """
 
@@ -124,7 +128,7 @@ def _python(src, work, code, *args):
 
 
 def time_tree(src, work):
-    """{shape: median µs per iteration} from one fresh process on the tree src."""
+    """{shape: fastest µs per iteration} from one fresh process on the tree src."""
     out = _python(src, work, TIMER, os.path.abspath(src), json.dumps(SHAPES), str(REPEATS))
     return json.loads(out.strip().splitlines()[-1])
 
